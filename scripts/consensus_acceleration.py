@@ -48,10 +48,10 @@ def consensus_trace(beta: float, args) -> list[float]:
     w = build_mixing(cfg.topology)
     states = init_states(np.zeros(args.p), list(range(args.m)))
     rng = np.random.default_rng(args.seed)
-    for state in states:
+    for i in range(args.m):
         start = args.spread * rng.normal(size=args.p)
-        state.x_mixed = start.copy()
-        state.z_prev = start.copy()
+        states.x_mixed[i] = start
+        states.z_prev[i] = start
     trace = []
     for t in range(args.rounds):
         states, info = run_round(states, t, cfg, w, spec)

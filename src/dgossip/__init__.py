@@ -19,7 +19,7 @@ from .data import (
 )
 from .engine import (
     AlgorithmKind,
-    ClientState,
+    ClientStates,
     ConfigError,
     DataConfig,
     DivergenceError,
@@ -39,6 +39,7 @@ from .engine import (
 from .localopt import (
     LocalResult,
     OptimizerConfig,
+    draw_batches,
     local_train,
     lr_at_round,
     momentum_step,
@@ -56,7 +57,17 @@ from .metrics import (
     update_energies,
     write_metrics_csv,
 )
-from .models import ModelSpec, Shard, full_objective, init_params, loss_and_grad, quadratic_testbed
+from .models import (
+    Batch,
+    ModelSpec,
+    Shard,
+    ShardStack,
+    batch_grads,
+    full_objective,
+    init_params,
+    loss_and_grad,
+    quadratic_testbed,
+)
 from .topology import (
     MixingMatrix,
     ModifiedMatrix,

@@ -47,11 +47,15 @@ def _err(msg: str) -> None:
 
 
 def _workers(value: str) -> int:
+    """Validate ``--workers``; outputs and speed do not depend on its value."""
     if value == "auto":
         return os.cpu_count() or 1
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        raise ConfigError(f"--workers must be a positive integer or 'auto', got {value!r}") from None
     if n < 1:
-        raise ValueError("workers must be >= 1")
+        raise ConfigError(f"--workers must be >= 1, got {n}")
     return n
 
 
@@ -82,6 +86,7 @@ def _fmt_round(hit, rounds: int) -> str:
 def cmd_run(args) -> int:
     try:
         cfg = config_from_dict(_load_tree(args))
+        workers = _workers(args.workers)
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
@@ -91,7 +96,7 @@ def cmd_run(args) -> int:
         _err(f"refusing to overwrite {summary_path} (use --force)")
         return EXIT_IO
     try:
-        result = run_experiment(cfg, workers=_workers(args.workers))
+        result = run_experiment(cfg, workers=workers)
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
@@ -117,6 +122,7 @@ def cmd_sweep(args) -> int:
         return EXIT_CONFIG
     try:
         base = _load_tree(args)
+        workers = _workers(args.workers)
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
@@ -134,7 +140,7 @@ def cmd_sweep(args) -> int:
         cell_dir = os.path.join(args.out, f"{leaf}={raw}".replace(os.sep, "_"))
         os.makedirs(cell_dir, exist_ok=True)
         try:
-            result = run_experiment(cfg, workers=_workers(args.workers))
+            result = run_experiment(cfg, workers=workers)
         except ConfigError as exc:
             _err(str(exc))
             return EXIT_CONFIG
@@ -201,6 +207,7 @@ def cmd_topo_report(args) -> int:
 def cmd_stability(args) -> int:
     try:
         cfg = config_from_dict(_load_tree(args))
+        _workers(args.workers)
         problem = build_problem(cfg)
         if problem.dataset is None:
             raise ConfigError("stability probe needs a dataset-backed model")
@@ -256,7 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--set", action="append", default=[], metavar="KEY=VALUE",
             help="dotted-key config override (repeatable)",
         )
-        sp.add_argument("--workers", default="1", help="worker thread count or 'auto'")
+        sp.add_argument(
+            "--workers", default="1",
+            help="positive integer or 'auto'; accepted for compatibility, outputs and "
+            "speed do not depend on it",
+        )
         sp.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
     sp = sub.add_parser("run", help="run one experiment")

@@ -1,29 +1,32 @@
 """Round-synchronous orchestration of decentralized and centralized training.
 
-One decentralized round, for every client in parallel:
+Client state is two (m, p) arrays: X, the models after the latest mixing
+step, and Z_prev, the local outputs of the previous round.  One
+decentralized round is the matrix recurrence
 
-1. lookahead init   x_{i,0} = x_i + beta * (x_i - z_i_prev), where z_i_prev
-                    is the client's local output from the previous round
-                    (both equal the shared x0 at t = 0, so round 0 starts
-                    from x0 for any beta);
-2. local training   K optimizer steps on the client shard;
-3. gossip mixing    x_i' = sum_j w_ij z_j over the round's mixing matrix.
+1. lookahead init   X_0 = X + beta * (X - Z_prev) (both equal the shared
+                    x0 at t = 0, so round 0 starts from x0 for any beta);
+2. local training   K optimizer steps, each one stacked gradient call for
+                    all clients on their own minibatches;
+3. gossip mixing    X' = W_t Z over the round's mixing matrix.
 
 Centralized rounds sample a participation fraction of clients on the
-coordinator's own stream, train each from the global model, and replace
-it with their unweighted average.
+coordinator's own stream, train the participant rows from the global
+model through the same local phase, and replace the global model with
+their unweighted average.
 
-Determinism contract: every client owns a private generator derived from
-(seed, client, round), mixing accumulates in ascending client order, and
-local training writes into per-client slots, so results are bitwise
-independent of the worker count.
+Determinism contract: one thread runs every round, with no thread pool
+and no order that depends on scheduling.  Every client owns a private
+generator derived from (seed, client, round) and draws its minibatches
+from it alone.  Gossip accumulates each row over a fixed neighbour table
+in ascending client order.  Results are therefore bitwise reproducible,
+and equal to training each client on its own.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -48,7 +51,14 @@ from .metrics import (
     rounds_to_target,
     update_energies,
 )
-from .models import ModelSpec, Shard, full_objective, init_params, quadratic_testbed
+from .models import (
+    ModelSpec,
+    Shard,
+    ShardStack,
+    full_objective,
+    init_params,
+    quadratic_testbed,
+)
 from .topology import MixingMatrix, TopologyKind, TopologySpec, build_mixing
 
 __all__ = [
@@ -57,7 +67,7 @@ __all__ = [
     "DataConfig",
     "PartitionConfig",
     "ExperimentConfig",
-    "ClientState",
+    "ClientStates",
     "RoundInfo",
     "Problem",
     "ExperimentResult",
@@ -219,11 +229,12 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 @dataclass
-class ClientState:
-    x_mixed: np.ndarray  # model after the latest mixing step
-    z_prev: np.ndarray  # this client's local output from the previous round
-    shard: Shard | int
-    opt_state: np.ndarray | None = None  # momentum buffer; reset every round
+class ClientStates:
+    """Every client's state, one row per client."""
+
+    x_mixed: np.ndarray  # (m, p) models after the latest mixing step
+    z_prev: np.ndarray  # (m, p) local outputs of the previous round
+    shards: ShardStack
 
 
 @dataclass
@@ -286,156 +297,129 @@ def ole_init(x_mixed: np.ndarray, z_prev: np.ndarray, beta: float) -> np.ndarray
     upcoming local phase from drifting far from the mixed model.
     Algebraically this equals (1 + beta) * x - beta * z_prev, i.e. one
     gossip step with the modified matrix (1 + beta) * W - beta * I.
+    Works row-wise on (m, p) stacks as well as on one vector.
     """
     if x_mixed.shape != z_prev.shape:
         raise ValueError("x_mixed and z_prev must have equal length")
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    return x_mixed + beta * (x_mixed - z_prev)
+    start = x_mixed - z_prev
+    start *= beta
+    return np.add(x_mixed, start, out=start)
 
 
 def gossip_mix(local_outputs, w: MixingMatrix) -> np.ndarray:
-    """x_i' = sum_j w_ij z_j, accumulated in ascending j for reproducibility."""
+    """x_i' = sum_j w_ij z_j, accumulated in ascending j for reproducibility.
+
+    The sum runs over the neighbour table of ``w`` (see
+    :attr:`MixingMatrix.neighbours`), one (m, p) multiply-add per column:
+    O(m D p) for largest row support D, not O(m^2 p).  The terms it skips
+    are exact zeros for finite inputs, so the result is bitwise the dense
+    ascending-j sum.
+    """
     z = np.asarray(local_outputs, dtype=float)
     if z.shape[0] != w.m:
         raise ValueError(f"expected {w.m} rows, got {z.shape[0]}")
+    index, weight = w.neighbours
+    column = (w.m,) + (1,) * (z.ndim - 1)
     out = np.zeros_like(z)
-    for j in range(w.m):
-        out += np.multiply.outer(w.w[:, j], z[j])
+    term = np.empty_like(z)
+    for d in range(index.shape[1]):
+        np.take(z, index[:, d], axis=0, out=term)
+        term *= weight[:, d].reshape(column)
+        out += term
     return out
 
 
-def init_states(x0: np.ndarray, shards) -> list[ClientState]:
+def init_states(x0: np.ndarray, shards) -> ClientStates:
     """All clients start at the shared x0 with z_prev = x0."""
-    return [ClientState(x_mixed=x0.copy(), z_prev=x0.copy(), shard=s) for s in shards]
+    x = np.tile(x0, (len(shards), 1))
+    return ClientStates(x_mixed=x, z_prev=x.copy(), shards=ShardStack.of(shards))
 
 
-def _check_finite(z: np.ndarray, t: int, client: int) -> None:
-    if not np.all(np.isfinite(z)):
-        raise DivergenceError(t, client)
+def _check_finite(z: np.ndarray, t: int, clients: np.ndarray) -> None:
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
+    if bad.size:
+        raise DivergenceError(t, int(clients[bad[0]]))
+
+
+def _watch_rows(watch: tuple[int, int] | None, clients: np.ndarray):
+    """The watched shard-local index per trained row, -1 elsewhere."""
+    if watch is None or watch[0] not in clients:
+        return None
+    rows = np.full(len(clients), -1)
+    rows[np.searchsorted(clients, watch[0])] = watch[1]
+    return rows
 
 
 def run_round(
-    states: list[ClientState],
+    states: ClientStates,
     t: int,
     cfg: ExperimentConfig,
     w_t: MixingMatrix | None,
     spec: ModelSpec,
     *,
-    map_fn=map,
     watch: tuple[int, int] | None = None,
     diagnostics: bool | None = None,
-) -> tuple[list[ClientState], RoundInfo]:
-    """Execute one communication round and return the new states."""
+) -> tuple[ClientStates, RoundInfo]:
+    """Execute one communication round and return the new states.
+
+    The participating clients (all of them for decentralized kinds) are
+    trained by a single batched local phase, one ``local_train`` call.
+    """
     diagnostics = cfg.diagnostics if diagnostics is None else diagnostics
-    if cfg.algorithm in CENTRAL_KINDS:
-        return _central_round(states, t, cfg, spec, map_fn, watch, diagnostics)
-    return _decentralized_round(states, t, cfg, w_t, spec, map_fn, watch, diagnostics)
-
-
-def _decentralized_round(states, t, cfg, w_t, spec, map_fn, watch, diagnostics):
-    m = len(states)
-    x_prev = np.stack([s.x_mixed for s in states])
-    ole_points = np.stack([ole_init(s.x_mixed, s.z_prev, cfg.beta) for s in states])
-
-    def train_client(i: int):
-        watch_index = watch[1] if watch is not None and watch[0] == i else None
-        return local_train(
-            spec,
-            ole_points[i],
-            states[i].shard,
-            cfg.local_steps,
-            cfg.optimizer,
-            _client_rng(cfg.seed, i, t),
-            round_index=t,
-            opt_state=None,  # momentum never survives a mixing step
-            ref_point=x_prev[i] if diagnostics else None,
-            watch_index=watch_index,
-        )
-
-    results = list(map_fn(train_client, range(m)))
-    for i, res in enumerate(results):
-        _check_finite(res.z, t, i)
-    z = np.stack([res.z for res in results])
-    x_new = gossip_mix(z, w_t)
-    delta = consistency_delta(z, x_new)
+    m = len(states.x_mixed)
+    central = cfg.algorithm in CENTRAL_KINDS
+    if central:
+        coord = np.random.default_rng([cfg.seed, _DOM_COORD, t])
+        clients = np.sort(coord.choice(m, size=math.ceil(cfg.participation * m), replace=False))
+        ref = states.x_mixed[0]  # every client holds the global model
+        starts = np.tile(ref, (len(clients), 1))
+        shards = states.shards.take(clients)
+    else:
+        clients = np.arange(m)
+        ref = states.x_mixed
+        starts = ole_init(states.x_mixed, states.z_prev, cfg.beta)
+        shards = states.shards
+    res = local_train(
+        spec,
+        starts,
+        shards,
+        cfg.local_steps,
+        cfg.optimizer,
+        [_client_rng(cfg.seed, int(i), t) for i in clients],
+        round_index=t,
+        ref_point=ref if diagnostics else None,
+        watch_index=_watch_rows(watch, clients),
+    )
+    z = res.z
+    _check_finite(z, t, clients)
+    if central:
+        x_new = np.repeat(z.mean(axis=0)[None, :], m, axis=0)
+        z_prev, delta, consensus = x_new, 0.0, 0.0
+    else:
+        x_new = gossip_mix(z, w_t)
+        z_prev, delta, consensus = z, consistency_delta(z, x_new), consensus_distance(x_new)
     v1 = v2 = None
     if diagnostics:
-        v1, v2 = update_energies(
-            np.array([res.v1 for res in results]), x_prev.mean(axis=0), x_new.mean(axis=0)
-        )
-    new_states = [
-        ClientState(x_new[i], z[i], states[i].shard, results[i].opt_state) for i in range(m)
-    ]
-    first_draw = None
-    if watch is not None and results[watch[0]].first_draw_step is not None:
-        first_draw = results[watch[0]].first_draw_step
+        if central:
+            v1, v2 = update_energies(res.v1, ref, x_new[0])
+        else:
+            v1, v2 = update_energies(res.v1, ref.mean(axis=0), x_new.mean(axis=0))
     info = RoundInfo(
         t=t,
         lr=cfg.optimizer.eta0 * cfg.optimizer.decay**t,
-        ole_points=ole_points,
+        ole_points=None if central else starts,
         z=z,
-        x_prev=x_prev,
+        x_prev=states.x_mixed,
         x_mixed=x_new,
         delta=delta,
-        consensus=consensus_distance(x_new),
+        consensus=consensus,
         v1=v1,
         v2=v2,
-        first_draw_step=first_draw,
+        first_draw_step=res.first_draw_step,
     )
-    return new_states, info
-
-
-def _central_round(states, t, cfg, spec, map_fn, watch, diagnostics):
-    m = len(states)
-    global_x = states[0].x_mixed
-    coord = np.random.default_rng([cfg.seed, _DOM_COORD, t])
-    n_part = math.ceil(cfg.participation * m)
-    participants = np.sort(coord.choice(m, size=n_part, replace=False))
-
-    def train_client(i: int):
-        watch_index = watch[1] if watch is not None and watch[0] == i else None
-        return local_train(
-            spec,
-            global_x.copy(),
-            states[i].shard,
-            cfg.local_steps,
-            cfg.optimizer,
-            _client_rng(cfg.seed, i, t),
-            round_index=t,
-            ref_point=global_x if diagnostics else None,
-            watch_index=watch_index,
-        )
-
-    results = list(map_fn(train_client, [int(i) for i in participants]))
-    for i, res in zip(participants, results):
-        _check_finite(res.z, t, int(i))
-    z = np.stack([res.z for res in results])
-    new_global = z.mean(axis=0)
-    x_prev = np.stack([s.x_mixed for s in states])
-    x_new = np.repeat(new_global[None, :], m, axis=0)
-    v1 = v2 = None
-    if diagnostics:
-        v1, v2 = update_energies(np.array([res.v1 for res in results]), global_x, new_global)
-    new_states = [ClientState(x_new[i].copy(), x_new[i].copy(), states[i].shard) for i in range(m)]
-    first_draw = None
-    if watch is not None and watch[0] in set(int(i) for i in participants):
-        res = results[int(np.searchsorted(participants, watch[0]))]
-        first_draw = res.first_draw_step
-    info = RoundInfo(
-        t=t,
-        lr=cfg.optimizer.eta0 * cfg.optimizer.decay**t,
-        ole_points=None,
-        z=z,
-        x_prev=x_prev,
-        x_mixed=x_new,
-        delta=0.0,
-        consensus=0.0,
-        v1=v1,
-        v2=v2,
-        first_draw_step=first_draw,
-    )
-    return new_states, info
+    return ClientStates(x_new, z_prev, states.shards), info
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
@@ -525,10 +509,11 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run T communication rounds and collect the metric record series.
 
-    ``workers`` only controls how many threads execute the per-client
-    local phase; outputs are bitwise independent of it.  ``on_round``
-    receives (t, RoundInfo) after every round.  ``watch`` = (client,
-    shard-local index) reports when that sample first enters a minibatch.
+    ``workers`` is accepted for compatibility and has no effect: one
+    thread runs every round as a batched computation, so outputs and
+    speed do not depend on it.  ``on_round`` receives (t, RoundInfo)
+    after every round.  ``watch`` = (client, shard-local index) reports
+    when that sample first enters a minibatch.
     """
     cfg = validated(cfg)
     start = time.perf_counter()
@@ -544,40 +529,32 @@ def run_experiment(
 
     records: list[RoundRecord] = []
     first_draw: tuple[int, int] | None = None
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    map_fn = pool.map if pool is not None else map
-    try:
-        for t in range(cfg.rounds):
-            w_t = None
-            if cfg.algorithm in DECENTRALIZED_KINDS:
-                w_t = _mixing_for_round(cfg, t, static_w)
-            states, info = run_round(
-                states, t, cfg, w_t, problem.spec,
-                map_fn=map_fn,
-                watch=watch if first_draw is None else None,
-            )
-            if first_draw is None and info.first_draw_step is not None:
-                first_draw = (t, info.first_draw_step)
-            if on_round is not None:
-                on_round(t, info)
-            if t % cfg.eval_every == 0 or t == cfg.rounds - 1:
-                records.append(
-                    _evaluate(
-                        problem,
-                        info.x_mixed,
-                        t=t,
-                        lr=info.lr,
-                        delta=info.delta,
-                        consensus=info.consensus,
-                        v1=info.v1,
-                        v2=info.v2,
-                    )
+    for t in range(cfg.rounds):
+        w_t = None
+        if cfg.algorithm in DECENTRALIZED_KINDS:
+            w_t = _mixing_for_round(cfg, t, static_w)
+        states, info = run_round(
+            states, t, cfg, w_t, problem.spec, watch=watch if first_draw is None else None
+        )
+        if first_draw is None and info.first_draw_step is not None:
+            first_draw = (t, info.first_draw_step)
+        if on_round is not None:
+            on_round(t, info)
+        if t % cfg.eval_every == 0 or t == cfg.rounds - 1:
+            records.append(
+                _evaluate(
+                    problem,
+                    info.x_mixed,
+                    t=t,
+                    lr=info.lr,
+                    delta=info.delta,
+                    consensus=info.consensus,
+                    v1=info.v1,
+                    v2=info.v2,
                 )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            )
 
-    final_x = np.stack([s.x_mixed for s in states])
+    final_x = states.x_mixed
     if records:
         last = records[-1]
     else:  # degenerate horizon: report initial metrics only

@@ -1,4 +1,10 @@
-"""Per-client local training: SGD, SAM, and heavy-ball momentum.
+"""Local training of all clients at once: SGD, SAM, and heavy-ball momentum.
+
+Client models are the rows of an (m, p) stack and every optimizer step
+updates all rows together through one stacked gradient call
+(:func:`models.batch_grads`).  Each row still sees only its own client's
+minibatch, drawn from that client's own generator, so a row of the stack
+is bitwise the trajectory the client would follow alone.
 
 The SAM step evaluates the gradient twice on the same minibatch: once at
 the current point to obtain the ascent direction, then at the point
@@ -18,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, Shard, loss_and_grad
+from .models import ModelSpec, ShardStack, batch_grads
+from .models import loss_and_grad  # noqa: F401  re-exported for callers that reach the model here
 
 __all__ = [
     "OptimizerConfig",
@@ -27,6 +34,7 @@ __all__ = [
     "sgd_step",
     "sam_step",
     "momentum_step",
+    "draw_batches",
     "local_train",
 ]
 
@@ -62,10 +70,9 @@ class OptimizerConfig:
 
 @dataclass
 class LocalResult:
-    z: np.ndarray  # x_{i,K}: the client's local output for this round
-    opt_state: np.ndarray | None  # final momentum buffer (zeroed again next round)
-    v1: float | None  # sum_k ||x_{i,k} - ref||^2 when a reference point was given
-    first_draw_step: int | None  # first step whose batch hit the watched index
+    z: np.ndarray  # (m, p) local outputs x_{i,K}; (p,) for one client
+    v1: np.ndarray | float | None  # sum_k ||x_{i,k} - ref||^2 per client, given a reference point
+    first_draw_step: int | None  # first step whose batch hit a watched index
 
 
 def lr_at_round(cfg: OptimizerConfig, t: int) -> float:
@@ -75,75 +82,124 @@ def lr_at_round(cfg: OptimizerConfig, t: int) -> float:
     return cfg.eta0 * cfg.decay**t
 
 
+def _as_stack(x: np.ndarray, shard, batch):
+    """(x, shard, batch) of one client as a one-row stack; stacks pass through."""
+    if np.ndim(x) == 2:
+        return x, shard, batch
+    return x[None], ShardStack.of([shard]), None if batch is None else np.asarray(batch)[None]
+
+
+# Each step takes either one client -- x (p,), its Shard (client index for
+# the quadratic family) and (B,) shard-local batch indices -- or a stack:
+# x (m, p), a ShardStack and (m, B) indices.  The result has x's shape.
+
+
 def sgd_step(spec: ModelSpec, x, shard, batch, eta: float) -> np.ndarray:
-    _, grad = loss_and_grad(spec, x, shard, batch)
-    return x - eta * grad
+    xs, stack, rows = _as_stack(x, shard, batch)
+    g = batch_grads(spec, xs, stack.batch(rows))
+    g *= eta
+    return np.subtract(xs, g, out=g).reshape(np.shape(x))
 
 
 def sam_step(
     spec: ModelSpec, x, shard, batch, eta: float, lam: float, grad_floor: float = 1e-12
 ) -> np.ndarray:
-    _, g1 = loss_and_grad(spec, x, shard, batch)
-    norm = float(np.linalg.norm(g1))
-    if lam == 0.0 or norm <= grad_floor:
-        # perturbed point would coincide with x; the second gradient is g1
-        g = g1
-    else:
-        _, g = loss_and_grad(spec, x + lam * g1 / norm, shard, batch)
-    return x - eta * g
+    xs, stack, rows = _as_stack(x, shard, batch)
+    minibatch = stack.batch(rows)
+    g = batch_grads(spec, xs, minibatch)
+    if lam != 0.0:
+        # per-row 1-D norms: a row-wise reduction rounds differently
+        norms = np.array([np.linalg.norm(row) for row in g])
+        # rows at or below the floor would perturb onto x itself: keep g1
+        ascend = ~(norms <= grad_floor)
+        if ascend.any():
+            peak = np.multiply(lam, g)
+            peak /= np.where(ascend, norms, 1.0)[:, None]
+            peak += xs
+            g = np.where(ascend[:, None], batch_grads(spec, peak, minibatch), g)
+    g *= eta
+    return np.subtract(xs, g, out=g).reshape(np.shape(x))
 
 
 def momentum_step(
     spec: ModelSpec, x, velocity, shard, batch, eta: float, mu: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    _, grad = loss_and_grad(spec, x, shard, batch)
-    velocity = mu * velocity + grad
-    return x - eta * velocity, velocity
+    xs, stack, rows = _as_stack(x, shard, batch)
+    velocity_new = batch_grads(spec, xs, stack.batch(rows))
+    velocity_new += mu * np.reshape(velocity, xs.shape)
+    step = eta * velocity_new
+    x_new = np.subtract(xs, step, out=step)
+    return x_new.reshape(np.shape(x)), velocity_new.reshape(np.shape(x))
+
+
+def draw_batches(rngs, sizes, k_steps: int, batch_size: int) -> np.ndarray:
+    """(K, m, B) shard-local minibatch indices, uniform with replacement.
+
+    Client i draws all K batches from its own generator in one (K, B)
+    call, which yields the same stream as K successive size-B draws.
+    """
+    return np.stack(
+        [rng.integers(0, int(n), size=(k_steps, batch_size)) for rng, n in zip(rngs, sizes)],
+        axis=1,
+    )
 
 
 def local_train(
     spec: ModelSpec,
     x0: np.ndarray,
-    shard: Shard | int,
+    shard,
     k_steps: int,
     cfg: OptimizerConfig,
-    rng: np.random.Generator,
+    rng,
     *,
     round_index: int,
-    opt_state: np.ndarray | None = None,
     ref_point: np.ndarray | None = None,
-    watch_index: int | None = None,
+    watch_index=None,
 ) -> LocalResult:
-    """K sequential steps on one client, one minibatch draw per step.
+    """K sequential steps on every client of a stack at once.
 
-    Minibatches are drawn uniformly with replacement from the client's
-    shard off the supplied generator; the quadratic family is noiseless
-    and consumes no randomness.  ``ref_point`` switches on accumulation of
-    the local-drift energy sum_k ||x_{i,k} - ref||^2 over the pre-step
-    iterates, and ``watch_index`` reports the first step whose batch
-    contains that shard-local row (used by the stability probe).
+    Stacked form: ``x0`` is (m, p), ``shard`` a :class:`ShardStack` and
+    ``rng`` a sequence of m generators, one per row.  One client: ``x0``
+    is (p,), ``shard`` its :class:`Shard` (client index for the quadratic
+    family) and ``rng`` one generator; the result then drops the client
+    axis.  Each step updates all rows with one stacked gradient call.
+
+    Minibatches are drawn uniformly with replacement from each client's
+    shard off its own generator; the quadratic family is noiseless and
+    consumes no randomness.  ``ref_point`` ((p,) or (m, p)) switches on
+    accumulation of the local-drift energy sum_k ||x_{i,k} - ref||^2 over
+    the pre-step iterates.  ``watch_index`` (a shard-local index, or one
+    per row with -1 for none) reports the first step whose batch contains
+    a watched row (used by the stability probe).
     """
     if k_steps < 1:
         raise ValueError("need at least one local step")
+    single = np.ndim(x0) == 1
+    if single:
+        x0, shard, rng = x0[None], ShardStack.of([shard]), [rng]
     eta = lr_at_round(cfg, round_index)
-    noiseless = spec.kind == "quadratic"
-    x = x0
-    velocity = opt_state
-    if cfg.method == "sgd_momentum" and velocity is None:
-        velocity = np.zeros_like(x0)
-    v1 = 0.0 if ref_point is not None else None
+    rows = None
     first_draw = None
+    if spec.kind != "quadratic":
+        rows = draw_batches(rng, shard.sizes, k_steps, cfg.batch_size)
+        if watch_index is not None:
+            hit = (rows == np.reshape(watch_index, (1, -1, 1))).any(axis=(1, 2))
+            first_draw = int(np.argmax(hit)) if hit.any() else None
+    x = x0
+    velocity = np.zeros_like(x0) if cfg.method == "sgd_momentum" else None
+    v1 = np.zeros(len(x0)) if ref_point is not None else None
     for k in range(k_steps):
-        batch = None if noiseless else rng.integers(0, len(shard), size=cfg.batch_size)
-        if watch_index is not None and first_draw is None and batch is not None:
-            if bool((batch == watch_index).any()):
-                first_draw = k
-        if ref_point is not None:
-            v1 += float(np.sum((x - ref_point) ** 2))
+        batch = None if rows is None else rows[k]
+        if v1 is not None:
+            drift = x - ref_point
+            np.square(drift, out=drift)
+            v1 += drift.sum(axis=1)
         if cfg.method == "sgd":
             x = sgd_step(spec, x, shard, batch, eta)
         elif cfg.method == "sam":
             x = sam_step(spec, x, shard, batch, eta, cfg.lam, cfg.grad_floor)
         else:
             x, velocity = momentum_step(spec, x, velocity, shard, batch, eta, cfg.mu)
-    return LocalResult(z=x, opt_state=velocity, v1=v1, first_draw_step=first_draw)
+    if single:
+        return LocalResult(z=x[0], v1=None if v1 is None else float(v1[0]), first_draw_step=first_draw)
+    return LocalResult(z=x, v1=v1, first_draw_step=first_draw)

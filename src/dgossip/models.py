@@ -11,20 +11,26 @@ Three model families:
   trend-level convergence checks rely on.
 
 All parameters live in one flat float64 vector; gradients are computed
-analytically (closed form or manual backprop), never by autodiff.
+analytically (closed form or manual backprop), never by autodiff.  The
+gradient kernel works on an (m, p) stack of such vectors, one client per
+row, with stacked matrix products; a single model is a one-row stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Shard",
+    "ShardStack",
+    "Batch",
     "ModelSpec",
     "init_params",
     "loss_and_grad",
+    "batch_grads",
     "full_objective",
     "quadratic_testbed",
 ]
@@ -82,45 +88,154 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 def _unpack(spec: ModelSpec, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per-layer (weight, bias) views of x along its last axis.
+
+    For one vector the weights are (fan_in, fan_out); for an (m, p) stack
+    they are (m, fan_in, fan_out) and the biases (m, fan_out).
+    """
+    lead = x.shape[:-1]
     layers = []
     offset = 0
     for fan_in, fan_out in spec.layer_dims():
-        w = x[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        w = x[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
         offset += fan_in * fan_out
-        b = x[offset : offset + fan_out]
+        b = x[..., offset : offset + fan_out]
         offset += fan_out
         layers.append((w, b))
     return layers
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _forward_backward(
+    spec: ModelSpec, x: np.ndarray, feats: np.ndarray, labels: np.ndarray, *, with_loss: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Batch-mean cross-entropy gradients of a stack of models.
 
-
-def _forward_backward(spec: ModelSpec, x: np.ndarray, feats: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and its exact gradient for logistic/mlp."""
+    ``x`` is (m, p), ``feats`` (m, n, d) and ``labels`` (m, n): row i is
+    client i's model on its own batch.  Every product is a stacked
+    ``np.matmul``, which makes the same BLAS call per row as a 2-D ``@``,
+    so each row equals the one-client computation bitwise.  Temporaries
+    are reused in place.  Returns (per-row losses or None, (m, p) grads).
+    """
+    m, n = labels.shape
     layers = _unpack(spec, x)
-    n = len(labels)
     acts = [feats]
     for li, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b
-        acts.append(np.tanh(z) if li < len(layers) - 1 else z)
-    probs = _softmax(acts[-1])
-    loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
+        z = np.matmul(acts[-1], w)
+        z += b[:, None, :]
+        if li < len(layers) - 1:
+            np.tanh(z, out=z)
+        acts.append(z)
+    probs = acts.pop()  # softmax in place
+    probs -= probs.max(axis=2, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=2, keepdims=True)
+    picked = (np.arange(m)[:, None], np.arange(n), labels)
+    loss = -np.mean(np.log(probs[picked] + 1e-300), axis=1) if with_loss else None
 
     delta = probs
-    delta[np.arange(n), labels] -= 1.0
+    delta[picked] -= 1.0
     delta /= n
-    grads: list[np.ndarray] = []
+    grad = np.empty_like(x)
+    end = grad.shape[1]
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
-        grads.append(delta.sum(axis=0))  # bias
-        grads.append((acts[li].T @ delta).ravel())  # weight
-        if li > 0:
-            delta = (delta @ w.T) * (1.0 - acts[li] ** 2)  # through tanh
-    return loss, np.concatenate(grads[::-1])
+        fan_in, fan_out = w.shape[1:]
+        grad[:, end - fan_out : end] = delta.sum(axis=1)  # bias
+        end -= fan_out
+        weight = np.matmul(acts[li].transpose(0, 2, 1), delta)
+        grad[:, end - fan_in * fan_out : end] = weight.reshape(m, -1)
+        end -= fan_in * fan_out
+        if li > 0:  # back through tanh: delta W^T * (1 - a^2)
+            delta = np.matmul(delta, w.transpose(0, 2, 1))
+            a = acts[li]
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            delta *= a
+    return loss, grad
+
+
+def _quadratic_grads(spec: ModelSpec, x: np.ndarray, clients: np.ndarray) -> np.ndarray:
+    """A_i x_i - b_i for each row i of an (m, p) stack and its client index."""
+    grad = np.matmul(spec.quad_a[clients], x[:, :, None])[:, :, 0]
+    grad -= spec.quad_b[clients]
+    return grad
+
+
+class Batch(NamedTuple):
+    """One minibatch of every client in a stack (see :meth:`ShardStack.batch`)."""
+
+    clients: np.ndarray  # (m,) client index of each row: selects the quadratic terms
+    features: np.ndarray | None  # (m, B, d); None for the quadratic family
+    labels: np.ndarray | None  # (m, B)
+
+
+@dataclass(frozen=True, eq=False)
+class ShardStack:
+    """The shards of several clients laid end to end, one row per client.
+
+    Row i owns rows ``offsets[i] .. offsets[i] + sizes[i]`` of ``features``
+    and ``labels``, so a single gather draws the minibatches of every
+    client.  The quadratic family has no data: its shards are client
+    indices, and ``features``/``labels`` are None.
+    """
+
+    clients: np.ndarray  # (m,)
+    sizes: np.ndarray  # (m,)
+    offsets: np.ndarray  # (m,)
+    features: np.ndarray | None = None  # (N, d)
+    labels: np.ndarray | None = None  # (N,)
+
+    @classmethod
+    def of(cls, shards) -> "ShardStack":
+        """Stack a list of :class:`Shard` objects, or of quadratic client indices."""
+        if not all(isinstance(s, Shard) for s in shards):
+            clients = np.array([int(s) for s in shards], dtype=np.intp)
+            zeros = np.zeros(len(clients), dtype=np.intp)
+            return cls(clients, zeros, zeros)
+        sizes = np.array([len(s) for s in shards], dtype=np.intp)
+        return cls(
+            clients=np.arange(len(shards)),
+            sizes=sizes,
+            offsets=np.cumsum(sizes) - sizes,
+            features=np.concatenate([s.features for s in shards]),
+            labels=np.concatenate([s.labels for s in shards]),
+        )
+
+    def __len__(self) -> int:
+        return len(self.clients)
+
+    def take(self, rows) -> "ShardStack":
+        """The stack of the selected rows only (shares the data arrays)."""
+        return ShardStack(
+            self.clients[rows], self.sizes[rows], self.offsets[rows], self.features, self.labels
+        )
+
+    def batch(self, rows: np.ndarray | None) -> Batch:
+        """Gather an (m, B) array of shard-local indices into one minibatch.
+
+        ``rows`` is ignored for the quadratic family; None selects the whole
+        shard, which needs a one-row stack.
+        """
+        if self.features is None:
+            return Batch(self.clients, None, None)
+        if rows is None:
+            if len(self) != 1:
+                raise ValueError("a whole-shard batch needs a one-client stack")
+            rows = np.arange(self.sizes[0])[None]
+        index = self.offsets[:, None] + rows
+        return Batch(self.clients, self.features[index], self.labels[index])
+
+
+def batch_grads(spec: ModelSpec, x: np.ndarray, batch: Batch) -> np.ndarray:
+    """Exact batch-mean gradients of an (m, p) stack, one client per row.
+
+    The training kernel: it computes no loss, because local steps never
+    read one.  The quadratic family is noiseless and uses only the
+    client indices of ``batch``.
+    """
+    if spec.kind == "quadratic":
+        return _quadratic_grads(spec, x, batch.clients)
+    return _forward_backward(spec, x, batch.features, batch.labels, with_loss=False)[1]
 
 
 def loss_and_grad(
@@ -129,21 +244,23 @@ def loss_and_grad(
     shard: Shard | int,
     batch: np.ndarray | None = None,
 ) -> tuple[float, np.ndarray]:
-    """Batch-mean loss and exact gradient.
+    """Batch-mean loss and exact gradient of one client.
 
     ``shard`` is the client's :class:`Shard` for classification models and
     the client index for the quadratic family (whose objective has no
-    sampling noise, so ``batch`` is ignored there).
+    sampling noise, so ``batch`` is ignored there).  The gradient comes
+    from the same stacked kernel as training, as a one-row stack.
     """
     if spec.kind == "quadratic":
         a = spec.quad_a[shard]
         b = spec.quad_b[shard]
-        grad = a @ x - b
+        grad = _quadratic_grads(spec, x[None], np.array([shard]))[0]
         loss = float(0.5 * x @ a @ x - b @ x)
         return loss, grad
     feats = shard.features if batch is None else shard.features[batch]
     labels = shard.labels if batch is None else shard.labels[batch]
-    return _forward_backward(spec, x, feats, labels)
+    loss, grad = _forward_backward(spec, x[None], feats[None], labels[None], with_loss=True)
+    return float(loss[0]), grad[0]
 
 
 def full_objective(spec: ModelSpec, x: np.ndarray, shards) -> tuple[float, np.ndarray]:

@@ -211,10 +211,10 @@ def _rounds_to_consensus(beta: float, tol=1e-6, cap=300) -> int:
     w = build_mixing(cfg.topology)
     states = init_states(np.zeros(p), list(range(m)))
     rng = np.random.default_rng(3)
-    for state in states:
+    for i in range(m):
         start = 3.0 * rng.normal(size=p)
-        state.x_mixed = start.copy()
-        state.z_prev = start.copy()
+        states.x_mixed[i] = start
+        states.z_prev[i] = start
     for t in range(cap):
         states, info = run_round(states, t, cfg, w, spec)
         if consensus_distance(info.x_mixed) < tol:

@@ -207,6 +207,26 @@ class TestCmdRun:
         ) == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
 
+    def test_non_integer_workers_is_config_error(self, config_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config_file), "--out", str(out), "--workers", "abc"]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_workers_is_config_error(self, config_file, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config_file), "--out", str(out), "--workers", "0"]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rejects_bad_workers(self, config_file, tmp_path, capsys):
+        code = main(
+            ["sweep", "--config", str(config_file), "--out", str(tmp_path / "s"),
+             "--key", "beta", "--values", "0.0,0.1", "--workers", "-1"]
+        )
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestCmdSweep:
     def test_beta_sweep_and_degeneracy(self, config_file, tmp_path):

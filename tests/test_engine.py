@@ -299,10 +299,10 @@ class TestConsensusDynamics:
     def _spread_states(spec, m, p, spread, seed):
         states = init_states(np.zeros(p), list(range(m)))
         rng = np.random.default_rng(seed)
-        for st_ in states:
+        for i in range(m):
             start = spread * rng.normal(size=p)
-            st_.x_mixed = start.copy()
-            st_.z_prev = start.copy()
+            states.x_mixed[i] = start
+            states.z_prev[i] = start
         return states
 
     def test_consensus_nonincreasing_for_dfedavg_on_identical_objectives(self):
@@ -311,7 +311,7 @@ class TestConsensusDynamics:
         cfg = validated(quadratic_cfg(algorithm=AlgorithmKind.DFEDAVG, beta=0.0))
         w = build_mixing(cfg.topology)
         states = self._spread_states(spec, m, p, spread=2.0, seed=0)
-        prev = consensus_distance(np.stack([s.x_mixed for s in states]))
+        prev = consensus_distance(states.x_mixed)
         for t in range(30):
             states, info = run_round(states, t, cfg, w, spec)
             cur = consensus_distance(info.x_mixed)

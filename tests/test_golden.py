@@ -16,7 +16,6 @@ these tests although nothing in the program changed.
 import hashlib
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from dgossip.config import load_config

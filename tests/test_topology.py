@@ -203,6 +203,31 @@ class TestRandomK:
         assert np.array_equal(adj, adj.T)
         assert not adj.diagonal().any()
 
+    def test_connectivity_check_matches_graph_search(self):
+        from dgossip.topology import _is_connected
+
+        def reachable_from_zero(adj):
+            seen, stack = {0}, [0]
+            while stack:
+                for j in np.flatnonzero(adj[stack.pop()]):
+                    if int(j) not in seen:
+                        seen.add(int(j))
+                        stack.append(int(j))
+            return len(seen) == len(adj)
+
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            m = int(rng.integers(1, 12))
+            adj = rng.random((m, m)) < rng.uniform(0.0, 0.4)
+            adj |= adj.T
+            np.fill_diagonal(adj, False)
+            assert _is_connected(adj) == reachable_from_zero(adj)
+
+    def test_psi_is_computed_on_first_use(self):
+        w = build_mixing(make_spec(TopologyKind.RANDOM_K, 30, k=4, seed=2))
+        assert w._psi is None  # building W_t runs no eigen-decomposition
+        assert w.psi == spectral_gap(w.w)
+
 
 class TestBetaTheoryBound:
     def test_psi_zero(self):
