@@ -12,8 +12,9 @@ Three model families:
 
 All parameters live in one flat float64 vector; gradients are computed
 analytically (closed form or manual backprop), never by autodiff.  The
-gradient kernel works on an (m, p) stack of such vectors, one client per
-row, with stacked matrix products; a single model is a one-row stack.
+gradient kernel also works on an (m, p) stack of such vectors, one
+client per row, with stacked matrix products that round each row exactly
+as a single model.
 """
 
 from __future__ import annotations
@@ -108,45 +109,49 @@ def _unpack(spec: ModelSpec, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray
 def _forward_backward(
     spec: ModelSpec, x: np.ndarray, feats: np.ndarray, labels: np.ndarray, *, with_loss: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Batch-mean cross-entropy gradients of a stack of models.
+    """Batch-mean cross-entropy and its exact gradient, for one model or a stack.
 
-    ``x`` is (m, p), ``feats`` (m, n, d) and ``labels`` (m, n): row i is
-    client i's model on its own batch.  Every product is a stacked
-    ``np.matmul``, which makes the same BLAS call per row as a 2-D ``@``,
-    so each row equals the one-client computation bitwise.  Temporaries
-    are reused in place.  Returns (per-row losses or None, (m, p) grads).
+    One model: ``x`` (p,), ``feats`` (n, d), ``labels`` (n,).  A stack:
+    ``x`` (m, p), ``feats`` (m, n, d), ``labels`` (m, n), where row i is
+    client i's model on its own batch.  Every product is ``np.matmul``,
+    which makes the same BLAS call per row of a stack as for one model, so
+    each row equals the one-model computation bitwise.  Temporaries are
+    reused in place.  Returns (losses, or None, and gradients shaped as x).
     """
-    m, n = labels.shape
+    n = labels.shape[-1]
     layers = _unpack(spec, x)
     acts = [feats]
     for li, (w, b) in enumerate(layers):
         z = np.matmul(acts[-1], w)
-        z += b[:, None, :]
+        z += b[..., None, :]
         if li < len(layers) - 1:
             np.tanh(z, out=z)
         acts.append(z)
     probs = acts.pop()  # softmax in place
-    probs -= probs.max(axis=2, keepdims=True)
+    probs -= probs.max(axis=-1, keepdims=True)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=2, keepdims=True)
-    picked = (np.arange(m)[:, None], np.arange(n), labels)
-    loss = -np.mean(np.log(probs[picked] + 1e-300), axis=1) if with_loss else None
+    probs /= probs.sum(axis=-1, keepdims=True)
+    flat = probs.reshape(-1, probs.shape[-1])
+    picked = (np.arange(len(flat)), labels.reshape(-1))
+    loss = None
+    if with_loss:
+        loss = -np.mean(np.log(flat[picked] + 1e-300).reshape(labels.shape), axis=-1)
 
     delta = probs
-    delta[picked] -= 1.0
+    flat[picked] -= 1.0
     delta /= n
     grad = np.empty_like(x)
-    end = grad.shape[1]
+    end = x.shape[-1]
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
-        fan_in, fan_out = w.shape[1:]
-        grad[:, end - fan_out : end] = delta.sum(axis=1)  # bias
+        fan_in, fan_out = w.shape[-2:]
+        grad[..., end - fan_out : end] = delta.sum(axis=-2)  # bias
         end -= fan_out
-        weight = np.matmul(acts[li].transpose(0, 2, 1), delta)
-        grad[:, end - fan_in * fan_out : end] = weight.reshape(m, -1)
+        weight = np.matmul(acts[li].swapaxes(-1, -2), delta)
+        grad[..., end - fan_in * fan_out : end] = weight.reshape(*x.shape[:-1], -1)
         end -= fan_in * fan_out
         if li > 0:  # back through tanh: delta W^T * (1 - a^2)
-            delta = np.matmul(delta, w.transpose(0, 2, 1))
+            delta = np.matmul(delta, w.swapaxes(-1, -2))
             a = acts[li]
             np.square(a, out=a)
             np.subtract(1.0, a, out=a)
@@ -154,9 +159,9 @@ def _forward_backward(
     return loss, grad
 
 
-def _quadratic_grads(spec: ModelSpec, x: np.ndarray, clients: np.ndarray) -> np.ndarray:
-    """A_i x_i - b_i for each row i of an (m, p) stack and its client index."""
-    grad = np.matmul(spec.quad_a[clients], x[:, :, None])[:, :, 0]
+def _quadratic_grads(spec: ModelSpec, x: np.ndarray, clients) -> np.ndarray:
+    """A_i x - b_i for one client index and vector, or row-wise for a stack."""
+    grad = np.matmul(spec.quad_a[clients], x[..., None])[..., 0]
     grad -= spec.quad_b[clients]
     return grad
 
@@ -249,18 +254,16 @@ def loss_and_grad(
     ``shard`` is the client's :class:`Shard` for classification models and
     the client index for the quadratic family (whose objective has no
     sampling noise, so ``batch`` is ignored there).  The gradient comes
-    from the same stacked kernel as training, as a one-row stack.
+    from the same kernel as training, applied to a single model.
     """
     if spec.kind == "quadratic":
         a = spec.quad_a[shard]
         b = spec.quad_b[shard]
-        grad = _quadratic_grads(spec, x[None], np.array([shard]))[0]
-        loss = float(0.5 * x @ a @ x - b @ x)
-        return loss, grad
+        return float(0.5 * x @ a @ x - b @ x), _quadratic_grads(spec, x, shard)
     feats = shard.features if batch is None else shard.features[batch]
     labels = shard.labels if batch is None else shard.labels[batch]
-    loss, grad = _forward_backward(spec, x[None], feats[None], labels[None], with_loss=True)
-    return float(loss[0]), grad[0]
+    loss, grad = _forward_backward(spec, x, feats, labels, with_loss=True)
+    return float(loss), grad
 
 
 def full_objective(spec: ModelSpec, x: np.ndarray, shards) -> tuple[float, np.ndarray]:
