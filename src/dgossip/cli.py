@@ -46,17 +46,16 @@ def _err(msg: str) -> None:
     print(f"dgossip: error: {msg}", file=sys.stderr)
 
 
-def _workers(value: str) -> int:
-    """Validate ``--workers``; outputs and speed do not depend on its value."""
+def _check_workers(value: str) -> None:
+    """Reject a malformed ``--workers``; outputs and speed do not depend on it."""
     if value == "auto":
-        return os.cpu_count() or 1
+        return
     try:
         n = int(value)
     except ValueError:
         raise ConfigError(f"--workers must be a positive integer or 'auto', got {value!r}") from None
     if n < 1:
         raise ConfigError(f"--workers must be >= 1, got {n}")
-    return n
 
 
 def _env_seed() -> int | None:
@@ -86,7 +85,7 @@ def _fmt_round(hit, rounds: int) -> str:
 def cmd_run(args) -> int:
     try:
         cfg = config_from_dict(_load_tree(args))
-        workers = _workers(args.workers)
+        _check_workers(args.workers)
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
@@ -96,7 +95,7 @@ def cmd_run(args) -> int:
         _err(f"refusing to overwrite {summary_path} (use --force)")
         return EXIT_IO
     try:
-        result = run_experiment(cfg, workers=workers)
+        result = run_experiment(cfg)
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
@@ -122,7 +121,7 @@ def cmd_sweep(args) -> int:
         return EXIT_CONFIG
     try:
         base = _load_tree(args)
-        workers = _workers(args.workers)
+        _check_workers(args.workers)
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
@@ -140,7 +139,7 @@ def cmd_sweep(args) -> int:
         cell_dir = os.path.join(args.out, f"{leaf}={raw}".replace(os.sep, "_"))
         os.makedirs(cell_dir, exist_ok=True)
         try:
-            result = run_experiment(cfg, workers=workers)
+            result = run_experiment(cfg)
         except ConfigError as exc:
             _err(str(exc))
             return EXIT_CONFIG
@@ -207,7 +206,7 @@ def cmd_topo_report(args) -> int:
 def cmd_stability(args) -> int:
     try:
         cfg = config_from_dict(_load_tree(args))
-        _workers(args.workers)
+        _check_workers(args.workers)
         problem = build_problem(cfg)
         if problem.dataset is None:
             raise ConfigError("stability probe needs a dataset-backed model")
