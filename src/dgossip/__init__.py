@@ -48,12 +48,10 @@ from .localopt import (
 )
 from .metrics import (
     RoundRecord,
-    StabilityTrace,
     consensus_distance,
     consistency_delta,
     eval_model,
     rounds_to_target,
-    stability_probe,
     update_energies,
     write_metrics_csv,
 )
@@ -66,8 +64,10 @@ from .models import (
     full_objective,
     init_params,
     loss_and_grad,
+    loss_and_predictions,
     quadratic_testbed,
 )
+from .stability import StabilityTrace, check_swap, first_draw, stability_probe
 from .topology import (
     MixingMatrix,
     ModifiedMatrix,

@@ -15,20 +15,14 @@ seed (CLI --set overrides beat it).
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
 
-from .config import (
-    apply_override,
-    config_from_dict,
-    config_to_dict,
-    parse_config_text,
-    topology_kind,
-)
-from .engine import ConfigError, DivergenceError, build_problem, run_experiment
-from .metrics import stability_probe, write_metrics_csv
+from .config import config_to_dict, load_config, topology_kind
+from .engine import ConfigError, DivergenceError, build_problem, run_experiment, validated
+from .metrics import write_metrics_csv
+from .stability import check_swap, stability_probe
 from .topology import (
     REFERENCE_PSI_FORMULAS,
     TopologySpec,
@@ -60,18 +54,18 @@ def _check_workers(value: str) -> None:
 
 def _env_seed() -> int | None:
     raw = os.environ.get("DGOSSIP_SEED")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"DGOSSIP_SEED must be an integer, got {raw!r}") from None
 
 
-def _load_tree(args) -> dict:
-    with open(args.config) as fh:
-        tree = parse_config_text(fh.read())
-    seed = _env_seed()
-    if seed is not None:
-        tree["seed"] = seed
-    for pair in args.set:
-        apply_override(tree, pair)
-    return tree
+def _load(args, *overrides: str):
+    """Check --workers, then load and validate --config under DGOSSIP_SEED, --set, overrides."""
+    _check_workers(args.workers)
+    return validated(load_config(args.config, [*args.set, *overrides], _env_seed()))
 
 
 def _summary_payload(result) -> dict:
@@ -84,8 +78,8 @@ def _fmt_round(hit, rounds: int) -> str:
 
 def cmd_run(args) -> int:
     try:
-        cfg = config_from_dict(_load_tree(args))
-        _check_workers(args.workers)
+        cfg = _load(args)
+        problem = build_problem(cfg)
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
@@ -95,10 +89,7 @@ def cmd_run(args) -> int:
         _err(f"refusing to overwrite {summary_path} (use --force)")
         return EXIT_IO
     try:
-        result = run_experiment(cfg)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
+        result = run_experiment(cfg, problem=problem)
     except DivergenceError as exc:
         _err(str(exc))
         return EXIT_DIVERGED
@@ -119,30 +110,20 @@ def cmd_sweep(args) -> int:
     if not values:
         _err("empty sweep")
         return EXIT_CONFIG
-    try:
-        base = _load_tree(args)
-        _check_workers(args.workers)
+    try:  # every cell is built before any runs, so a bad value leaves no output
+        configs = [(raw, _load(args, f"{args.key}={raw}")) for raw in values]
+        cells = [(raw, cfg, build_problem(cfg)) for raw, cfg in configs]
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
     os.makedirs(args.out, exist_ok=True)
     leaf = args.key.split(".")[-1]
     rows = []
-    for raw in values:
-        tree = copy.deepcopy(base)
-        try:
-            apply_override(tree, args.key, raw)
-            cfg = config_from_dict(tree)
-        except ConfigError as exc:
-            _err(str(exc))
-            return EXIT_CONFIG
+    for raw, cfg, problem in cells:
         cell_dir = os.path.join(args.out, f"{leaf}={raw}".replace(os.sep, "_"))
         os.makedirs(cell_dir, exist_ok=True)
         try:
-            result = run_experiment(cfg)
-        except ConfigError as exc:
-            _err(str(exc))
-            return EXIT_CONFIG
+            result = run_experiment(cfg, problem=problem)
         except DivergenceError as exc:
             print(f"{args.key}={raw}: diverged ({exc})", file=sys.stderr)
             rows.append((raw, "", "", "", "diverged"))
@@ -205,25 +186,13 @@ def cmd_topo_report(args) -> int:
 
 def cmd_stability(args) -> int:
     try:
-        cfg = config_from_dict(_load_tree(args))
-        _check_workers(args.workers)
+        cfg = _load(args)
         problem = build_problem(cfg)
-        if problem.dataset is None:
-            raise ConfigError("stability probe needs a dataset-backed model")
-        plan = problem.plan
-        if not 0 <= args.client < len(plan.assignments):
-            raise ConfigError(f"client {args.client} out of range")
-        if not 0 <= args.sample < len(plan.assignments[args.client]):
-            raise ConfigError(f"sample {args.sample} out of range for client {args.client}")
-        row = int(plan.assignments[args.client][args.sample])
-        label = args.replace_label if args.replace_label is not None else int(
-            problem.dataset.labels[row]
-        )
-        if not 0 <= label < problem.dataset.num_classes:
-            raise ConfigError(f"replacement label {label} out of range")
-        replacement = (problem.dataset.features[row].copy(), label)
-        trace = stability_probe(cfg, (args.client, args.sample), replacement)
-    except (ConfigError, ValueError) as exc:
+        swap = (args.client, args.sample)
+        row = check_swap(problem, swap, args.replace_label)
+        label = problem.dataset.labels[row] if args.replace_label is None else args.replace_label
+        trace = stability_probe(cfg, problem, swap, (problem.dataset.features[row].copy(), label))
+    except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
     except DivergenceError as exc:

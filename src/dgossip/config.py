@@ -11,9 +11,10 @@ CLI overrides address the same tree through dotted keys
 from __future__ import annotations
 
 import copy
+import math
 
 from .engine import (
-    _METHOD_FOR,
+    METHOD_FOR,
     AlgorithmKind,
     ConfigError,
     DataConfig,
@@ -141,7 +142,7 @@ def _take(section: dict, key: str, default, caster, where: str):
     value = section.pop(key)
     try:
         return caster(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {where}{key}: {exc}") from None
 
 
@@ -158,8 +159,8 @@ def _as_int(v) -> int:
 
 
 def _as_float(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"expected number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
     return float(v)
 
 
@@ -224,7 +225,7 @@ def config_from_dict(tree: dict) -> ExperimentConfig:
     _reject_unknown(model_sec, "model.")
 
     opt_sec = tree.pop("optimizer", {})
-    derived_method = _METHOD_FOR[algorithm]
+    derived_method = METHOD_FOR[algorithm]
     method = _take(opt_sec, "method", derived_method, _as_str, "optimizer.")
     if method != derived_method:
         raise ConfigError(

@@ -73,6 +73,8 @@ __all__ = [
     "ExperimentResult",
     "ConfigError",
     "DivergenceError",
+    "client_rng",
+    "participants",
     "ole_init",
     "gossip_mix",
     "init_states",
@@ -106,7 +108,7 @@ CENTRAL_KINDS = frozenset({AlgorithmKind.FEDAVG_CENTRAL, AlgorithmKind.FEDSAM_CE
 DECENTRALIZED_KINDS = frozenset(set(AlgorithmKind) - CENTRAL_KINDS)
 LOOKAHEAD_KINDS = frozenset({AlgorithmKind.OLED_SGD, AlgorithmKind.OLED_SAM})
 
-_METHOD_FOR = {
+METHOD_FOR = {
     AlgorithmKind.OLED_SGD: "sgd",
     AlgorithmKind.OLED_SAM: "sam",
     AlgorithmKind.DFEDAVG: "sgd",
@@ -194,6 +196,8 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("local_steps must be >= 1")
     if cfg.eval_every < 1:
         raise ConfigError("eval_every must be >= 1")
+    if cfg.seed < 0 or (cfg.topology is not None and cfg.topology.seed < 0):
+        raise ConfigError("seed and topology.seed must be >= 0")
 
     beta = cfg.beta if algo in LOOKAHEAD_KINDS else 0.0
     local_steps = 1 if algo is AlgorithmKind.DPSGD else cfg.local_steps
@@ -203,20 +207,27 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
             raise ConfigError(f"{algo.value} requires a topology")
         if topology.m != cfg.m:
             raise ConfigError(f"topology.m={topology.m} != m={cfg.m}")
-        if cfg.m > 1:
-            topology.validate()
-    else:
-        if not 0.0 < cfg.participation <= 1.0:
-            raise ConfigError(f"participation must be in (0, 1], got {cfg.participation}")
+    elif not 0.0 < cfg.participation <= 1.0:
+        raise ConfigError(f"participation must be in (0, 1], got {cfg.participation}")
 
-    optimizer = replace(cfg.optimizer, method=_METHOD_FOR[algo])
-    optimizer.validate()
+    optimizer = replace(cfg.optimizer, method=METHOD_FOR[algo])
+    try:  # the optimizer's and topology's own checks name their fields
+        optimizer.validate()
+        if algo in DECENTRALIZED_KINDS and cfg.m > 1:
+            topology.validate()
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if cfg.model.kind not in ("quadratic", "logistic", "mlp"):
         raise ConfigError(f"unknown model kind {cfg.model.kind!r}")
+    if cfg.model.kind == "mlp" and min(cfg.model.hidden, default=1) < 1:
+        raise ConfigError(f"model.hidden sizes must be >= 1, got {list(cfg.model.hidden)}")
     if cfg.partition.scheme not in ("iid", "dirichlet", "pathological"):
         raise ConfigError(f"unknown partition scheme {cfg.partition.scheme!r}")
     if cfg.data.source not in ("synthetic", "csv"):
         raise ConfigError(f"unknown data source {cfg.data.source!r}")
+    samples = cfg.data.classes * cfg.data.per_class
+    if cfg.model.kind != "quadratic" and cfg.data.source == "synthetic" and samples < cfg.m:
+        raise ConfigError(f"data.classes * data.per_class = {samples} samples < m={cfg.m}")
     return replace(
         cfg,
         algorithm=algo,
@@ -251,7 +262,6 @@ class RoundInfo:
     consensus: float  # dispersion of x_mixed (exactly 0 for central kinds)
     v1: float | None
     v2: float | None
-    first_draw_step: int | None  # step index if the watched sample was first drawn here
 
 
 @dataclass
@@ -265,13 +275,6 @@ class Problem:
     plan: PartitionPlan | None
     x0: np.ndarray
 
-    def with_dataset(self, ds: LabeledDataset) -> "Problem":
-        """Same plan/spec/init over a different dataset (coupled-run support)."""
-        if self.plan is None:
-            raise ValueError("problem has no dataset-backed shards")
-        shards = [Shard(ds.features[idx], ds.labels[idx]) for idx in self.plan.assignments]
-        return Problem(self.spec, shards, self.test, ds, self.plan, self.x0)
-
 
 @dataclass
 class ExperimentResult:
@@ -279,15 +282,27 @@ class ExperimentResult:
     records: list[RoundRecord]
     summary: dict
     final_x: np.ndarray  # (m, p) client models after the last round
-    first_draw: tuple[int, int] | None = None
 
 
 def _subseed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def _client_rng(seed: int, client: int, t: int) -> np.random.Generator:
+def client_rng(seed: int, client: int, t: int) -> np.random.Generator:
+    """The private stream from which ``client`` draws its round-``t`` minibatches."""
     return np.random.default_rng([seed, _DOM_CLIENT, client, t])
+
+
+def participants(cfg: ExperimentConfig, m: int, t: int) -> np.ndarray:
+    """Ascending indices of the clients that train in round ``t``.
+
+    Decentralized kinds train all ``m`` clients; central kinds sample
+    ceil(participation * m) of them on the coordinator's round stream.
+    """
+    if cfg.algorithm not in CENTRAL_KINDS:
+        return np.arange(m)
+    coord = np.random.default_rng([cfg.seed, _DOM_COORD, t])
+    return np.sort(coord.choice(m, size=math.ceil(cfg.participation * m), replace=False))
 
 
 def ole_init(x_mixed: np.ndarray, z_prev: np.ndarray, beta: float) -> np.ndarray:
@@ -343,41 +358,26 @@ def _check_finite(z: np.ndarray, t: int, clients: np.ndarray) -> None:
         raise DivergenceError(t, int(clients[bad[0]]))
 
 
-def _watch_rows(watch: tuple[int, int] | None, clients: np.ndarray):
-    """The watched shard-local index per trained row, -1 elsewhere."""
-    if watch is None or watch[0] not in clients:
-        return None
-    rows = np.full(len(clients), -1)
-    rows[np.searchsorted(clients, watch[0])] = watch[1]
-    return rows
-
-
 def run_round(
     states: ClientStates,
     t: int,
     cfg: ExperimentConfig,
     w_t: MixingMatrix | None,
     spec: ModelSpec,
-    *,
-    watch: tuple[int, int] | None = None,
-    diagnostics: bool | None = None,
 ) -> tuple[ClientStates, RoundInfo]:
     """Execute one communication round and return the new states.
 
     The participating clients (all of them for decentralized kinds) are
     trained by a single batched local phase, one ``local_train`` call.
     """
-    diagnostics = cfg.diagnostics if diagnostics is None else diagnostics
     m = len(states.x_mixed)
     central = cfg.algorithm in CENTRAL_KINDS
+    clients = participants(cfg, m, t)
     if central:
-        coord = np.random.default_rng([cfg.seed, _DOM_COORD, t])
-        clients = np.sort(coord.choice(m, size=math.ceil(cfg.participation * m), replace=False))
         ref = states.x_mixed[0]  # every client holds the global model
         starts = np.tile(ref, (len(clients), 1))
         shards = states.shards.take(clients)
     else:
-        clients = np.arange(m)
         ref = states.x_mixed
         starts = ole_init(states.x_mixed, states.z_prev, cfg.beta)
         shards = states.shards
@@ -387,10 +387,9 @@ def run_round(
         shards,
         cfg.local_steps,
         cfg.optimizer,
-        [_client_rng(cfg.seed, int(i), t) for i in clients],
+        [client_rng(cfg.seed, int(i), t) for i in clients],
         round_index=t,
-        ref_point=ref if diagnostics else None,
-        watch_index=_watch_rows(watch, clients),
+        ref_point=ref if cfg.diagnostics else None,
     )
     z = res.z
     _check_finite(z, t, clients)
@@ -401,7 +400,7 @@ def run_round(
         x_new = gossip_mix(z, w_t)
         z_prev, delta, consensus = z, consistency_delta(z, x_new), consensus_distance(x_new)
     v1 = v2 = None
-    if diagnostics:
+    if cfg.diagnostics:
         if central:
             v1, v2 = update_energies(res.v1, ref, x_new[0])
         else:
@@ -417,7 +416,6 @@ def run_round(
         consensus=consensus,
         v1=v1,
         v2=v2,
-        first_draw_step=res.first_draw_step,
     )
     return ClientStates(x_new, z_prev, states.shards), info
 
@@ -439,25 +437,27 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         )
 
     d = cfg.data
-    if d.source == "synthetic":
-        dataset = generate_synthetic(d.classes, d.dim, d.per_class, d.spread, data_seed)
-        test_ds = generate_synthetic_holdout(d.classes, d.dim, d.test_per_class, d.spread, data_seed)
-        test = Shard(test_ds.features, test_ds.labels)
-    else:
-        dataset = load_csv(d.path)
-        test = None
-        if d.test_path:
-            test_ds = load_csv(d.test_path)
-            test = Shard(test_ds.features, test_ds.labels)
-
     part_seed = _subseed(cfg.seed, _DOM_PARTITION)
     scheme = cfg.partition.scheme
-    if scheme == "iid":
-        plan = partition_iid(dataset, cfg.m, part_seed)
-    elif scheme == "dirichlet":
-        plan = partition_dirichlet(dataset, cfg.m, cfg.partition.alpha, part_seed)
-    else:
-        plan = partition_pathological(dataset, cfg.m, cfg.partition.classes_per_client, part_seed)
+    try:
+        if d.source == "synthetic":
+            dataset = generate_synthetic(d.classes, d.dim, d.per_class, d.spread, data_seed)
+            test_ds = generate_synthetic_holdout(d.classes, d.dim, d.test_per_class, d.spread, data_seed)
+            test = Shard(test_ds.features, test_ds.labels)
+        else:
+            dataset = load_csv(d.path)
+            test = None
+            if d.test_path:
+                test_ds = load_csv(d.test_path)
+                test = Shard(test_ds.features, test_ds.labels)
+        if scheme == "iid":
+            plan = partition_iid(dataset, cfg.m, part_seed)
+        elif scheme == "dirichlet":
+            plan = partition_dirichlet(dataset, cfg.m, cfg.partition.alpha, part_seed)
+        else:
+            plan = partition_pathological(dataset, cfg.m, cfg.partition.classes_per_client, part_seed)
+    except (ValueError, RuntimeError) as exc:  # infeasible data or partition settings
+        raise ConfigError(f"data/partition: {exc}") from None
 
     spec = ModelSpec(
         kind=cfg.model.kind,
@@ -505,15 +505,13 @@ def run_experiment(
     workers: int = 1,
     problem: Problem | None = None,
     on_round=None,
-    watch: tuple[int, int] | None = None,
 ) -> ExperimentResult:
     """Run T communication rounds and collect the metric record series.
 
     ``workers`` is accepted for compatibility and has no effect: one
     thread runs every round as a batched computation, so outputs and
     speed do not depend on it.  ``on_round`` receives (t, RoundInfo)
-    after every round.  ``watch`` = (client, shard-local index) reports
-    when that sample first enters a minibatch.
+    after every round.
     """
     cfg = validated(cfg)
     start = time.perf_counter()
@@ -528,16 +526,11 @@ def run_experiment(
             static_w = build_mixing(cfg.topology)
 
     records: list[RoundRecord] = []
-    first_draw: tuple[int, int] | None = None
     for t in range(cfg.rounds):
         w_t = None
         if cfg.algorithm in DECENTRALIZED_KINDS:
             w_t = _mixing_for_round(cfg, t, static_w)
-        states, info = run_round(
-            states, t, cfg, w_t, problem.spec, watch=watch if first_draw is None else None
-        )
-        if first_draw is None and info.first_draw_step is not None:
-            first_draw = (t, info.first_draw_step)
+        states, info = run_round(states, t, cfg, w_t, problem.spec)
         if on_round is not None:
             on_round(t, info)
         if t % cfg.eval_every == 0 or t == cfg.rounds - 1:
@@ -580,6 +573,4 @@ def run_experiment(
         },
         "wall_time_seconds": time.perf_counter() - start,
     }
-    return ExperimentResult(
-        config=cfg, records=records, summary=summary, final_x=final_x, first_draw=first_draw
-    )
+    return ExperimentResult(config=cfg, records=records, summary=summary, final_x=final_x)

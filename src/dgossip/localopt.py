@@ -72,7 +72,6 @@ class OptimizerConfig:
 class LocalResult:
     z: np.ndarray  # (m, p) local outputs x_{i,K}; (p,) for one client
     v1: np.ndarray | float | None  # sum_k ||x_{i,k} - ref||^2 per client, given a reference point
-    first_draw_step: int | None  # first step whose batch hit a watched index
 
 
 def lr_at_round(cfg: OptimizerConfig, t: int) -> float:
@@ -154,7 +153,6 @@ def local_train(
     *,
     round_index: int,
     ref_point: np.ndarray | None = None,
-    watch_index=None,
 ) -> LocalResult:
     """K sequential steps on every client of a stack at once.
 
@@ -168,9 +166,7 @@ def local_train(
     shard off its own generator; the quadratic family is noiseless and
     consumes no randomness.  ``ref_point`` ((p,) or (m, p)) switches on
     accumulation of the local-drift energy sum_k ||x_{i,k} - ref||^2 over
-    the pre-step iterates.  ``watch_index`` (a shard-local index, or one
-    per row with -1 for none) reports the first step whose batch contains
-    a watched row (used by the stability probe).
+    the pre-step iterates.
     """
     if k_steps < 1:
         raise ValueError("need at least one local step")
@@ -179,12 +175,8 @@ def local_train(
         x0, shard, rng = x0[None], ShardStack.of([shard]), [rng]
     eta = lr_at_round(cfg, round_index)
     rows = None
-    first_draw = None
     if spec.kind != "quadratic":
         rows = draw_batches(rng, shard.sizes, k_steps, cfg.batch_size)
-        if watch_index is not None:
-            hit = (rows == np.reshape(watch_index, (1, -1, 1))).any(axis=(1, 2))
-            first_draw = int(np.argmax(hit)) if hit.any() else None
     x = x0
     velocity = np.zeros_like(x0) if cfg.method == "sgd_momentum" else None
     v1 = np.zeros(len(x0)) if ref_point is not None else None
@@ -201,5 +193,5 @@ def local_train(
         else:
             x, velocity = momentum_step(spec, x, velocity, shard, batch, eta, cfg.mu)
     if single:
-        return LocalResult(z=x[0], v1=None if v1 is None else float(v1[0]), first_draw_step=first_draw)
-    return LocalResult(z=x, v1=v1, first_draw_step=first_draw)
+        return LocalResult(z=x[0], v1=None if v1 is None else float(v1[0]))
+    return LocalResult(z=x, v1=v1)

@@ -9,35 +9,24 @@ Quantities tracked per round (all over the post-round state):
                  to study
 * v1, v2         local-drift and global-step energies (diagnostic mode)
 * grad_norm_sq   ||grad f(xbar)||^2 on the full training objective
-
-The stability probe runs two coupled experiments whose datasets differ in
-exactly one sample while sharing every random stream, so the runs are
-bitwise identical until the swapped sample is first drawn into a
-minibatch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .models import ModelSpec, Shard, loss_and_grad, _unpack
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .engine import ExperimentConfig
+from .models import ModelSpec, Shard, loss_and_predictions
 
 __all__ = [
     "RoundRecord",
-    "StabilityTrace",
     "consensus_distance",
     "consistency_delta",
     "update_energies",
     "eval_model",
     "rounds_to_target",
-    "stability_probe",
     "write_metrics_csv",
     "METRICS_CSV_COLUMNS",
 ]
@@ -105,22 +94,11 @@ def update_energies(
     return v1, v2
 
 
-def predict(spec: ModelSpec, x: np.ndarray, features: np.ndarray) -> np.ndarray:
-    """Argmax class predictions; ties resolve to the lowest class index."""
-    acts = features
-    layers = _unpack(spec, x)
-    for li, (w, b) in enumerate(layers):
-        z = acts @ w + b
-        acts = np.tanh(z) if li < len(layers) - 1 else z
-    return np.argmax(acts, axis=1)
-
-
 def eval_model(spec: ModelSpec, x: np.ndarray, test: Shard) -> tuple[float, float]:
     """Full-test-set loss and top-1 accuracy of one parameter vector."""
     if spec.kind == "quadratic":
         raise ValueError("quadratic objectives have no held-out accuracy")
-    loss, _ = loss_and_grad(spec, x, test, batch=None)
-    pred = predict(spec, x, test.features)
+    loss, pred = loss_and_predictions(spec, x, test)
     return loss, float(np.mean(pred == test.labels))
 
 
@@ -151,91 +129,3 @@ def write_metrics_csv(records, path) -> None:
         fh.write(",".join(METRICS_CSV_COLUMNS) + "\n")
         for rec in records:
             fh.write(",".join(_fmt(getattr(rec, col)) for col in METRICS_CSV_COLUMNS) + "\n")
-
-
-@dataclass(frozen=True, eq=False)
-class StabilityTrace:
-    """Coupled-run divergence trace from one swapped training sample."""
-
-    client: int
-    sample: int  # shard-local index of the swapped sample
-    first_draw: tuple[int, int] | None  # (round, step) of the first divergent batch
-    distances: np.ndarray  # (T, m): per-round per-client ||x_i - x~_i||
-    mean_distance: np.ndarray  # (T,)
-    heldout_gap: np.ndarray  # (T,): |held-out loss difference| between the runs
-
-
-def stability_probe(
-    cfg: "ExperimentConfig",
-    swap: tuple[int, int],
-    replacement: tuple[np.ndarray, int],
-) -> StabilityTrace:
-    """Run twin experiments whose datasets differ only at one sample.
-
-    ``swap`` is (client index, shard-local sample index); ``replacement``
-    is the (features, label) written at that position in the twin run.
-    The partition plan, model init, and every RNG stream are shared, so
-    the twin states coincide bitwise until the swapped row first lands in
-    a minibatch of the swapped client.
-    """
-    from .data import LabeledDataset
-    from .engine import build_problem, run_experiment
-
-    client, sample = swap
-    problem = build_problem(cfg)
-    if problem.dataset is None:
-        raise ValueError("stability probe requires a dataset-backed model (logistic/mlp)")
-    plan = problem.plan
-    if not 0 <= client < len(plan.assignments):
-        raise ValueError(f"swap client {client} out of range")
-    if not 0 <= sample < len(plan.assignments[client]):
-        raise ValueError(f"swap sample {sample} out of range for client {client}")
-
-    row = int(plan.assignments[client][sample])
-    feats = np.asarray(replacement[0], dtype=float)
-    label = int(replacement[1])
-    if feats.shape != problem.dataset.features[row].shape:
-        raise ValueError("replacement feature shape mismatch")
-    if not 0 <= label < problem.dataset.num_classes:
-        raise ValueError("replacement label out of range")
-
-    twin_features = problem.dataset.features.copy()
-    twin_labels = problem.dataset.labels.copy()
-    twin_features[row] = feats
-    twin_labels[row] = label
-    twin_ds = LabeledDataset(
-        features=twin_features,
-        labels=twin_labels,
-        num_classes=problem.dataset.num_classes,
-        name=problem.dataset.name + "-twin",
-    )
-    twin_problem = problem.with_dataset(twin_ds)
-
-    def collector(snaps, losses):
-        def on_round(t, info):
-            snaps.append(info.x_mixed.copy())
-            loss, _ = eval_model(problem.spec, info.x_mixed.mean(axis=0), problem.test)
-            losses.append(loss)
-
-        return on_round
-
-    snaps_a: list[np.ndarray] = []
-    snaps_b: list[np.ndarray] = []
-    losses_a: list[float] = []
-    losses_b: list[float] = []
-    result_a = run_experiment(
-        cfg, problem=problem, on_round=collector(snaps_a, losses_a), watch=(client, sample)
-    )
-    run_experiment(cfg, problem=twin_problem, on_round=collector(snaps_b, losses_b))
-
-    dists = np.stack(
-        [np.linalg.norm(a - b, axis=1) for a, b in zip(snaps_a, snaps_b)]
-    ) if snaps_a else np.zeros((0, cfg.m))
-    return StabilityTrace(
-        client=client,
-        sample=sample,
-        first_draw=result_a.first_draw,
-        distances=dists,
-        mean_distance=dists.mean(axis=1) if len(dists) else np.zeros(0),
-        heldout_gap=np.abs(np.asarray(losses_a) - np.asarray(losses_b)),
-    )

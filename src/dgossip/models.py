@@ -31,6 +31,7 @@ __all__ = [
     "ModelSpec",
     "init_params",
     "loss_and_grad",
+    "loss_and_predictions",
     "batch_grads",
     "full_objective",
     "quadratic_testbed",
@@ -106,6 +107,32 @@ def _unpack(spec: ModelSpec, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray
     return layers
 
 
+def _forward(spec: ModelSpec, x: np.ndarray, feats: np.ndarray):
+    """Per-layer (weight, bias) views of x and every layer's activations, logits last."""
+    layers = _unpack(spec, x)
+    acts = [feats]
+    for li, (w, b) in enumerate(layers):
+        z = np.matmul(acts[-1], w)
+        z += b[..., None, :]
+        if li < len(layers) - 1:
+            np.tanh(z, out=z)
+        acts.append(z)
+    return layers, acts
+
+
+def _softmax_nll(logits: np.ndarray, labels: np.ndarray, with_loss: bool):
+    """Softmax in place; (batch-mean NLL or None, (rows, classes) view, label index)."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    flat = logits.reshape(-1, logits.shape[-1])
+    picked = (np.arange(len(flat)), labels.reshape(-1))
+    loss = None
+    if with_loss:
+        loss = -np.mean(np.log(flat[picked] + 1e-300).reshape(labels.shape), axis=-1)
+    return loss, flat, picked
+
+
 def _forward_backward(
     spec: ModelSpec, x: np.ndarray, feats: np.ndarray, labels: np.ndarray, *, with_loss: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -119,25 +146,9 @@ def _forward_backward(
     reused in place.  Returns (losses, or None, and gradients shaped as x).
     """
     n = labels.shape[-1]
-    layers = _unpack(spec, x)
-    acts = [feats]
-    for li, (w, b) in enumerate(layers):
-        z = np.matmul(acts[-1], w)
-        z += b[..., None, :]
-        if li < len(layers) - 1:
-            np.tanh(z, out=z)
-        acts.append(z)
-    probs = acts.pop()  # softmax in place
-    probs -= probs.max(axis=-1, keepdims=True)
-    np.exp(probs, out=probs)
-    probs /= probs.sum(axis=-1, keepdims=True)
-    flat = probs.reshape(-1, probs.shape[-1])
-    picked = (np.arange(len(flat)), labels.reshape(-1))
-    loss = None
-    if with_loss:
-        loss = -np.mean(np.log(flat[picked] + 1e-300).reshape(labels.shape), axis=-1)
-
-    delta = probs
+    layers, acts = _forward(spec, x, feats)
+    delta = acts.pop()  # logits, turned in place into probabilities, then the output error
+    loss, flat, picked = _softmax_nll(delta, labels, with_loss)
     flat[picked] -= 1.0
     delta /= n
     grad = np.empty_like(x)
@@ -264,6 +275,18 @@ def loss_and_grad(
     labels = shard.labels if batch is None else shard.labels[batch]
     loss, grad = _forward_backward(spec, x, feats, labels, with_loss=True)
     return float(loss), grad
+
+
+def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[float, np.ndarray]:
+    """Full-shard loss (as ``loss_and_grad``) and argmax predictions, from one forward pass.
+
+    Prediction ties resolve to the lowest class index.
+    """
+    _, acts = _forward(spec, x, shard.features)
+    logits = acts[-1]
+    predictions = np.argmax(logits, axis=-1)
+    loss, _, _ = _softmax_nll(logits, shard.labels, with_loss=True)
+    return float(loss), predictions
 
 
 def full_objective(spec: ModelSpec, x: np.ndarray, shards) -> tuple[float, np.ndarray]:

@@ -30,7 +30,8 @@ from dgossip.engine import (
     validated,
 )
 from dgossip.localopt import OptimizerConfig, sam_step, sgd_step
-from dgossip.metrics import consensus_distance, stability_probe
+from dgossip.metrics import consensus_distance
+from dgossip.stability import stability_probe
 from dgossip.models import ModelSpec, Shard, loss_and_grad, quadratic_testbed
 from dgossip.topology import (
     TopologyKind,
@@ -319,7 +320,7 @@ def test_criterion_11_stability_probe():
     problem = build_problem(cfg)
     row = int(problem.plan.assignments[0][3])
     flipped = (int(problem.dataset.labels[row]) + 1) % problem.dataset.num_classes
-    trace = stability_probe(cfg, (0, 3), (problem.dataset.features[row].copy(), flipped))
+    trace = stability_probe(cfg, problem, (0, 3), (problem.dataset.features[row].copy(), flipped))
     assert trace.first_draw is not None
     first_round = trace.first_draw[0]
     for t in range(first_round):

@@ -53,16 +53,13 @@ def reference_grad(spec, x, shard, batch):
     return reference_loss_grad(spec, x, shard.features[batch], shard.labels[batch])[1]
 
 
-def reference_local_train(spec, x, shard, k_steps, cfg, rng, t, ref, watch):
+def reference_local_train(spec, x, shard, k_steps, cfg, rng, t, ref):
     """One client's K steps, one size-B draw per step."""
     eta = cfg.eta0 * cfg.decay**t
     velocity = np.zeros_like(x)
     v1 = 0.0
-    first = None
     for k in range(k_steps):
         batch = None if spec.kind == "quadratic" else rng.integers(0, len(shard), size=cfg.batch_size)
-        if first is None and batch is not None and (batch == watch).any():
-            first = k
         v1 += float(np.sum((x - ref) ** 2))
         g = reference_grad(spec, x, shard, batch)
         if cfg.method == "sgd":
@@ -75,7 +72,7 @@ def reference_local_train(spec, x, shard, k_steps, cfg, rng, t, ref, watch):
         else:
             velocity = cfg.mu * velocity + g
             x = x - eta * velocity
-    return x, v1, first
+    return x, v1
 
 
 @st.composite
@@ -119,38 +116,32 @@ def local_phases(draw):
         cfg = OptimizerConfig(**{**cfg.__dict__, "grad_floor": norms[m // 2]})
     k_steps = draw(st.integers(1, 4))
     t = draw(st.integers(0, 3))
-    watch = draw(st.integers(0, 11))
-    return spec, shards, cfg, x0, k_steps, t, seed, watch
+    return spec, shards, cfg, x0, k_steps, t, seed
 
 
 class TestStackedLocalPhase:
     @settings(max_examples=80, deadline=None)
     @given(local_phases())
     def test_equals_per_client_reference_bitwise(self, case):
-        spec, shards, cfg, x0, k_steps, t, seed, watch = case
+        spec, shards, cfg, x0, k_steps, t, seed = case
         m = len(shards)
         ref = x0 + 0.25
-        watch_rows = np.full(m, -1)
-        watch_rows[m - 1] = watch
         res = local_train(
             spec, x0, ShardStack.of(shards), k_steps, cfg,
             [np.random.default_rng([seed, i]) for i in range(m)],
-            round_index=t, ref_point=ref, watch_index=watch_rows,
+            round_index=t, ref_point=ref,
         )
         for i in range(m):
-            z, v1, first = reference_local_train(
+            z, v1 = reference_local_train(
                 spec, x0[i], shards[i], k_steps, cfg, np.random.default_rng([seed, i]), t, ref[i],
-                watch if i == m - 1 else -1,
             )
             assert np.array_equal(res.z[i], z)
             assert res.v1[i] == v1
-            if i == m - 1:
-                assert res.first_draw_step == first
 
     @settings(max_examples=40, deadline=None)
     @given(local_phases())
     def test_one_client_form_matches_its_stack_row(self, case):
-        spec, shards, cfg, x0, k_steps, t, seed, _ = case
+        spec, shards, cfg, x0, k_steps, t, seed = case
         stacked = local_train(
             spec, x0, ShardStack.of(shards), k_steps, cfg,
             [np.random.default_rng([seed, i]) for i in range(len(shards))], round_index=t,
@@ -165,7 +156,7 @@ class TestStackedLocalPhase:
     @settings(max_examples=40, deadline=None)
     @given(local_phases())
     def test_loss_and_grad_matches_reference(self, case):
-        spec, shards, _, x0, _, _, _, _ = case
+        spec, shards, _, x0, _, _, _ = case
         for i, shard in enumerate(shards):
             loss, grad = loss_and_grad(spec, x0[i], shard)
             if spec.kind == "quadratic":

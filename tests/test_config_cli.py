@@ -227,8 +227,56 @@ class TestCmdRun:
         assert code == 2
         assert "--workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, sets, env_seed, named",
+        [
+            ("run", ["optimizer.eta0=0"], None, "eta0"),
+            ("run", ["optimizer.batch_size=0"], None, "batch_size"),
+            ("run", ["optimizer.decay=2"], None, "decay"),
+            ("run", ["topology.kind=random_k", "topology.k=0"], None, "k=0"),
+            ("run", ["partition.alpha=nan"], None, "partition.alpha"),
+            ("run", ["partition.alpha=inf"], None, "partition.alpha"),
+            ("run", ["m=16", "data.per_class=2"], None, "data.per_class"),
+            ("run", ["model.kind=mlp", "model.hidden=[0]"], None, "model.hidden"),
+            ("run", [], "abc", "DGOSSIP_SEED"),
+            ("run", ["topology.kind=random_k", "topology.seed=-1"], None, "topology.seed"),
+            ("stability", ["data.source=csv", "data.path={csv}"], None, "data.test_path"),
+        ],
+    )
+    def test_bad_value_exits_2_naming_it(
+        self, config_file, tmp_path, capsys, monkeypatch, command, sets, env_seed, named
+    ):
+        csv = tmp_path / "train.csv"
+        csv.write_text("f1,f2,label\n" + "".join(f"{i % 5}.5,{i % 3}.0,{i % 2}\n" for i in range(40)))
+        if env_seed is not None:
+            monkeypatch.setenv("DGOSSIP_SEED", env_seed)
+        argv = [command, "--config", str(config_file), "--out", str(tmp_path / "o")]
+        for pair in sets:
+            argv += ["--set", pair.format(csv=csv)]
+        if command == "stability":
+            argv += ["--client", "0", "--sample", "0"]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestCmdSweep:
+    @pytest.mark.parametrize(
+        "key, values, sets",
+        [
+            ("beta", "0.1,1.5", []),  # rejected by validation
+            ("partition.classes_per_client", "2,5", ["partition.scheme=pathological"]),  # by the build
+        ],
+    )
+    def test_bad_later_value_runs_no_cell(self, config_file, tmp_path, capsys, key, values, sets):
+        out = tmp_path / "s"
+        argv = ["sweep", "--config", str(config_file), "--out", str(out), "--key", key, "--values", values]
+        for pair in sets:
+            argv += ["--set", pair]
+        assert main(argv) == 2
+        assert key.split(".")[-1] in capsys.readouterr().err
+        assert not out.exists()
+
     def test_beta_sweep_and_degeneracy(self, config_file, tmp_path):
         out = tmp_path / "sweep"
         code = main(

@@ -20,7 +20,8 @@ import pytest
 
 from dgossip.config import load_config
 from dgossip.engine import build_problem, run_experiment
-from dgossip.metrics import stability_probe, write_metrics_csv
+from dgossip.metrics import write_metrics_csv
+from dgossip.stability import first_draw, stability_probe
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 LOGISTIC = "logistic_dirichlet.toml"
@@ -82,7 +83,7 @@ def probe_fingerprint(overrides, swap) -> str:
     problem = build_problem(cfg)
     row = int(problem.plan.assignments[swap[0]][swap[1]])
     flipped = (int(problem.dataset.labels[row]) + 1) % problem.dataset.num_classes
-    trace = stability_probe(cfg, swap, (problem.dataset.features[row].copy(), flipped))
+    trace = stability_probe(cfg, problem, swap, (problem.dataset.features[row].copy(), flipped))
     digest = hashlib.sha256(repr(trace.first_draw).encode())
     digest.update(trace.distances.tobytes())
     digest.update(trace.heldout_gap.tobytes())
@@ -102,8 +103,8 @@ def test_probe_fingerprint(name):
 
 
 def test_probe_cases_reach_their_first_draw():
-    # a probe whose swapped sample is never drawn would not exercise the watch
+    # a probe whose swapped sample is never drawn would not exercise the divergence
     for overrides, swap in PROBES.values():
         cfg = load_config(str(CONFIGS / LOGISTIC), list(overrides))
-        first = run_experiment(cfg, watch=swap).first_draw
+        first = first_draw(cfg, len(build_problem(cfg).shards[swap[0]]), swap)
         assert first is not None and first[0] < cfg.rounds

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgossip.data import generate_synthetic
+from dgossip.engine import AlgorithmKind, ExperimentConfig
 from dgossip.localopt import (
     OptimizerConfig,
     local_train,
@@ -14,6 +15,8 @@ from dgossip.localopt import (
     sgd_step,
 )
 from dgossip.models import ModelSpec, Shard, loss_and_grad, quadratic_testbed
+from dgossip.stability import first_draw
+from dgossip.topology import TopologyKind, TopologySpec
 
 
 def identity_quadratic(p=1):
@@ -174,22 +177,22 @@ class TestLocalTrain:
         )
         assert res.v1 == 0.0
 
-    def test_watch_reports_first_draw(self):
-        shard = toy_shard()
-        spec = ModelSpec(kind="logistic", dim=4, num_classes=3)
-        cfg = OptimizerConfig(method="sgd", eta0=0.1, decay=1.0, batch_size=3)
-        rng = np.random.default_rng([7])
-        res = local_train(
-            spec, np.zeros(spec.param_count()), shard, 10, cfg, rng, round_index=0, watch_index=0
+    def test_first_draw_replays_the_client_stream(self):
+        cfg = ExperimentConfig(
+            algorithm=AlgorithmKind.DFEDAVG, m=4, rounds=8, local_steps=3, seed=7,
+            topology=TopologySpec(TopologyKind.RING, 4), optimizer=OptimizerConfig(batch_size=2),
         )
-        # replay the draws independently to locate the first hit
-        replay = np.random.default_rng([7])
+        size, (client, sample) = 30, (2, 5)
+        # one size-B draw per step from the client's (seed, client, round) stream
         expected = None
-        for k in range(10):
-            batch = replay.integers(0, len(shard), size=3)
-            if expected is None and (batch == 0).any():
-                expected = k
-        assert res.first_draw_step == expected
+        for t in range(cfg.rounds):
+            rng = np.random.default_rng([cfg.seed, 0, client, t])
+            for k in range(cfg.local_steps):
+                batch = rng.integers(0, size, size=cfg.optimizer.batch_size)
+                if expected is None and (batch == sample).any():
+                    expected = (t, k)
+        assert expected is not None and expected[0] > 0
+        assert first_draw(cfg, size, (client, sample)) == expected
 
     def test_rejects_zero_steps(self):
         spec = identity_quadratic()

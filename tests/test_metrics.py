@@ -20,11 +20,11 @@ from dgossip.metrics import (
     consistency_delta,
     eval_model,
     rounds_to_target,
-    stability_probe,
     update_energies,
     write_metrics_csv,
 )
 from dgossip.models import ModelSpec, Shard
+from dgossip.stability import stability_probe
 from dgossip.topology import TopologyKind, TopologySpec
 
 
@@ -187,21 +187,22 @@ class TestStabilityProbe:
         problem = build_problem(cfg)
         row = int(problem.plan.assignments[0][3])
         trace = stability_probe(
-            cfg, (0, 3), (problem.dataset.features[row].copy(), int(problem.dataset.labels[row]))
+            cfg, problem, (0, 3),
+            (problem.dataset.features[row].copy(), int(problem.dataset.labels[row])),
         )
         assert (trace.distances == 0.0).all()
         assert (trace.heldout_gap == 0.0).all()
 
-    def test_zero_prefix_then_positive(self):
-        cfg = probe_cfg(rounds=40)
+    @pytest.mark.parametrize("algorithm", ["oled_sgd", "fedavg_central", "dpsgd"])
+    def test_zero_prefix_then_positive(self, algorithm):
+        cfg = probe_cfg(rounds=40, algorithm=AlgorithmKind(algorithm), participation=0.5)
         problem = build_problem(cfg)
         row = int(problem.plan.assignments[0][3])
         flip = (int(problem.dataset.labels[row]) + 1) % problem.dataset.num_classes
-        trace = stability_probe(cfg, (0, 3), (problem.dataset.features[row].copy(), flip))
+        trace = stability_probe(cfg, problem, (0, 3), (problem.dataset.features[row].copy(), flip))
         assert trace.first_draw is not None
         first_round = trace.first_draw[0]
-        for t in range(first_round):
-            assert (trace.distances[t] == 0.0).all()  # bitwise
+        assert (trace.distances[:first_round] == 0.0).all()  # bitwise
         assert (trace.distances[first_round:] >= 0).all()
         assert trace.mean_distance[first_round] > 0
         assert np.isfinite(trace.distances).all()
@@ -211,14 +212,14 @@ class TestStabilityProbe:
         problem = build_problem(cfg)
         feats = problem.dataset.features[0].copy()
         with pytest.raises(ValueError):
-            stability_probe(cfg, (99, 0), (feats, 0))
+            stability_probe(cfg, problem, (99, 0), (feats, 0))
         with pytest.raises(ValueError):
-            stability_probe(cfg, (0, 10_000), (feats, 0))
+            stability_probe(cfg, problem, (0, 10_000), (feats, 0))
 
     def test_rejects_quadratic(self):
         cfg = probe_cfg(model=ModelConfig(kind="quadratic", p=4))
         with pytest.raises(ValueError):
-            stability_probe(cfg, (0, 0), (np.zeros(4), 0))
+            stability_probe(cfg, build_problem(cfg), (0, 0), (np.zeros(4), 0))
 
 
 class TestRecordInvariants:
