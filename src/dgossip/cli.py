@@ -116,6 +116,10 @@ def cmd_sweep(args) -> int:
     except ConfigError as exc:
         _err(str(exc))
         return EXIT_CONFIG
+    table_path = os.path.join(args.out, "sweep.csv")
+    if os.path.exists(table_path) and not args.force:
+        _err(f"refusing to overwrite {table_path} (use --force)")
+        return EXIT_IO
     os.makedirs(args.out, exist_ok=True)
     leaf = args.key.split(".")[-1]
     rows = []
@@ -144,11 +148,11 @@ def cmd_sweep(args) -> int:
                 "ok",
             )
         )
-    with open(os.path.join(args.out, "sweep.csv"), "w", newline="\n") as fh:
+    with open(table_path, "w", newline="\n") as fh:
         fh.write("value,best_acc,rounds_to_first_target,final_delta_t,status\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-    print(f"swept {args.key} over {len(values)} values, wrote {args.out}/sweep.csv")
+    print(f"swept {args.key} over {len(values)} values, wrote {table_path}")
     return EXIT_OK
 
 

@@ -5,23 +5,18 @@ The format is a TOML-style subset parsed without third-party packages
 ``key = value`` per line, ``#`` comments, and scalar values that are
 booleans, integers, floats, quoted strings, or flat ``[a, b]`` lists.
 CLI overrides address the same tree through dotted keys
-(``optimizer.lambda=0.1``).
+(``optimizer.lambda=0.1``).  The keys are the fields of the config
+dataclasses, read and written by walking them.
 """
 
 from __future__ import annotations
 
-import copy
 import math
+import typing
+from dataclasses import fields, is_dataclass, replace
+from enum import Enum
 
-from .engine import (
-    METHOD_FOR,
-    AlgorithmKind,
-    ConfigError,
-    DataConfig,
-    ExperimentConfig,
-    ModelConfig,
-    PartitionConfig,
-)
+from .engine import CENTRAL_KINDS, METHOD_FOR, AlgorithmKind, ConfigError, ExperimentConfig
 from .localopt import OptimizerConfig
 from .topology import TopologyKind, TopologySpec
 
@@ -136,16 +131,6 @@ def apply_override(tree: dict, dotted: str, raw_value: str | None = None) -> Non
     node[parts[-1]] = parse_scalar(raw_value)
 
 
-def _take(section: dict, key: str, default, caster, where: str):
-    if key not in section:
-        return default
-    value = section.pop(key)
-    try:
-        return caster(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {where}{key}: {exc}") from None
-
-
 def _reject_unknown(section: dict, where: str) -> None:
     if section:
         key = next(iter(section))
@@ -155,6 +140,8 @@ def _reject_unknown(section: dict, where: str) -> None:
 def _as_int(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"expected integer, got {v!r}")
+    if not -(2**63) <= v < 2**63:
+        raise ValueError(f"expected a 64-bit integer, got {v!r}")
     return v
 
 
@@ -176,165 +163,117 @@ def _as_bool(v) -> bool:
     return v
 
 
+def _as_algorithm(v) -> AlgorithmKind:
+    name = _as_str(v)
+    try:
+        return AlgorithmKind(name.strip().lower().replace("-", "_"))
+    except ValueError:
+        raise ConfigError(f"unknown algorithm {name!r}") from None
+
+
+def _tuple_of(cast):
+    return lambda v: tuple(cast(x) for x in v)
+
+
+# every config field is read through the cast of its declared type
+_CASTS = {
+    int: _as_int,
+    float: _as_float,
+    str: _as_str,
+    bool: _as_bool,
+    tuple[int, ...]: _tuple_of(_as_int),
+    tuple[float, ...]: _tuple_of(_as_float),
+    AlgorithmKind: _as_algorithm,
+    TopologyKind: lambda v: topology_kind(_as_str(v)),
+}
+
+# the file key of a field where it differs from the field name; None: not a file key
+_FILE_KEY = {(OptimizerConfig, "lam"): "lambda", (TopologySpec, "m"): None}
+
+
+def _section_class(hint):
+    """The config dataclass a field holds (``X`` or ``X | None``); None for a scalar field."""
+    return next((t for t in typing.get_args(hint) or (hint,) if is_dataclass(t)), None)
+
+
+def _file_keys(cls) -> list:
+    """(file key, field name, cast) for each scalar field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    keys = [(_FILE_KEY.get((cls, f.name), f.name), f.name, hints[f.name]) for f in fields(cls)]
+    return [(key, name, _CASTS[hint]) for key, name, hint in keys if key and not _section_class(hint)]
+
+
+# section name -> dataclass, in field order; the other ExperimentConfig fields are top-level keys
+_SECTIONS = {
+    name: _section_class(hint)
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    if _section_class(hint)
+}
+_KEYS = {cls: _file_keys(cls) for cls in (ExperimentConfig, *_SECTIONS.values())}
+
+
+def _read(cls, section: dict, where: str, **values):
+    """Build ``cls`` from a section; absent keys take ``values``, else the field defaults."""
+    for key, name, cast in _KEYS[cls]:
+        if key in section:
+            try:
+                values[name] = cast(section.pop(key))
+            except ConfigError:
+                raise
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad value for {where}{key}: {exc}") from None
+    _reject_unknown(section, where)
+    return cls(**values)
+
+
 def config_from_dict(tree: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed tree, naming any bad key."""
-    tree = copy.deepcopy(tree)
-
-    algo_name = _take(tree, "algorithm", "oled_sgd", _as_str, "")
-    try:
-        algorithm = AlgorithmKind(algo_name.strip().lower().replace("-", "_"))
-    except ValueError:
-        raise ConfigError(f"unknown algorithm {algo_name!r}") from None
-
-    beta = _take(tree, "beta", 0.0, _as_float, "")
-    m = _take(tree, "m", 16, _as_int, "")
-    rounds = _take(tree, "rounds", 100, _as_int, "")
-    local_steps = _take(tree, "local_steps", 5, _as_int, "")
-    participation = _take(tree, "participation", 0.1, _as_float, "")
-    seed = _take(tree, "seed", 0, _as_int, "")
-    eval_every = _take(tree, "eval_every", 1, _as_int, "")
-    diagnostics = _take(tree, "diagnostics", False, _as_bool, "")
-    targets = _take(
-        tree, "targets", [0.5, 0.7, 0.9],
-        lambda v: [_as_float(x) for x in v], "",
-    )
-
-    topo_sec = tree.pop("topology", {})
-    if not isinstance(topo_sec, dict):
-        raise ConfigError("topology must be a section")
-    topology = None
-    if topo_sec or algorithm not in (AlgorithmKind.FEDAVG_CENTRAL, AlgorithmKind.FEDSAM_CENTRAL):
-        kind = topology_kind(_take(topo_sec, "kind", "ring", _as_str, "topology."))
-        topology = TopologySpec(
-            kind=kind,
-            m=m,
-            k=_take(topo_sec, "k", 10, _as_int, "topology."),
-            seed=_take(topo_sec, "seed", seed, _as_int, "topology."),
-        )
-    _reject_unknown(topo_sec, "topology.")
-
-    model_sec = tree.pop("model", {})
-    model = ModelConfig(
-        kind=_take(model_sec, "kind", "logistic", _as_str, "model."),
-        p=_take(model_sec, "p", 8, _as_int, "model."),
-        heterogeneity=_take(model_sec, "heterogeneity", 1.0, _as_float, "model."),
-        hidden=tuple(
-            _take(model_sec, "hidden", [], lambda v: [_as_int(x) for x in v], "model.")
-        ),
-    )
-    _reject_unknown(model_sec, "model.")
-
-    opt_sec = tree.pop("optimizer", {})
-    derived_method = METHOD_FOR[algorithm]
-    method = _take(opt_sec, "method", derived_method, _as_str, "optimizer.")
-    if method != derived_method:
+    tree = dict(tree)  # keys are popped as they are read; the caller's tree is left whole
+    sections = {}
+    for name in _SECTIONS:
+        section = tree.pop(name, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{name} must be a section")
+        sections[name] = dict(section)
+    cfg = _read(ExperimentConfig, tree, "")
+    if not sections["topology"] and cfg.algorithm in CENTRAL_KINDS:
+        del sections["topology"]  # a central run without a [topology] section has no graph
+    method = METHOD_FOR[cfg.algorithm]
+    # the file's defaults, where they differ from the dataclasses'
+    defaults = {
+        "optimizer": {"method": method, "lam": 0.1, "mu": 0.9 if method == "sgd_momentum" else 0.0},
+        "topology": {"kind": TopologyKind.RING, "m": cfg.m, "k": 10, "seed": cfg.seed},
+    }
+    parts = {
+        name: _read(_SECTIONS[name], section, f"{name}.", **defaults.get(name, {}))
+        for name, section in sections.items()
+    }
+    if parts["optimizer"].method != method:
         raise ConfigError(
-            f"optimizer.method={method!r} conflicts with algorithm "
-            f"{algorithm.value!r} (implies {derived_method!r})"
+            f"optimizer.method={parts['optimizer'].method!r} conflicts with algorithm "
+            f"{cfg.algorithm.value!r} (implies {method!r})"
         )
-    optimizer = OptimizerConfig(
-        method=method,
-        eta0=_take(opt_sec, "eta0", 0.1, _as_float, "optimizer."),
-        decay=_take(opt_sec, "decay", 0.998, _as_float, "optimizer."),
-        lam=_take(opt_sec, "lambda", 0.1, _as_float, "optimizer."),
-        mu=_take(opt_sec, "mu", 0.9 if derived_method == "sgd_momentum" else 0.0,
-                 _as_float, "optimizer."),
-        grad_floor=_take(opt_sec, "grad_floor", 1e-12, _as_float, "optimizer."),
-        batch_size=_take(opt_sec, "batch_size", 32, _as_int, "optimizer."),
-    )
-    _reject_unknown(opt_sec, "optimizer.")
+    return replace(cfg, **parts)
 
-    part_sec = tree.pop("partition", {})
-    partition = PartitionConfig(
-        scheme=_take(part_sec, "scheme", "dirichlet", _as_str, "partition."),
-        alpha=_take(part_sec, "alpha", 0.3, _as_float, "partition."),
-        classes_per_client=_take(part_sec, "classes_per_client", 2, _as_int, "partition."),
-    )
-    _reject_unknown(part_sec, "partition.")
 
-    data_sec = tree.pop("data", {})
-    data = DataConfig(
-        source=_take(data_sec, "source", "synthetic", _as_str, "data."),
-        classes=_take(data_sec, "classes", 4, _as_int, "data."),
-        dim=_take(data_sec, "dim", 10, _as_int, "data."),
-        per_class=_take(data_sec, "per_class", 100, _as_int, "data."),
-        spread=_take(data_sec, "spread", 0.5, _as_float, "data."),
-        test_per_class=_take(data_sec, "test_per_class", 50, _as_int, "data."),
-        path=_take(data_sec, "path", "", _as_str, "data."),
-        test_path=_take(data_sec, "test_path", "", _as_str, "data."),
-    )
-    _reject_unknown(data_sec, "data.")
-    _reject_unknown(tree, "")
+def _plain(value):
+    """A field value as the file spells it."""
+    if isinstance(value, Enum):
+        return value.value
+    return list(value) if isinstance(value, (tuple, list)) else value
 
-    return ExperimentConfig(
-        algorithm=algorithm,
-        beta=beta,
-        m=m,
-        rounds=rounds,
-        local_steps=local_steps,
-        participation=participation,
-        seed=seed,
-        eval_every=eval_every,
-        diagnostics=diagnostics,
-        targets=tuple(targets),
-        topology=topology,
-        model=model,
-        optimizer=optimizer,
-        partition=partition,
-        data=data,
-    )
+
+def _echo(obj) -> dict:
+    return {key: _plain(getattr(obj, name)) for key, name, _ in _KEYS[type(obj)]}
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """JSON-serializable echo that re-parses to an identical config."""
-    out = {
-        "algorithm": AlgorithmKind(cfg.algorithm).value,
-        "beta": cfg.beta,
-        "m": cfg.m,
-        "rounds": cfg.rounds,
-        "local_steps": cfg.local_steps,
-        "participation": cfg.participation,
-        "seed": cfg.seed,
-        "eval_every": cfg.eval_every,
-        "diagnostics": cfg.diagnostics,
-        "targets": list(cfg.targets),
-        "model": {
-            "kind": cfg.model.kind,
-            "p": cfg.model.p,
-            "heterogeneity": cfg.model.heterogeneity,
-            "hidden": list(cfg.model.hidden),
-        },
-        "optimizer": {
-            "method": cfg.optimizer.method,
-            "eta0": cfg.optimizer.eta0,
-            "decay": cfg.optimizer.decay,
-            "lambda": cfg.optimizer.lam,
-            "mu": cfg.optimizer.mu,
-            "grad_floor": cfg.optimizer.grad_floor,
-            "batch_size": cfg.optimizer.batch_size,
-        },
-        "partition": {
-            "scheme": cfg.partition.scheme,
-            "alpha": cfg.partition.alpha,
-            "classes_per_client": cfg.partition.classes_per_client,
-        },
-        "data": {
-            "source": cfg.data.source,
-            "classes": cfg.data.classes,
-            "dim": cfg.data.dim,
-            "per_class": cfg.data.per_class,
-            "spread": cfg.data.spread,
-            "test_per_class": cfg.data.test_per_class,
-            "path": cfg.data.path,
-            "test_path": cfg.data.test_path,
-        },
-    }
-    if cfg.topology is not None:
-        out["topology"] = {
-            "kind": TopologyKind(cfg.topology.kind).value,
-            "k": cfg.topology.k,
-            "seed": cfg.topology.seed,
-        }
+    out = _echo(cfg)
+    # topology last, without m, as summary.json has always written it
+    for name in sorted(_SECTIONS, key=lambda name: name == "topology"):
+        if getattr(cfg, name) is not None:
+            out[name] = _echo(getattr(cfg, name))
     return out
 
 

@@ -79,6 +79,7 @@ __all__ = [
     "gossip_mix",
     "init_states",
     "run_round",
+    "iter_rounds",
     "build_problem",
     "run_experiment",
     "validated",
@@ -480,6 +481,30 @@ def _mixing_for_round(cfg: ExperimentConfig, t: int, static: MixingMatrix | None
     return build_mixing(replace(topo, seed=round_seed))
 
 
+def iter_rounds(cfg: ExperimentConfig, problem: Problem):
+    """Run ``cfg.rounds`` rounds from ``problem.x0``, yielding each round's RoundInfo.
+
+    Only the current round's state is held, so callers that keep nothing
+    run in O(m p) memory whatever the horizon.  ``run_round`` and
+    ``build_mixing`` are looked up in this module on every call, where the
+    benchmark's call tracer wraps them.
+    """
+    cfg = validated(cfg)
+    states = init_states(problem.x0, problem.shards)
+    static_w = None
+    if cfg.algorithm in DECENTRALIZED_KINDS:
+        if cfg.m == 1:
+            static_w = MixingMatrix(m=1, w=np.ones((1, 1)), psi=0.0)
+        elif cfg.topology.kind is not TopologyKind.RANDOM_K:
+            static_w = build_mixing(cfg.topology)
+    for t in range(cfg.rounds):
+        w_t = None
+        if cfg.algorithm in DECENTRALIZED_KINDS:
+            w_t = _mixing_for_round(cfg, t, static_w)
+        states, info = run_round(states, t, cfg, w_t, problem.spec)
+        yield info
+
+
 def _evaluate(problem: Problem, x_stack: np.ndarray, *, t, lr, delta, consensus, v1, v2) -> RoundRecord:
     xbar = x_stack.mean(axis=0)
     train_loss, grad = full_objective(problem.spec, xbar, problem.shards)
@@ -516,38 +541,18 @@ def run_experiment(
     cfg = validated(cfg)
     start = time.perf_counter()
     problem = build_problem(cfg) if problem is None else problem
-    states = init_states(problem.x0, problem.shards)
-
-    static_w = None
-    if cfg.algorithm in DECENTRALIZED_KINDS:
-        if cfg.m == 1:
-            static_w = MixingMatrix(m=1, w=np.ones((1, 1)), psi=0.0)
-        elif cfg.topology.kind is not TopologyKind.RANDOM_K:
-            static_w = build_mixing(cfg.topology)
-
     records: list[RoundRecord] = []
-    for t in range(cfg.rounds):
-        w_t = None
-        if cfg.algorithm in DECENTRALIZED_KINDS:
-            w_t = _mixing_for_round(cfg, t, static_w)
-        states, info = run_round(states, t, cfg, w_t, problem.spec)
+    info = None
+    for info in iter_rounds(cfg, problem):
+        t = info.t
         if on_round is not None:
             on_round(t, info)
         if t % cfg.eval_every == 0 or t == cfg.rounds - 1:
-            records.append(
-                _evaluate(
-                    problem,
-                    info.x_mixed,
-                    t=t,
-                    lr=info.lr,
-                    delta=info.delta,
-                    consensus=info.consensus,
-                    v1=info.v1,
-                    v2=info.v2,
-                )
-            )
-
-    final_x = states.x_mixed
+            records.append(_evaluate(
+                problem, info.x_mixed, t=t, lr=info.lr, delta=info.delta,
+                consensus=info.consensus, v1=info.v1, v2=info.v2,
+            ))
+    final_x = np.tile(problem.x0, (len(problem.shards), 1)) if info is None else info.x_mixed
     if records:
         last = records[-1]
     else:  # degenerate horizon: report initial metrics only

@@ -19,8 +19,8 @@ from .engine import (
     ExperimentConfig,
     Problem,
     client_rng,
+    iter_rounds,
     participants,
-    run_experiment,
     validated,
 )
 from .localopt import draw_batches
@@ -109,19 +109,12 @@ def stability_probe(
     def heldout_loss(x_mixed):
         return eval_model(problem.spec, x_mixed.mean(axis=0), problem.test)[0]
 
-    # only the first run's models are kept: the twin is compared round by round
-    snaps, losses_a, dists, losses_b = [], [], [], []
-
-    def on_round_a(t, info):
-        snaps.append(info.x_mixed.copy())
-        losses_a.append(heldout_loss(info.x_mixed))
-
-    def on_round_b(t, info):
-        dists.append(np.linalg.norm(snaps[t] - info.x_mixed, axis=1))
-        losses_b.append(heldout_loss(info.x_mixed))
-
-    run_experiment(cfg, problem=problem, on_round=on_round_a)
-    run_experiment(cfg, problem=replace(problem, shards=twin_shards), on_round=on_round_b)
+    # the twins run in lockstep, so only the current round of each is held
+    dists, gaps = [], []
+    twin = replace(problem, shards=twin_shards)
+    for a, b in zip(iter_rounds(cfg, problem), iter_rounds(cfg, twin)):
+        dists.append(np.linalg.norm(a.x_mixed - b.x_mixed, axis=1))
+        gaps.append(abs(heldout_loss(a.x_mixed) - heldout_loss(b.x_mixed)))
     dists = np.array(dists).reshape(-1, cfg.m)
     return StabilityTrace(
         client=client,
@@ -129,5 +122,5 @@ def stability_probe(
         first_draw=first_draw(cfg, len(shard), swap),
         distances=dists,
         mean_distance=dists.mean(axis=1),
-        heldout_gap=np.abs(np.asarray(losses_a) - np.asarray(losses_b)),
+        heldout_gap=np.array(gaps, dtype=float),
     )

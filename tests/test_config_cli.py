@@ -1,14 +1,18 @@
 """Config parsing, overrides, and the CLI surface (exit codes, files)."""
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgossip.cli import main
 from dgossip.config import (
     apply_override,
     config_from_dict,
     config_to_dict,
+    load_config,
     parse_config_text,
     parse_scalar,
 )
@@ -136,6 +140,68 @@ class TestConfigFromDict:
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+PRESETS = sorted((Path(__file__).parents[1] / "configs").glob("*.toml"))
+PRESET_TREES = [parse_config_text(path.read_text()) for path in PRESETS]
+
+
+def _dotted_keys(tree: dict, prefix: str = "") -> list[str]:
+    keys = []
+    for key, value in tree.items():
+        keys.append(prefix + key)
+        if isinstance(value, dict):
+            keys += _dotted_keys(value, f"{prefix}{key}.")
+    return keys
+
+
+# every file key of a config with a topology, plus keys that are not file keys
+FUZZ_KEYS = _dotted_keys(config_to_dict(load_config(str(PRESETS[0])))) + [
+    "bogus", "optimizer.lam", "topology.m", "model.bogus", "data.bogus.deeper",
+]
+FUZZ_VALUES = st.sampled_from(
+    [
+        float("nan"), float("inf"), -float("inf"), 0, 0.0, -1, -0.5, 1, 2, 0.3, 16,
+        True, False, "", "x", "ring", "random_k", "sam", "mlp", "csv", "pathological",
+        "fedavg_central", "DFedAvgM", [], [0], [1, 2], [0.5, 0.7], ["a"], {}, {"q": 1},
+        10**23, -(10**23), 2**63,
+    ]
+) | st.integers(-3, 300) | st.floats(-2.0, 2.0)
+
+
+def _set(tree: dict, dotted: str, value) -> None:
+    node = tree
+    for part in dotted.split(".")[:-1]:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):
+            return  # a scalar already sits where the section would be
+    node[dotted.split(".")[-1]] = value
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(range(len(PRESET_TREES))),
+    st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES), max_size=4),
+)
+def test_config_trees_parse_or_name_the_error(preset, overrides):
+    """Any tree either parses, validates and round-trips, or raises ConfigError.
+
+    Only the config layer runs: no problem is built, so no drawn size allocates.
+    """
+    tree = copy.deepcopy(PRESET_TREES[preset])
+    for dotted, value in overrides:
+        _set(tree, dotted, copy.deepcopy(value))
+    drawn = repr(tree)
+    try:
+        cfg = config_from_dict(tree)
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        cfg = validated(cfg)
+    except ConfigError:
+        return
+    finally:
+        assert repr(tree) == drawn  # the caller's tree is left whole
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+    json.dumps(config_to_dict(cfg), allow_nan=False)
+
+
 class TestCmdRun:
     def test_happy_path(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -241,6 +307,10 @@ class TestCmdRun:
             ("run", [], "abc", "DGOSSIP_SEED"),
             ("run", ["topology.kind=random_k", "topology.seed=-1"], None, "topology.seed"),
             ("stability", ["data.source=csv", "data.path={csv}"], None, "data.test_path"),
+            ("run", ["optimizer.batch_size=100000000000000000000000"], None, "optimizer.batch_size"),
+            ("run", ["data.per_class=100000000000000000000000"], None, "data.per_class"),
+            ("run", ["model=3"], None, "model must be a section"),
+            ("run", ["optimizer=[]"], None, "optimizer must be a section"),
         ],
     )
     def test_bad_value_exits_2_naming_it(
@@ -301,6 +371,21 @@ class TestCmdSweep:
         ref = json.loads((dfed_out / "summary.json").read_text())
         assert cell["best_acc"] == ref["best_acc"]
         assert cell["final"]["train_loss"] == ref["final"]["train_loss"]
+
+    def test_refuses_overwrite_without_force(self, config_file, tmp_path, capsys):
+        out = tmp_path / "s"
+        argv = ["sweep", "--config", str(config_file), "--out", str(out), "--key", "beta", "--values", "0.1"]
+        assert main(argv) == 0
+        table = (out / "sweep.csv").read_text()
+        (out / "beta=0.1" / "summary.json").unlink()
+        (out / "sweep.csv").write_text("kept\n")
+        assert main(argv) == 4
+        assert "sweep.csv" in capsys.readouterr().err
+        assert (out / "sweep.csv").read_text() == "kept\n"
+        assert not (out / "beta=0.1" / "summary.json").exists()  # no cell ran
+        assert main([*argv, "--force"]) == 0
+        assert (out / "sweep.csv").read_text() == table
+        assert (out / "beta=0.1" / "summary.json").exists()
 
     def test_empty_sweep_rejected(self, config_file, tmp_path, capsys):
         code = main(
