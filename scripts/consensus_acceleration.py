@@ -26,6 +26,7 @@ from dgossip.engine import (
     validated,
 )
 from dgossip.localopt import OptimizerConfig
+from dgossip.metrics import consensus_distance
 from dgossip.models import quadratic_testbed
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing, chebyshev_modified
 
@@ -55,7 +56,7 @@ def consensus_trace(beta: float, args) -> list[float]:
     trace = []
     for t in range(args.rounds):
         states, info = run_round(states, t, cfg, w, spec)
-        trace.append(info.consensus)
+        trace.append(consensus_distance(info.x_mixed))
     return trace
 
 

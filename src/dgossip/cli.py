@@ -68,8 +68,12 @@ def _load(args, *overrides: str):
     return validated(load_config(args.config, [*args.set, *overrides], _env_seed()))
 
 
-def _summary_payload(result) -> dict:
-    return {"config": config_to_dict(result.config), **result.summary}
+def _write_outputs(result, directory: str) -> None:
+    """metrics.csv and summary.json, the latter echoing the config it ran."""
+    write_metrics_csv(result.records, os.path.join(directory, "metrics.csv"))
+    with open(os.path.join(directory, "summary.json"), "w", newline="\n") as fh:
+        json.dump({"config": config_to_dict(result.config), **result.summary}, fh, indent=2)
+        fh.write("\n")
 
 
 def _fmt_round(hit, rounds: int) -> str:
@@ -77,26 +81,15 @@ def _fmt_round(hit, rounds: int) -> str:
 
 
 def cmd_run(args) -> int:
-    try:
-        cfg = _load(args)
-        problem = build_problem(cfg)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
+    cfg = _load(args)
+    problem = build_problem(cfg)
     os.makedirs(args.out, exist_ok=True)
     summary_path = os.path.join(args.out, "summary.json")
     if os.path.exists(summary_path) and not args.force:
         _err(f"refusing to overwrite {summary_path} (use --force)")
         return EXIT_IO
-    try:
-        result = run_experiment(cfg, problem=problem)
-    except DivergenceError as exc:
-        _err(str(exc))
-        return EXIT_DIVERGED
-    write_metrics_csv(result.records, os.path.join(args.out, "metrics.csv"))
-    with open(summary_path, "w", newline="\n") as fh:
-        json.dump(_summary_payload(result), fh, indent=2)
-        fh.write("\n")
+    result = run_experiment(cfg, problem=problem)
+    _write_outputs(result, args.out)
     best = result.summary["best_acc"]
     print(
         f"{result.config.algorithm.value}: {result.config.rounds} rounds, "
@@ -108,14 +101,10 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
-        _err("empty sweep")
-        return EXIT_CONFIG
-    try:  # every cell is built before any runs, so a bad value leaves no output
-        configs = [(raw, _load(args, f"{args.key}={raw}")) for raw in values]
-        cells = [(raw, cfg, build_problem(cfg)) for raw, cfg in configs]
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
+        raise ConfigError("empty sweep")
+    # every cell is built before any runs, so a bad value leaves no output
+    configs = [(raw, _load(args, f"{args.key}={raw}")) for raw in values]
+    cells = [(raw, cfg, build_problem(cfg)) for raw, cfg in configs]
     table_path = os.path.join(args.out, "sweep.csv")
     if os.path.exists(table_path) and not args.force:
         _err(f"refusing to overwrite {table_path} (use --force)")
@@ -132,10 +121,7 @@ def cmd_sweep(args) -> int:
             print(f"{args.key}={raw}: diverged ({exc})", file=sys.stderr)
             rows.append((raw, "", "", "", "diverged"))
             continue
-        write_metrics_csv(result.records, os.path.join(cell_dir, "metrics.csv"))
-        with open(os.path.join(cell_dir, "summary.json"), "w", newline="\n") as fh:
-            json.dump(_summary_payload(result), fh, indent=2)
-            fh.write("\n")
+        _write_outputs(result, cell_dir)
         first_target = repr(float(cfg.targets[0])) if cfg.targets else None
         hit = result.summary["rounds_to_targets"].get(first_target) if first_target else None
         best = result.summary["best_acc"]
@@ -189,19 +175,12 @@ def cmd_topo_report(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    try:
-        cfg = _load(args)
-        problem = build_problem(cfg)
-        swap = (args.client, args.sample)
-        row = check_swap(problem, swap, args.replace_label)
-        label = problem.dataset.labels[row] if args.replace_label is None else args.replace_label
-        trace = stability_probe(cfg, problem, swap, (problem.dataset.features[row].copy(), label))
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        _err(str(exc))
-        return EXIT_DIVERGED
+    cfg = _load(args)
+    problem = build_problem(cfg)
+    swap = (args.client, args.sample)
+    row = check_swap(problem, swap, args.replace_label)
+    label = problem.dataset.labels[row] if args.replace_label is None else args.replace_label
+    trace = stability_probe(cfg, problem, swap, (problem.dataset.features[row].copy(), label))
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "stability.csv")
     first_round = trace.first_draw[0] if trace.first_draw is not None else None
@@ -276,6 +255,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ConfigError as exc:
+        _err(str(exc))
+        return EXIT_CONFIG
+    except DivergenceError as exc:
+        _err(str(exc))
+        return EXIT_DIVERGED
     except OSError as exc:
         _err(str(exc))
         return EXIT_IO

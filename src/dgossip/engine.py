@@ -42,7 +42,7 @@ from .data import (
     partition_iid,
     partition_pathological,
 )
-from .localopt import OptimizerConfig, local_train
+from .localopt import OptimizerConfig, local_train, lr_at_round
 from .metrics import (
     RoundRecord,
     consensus_distance,
@@ -218,17 +218,33 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
             topology.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.model.kind not in ("quadratic", "logistic", "mlp"):
-        raise ConfigError(f"unknown model kind {cfg.model.kind!r}")
-    if cfg.model.kind == "mlp" and min(cfg.model.hidden, default=1) < 1:
-        raise ConfigError(f"model.hidden sizes must be >= 1, got {list(cfg.model.hidden)}")
+    model, d = cfg.model, cfg.data
+    if model.kind not in ("quadratic", "logistic", "mlp"):
+        raise ConfigError(f"unknown model kind {model.kind!r}")
+    if model.kind == "quadratic" and model.p < 1:
+        raise ConfigError(f"model.p must be >= 1, got {model.p}")
+    if model.kind == "mlp" and min(model.hidden, default=1) < 1:
+        raise ConfigError(f"model.hidden sizes must be >= 1, got {list(model.hidden)}")
     if cfg.partition.scheme not in ("iid", "dirichlet", "pathological"):
         raise ConfigError(f"unknown partition scheme {cfg.partition.scheme!r}")
-    if cfg.data.source not in ("synthetic", "csv"):
-        raise ConfigError(f"unknown data source {cfg.data.source!r}")
-    samples = cfg.data.classes * cfg.data.per_class
-    if cfg.model.kind != "quadratic" and cfg.data.source == "synthetic" and samples < cfg.m:
-        raise ConfigError(f"data.classes * data.per_class = {samples} samples < m={cfg.m}")
+    if d.source not in ("synthetic", "csv"):
+        raise ConfigError(f"unknown data source {d.source!r}")
+    synthetic = model.kind != "quadratic" and d.source == "synthetic"
+    if synthetic and d.classes * d.per_class < cfg.m:
+        raise ConfigError(f"data.classes * data.per_class = {d.classes * d.per_class} samples < m={cfg.m}")
+    # arrays past 2**31 elements fail to allocate, or wrap numpy's size arithmetic
+    sizes = {"local_steps * m * optimizer.batch_size": local_steps * cfg.m * optimizer.batch_size}
+    if model.kind == "quadratic":
+        sizes["m * model.p**2"] = cfg.m * model.p**2
+    elif synthetic:
+        hidden = tuple(model.hidden) if model.kind == "mlp" else ()
+        sizes["m * model parameters"] = cfg.m * ModelSpec(model.kind, d.dim, d.classes, hidden).param_count()
+        sizes["data.classes * (data.per_class + data.test_per_class) * data.dim"] = (
+            d.classes * (d.per_class + d.test_per_class) * d.dim
+        )
+    for name, size in sizes.items():
+        if size > 2**31:
+            raise ConfigError(f"{name} = {size} exceeds 2**31")
     return replace(
         cfg,
         algorithm=algo,
@@ -251,18 +267,14 @@ class ClientStates:
 
 @dataclass
 class RoundInfo:
-    """Internals of one completed round, for metrics and property checks."""
+    """The arrays of one completed round; its metrics are derived from them."""
 
     t: int
-    lr: float
     ole_points: np.ndarray | None  # (m, p) local-training start points
     z: np.ndarray  # pre-mix local outputs (participants only for central kinds)
     x_prev: np.ndarray  # (m, p) client models at round start
     x_mixed: np.ndarray  # (m, p) client models after mixing / aggregation
-    delta: float  # consistency term at this round's mixing step
-    consensus: float  # dispersion of x_mixed (exactly 0 for central kinds)
-    v1: float | None
-    v2: float | None
+    drift: np.ndarray | None  # per-participant local-drift sums, with diagnostics on
 
 
 @dataclass
@@ -395,28 +407,12 @@ def run_round(
     z = res.z
     _check_finite(z, t, clients)
     if central:
-        x_new = np.repeat(z.mean(axis=0)[None, :], m, axis=0)
-        z_prev, delta, consensus = x_new, 0.0, 0.0
+        x_new = z_prev = np.repeat(z.mean(axis=0)[None, :], m, axis=0)
     else:
-        x_new = gossip_mix(z, w_t)
-        z_prev, delta, consensus = z, consistency_delta(z, x_new), consensus_distance(x_new)
-    v1 = v2 = None
-    if cfg.diagnostics:
-        if central:
-            v1, v2 = update_energies(res.v1, ref, x_new[0])
-        else:
-            v1, v2 = update_energies(res.v1, ref.mean(axis=0), x_new.mean(axis=0))
+        x_new, z_prev = gossip_mix(z, w_t), z
     info = RoundInfo(
-        t=t,
-        lr=cfg.optimizer.eta0 * cfg.optimizer.decay**t,
-        ole_points=None if central else starts,
-        z=z,
-        x_prev=states.x_mixed,
-        x_mixed=x_new,
-        delta=delta,
-        consensus=consensus,
-        v1=v1,
-        v2=v2,
+        t=t, ole_points=None if central else starts, z=z, x_prev=states.x_mixed, x_mixed=x_new,
+        drift=res.v1,
     )
     return ClientStates(x_new, z_prev, states.shards), info
 
@@ -505,14 +501,26 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem):
         yield info
 
 
-def _evaluate(problem: Problem, x_stack: np.ndarray, *, t, lr, delta, consensus, v1, v2) -> RoundRecord:
-    xbar = x_stack.mean(axis=0)
+def _evaluate(cfg: ExperimentConfig, problem: Problem, info: RoundInfo) -> RoundRecord:
+    """The metric record of one round, derived from its arrays."""
+    x = info.x_mixed
+    xbar = x.mean(axis=0)
     train_loss, grad = full_objective(problem.spec, xbar, problem.shards)
     test_acc = None
     if problem.spec.kind != "quadratic" and problem.test is not None:
         _, test_acc = eval_model(problem.spec, xbar, problem.test)
+    if cfg.algorithm in CENTRAL_KINDS:
+        # every row is the global model, and a mean of equal rows could round
+        consensus = delta = 0.0
+        before, after = info.x_prev[0], x[0]
+    else:
+        consensus, delta = consensus_distance(x), consistency_delta(info.z, x)
+        before, after = info.x_prev.mean(axis=0), xbar
+    v1 = v2 = None
+    if info.drift is not None:
+        v1, v2 = update_energies(info.drift, before, after)
     return RoundRecord(
-        t=t,
+        t=info.t,
         train_loss=train_loss,
         test_acc=test_acc,
         grad_norm_sq=float(grad @ grad),
@@ -520,7 +528,7 @@ def _evaluate(problem: Problem, x_stack: np.ndarray, *, t, lr, delta, consensus,
         delta_t=delta,
         v1=v1,
         v2=v2,
-        lr=lr,
+        lr=lr_at_round(cfg.optimizer, info.t),
     )
 
 
@@ -536,7 +544,7 @@ def run_experiment(
     ``workers`` is accepted for compatibility and has no effect: one
     thread runs every round as a batched computation, so outputs and
     speed do not depend on it.  ``on_round`` receives (t, RoundInfo)
-    after every round.
+    after every round; metrics are derived only on recorded rounds.
     """
     cfg = validated(cfg)
     start = time.perf_counter()
@@ -548,18 +556,13 @@ def run_experiment(
         if on_round is not None:
             on_round(t, info)
         if t % cfg.eval_every == 0 or t == cfg.rounds - 1:
-            records.append(_evaluate(
-                problem, info.x_mixed, t=t, lr=info.lr, delta=info.delta,
-                consensus=info.consensus, v1=info.v1, v2=info.v2,
-            ))
+            records.append(_evaluate(cfg, problem, info))
     final_x = np.tile(problem.x0, (len(problem.shards), 1)) if info is None else info.x_mixed
     if records:
         last = records[-1]
-    else:  # degenerate horizon: report initial metrics only
-        last = _evaluate(
-            problem, final_x, t=0, lr=cfg.optimizer.eta0, delta=0.0, consensus=0.0,
-            v1=None, v2=None,
-        )
+    else:  # degenerate horizon: report initial metrics only, with every client at x0
+        at_x0 = RoundInfo(t=0, ole_points=None, z=final_x, x_prev=final_x, x_mixed=final_x, drift=None)
+        last = replace(_evaluate(cfg, problem, at_x0), consensus=0.0, delta_t=0.0)
     accs = [r.test_acc for r in records if r.test_acc is not None]
     summary = {
         "algorithm": cfg.algorithm.value,

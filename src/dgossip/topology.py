@@ -139,47 +139,12 @@ def averaging_matrix(m: int) -> np.ndarray:
     return np.full((m, m), 1.0 / m)
 
 
-def _ring_adjacency(m: int) -> np.ndarray:
-    adj = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        adj[i, (i + 1) % m] = True
-        adj[i, (i - 1) % m] = True
-    np.fill_diagonal(adj, False)
-    return adj | adj.T
-
-
-def _grid_adjacency(m: int) -> np.ndarray:
-    # 2D torus: wrap-around keeps every degree equal and the graph
-    # vertex-transitive.  For side 2 the +/- neighbors coincide and the
-    # boolean matrix deduplicates them.
-    side = math.isqrt(m)
-    adj = np.zeros((m, m), dtype=bool)
-    for r in range(side):
-        for c in range(side):
-            i = r * side + c
-            for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                j = ((r + dr) % side) * side + (c + dc) % side
-                if j != i:
-                    adj[i, j] = True
-    return adj | adj.T
-
-
-def _exponential_adjacency(m: int) -> np.ndarray:
-    adj = np.zeros((m, m), dtype=bool)
-    hop = 1
-    while hop < m:
-        for i in range(m):
-            adj[i, (i + hop) % m] = True
-            adj[i, (i - hop) % m] = True
-        hop *= 2
-    np.fill_diagonal(adj, False)
-    return adj | adj.T
-
-
-def _full_adjacency(m: int) -> np.ndarray:
-    adj = np.ones((m, m), dtype=bool)
-    np.fill_diagonal(adj, False)
-    return adj
+def _circulant(m: int, hops) -> np.ndarray:
+    """Adjacency joining i to i +/- h (mod m) for each hop h in ``hops``, 0 < h < m."""
+    step = np.zeros(m, dtype=bool)
+    hops = np.asarray(hops)
+    step[hops] = step[m - hops] = True
+    return step[np.subtract.outer(np.arange(m), np.arange(m)) % m]
 
 
 def _is_connected(adj: np.ndarray) -> bool:
@@ -221,14 +186,19 @@ def random_k_adjacency(m: int, k: int, round_seed: int) -> np.ndarray:
 
 
 def _adjacency(spec: TopologySpec) -> np.ndarray:
+    m = spec.m
     if spec.kind is TopologyKind.RING:
-        return _ring_adjacency(spec.m)
+        return _circulant(m, [1])
     if spec.kind is TopologyKind.GRID:
-        return _grid_adjacency(spec.m)
+        # 2D torus: a ring along every row and every column of the side x
+        # side layout; for side 2 the +/- neighbours coincide
+        side = math.isqrt(m)
+        ring, eye = _circulant(side, [1]), np.eye(side, dtype=bool)
+        return np.kron(ring, eye) | np.kron(eye, ring)
     if spec.kind is TopologyKind.EXPONENTIAL:
-        return _exponential_adjacency(spec.m)
+        return _circulant(m, [1 << j for j in range((m - 1).bit_length())])
     if spec.kind is TopologyKind.FULLY_CONNECTED:
-        return _full_adjacency(spec.m)
+        return _circulant(m, range(1, m))
     if spec.kind is TopologyKind.RANDOM_K:
         return random_k_adjacency(spec.m, spec.k, spec.seed)
     raise ValueError(f"unknown topology kind: {spec.kind!r}")

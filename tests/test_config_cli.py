@@ -2,6 +2,8 @@
 
 import copy
 import json
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -202,6 +204,30 @@ def test_config_trees_parse_or_name_the_error(preset, overrides):
     json.dumps(config_to_dict(cfg), allow_nan=False)
 
 
+# integers whose every product a config accepts is tiny or far past any array
+CLI_INTS = [-1, 0, 1, 2, 3, 64, 2**62, 2**63 - 1, 10**23]
+CLI_VALUES = [str(v) for v in CLI_INTS] + [
+    "nan", "inf", "-inf", "0.5", "x", '"ring"', '"random_k"', '"mlp"', '"quadratic"', '"csv"',
+    '"sam"', '"pathological"', '"fedavg_central"', "true", "[]", "{}", "[0]", "[1, 2]", "[64]",
+    f"[{2**62}]",
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(PRESETS),
+    st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(CLI_VALUES)), max_size=3),
+)
+def test_cli_run_ends_in_a_documented_exit_code(preset, overrides):
+    """Two rounds of any preset under any overrides end in 0, 2, 3 or 4, never a traceback."""
+    argv = ["run", "--config", str(preset)]
+    for key, value in overrides + [("rounds", "2")]:  # the last override wins
+        argv += ["--set", f"{key}={value}"]
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a diverging run overflows first
+        assert main(argv + ["--out", out]) in (0, 2, 3, 4)
+
+
 class TestCmdRun:
     def test_happy_path(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -311,6 +337,12 @@ class TestCmdRun:
             ("run", ["data.per_class=100000000000000000000000"], None, "data.per_class"),
             ("run", ["model=3"], None, "model must be a section"),
             ("run", ["optimizer=[]"], None, "optimizer must be a section"),
+            ("run", ["local_steps=4611686018427387904"], None, "local_steps * m * optimizer.batch_size"),
+            ("run", ["optimizer.batch_size=9223372036854775807"], None,
+             "local_steps * m * optimizer.batch_size"),
+            ("run", ["data.per_class=4611686018427387904"], None, "data.per_class + data.test_per_class"),
+            ("run", ["model.kind=mlp", "model.hidden=[4611686018427387904]"], None, "m * model parameters"),
+            ("run", ["model.kind=quadratic", "model.p=0"], None, "model.p"),
         ],
     )
     def test_bad_value_exits_2_naming_it(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgossip import engine
 from dgossip.engine import (
     AlgorithmKind,
     ConfigError,
@@ -14,6 +15,7 @@ from dgossip.engine import (
     ExperimentConfig,
     ModelConfig,
     PartitionConfig,
+    RoundInfo,
     gossip_mix,
     init_states,
     ole_init,
@@ -132,6 +134,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="participation"):
             validated(cfg)
 
+    def test_round_minibatch_indices_bounded(self):
+        with pytest.raises(ConfigError, match="local_steps \\* m \\* optimizer.batch_size"):
+            validated(logistic_cfg(local_steps=2**28))  # 2**28 * 8 * 8 indices
+        # dpsgd takes one step whatever local_steps says
+        assert validated(logistic_cfg(algorithm=AlgorithmKind.DPSGD, local_steps=2**28)).local_steps == 1
+
     def test_topology_m_mismatch(self):
         with pytest.raises(ConfigError, match="topology.m"):
             validated(logistic_cfg(topology=TopologySpec(TopologyKind.RING, 4)))
@@ -242,6 +250,19 @@ class TestRunExperiment:
     def test_eval_every_spacing(self):
         result = run_experiment(logistic_cfg(rounds=10, eval_every=4))
         assert [rec.t for rec in result.records] == [0, 4, 8, 9]
+
+    def test_metrics_derived_on_recorded_rounds_only(self, monkeypatch):
+        calls = {"consensus_distance": 0, "consistency_delta": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(engine, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(engine, name, counted)
+        run_experiment(logistic_cfg(rounds=10, eval_every=4))
+        assert calls == {"consensus_distance": 4, "consistency_delta": 4}
+        fields = [f.name for f in dataclasses.fields(RoundInfo)]
+        assert fields == ["t", "ole_points", "z", "x_prev", "x_mixed", "drift"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_abort_names_round_and_client(self):

@@ -1,5 +1,6 @@
 """Mixing-matrix construction, spectral quantities, and the affine transform."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -254,3 +255,27 @@ class TestBetaTheoryBound:
 
 def test_reference_formula_table_covers_all_kinds():
     assert set(REFERENCE_PSI_FORMULAS) == set(TopologyKind)
+
+
+# sha256 prefixes of the Metropolis matrices the per-kind adjacency builders
+# produced, so a rewrite of the graph construction must reproduce W bitwise
+W_FINGERPRINTS = {
+    ("ring", 4): "30c66ce1d9bb5d68", ("ring", 9): "4f4218e71f5e99f4",
+    ("ring", 16): "12eac83372477cf5", ("ring", 25): "d4a30ee5fd1f6da2",
+    ("ring", 64): "babd35f6874ede66", ("ring", 100): "ee214be8580cfea7",
+    ("grid", 4): "dd6762cdb21b822c", ("grid", 9): "52ade8e15e6d6ce2",
+    ("grid", 16): "57085081d16a5a8b", ("grid", 25): "3b699dd361212368",
+    ("grid", 64): "5a7a1a4ba070caa6", ("grid", 100): "154f65f83efc7032",
+    ("exponential", 4): "c68b23194102001f", ("exponential", 9): "c4c6ed1aceb13abe",
+    ("exponential", 16): "1b903a4037bc90ad", ("exponential", 25): "a2f68ed516c47aae",
+    ("exponential", 64): "2c37d6b52c1c694f", ("exponential", 100): "4c5a472de10d24ec",
+    ("full", 4): "c68b23194102001f", ("full", 9): "8266f72ac1ef3b47",
+    ("full", 16): "91fc120cdcf6a2dc", ("full", 25): "8bdc0068b4290106",
+    ("full", 64): "86141f6476ccbc71", ("full", 100): "f831a37dd57a882f",
+}
+
+
+@pytest.mark.parametrize("kind, m", sorted(W_FINGERPRINTS))
+def test_mixing_matrix_fingerprint(kind, m):
+    w = build_mixing(TopologySpec(TopologyKind(kind), m)).w
+    assert hashlib.sha256(w.tobytes()).hexdigest()[:16] == W_FINGERPRINTS[kind, m]
