@@ -76,7 +76,6 @@ from .topology import (
     beta_theory_bound,
     build_mixing,
     chebyshev_modified,
-    random_k_adjacency,
     spectral_gap,
 )
 

@@ -143,15 +143,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_topo_report(args) -> int:
+    kinds = [topology_kind(k) for k in args.kinds.split(",") if k.strip()]
     try:
-        kinds = [topology_kind(k) for k in args.kinds.split(",") if k.strip()]
         sizes = [int(v) for v in args.m.split(",") if v.strip()]
-    except (ConfigError, ValueError) as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
+    except ValueError as exc:
+        raise ConfigError(f"--m: {exc}") from None
     if not kinds or not sizes:
-        _err("need at least one kind and one m")
-        return EXIT_CONFIG
+        raise ConfigError("need at least one kind and one m")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    for m in sizes:  # psi is taken of the dense (m, m) matrix
+        if m * m > 2**31:
+            raise ConfigError(f"--m {m}: m * m = {m * m} exceeds 2**31")
     lines = ["kind,m,psi,beta_theory_bound,reference_formula"]
     for kind in kinds:
         for m in sizes:
@@ -159,8 +162,7 @@ def cmd_topo_report(args) -> int:
             try:
                 mixing = build_mixing(spec)
             except (ValueError, RuntimeError) as exc:
-                _err(str(exc))
-                return EXIT_CONFIG
+                raise ConfigError(str(exc)) from None
             lines.append(
                 f"{kind.value},{m},{mixing.psi!r},{beta_theory_bound(mixing.psi)!r},"
                 f"{REFERENCE_PSI_FORMULAS[kind]}"

@@ -8,7 +8,8 @@ decentralized round is the matrix recurrence
                     x0 at t = 0, so round 0 starts from x0 for any beta);
 2. local training   K optimizer steps, each one stacked gradient call for
                     all clients on their own minibatches;
-3. gossip mixing    X' = W_t Z over the round's mixing matrix.
+3. gossip mixing    X' = W_t Z over the neighbour table of the round's
+                    mixing matrix; no dense (m, m) W is built.
 
 Centralized rounds sample a participation fraction of clients on the
 coordinator's own stream, train the participant rows from the global
@@ -234,6 +235,8 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"data.classes * data.per_class = {d.classes * d.per_class} samples < m={cfg.m}")
     # arrays past 2**31 elements fail to allocate, or wrap numpy's size arithmetic
     sizes = {"local_steps * m * optimizer.batch_size": local_steps * cfg.m * optimizer.batch_size}
+    if algo in DECENTRALIZED_KINDS:  # building W sums its self weights over (m, m)
+        sizes["m * m"] = cfg.m * cfg.m
     if model.kind == "quadratic":
         sizes["m * model.p**2"] = cfg.m * model.p**2
     elif synthetic:
@@ -490,7 +493,7 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem):
     static_w = None
     if cfg.algorithm in DECENTRALIZED_KINDS:
         if cfg.m == 1:
-            static_w = MixingMatrix(m=1, w=np.ones((1, 1)), psi=0.0)
+            static_w = MixingMatrix(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)), psi=0.0)
         elif cfg.topology.kind is not TopologyKind.RANDOM_K:
             static_w = build_mixing(cfg.topology)
     for t in range(cfg.rounds):

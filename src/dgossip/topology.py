@@ -11,6 +11,11 @@ Weights follow the Metropolis-Hastings rule
     w_ii = 1 - sum_j w_ij,
 which satisfies every property above on any connected undirected graph.
 
+A matrix is built and held as its neighbour table, the (m, D) arrays of
+each row's support and weights: each kind lists its partner pairs, and one
+shared step symmetrises them and derives the rows and weights.  The dense
+(m, m) W is derived only where a spectrum or a reference needs it.
+
 The module also provides the affine spectral transform
     W_tilde = (1 + beta) * W - beta * I,
 whose eigenvalues are (1 + beta) * lambda - beta with the principal one
@@ -35,7 +40,6 @@ __all__ = [
     "build_mixing",
     "spectral_gap",
     "chebyshev_modified",
-    "random_k_adjacency",
     "beta_theory_bound",
     "averaging_matrix",
     "REFERENCE_PSI_FORMULAS",
@@ -90,38 +94,37 @@ class TopologySpec:
 
 
 class MixingMatrix:
-    """Symmetric doubly-stochastic gossip weights.
+    """Symmetric doubly-stochastic gossip weights, held as a neighbour table.
 
-    psi and the neighbour table are derived on first use, so a per-round
-    random_k matrix that is only gossiped with never pays for eigvalsh.
+    ``neighbours`` is the (index, weight) pair of (m, D) tables, D the
+    largest row support: row i lists the j with w_ij != 0 in ascending
+    order, client i itself included, then pads with (i, 0.0) entries.
+    The dense W and psi are derived on first use, so a run that only
+    gossips never builds an (m, m) array or pays for eigvalsh.
     """
 
-    def __init__(self, m: int, w: np.ndarray, psi: float | None = None):
-        self.m = m
-        self.w = w
+    def __init__(self, index: np.ndarray, weight: np.ndarray, psi: float | None = None):
+        self.m = len(index)
+        self.neighbours = (index, weight)
+        self._w: np.ndarray | None = None
         self._psi = psi
-        self._neighbours: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def w(self) -> np.ndarray:
+        """The dense (m, m) matrix, for spectra and reference checks."""
+        if self._w is None:
+            index, weight = self.neighbours
+            live = weight != 0.0  # padding carries weight 0, every edge and w_ii > 0
+            self._w = np.zeros((self.m, self.m))
+            self._w[live.nonzero()[0], index[live]] = weight[live]
+        return self._w
 
     @property
     def psi(self) -> float:
         """max(|lambda_2|, |lambda_m|), by symmetric eigen-decomposition."""
         if self._psi is None:
-            self._psi = _psi_from_matrix(self.w)
+            self._psi = spectral_gap(self.w)
         return self._psi
-
-    @property
-    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
-        """(index, weight) tables of shape (m, D), D the largest row support.
-
-        Row i lists the j with w_ij != 0 in ascending order, then pads with
-        zero-weight entries of the same row.
-        """
-        if self._neighbours is None:
-            support = self.w != 0
-            width = int(support.sum(axis=1).max())
-            index = np.argsort(~support, axis=1, kind="stable")[:, :width]
-            self._neighbours = (index, np.take_along_axis(self.w, index, axis=1))
-        return self._neighbours
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,104 +142,94 @@ def averaging_matrix(m: int) -> np.ndarray:
     return np.full((m, m), 1.0 / m)
 
 
-def _circulant(m: int, hops) -> np.ndarray:
-    """Adjacency joining i to i +/- h (mod m) for each hop h in ``hops``, 0 < h < m."""
-    step = np.zeros(m, dtype=bool)
-    hops = np.asarray(hops)
-    step[hops] = step[m - hops] = True
-    return step[np.subtract.outer(np.arange(m), np.arange(m)) % m]
+def _partners(spec: TopologySpec, attempt: int) -> np.ndarray:
+    """(m, h) array of each client's partners one way; :func:`_metropolis` adds the reverse."""
+    m, nodes = spec.m, np.arange(spec.m)[:, None]
+    if spec.kind is TopologyKind.RANDOM_K:
+        # k distinct uniform draws by each client in turn, skipping itself; an
+        # edge exists if either endpoint drew it, so every degree is >= k
+        rng = np.random.default_rng([spec.seed, attempt])
+        draws = np.stack([rng.choice(m - 1, size=spec.k, replace=False) for _ in range(m)])
+        return np.where(draws >= nodes, draws + 1, draws)
+    if spec.kind is TopologyKind.GRID:
+        # 2D torus, client r * side + c at row r and column c: the next
+        # client down the column and the next along the row, both wrapping
+        side = math.isqrt(m)
+        return np.hstack([(nodes + side) % m, nodes - nodes % side + (nodes + 1) % side])
+    hops = {
+        TopologyKind.RING: [1],
+        TopologyKind.EXPONENTIAL: [1 << j for j in range((m - 1).bit_length())],
+        TopologyKind.FULLY_CONNECTED: range(1, m),
+    }[spec.kind]
+    return (nodes + np.asarray(hops)) % m
 
 
-def _is_connected(adj: np.ndarray) -> bool:
-    # breadth-first frontier from node 0, one vectorised expansion per hop
-    seen = np.zeros(adj.shape[0], dtype=bool)
+def _is_connected(index: np.ndarray) -> bool:
+    # breadth-first frontier from client 0, one vectorised expansion per hop
+    seen = np.zeros(len(index), dtype=bool)
     seen[0] = True
     frontier = seen
     while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
+        reached = np.zeros_like(seen)
+        reached[index[frontier]] = True
+        frontier = reached & ~seen
         seen |= frontier
     return bool(seen.all())
 
 
-def random_k_adjacency(m: int, k: int, round_seed: int) -> np.ndarray:
-    """Symmetrized union of k uniform partner draws per node.
-
-    Each node draws k distinct partners without replacement; an edge
-    exists if either endpoint drew it, so every degree is >= k.  If the
-    union graph is disconnected the draw is repeated with an incremented
-    sub-seed, erroring out after a bounded number of retries.
-    """
-    if not 1 <= k < m:
-        raise ValueError(f"need 1 <= k < m, got k={k}, m={m}")
-    for attempt in range(_RANDOM_K_MAX_RETRIES):
-        rng = np.random.default_rng([round_seed, attempt])
-        adj = np.zeros((m, m), dtype=bool)
-        for i in range(m):
-            draws = rng.choice(m - 1, size=k, replace=False)
-            partners = np.where(draws >= i, draws + 1, draws)
-            adj[i, partners] = True
-        adj |= adj.T
-        np.fill_diagonal(adj, False)
-        if _is_connected(adj):
-            return adj
-    raise RuntimeError(
-        f"random_k topology: no connected graph within {_RANDOM_K_MAX_RETRIES} retries "
-        f"(m={m}, k={k}, seed={round_seed})"
-    )
-
-
-def _adjacency(spec: TopologySpec) -> np.ndarray:
-    m = spec.m
-    if spec.kind is TopologyKind.RING:
-        return _circulant(m, [1])
-    if spec.kind is TopologyKind.GRID:
-        # 2D torus: a ring along every row and every column of the side x
-        # side layout; for side 2 the +/- neighbours coincide
-        side = math.isqrt(m)
-        ring, eye = _circulant(side, [1]), np.eye(side, dtype=bool)
-        return np.kron(ring, eye) | np.kron(eye, ring)
-    if spec.kind is TopologyKind.EXPONENTIAL:
-        return _circulant(m, [1 << j for j in range((m - 1).bit_length())])
-    if spec.kind is TopologyKind.FULLY_CONNECTED:
-        return _circulant(m, range(1, m))
-    if spec.kind is TopologyKind.RANDOM_K:
-        return random_k_adjacency(spec.m, spec.k, spec.seed)
-    raise ValueError(f"unknown topology kind: {spec.kind!r}")
-
-
-def _metropolis(adj: np.ndarray) -> np.ndarray:
-    deg = adj.sum(axis=1)
+def _metropolis(partners: np.ndarray) -> MixingMatrix:
+    """The Metropolis matrix of the undirected graph joining each i to every partners[i, h]."""
+    m = len(partners)
+    nodes = np.arange(m)
+    src, dst = np.repeat(nodes, partners.shape[1]), partners.ravel()
+    key = np.sort(np.concatenate([src * m + dst, dst * m + src, nodes * (m + 1)]))
+    key = key[np.diff(key, prepend=-1) != 0]  # np.unique hashes first, and is slower here
+    row, col = np.divmod(key, m)
+    count, rows = np.bincount(row, minlength=m), nodes[:, None]
+    index = np.repeat(rows, count.max(), axis=1)
+    index[row, np.arange(len(key)) - (np.cumsum(count) - count)[row]] = col
+    deg, live = count - 1, np.arange(index.shape[1]) < count[:, None]
     # 1/(1 + max(deg_i, deg_j)) is symmetric in (i, j), so the matrix is
     # symmetric bitwise, not merely up to rounding.
-    pair = 1.0 / (1.0 + np.maximum.outer(deg, deg))
-    w = np.where(adj, pair, 0.0)
-    np.fill_diagonal(w, 0.0)
-    np.fill_diagonal(w, 1.0 - w.sum(axis=1))
-    return w
-
-
-def _psi_from_matrix(w: np.ndarray) -> float:
-    # eigvalsh returns ascending eigenvalues; the principal one (== 1 for
-    # a connected stochastic matrix) is last.  psi is the largest
-    # magnitude among the rest.
-    vals = np.linalg.eigvalsh(w)
-    return float(np.max(np.abs(vals[:-1]))) if len(vals) > 1 else 0.0
+    weight = np.where(live & (index != rows), 1.0 / (1.0 + np.maximum(deg[:, None], deg[index])), 0.0)
+    # w_ii = 1 - sum_j w_ij, summed over a zero-filled width-m row so the
+    # rounding is numpy's pairwise order for a dense row, 2**18 entries at once
+    self_weight = np.empty(m)
+    step = max(1, 2**18 // m)
+    for a in range(0, m, step):
+        block = np.zeros((min(step, m - a), m))
+        block[rows[: len(block)], index[a : a + step]] = weight[a : a + step]
+        self_weight[a : a + step] = 1.0 - block.sum(axis=1)
+    weight[live & (index == rows)] = self_weight
+    return MixingMatrix(index, weight)
 
 
 def build_mixing(spec: TopologySpec) -> MixingMatrix:
     """Construct the Metropolis-weighted mixing matrix for a topology.
 
-    Every graph built here is connected (random_k by redrawing), so the
-    matrix contracts: psi < 1.
+    Each kind lists only its partner pairs; the table and its weights
+    follow from them.  Every graph built here is connected (random_k by
+    redrawing), so the matrix contracts: psi < 1.
     """
     spec.validate()
-    return MixingMatrix(m=spec.m, w=_metropolis(_adjacency(spec)))
+    for attempt in range(_RANDOM_K_MAX_RETRIES):
+        w = _metropolis(_partners(spec, attempt))
+        # a disconnected random_k union is redrawn with an incremented sub-seed
+        if spec.kind is not TopologyKind.RANDOM_K or _is_connected(w.neighbours[0]):
+            return w
+    raise RuntimeError(
+        f"random_k topology: no connected graph within {_RANDOM_K_MAX_RETRIES} retries "
+        f"(m={spec.m}, k={spec.k}, seed={spec.seed})"
+    )
 
 
 def spectral_gap(w: MixingMatrix | np.ndarray) -> float:
     """psi = max(|lambda_2|, |lambda_m|) via symmetric eigen-decomposition."""
-    mat = w.w if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float)
-    return _psi_from_matrix(mat)
+    # eigvalsh returns ascending eigenvalues; the principal one (== 1 for
+    # a connected stochastic matrix) is last.  psi is the largest
+    # magnitude among the rest.
+    vals = np.linalg.eigvalsh(w.w if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float))
+    return float(np.max(np.abs(vals[:-1]))) if len(vals) > 1 else 0.0
 
 
 def chebyshev_modified(w: MixingMatrix, beta: float) -> ModifiedMatrix:

@@ -19,6 +19,7 @@ from dgossip.config import (
     parse_scalar,
 )
 from dgossip.engine import AlgorithmKind, ConfigError, validated
+from dgossip.topology import TopologyKind
 
 BASE_CONFIG = """\
 # desk-scale logistic run
@@ -228,6 +229,46 @@ def test_cli_run_ends_in_a_documented_exit_code(preset, overrides):
         assert main(argv + ["--out", out]) in (0, 2, 3, 4)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([k.value for k in TopologyKind] + ["tree"]), min_size=1, max_size=2),
+    st.lists(st.sampled_from(CLI_INTS), min_size=1, max_size=2),
+    st.sampled_from(CLI_INTS),
+    st.sampled_from(CLI_INTS),
+    st.booleans(),
+)
+def test_cli_topo_report_ends_in_a_documented_exit_code(kinds, sizes, k, seed, missing_dir):
+    """Any kinds, sizes, k and seed end in 0, 2, 3 or 4, also with --out in a missing directory."""
+    with tempfile.TemporaryDirectory() as out:
+        argv = [  # "--m=-1,2": argparse reads a separate "-1,2" as an option
+            "topo-report", f"--kinds={','.join(kinds)}", f"--m={','.join(map(str, sizes))}",
+            f"--k={k}", f"--seed={seed}",
+            "--out", str(Path(out, "missing" if missing_dir else "", "psi.csv")),
+        ]
+        assert main(argv) in (0, 2, 3, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(CLI_INTS),
+    st.sampled_from(CLI_INTS),
+    st.sampled_from([None] + CLI_INTS),
+    st.sampled_from(["oled_sgd", "dfedavg", "fedavg_central", "fedsam_central"]),
+    st.sampled_from(["0", "1", "2"]),
+)
+def test_cli_stability_ends_in_a_documented_exit_code(client, sample, label, algorithm, rounds):
+    """Any swap, label and algorithm end in 0, 2, 3 or 4; at 0 rounds no swap is ever drawn."""
+    argv = [
+        "stability", "--config", str(Path(__file__).parents[1] / "configs" / "logistic_dirichlet.toml"),
+        f"--client={client}", f"--sample={sample}",
+        "--set", f"algorithm={algorithm}", "--set", f"rounds={rounds}",
+    ]
+    if label is not None:
+        argv += [f"--replace-label={label}"]
+    with tempfile.TemporaryDirectory() as out:
+        assert main(argv + ["--out", out]) in (0, 2, 3, 4)
+
+
 class TestCmdRun:
     def test_happy_path(self, config_file, tmp_path):
         out = tmp_path / "out"
@@ -343,6 +384,9 @@ class TestCmdRun:
             ("run", ["data.per_class=4611686018427387904"], None, "data.per_class + data.test_per_class"),
             ("run", ["model.kind=mlp", "model.hidden=[4611686018427387904]"], None, "m * model parameters"),
             ("run", ["model.kind=quadratic", "model.p=0"], None, "model.p"),
+            ("run", ["model.kind=quadratic", "model.p=1", "m=50000"], None, "m * m"),
+            ("topo-report", ["--kinds", "ring", "--m", "1099511627776"], None, "--m"),
+            ("topo-report", ["--kinds", "random_k", "--m", "8", "--seed", "-1"], None, "--seed"),
         ],
     )
     def test_bad_value_exits_2_naming_it(
@@ -352,9 +396,12 @@ class TestCmdRun:
         csv.write_text("f1,f2,label\n" + "".join(f"{i % 5}.5,{i % 3}.0,{i % 2}\n" for i in range(40)))
         if env_seed is not None:
             monkeypatch.setenv("DGOSSIP_SEED", env_seed)
-        argv = [command, "--config", str(config_file), "--out", str(tmp_path / "o")]
-        for pair in sets:
-            argv += ["--set", pair.format(csv=csv)]
+        if command == "topo-report":  # takes its flags, not a config
+            argv = [command, *sets, "--out", str(tmp_path / "o")]
+        else:
+            argv = [command, "--config", str(config_file), "--out", str(tmp_path / "o")]
+            for pair in sets:
+                argv += ["--set", pair.format(csv=csv)]
         if command == "stability":
             argv += ["--client", "0", "--sample", "0"]
         assert main(argv) == 2

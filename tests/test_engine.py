@@ -235,7 +235,7 @@ class TestRunExperiment:
         states = init_states(x0, [0])
         from dgossip.topology import MixingMatrix
 
-        w1 = MixingMatrix(m=1, w=np.ones((1, 1)), psi=0.0)
+        w1 = MixingMatrix(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)), psi=0.0)
         _, info = run_round(states, 0, cfg, w1, spec)
         expected = x0 * (1 - cfg.optimizer.eta0) ** cfg.local_steps
         assert np.allclose(info.x_mixed[0], expected, atol=1e-15)
@@ -263,6 +263,19 @@ class TestRunExperiment:
         assert calls == {"consensus_distance": 4, "consistency_delta": 4}
         fields = [f.name for f in dataclasses.fields(RoundInfo)]
         assert fields == ["t", "ole_points", "z", "x_prev", "x_mixed", "drift"]
+
+    @pytest.mark.parametrize("kind", [TopologyKind.RING, TopologyKind.RANDOM_K])
+    def test_run_builds_no_dense_mixing_matrix(self, monkeypatch, kind):
+        built = []
+
+        def recorded(spec):
+            built.append(build_mixing(spec))
+            return built[-1]
+
+        monkeypatch.setattr(engine, "build_mixing", recorded)
+        run_experiment(logistic_cfg(topology=TopologySpec(kind, 8, k=2, seed=3), rounds=3))
+        assert len(built) == (1 if kind is TopologyKind.RING else 3)
+        assert all(w._w is None and w._psi is None for w in built)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_abort_names_round_and_client(self):

@@ -14,6 +14,9 @@ these tests although nothing in the program changed.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +111,23 @@ def test_probe_cases_reach_their_first_draw():
         cfg = load_config(str(CONFIGS / LOGISTIC), list(overrides))
         first = first_draw(cfg, len(build_problem(cfg).shards[swap[0]]), swap)
         assert first is not None and first[0] < cfg.rounds
+
+
+def test_run_fingerprint_is_independent_of_blas_threads(tmp_path):
+    # the determinism contract: outputs do not depend on the BLAS thread count
+    name = "logistic[oled_sgd]"
+    child = (
+        "import pathlib, sys; sys.path.insert(0, sys.argv[1]); "
+        "from test_golden import RUNS, run_fingerprint; "
+        "print(run_fingerprint(*RUNS[sys.argv[2]], pathlib.Path(sys.argv[3])))"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"), "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(Path(__file__).parent), name, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests == [RUN_HASHES[name]] * 2

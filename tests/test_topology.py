@@ -2,11 +2,13 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgossip.engine import gossip_mix
 from dgossip.topology import (
     REFERENCE_PSI_FORMULAS,
     TopologyKind,
@@ -15,7 +17,6 @@ from dgossip.topology import (
     beta_theory_bound,
     build_mixing,
     chebyshev_modified,
-    random_k_adjacency,
     spectral_gap,
 )
 
@@ -107,6 +108,18 @@ class TestBuildMixing:
         spec = make_spec(TopologyKind.RANDOM_K, 30, k=4, seed=99)
         assert np.array_equal(build_mixing(spec).w, build_mixing(spec).w)
 
+    def test_build_and_gossip_allocate_no_dense_matrix(self):
+        m = 4096
+        tracemalloc.start()
+        try:
+            w = build_mixing(make_spec(TopologyKind.RING, m))
+            gossip_mix(np.ones((m, 1)), w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # below even a boolean (m, m) array; a dense float64 W is 8 times that
+        assert peak < m * m
+
 
 class TestSpectralGap:
     def test_fully_connected_is_rank_one(self):
@@ -182,6 +195,12 @@ class TestChebyshevModified:
         assert abs(got[-1] - 1.0) <= 1e-9  # principal eigenvalue stays at 1
 
 
+def random_k_adjacency(m: int, k: int, seed: int) -> np.ndarray:
+    """The edges of a random_k mixing matrix: its support off the diagonal."""
+    w = build_mixing(TopologySpec(TopologyKind.RANDOM_K, m, k=k, seed=seed)).w
+    return (w != 0) & ~np.eye(m, dtype=bool)
+
+
 class TestRandomK:
     def test_k_equal_m_minus_one_is_complete(self):
         for seed in (0, 1, 7):
@@ -205,7 +224,7 @@ class TestRandomK:
         assert not adj.diagonal().any()
 
     def test_connectivity_check_matches_graph_search(self):
-        from dgossip.topology import _is_connected
+        from dgossip.topology import _is_connected, _metropolis
 
         def reachable_from_zero(adj):
             seen, stack = {0}, [0]
@@ -222,11 +241,14 @@ class TestRandomK:
             adj = rng.random((m, m)) < rng.uniform(0.0, 0.4)
             adj |= adj.T
             np.fill_diagonal(adj, False)
-            assert _is_connected(adj) == reachable_from_zero(adj)
+            # each row lists its neighbours, with the client itself in place of the rest
+            index, _ = _metropolis(np.where(adj, np.arange(m), np.arange(m)[:, None])).neighbours
+            assert _is_connected(index) == reachable_from_zero(adj)
 
     def test_psi_is_computed_on_first_use(self):
         w = build_mixing(make_spec(TopologyKind.RANDOM_K, 30, k=4, seed=2))
         assert w._psi is None  # building W_t runs no eigen-decomposition
+        assert w._w is None  # nor builds the dense matrix
         assert w.psi == spectral_gap(w.w)
 
 
@@ -272,6 +294,18 @@ W_FINGERPRINTS = {
     ("full", 4): "c68b23194102001f", ("full", 9): "8266f72ac1ef3b47",
     ("full", 16): "91fc120cdcf6a2dc", ("full", 25): "8bdc0068b4290106",
     ("full", 64): "86141f6476ccbc71", ("full", 100): "f831a37dd57a882f",
+    # past numpy's 128-element pairwise-summation block
+    ("grid", 144): "4a6c91593855b087", ("grid", 256): "00197fc8c6c9e847",
+    ("exponential", 144): "859c0e87cc325972", ("exponential", 256): "27eeccb8b9d0c429",
+    ("full", 144): "58b09547bdcfec2a", ("full", 256): "9d4ade33b4e77e27",
+}
+
+# the same for random_k draws, keyed by (m, k, seed)
+RANDOM_K_FINGERPRINTS = {
+    (16, 3, 0): "5d26c459ca9e4b67", (16, 3, 1): "6d0d6279c9b50073",
+    (16, 10, 0): "e95f9a515d5666c8", (16, 10, 1): "be05ad7054867b2d",
+    (100, 3, 0): "f5a101cc34256e07", (100, 3, 1): "50e2d5a604a770b6",
+    (100, 10, 0): "875bac40332e0522", (100, 10, 1): "769a341c258e2c46",
 }
 
 
@@ -279,3 +313,9 @@ W_FINGERPRINTS = {
 def test_mixing_matrix_fingerprint(kind, m):
     w = build_mixing(TopologySpec(TopologyKind(kind), m)).w
     assert hashlib.sha256(w.tobytes()).hexdigest()[:16] == W_FINGERPRINTS[kind, m]
+
+
+@pytest.mark.parametrize("m, k, seed", sorted(RANDOM_K_FINGERPRINTS))
+def test_random_k_mixing_matrix_fingerprint(m, k, seed):
+    w = build_mixing(TopologySpec(TopologyKind.RANDOM_K, m, k=k, seed=seed)).w
+    assert hashlib.sha256(w.tobytes()).hexdigest()[:16] == RANDOM_K_FINGERPRINTS[m, k, seed]
