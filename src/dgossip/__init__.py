@@ -67,7 +67,7 @@ from .models import (
     loss_and_predictions,
     quadratic_testbed,
 )
-from .stability import StabilityTrace, check_swap, first_draw, stability_probe
+from .stability import StabilityTrace, first_draw, stability_probe
 from .topology import (
     MixingMatrix,
     ModifiedMatrix,

@@ -22,7 +22,7 @@ import sys
 from .config import config_to_dict, load_config, topology_kind
 from .engine import ConfigError, DivergenceError, build_problem, run_experiment, validated
 from .metrics import write_metrics_csv
-from .stability import check_swap, stability_probe
+from .stability import stability_probe
 from .topology import (
     REFERENCE_PSI_FORMULAS,
     TopologySpec,
@@ -160,12 +160,13 @@ def cmd_topo_report(args) -> int:
         for m in sizes:
             spec = TopologySpec(kind=kind, m=m, k=min(args.k, m - 1), seed=args.seed)
             try:
-                mixing = build_mixing(spec)
+                psi = build_mixing(spec).psi
             except (ValueError, RuntimeError) as exc:
                 raise ConfigError(str(exc)) from None
+            except MemoryError:
+                raise ConfigError(f"--m {m}: no memory for the dense (m, m) matrix psi needs") from None
             lines.append(
-                f"{kind.value},{m},{mixing.psi!r},{beta_theory_bound(mixing.psi)!r},"
-                f"{REFERENCE_PSI_FORMULAS[kind]}"
+                f"{kind.value},{m},{psi!r},{beta_theory_bound(psi)!r},{REFERENCE_PSI_FORMULAS[kind]}"
             )
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -179,10 +180,7 @@ def cmd_topo_report(args) -> int:
 def cmd_stability(args) -> int:
     cfg = _load(args)
     problem = build_problem(cfg)
-    swap = (args.client, args.sample)
-    row = check_swap(problem, swap, args.replace_label)
-    label = problem.dataset.labels[row] if args.replace_label is None else args.replace_label
-    trace = stability_probe(cfg, problem, swap, (problem.dataset.features[row].copy(), label))
+    trace = stability_probe(cfg, problem, (args.client, args.sample), args.replace_label)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "stability.csv")
     first_round = trace.first_draw[0] if trace.first_draw is not None else None

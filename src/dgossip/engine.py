@@ -1,7 +1,9 @@
 """Round-synchronous orchestration of decentralized and centralized training.
 
 Client state is two (m, p) arrays: X, the models after the latest mixing
-step, and Z_prev, the local outputs of the previous round.  One
+step, and Z_prev, the local outputs of the previous round.  Client data
+is one ShardStack, every client's rows laid end to end; build_problem
+lays it out once, and every run of that problem reads it in place.  One
 decentralized round is the matrix recurrence
 
 1. lookahead init   X_0 = X + beta * (X - Z_prev) (both equal the shared
@@ -34,8 +36,6 @@ from enum import Enum
 import numpy as np
 
 from .data import (
-    LabeledDataset,
-    PartitionPlan,
     generate_synthetic,
     generate_synthetic_holdout,
     load_csv,
@@ -282,13 +282,14 @@ class RoundInfo:
 
 @dataclass
 class Problem:
-    """Built experiment inputs: objective, shards, held-out data, init point."""
+    """Built experiment inputs: objective, every client's shard, held-out data, init point.
+
+    ``shards`` is the one copy of the training data that runs read.
+    """
 
     spec: ModelSpec
-    shards: list
+    shards: ShardStack
     test: Shard | None
-    dataset: LabeledDataset | None
-    plan: PartitionPlan | None
     x0: np.ndarray
 
 
@@ -363,7 +364,11 @@ def gossip_mix(local_outputs, w: MixingMatrix) -> np.ndarray:
 
 
 def init_states(x0: np.ndarray, shards) -> ClientStates:
-    """All clients start at the shared x0 with z_prev = x0."""
+    """All clients start at the shared x0 with z_prev = x0.
+
+    ``shards`` is a :class:`ShardStack`, which the states share, or a list
+    that is stacked.
+    """
     x = np.tile(x0, (len(shards), 1))
     return ClientStates(x_mixed=x, z_prev=x.copy(), shards=ShardStack.of(shards))
 
@@ -427,14 +432,7 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     init_seed = _subseed(cfg.seed, _DOM_INIT)
     if cfg.model.kind == "quadratic":
         spec = quadratic_testbed(cfg.m, cfg.model.p, cfg.model.heterogeneity, data_seed)
-        return Problem(
-            spec=spec,
-            shards=list(range(cfg.m)),
-            test=None,
-            dataset=None,
-            plan=None,
-            x0=init_params(spec, init_seed),
-        )
+        return Problem(spec, ShardStack.of(range(cfg.m)), None, init_params(spec, init_seed))
 
     d = cfg.data
     part_seed = _subseed(cfg.seed, _DOM_PARTITION)
@@ -465,11 +463,13 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         num_classes=dataset.num_classes,
         hidden=tuple(cfg.model.hidden) if cfg.model.kind == "mlp" else (),
     )
-    shards = [Shard(dataset.features[idx], dataset.labels[idx]) for idx in plan.assignments]
-    return Problem(
-        spec=spec, shards=shards, test=test, dataset=dataset, plan=plan,
-        x0=init_params(spec, init_seed),
+    # one gather lays every client's rows out end to end, in partition order
+    sizes = np.array([len(idx) for idx in plan.assignments], dtype=np.intp)
+    rows = np.concatenate(plan.assignments)
+    shards = ShardStack(
+        np.arange(cfg.m), sizes, np.cumsum(sizes) - sizes, dataset.features[rows], dataset.labels[rows]
     )
+    return Problem(spec, shards, test, init_params(spec, init_seed))
 
 
 def _mixing_for_round(cfg: ExperimentConfig, t: int, static: MixingMatrix | None) -> MixingMatrix:

@@ -14,7 +14,7 @@ Quantities tracked per round (all over the post-round state):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,19 +30,6 @@ __all__ = [
     "write_metrics_csv",
     "METRICS_CSV_COLUMNS",
 ]
-
-METRICS_CSV_COLUMNS = (
-    "t",
-    "train_loss",
-    "test_acc",
-    "grad_norm_sq",
-    "consensus",
-    "delta_t",
-    "v1",
-    "v2",
-    "lr",
-)
-
 
 @dataclass(frozen=True)
 class RoundRecord:
@@ -62,6 +49,9 @@ class RoundRecord:
     v1: float | None
     v2: float | None
     lr: float
+
+
+METRICS_CSV_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
 
 def consensus_distance(xs: np.ndarray) -> float:

@@ -203,7 +203,12 @@ class ShardStack:
 
     @classmethod
     def of(cls, shards) -> "ShardStack":
-        """Stack a list of :class:`Shard` objects, or of quadratic client indices."""
+        """Stack a list of :class:`Shard` objects, or of quadratic client indices.
+
+        A stack is passed through as it is, without a copy.
+        """
+        if isinstance(shards, ShardStack):
+            return shards
         if not all(isinstance(s, Shard) for s in shards):
             clients = np.array([int(s) for s in shards], dtype=np.intp)
             zeros = np.zeros(len(clients), dtype=np.intp)
@@ -219,6 +224,16 @@ class ShardStack:
 
     def __len__(self) -> int:
         return len(self.clients)
+
+    def __getitem__(self, i: int):
+        """Client i's :class:`Shard` as views into the stack; its index for the quadratic family."""
+        if self.features is None:
+            return int(self.clients[i])
+        rows = slice(self.offsets[i], self.offsets[i] + self.sizes[i])
+        return Shard(self.features[rows], self.labels[rows])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     def take(self, rows) -> "ShardStack":
         """The stack of the selected rows only (shares the data arrays)."""
@@ -319,14 +334,16 @@ def quadratic_testbed(
         raise ValueError("need m >= 1 and p >= 1")
     rng = np.random.default_rng([seed])
     n_mats = 1 if identical_curvature else m
-    mats = np.empty((m, p, p))
-    for i in range(n_mats):
-        q, _ = np.linalg.qr(rng.normal(size=(p, p)))
-        eigs = rng.uniform(0.5, 2.0, size=p)
-        mats[i] = (q * eigs) @ q.T
-        mats[i] = 0.5 * (mats[i] + mats[i].T)  # kill asymmetric rounding
+    normals = np.empty((n_mats, p, p))
+    eigs = np.empty((n_mats, 1, p))
+    for i in range(n_mats):  # each client's draws in turn, as the stream has them
+        normals[i] = rng.normal(size=(p, p))
+        eigs[i] = rng.uniform(0.5, 2.0, size=p)
+    q, _ = np.linalg.qr(normals)  # one stacked call, each slice as alone
+    mats = (q * eigs) @ q.swapaxes(-1, -2)
+    mats = 0.5 * (mats + mats.swapaxes(-1, -2))  # kill asymmetric rounding
     if identical_curvature:
-        mats[1:] = mats[0]
+        mats = np.repeat(mats, m, axis=0)
     b_bar = rng.normal(size=p)
     delta = rng.normal(size=(m, p))
     delta -= delta.mean(axis=0)

@@ -1,11 +1,12 @@
-"""The uniform stability probe: twin runs that differ in one training sample.
+"""The uniform stability probe: twin runs that differ in one training label.
 
-The twin runs share the partition plan, the model init and every random
-stream, so their states stay bitwise identical until the swapped sample
-is first drawn into a minibatch of its client.  Where that happens
-depends only on the client's (seed, client, round) streams, K, B and the
-shard size, plus the coordinator's sampling for central kinds, so
-:func:`first_draw` finds it by replaying those draws after the fact.
+The twin's data is the problem's ShardStack with one label changed: it
+shares the feature array, the model init and every random stream, so the
+twins' states stay bitwise identical until the swapped sample is first
+drawn into a minibatch of its client.  Where that happens depends only on
+the client's (seed, client, round) streams, K, B and the shard size, plus
+the coordinator's sampling for central kinds, so :func:`first_draw` finds
+it by replaying those draws after the fact.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from .engine import (
 )
 from .localopt import draw_batches
 from .metrics import eval_model
-from .models import Shard
 
-__all__ = ["StabilityTrace", "check_swap", "first_draw", "stability_probe"]
+__all__ = ["StabilityTrace", "first_draw", "stability_probe"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,21 +40,6 @@ class StabilityTrace:
     distances: np.ndarray  # (T, m): per-round per-client ||x_i - x~_i||
     mean_distance: np.ndarray  # (T,)
     heldout_gap: np.ndarray  # (T,): |held-out loss difference| between the runs
-
-
-def check_swap(problem: Problem, swap: tuple[int, int], label: int | None = None) -> int:
-    """Check a (client, shard-local sample) swap and a label; return the dataset row."""
-    client, sample = swap
-    if problem.test is None:  # the quadratic family, or csv data without data.test_path
-        raise ConfigError("stability probe needs held-out data (logistic/mlp, data.test_path)")
-    assignments = problem.plan.assignments
-    if not 0 <= client < len(assignments):
-        raise ConfigError(f"swap client {client} out of range")
-    if not 0 <= sample < len(assignments[client]):
-        raise ConfigError(f"swap sample {sample} out of range for client {client}")
-    if label is not None and not 0 <= label < problem.dataset.num_classes:
-        raise ConfigError(f"replacement label {label} out of range")
-    return int(assignments[client][sample])
 
 
 def first_draw(
@@ -86,32 +71,34 @@ def stability_probe(
     cfg: ExperimentConfig,
     problem: Problem,
     swap: tuple[int, int],
-    replacement: tuple[np.ndarray, int],
+    label: int | None = None,
 ) -> StabilityTrace:
-    """Run twin experiments whose datasets differ only at one sample.
+    """Run twin experiments whose training data differ only in one label.
 
     ``problem`` is ``build_problem(cfg)``; ``swap`` is (client index,
-    shard-local sample index); ``replacement`` is the (features, label)
-    written at that position in the twin run.
+    shard-local sample index); the twin run holds ``label`` at that
+    sample, and None keeps its own label, which makes the twins identical.
     """
     client, sample = swap
-    feats = np.asarray(replacement[0], dtype=float)
-    label = int(replacement[1])
-    check_swap(problem, swap, label)
-    shard = problem.shards[client]
-    if feats.shape != shard.features[sample].shape:
-        raise ConfigError("replacement feature shape mismatch")
-    features, labels = shard.features.copy(), shard.labels.copy()
-    features[sample], labels[sample] = feats, label
-    twin_shards = list(problem.shards)
-    twin_shards[client] = Shard(features, labels)
+    shards = problem.shards
+    if problem.test is None:  # the quadratic family, or csv data without data.test_path
+        raise ConfigError("stability probe needs held-out data (logistic/mlp, data.test_path)")
+    if not 0 <= client < len(shards):
+        raise ConfigError(f"swap client {client} out of range")
+    if not 0 <= sample < shards.sizes[client]:
+        raise ConfigError(f"swap sample {sample} out of range for client {client}")
+    if label is not None and not 0 <= label < problem.spec.num_classes:
+        raise ConfigError(f"replacement label {label} out of range")
+    labels = shards.labels.copy()
+    if label is not None:
+        labels[shards.offsets[client] + sample] = label
 
     def heldout_loss(x_mixed):
         return eval_model(problem.spec, x_mixed.mean(axis=0), problem.test)[0]
 
     # the twins run in lockstep, so only the current round of each is held
     dists, gaps = [], []
-    twin = replace(problem, shards=twin_shards)
+    twin = replace(problem, shards=replace(shards, labels=labels))
     for a, b in zip(iter_rounds(cfg, problem), iter_rounds(cfg, twin)):
         dists.append(np.linalg.norm(a.x_mixed - b.x_mixed, axis=1))
         gaps.append(abs(heldout_loss(a.x_mixed) - heldout_loss(b.x_mixed)))
@@ -119,7 +106,7 @@ def stability_probe(
     return StabilityTrace(
         client=client,
         sample=sample,
-        first_draw=first_draw(cfg, len(shard), swap),
+        first_draw=first_draw(cfg, int(shards.sizes[client]), swap),
         distances=dists,
         mean_distance=dists.mean(axis=1),
         heldout_gap=np.array(gaps, dtype=float),

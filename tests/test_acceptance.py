@@ -318,9 +318,8 @@ def test_criterion_11_stability_probe():
         data=DataConfig(classes=4, dim=10, per_class=100, spread=0.8, test_per_class=40),
     )
     problem = build_problem(cfg)
-    row = int(problem.plan.assignments[0][3])
-    flipped = (int(problem.dataset.labels[row]) + 1) % problem.dataset.num_classes
-    trace = stability_probe(cfg, problem, (0, 3), (problem.dataset.features[row].copy(), flipped))
+    flipped = (int(problem.shards[0].labels[3]) + 1) % problem.spec.num_classes
+    trace = stability_probe(cfg, problem, (0, 3), flipped)
     assert trace.first_draw is not None
     first_round = trace.first_draw[0]
     for t in range(first_round):

@@ -1,0 +1,50 @@
+"""The traced benchmark still fits the program it wraps.
+
+Tier-1 runs no benchmark, so a renamed function or a changed ``Problem``
+would otherwise break ``bench/run.py --trace 1`` unseen.  These checks read
+``bench/`` only.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dgossip import engine, localopt, models
+from dgossip.engine import DataConfig, ExperimentConfig, ModelConfig
+from dgossip.localopt import OptimizerConfig
+from dgossip.topology import TopologyKind, TopologySpec
+
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def test_every_trace_target_resolves():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod.__name__}.{attr}" for mod, attr, _ in spans.TARGETS if not hasattr(mod, attr)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+def test_kernels_read_a_built_problem(kind):
+    cfg = ExperimentConfig(
+        m=4, rounds=1, local_steps=2,
+        topology=TopologySpec(TopologyKind.RING, 4),
+        model=ModelConfig(kind=kind, p=3, hidden=(5,)),
+        optimizer=OptimizerConfig(batch_size=4),
+        data=DataConfig(classes=3, dim=4, per_class=8, test_per_class=4),
+    )
+    problem = engine.build_problem(cfg)
+    spec, x0 = problem.spec, problem.x0
+    loss, grad = models.full_objective(spec, x0, problem.shards)
+    per_client = [models.loss_and_grad(spec, x0, shard) for shard in problem.shards]
+    assert loss == pytest.approx(np.mean([l for l, _ in per_client]), rel=1e-12)
+    assert grad.shape == x0.shape
+    # the one-client references the kernels time take a shard of the stack
+    z = localopt.local_train(
+        spec, x0, problem.shards[0], cfg.local_steps, engine.validated(cfg).optimizer,
+        np.random.default_rng(0), round_index=1,
+    ).z
+    assert z.shape == x0.shape and np.isfinite(z).all()

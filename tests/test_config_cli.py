@@ -2,6 +2,9 @@
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -535,6 +538,24 @@ class TestCmdTopoReport:
     def test_unknown_kind(self, capsys):
         assert main(["topo-report", "--kinds", "tree", "--m", "4"]) == 2
         assert "tree" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+    def test_psi_out_of_memory_exits_2_naming_m(self):
+        # psi takes a dense (m, m) W, 6.7 GiB at m=30000: past a 4 GiB address space
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        child = "import sys; from dgossip.cli import main; sys.exit(main(sys.argv[1:]))"
+        src = str(Path(__file__).parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "topo-report", "--kinds", "ring", "--m", "30000"],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=limit, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "--m 30000" in proc.stderr
 
     def test_file_output(self, tmp_path):
         out = tmp_path / "topo.csv"

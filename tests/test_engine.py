@@ -23,9 +23,10 @@ from dgossip.engine import (
     run_round,
     validated,
 )
+from dgossip.data import generate_synthetic, partition_dirichlet, partition_iid, partition_pathological
 from dgossip.localopt import OptimizerConfig
 from dgossip.metrics import consensus_distance
-from dgossip.models import ModelSpec, quadratic_testbed
+from dgossip.models import ModelSpec, ShardStack, quadratic_testbed
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing, chebyshev_modified
 
 
@@ -143,6 +144,41 @@ class TestValidation:
     def test_topology_m_mismatch(self):
         with pytest.raises(ConfigError, match="topology.m"):
             validated(logistic_cfg(topology=TopologySpec(TopologyKind.RING, 4)))
+
+
+class TestBuildProblem:
+    @pytest.mark.parametrize("scheme", ["iid", "dirichlet", "pathological"])
+    def test_shards_are_the_partition_rows(self, scheme):
+        cfg = logistic_cfg(partition=PartitionConfig(scheme=scheme, alpha=0.5, classes_per_client=2))
+        problem = engine.build_problem(cfg)
+        d = cfg.data
+        dataset = generate_synthetic(
+            d.classes, d.dim, d.per_class, d.spread, engine._subseed(cfg.seed, engine._DOM_DATA)
+        )
+        part_seed = engine._subseed(cfg.seed, engine._DOM_PARTITION)
+        if scheme == "iid":
+            plan = partition_iid(dataset, cfg.m, part_seed)
+        elif scheme == "dirichlet":
+            plan = partition_dirichlet(dataset, cfg.m, 0.5, part_seed)
+        else:
+            plan = partition_pathological(dataset, cfg.m, 2, part_seed)
+        assert isinstance(problem.shards, ShardStack)
+        assert len(problem.shards) == len(plan.assignments) == cfg.m
+        for i, idx in enumerate(plan.assignments):
+            shard = problem.shards[i]
+            assert shard.features.tobytes() == dataset.features[idx].tobytes()
+            assert shard.labels.tobytes() == dataset.labels[idx].tobytes()
+
+    def test_quadratic_shards_are_client_indices(self):
+        problem = engine.build_problem(quadratic_cfg(m=5, topology=TopologySpec(TopologyKind.RING, 5)))
+        assert isinstance(problem.shards, ShardStack)
+        assert list(problem.shards) == [0, 1, 2, 3, 4]
+        assert problem.shards[3] == 3
+
+    def test_runs_read_the_problem_stack_in_place(self):
+        problem = engine.build_problem(logistic_cfg())
+        assert init_states(problem.x0, problem.shards).shards is problem.shards
+        assert [f.name for f in dataclasses.fields(engine.Problem)] == ["spec", "shards", "test", "x0"]
 
 
 class TestOleChebyshevEquivalence:

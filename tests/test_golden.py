@@ -84,9 +84,8 @@ def run_fingerprint(preset: str, overrides, tmp_path) -> str:
 def probe_fingerprint(overrides, swap) -> str:
     cfg = load_config(str(CONFIGS / LOGISTIC), list(overrides))
     problem = build_problem(cfg)
-    row = int(problem.plan.assignments[swap[0]][swap[1]])
-    flipped = (int(problem.dataset.labels[row]) + 1) % problem.dataset.num_classes
-    trace = stability_probe(cfg, problem, swap, (problem.dataset.features[row].copy(), flipped))
+    flipped = (int(problem.shards[swap[0]].labels[swap[1]]) + 1) % problem.spec.num_classes
+    trace = stability_probe(cfg, problem, swap, flipped)
     digest = hashlib.sha256(repr(trace.first_draw).encode())
     digest.update(trace.distances.tobytes())
     digest.update(trace.heldout_gap.tobytes())

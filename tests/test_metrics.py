@@ -11,6 +11,7 @@ from dgossip.engine import (
     ModelConfig,
     PartitionConfig,
     build_problem,
+    iter_rounds,
     run_experiment,
 )
 from dgossip.localopt import OptimizerConfig
@@ -24,6 +25,7 @@ from dgossip.metrics import (
     write_metrics_csv,
 )
 from dgossip.models import ModelSpec, Shard
+from dgossip import stability
 from dgossip.stability import stability_probe
 from dgossip.topology import TopologyKind, TopologySpec
 
@@ -185,11 +187,7 @@ class TestStabilityProbe:
     def test_identical_replacement_is_a_fixed_point(self):
         cfg = probe_cfg(rounds=15)
         problem = build_problem(cfg)
-        row = int(problem.plan.assignments[0][3])
-        trace = stability_probe(
-            cfg, problem, (0, 3),
-            (problem.dataset.features[row].copy(), int(problem.dataset.labels[row])),
-        )
+        trace = stability_probe(cfg, problem, (0, 3), int(problem.shards[0].labels[3]))
         assert (trace.distances == 0.0).all()
         assert (trace.heldout_gap == 0.0).all()
 
@@ -197,9 +195,8 @@ class TestStabilityProbe:
     def test_zero_prefix_then_positive(self, algorithm):
         cfg = probe_cfg(rounds=40, algorithm=AlgorithmKind(algorithm), participation=0.5)
         problem = build_problem(cfg)
-        row = int(problem.plan.assignments[0][3])
-        flip = (int(problem.dataset.labels[row]) + 1) % problem.dataset.num_classes
-        trace = stability_probe(cfg, problem, (0, 3), (problem.dataset.features[row].copy(), flip))
+        flip = (int(problem.shards[0].labels[3]) + 1) % problem.spec.num_classes
+        trace = stability_probe(cfg, problem, (0, 3), flip)
         assert trace.first_draw is not None
         first_round = trace.first_draw[0]
         assert (trace.distances[:first_round] == 0.0).all()  # bitwise
@@ -207,19 +204,36 @@ class TestStabilityProbe:
         assert trace.mean_distance[first_round] > 0
         assert np.isfinite(trace.distances).all()
 
+    def test_twin_shares_features_and_differs_in_one_label(self, monkeypatch):
+        cfg = probe_cfg(rounds=2)
+        problem = build_problem(cfg)
+        stacks = []
+
+        def recorded(cfg, prob):
+            stacks.append(prob.shards)
+            return iter_rounds(cfg, prob)
+
+        monkeypatch.setattr(stability, "iter_rounds", recorded)
+        flip = (int(problem.shards[2].labels[1]) + 1) % problem.spec.num_classes
+        stability_probe(cfg, problem, (2, 1), flip)
+        original, twin = stacks
+        assert original is problem.shards
+        assert twin.features is problem.shards.features
+        changed = np.flatnonzero(twin.labels != original.labels)
+        assert changed.tolist() == [problem.shards.offsets[2] + 1]
+
     def test_rejects_bad_indices(self):
         cfg = probe_cfg(rounds=2)
         problem = build_problem(cfg)
-        feats = problem.dataset.features[0].copy()
         with pytest.raises(ValueError):
-            stability_probe(cfg, problem, (99, 0), (feats, 0))
+            stability_probe(cfg, problem, (99, 0), 0)
         with pytest.raises(ValueError):
-            stability_probe(cfg, problem, (0, 10_000), (feats, 0))
+            stability_probe(cfg, problem, (0, 10_000), 0)
 
     def test_rejects_quadratic(self):
         cfg = probe_cfg(model=ModelConfig(kind="quadratic", p=4))
         with pytest.raises(ValueError):
-            stability_probe(cfg, build_problem(cfg), (0, 0), (np.zeros(4), 0))
+            stability_probe(cfg, build_problem(cfg), (0, 0), 0)
 
 
 class TestRecordInvariants:

@@ -109,6 +109,27 @@ class TestQuadratic:
         b = quadratic_testbed(3, 5, 1.0, seed=11)
         assert np.array_equal(a.quad_a, b.quad_a) and np.array_equal(a.quad_b, b.quad_b)
 
+    @pytest.mark.parametrize(
+        "m, p, identical", [(1, 1, False), (2, 2, True), (16, 3, False), (16, 3, True), (100, 8, False)]
+    )
+    def test_stacked_build_equals_the_per_client_loop(self, m, p, identical):
+        # the reference: one qr and one product per client, in the draw order of the stream
+        spec = quadratic_testbed(m, p, 0.7, seed=4, identical_curvature=identical)
+        rng = np.random.default_rng([4])
+        mats = np.empty((m, p, p))
+        for i in range(1 if identical else m):
+            q, _ = np.linalg.qr(rng.normal(size=(p, p)))
+            eigs = rng.uniform(0.5, 2.0, size=p)
+            mats[i] = (q * eigs) @ q.T
+            mats[i] = 0.5 * (mats[i] + mats[i].T)
+        if identical:
+            mats[1:] = mats[0]
+        b_bar = rng.normal(size=p)
+        delta = rng.normal(size=(m, p))
+        delta -= delta.mean(axis=0)
+        assert spec.quad_a.tobytes() == mats.tobytes()
+        assert spec.quad_b.tobytes() == (b_bar + 0.7 * delta).tobytes()
+
     def test_averaging_cancels_opposite_linear_terms(self):
         spec = ModelSpec(
             kind="quadratic",
