@@ -21,13 +21,17 @@ their unweighted average.
 Determinism contract: one thread runs every round, with no thread pool
 and no order that depends on scheduling.  Every client owns a private
 generator derived from (seed, client, round) and draws its minibatches
-from it alone.  Gossip accumulates each row over a fixed neighbour table
-in ascending client order.  Results are therefore bitwise reproducible,
-and equal to training each client on its own.
+from it alone: exactly ``default_rng([seed, 0, client, round])``
+(:func:`client_rng`), though a round seeds all its participants in one
+vectorised pass (:func:`client_streams`), pinned to that reference by a
+test.  Gossip accumulates each row over a fixed neighbour table in
+ascending client order.  Results are therefore bitwise reproducible, and
+equal to training each client on its own.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -75,6 +79,7 @@ __all__ = [
     "ConfigError",
     "DivergenceError",
     "client_rng",
+    "client_streams",
     "participants",
     "ole_init",
     "gossip_mix",
@@ -310,6 +315,70 @@ def client_rng(seed: int, client: int, t: int) -> np.random.Generator:
     return np.random.default_rng([seed, _DOM_CLIENT, client, t])
 
 
+def _words(n: int) -> list[int]:
+    """``n`` as SeedSequence splits it: little-endian uint32 words, at least one."""
+    return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+@functools.cache
+def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constant before each of ``count`` hashmix calls, as a shared read-only column."""
+    consts = np.array([init] + [mult] * count, dtype=np.uint32).cumprod(dtype=np.uint32)[:, None]
+    consts.flags.writeable = False
+    return consts
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix on uint32 arrays, one hash constant pair per row."""
+    value = (value ^ xor) * mul
+    return value ^ value >> 16
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix: MIX_MULT_L * x - MIX_MULT_R * y, then an xorshift."""
+    x = x * 0xCA01F9DD - y * 0x4973F715
+    return x ^ x >> 16
+
+
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)  # (INIT_x, MULT_x)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
+# hashmix call 4 + 3 s + (d - (d > s)) mixes pool word s into word d != s; row s is a dummy
+_POOL_CALLS = np.array([[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)] for s in range(4)])
+_POOL_XOR, _POOL_MUL = (_hash_consts(*_HASH_A, 16)[_POOL_CALLS + j] for j in (0, 1))
+
+
+def client_streams(seed: int, clients, t: int):
+    """``client_rng(seed, i, t)`` for each i of ``clients`` in turn, all seeded in one pass.
+
+    SeedSequence's entropy hash (numpy/random/bit_generator.pyx) runs as
+    uint32 arithmetic with one column per client, the hashmix calls that
+    share a source word as one op; PCG64's seeding step runs on Python
+    ints.  One Generator is yielded, re-seeded to each client's state in
+    turn: draw from it before taking the next.
+    """
+    head = _words(seed) + [_DOM_CLIENT]
+    entropy = np.array(head + [0] + _words(t), dtype=np.uint32)[:, None].repeat(len(clients), axis=1)
+    entropy[len(head)] = clients
+    consts = _hash_consts(*_HASH_A, 4 * len(entropy))
+    pool = _hashmix(entropy[:4], consts[:4], consts[1:5])
+    for src in range(4):  # mix each pool word into the other three
+        mixed = _mix(pool, _hashmix(pool[src], _POOL_XOR[src], _POOL_MUL[src]))
+        mixed[src] = pool[src]
+        pool = mixed
+    for k in range(16, 4 * len(entropy), 4):  # then each further entropy word into all four
+        pool = _mix(pool, _hashmix(entropy[k // 4], consts[k : k + 4], consts[k + 1 : k + 5]))
+    out = _hash_consts(*_HASH_B, 8)
+    state = _hashmix(np.tile(pool, (2, 1)), out[:-1], out[1:])  # generate_state(4, uint64)
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(state.T, dtype="<u4").view("<u8").tolist():
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128  # pcg_setseq_128_srandom_r
+        seeded = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) % 2**128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": seeded, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
+        yield gen
+
+
 def participants(cfg: ExperimentConfig, m: int, t: int) -> np.ndarray:
     """Ascending indices of the clients that train in round ``t``.
 
@@ -357,7 +426,7 @@ def gossip_mix(local_outputs, w: MixingMatrix) -> np.ndarray:
     out = np.zeros_like(z)
     term = np.empty_like(z)
     for d in range(index.shape[1]):
-        np.take(z, index[:, d], axis=0, out=term)
+        np.take(z, index[:, d], axis=0, out=term, mode="clip")  # MixingMatrix checks the range
         term *= weight[:, d].reshape(column)
         out += term
     return out
@@ -408,7 +477,7 @@ def run_round(
         shards,
         cfg.local_steps,
         cfg.optimizer,
-        [client_rng(cfg.seed, int(i), t) for i in clients],
+        client_streams(cfg.seed, clients, t),
         round_index=t,
         ref_point=ref if cfg.diagnostics else None,
     )

@@ -107,8 +107,9 @@ def sam_step(
     minibatch = stack.batch(rows)
     g = batch_grads(spec, xs, minibatch)
     if lam != 0.0:
-        # per-row 1-D norms: a row-wise reduction rounds differently
-        norms = np.array([np.linalg.norm(row) for row in g])
+        # np.linalg.norm(row) is sqrt(row @ row); a stacked (1, p) @ (p, 1) matmul takes that same
+        # dot product for every row, while einsum or a sum of squares rounds differently
+        norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
         # rows at or below the floor would perturb onto x itself: keep g1
         ascend = ~(norms <= grad_floor)
         if ascend.any():
@@ -135,7 +136,8 @@ def draw_batches(rngs, sizes, k_steps: int, batch_size: int) -> np.ndarray:
     """(K, m, B) shard-local minibatch indices, uniform with replacement.
 
     Client i draws all K batches from its own generator in one (K, B)
-    call, which yields the same stream as K successive size-B draws.
+    call, which yields the same stream as K successive size-B draws.  The
+    generators are taken in turn, each drawn from before the next is taken.
     """
     return np.stack(
         [rng.integers(0, int(n), size=(k_steps, batch_size)) for rng, n in zip(rngs, sizes)],
@@ -157,7 +159,8 @@ def local_train(
     """K sequential steps on every client of a stack at once.
 
     Stacked form: ``x0`` is (m, p), ``shard`` a :class:`ShardStack` and
-    ``rng`` a sequence of m generators, one per row.  One client: ``x0``
+    ``rng`` an iterable of m generators, one per row (such as
+    :func:`engine.client_streams`).  One client: ``x0``
     is (p,), ``shard`` its :class:`Shard` (client index for the quadratic
     family) and ``rng`` one generator; the result then drops the client
     axis.  Each step updates all rows with one stacked gradient call.

@@ -105,6 +105,11 @@ class MixingMatrix:
 
     def __init__(self, index: np.ndarray, weight: np.ndarray, psi: float | None = None):
         self.m = len(index)
+        # gossip gathers rows without a bounds check, so a table is checked once here
+        if index.ndim != 2 or index.shape != weight.shape:
+            raise ValueError(f"index {index.shape} and weight {weight.shape} must be one (m, D) shape")
+        if ((index < 0) | (index >= self.m)).any():
+            raise ValueError(f"neighbour index out of range [0, {self.m})")
         self.neighbours = (index, weight)
         self._w: np.ndarray | None = None
         self._psi = psi

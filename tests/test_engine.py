@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgossip import engine
+from dgossip import engine, localopt
 from dgossip.engine import (
     AlgorithmKind,
     ConfigError,
@@ -16,17 +16,23 @@ from dgossip.engine import (
     ModelConfig,
     PartitionConfig,
     RoundInfo,
+    build_problem,
+    client_rng,
+    client_streams,
     gossip_mix,
     init_states,
+    iter_rounds,
     ole_init,
+    participants,
     run_experiment,
     run_round,
     validated,
 )
 from dgossip.data import generate_synthetic, partition_dirichlet, partition_iid, partition_pathological
-from dgossip.localopt import OptimizerConfig
+from dgossip.localopt import OptimizerConfig, draw_batches
 from dgossip.metrics import consensus_distance
 from dgossip.models import ModelSpec, ShardStack, quadratic_testbed
+from dgossip.stability import first_draw
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing, chebyshev_modified
 
 
@@ -427,3 +433,82 @@ class TestConsensusDynamics:
             ys = np.array([rec.grad_norm_sq for rec in result.records])
             slope = np.polyfit(ts, ys, 1)[0]
             assert slope < 0, f"{algo}: slope {slope}"
+
+
+def reference_draws(seed, clients, t, sizes, k_steps, batch_size):
+    """(K, n, B) minibatch indices, one default_rng([seed, 0, client, t]) per client."""
+    return np.stack(
+        [
+            np.random.default_rng([seed, 0, int(i), t]).integers(0, int(n), size=(k_steps, batch_size))
+            for i, n in zip(clients, sizes)
+        ],
+        axis=1,
+    )
+
+
+def assert_streams_equal_reference(seed, clients, t):
+    clients = np.asarray(clients)
+    # the generator states, then the (K, n, B) draws made from them
+    states = [gen.bit_generator.state for gen in client_streams(seed, clients, t)]
+    assert states == [np.random.default_rng([seed, 0, int(i), t]).bit_generator.state for i in clients]
+    sizes = 1 + (clients * 7 + 3) % 50
+    rows = draw_batches(client_streams(seed, clients, t), sizes, 3, 5)
+    assert rows.shape == (3, len(clients), 5)
+    assert np.array_equal(rows, reference_draws(seed, clients, t, sizes, 3, 5))
+
+
+class TestClientStreams:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**63 - 1])
+    @pytest.mark.parametrize("t", [0, 1, 119, 2**33])
+    def test_every_stream_equals_its_default_rng(self, seed, t):
+        central = logistic_cfg(algorithm=AlgorithmKind.FEDAVG_CENTRAL, m=20, participation=0.3, seed=seed)
+        subset = participants(central, 20, t)
+        assert 1 < len(subset) < 20
+        for clients in (np.arange(20), subset, np.array([13])):
+            assert_streams_equal_reference(seed, clients, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**63 - 1),
+        st.integers(0, 2**40 - 1),
+        st.lists(st.integers(0, 199), min_size=1, max_size=40, unique=True),
+    )
+    def test_random_subsets_equal_their_default_rng(self, seed, t, clients):
+        assert_streams_equal_reference(seed, sorted(clients), t)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"algorithm": AlgorithmKind.FEDAVG_CENTRAL, "participation": 0.5, "topology": None}],
+        ids=["decentralized", "central"],
+    )
+    def test_first_draw_replays_the_engines_draw(self, monkeypatch, overrides):
+        # record the minibatch indices the engine itself draws in every round
+        cfg = validated(logistic_cfg(rounds=12, **overrides))
+        drawn = []
+
+        def recording(rngs, sizes, k_steps, batch_size):
+            drawn.append(draw_batches(rngs, sizes, k_steps, batch_size))
+            return drawn[-1]
+
+        monkeypatch.setattr(localopt, "draw_batches", recording)
+        problem = build_problem(cfg)
+        for _ in iter_rounds(cfg, problem):
+            pass
+        assert len(drawn) == cfg.rounds
+        client, sample = 3, 1
+        size = int(problem.shards.sizes[client])
+        expected = None
+        for t, rows in enumerate(drawn):
+            clients = list(participants(cfg, cfg.m, t))
+            if client not in clients:
+                continue
+            mine = rows[:, clients.index(client)]
+            replay = draw_batches(
+                [client_rng(cfg.seed, client, t)], [size], cfg.local_steps, cfg.optimizer.batch_size
+            )
+            assert np.array_equal(mine, replay[:, 0])
+            hit = (mine == sample).any(axis=1)
+            if expected is None and hit.any():
+                expected = (t, int(np.argmax(hit)))
+        assert expected is not None
+        assert first_draw(cfg, size, (client, sample)) == expected

@@ -112,9 +112,10 @@ def test_probe_cases_reach_their_first_draw():
         assert first is not None and first[0] < cfg.rounds
 
 
-def test_run_fingerprint_is_independent_of_blas_threads(tmp_path):
-    # the determinism contract: outputs do not depend on the BLAS thread count
-    name = "logistic[oled_sgd]"
+@pytest.mark.parametrize("name", ["logistic[oled_sgd]", "logistic[oled_sam]", "logistic[fedavg_central]"])
+def test_run_fingerprint_is_independent_of_blas_threads(name, tmp_path):
+    # the determinism contract: outputs do not depend on the BLAS thread count,
+    # through the SAM row norms (lam=0.1) and the seeding of a participant subset too
     child = (
         "import pathlib, sys; sys.path.insert(0, sys.argv[1]); "
         "from test_golden import RUNS, run_fingerprint; "

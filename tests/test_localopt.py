@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgossip import localopt
 from dgossip.data import generate_synthetic
 from dgossip.engine import AlgorithmKind, ExperimentConfig
 from dgossip.localopt import (
@@ -14,7 +15,7 @@ from dgossip.localopt import (
     sam_step,
     sgd_step,
 )
-from dgossip.models import ModelSpec, Shard, loss_and_grad, quadratic_testbed
+from dgossip.models import ModelSpec, Shard, ShardStack, loss_and_grad, quadratic_testbed
 from dgossip.stability import first_draw
 from dgossip.topology import TopologyKind, TopologySpec
 
@@ -95,6 +96,24 @@ class TestSamStep:
         x = np.zeros(2)  # exact stationary point: g1 = 0
         out = sam_step(spec, x, 0, None, eta=0.1, lam=0.5)
         assert np.array_equal(out, x)
+
+    @pytest.mark.parametrize("p", [3, 7, 50, 99, 1002, 4097])
+    @pytest.mark.parametrize("m", [1, 4, 100])
+    def test_stacked_norms_equal_per_row_linalg_norm(self, monkeypatch, m, p):
+        # the ascent point x + lam * g / ||g|| of each row, with ||g|| bitwise
+        # the one-row np.linalg.norm, whatever the row length
+        g = np.random.default_rng([m, p]).normal(size=(m, p)) * np.logspace(-6, 6, m)[:, None]
+        points = []
+
+        def grads(spec, x, minibatch):
+            points.append(x)
+            return g.copy()
+
+        monkeypatch.setattr(localopt, "batch_grads", grads)
+        x = np.zeros((m, p))
+        sam_step(identity_quadratic(), x, ShardStack.of(range(m)), None, eta=0.1, lam=0.5, grad_floor=0.0)
+        norms = np.array([np.linalg.norm(row) for row in g])
+        assert np.array_equal(points[1], np.multiply(0.5, g) / norms[:, None] + x)
 
 
 class TestMomentumStep:

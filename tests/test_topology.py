@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dgossip.engine import gossip_mix
 from dgossip.topology import (
     REFERENCE_PSI_FORMULAS,
+    MixingMatrix,
     TopologyKind,
     TopologySpec,
     averaging_matrix,
@@ -119,6 +120,21 @@ class TestBuildMixing:
             tracemalloc.stop()
         # below even a boolean (m, m) array; a dense float64 W is 8 times that
         assert peak < m * m
+
+    def test_rejects_a_table_gossip_would_misread(self):
+        # gossip gathers rows unchecked, so a bad table must not get that far
+        weight = np.full((3, 2), 0.5)
+        for index in (np.array([[0, 1], [1, 3], [2, 0]]), np.array([[0, 1], [1, -1], [2, 0]])):
+            with pytest.raises(ValueError, match="out of range"):
+                MixingMatrix(index, weight)
+        for index, w in (
+            (np.zeros((3, 2), dtype=np.intp), np.full((3, 3), 0.5)),
+            (np.zeros((3, 2), dtype=np.intp), np.full((2, 2), 0.5)),
+            (np.zeros(3, dtype=np.intp), np.ones(3)),
+        ):
+            with pytest.raises(ValueError, match="shape"):
+                MixingMatrix(index, w)
+        MixingMatrix(np.array([[0, 1], [0, 1], [1, 2]]), weight)  # in range: accepted
 
 
 class TestSpectralGap:
