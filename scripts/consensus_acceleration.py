@@ -21,13 +21,13 @@ from dgossip.engine import (
     AlgorithmKind,
     ExperimentConfig,
     ModelConfig,
-    init_states,
+    Problem,
     run_round,
     validated,
 )
 from dgossip.localopt import OptimizerConfig
 from dgossip.metrics import consensus_distance
-from dgossip.models import quadratic_testbed
+from dgossip.models import ShardStack, quadratic_testbed
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing, chebyshev_modified
 
 
@@ -47,15 +47,12 @@ def consensus_trace(beta: float, args) -> list[float]:
         )
     )
     w = build_mixing(cfg.topology)
-    states = init_states(np.zeros(args.p), list(range(args.m)))
-    rng = np.random.default_rng(args.seed)
-    for i in range(args.m):
-        start = args.spread * rng.normal(size=args.p)
-        states.x_mixed[i] = start
-        states.z_prev[i] = start
+    problem = Problem(spec, ShardStack.of(range(args.m)), None, np.zeros(args.p))
+    x = z = args.spread * np.random.default_rng(args.seed).normal(size=(args.m, args.p))
     trace = []
     for t in range(args.rounds):
-        states, info = run_round(states, t, cfg, w, spec)
+        info = run_round(x, z, t, cfg, w, problem)
+        x, z = info.x_mixed, info.z
         trace.append(consensus_distance(info.x_mixed))
     return trace
 

@@ -9,7 +9,6 @@ the algorithm family's trend-level claims at desk scale.
 
 from .data import (
     LabeledDataset,
-    PartitionPlan,
     generate_synthetic,
     generate_synthetic_holdout,
     load_csv,
@@ -19,7 +18,6 @@ from .data import (
 )
 from .engine import (
     AlgorithmKind,
-    ClientStates,
     ConfigError,
     DataConfig,
     DivergenceError,
@@ -30,7 +28,6 @@ from .engine import (
     Problem,
     build_problem,
     gossip_mix,
-    init_states,
     ole_init,
     run_experiment,
     run_round,

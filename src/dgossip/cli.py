@@ -76,6 +76,12 @@ def _write_outputs(result, directory: str) -> None:
         fh.write("\n")
 
 
+def _refuse_overwrite(path: str, force: bool) -> None:
+    """Exit 4 naming ``path`` if it exists and --force is not given."""
+    if os.path.exists(path) and not force:
+        raise OSError(f"refusing to overwrite {path} (use --force)")
+
+
 def _fmt_round(hit, rounds: int) -> str:
     return str(hit) if hit is not None else f">{rounds}"
 
@@ -84,10 +90,7 @@ def cmd_run(args) -> int:
     cfg = _load(args)
     problem = build_problem(cfg)
     os.makedirs(args.out, exist_ok=True)
-    summary_path = os.path.join(args.out, "summary.json")
-    if os.path.exists(summary_path) and not args.force:
-        _err(f"refusing to overwrite {summary_path} (use --force)")
-        return EXIT_IO
+    _refuse_overwrite(os.path.join(args.out, "summary.json"), args.force)
     result = run_experiment(cfg, problem=problem)
     _write_outputs(result, args.out)
     best = result.summary["best_acc"]
@@ -106,9 +109,7 @@ def cmd_sweep(args) -> int:
     configs = [(raw, _load(args, f"{args.key}={raw}")) for raw in values]
     cells = [(raw, cfg, build_problem(cfg)) for raw, cfg in configs]
     table_path = os.path.join(args.out, "sweep.csv")
-    if os.path.exists(table_path) and not args.force:
-        _err(f"refusing to overwrite {table_path} (use --force)")
-        return EXIT_IO
+    _refuse_overwrite(table_path, args.force)
     os.makedirs(args.out, exist_ok=True)
     leaf = args.key.split(".")[-1]
     rows = []
@@ -180,9 +181,10 @@ def cmd_topo_report(args) -> int:
 def cmd_stability(args) -> int:
     cfg = _load(args)
     problem = build_problem(cfg)
+    path = os.path.join(args.out, "stability.csv")
+    _refuse_overwrite(path, args.force)
     trace = stability_probe(cfg, problem, (args.client, args.sample), args.replace_label)
     os.makedirs(args.out, exist_ok=True)
-    path = os.path.join(args.out, "stability.csv")
     first_round = trace.first_draw[0] if trace.first_draw is not None else None
     with open(path, "w", newline="\n") as fh:
         fh.write("t,step_of_first_draw_flag,mean_param_distance,heldout_loss_gap\n")

@@ -1,9 +1,10 @@
 """Datasets and client partitioning (IID, Dirichlet, pathological).
 
-Datasets are dense feature matrices with integer labels.  Partition plans
-assign every dataset row to exactly one client; heterogeneity is driven
-either by Dirichlet-distributed per-class client shares or by restricting
-each client to a fixed number of classes.
+Datasets are dense feature matrices with integer labels.  A partition is
+a tuple of per-client row-index arrays that assigns every dataset row to
+exactly one client; heterogeneity is driven either by Dirichlet-distributed
+per-class client shares or by restricting each client to a fixed number of
+classes.
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ import numpy as np
 
 __all__ = [
     "LabeledDataset",
-    "PartitionPlan",
     "generate_synthetic",
     "generate_synthetic_holdout",
     "partition_iid",
     "partition_dirichlet",
     "partition_pathological",
     "load_csv",
-    "partition_to_json",
 ]
 
 _PATHOLOGICAL_MAX_RETRIES = 10_000
@@ -34,7 +33,6 @@ class LabeledDataset:
     features: np.ndarray  # (n, d) float64
     labels: np.ndarray  # (n,) int64, values in [0, num_classes)
     num_classes: int
-    name: str = ""
 
     def __post_init__(self):
         n = len(self.labels)
@@ -49,28 +47,14 @@ class LabeledDataset:
         return len(self.labels)
 
 
-@dataclass(frozen=True, eq=False)
-class PartitionPlan:
-    """Disjoint index lists covering every dataset row exactly once."""
-
-    assignments: tuple[np.ndarray, ...]
-    scheme: str  # "iid" | "dirichlet" | "pathological"
-    param: float | int | None
-    seed: int
-
-
-def _as_plan(parts: list[np.ndarray], scheme: str, param, seed: int, n: int) -> PartitionPlan:
+def _as_plan(parts: list[np.ndarray], n: int) -> tuple[np.ndarray, ...]:
+    """The per-client index arrays, checked to cover every one of ``n`` rows exactly once."""
     flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
     if len(flat) != n or len(np.unique(flat)) != n:
         raise AssertionError("internal error: assignments are not a partition")
     if any(len(p) == 0 for p in parts):
         raise AssertionError("internal error: empty client shard survived repair")
-    return PartitionPlan(
-        assignments=tuple(np.asarray(p, dtype=np.int64) for p in parts),
-        scheme=scheme,
-        param=param,
-        seed=seed,
-    )
+    return tuple(np.asarray(p, dtype=np.int64) for p in parts)
 
 
 def generate_synthetic(
@@ -87,7 +71,7 @@ def generate_synthetic(
         raise ValueError("need num_classes >= 2, dim >= 1, per_class >= 1")
     means = _cluster_means(num_classes, dim, seed)
     noise_rng = np.random.default_rng([seed, 1])
-    return _sample_clusters(means, per_class, cluster_spread, noise_rng, name="synthetic")
+    return _sample_clusters(means, per_class, cluster_spread, noise_rng)
 
 
 def generate_synthetic_holdout(
@@ -98,7 +82,7 @@ def generate_synthetic_holdout(
         raise ValueError("need num_classes >= 2, dim >= 1, per_class >= 1")
     means = _cluster_means(num_classes, dim, seed)
     noise_rng = np.random.default_rng([seed, 2])
-    return _sample_clusters(means, per_class, cluster_spread, noise_rng, name="synthetic-holdout")
+    return _sample_clusters(means, per_class, cluster_spread, noise_rng)
 
 
 def _cluster_means(num_classes: int, dim: int, seed: int) -> np.ndarray:
@@ -107,25 +91,25 @@ def _cluster_means(num_classes: int, dim: int, seed: int) -> np.ndarray:
     return 2.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
-def _sample_clusters(means, per_class, spread, rng, name) -> LabeledDataset:
+def _sample_clusters(means, per_class, spread, rng) -> LabeledDataset:
     num_classes, dim = means.shape
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
     noise = rng.normal(size=(len(labels), dim))
     features = means[labels] + spread * noise
-    return LabeledDataset(features=features, labels=labels, num_classes=num_classes, name=name)
+    return LabeledDataset(features=features, labels=labels, num_classes=num_classes)
 
 
-def partition_iid(ds: LabeledDataset, m: int, seed: int) -> PartitionPlan:
+def partition_iid(ds: LabeledDataset, m: int, seed: int) -> tuple[np.ndarray, ...]:
     """Global shuffle followed by a round-robin split (sizes differ by <= 1)."""
     n = len(ds)
     if n < m:
         raise ValueError(f"cannot give every client a sample: n={n} < m={m}")
     perm = np.random.default_rng([seed]).permutation(n).astype(np.int64)
     parts = [perm[i::m] for i in range(m)]
-    return _as_plan(parts, "iid", None, seed, n)
+    return _as_plan(parts, n)
 
 
-def partition_dirichlet(ds: LabeledDataset, m: int, alpha: float, seed: int) -> PartitionPlan:
+def partition_dirichlet(ds: LabeledDataset, m: int, alpha: float, seed: int) -> tuple[np.ndarray, ...]:
     """Per-class client shares drawn from Dir(alpha * 1_m).
 
     Each class's samples are split by cumulative shares with
@@ -154,7 +138,7 @@ def partition_dirichlet(ds: LabeledDataset, m: int, alpha: float, seed: int) -> 
             start += cnt
     arrays = [np.asarray(p, dtype=np.int64) for p in parts]
     arrays = _repair_empty(arrays)
-    return _as_plan(arrays, "dirichlet", float(alpha), seed, n)
+    return _as_plan(arrays, n)
 
 
 def _largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
@@ -184,7 +168,7 @@ def _repair_empty(parts: list[np.ndarray]) -> list[np.ndarray]:
 
 def partition_pathological(
     ds: LabeledDataset, m: int, classes_per_client: int, seed: int
-) -> PartitionPlan:
+) -> tuple[np.ndarray, ...]:
     """Each client holds samples from exactly ``classes_per_client`` classes.
 
     Class assignments are drawn uniformly without replacement per client
@@ -223,7 +207,7 @@ def partition_pathological(
         for holder, chunk in zip(holders[c], np.array_split(idx, len(holders[c]))):
             parts[holder].extend(chunk.tolist())
     arrays = [np.asarray(p, dtype=np.int64) for p in parts]
-    return _as_plan(arrays, "pathological", int(classes_per_client), seed, len(ds))
+    return _as_plan(arrays, len(ds))
 
 
 def load_csv(path: str) -> LabeledDataset:
@@ -266,15 +250,5 @@ def load_csv(path: str) -> LabeledDataset:
         features=np.asarray(features, dtype=float),
         labels=labels_arr,
         num_classes=int(labels_arr.max()) + 1,
-        name=os.path.basename(path),
     )
 
-
-def partition_to_json(plan: PartitionPlan) -> dict:
-    """JSON-serializable audit view: client id -> sorted row indices."""
-    return {
-        "scheme": plan.scheme,
-        "param": plan.param,
-        "seed": plan.seed,
-        "clients": {str(i): sorted(int(v) for v in idx) for i, idx in enumerate(plan.assignments)},
-    }

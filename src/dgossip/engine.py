@@ -1,10 +1,12 @@
 """Round-synchronous orchestration of decentralized and centralized training.
 
-Client state is two (m, p) arrays: X, the models after the latest mixing
-step, and Z_prev, the local outputs of the previous round.  Client data
-is one ShardStack, every client's rows laid end to end; build_problem
-lays it out once, and every run of that problem reads it in place.  One
-decentralized round is the matrix recurrence
+Client state is two plain (m, p) arrays: X, the models after the latest
+mixing step, and Z_prev, the local outputs of the previous round.
+``run_round(x_mixed, z_prev, ...)`` returns the round's RoundInfo, and the
+next round starts from ``info.x_mixed`` and ``info.z``.  Client data is
+one ShardStack in the Problem, every client's rows laid end to end;
+build_problem lays it out once, and every run of that problem reads it in
+place.  One decentralized round is the matrix recurrence
 
 1. lookahead init   X_0 = X + beta * (X - Z_prev) (both equal the shared
                     x0 at t = 0, so round 0 starts from x0 for any beta);
@@ -72,7 +74,6 @@ __all__ = [
     "DataConfig",
     "PartitionConfig",
     "ExperimentConfig",
-    "ClientStates",
     "RoundInfo",
     "Problem",
     "ExperimentResult",
@@ -83,7 +84,6 @@ __all__ = [
     "participants",
     "ole_init",
     "gossip_mix",
-    "init_states",
     "run_round",
     "iter_rounds",
     "build_problem",
@@ -265,15 +265,6 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 @dataclass
-class ClientStates:
-    """Every client's state, one row per client."""
-
-    x_mixed: np.ndarray  # (m, p) models after the latest mixing step
-    z_prev: np.ndarray  # (m, p) local outputs of the previous round
-    shards: ShardStack
-
-
-@dataclass
 class RoundInfo:
     """The arrays of one completed round; its metrics are derived from them."""
 
@@ -432,16 +423,6 @@ def gossip_mix(local_outputs, w: MixingMatrix) -> np.ndarray:
     return out
 
 
-def init_states(x0: np.ndarray, shards) -> ClientStates:
-    """All clients start at the shared x0 with z_prev = x0.
-
-    ``shards`` is a :class:`ShardStack`, which the states share, or a list
-    that is stacked.
-    """
-    x = np.tile(x0, (len(shards), 1))
-    return ClientStates(x_mixed=x, z_prev=x.copy(), shards=ShardStack.of(shards))
-
-
 def _check_finite(z: np.ndarray, t: int, clients: np.ndarray) -> None:
     bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
     if bad.size:
@@ -449,30 +430,33 @@ def _check_finite(z: np.ndarray, t: int, clients: np.ndarray) -> None:
 
 
 def run_round(
-    states: ClientStates,
+    x_mixed: np.ndarray,
+    z_prev: np.ndarray,
     t: int,
     cfg: ExperimentConfig,
     w_t: MixingMatrix | None,
-    spec: ModelSpec,
-) -> tuple[ClientStates, RoundInfo]:
-    """Execute one communication round and return the new states.
+    problem: Problem,
+) -> RoundInfo:
+    """Execute one communication round; the next starts from ``info.x_mixed`` and ``info.z``.
 
     The participating clients (all of them for decentralized kinds) are
     trained by a single batched local phase, one ``local_train`` call.
+    Central kinds (``w_t is None``) read only row 0 of ``x_mixed``, the
+    global model, and never read ``z_prev``.  No input is written in place.
     """
-    m = len(states.x_mixed)
+    m = len(x_mixed)
     central = cfg.algorithm in CENTRAL_KINDS
     clients = participants(cfg, m, t)
     if central:
-        ref = states.x_mixed[0]  # every client holds the global model
+        ref = x_mixed[0]  # every client holds the global model
         starts = np.tile(ref, (len(clients), 1))
-        shards = states.shards.take(clients)
+        shards = problem.shards.take(clients)
     else:
-        ref = states.x_mixed
-        starts = ole_init(states.x_mixed, states.z_prev, cfg.beta)
-        shards = states.shards
+        ref = x_mixed
+        starts = ole_init(x_mixed, z_prev, cfg.beta)
+        shards = problem.shards
     res = local_train(
-        spec,
+        problem.spec,
         starts,
         shards,
         cfg.local_steps,
@@ -483,15 +467,10 @@ def run_round(
     )
     z = res.z
     _check_finite(z, t, clients)
-    if central:
-        x_new = z_prev = np.repeat(z.mean(axis=0)[None, :], m, axis=0)
-    else:
-        x_new, z_prev = gossip_mix(z, w_t), z
-    info = RoundInfo(
-        t=t, ole_points=None if central else starts, z=z, x_prev=states.x_mixed, x_mixed=x_new,
-        drift=res.v1,
+    x_new = np.repeat(z.mean(axis=0)[None, :], m, axis=0) if central else gossip_mix(z, w_t)
+    return RoundInfo(
+        t=t, ole_points=None if central else starts, z=z, x_prev=x_mixed, x_mixed=x_new, drift=res.v1
     )
-    return ClientStates(x_new, z_prev, states.shards), info
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
@@ -518,11 +497,11 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
                 test_ds = load_csv(d.test_path)
                 test = Shard(test_ds.features, test_ds.labels)
         if scheme == "iid":
-            plan = partition_iid(dataset, cfg.m, part_seed)
+            parts = partition_iid(dataset, cfg.m, part_seed)
         elif scheme == "dirichlet":
-            plan = partition_dirichlet(dataset, cfg.m, cfg.partition.alpha, part_seed)
+            parts = partition_dirichlet(dataset, cfg.m, cfg.partition.alpha, part_seed)
         else:
-            plan = partition_pathological(dataset, cfg.m, cfg.partition.classes_per_client, part_seed)
+            parts = partition_pathological(dataset, cfg.m, cfg.partition.classes_per_client, part_seed)
     except (ValueError, RuntimeError) as exc:  # infeasible data or partition settings
         raise ConfigError(f"data/partition: {exc}") from None
 
@@ -533,43 +512,41 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
         hidden=tuple(cfg.model.hidden) if cfg.model.kind == "mlp" else (),
     )
     # one gather lays every client's rows out end to end, in partition order
-    sizes = np.array([len(idx) for idx in plan.assignments], dtype=np.intp)
-    rows = np.concatenate(plan.assignments)
+    sizes = np.array([len(idx) for idx in parts], dtype=np.intp)
+    rows = np.concatenate(parts)
     shards = ShardStack(
         np.arange(cfg.m), sizes, np.cumsum(sizes) - sizes, dataset.features[rows], dataset.labels[rows]
     )
     return Problem(spec, shards, test, init_params(spec, init_seed))
 
 
-def _mixing_for_round(cfg: ExperimentConfig, t: int, static: MixingMatrix | None) -> MixingMatrix:
-    if static is not None:
-        return static
-    topo = cfg.topology
-    round_seed = _subseed(topo.seed, _DOM_TOPO, t)
-    return build_mixing(replace(topo, seed=round_seed))
-
-
 def iter_rounds(cfg: ExperimentConfig, problem: Problem):
     """Run ``cfg.rounds`` rounds from ``problem.x0``, yielding each round's RoundInfo.
 
-    Only the current round's state is held, so callers that keep nothing
-    run in O(m p) memory whatever the horizon.  ``run_round`` and
-    ``build_mixing`` are looked up in this module on every call, where the
-    benchmark's call tracer wraps them.
+    Every client starts at x0 with z_prev = x0.  Only the current round's
+    arrays are held, so callers that keep nothing run in O(m p) memory
+    whatever the horizon.  Decentralized kinds mix with one static W, or
+    with a random_k W drawn afresh each round; central kinds with none.
+    ``run_round`` and ``build_mixing`` are looked up in this module on
+    every call, where the benchmark's call tracer wraps them.
     """
     cfg = validated(cfg)
-    states = init_states(problem.x0, problem.shards)
-    static_w = None
+    x = z = np.tile(problem.x0, (len(problem.shards), 1))  # no round writes its inputs
+    topo = cfg.topology
+    w_t = None
+    resampled = False
     if cfg.algorithm in DECENTRALIZED_KINDS:
         if cfg.m == 1:
-            static_w = MixingMatrix(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)), psi=0.0)
-        elif cfg.topology.kind is not TopologyKind.RANDOM_K:
-            static_w = build_mixing(cfg.topology)
+            w_t = MixingMatrix(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)), psi=0.0)
+        elif topo.kind is TopologyKind.RANDOM_K:
+            resampled = True
+        else:
+            w_t = build_mixing(topo)
     for t in range(cfg.rounds):
-        w_t = None
-        if cfg.algorithm in DECENTRALIZED_KINDS:
-            w_t = _mixing_for_round(cfg, t, static_w)
-        states, info = run_round(states, t, cfg, w_t, problem.spec)
+        if resampled:
+            w_t = build_mixing(replace(topo, seed=_subseed(topo.seed, _DOM_TOPO, t)))
+        info = run_round(x, z, t, cfg, w_t, problem)
+        x, z = info.x_mixed, info.z
         yield info
 
 

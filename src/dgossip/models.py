@@ -203,12 +203,7 @@ class ShardStack:
 
     @classmethod
     def of(cls, shards) -> "ShardStack":
-        """Stack a list of :class:`Shard` objects, or of quadratic client indices.
-
-        A stack is passed through as it is, without a copy.
-        """
-        if isinstance(shards, ShardStack):
-            return shards
+        """Stack a list of :class:`Shard` objects, or of quadratic client indices."""
         if not all(isinstance(s, Shard) for s in shards):
             clients = np.array([int(s) for s in shards], dtype=np.intp)
             zeros = np.zeros(len(clients), dtype=np.intp)

@@ -21,9 +21,9 @@ from dgossip.engine import (
     ExperimentConfig,
     ModelConfig,
     PartitionConfig,
+    Problem,
     build_problem,
     gossip_mix,
-    init_states,
     ole_init,
     run_experiment,
     run_round,
@@ -32,7 +32,7 @@ from dgossip.engine import (
 from dgossip.localopt import OptimizerConfig, sam_step, sgd_step
 from dgossip.metrics import consensus_distance
 from dgossip.stability import stability_probe
-from dgossip.models import ModelSpec, Shard, loss_and_grad, quadratic_testbed
+from dgossip.models import ModelSpec, Shard, ShardStack, loss_and_grad, quadratic_testbed
 from dgossip.topology import (
     TopologyKind,
     TopologySpec,
@@ -210,14 +210,11 @@ def _rounds_to_consensus(beta: float, tol=1e-6, cap=300) -> int:
         )
     )
     w = build_mixing(cfg.topology)
-    states = init_states(np.zeros(p), list(range(m)))
-    rng = np.random.default_rng(3)
-    for i in range(m):
-        start = 3.0 * rng.normal(size=p)
-        states.x_mixed[i] = start
-        states.z_prev[i] = start
+    problem = Problem(spec, ShardStack.of(range(m)), None, np.zeros(p))
+    x = z = 3.0 * np.random.default_rng(3).normal(size=(m, p))
     for t in range(cap):
-        states, info = run_round(states, t, cfg, w, spec)
+        info = run_round(x, z, t, cfg, w, problem)
+        x, z = info.x_mixed, info.z
         if consensus_distance(info.x_mixed) < tol:
             return t + 1
     raise AssertionError(f"no consensus within {cap} rounds at beta={beta}")
@@ -283,14 +280,14 @@ def test_criterion_10_partition_properties():
     ds = generate_synthetic(10, 3, 100, 0.5, seed=0)  # n = 1000
 
     def assert_partition(plan):
-        flat = np.concatenate(plan.assignments)
+        flat = np.concatenate(plan)
         assert np.array_equal(np.sort(flat), np.arange(len(ds)))
 
     assert_partition(partition_iid(ds, 7, seed=1))
     assert_partition(partition_dirichlet(ds, 7, alpha=0.3, seed=1))
     path_plan = partition_pathological(ds, 100, classes_per_client=2, seed=1)
     assert_partition(path_plan)
-    for a in path_plan.assignments:
+    for a in path_plan:
         assert len(np.unique(ds.labels[a])) == 2  # exact class counts
 
     global_hist = np.bincount(ds.labels, minlength=10) / len(ds)
@@ -301,7 +298,7 @@ def test_criterion_10_partition_properties():
             plan = partition_dirichlet(ds, 10, alpha=alpha, seed=seed)
             per_client = [
                 0.5 * np.abs(np.bincount(ds.labels[a], minlength=10) / len(a) - global_hist).sum()
-                for a in plan.assignments
+                for a in plan
             ]
             tvs.append(np.mean(per_client))
         means.append(np.mean(tvs))

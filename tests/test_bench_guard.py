@@ -19,12 +19,37 @@ from dgossip.topology import TopologyKind, TopologySpec
 BENCH = Path(__file__).parents[1] / "bench"
 
 
-def test_every_trace_target_resolves():
+def load_spans():
     spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_trace_target_resolves():
+    spans = load_spans()
     missing = [f"{mod.__name__}.{attr}" for mod, attr, _ in spans.TARGETS if not hasattr(mod, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("kind, builds", [(TopologyKind.RING, 1), (TopologyKind.RANDOM_K, 3)])
+def test_traced_run_counts_each_layer_once_per_round(kind, builds):
+    # bench/run.py --trace 1 divides by the engine.round count and counts layers
+    # through the engine's module lookups; a call that bypasses them reads 0
+    spans = load_spans()
+    cfg = ExperimentConfig(
+        m=6, rounds=3, local_steps=2, eval_every=2,
+        topology=TopologySpec(kind, 6, k=2, seed=1),
+        optimizer=OptimizerConfig(batch_size=4),
+        data=DataConfig(classes=3, dim=4, per_class=8, test_per_class=4),
+    )
+    with spans.traced(spans.Tracer()) as tracer:
+        result = engine.run_experiment(cfg)
+    assert [r.t for r in result.records] == [0, 2]
+    for name in ("engine.round", "localopt.local_train", "engine.gossip_mix"):
+        assert tracer.count(name) == 3, name
+    assert tracer.count("topology.build_mixing") == builds
+    assert tracer.count("models.full_objective") == len(result.records)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])

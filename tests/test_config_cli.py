@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgossip import cli
 from dgossip.cli import main
 from dgossip.config import (
     apply_override,
@@ -593,6 +594,26 @@ class TestCmdStability:
         assert code == 0
         rows = (out / "stability.csv").read_text().strip().split("\n")[1:]
         assert all(float(r.split(",")[2]) == 0.0 for r in rows)
+
+    def test_refuses_overwrite_without_force(self, config_file, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "stab"
+        argv = [
+            "stability", "--config", str(config_file), "--out", str(out),
+            "--client", "0", "--sample", "1", "--set", "rounds=3",
+        ]
+        assert main(argv) == 0
+        trace = (out / "stability.csv").read_text()
+        (out / "stability.csv").write_text("kept\n")
+        probed = []
+        probe = cli.stability_probe
+        monkeypatch.setattr(cli, "stability_probe", lambda *a: probed.append(a) or probe(*a))
+        assert main(argv) == 4
+        assert "stability.csv" in capsys.readouterr().err
+        assert (out / "stability.csv").read_text() == "kept\n"
+        assert probed == []  # refused before the probe ran
+        assert main([*argv, "--force"]) == 0
+        assert (out / "stability.csv").read_text() == trace
+        assert len(probed) == 1
 
     def test_bad_indices(self, config_file, tmp_path, capsys):
         code = main(

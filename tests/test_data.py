@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from dgossip.data import (
     LabeledDataset,
+    _as_plan,
     generate_synthetic,
     generate_synthetic_holdout,
     load_csv,
     partition_dirichlet,
     partition_iid,
     partition_pathological,
-    partition_to_json,
 )
 
 
@@ -31,10 +31,10 @@ def tv_distance(p, q):
 
 
 def assert_is_partition(plan, n):
-    flat = np.concatenate(plan.assignments)
+    flat = np.concatenate(plan)
     assert len(flat) == n
     assert np.array_equal(np.sort(flat), np.arange(n))
-    assert all(len(a) >= 1 for a in plan.assignments)
+    assert all(len(a) >= 1 for a in plan)
 
 
 class TestSynthetic:
@@ -71,21 +71,21 @@ class TestIID:
     def test_even_split(self):
         ds = generate_synthetic(2, 2, 50, 0.5, seed=0)  # n=100
         plan = partition_iid(ds, 10, seed=0)
-        assert [len(a) for a in plan.assignments] == [10] * 10
+        assert [len(a) for a in plan] == [10] * 10
 
     def test_remainder_split(self):
         feats = np.zeros((101, 2))
         labels = np.zeros(101, dtype=np.int64)
         ds = LabeledDataset(feats, labels, num_classes=1)
         plan = partition_iid(ds, 10, seed=0)
-        sizes = sorted(len(a) for a in plan.assignments)
+        sizes = sorted(len(a) for a in plan)
         assert sizes == [10] * 9 + [11]
 
     def test_determinism(self):
         ds = generate_synthetic(2, 2, 50, 0.5, seed=0)
         a = partition_iid(ds, 7, seed=3)
         b = partition_iid(ds, 7, seed=3)
-        assert all(np.array_equal(x, y) for x, y in zip(a.assignments, b.assignments))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestDirichlet:
@@ -93,7 +93,7 @@ class TestDirichlet:
         ds = generate_synthetic(3, 2, 10, 0.5, seed=0)
         plan = partition_dirichlet(ds, 1, alpha=0.5, seed=0)
         assert_is_partition(plan, len(ds))
-        assert len(plan.assignments[0]) == len(ds)
+        assert len(plan[0]) == len(ds)
 
     def test_huge_alpha_is_nearly_uniform(self):
         # Dir(inf) concentrates at uniform shares
@@ -102,7 +102,7 @@ class TestDirichlet:
         for seed in range(10):
             plan = partition_dirichlet(ds, 10, alpha=1e6, seed=seed)
             tv = np.mean(
-                [tv_distance(label_histogram(ds, a), global_hist) for a in plan.assignments]
+                [tv_distance(label_histogram(ds, a), global_hist) for a in plan]
             )
             assert tv < 0.05
 
@@ -121,7 +121,7 @@ class TestDirichlet:
                 plan = partition_dirichlet(ds, 10, alpha=alpha, seed=seed)
                 tvs.append(
                     np.mean(
-                        [tv_distance(label_histogram(ds, a), global_hist) for a in plan.assignments]
+                        [tv_distance(label_histogram(ds, a), global_hist) for a in plan]
                     )
                 )
             means.append(np.mean(tvs))
@@ -138,19 +138,19 @@ class TestPathological:
         ds = generate_synthetic(10, 2, 100, 0.5, seed=0)
         plan = partition_pathological(ds, 100, classes_per_client=2, seed=1)
         assert_is_partition(plan, len(ds))
-        for a in plan.assignments:
+        for a in plan:
             assert len(np.unique(ds.labels[a])) == 2
 
     def test_full_support_when_cpc_equals_c(self):
         ds = generate_synthetic(4, 2, 50, 0.5, seed=0)
         plan = partition_pathological(ds, 5, classes_per_client=4, seed=0)
-        for a in plan.assignments:
+        for a in plan:
             assert len(np.unique(ds.labels[a])) == 4
 
     def test_all_classes_covered(self):
         ds = generate_synthetic(10, 2, 50, 0.5, seed=0)
         plan = partition_pathological(ds, 5, classes_per_client=2, seed=3)
-        held = np.unique(np.concatenate([np.unique(ds.labels[a]) for a in plan.assignments]))
+        held = np.unique(np.concatenate([np.unique(ds.labels[a]) for a in plan]))
         assert len(held) == 10
 
     def test_infeasible_rejected(self):
@@ -175,7 +175,18 @@ def test_every_scheme_yields_a_set_partition(scheme, m, seed):
         cpc = 2 if m >= 2 else 4  # keep m * classes_per_client >= num_classes
         plan = partition_pathological(ds, m, classes_per_client=cpc, seed=seed)
     assert_is_partition(plan, len(ds))
-    assert plan.scheme == scheme
+    assert isinstance(plan, tuple) and len(plan) == m
+    assert all(a.dtype == np.int64 for a in plan)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [[np.array([0, 0, 1])], [np.array([0, 1]), np.array([], dtype=np.int64)]],
+    ids=["overlap", "empty"],
+)
+def test_partition_check_rejects_overlap_and_empty_clients(parts):
+    with pytest.raises(AssertionError, match="internal error"):
+        _as_plan(parts, 2)
 
 
 class TestLoadCsv:
@@ -212,10 +223,3 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv("/nonexistent/never.csv")
 
-
-def test_partition_json_export():
-    ds = generate_synthetic(3, 2, 10, 0.5, seed=0)
-    plan = partition_iid(ds, 3, seed=0)
-    doc = partition_to_json(plan)
-    assert doc["scheme"] == "iid"
-    assert sorted(int(i) for ids in doc["clients"].values() for i in ids) == list(range(len(ds)))

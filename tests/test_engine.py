@@ -15,12 +15,12 @@ from dgossip.engine import (
     ExperimentConfig,
     ModelConfig,
     PartitionConfig,
+    Problem,
     RoundInfo,
     build_problem,
     client_rng,
     client_streams,
     gossip_mix,
-    init_states,
     iter_rounds,
     ole_init,
     participants,
@@ -169,8 +169,8 @@ class TestBuildProblem:
         else:
             plan = partition_pathological(dataset, cfg.m, 2, part_seed)
         assert isinstance(problem.shards, ShardStack)
-        assert len(problem.shards) == len(plan.assignments) == cfg.m
-        for i, idx in enumerate(plan.assignments):
+        assert len(problem.shards) == len(plan) == cfg.m
+        for i, idx in enumerate(plan):
             shard = problem.shards[i]
             assert shard.features.tobytes() == dataset.features[idx].tobytes()
             assert shard.labels.tobytes() == dataset.labels[idx].tobytes()
@@ -181,10 +181,53 @@ class TestBuildProblem:
         assert list(problem.shards) == [0, 1, 2, 3, 4]
         assert problem.shards[3] == 3
 
-    def test_runs_read_the_problem_stack_in_place(self):
-        problem = engine.build_problem(logistic_cfg())
-        assert init_states(problem.x0, problem.shards).shards is problem.shards
+    def test_runs_read_the_problem_stack_in_place(self, monkeypatch):
+        problem = engine.build_problem(logistic_cfg(rounds=2))
+        seen = []
+
+        def recorded(spec, x0, shards, *args, **kwargs):
+            seen.append(shards)
+            return localopt.local_train(spec, x0, shards, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "local_train", recorded)
+        run_experiment(logistic_cfg(rounds=2), problem=problem)
+        assert len(seen) == 2 and all(shards is problem.shards for shards in seen)
         assert [f.name for f in dataclasses.fields(engine.Problem)] == ["spec", "shards", "test", "x0"]
+
+
+CENTRAL_CFG = dict(algorithm=AlgorithmKind.FEDSAM_CENTRAL, participation=0.5, topology=None)
+
+
+class TestRoundContract:
+    """A round maps two (m, p) arrays to a RoundInfo; the next starts from its x_mixed and z."""
+
+    @pytest.mark.parametrize(
+        "overrides", [{"diagnostics": True}, {**CENTRAL_CFG, "diagnostics": True}], ids=["ring", "central"]
+    )
+    def test_iter_rounds_is_a_hand_driven_loop_from_tiled_x0(self, overrides):
+        cfg = validated(logistic_cfg(rounds=4, **overrides))
+        problem = build_problem(cfg)
+        w = None if cfg.topology is None else build_mixing(cfg.topology)
+        x = z = np.tile(problem.x0, (cfg.m, 1))
+        for info in iter_rounds(cfg, problem):
+            hand = run_round(x, z, info.t, cfg, w, problem)
+            for name in ("ole_points", "z", "x_prev", "x_mixed", "drift"):
+                got, want = getattr(info, name), getattr(hand, name)
+                assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
+            x, z = hand.x_mixed, hand.z
+        assert info.t == cfg.rounds - 1
+
+    @pytest.mark.parametrize("z_prev", ["nan", "shape"])
+    def test_central_round_never_reads_z_prev(self, z_prev):
+        cfg = validated(logistic_cfg(rounds=1, **CENTRAL_CFG))
+        problem = build_problem(cfg)
+        rng = np.random.default_rng(5)
+        x = np.tile(rng.normal(size=problem.x0.shape), (cfg.m, 1))
+        odd = np.full_like(x, np.nan) if z_prev == "nan" else np.zeros((3, 1))
+        ref, got = (run_round(x, z, 2, cfg, None, problem) for z in (x, odd))
+        assert got.ole_points is None and ref.ole_points is None
+        for name in ("z", "x_prev", "x_mixed"):
+            assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
 
 
 class TestOleChebyshevEquivalence:
@@ -274,11 +317,11 @@ class TestRunExperiment:
             quadratic_cfg(m=1, topology=TopologySpec(TopologyKind.FULLY_CONNECTED, 1), rounds=1)
         )
         x0 = np.array([1.0, -2.0])
-        states = init_states(x0, [0])
+        x = z = x0[None]
         from dgossip.topology import MixingMatrix
 
         w1 = MixingMatrix(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)), psi=0.0)
-        _, info = run_round(states, 0, cfg, w1, spec)
+        info = run_round(x, z, 0, cfg, w1, Problem(spec, ShardStack.of([0]), None, x0))
         expected = x0 * (1 - cfg.optimizer.eta0) ** cfg.local_steps
         assert np.allclose(info.x_mixed[0], expected, atol=1e-15)
 
@@ -372,24 +415,22 @@ class TestCentralKinds:
 
 class TestConsensusDynamics:
     @staticmethod
-    def _spread_states(spec, m, p, spread, seed):
-        states = init_states(np.zeros(p), list(range(m)))
-        rng = np.random.default_rng(seed)
-        for i in range(m):
-            start = spread * rng.normal(size=p)
-            states.x_mixed[i] = start
-            states.z_prev[i] = start
-        return states
+    def _spread_problem(spec, m, p, spread, seed):
+        """The problem, and every client's start drawn around the origin."""
+        starts = spread * np.random.default_rng(seed).normal(size=(m, p))
+        return Problem(spec, ShardStack.of(range(m)), None, np.zeros(p)), starts
 
     def test_consensus_nonincreasing_for_dfedavg_on_identical_objectives(self):
         m, p = 16, 6
         spec = quadratic_testbed(m, p, 0.0, seed=2, identical_curvature=True)
         cfg = validated(quadratic_cfg(algorithm=AlgorithmKind.DFEDAVG, beta=0.0))
         w = build_mixing(cfg.topology)
-        states = self._spread_states(spec, m, p, spread=2.0, seed=0)
-        prev = consensus_distance(states.x_mixed)
+        problem, starts = self._spread_problem(spec, m, p, spread=2.0, seed=0)
+        x = z = starts
+        prev = consensus_distance(x)
         for t in range(30):
-            states, info = run_round(states, t, cfg, w, spec)
+            info = run_round(x, z, t, cfg, w, problem)
+            x, z = info.x_mixed, info.z
             cur = consensus_distance(info.x_mixed)
             assert cur <= prev * (1 + 1e-12) + 1e-30
             prev = cur
@@ -401,10 +442,12 @@ class TestConsensusDynamics:
         for beta in (0.2, 0.0):
             cfg = validated(quadratic_cfg(beta=beta))
             w = build_mixing(cfg.topology)
-            states = self._spread_states(spec, m, p, spread=2.0, seed=1)
+            problem, starts = self._spread_problem(spec, m, p, spread=2.0, seed=1)
+            x = z = starts
             rounds_needed[beta] = None
             for t in range(300):
-                states, info = run_round(states, t, cfg, w, spec)
+                info = run_round(x, z, t, cfg, w, problem)
+                x, z = info.x_mixed, info.z
                 if consensus_distance(info.x_mixed) < 1e-6:
                     rounds_needed[beta] = t + 1
                     break

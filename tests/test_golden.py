@@ -1,10 +1,12 @@
 """Golden trajectory fingerprints: any change to the numerics shows up here.
 
-Each fingerprint is the sha256 of ``final_x.tobytes()`` followed by the
-bytes of the run's ``metrics.csv`` (the stability cases hash the
-first-draw position and the per-round distance and held-out-gap arrays
-instead).  A change that is meant to keep the numerics, such as a
-refactor or an optimisation, must leave every hash unchanged.  A change
+Each run fingerprint is a pair: the sha256 of ``final_x.tobytes()`` and
+the sha256 of the bytes of the run's ``metrics.csv``.  Together they cover
+the bytes of the single hash they replaced, and the trajectory is pinned
+apart from the metrics derived from it.  The stability cases hash the
+first-draw position and the per-round distance and held-out-gap arrays.
+A change that is meant to keep the numerics, such as a refactor or an
+optimisation, must leave every hash unchanged.  A change
 that alters them on purpose replaces the hash and says why in CHANGES.md.
 
 The hashes are tied to the BLAS kernels they were recorded with (numpy
@@ -47,19 +49,56 @@ RUNS = {
     ),
 }
 
+# (sha256 of final_x.tobytes(), sha256 of the metrics.csv bytes)
 RUN_HASHES = {
-    "diagnostics[fedsam_central]": "7fbfffeebcc963df229c2b3452ef1446930df298d7d7e3c2c589ef4583f3fc95",
-    "diagnostics[oled_sam]": "6180f8c043651b019c786c3d9f87c521a4a8186c097fb59b917c24f0ad74050a",
-    "large_random_topology": "cd52fae253004860e3fd6879a6a561624d85c85041f3e97c8f6b240ea079da06",
-    "logistic[dfedavg]": "1a126570aa7dec39ecfb216a3627db5636cf34285a8ac850ebf8826588e0ffbd",
-    "logistic[dfedavgm]": "57ebfaccd3c8130db7cef9038ee46c0b9f52949abde005bc405077053c8023a3",
-    "logistic[dfedsam]": "4940cf716c7676fa9d62db8248f3223d5b1b67481782f9a2758f3fbac78fbe92",
-    "logistic[dpsgd]": "1bab8b0ea1354dc4738f8d927462358ef515d39be2a95b0c8f960e39dc55dbc4",
-    "logistic[fedavg_central]": "06f74150ad0865bc3bb93e0f8ed67adb1fcdc797305c7325964d20fca6293298",
-    "logistic[fedsam_central]": "0277f081adfc386bf09b277050fe648130f842a1a1926b777a9322b5ee59f507",
-    "logistic[oled_sam]": "7b96448ab75a20bfe299fd39e52fecbdd7aa121182a5f4eb3a07545346b97165",
-    "logistic[oled_sgd]": "b42ee382166675c9497cba52670c6ef253ce3069cb96c4f03169a2d808465ac3",
-    "quadratic_ring": "c0aabb843815cf6bb3e5e903c86ae1dc20fd573cdee0d94880c32ba9670b800a",
+    "diagnostics[fedsam_central]": (
+        "9b53372929bfdddb59c69cfcbd57b712157dc2b7c52fb2ad5bf367f6f24e86bb",
+        "0b410e6483cbae30643c229791e375fba3658fc766384f248bc231021ee12204",
+    ),
+    "diagnostics[oled_sam]": (
+        "6a7c69c76e3f495d1c7380671b8baca714fdcf09701510bed90d577a3de961ed",
+        "087e64f877d76ec449dfe14c1f06fd813b1d00d81213feff2f91ab1f8da873e1",
+    ),
+    "large_random_topology": (
+        "e56325be8754d17bc5a146d1d8c76aba1381455e8a2f3df75f0f6a85bf79426b",
+        "ef2ea3773eba7c5bab9d8a19560c8feb1fc08afe5c085e8ab9c1ef28d065846e",
+    ),
+    "logistic[dfedavg]": (
+        "b9f9a19aba4f15bdb8ceac4c8e24f2cae8d40721a992a8bae832438ad275933d",
+        "181c8a0c431a782da7a069de9af89cad5aaba0c24335f9074e5f683dc69689b1",
+    ),
+    "logistic[dfedavgm]": (
+        "cf2ddcfcb65a9c84f7c8c707aa1aa6d140ece709c06abc33911d923d95639f7c",
+        "bd0f8a2087d327d24eb3fb459fd05854a82dae11f680573ffac64487981d466c",
+    ),
+    "logistic[dfedsam]": (
+        "84b3a7f1414efc8f42e6d390cc6cc96a3efe41895aecf98580d5c9fa4bcf5497",
+        "684b3e5fb1b3eec7091b6474f9dbe0a3930a8d34d6d3969ec2315415e48031cd",
+    ),
+    "logistic[dpsgd]": (
+        "a8d8b03f53783cb618b152c1418e02fb8c58731c4a19aaa9f01174c5ef4fb93a",
+        "82cd53043d0c86a65eeb22bc66903da0799944f511145335b48dab6c7379988f",
+    ),
+    "logistic[fedavg_central]": (
+        "24c57018cd76df2088273a87d3386ea716f5bfbc6503aec223d2c968cf6c64ac",
+        "693ba71def0b7c5bdfd123ea1e8e565e830141400a6a3e407e7966161bb595ea",
+    ),
+    "logistic[fedsam_central]": (
+        "9b53372929bfdddb59c69cfcbd57b712157dc2b7c52fb2ad5bf367f6f24e86bb",
+        "d877a642c749dc559e51a89f97d1fa5e2f6faaead1e218dd7b148e5aa528a8e3",
+    ),
+    "logistic[oled_sam]": (
+        "6a7c69c76e3f495d1c7380671b8baca714fdcf09701510bed90d577a3de961ed",
+        "452de5ef6981e7d2041265a27fbe3739b5db7a50f316d28a3fca6bd8c98152ae",
+    ),
+    "logistic[oled_sgd]": (
+        "a3b67994bb2a29bc71b5988dcf68b4a5cf3e861ab2d4fe36049a6a7b26c82717",
+        "227ee93de8e6706ed68cc7139206663ffb4ddc302935888ad05d21ac397c74ca",
+    ),
+    "quadratic_ring": (
+        "3b88c51951f02b95db9c67c048cf3eeb11ee5a552620ec1f80399f9465f6098f",
+        "c916634d6a763594df1472d62c95d95ace8562223c018f9cffbbff85d7dfbb59",
+    ),
 }
 
 # (overrides, swapped (client, shard-local sample))
@@ -74,11 +113,11 @@ PROBE_HASHES = {
 }
 
 
-def run_fingerprint(preset: str, overrides, tmp_path) -> str:
+def run_fingerprint(preset: str, overrides, tmp_path) -> tuple[str, str]:
     result = run_experiment(load_config(str(CONFIGS / preset), list(overrides)))
     csv = tmp_path / "metrics.csv"
     write_metrics_csv(result.records, csv)
-    return hashlib.sha256(result.final_x.tobytes() + csv.read_bytes()).hexdigest()
+    return hashlib.sha256(result.final_x.tobytes()).hexdigest(), hashlib.sha256(csv.read_bytes()).hexdigest()
 
 
 def probe_fingerprint(overrides, swap) -> str:
@@ -119,7 +158,7 @@ def test_run_fingerprint_is_independent_of_blas_threads(name, tmp_path):
     child = (
         "import pathlib, sys; sys.path.insert(0, sys.argv[1]); "
         "from test_golden import RUNS, run_fingerprint; "
-        "print(run_fingerprint(*RUNS[sys.argv[2]], pathlib.Path(sys.argv[3])))"
+        "print(*run_fingerprint(*RUNS[sys.argv[2]], pathlib.Path(sys.argv[3])))"
     )
     digests = []
     for threads in ("1", "2"):
@@ -129,5 +168,5 @@ def test_run_fingerprint_is_independent_of_blas_threads(name, tmp_path):
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout.strip())
+        digests.append(tuple(proc.stdout.split()))
     assert digests == [RUN_HASHES[name]] * 2
