@@ -10,6 +10,7 @@ classes.
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 
@@ -67,34 +68,23 @@ def generate_synthetic(
     can be produced by swapping only the noise stream (see
     :func:`generate_synthetic_holdout`).
     """
-    if num_classes < 2 or dim < 1 or per_class < 1:
-        raise ValueError("need num_classes >= 2, dim >= 1, per_class >= 1")
-    means = _cluster_means(num_classes, dim, seed)
-    noise_rng = np.random.default_rng([seed, 1])
-    return _sample_clusters(means, per_class, cluster_spread, noise_rng)
+    return _synthetic(num_classes, dim, per_class, cluster_spread, seed, noise_stream=1)
 
 
 def generate_synthetic_holdout(
     num_classes: int, dim: int, per_class: int, cluster_spread: float, seed: int
 ) -> LabeledDataset:
     """Same cluster means as :func:`generate_synthetic`, disjoint noise stream."""
+    return _synthetic(num_classes, dim, per_class, cluster_spread, seed, noise_stream=2)
+
+
+def _synthetic(num_classes, dim, per_class, spread, seed, noise_stream) -> LabeledDataset:
     if num_classes < 2 or dim < 1 or per_class < 1:
         raise ValueError("need num_classes >= 2, dim >= 1, per_class >= 1")
-    means = _cluster_means(num_classes, dim, seed)
-    noise_rng = np.random.default_rng([seed, 2])
-    return _sample_clusters(means, per_class, cluster_spread, noise_rng)
-
-
-def _cluster_means(num_classes: int, dim: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng([seed, 0])
-    raw = rng.normal(size=(num_classes, dim))
-    return 2.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
-
-
-def _sample_clusters(means, per_class, spread, rng) -> LabeledDataset:
-    num_classes, dim = means.shape
+    raw = np.random.default_rng([seed, 0]).normal(size=(num_classes, dim))
+    means = 2.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    noise = rng.normal(size=(len(labels), dim))
+    noise = np.random.default_rng([seed, noise_stream]).normal(size=(len(labels), dim))
     features = means[labels] + spread * noise
     return LabeledDataset(features=features, labels=labels, num_classes=num_classes)
 
@@ -213,7 +203,8 @@ def partition_pathological(
 def load_csv(path: str) -> LabeledDataset:
     """Read ``f1,...,fd,label`` rows below a one-line header.
 
-    The class count is ``max label + 1``; label gaps are allowed.
+    Features must be finite.  The class count is ``max label + 1``; label
+    gaps are allowed.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
@@ -236,10 +227,13 @@ def load_csv(path: str) -> LabeledDataset:
             elif len(row) != width:
                 raise ValueError(f"{path}:{rownum}: expected {width} columns, got {len(row)}")
             try:
-                features.append([float(v) for v in row[:-1]])
+                values = [float(v) for v in row[:-1]]
                 label = int(row[-1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{rownum}: parse failure: {exc}") from None
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{rownum}: non-finite feature value")
+            features.append(values)
             if label < 0:
                 raise ValueError(f"{path}:{rownum}: negative label {label}")
             labels.append(label)

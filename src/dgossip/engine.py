@@ -504,6 +504,14 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
             parts = partition_pathological(dataset, cfg.m, cfg.partition.classes_per_client, part_seed)
     except (ValueError, RuntimeError) as exc:  # infeasible data or partition settings
         raise ConfigError(f"data/partition: {exc}") from None
+    if test is not None:  # the held-out rows must fit the model the training data defines
+        width, dim = test.features.shape[1], dataset.features.shape[1]
+        if width != dim:
+            raise ConfigError(f"data.test_path: {width} features per row, data.path has {dim}")
+        if test.labels.max() >= dataset.num_classes:
+            raise ConfigError(
+                f"data.test_path: label {test.labels.max()}, data.path has {dataset.num_classes} classes"
+            )
 
     spec = ModelSpec(
         kind=cfg.model.kind,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import ModelSpec, ShardStack, batch_grads
-from .models import loss_and_grad  # noqa: F401  re-exported for callers that reach the model here
+from .models import loss_and_grad  # noqa: F401  re-exported: bench/spans.py wraps it under this name
 
 __all__ = [
     "OptimizerConfig",

@@ -121,44 +121,51 @@ def _forward(spec: ModelSpec, x: np.ndarray, feats: np.ndarray):
 
 
 def _softmax_nll(logits: np.ndarray, labels: np.ndarray, with_loss: bool):
-    """Softmax in place; (batch-mean NLL or None, (rows, classes) view, label index)."""
+    """Softmax in place; (per-row NLL shaped as labels or None, (rows, classes) view, label index)."""
     logits -= logits.max(axis=-1, keepdims=True)
     np.exp(logits, out=logits)
     logits /= logits.sum(axis=-1, keepdims=True)
     flat = logits.reshape(-1, logits.shape[-1])
     picked = (np.arange(len(flat)), labels.reshape(-1))
-    loss = None
+    nll = None
     if with_loss:
-        loss = -np.mean(np.log(flat[picked] + 1e-300).reshape(labels.shape), axis=-1)
-    return loss, flat, picked
+        nll = -np.log(flat[picked] + 1e-300).reshape(labels.shape)
+    return nll, flat, picked
 
 
 def _forward_backward(
-    spec: ModelSpec, x: np.ndarray, feats: np.ndarray, labels: np.ndarray, *, with_loss: bool
+    spec: ModelSpec, x: np.ndarray, feats: np.ndarray, labels: np.ndarray, divisor, *, with_loss: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Batch-mean cross-entropy and its exact gradient, for one model or a stack.
+    """Weighted cross-entropy gradient, for one model or a stack, and the per-row NLL.
 
     One model: ``x`` (p,), ``feats`` (n, d), ``labels`` (n,).  A stack:
     ``x`` (m, p), ``feats`` (m, n, d), ``labels`` (m, n), where row i is
-    client i's model on its own batch.  Every product is ``np.matmul``,
-    which makes the same BLAS call per row of a stack as for one model, so
-    each row equals the one-model computation bitwise.  Temporaries are
-    reused in place.  Returns (losses, or None, and gradients shaped as x).
+    client i's model on its own batch.  One model over row blocks: ``x``
+    (p,), ``feats`` (k, n, d), ``labels`` (k, n), whose block gradients
+    are added up in turn.  Each row's output error is divided by
+    ``divisor``: the batch size n for a batch mean, or a per-row column
+    shaped (..., n, 1).  Every product is ``np.matmul``, which makes the
+    same BLAS call per row of a stack as for one model, so each row equals
+    the one-model computation bitwise.  Temporaries are reused in place.
+    Returns (per-row NLL shaped as ``labels``, or None, and gradients shaped as x).
     """
-    n = labels.shape[-1]
     layers, acts = _forward(spec, x, feats)
     delta = acts.pop()  # logits, turned in place into probabilities, then the output error
-    loss, flat, picked = _softmax_nll(delta, labels, with_loss)
+    nll, flat, picked = _softmax_nll(delta, labels, with_loss)
     flat[picked] -= 1.0
-    delta /= n
+    delta /= divisor
+    blocked = feats.ndim > x.ndim + 1
     grad = np.empty_like(x)
     end = x.shape[-1]
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
         fan_in, fan_out = w.shape[-2:]
-        grad[..., end - fan_out : end] = delta.sum(axis=-2)  # bias
-        end -= fan_out
+        bias = delta.sum(axis=-2)
         weight = np.matmul(acts[li].swapaxes(-1, -2), delta)
+        if blocked:
+            bias, weight = bias.sum(axis=0), weight.sum(axis=0)
+        grad[..., end - fan_out : end] = bias
+        end -= fan_out
         grad[..., end - fan_in * fan_out : end] = weight.reshape(*x.shape[:-1], -1)
         end -= fan_in * fan_out
         if li > 0:  # back through tanh: delta W^T * (1 - a^2)
@@ -167,7 +174,7 @@ def _forward_backward(
             np.square(a, out=a)
             np.subtract(1.0, a, out=a)
             delta *= a
-    return loss, grad
+    return nll, grad
 
 
 def _quadratic_grads(spec: ModelSpec, x: np.ndarray, clients) -> np.ndarray:
@@ -261,7 +268,8 @@ def batch_grads(spec: ModelSpec, x: np.ndarray, batch: Batch) -> np.ndarray:
     """
     if spec.kind == "quadratic":
         return _quadratic_grads(spec, x, batch.clients)
-    return _forward_backward(spec, x, batch.features, batch.labels, with_loss=False)[1]
+    n = batch.labels.shape[-1]
+    return _forward_backward(spec, x, batch.features, batch.labels, n, with_loss=False)[1]
 
 
 def loss_and_grad(
@@ -283,8 +291,8 @@ def loss_and_grad(
         return float(0.5 * x @ a @ x - b @ x), _quadratic_grads(spec, x, shard)
     feats = shard.features if batch is None else shard.features[batch]
     labels = shard.labels if batch is None else shard.labels[batch]
-    loss, grad = _forward_backward(spec, x, feats, labels, with_loss=True)
-    return float(loss), grad
+    nll, grad = _forward_backward(spec, x, feats, labels, len(labels), with_loss=True)
+    return float(np.mean(nll)), grad
 
 
 def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[float, np.ndarray]:
@@ -295,20 +303,49 @@ def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[
     _, acts = _forward(spec, x, shard.features)
     logits = acts[-1]
     predictions = np.argmax(logits, axis=-1)
-    loss, _, _ = _softmax_nll(logits, shard.labels, with_loss=True)
-    return float(loss), predictions
+    nll, _, _ = _softmax_nll(logits, shard.labels, with_loss=True)
+    return float(np.mean(nll)), predictions
 
 
-def full_objective(spec: ModelSpec, x: np.ndarray, shards) -> tuple[float, np.ndarray]:
-    """Exact global objective: arithmetic mean of full-shard client losses."""
-    losses = []
-    grad = np.zeros_like(x)
-    for shard in shards:
-        loss_i, grad_i = loss_and_grad(spec, x, shard, batch=None)
-        losses.append(loss_i)
-        grad += grad_i
-    m = len(losses)
-    return float(np.mean(losses)), grad / m
+# Rows per BLAS reduction in full_objective.  OpenBLAS may split a long
+# reduction over threads and round it differently; blocks as short as a
+# training batch keep the objective independent of the BLAS thread count.
+_BLOCK_ROWS = 64
+
+
+def full_objective(spec: ModelSpec, x: np.ndarray, shards: ShardStack) -> tuple[float, np.ndarray]:
+    """Exact global objective f = (1/m) sum_i f_i and its gradient, in one pass over the stack.
+
+    f_i is client i's full-shard mean loss.  One forward/backward runs over
+    all the stack's rows, in blocks of at most ``_BLOCK_ROWS``, with each
+    row's error weighted by 1/(m n_i).  The loss averages each client's
+    mean NLL, summed and divided as ``np.mean`` does, so a one-client stack
+    of one block equals :func:`loss_and_grad` bitwise.  The quadratic
+    family takes one stacked product over its clients' terms.
+    """
+    m = len(shards)
+    if spec.kind == "quadratic":
+        grads = _quadratic_grads(spec, x, shards.clients)
+        # f_i = 0.5 x.A_i x - b_i.x = 0.5 x.(grad_i - b_i)
+        losses = 0.5 * ((grads - spec.quad_b[shards.clients]) @ x)
+        return float(np.mean(losses)), grads.mean(axis=0)
+    sizes = shards.sizes
+    n_rows = int(sizes.sum())
+    blocks = -(-n_rows // _BLOCK_ROWS)
+    length = -(-n_rows // blocks)
+    pad = blocks * length - n_rows
+    starts = np.cumsum(sizes) - sizes
+    # the stack's rows in client order (a take() need not be laid end to end),
+    # then padding rows whose error is divided by inf, so they weigh nothing
+    rows = np.repeat(shards.offsets - starts, sizes) + np.arange(n_rows)
+    rows = np.concatenate([rows, np.zeros(pad, dtype=rows.dtype)])
+    divisor = np.concatenate([np.repeat(float(m) * sizes, sizes), np.full(pad, np.inf)])
+    feats = shards.features[rows].reshape(blocks, length, -1)
+    labels = shards.labels[rows].reshape(blocks, length)
+    nll, grad = _forward_backward(spec, x, feats, labels, divisor.reshape(blocks, length, 1), with_loss=True)
+    nll = nll.reshape(-1)
+    means = [nll[a : a + n].sum() / n for a, n in zip(starts.tolist(), sizes.tolist())]
+    return float(np.mean(means)), grad
 
 
 def quadratic_testbed(

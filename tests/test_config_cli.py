@@ -391,6 +391,12 @@ class TestCmdRun:
             ("run", ["model.kind=quadratic", "model.p=1", "m=50000"], None, "m * m"),
             ("topo-report", ["--kinds", "ring", "--m", "1099511627776"], None, "--m"),
             ("topo-report", ["--kinds", "random_k", "--m", "8", "--seed", "-1"], None, "--seed"),
+            ("run", ["data.source=csv", "data.path={csv}", "data.test_path={dir}/wide.csv"], None,
+             "data.test_path"),
+            ("run", ["data.source=csv", "data.path={csv}", "data.test_path={dir}/label2.csv"], None,
+             "data.test_path"),
+            ("run", ["data.source=csv", "data.path={csv}", "data.test_path={dir}/nan.csv"], None, "nan.csv:3"),
+            ("run", ["data.source=csv", "data.path={dir}/inf.csv"], None, "inf.csv:3"),
         ],
     )
     def test_bad_value_exits_2_naming_it(
@@ -398,6 +404,14 @@ class TestCmdRun:
     ):
         csv = tmp_path / "train.csv"
         csv.write_text("f1,f2,label\n" + "".join(f"{i % 5}.5,{i % 3}.0,{i % 2}\n" for i in range(40)))
+        bad_csvs = {  # against train.csv: 2 features, labels 0 and 1
+            "wide.csv": "f1,f2,f3,label\n1.0,2.0,3.0,0\n",
+            "label2.csv": "f1,f2,label\n1.0,2.0,0\n1.0,2.0,2\n",
+            "nan.csv": "f1,f2,label\n1.0,2.0,0\nnan,2.0,1\n",
+            "inf.csv": "f1,f2,label\n1.0,2.0,0\ninf,2.0,1\n",
+        }
+        for name, text in bad_csvs.items():
+            (tmp_path / name).write_text(text)
         if env_seed is not None:
             monkeypatch.setenv("DGOSSIP_SEED", env_seed)
         if command == "topo-report":  # takes its flags, not a config
@@ -405,7 +419,7 @@ class TestCmdRun:
         else:
             argv = [command, "--config", str(config_file), "--out", str(tmp_path / "o")]
             for pair in sets:
-                argv += ["--set", pair.format(csv=csv)]
+                argv += ["--set", pair.format(csv=csv, dir=tmp_path)]
         if command == "stability":
             argv += ["--client", "0", "--sample", "0"]
         assert main(argv) == 2

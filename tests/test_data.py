@@ -219,6 +219,13 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="negative label"):
             load_csv(str(negative))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_feature_names_the_line(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"f1,f2,label\n1.0,2.0,0\n1.0,{value},1\n")
+        with pytest.raises(ValueError, match=r"nonfinite\.csv:3: non-finite"):
+            load_csv(str(path))
+
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             load_csv("/nonexistent/never.csv")

@@ -53,11 +53,11 @@ RUNS = {
 RUN_HASHES = {
     "diagnostics[fedsam_central]": (
         "9b53372929bfdddb59c69cfcbd57b712157dc2b7c52fb2ad5bf367f6f24e86bb",
-        "0b410e6483cbae30643c229791e375fba3658fc766384f248bc231021ee12204",
+        "c94e43eb8465d4c18b9ac353d3295d7929af8330d79922d35b89e6ab9a349e56",
     ),
     "diagnostics[oled_sam]": (
         "6a7c69c76e3f495d1c7380671b8baca714fdcf09701510bed90d577a3de961ed",
-        "087e64f877d76ec449dfe14c1f06fd813b1d00d81213feff2f91ab1f8da873e1",
+        "7f09c34efff5e7af31f8fb84ff24e5190bff81eb8597b0213a7c0b5f628568ef",
     ),
     "large_random_topology": (
         "e56325be8754d17bc5a146d1d8c76aba1381455e8a2f3df75f0f6a85bf79426b",
@@ -65,39 +65,39 @@ RUN_HASHES = {
     ),
     "logistic[dfedavg]": (
         "b9f9a19aba4f15bdb8ceac4c8e24f2cae8d40721a992a8bae832438ad275933d",
-        "181c8a0c431a782da7a069de9af89cad5aaba0c24335f9074e5f683dc69689b1",
+        "4a88303dd37635a6b404f2fe03010874b010c00ff62f80c01711d5f2b556148a",
     ),
     "logistic[dfedavgm]": (
         "cf2ddcfcb65a9c84f7c8c707aa1aa6d140ece709c06abc33911d923d95639f7c",
-        "bd0f8a2087d327d24eb3fb459fd05854a82dae11f680573ffac64487981d466c",
+        "46b1914990c031f5ade009f5fbb490565e4ef761123fab614c025d027d4fe7ae",
     ),
     "logistic[dfedsam]": (
         "84b3a7f1414efc8f42e6d390cc6cc96a3efe41895aecf98580d5c9fa4bcf5497",
-        "684b3e5fb1b3eec7091b6474f9dbe0a3930a8d34d6d3969ec2315415e48031cd",
+        "adfd523ec6531b1d8f97f9fdae406d939692a51b13c45177fbfe33e33db99154",
     ),
     "logistic[dpsgd]": (
         "a8d8b03f53783cb618b152c1418e02fb8c58731c4a19aaa9f01174c5ef4fb93a",
-        "82cd53043d0c86a65eeb22bc66903da0799944f511145335b48dab6c7379988f",
+        "426b2628d8c38f074f20e99415e265a458eb5a4e0a2ab1b66817c09794844a5b",
     ),
     "logistic[fedavg_central]": (
         "24c57018cd76df2088273a87d3386ea716f5bfbc6503aec223d2c968cf6c64ac",
-        "693ba71def0b7c5bdfd123ea1e8e565e830141400a6a3e407e7966161bb595ea",
+        "6a47583bb16523ead6a06e378159ec9bf284217a4577c63a36a985f721af24eb",
     ),
     "logistic[fedsam_central]": (
         "9b53372929bfdddb59c69cfcbd57b712157dc2b7c52fb2ad5bf367f6f24e86bb",
-        "d877a642c749dc559e51a89f97d1fa5e2f6faaead1e218dd7b148e5aa528a8e3",
+        "9c29164179dd3eff3d9cd257cafd361b8ab513ae8f577915ed8be37f2760a162",
     ),
     "logistic[oled_sam]": (
         "6a7c69c76e3f495d1c7380671b8baca714fdcf09701510bed90d577a3de961ed",
-        "452de5ef6981e7d2041265a27fbe3739b5db7a50f316d28a3fca6bd8c98152ae",
+        "2a3e723d7762ba48b0405c1e563d7d73d2089698b59f723788856655ab1e6c10",
     ),
     "logistic[oled_sgd]": (
         "a3b67994bb2a29bc71b5988dcf68b4a5cf3e861ab2d4fe36049a6a7b26c82717",
-        "227ee93de8e6706ed68cc7139206663ffb4ddc302935888ad05d21ac397c74ca",
+        "df6893fd76e28fef19bbe4efe8fa445b4330bbdc6e43cef12e0f995a251b1ea4",
     ),
     "quadratic_ring": (
         "3b88c51951f02b95db9c67c048cf3eeb11ee5a552620ec1f80399f9465f6098f",
-        "c916634d6a763594df1472d62c95d95ace8562223c018f9cffbbff85d7dfbb59",
+        "3d39031e0caf91446ae3ddcc6b1cbddcad1d54de549320db3ad5bb6b4ecea834",
     ),
 }
 

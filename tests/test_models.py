@@ -1,19 +1,29 @@
 """Objectives and analytic gradients against a finite-difference oracle."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dgossip.config import load_config
 from dgossip.data import generate_synthetic
+from dgossip.engine import build_problem
 from dgossip.models import (
     ModelSpec,
     Shard,
+    ShardStack,
     full_objective,
     init_params,
     loss_and_grad,
     quadratic_testbed,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def central_fd_grad(fn, x, h=1e-6):
@@ -88,7 +98,7 @@ class TestQuadratic:
         # independent oracle: solve with the raw stacked matrices
         x_star = np.linalg.solve(spec.quad_a.mean(axis=0), spec.quad_b.mean(axis=0))
         assert np.allclose(x_star, spec.quad_opt, atol=1e-12)
-        _, grad = full_objective(spec, spec.quad_opt, list(range(4)))
+        _, grad = full_objective(spec, spec.quad_opt, ShardStack.of(range(4)))
         assert np.linalg.norm(grad) < 1e-10
 
     def test_eigenvalue_range(self):
@@ -137,7 +147,7 @@ class TestQuadratic:
             quad_b=np.array([[1.0, 0.0], [-1.0, 0.0]]),
             quad_opt=np.zeros(2),
         )
-        _, grad = full_objective(spec, np.zeros(2), [0, 1])
+        _, grad = full_objective(spec, np.zeros(2), ShardStack.of([0, 1]))
         assert np.array_equal(grad, np.zeros(2))
 
 
@@ -188,7 +198,7 @@ class TestFullObjective:
         shard = toy_shard()
         spec = ModelSpec(kind="logistic", dim=5, num_classes=3)
         x = init_params(spec, 1)
-        loss_full, grad_full = full_objective(spec, x, [shard])
+        loss_full, grad_full = full_objective(spec, x, ShardStack.of([shard]))
         loss_one, grad_one = loss_and_grad(spec, x, shard)
         assert loss_full == loss_one
         assert np.array_equal(grad_full, grad_one)
@@ -197,6 +207,49 @@ class TestFullObjective:
         spec = ModelSpec(kind="logistic", dim=5, num_classes=3)
         shards = [toy_shard(seed=s) for s in range(4)]
         x = rng.normal(size=spec.param_count())
-        total, _ = full_objective(spec, x, shards)
+        total, _ = full_objective(spec, x, ShardStack.of(shards))
         per_client = [loss_and_grad(spec, x, s)[0] for s in shards]
         assert abs(total - np.mean(per_client)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+    def test_one_pass_equals_the_per_shard_loop(self, kind, rng):
+        # Dirichlet(0.3) shards of 16 clients, sized 1 to 81 at seed 0
+        cfg = load_config(
+            str(CONFIGS / "logistic_dirichlet.toml"), [f"model.kind={kind}", "model.hidden=[7]"]
+        )
+        problem = build_problem(cfg)
+        spec, shards = problem.spec, problem.shards
+        if kind != "quadratic":
+            assert shards.sizes.min() == 1 and len(set(shards.sizes.tolist())) > 1
+        x = problem.x0 + 0.5 * rng.normal(size=problem.x0.shape)
+        # the whole stack, and a take() whose rows are not laid end to end
+        for stack in (shards, shards.take(np.array([5, 0, 11, 3]))):
+            loss, grad = full_objective(spec, x, stack)
+            per_shard = [loss_and_grad(spec, x, shard) for shard in stack]
+            ref_loss = np.mean([l for l, _ in per_shard])
+            ref_grad = np.mean([g for _, g in per_shard], axis=0)
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            assert abs(grad @ grad - ref_grad @ ref_grad) <= 1e-12 * (ref_grad @ ref_grad)
+            assert np.linalg.norm(grad - ref_grad) <= 1e-12 * np.linalg.norm(ref_grad)
+
+    def test_independent_of_blas_threads(self):
+        # 5000 training rows: one unblocked product over them rounds differently on two threads
+        child = (
+            "import hashlib, sys; import numpy as np; "
+            "from dgossip.config import load_config; from dgossip.engine import build_problem; "
+            "from dgossip.models import full_objective; "
+            "p = build_problem(load_config(sys.argv[1], [])); "
+            "x = p.x0 + 0.3 * np.random.default_rng(1).normal(size=p.x0.shape); "
+            "loss, grad = full_objective(p.spec, x, p.shards); "
+            "print(hashlib.sha256(np.float64(loss).tobytes() + grad.tobytes()).hexdigest())"
+        )
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"), "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-c", child, str(CONFIGS / "large_random_topology.toml")],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
