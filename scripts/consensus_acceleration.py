@@ -76,13 +76,13 @@ def main() -> int:
     print(f"ring m={args.m}: psi = {ring.psi:.5f}")
     traces = {}
     for beta in betas:
-        psi_eff = chebyshev_modified(ring, beta).psi_tilde if beta > 0 else ring.psi
+        psi_tilde = chebyshev_modified(ring, beta).psi_tilde
         traces[beta] = consensus_trace(beta, args)
         hit = next(
             (t for t, c in enumerate(traces[beta]) if c < args.threshold), None
         )
         reached = f"round {hit}" if hit is not None else f">{args.rounds} rounds"
-        print(f"beta={beta:4.2f}: effective spectral radius {psi_eff:.5f}, "
+        print(f"beta={beta:4.2f}: psi_tilde {psi_tilde:.5f}, "
               f"consensus <{args.threshold:g} at {reached}")
 
     with open(args.out, "w", newline="\n") as fh:

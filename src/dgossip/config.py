@@ -279,8 +279,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def load_config(path: str, overrides=(), env_seed: int | None = None) -> ExperimentConfig:
     """Parse a config file and apply seed/override layers (file < env < --set)."""
-    with open(path) as fh:
-        tree = parse_config_text(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            tree = parse_config_text(fh.read())
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8: {exc}") from None
     if env_seed is not None:
         tree["seed"] = env_seed
     for pair in overrides:

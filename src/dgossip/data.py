@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,37 +205,36 @@ def load_csv(path: str) -> LabeledDataset:
     Features must be finite.  The class count is ``max label + 1``; label
     gaps are allowed.
     """
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
     features: list[list[float]] = []
     labels: list[int] = []
     width = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty dataset (no header)") from None
-        for rownum, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-                if width < 2:
-                    raise ValueError(f"{path}:{rownum}: need at least one feature and a label")
-            elif len(row) != width:
-                raise ValueError(f"{path}:{rownum}: expected {width} columns, got {len(row)}")
-            try:
-                values = [float(v) for v in row[:-1]]
-                label = int(row[-1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{rownum}: parse failure: {exc}") from None
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"{path}:{rownum}: non-finite feature value")
-            features.append(values)
-            if label < 0:
-                raise ValueError(f"{path}:{rownum}: negative label {label}")
-            labels.append(label)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) is None:
+                raise ValueError(f"{path}: empty dataset (no header)")
+            for rownum, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if width is None:
+                    width = len(row)
+                    if width < 2:
+                        raise ValueError(f"{path}:{rownum}: need at least one feature and a label")
+                elif len(row) != width:
+                    raise ValueError(f"{path}:{rownum}: expected {width} columns, got {len(row)}")
+                try:
+                    values = [float(v) for v in row[:-1]]
+                    label = int(row[-1])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{rownum}: parse failure: {exc}") from None
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"{path}:{rownum}: non-finite feature value")
+                features.append(values)
+                if label < 0:
+                    raise ValueError(f"{path}:{rownum}: negative label {label}")
+                labels.append(label)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8: {exc}") from None
     if not labels:
         raise ValueError(f"{path}: empty dataset")
     labels_arr = np.asarray(labels, dtype=np.int64)

@@ -240,8 +240,6 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"data.classes * data.per_class = {d.classes * d.per_class} samples < m={cfg.m}")
     # arrays past 2**31 elements fail to allocate, or wrap numpy's size arithmetic
     sizes = {"local_steps * m * optimizer.batch_size": local_steps * cfg.m * optimizer.batch_size}
-    if algo in DECENTRALIZED_KINDS:  # building W sums its self weights over (m, m)
-        sizes["m * m"] = cfg.m * cfg.m
     if model.kind == "quadratic":
         sizes["m * model.p**2"] = cfg.m * model.p**2
     elif synthetic:

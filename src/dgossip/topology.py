@@ -91,6 +91,12 @@ class TopologySpec:
         if self.kind is TopologyKind.RANDOM_K:
             if not 1 <= self.k < self.m:
                 raise ValueError(f"random_k topology needs 1 <= k < m, got k={self.k}, m={self.m}")
+        # building W sorts m * (2h + 1) neighbour keys, h the partners each client lists
+        listed = {"ring": 1, "grid": 2, "exponential": (self.m - 1).bit_length(), "full": self.m - 1}
+        size = self.m * (2 * listed.get(self.kind.value, self.k) + 1)
+        if size > 2**31:
+            h = listed.get(self.kind.value, "topology.k")
+            raise ValueError(f"{self.kind.value} topology: m * (2 * {h} + 1) = {size} exceeds 2**31")
 
 
 class MixingMatrix:
@@ -197,15 +203,9 @@ def _metropolis(partners: np.ndarray) -> MixingMatrix:
     # 1/(1 + max(deg_i, deg_j)) is symmetric in (i, j), so the matrix is
     # symmetric bitwise, not merely up to rounding.
     weight = np.where(live & (index != rows), 1.0 / (1.0 + np.maximum(deg[:, None], deg[index])), 0.0)
-    # w_ii = 1 - sum_j w_ij, summed over a zero-filled width-m row so the
-    # rounding is numpy's pairwise order for a dense row, 2**18 entries at once
-    self_weight = np.empty(m)
-    step = max(1, 2**18 // m)
-    for a in range(0, m, step):
-        block = np.zeros((min(step, m - a), m))
-        block[rows[: len(block)], index[a : a + step]] = weight[a : a + step]
-        self_weight[a : a + step] = 1.0 - block.sum(axis=1)
-    weight[live & (index == rows)] = self_weight
+    # w_ii = 1 - sum_j w_ij over the row as the table lays it out, its own
+    # entry and the padding still 0
+    weight[live & (index == rows)] = 1.0 - weight.sum(axis=1)
     return MixingMatrix(index, weight)
 
 

@@ -23,7 +23,7 @@ from dgossip.config import (
     parse_scalar,
 )
 from dgossip.engine import AlgorithmKind, ConfigError, validated
-from dgossip.topology import TopologyKind
+from dgossip.topology import TopologyKind, build_mixing
 
 BASE_CONFIG = """\
 # desk-scale logistic run
@@ -336,6 +336,26 @@ class TestCmdRun:
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.toml"), "--out", str(tmp_path)]) == 4
 
+    def test_non_utf8_config_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "bad.toml"
+        path.write_bytes(b"beta = \xff\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_2_naming_it(self, config_file, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"f1,label\n1.0,0\n\xff,1\n")
+        argv = ["run", "--config", str(config_file), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--set", "data.source=csv", "--set", f"data.path={path}"]) == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_a_ring_past_a_dense_w_validates_and_builds(self):
+        # W is held as its neighbour table, so m = 10**5 needs no (m, m) array
+        tree = parse_config_text(BASE_CONFIG)
+        tree.update(m=10**5, model={"kind": "quadratic", "p": 1})
+        index, weight = build_mixing(validated(config_from_dict(tree)).topology).neighbours
+        assert index.shape == weight.shape == (10**5, 3)
+
     def test_worker_flag_does_not_change_outputs(self, config_file, tmp_path):
         out1, out2 = tmp_path / "w1", tmp_path / "w4"
         assert main(["run", "--config", str(config_file), "--out", str(out1)]) == 0
@@ -388,7 +408,8 @@ class TestCmdRun:
             ("run", ["data.per_class=4611686018427387904"], None, "data.per_class + data.test_per_class"),
             ("run", ["model.kind=mlp", "model.hidden=[4611686018427387904]"], None, "m * model parameters"),
             ("run", ["model.kind=quadratic", "model.p=0"], None, "model.p"),
-            ("run", ["model.kind=quadratic", "model.p=1", "m=50000"], None, "m * m"),
+            ("run", ["model.kind=quadratic", "model.p=1", "topology.kind=full", "m=50000"], None,
+             "(2 * 49999 + 1)"),
             ("topo-report", ["--kinds", "ring", "--m", "1099511627776"], None, "--m"),
             ("topo-report", ["--kinds", "random_k", "--m", "8", "--seed", "-1"], None, "--seed"),
             ("run", ["data.source=csv", "data.path={csv}", "data.test_path={dir}/wide.csv"], None,
@@ -397,6 +418,8 @@ class TestCmdRun:
              "data.test_path"),
             ("run", ["data.source=csv", "data.path={csv}", "data.test_path={dir}/nan.csv"], None, "nan.csv:3"),
             ("run", ["data.source=csv", "data.path={dir}/inf.csv"], None, "inf.csv:3"),
+            ("run", ["topology.kind=random_k", "topology.k=30000", "m=50000"], None,
+             "m * (2 * topology.k + 1) = 3000050000 exceeds 2**31"),
         ],
     )
     def test_bad_value_exits_2_naming_it(

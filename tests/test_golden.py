@@ -60,8 +60,8 @@ RUN_HASHES = {
         "7f09c34efff5e7af31f8fb84ff24e5190bff81eb8597b0213a7c0b5f628568ef",
     ),
     "large_random_topology": (
-        "e56325be8754d17bc5a146d1d8c76aba1381455e8a2f3df75f0f6a85bf79426b",
-        "ef2ea3773eba7c5bab9d8a19560c8feb1fc08afe5c085e8ab9c1ef28d065846e",
+        "02e43686f41b618b56cdf0f209e66c08a42506ebedf6632ed16a7903a3ecb02c",
+        "6d028d99c9a0e52b17a38cd8728cf94a4b28588afc982a0097baeb66b963d0e7",
     ),
     "logistic[dfedavg]": (
         "b9f9a19aba4f15bdb8ceac4c8e24f2cae8d40721a992a8bae832438ad275933d",

@@ -94,6 +94,16 @@ class TestBuildMixing:
         assert vals[-2] < 1.0 - 1e-9
         assert abs(w.psi - spectral_gap(w)) <= 1e-9
 
+    @settings(max_examples=60, deadline=None)
+    @given(specs())
+    def test_self_weight_is_one_minus_the_rest_of_its_row(self, spec):
+        # w_ii = 1 - sum_j w_ij, summed over row i as the table lays it out:
+        # the other weights in ascending j, 0.0 at i's own entry and the padding
+        index, weight = build_mixing(spec).neighbours
+        for i, (cols, row) in enumerate(zip(index, weight)):
+            others = np.where(cols == i, 0.0, row)
+            assert row[cols == i].max() == 1.0 - np.sum(others)
+
     @settings(max_examples=25, deadline=None)
     @given(specs())
     def test_power_contraction(self, spec):
@@ -295,8 +305,9 @@ def test_reference_formula_table_covers_all_kinds():
     assert set(REFERENCE_PSI_FORMULAS) == set(TopologyKind)
 
 
-# sha256 prefixes of the Metropolis matrices the per-kind adjacency builders
-# produced, so a rewrite of the graph construction must reproduce W bitwise
+# sha256 prefixes of the Metropolis matrices, self weights set by the row rule
+# test_self_weight_is_one_minus_the_rest_of_its_row pins, so a rewrite of the
+# graph construction must reproduce W bitwise
 W_FINGERPRINTS = {
     ("ring", 4): "30c66ce1d9bb5d68", ("ring", 9): "4f4218e71f5e99f4",
     ("ring", 16): "12eac83372477cf5", ("ring", 25): "d4a30ee5fd1f6da2",
@@ -304,24 +315,24 @@ W_FINGERPRINTS = {
     ("grid", 4): "dd6762cdb21b822c", ("grid", 9): "52ade8e15e6d6ce2",
     ("grid", 16): "57085081d16a5a8b", ("grid", 25): "3b699dd361212368",
     ("grid", 64): "5a7a1a4ba070caa6", ("grid", 100): "154f65f83efc7032",
-    ("exponential", 4): "c68b23194102001f", ("exponential", 9): "c4c6ed1aceb13abe",
-    ("exponential", 16): "1b903a4037bc90ad", ("exponential", 25): "a2f68ed516c47aae",
-    ("exponential", 64): "2c37d6b52c1c694f", ("exponential", 100): "4c5a472de10d24ec",
+    ("exponential", 4): "c68b23194102001f", ("exponential", 9): "c33a53541bf85c92",
+    ("exponential", 16): "1b903a4037bc90ad", ("exponential", 25): "426b2a1cd476f298",
+    ("exponential", 64): "4fa4b73f7e140afc", ("exponential", 100): "7740e6a792173f34",
     ("full", 4): "c68b23194102001f", ("full", 9): "8266f72ac1ef3b47",
     ("full", 16): "91fc120cdcf6a2dc", ("full", 25): "8bdc0068b4290106",
     ("full", 64): "86141f6476ccbc71", ("full", 100): "f831a37dd57a882f",
     # past numpy's 128-element pairwise-summation block
     ("grid", 144): "4a6c91593855b087", ("grid", 256): "00197fc8c6c9e847",
-    ("exponential", 144): "859c0e87cc325972", ("exponential", 256): "27eeccb8b9d0c429",
+    ("exponential", 144): "60435e0b28948d33", ("exponential", 256): "27eeccb8b9d0c429",
     ("full", 144): "58b09547bdcfec2a", ("full", 256): "9d4ade33b4e77e27",
 }
 
 # the same for random_k draws, keyed by (m, k, seed)
 RANDOM_K_FINGERPRINTS = {
-    (16, 3, 0): "5d26c459ca9e4b67", (16, 3, 1): "6d0d6279c9b50073",
-    (16, 10, 0): "e95f9a515d5666c8", (16, 10, 1): "be05ad7054867b2d",
-    (100, 3, 0): "f5a101cc34256e07", (100, 3, 1): "50e2d5a604a770b6",
-    (100, 10, 0): "875bac40332e0522", (100, 10, 1): "769a341c258e2c46",
+    (16, 3, 0): "f1c016bb3818cdfd", (16, 3, 1): "17d27bb382bfad9a",
+    (16, 10, 0): "0804b59c1d4fcf18", (16, 10, 1): "38d985a0837a1579",
+    (100, 3, 0): "d70b3a55a5f06439", (100, 3, 1): "4ec0871118c12cfa",
+    (100, 10, 0): "11078cab605167ab", (100, 10, 1): "8964ea402e300b7b",
 }
 
 
