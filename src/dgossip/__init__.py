@@ -27,6 +27,8 @@ from .engine import (
     PartitionConfig,
     Problem,
     build_problem,
+    client_batches,
+    client_rng,
     gossip_mix,
     ole_init,
     run_experiment,
@@ -36,7 +38,6 @@ from .engine import (
 from .localopt import (
     LocalResult,
     OptimizerConfig,
-    draw_batches,
     local_train,
     lr_at_round,
     momentum_step,

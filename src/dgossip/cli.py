@@ -270,3 +270,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:  # console-script hook
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

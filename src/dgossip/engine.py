@@ -21,14 +21,19 @@ model through the same local phase, and replace the global model with
 their unweighted average.
 
 Determinism contract: one thread runs every round, with no thread pool
-and no order that depends on scheduling.  Every client owns a private
-generator derived from (seed, client, round) and draws its minibatches
-from it alone: exactly ``default_rng([seed, 0, client, round])``
-(:func:`client_rng`), though a round seeds all its participants in one
-vectorised pass (:func:`client_streams`), pinned to that reference by a
-test.  Gossip accumulates each row over a fixed neighbour table in
-ascending client order.  Results are therefore bitwise reproducible, and
-equal to training each client on its own.
+and no order that depends on scheduling, and numpy's OpenBLAS is held at
+one thread while a run executes (:mod:`dgossip.blas`).  Every client owns
+a private stream derived from (seed, client, round) and draws its
+minibatches from it alone: exactly
+``default_rng([seed, 0, client, round]).integers(0, n, size=(K, B))``
+(:func:`client_rng`).  A round draws all its participants' batches in
+one vectorised pass (:func:`client_batches`), a bitwise replay of
+numpy's seeding, PCG64 and bounded Lemire draw that tests pin to the
+installed numpy; a client whose draw numpy would reject and redo, which
+is rare, is drawn through :func:`client_rng` itself.  Gossip accumulates
+each row over a fixed neighbour table in ascending client order.  Results
+are therefore bitwise reproducible, and equal to training each client on
+its own.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import blas
 from .data import (
     generate_synthetic,
     generate_synthetic_holdout,
@@ -80,7 +86,7 @@ __all__ = [
     "ConfigError",
     "DivergenceError",
     "client_rng",
-    "client_streams",
+    "client_batches",
     "participants",
     "ole_init",
     "gossip_mix",
@@ -336,14 +342,12 @@ _POOL_CALLS = np.array([[4 + 3 * s + d - (d > s) if d != s else 0 for d in range
 _POOL_XOR, _POOL_MUL = (_hash_consts(*_HASH_A, 16)[_POOL_CALLS + j] for j in (0, 1))
 
 
-def client_streams(seed: int, clients, t: int):
-    """``client_rng(seed, i, t)`` for each i of ``clients`` in turn, all seeded in one pass.
+def _seed_words(seed: int, clients: np.ndarray, t: int) -> np.ndarray:
+    """SeedSequence([seed, 0, i, t]).generate_state(4, uint64) for each i of ``clients``: (4, m) uint64.
 
-    SeedSequence's entropy hash (numpy/random/bit_generator.pyx) runs as
-    uint32 arithmetic with one column per client, the hashmix calls that
-    share a source word as one op; PCG64's seeding step runs on Python
-    ints.  One Generator is yielded, re-seeded to each client's state in
-    turn: draw from it before taking the next.
+    The entropy hash (numpy/random/bit_generator.pyx) runs as uint32
+    arithmetic with one column per client, the hashmix calls that share a
+    source word as one op.
     """
     head = _words(seed) + [_DOM_CLIENT]
     entropy = np.array(head + [0] + _words(t), dtype=np.uint32)[:, None].repeat(len(clients), axis=1)
@@ -357,15 +361,115 @@ def client_streams(seed: int, clients, t: int):
     for k in range(16, 4 * len(entropy), 4):  # then each further entropy word into all four
         pool = _mix(pool, _hashmix(entropy[k // 4], consts[k : k + 4], consts[k + 1 : k + 5]))
     out = _hash_consts(*_HASH_B, 8)
-    state = _hashmix(np.tile(pool, (2, 1)), out[:-1], out[1:])  # generate_state(4, uint64)
-    bits = np.random.PCG64(0)
-    gen = np.random.Generator(bits)
-    for s_hi, s_lo, i_hi, i_lo in np.ascontiguousarray(state.T, dtype="<u4").view("<u8").tolist():
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) % 2**128  # pcg_setseq_128_srandom_r
-        seeded = (((s_hi << 64 | s_lo) + inc) * _PCG64_MULT + inc) % 2**128
-        bits.state = {"bit_generator": "PCG64", "state": {"state": seeded, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield gen
+    state = _hashmix(np.tile(pool, (2, 1)), out[:-1], out[1:])
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").T.astype(np.uint64)
+
+
+_S32, _LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)  # uint64 scalars, so that numpy 1.x keeps the dtype
+_TILE_WORDS = 2**14  # PCG64 outputs drawn per block; each uint64 temporary of a block is 128 KiB
+
+
+def _split(hi: np.ndarray, lo: np.ndarray) -> tuple:
+    """A 128-bit value as _mul128 reads it: (lo, lo's low and high 32 bits, hi)."""
+    return lo, lo & _LOW32, lo >> _S32, hi
+
+
+def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) of a * b mod 2**128 for _split values.
+
+    The high word of the 64x64-bit low product is summed from 32-bit limb
+    products, each exact in uint64; everything else wraps mod 2**64.
+    """
+    a_lo, a0, a1, a_hi = a
+    b_lo, b0, b1, b_hi = b
+    cross = a0 * b1 + (a0 * b0 >> _S32)
+    carry = a1 * b0 + (cross & _LOW32)
+    hi = a1 * b1 + (cross >> _S32) + (carry >> _S32) + a_hi * b_lo + a_lo * b_hi
+    return hi, a_lo * b_lo
+
+
+@functools.lru_cache(maxsize=8)
+def _pcg64_jumps(n: int) -> tuple:
+    """PCG64's i-step jumps (A_i, C_i) for i = 1 .. n, as a read-only _split value of shape (2, 1, n).
+
+    After i steps a state s is A_i s + C_i inc, with A_i = MULT**i and
+    C_i = sum_{k<i} MULT**k (mod 2**128).
+    """
+    a, c, rows = 1, 0, []
+    for _ in range(n):
+        a, c = a * _PCG64_MULT % 2**128, (c * _PCG64_MULT + 1) % 2**128
+        rows.append(((a >> 64, c >> 64), (a & 2**64 - 1, c & 2**64 - 1)))
+    hi, lo = np.array(rows, dtype=np.uint64).transpose(1, 2, 0)[:, :, None]
+    jumps = _split(hi, lo)
+    for words in jumps:
+        words.flags.writeable = False
+    return jumps
+
+
+def client_batches(seed: int, clients, t: int, sizes, k_steps: int, batch_size: int) -> np.ndarray:
+    """(K, m, B) minibatch indices; column i is ``client_rng(seed, clients[i], t).integers(0, sizes[i], size=(K, B))``.
+
+    A bitwise replay of numpy's draw for all clients at once:
+
+    1. seeding: SeedSequence's hash of each client's key
+       (:func:`_seed_words`) gives PCG64's seed s and stream inc, and its
+       first state is one step past s + inc;
+    2. stream: the j-th output of a client is PCG64's XSL-RR function of
+       the state j steps further, one jump (:func:`_pcg64_jumps`) from
+       s + inc, or from the last state of the block before.  Each 64-bit
+       output gives two uint32 values, low half first, as PCG64's
+       ``has_uint32`` buffer hands them out;
+    3. bounded draw: each value u becomes the index u * n >> 32 (Lemire
+       2019, "Fast random integer generation in an interval"), which numpy
+       rejects and draws again when the product's low word is below
+       (2**32 - n) mod n.
+
+    A client with any rejection among its first K*B values, or whose
+    shard size numpy draws from by another path (n == 1 draws nothing),
+    is drawn through :func:`client_rng` itself, so the result is exact by
+    construction.  Clients and stream positions go in blocks of at most
+    ``_TILE_WORDS`` outputs, so the temporaries stay small beside the
+    (K, m, B) result.
+    """
+    clients = np.asarray(clients)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    m, count = len(clients), k_steps * batch_size
+    out = np.empty((m, count), dtype=np.int64)
+    s_hi, s_lo, i_hi, i_lo = _seed_words(seed, clients, t)
+    inc_hi, inc_lo = i_hi << np.uint64(1) | i_lo >> np.uint64(63), i_lo << np.uint64(1) | np.uint64(1)
+    lo = s_lo + inc_lo
+    hi = np.stack([s_hi + inc_hi + (lo < inc_lo), inc_hi])[:, :, None]  # (2, m, 1): s + inc, then inc
+    lo = np.stack([lo, inc_lo])[:, :, None]
+    lemire = (sizes >= 2) & (sizes < 2**32)  # the sizes numpy draws for by 32-bit Lemire
+    n = np.where(lemire, sizes, 2).astype(np.uint64)[:, None]
+    threshold = (np.uint64(2**32) - n) % n
+    redraw = ~lemire
+    words = -(-count // 2)
+    span = min(words, _TILE_WORDS)
+    jumps = _pcg64_jumps(span + 1)
+    width = max(1, _TILE_WORDS // span)
+    for c0 in range(0, m, width):
+        cols = slice(c0, c0 + width)
+        base_hi, base_lo = hi[:, cols], lo[:, cols]  # views: the state each block starts from, and inc
+        skip = 1  # s + inc is one step before the seeded state
+        for w0 in range(0, words, span):
+            w = min(span, words - w0)
+            jumped = _mul128([v[..., skip : skip + w] for v in jumps], _split(base_hi, base_lo))
+            (st_hi, inc_hi), (st_lo, inc_lo) = jumped  # A_i * state and C_i * inc
+            st_lo += inc_lo
+            st_hi += inc_hi + (st_lo < inc_lo)
+            base_hi[0], base_lo[0], skip = st_hi[:, -1:], st_lo[:, -1:], 0
+            x = st_hi ^ st_lo  # XSL-RR: xor the halves, rotate right by the top 6 bits
+            rot = st_hi >> np.uint64(58)
+            x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
+            # row i is client i's uint32 stream: each output's low half, then its high half
+            vals = min(2 * w, count - 2 * w0)
+            prod = np.multiply(x.astype("<u8", copy=False).view("<u4")[:, :vals], n[cols], dtype=np.uint64)
+            redraw[cols] |= ((prod & _LOW32) < threshold[cols]).any(axis=1)
+            out[cols, 2 * w0 : 2 * w0 + vals] = prod >> _S32
+    for i in np.flatnonzero(redraw):
+        out[i] = client_rng(seed, int(clients[i]), t).integers(0, int(sizes[i]), size=count)
+    return out.reshape(m, k_steps, batch_size).transpose(1, 0, 2)
 
 
 def participants(cfg: ExperimentConfig, m: int, t: int) -> np.ndarray:
@@ -453,13 +557,18 @@ def run_round(
         ref = x_mixed
         starts = ole_init(x_mixed, z_prev, cfg.beta)
         shards = problem.shards
+    batches = None
+    if problem.spec.kind != "quadratic":  # the quadratic family is noiseless and draws nothing
+        batches = client_batches(
+            cfg.seed, clients, t, shards.sizes, cfg.local_steps, cfg.optimizer.batch_size
+        )
     res = local_train(
         problem.spec,
         starts,
         shards,
         cfg.local_steps,
         cfg.optimizer,
-        client_streams(cfg.seed, clients, t),
+        batches,
         round_index=t,
         ref_point=ref if cfg.diagnostics else None,
     )
@@ -598,7 +707,8 @@ def run_experiment(
 
     ``workers`` is accepted for compatibility and has no effect: one
     thread runs every round as a batched computation, so outputs and
-    speed do not depend on it.  ``on_round`` receives (t, RoundInfo)
+    speed do not depend on it.  numpy's OpenBLAS is held at one thread
+    while the rounds run and are evaluated (:func:`blas.one_thread`).  ``on_round`` receives (t, RoundInfo)
     after every round; metrics are derived only on recorded rounds.
     """
     cfg = validated(cfg)
@@ -606,18 +716,19 @@ def run_experiment(
     problem = build_problem(cfg) if problem is None else problem
     records: list[RoundRecord] = []
     info = None
-    for info in iter_rounds(cfg, problem):
-        t = info.t
-        if on_round is not None:
-            on_round(t, info)
-        if t % cfg.eval_every == 0 or t == cfg.rounds - 1:
-            records.append(_evaluate(cfg, problem, info))
-    final_x = np.tile(problem.x0, (len(problem.shards), 1)) if info is None else info.x_mixed
-    if records:
-        last = records[-1]
-    else:  # degenerate horizon: report initial metrics only, with every client at x0
-        at_x0 = RoundInfo(t=0, ole_points=None, z=final_x, x_prev=final_x, x_mixed=final_x, drift=None)
-        last = replace(_evaluate(cfg, problem, at_x0), consensus=0.0, delta_t=0.0)
+    with blas.one_thread():
+        for info in iter_rounds(cfg, problem):
+            t = info.t
+            if on_round is not None:
+                on_round(t, info)
+            if t % cfg.eval_every == 0 or t == cfg.rounds - 1:
+                records.append(_evaluate(cfg, problem, info))
+        final_x = np.tile(problem.x0, (len(problem.shards), 1)) if info is None else info.x_mixed
+        if records:
+            last = records[-1]
+        else:  # degenerate horizon: report initial metrics only, with every client at x0
+            at_x0 = RoundInfo(t=0, ole_points=None, z=final_x, x_prev=final_x, x_mixed=final_x, drift=None)
+            last = replace(_evaluate(cfg, problem, at_x0), consensus=0.0, delta_t=0.0)
     accs = [r.test_acc for r in records if r.test_acc is not None]
     summary = {
         "algorithm": cfg.algorithm.value,

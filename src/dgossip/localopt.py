@@ -3,8 +3,9 @@
 Client models are the rows of an (m, p) stack and every optimizer step
 updates all rows together through one stacked gradient call
 (:func:`models.batch_grads`).  Each row still sees only its own client's
-minibatch, drawn from that client's own generator, so a row of the stack
-is bitwise the trajectory the client would follow alone.
+minibatch, drawn from that client's own stream (the engine replays every
+client's generator in one pass, :func:`engine.client_batches`), so a row
+of the stack is bitwise the trajectory the client would follow alone.
 
 The SAM step evaluates the gradient twice on the same minibatch: once at
 the current point to obtain the ascent direction, then at the point
@@ -34,7 +35,6 @@ __all__ = [
     "sgd_step",
     "sam_step",
     "momentum_step",
-    "draw_batches",
     "local_train",
 ]
 
@@ -132,26 +132,13 @@ def momentum_step(
     return x_new.reshape(np.shape(x)), velocity_new.reshape(np.shape(x))
 
 
-def draw_batches(rngs, sizes, k_steps: int, batch_size: int) -> np.ndarray:
-    """(K, m, B) shard-local minibatch indices, uniform with replacement.
-
-    Client i draws all K batches from its own generator in one (K, B)
-    call, which yields the same stream as K successive size-B draws.  The
-    generators are taken in turn, each drawn from before the next is taken.
-    """
-    return np.stack(
-        [rng.integers(0, int(n), size=(k_steps, batch_size)) for rng, n in zip(rngs, sizes)],
-        axis=1,
-    )
-
-
 def local_train(
     spec: ModelSpec,
     x0: np.ndarray,
     shard,
     k_steps: int,
     cfg: OptimizerConfig,
-    rng,
+    draws,
     *,
     round_index: int,
     ref_point: np.ndarray | None = None,
@@ -159,32 +146,34 @@ def local_train(
     """K sequential steps on every client of a stack at once.
 
     Stacked form: ``x0`` is (m, p), ``shard`` a :class:`ShardStack` and
-    ``rng`` an iterable of m generators, one per row (such as
-    :func:`engine.client_streams`).  One client: ``x0``
-    is (p,), ``shard`` its :class:`Shard` (client index for the quadratic
-    family) and ``rng`` one generator; the result then drops the client
-    axis.  Each step updates all rows with one stacked gradient call.
+    ``draws`` the (K, m, B) shard-local minibatch indices, one column per
+    row, as :func:`engine.client_batches` draws them (None for the
+    quadratic family).  One client: ``x0`` is (p,), ``shard`` its
+    :class:`Shard` (client index for the quadratic family) and ``draws``
+    its generator, from which all K batches are drawn uniformly with
+    replacement in one ``integers(0, n, size=(K, B))`` call, the stream of
+    K successive size-B draws; the result then drops the client axis.  The
+    quadratic family is noiseless and draws nothing.  Each step updates
+    all rows with one stacked gradient call.
 
-    Minibatches are drawn uniformly with replacement from each client's
-    shard off its own generator; the quadratic family is noiseless and
-    consumes no randomness.  ``ref_point`` ((p,) or (m, p)) switches on
-    accumulation of the local-drift energy sum_k ||x_{i,k} - ref||^2 over
-    the pre-step iterates.
+    ``ref_point`` ((p,) or (m, p)) switches on accumulation of the
+    local-drift energy sum_k ||x_{i,k} - ref||^2 over the pre-step iterates.
     """
     if k_steps < 1:
         raise ValueError("need at least one local step")
     single = np.ndim(x0) == 1
     if single:
-        x0, shard, rng = x0[None], ShardStack.of([shard]), [rng]
+        x0, shard = x0[None], ShardStack.of([shard])
+        if spec.kind == "quadratic":
+            draws = None
+        else:
+            draws = draws.integers(0, int(shard.sizes[0]), size=(k_steps, cfg.batch_size))[:, None]
     eta = lr_at_round(cfg, round_index)
-    rows = None
-    if spec.kind != "quadratic":
-        rows = draw_batches(rng, shard.sizes, k_steps, cfg.batch_size)
     x = x0
     velocity = np.zeros_like(x0) if cfg.method == "sgd_momentum" else None
     v1 = np.zeros(len(x0)) if ref_point is not None else None
     for k in range(k_steps):
-        batch = None if rows is None else rows[k]
+        batch = None if draws is None else draws[k]
         if v1 is not None:
             drift = x - ref_point
             np.square(drift, out=drift)

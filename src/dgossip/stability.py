@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .blas import one_thread
 from .engine import (
     ConfigError,
     ExperimentConfig,
@@ -24,7 +25,6 @@ from .engine import (
     participants,
     validated,
 )
-from .localopt import draw_batches
 from .metrics import eval_model
 
 __all__ = ["StabilityTrace", "first_draw", "stability_probe"]
@@ -57,11 +57,10 @@ def first_draw(
     for t in range(cfg.rounds):
         if client not in participants(cfg, cfg.m, t):
             continue
-        rows = draw_batches(
-            [client_rng(cfg.seed, client, t)], [shard_size], cfg.local_steps,
-            cfg.optimizer.batch_size,
+        rows = client_rng(cfg.seed, client, t).integers(
+            0, shard_size, size=(cfg.local_steps, cfg.optimizer.batch_size)
         )
-        hit = (rows == sample).any(axis=(1, 2))
+        hit = (rows == sample).any(axis=1)
         if hit.any():
             return t, int(np.argmax(hit))
     return None
@@ -99,9 +98,10 @@ def stability_probe(
     # the twins run in lockstep, so only the current round of each is held
     dists, gaps = [], []
     twin = replace(problem, shards=replace(shards, labels=labels))
-    for a, b in zip(iter_rounds(cfg, problem), iter_rounds(cfg, twin)):
-        dists.append(np.linalg.norm(a.x_mixed - b.x_mixed, axis=1))
-        gaps.append(abs(heldout_loss(a.x_mixed) - heldout_loss(b.x_mixed)))
+    with one_thread():  # as run_experiment does
+        for a, b in zip(iter_rounds(cfg, problem), iter_rounds(cfg, twin)):
+            dists.append(np.linalg.norm(a.x_mixed - b.x_mixed, axis=1))
+            gaps.append(abs(heldout_loss(a.x_mixed) - heldout_loss(b.x_mixed)))
     dists = np.array(dists).reshape(-1, cfg.m)
     return StabilityTrace(
         client=client,

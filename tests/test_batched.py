@@ -10,8 +10,8 @@ ascending-j gossip sum.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from dgossip.engine import gossip_mix
-from dgossip.localopt import OptimizerConfig, draw_batches, local_train
+from dgossip.engine import client_batches, client_rng, gossip_mix
+from dgossip.localopt import OptimizerConfig, local_train
 from dgossip.models import ModelSpec, Shard, ShardStack, loss_and_grad, quadratic_testbed
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing
 
@@ -51,6 +51,19 @@ def reference_grad(spec, x, shard, batch):
     if spec.kind == "quadratic":
         return spec.quad_a[shard] @ x - spec.quad_b[shard]
     return reference_loss_grad(spec, x, shard.features[batch], shard.labels[batch])[1]
+
+
+def stacked_draws(spec, seed, shards, k_steps, batch_size):
+    """(K, m, B) indices from default_rng([seed, i]) for row i; None for the quadratic family."""
+    if spec.kind == "quadratic":
+        return None
+    return np.stack(
+        [
+            np.random.default_rng([seed, i]).integers(0, len(shard), size=(k_steps, batch_size))
+            for i, shard in enumerate(shards)
+        ],
+        axis=1,
+    )
 
 
 def reference_local_train(spec, x, shard, k_steps, cfg, rng, t, ref):
@@ -128,7 +141,7 @@ class TestStackedLocalPhase:
         ref = x0 + 0.25
         res = local_train(
             spec, x0, ShardStack.of(shards), k_steps, cfg,
-            [np.random.default_rng([seed, i]) for i in range(m)],
+            stacked_draws(spec, seed, shards, k_steps, cfg.batch_size),
             round_index=t, ref_point=ref,
         )
         for i in range(m):
@@ -144,7 +157,7 @@ class TestStackedLocalPhase:
         spec, shards, cfg, x0, k_steps, t, seed = case
         stacked = local_train(
             spec, x0, ShardStack.of(shards), k_steps, cfg,
-            [np.random.default_rng([seed, i]) for i in range(len(shards))], round_index=t,
+            stacked_draws(spec, seed, shards, k_steps, cfg.batch_size), round_index=t,
         )
         single = local_train(
             spec, x0[-1], shards[-1], k_steps, cfg, np.random.default_rng([seed, len(shards) - 1]),
@@ -176,12 +189,11 @@ class TestBatchDraws:
         st.integers(0, 2**31),
     )
     def test_one_draw_per_client_equals_k_draws(self, sizes, k_steps, batch_size, seed):
-        rows = draw_batches(
-            [np.random.default_rng([seed, i]) for i in range(len(sizes))], sizes, k_steps, batch_size
-        )
+        # the engine draws all K batches at once; each client's stream still gives K size-B draws
+        rows = client_batches(seed, range(len(sizes)), 3, sizes, k_steps, batch_size)
         assert rows.shape == (k_steps, len(sizes), batch_size)
         for i, n in enumerate(sizes):
-            rng = np.random.default_rng([seed, i])
+            rng = client_rng(seed, i, 3)
             for k in range(k_steps):
                 assert np.array_equal(rows[k, i], rng.integers(0, n, size=batch_size))
 

@@ -661,3 +661,17 @@ class TestCmdStability:
         )
         assert code == 2
         assert "client" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["dgossip", "dgossip.cli"])
+def test_python_m_runs_the_cli(module, config_file, tmp_path):
+    # `python -m dgossip` and `python -m dgossip.cli` reach cli.entry and its exit codes
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "run", "--config", str(config_file),
+         "--out", str(tmp_path / "out"), "--set", "nosuch.key=1"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "nosuch" in proc.stderr
+    assert not (tmp_path / "out").exists()

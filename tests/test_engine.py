@@ -18,8 +18,8 @@ from dgossip.engine import (
     Problem,
     RoundInfo,
     build_problem,
+    client_batches,
     client_rng,
-    client_streams,
     gossip_mix,
     iter_rounds,
     ole_init,
@@ -29,7 +29,7 @@ from dgossip.engine import (
     validated,
 )
 from dgossip.data import generate_synthetic, partition_dirichlet, partition_iid, partition_pathological
-from dgossip.localopt import OptimizerConfig, draw_batches
+from dgossip.localopt import OptimizerConfig
 from dgossip.metrics import consensus_distance
 from dgossip.models import ModelSpec, ShardStack, quadratic_testbed
 from dgossip.stability import first_draw
@@ -489,15 +489,26 @@ def reference_draws(seed, clients, t, sizes, k_steps, batch_size):
     )
 
 
-def assert_streams_equal_reference(seed, clients, t):
+def assert_draws_equal_reference(seed, clients, t, sizes=None, k_steps=3, batch_size=5):
     clients = np.asarray(clients)
-    # the generator states, then the (K, n, B) draws made from them
-    states = [gen.bit_generator.state for gen in client_streams(seed, clients, t)]
-    assert states == [np.random.default_rng([seed, 0, int(i), t]).bit_generator.state for i in clients]
-    sizes = 1 + (clients * 7 + 3) % 50
-    rows = draw_batches(client_streams(seed, clients, t), sizes, 3, 5)
-    assert rows.shape == (3, len(clients), 5)
-    assert np.array_equal(rows, reference_draws(seed, clients, t, sizes, 3, 5))
+    if sizes is None:
+        sizes = 1 + (clients * 7 + 3) % 50
+    rows = client_batches(seed, clients, t, sizes, k_steps, batch_size)
+    assert rows.shape == (k_steps, len(clients), batch_size) and rows.dtype == np.int64
+    assert np.array_equal(rows, reference_draws(seed, clients, t, sizes, k_steps, batch_size))
+
+
+@pytest.fixture
+def redraws(monkeypatch):
+    """The clients that client_batches redraws through client_rng, in call order."""
+    calls = []
+
+    def counted(seed, client, t):
+        calls.append(client)
+        return client_rng(seed, client, t)
+
+    monkeypatch.setattr(engine, "client_rng", counted)
+    return calls
 
 
 class TestClientStreams:
@@ -508,16 +519,50 @@ class TestClientStreams:
         subset = participants(central, 20, t)
         assert 1 < len(subset) < 20
         for clients in (np.arange(20), subset, np.array([13])):
-            assert_streams_equal_reference(seed, clients, t)
+            assert_draws_equal_reference(seed, clients, t)
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(0, 2**63 - 1),
         st.integers(0, 2**40 - 1),
         st.lists(st.integers(0, 199), min_size=1, max_size=40, unique=True),
+        st.integers(1, 4),
+        st.integers(1, 9),
+        st.sampled_from([None, 2**31 + 1, 2**32 - 1]),
     )
-    def test_random_subsets_equal_their_default_rng(self, seed, t, clients):
-        assert_streams_equal_reference(seed, sorted(clients), t)
+    def test_random_subsets_equal_their_default_rng(self, seed, t, clients, k_steps, batch_size, size):
+        # sizes near 2**32 make numpy reject up to half of all values
+        sizes = None if size is None else np.full(len(clients), size)
+        assert_draws_equal_reference(seed, sorted(clients), t, sizes, k_steps, batch_size)
+
+    @pytest.mark.parametrize("k_steps, batch_size", [(1, 1), (1, 32), (3, 5), (5, 32), (7, 3)])
+    def test_odd_and_even_draw_counts(self, k_steps, batch_size):
+        # an odd K*B leaves the high half of the last 64-bit output unused
+        assert_draws_equal_reference(11, np.arange(30), 4, k_steps=k_steps, batch_size=batch_size)
+
+    def test_common_shard_sizes_draw_in_one_pass(self, redraws):
+        assert_draws_equal_reference(5, np.arange(100), 3, sizes=np.arange(2, 102), k_steps=1, batch_size=32)
+        assert redraws == []
+
+    def test_one_sample_and_huge_shards_take_the_reference(self, redraws):
+        # numpy draws integers(0, 1) without consuming the stream, and sizes past 2**32 by
+        # 64-bit Lemire, so those clients take the reference
+        sizes = np.array([1, 40, 2**32, 7, 1, 9, 2**40 + 1])
+        assert_draws_equal_reference(2, np.arange(7), 9, sizes=sizes)
+        assert redraws == [0, 2, 4, 6]
+        assert (client_batches(2, np.arange(7), 9, sizes, 3, 5)[:, sizes == 1] == 0).all()
+
+    def test_rejected_values_fall_back_to_the_reference(self, redraws):
+        # with n = 3 * 2**29 Lemire's method rejects a quarter of all values
+        sizes = np.where(np.arange(40) % 2 == 0, 3 * 2**29, 1000)
+        assert_draws_equal_reference(8, np.arange(40), 6, sizes=sizes, k_steps=1, batch_size=4)
+        assert 0 < len(redraws) < 20 and all(i % 2 == 0 for i in redraws)
+
+    @pytest.mark.parametrize("m, k_steps, batch_size", [(3, 2, engine._TILE_WORDS + 7), (300, 3, 41)])
+    def test_draws_spanning_several_blocks(self, m, k_steps, batch_size):
+        # more PCG64 outputs per client, or more clients, than one block of the draw holds
+        assert m * -(-k_steps * batch_size // 2) > engine._TILE_WORDS
+        assert_draws_equal_reference(3, np.arange(m), 1, k_steps=k_steps, batch_size=batch_size)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -529,11 +574,11 @@ class TestClientStreams:
         cfg = validated(logistic_cfg(rounds=12, **overrides))
         drawn = []
 
-        def recording(rngs, sizes, k_steps, batch_size):
-            drawn.append(draw_batches(rngs, sizes, k_steps, batch_size))
+        def recording(*args):
+            drawn.append(client_batches(*args))
             return drawn[-1]
 
-        monkeypatch.setattr(localopt, "draw_batches", recording)
+        monkeypatch.setattr(engine, "client_batches", recording)
         problem = build_problem(cfg)
         for _ in iter_rounds(cfg, problem):
             pass
@@ -546,10 +591,10 @@ class TestClientStreams:
             if client not in clients:
                 continue
             mine = rows[:, clients.index(client)]
-            replay = draw_batches(
-                [client_rng(cfg.seed, client, t)], [size], cfg.local_steps, cfg.optimizer.batch_size
+            replay = client_rng(cfg.seed, client, t).integers(
+                0, size, size=(cfg.local_steps, cfg.optimizer.batch_size)
             )
-            assert np.array_equal(mine, replay[:, 0])
+            assert np.array_equal(mine, replay)
             hit = (mine == sample).any(axis=1)
             if expected is None and hit.any():
                 expected = (t, int(np.argmax(hit)))
