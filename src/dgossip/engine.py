@@ -26,9 +26,10 @@ one thread while a run executes (:mod:`dgossip.blas`).  Every client owns
 a private stream derived from (seed, client, round) and draws its
 minibatches from it alone: exactly
 ``default_rng([seed, 0, client, round]).integers(0, n, size=(K, B))``
-(:func:`client_rng`).  A round draws all its participants' batches in
-one vectorised pass (:func:`client_batches`), a bitwise replay of
-numpy's seeding, PCG64 and bounded Lemire draw that tests pin to the
+(:func:`client_rng`).  Every key is known before round 0, so
+:func:`iter_rounds` draws the batches of every participant of a block of
+rounds in one vectorised pass (:func:`client_batches`), a bitwise replay
+of numpy's seeding, PCG64 and bounded Lemire draw that tests pin to the
 installed numpy; a client whose draw numpy would reject and redo, which
 is rare, is drawn through :func:`client_rng` itself.  Gossip accumulates
 each row over a fixed neighbour table in ascending client order.  Results
@@ -342,16 +343,25 @@ _POOL_CALLS = np.array([[4 + 3 * s + d - (d > s) if d != s else 0 for d in range
 _POOL_XOR, _POOL_MUL = (_hash_consts(*_HASH_A, 16)[_POOL_CALLS + j] for j in (0, 1))
 
 
-def _seed_words(seed: int, clients: np.ndarray, t: int) -> np.ndarray:
-    """SeedSequence([seed, 0, i, t]).generate_state(4, uint64) for each i of ``clients``: (4, m) uint64.
+_S32, _LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)  # uint64 scalars, so that numpy 1.x keeps the dtype
+
+
+def _seed_words(seed: int, clients: np.ndarray, rounds: np.ndarray) -> np.ndarray:
+    """SeedSequence([seed, 0, clients[i], rounds[i]]).generate_state(4, uint64) for each column i: (4, m) uint64.
 
     The entropy hash (numpy/random/bit_generator.pyx) runs as uint32
-    arithmetic with one column per client, the hashmix calls that share a
-    source word as one op.
+    arithmetic with one column per key, the hashmix calls that share a
+    source word as one op.  A round past 2**32 - 1 splits into two words;
+    its high word is the last one hashed, a step that columns of shorter
+    rounds skip.
     """
     head = _words(seed) + [_DOM_CLIENT]
-    entropy = np.array(head + [0] + _words(t), dtype=np.uint32)[:, None].repeat(len(clients), axis=1)
+    long = rounds > _LOW32
+    entropy = np.empty((len(head) + 2 + long.any(), len(clients)), dtype=np.uint32)
+    entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
     entropy[len(head)] = clients
+    entropy[len(head) + 1] = rounds & _LOW32
+    entropy[len(head) + 2 :] = rounds >> _S32
     consts = _hash_consts(*_HASH_A, 4 * len(entropy))
     pool = _hashmix(entropy[:4], consts[:4], consts[1:5])
     for src in range(4):  # mix each pool word into the other three
@@ -359,14 +369,15 @@ def _seed_words(seed: int, clients: np.ndarray, t: int) -> np.ndarray:
         mixed[src] = pool[src]
         pool = mixed
     for k in range(16, 4 * len(entropy), 4):  # then each further entropy word into all four
-        pool = _mix(pool, _hashmix(entropy[k // 4], consts[k : k + 4], consts[k + 1 : k + 5]))
+        mixed = _mix(pool, _hashmix(entropy[k // 4], consts[k : k + 4], consts[k + 1 : k + 5]))
+        pool = np.where(long, mixed, pool) if k // 4 == len(head) + 2 else mixed
     out = _hash_consts(*_HASH_B, 8)
     state = _hashmix(np.tile(pool, (2, 1)), out[:-1], out[1:])
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").T.astype(np.uint64)
 
 
-_S32, _LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)  # uint64 scalars, so that numpy 1.x keeps the dtype
-_TILE_WORDS = 2**14  # PCG64 outputs drawn per block; each uint64 temporary of a block is 128 KiB
+_TILE_WORDS = 2**11  # PCG64 outputs drawn per tile; each uint64 temporary of a tile is 16 KiB
+_BLOCK_INDICES = 2**15  # minibatch indices iter_rounds draws in one call: 256 KiB of int64
 
 
 def _split(hi: np.ndarray, lo: np.ndarray) -> tuple:
@@ -378,13 +389,21 @@ def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo) of a * b mod 2**128 for _split values.
 
     The high word of the 64x64-bit low product is summed from 32-bit limb
-    products, each exact in uint64; everything else wraps mod 2**64.
+    products, each exact in uint64; everything else wraps mod 2**64.  The
+    sums run in place, so few product-sized temporaries are live at once.
     """
     a_lo, a0, a1, a_hi = a
     b_lo, b0, b1, b_hi = b
-    cross = a0 * b1 + (a0 * b0 >> _S32)
-    carry = a1 * b0 + (cross & _LOW32)
-    hi = a1 * b1 + (cross >> _S32) + (carry >> _S32) + a_hi * b_lo + a_lo * b_hi
+    cross = a0 * b0
+    cross >>= _S32
+    cross += a0 * b1
+    carry = a1 * b0
+    carry += cross & _LOW32
+    hi = a1 * b1
+    hi += cross >> _S32
+    hi += carry >> _S32
+    hi += a_hi * b_lo
+    hi += a_lo * b_hi
     return hi, a_lo * b_lo
 
 
@@ -406,69 +425,103 @@ def _pcg64_jumps(n: int) -> tuple:
     return jumps
 
 
-def client_batches(seed: int, clients, t: int, sizes, k_steps: int, batch_size: int) -> np.ndarray:
-    """(K, m, B) minibatch indices; column i is ``client_rng(seed, clients[i], t).integers(0, sizes[i], size=(K, B))``.
+def _pcg64_starts(seed: int, clients: np.ndarray, rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) words of each column's s + inc, then its inc: (2, m, 1) uint64 each.
 
-    A bitwise replay of numpy's draw for all clients at once:
+    numpy's PCG64 takes SeedSequence's words (s, i) as its seed and stream,
+    sets inc = 2 i + 1, and starts one step past s + inc.
+    """
+    s_hi, s_lo, i_hi, i_lo = _seed_words(seed, clients, rounds)
+    inc_hi, inc_lo = i_hi << np.uint64(1) | i_lo >> np.uint64(63), i_lo << np.uint64(1) | np.uint64(1)
+    lo = s_lo + inc_lo
+    hi = np.stack([s_hi + inc_hi + (lo < inc_lo), inc_hi])[:, :, None]
+    return hi, np.stack([lo, inc_lo])[:, :, None]
 
-    1. seeding: SeedSequence's hash of each client's key
+
+def _pcg64_outputs(jumps: tuple, base_hi: np.ndarray, base_lo: np.ndarray, skip: int, w: int) -> np.ndarray:
+    """PCG64's XSL-RR outputs of the states skip + 1 .. skip + w steps past each column's base state.
+
+    ``base_hi`` and ``base_lo`` are (2, cols, 1): the state, then inc.  The
+    state moves in place to the last of those steps.
+    """
+    jumped = _mul128([v[..., skip : skip + w] for v in jumps], _split(base_hi, base_lo))
+    (st_hi, inc_hi), (st_lo, inc_lo) = jumped  # A_i * state and C_i * inc
+    st_lo += inc_lo
+    st_hi += inc_hi
+    st_hi += st_lo < inc_lo
+    base_hi[0], base_lo[0] = st_hi[:, -1:], st_lo[:, -1:]
+    x = st_hi ^ st_lo  # XSL-RR: xor the halves, rotate right by the top 6 bits
+    rot = st_hi >> np.uint64(58)
+    left = x << (np.uint64(64) - rot & np.uint64(63))
+    x >>= rot
+    x |= left
+    return x
+
+
+def _bounded(x: np.ndarray, n: np.ndarray, threshold: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Lemire's bounded draw of each column's uint32 values into ``out``; True where numpy would reject one.
+
+    Row i of ``x`` holds column i's PCG64 outputs, and its uint32 stream is
+    each output's low half, then its high half.
+    """
+    stream = x.astype("<u8", copy=False).view("<u4")[:, : out.shape[1]]
+    prod = np.multiply(stream, n, dtype=np.uint64)
+    halves = prod.astype("<u8", copy=False).view("<u4")  # each product's low word, then its high word
+    out[:] = halves[:, 1::2]
+    return (halves[:, ::2] < threshold).any(axis=1)
+
+
+def client_batches(seed: int, clients, rounds, sizes, k_steps: int, batch_size: int) -> np.ndarray:
+    """(K, m, B) minibatch indices; column i is ``client_rng(seed, clients[i], rounds[i]).integers(0, sizes[i], size=(K, B))``.
+
+    ``rounds`` gives each column's round, or one round for all of them, so
+    one call can draw a round's participants or a block of rounds.  A
+    bitwise replay of numpy's draw for all columns at once:
+
+    1. seeding: SeedSequence's hash of each column's key
        (:func:`_seed_words`) gives PCG64's seed s and stream inc, and its
        first state is one step past s + inc;
-    2. stream: the j-th output of a client is PCG64's XSL-RR function of
+    2. stream: the j-th output of a column is PCG64's XSL-RR function of
        the state j steps further, one jump (:func:`_pcg64_jumps`) from
-       s + inc, or from the last state of the block before.  Each 64-bit
+       s + inc, or from the last state of the tile before.  Each 64-bit
        output gives two uint32 values, low half first, as PCG64's
        ``has_uint32`` buffer hands them out;
     3. bounded draw: each value u becomes the index u * n >> 32 (Lemire
        2019, "Fast random integer generation in an interval"), which numpy
        rejects and draws again when the product's low word is below
-       (2**32 - n) mod n.
+       (2**32 - n) mod n.  For n == 1 that index is 0, as numpy's, which
+       fills a one-sample draw with zeros without using the stream.
 
-    A client with any rejection among its first K*B values, or whose
-    shard size numpy draws from by another path (n == 1 draws nothing),
-    is drawn through :func:`client_rng` itself, so the result is exact by
-    construction.  Clients and stream positions go in blocks of at most
-    ``_TILE_WORDS`` outputs, so the temporaries stay small beside the
+    A column with any rejection among its first K*B values, or whose
+    shard size numpy draws from by another path (64-bit Lemire from
+    2**32), is drawn through :func:`client_rng` itself, so the result is
+    exact by construction.  Columns and stream positions go in tiles of at
+    most ``_TILE_WORDS`` outputs, so the temporaries stay small beside the
     (K, m, B) result.
     """
     clients = np.asarray(clients)
+    rounds = np.broadcast_to(np.asarray(rounds, dtype=np.uint64), clients.shape)
     sizes = np.asarray(sizes, dtype=np.int64)
     m, count = len(clients), k_steps * batch_size
-    out = np.empty((m, count), dtype=np.int64)
-    s_hi, s_lo, i_hi, i_lo = _seed_words(seed, clients, t)
-    inc_hi, inc_lo = i_hi << np.uint64(1) | i_lo >> np.uint64(63), i_lo << np.uint64(1) | np.uint64(1)
-    lo = s_lo + inc_lo
-    hi = np.stack([s_hi + inc_hi + (lo < inc_lo), inc_hi])[:, :, None]  # (2, m, 1): s + inc, then inc
-    lo = np.stack([lo, inc_lo])[:, :, None]
-    lemire = (sizes >= 2) & (sizes < 2**32)  # the sizes numpy draws for by 32-bit Lemire
-    n = np.where(lemire, sizes, 2).astype(np.uint64)[:, None]
+    hi, lo = _pcg64_starts(seed, clients, rounds)
+    redraw = (sizes < 1) | (sizes >= 2**32)  # off numpy's 32-bit Lemire path
+    n = np.where(redraw, 1, sizes).astype(np.uint64)[:, None]
     threshold = (np.uint64(2**32) - n) % n
-    redraw = ~lemire
     words = -(-count // 2)
     span = min(words, _TILE_WORDS)
     jumps = _pcg64_jumps(span + 1)
     width = max(1, _TILE_WORDS // span)
+    out = np.empty((m, count), dtype=np.int64)
     for c0 in range(0, m, width):
         cols = slice(c0, c0 + width)
-        base_hi, base_lo = hi[:, cols], lo[:, cols]  # views: the state each block starts from, and inc
-        skip = 1  # s + inc is one step before the seeded state
+        base_hi, base_lo = hi[:, cols], lo[:, cols]  # views: the state each tile starts from, and inc
         for w0 in range(0, words, span):
-            w = min(span, words - w0)
-            jumped = _mul128([v[..., skip : skip + w] for v in jumps], _split(base_hi, base_lo))
-            (st_hi, inc_hi), (st_lo, inc_lo) = jumped  # A_i * state and C_i * inc
-            st_lo += inc_lo
-            st_hi += inc_hi + (st_lo < inc_lo)
-            base_hi[0], base_lo[0], skip = st_hi[:, -1:], st_lo[:, -1:], 0
-            x = st_hi ^ st_lo  # XSL-RR: xor the halves, rotate right by the top 6 bits
-            rot = st_hi >> np.uint64(58)
-            x = x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
-            # row i is client i's uint32 stream: each output's low half, then its high half
-            vals = min(2 * w, count - 2 * w0)
-            prod = np.multiply(x.astype("<u8", copy=False).view("<u4")[:, :vals], n[cols], dtype=np.uint64)
-            redraw[cols] |= ((prod & _LOW32) < threshold[cols]).any(axis=1)
-            out[cols, 2 * w0 : 2 * w0 + vals] = prod >> _S32
+            # s + inc is one step before the seeded state
+            x = _pcg64_outputs(jumps, base_hi, base_lo, int(w0 == 0), min(span, words - w0))
+            redraw[cols] |= _bounded(x, n[cols], threshold[cols], out[cols, 2 * w0 : 2 * w0 + 2 * span])
+            del x  # no tile's temporaries outlive it
     for i in np.flatnonzero(redraw):
-        out[i] = client_rng(seed, int(clients[i]), t).integers(0, int(sizes[i]), size=count)
+        out[i] = client_rng(seed, int(clients[i]), int(rounds[i])).integers(0, int(sizes[i]), size=count)
     return out.reshape(m, k_steps, batch_size).transpose(1, 0, 2)
 
 
@@ -538,6 +591,8 @@ def run_round(
     cfg: ExperimentConfig,
     w_t: MixingMatrix | None,
     problem: Problem,
+    clients: np.ndarray | None = None,
+    draws: np.ndarray | None = None,
 ) -> RoundInfo:
     """Execute one communication round; the next starts from ``info.x_mixed`` and ``info.z``.
 
@@ -545,10 +600,15 @@ def run_round(
     trained by a single batched local phase, one ``local_train`` call.
     Central kinds (``w_t is None``) read only row 0 of ``x_mixed``, the
     global model, and never read ``z_prev``.  No input is written in place.
+    ``clients`` and ``draws`` are the round's participants and their
+    (K, n, B) minibatch indices, as :func:`iter_rounds` draws them ahead
+    for a block of rounds; without them the round samples its
+    participants and draws its own minibatches.
     """
     m = len(x_mixed)
     central = cfg.algorithm in CENTRAL_KINDS
-    clients = participants(cfg, m, t)
+    if clients is None:
+        clients = participants(cfg, m, t)
     if central:
         ref = x_mixed[0]  # every client holds the global model
         starts = np.tile(ref, (len(clients), 1))
@@ -557,18 +617,15 @@ def run_round(
         ref = x_mixed
         starts = ole_init(x_mixed, z_prev, cfg.beta)
         shards = problem.shards
-    batches = None
-    if problem.spec.kind != "quadratic":  # the quadratic family is noiseless and draws nothing
-        batches = client_batches(
-            cfg.seed, clients, t, shards.sizes, cfg.local_steps, cfg.optimizer.batch_size
-        )
+    if draws is None and problem.spec.kind != "quadratic":  # the quadratic family is noiseless
+        draws = client_batches(cfg.seed, clients, t, shards.sizes, cfg.local_steps, cfg.optimizer.batch_size)
     res = local_train(
         problem.spec,
         starts,
         shards,
         cfg.local_steps,
         cfg.optimizer,
-        batches,
+        draws,
         round_index=t,
         ref_point=ref if cfg.diagnostics else None,
     )
@@ -639,14 +696,19 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem):
     """Run ``cfg.rounds`` rounds from ``problem.x0``, yielding each round's RoundInfo.
 
     Every client starts at x0 with z_prev = x0.  Only the current round's
-    arrays are held, so callers that keep nothing run in O(m p) memory
-    whatever the horizon.  Decentralized kinds mix with one static W, or
+    arrays and one block of minibatch indices are held, so callers that
+    keep nothing run in O(m p) memory whatever the horizon.  Decentralized kinds mix with one static W, or
     with a random_k W drawn afresh each round; central kinds with none.
-    ``run_round`` and ``build_mixing`` are looked up in this module on
-    every call, where the benchmark's call tracer wraps them.
+    Every key (seed, client, round) is known before round 0, so the
+    participants' minibatches are drawn for a block of rounds at a time,
+    one ``client_batches`` call of at most ``_BLOCK_INDICES`` indices (or
+    one round), and each round is handed its slice.  ``run_round``,
+    ``build_mixing`` and ``client_batches`` are looked up in this module
+    on every call, where the benchmark's call tracer wraps them.
     """
     cfg = validated(cfg)
-    x = z = np.tile(problem.x0, (len(problem.shards), 1))  # no round writes its inputs
+    m = len(problem.shards)
+    x = z = np.tile(problem.x0, (m, 1))  # no round writes its inputs
     topo = cfg.topology
     w_t = None
     resampled = False
@@ -657,12 +719,25 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem):
             resampled = True
         else:
             w_t = build_mixing(topo)
-    for t in range(cfg.rounds):
-        if resampled:
-            w_t = build_mixing(replace(topo, seed=_subseed(topo.seed, _DOM_TOPO, t)))
-        info = run_round(x, z, t, cfg, w_t, problem)
-        x, z = info.x_mixed, info.z
-        yield info
+    k_steps, batch_size = cfg.local_steps, cfg.optimizer.batch_size
+    per_round = len(participants(cfg, m, 0))  # the same count every round
+    span = max(1, _BLOCK_INDICES // (per_round * k_steps * batch_size))
+    for t0 in range(0, cfg.rounds, span):
+        block = range(t0, min(t0 + span, cfg.rounds))
+        clients = [participants(cfg, m, t) for t in block]
+        draws = [None] * len(block)
+        if problem.spec.kind != "quadratic":  # the quadratic family is noiseless and draws nothing
+            cols = np.concatenate(clients)
+            drawn = client_batches(
+                cfg.seed, cols, np.repeat(block, per_round), problem.shards.sizes[cols], k_steps, batch_size
+            )
+            draws = np.split(drawn, len(block), axis=1)
+        for t, clients_t, draws_t in zip(block, clients, draws):
+            if resampled:
+                w_t = build_mixing(replace(topo, seed=_subseed(topo.seed, _DOM_TOPO, t)))
+            info = run_round(x, z, t, cfg, w_t, problem, clients_t, draws_t)
+            x, z = info.x_mixed, info.z
+            yield info
 
 
 def _evaluate(cfg: ExperimentConfig, problem: Problem, info: RoundInfo) -> RoundRecord:

@@ -3,8 +3,9 @@
 Client models are the rows of an (m, p) stack and every optimizer step
 updates all rows together through one stacked gradient call
 (:func:`models.batch_grads`).  Each row still sees only its own client's
-minibatch, drawn from that client's own stream (the engine replays every
-client's generator in one pass, :func:`engine.client_batches`), so a row
+minibatch, drawn from that client's own stream (the engine replays the
+generators of every participant of a block of rounds in one pass,
+:func:`engine.client_batches`, and hands each round its slice), so a row
 of the stack is bitwise the trajectory the client would follow alone.
 
 The SAM step evaluates the gradient twice on the same minibatch: once at

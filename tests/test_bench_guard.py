@@ -52,6 +52,38 @@ def test_traced_run_counts_each_layer_once_per_round(kind, builds):
     assert tracer.count("models.full_objective") == len(result.records)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"topology": TopologySpec(TopologyKind.RING, 6)},
+        {"algorithm": engine.AlgorithmKind.FEDAVG_CENTRAL, "participation": 0.5},
+    ],
+    ids=["ring", "central"],
+)
+def test_traced_run_draws_through_the_engines_client_batches(monkeypatch, overrides):
+    # the draw runs outside engine.round; a tracer can time it only by wrapping the
+    # engine's client_batches, which every block of draws must therefore reach
+    spans = load_spans()
+    draw, blocks = engine.client_batches, []
+
+    def recording(seed, clients, rounds, *rest):
+        blocks.append(list(zip(np.broadcast_to(rounds, len(clients)).tolist(), np.asarray(clients).tolist())))
+        return draw(seed, clients, rounds, *rest)
+
+    monkeypatch.setattr(engine, "client_batches", recording)
+    cfg = engine.validated(ExperimentConfig(
+        m=6, rounds=3, local_steps=2,
+        optimizer=OptimizerConfig(batch_size=4),
+        data=DataConfig(classes=3, dim=4, per_class=8, test_per_class=4),
+        **overrides,
+    ))
+    with spans.traced(spans.Tracer()) as tracer:
+        engine.run_experiment(cfg)
+    assert tracer.count("engine.round") == 3
+    assert len(blocks) == 1  # three rounds of 6 clients fit one block
+    assert blocks[0] == [(t, int(i)) for t in range(3) for i in engine.participants(cfg, 6, t)]
+
+
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
 def test_kernels_read_a_built_problem(kind):
     cfg = ExperimentConfig(

@@ -1,6 +1,8 @@
 """Round orchestration: lookahead init, mixing, baselines, determinism."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,11 +481,11 @@ class TestConsensusDynamics:
 
 
 def reference_draws(seed, clients, t, sizes, k_steps, batch_size):
-    """(K, n, B) minibatch indices, one default_rng([seed, 0, client, t]) per client."""
+    """(K, n, B) minibatch indices, one default_rng([seed, 0, client, t]) per column; t may differ by column."""
     return np.stack(
         [
-            np.random.default_rng([seed, 0, int(i), t]).integers(0, int(n), size=(k_steps, batch_size))
-            for i, n in zip(clients, sizes)
+            np.random.default_rng([seed, 0, int(i), int(r)]).integers(0, int(n), size=(k_steps, batch_size))
+            for i, r, n in zip(clients, np.broadcast_to(t, len(clients)), sizes)
         ],
         axis=1,
     )
@@ -545,11 +547,11 @@ class TestClientStreams:
         assert redraws == []
 
     def test_one_sample_and_huge_shards_take_the_reference(self, redraws):
-        # numpy draws integers(0, 1) without consuming the stream, and sizes past 2**32 by
-        # 64-bit Lemire, so those clients take the reference
+        # numpy fills integers(0, 1) with zeros without consuming the stream, which the
+        # replay matches; sizes past 2**32 go by 64-bit Lemire, so those clients take the reference
         sizes = np.array([1, 40, 2**32, 7, 1, 9, 2**40 + 1])
         assert_draws_equal_reference(2, np.arange(7), 9, sizes=sizes)
-        assert redraws == [0, 2, 4, 6]
+        assert redraws == [2, 6]
         assert (client_batches(2, np.arange(7), 9, sizes, 3, 5)[:, sizes == 1] == 0).all()
 
     def test_rejected_values_fall_back_to_the_reference(self, redraws):
@@ -558,11 +560,33 @@ class TestClientStreams:
         assert_draws_equal_reference(8, np.arange(40), 6, sizes=sizes, k_steps=1, batch_size=4)
         assert 0 < len(redraws) < 20 and all(i % 2 == 0 for i in redraws)
 
-    @pytest.mark.parametrize("m, k_steps, batch_size", [(3, 2, engine._TILE_WORDS + 7), (300, 3, 41)])
+    @pytest.mark.parametrize("m, k_steps, batch_size", [(3, 2, 16391), (300, 3, 41)])
     def test_draws_spanning_several_blocks(self, m, k_steps, batch_size):
-        # more PCG64 outputs per client, or more clients, than one block of the draw holds
+        # more PCG64 outputs per client, or more clients, than one tile of the draw holds
         assert m * -(-k_steps * batch_size // 2) > engine._TILE_WORDS
         assert_draws_equal_reference(3, np.arange(m), 1, k_steps=k_steps, batch_size=batch_size)
+
+    @pytest.mark.parametrize("seed", [7, 2**40 + 3])
+    def test_rounds_either_side_of_32_bits_in_one_call(self, seed):
+        # SeedSequence hashes t = 2**32 - 1 as one entropy word and t = 2**32 as two
+        rounds = np.array([2**32 - 1, 2**32, 0, 2**32 + 5, 2**32 - 1, 2**33, 2**32])
+        clients = np.array([0, 1, 2, 3, 4, 5, 0])
+        assert_draws_equal_reference(seed, clients, rounds)
+        assert_draws_equal_reference(seed, clients[rounds < 2**32], rounds[rounds < 2**32])
+        assert_draws_equal_reference(seed, clients[rounds >= 2**32], rounds[rounds >= 2**32])
+
+    @pytest.mark.parametrize("m, k_steps, batch_size", [(400, 5, 32), (408, 5, 32), (1000, 5, 32), (2000, 1, 32)])
+    def test_temporaries_stay_below_the_result(self, m, k_steps, batch_size):
+        # a block of rounds' draws: 16 clients a round over m // 16 rounds
+        args = (3, np.arange(m) % 16, np.arange(m) // 16, 2 + np.arange(m) % 90, k_steps, batch_size)
+        client_batches(*args)  # the jump table is cached on the first call
+        tracemalloc.start()
+        try:
+            rows = client_batches(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * rows.nbytes
 
     @pytest.mark.parametrize(
         "overrides",
@@ -570,15 +594,15 @@ class TestClientStreams:
         ids=["decentralized", "central"],
     )
     def test_first_draw_replays_the_engines_draw(self, monkeypatch, overrides):
-        # record the minibatch indices the engine itself draws in every round
+        # record the minibatch indices the local phase of every round receives
         cfg = validated(logistic_cfg(rounds=12, **overrides))
         drawn = []
 
-        def recording(*args):
-            drawn.append(client_batches(*args))
-            return drawn[-1]
+        def recording(*args, **kwargs):
+            drawn.append(args[5])
+            return localopt.local_train(*args, **kwargs)
 
-        monkeypatch.setattr(engine, "client_batches", recording)
+        monkeypatch.setattr(engine, "local_train", recording)
         problem = build_problem(cfg)
         for _ in iter_rounds(cfg, problem):
             pass
@@ -600,3 +624,54 @@ class TestClientStreams:
                 expected = (t, int(np.argmax(hit)))
         assert expected is not None
         assert first_draw(cfg, size, (client, sample)) == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.sampled_from(list(AlgorithmKind)),
+        st.integers(0, 2**63 - 1),
+        st.sampled_from([0.2, 0.5, 0.75]),
+        st.integers(2, 4),
+        st.integers(0, 2),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(1, 6),
+    )
+    def test_block_draws_equal_every_rounds_default_rng(
+        self, algo, seed, participation, span, blocks, extra, k_steps, batch_size
+    ):
+        # span rounds a block and a horizon that ends inside a block
+        rounds = span * blocks + 1 + extra % (span - 1)
+        cfg = validated(
+            logistic_cfg(
+                algorithm=algo, m=6, seed=seed, participation=participation, rounds=rounds,
+                local_steps=k_steps, optimizer=OptimizerConfig(eta0=0.05, batch_size=batch_size),
+            )
+        )
+        problem = build_problem(cfg)
+        drawn, blocks_drawn = {}, []
+
+        def training(*args, round_index, **kwargs):
+            drawn[round_index] = args[5]
+            return localopt.local_train(*args, round_index=round_index, **kwargs)
+
+        def drawing(*args):
+            blocks_drawn.append(args[2])
+            return client_batches(*args)
+
+        per_round = len(participants(cfg, cfg.m, 0)) * cfg.local_steps * batch_size
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_BLOCK_INDICES", span * per_round)
+            mp.setattr(engine, "local_train", training)
+            mp.setattr(engine, "client_batches", drawing)
+            for _ in iter_rounds(cfg, problem):
+                pass
+        assert len(blocks_drawn) == math.ceil(rounds / span)
+        assert sorted(drawn) == list(range(rounds))
+        for t, draws in drawn.items():
+            clients = participants(cfg, cfg.m, t)
+            assert draws.shape == (cfg.local_steps, len(clients), batch_size)
+            for j, client in enumerate(clients):
+                ref = client_rng(seed, client, t).integers(
+                    0, problem.shards.sizes[client], size=(cfg.local_steps, batch_size)
+                )
+                assert np.array_equal(draws[:, j], ref)
