@@ -31,10 +31,11 @@ minibatches from it alone: exactly
 rounds in one vectorised pass (:func:`client_batches`), a bitwise replay
 of numpy's seeding, PCG64 and bounded Lemire draw that tests pin to the
 installed numpy; a client whose draw numpy would reject and redo, which
-is rare, is drawn through :func:`client_rng` itself.  Gossip accumulates
-each row over a fixed neighbour table in ascending client order.  Results
-are therefore bitwise reproducible, and equal to training each client on
-its own.
+is rare, is drawn through :func:`client_rng` itself, as is every client
+of a draw long enough for numpy's own loop to be faster.  Gossip
+accumulates each row over a fixed neighbour table in ascending client
+order.  Results are therefore bitwise reproducible, and equal to
+training each client on its own.
 """
 
 from __future__ import annotations
@@ -377,6 +378,9 @@ def _seed_words(seed: int, clients: np.ndarray, rounds: np.ndarray) -> np.ndarra
 
 
 _TILE_WORDS = 2**11  # PCG64 outputs drawn per tile; each uint64 temporary of a tile is 16 KiB
+# values per column past which numpy's own per-client loop draws faster than the replay
+# (at m=100 on a 2-core host: 3.7 vs 3.6 ms at K*B = 1024, 5.1 vs 4.1 ms at 1280)
+_REPLAY_VALUES = 1024
 _BLOCK_INDICES = 2**15  # minibatch indices iter_rounds draws in one call: 256 KiB of int64
 
 
@@ -438,18 +442,18 @@ def _pcg64_starts(seed: int, clients: np.ndarray, rounds: np.ndarray) -> tuple[n
     return hi, np.stack([lo, inc_lo])[:, :, None]
 
 
-def _pcg64_outputs(jumps: tuple, base_hi: np.ndarray, base_lo: np.ndarray, skip: int, w: int) -> np.ndarray:
-    """PCG64's XSL-RR outputs of the states skip + 1 .. skip + w steps past each column's base state.
+def _pcg64_outputs(jumps: tuple, base_hi: np.ndarray, base_lo: np.ndarray, w: int) -> np.ndarray:
+    """PCG64's XSL-RR outputs of the states 2 .. w + 1 steps past each column's base state.
 
-    ``base_hi`` and ``base_lo`` are (2, cols, 1): the state, then inc.  The
-    state moves in place to the last of those steps.
+    ``base_hi`` and ``base_lo`` are (2, cols, 1): s + inc, then inc.  s + inc
+    is one step before the seeded state, and the generator steps before it
+    outputs, so these are the stream's first w outputs.
     """
-    jumped = _mul128([v[..., skip : skip + w] for v in jumps], _split(base_hi, base_lo))
+    jumped = _mul128([v[..., 1 : 1 + w] for v in jumps], _split(base_hi, base_lo))
     (st_hi, inc_hi), (st_lo, inc_lo) = jumped  # A_i * state and C_i * inc
     st_lo += inc_lo
     st_hi += inc_hi
     st_hi += st_lo < inc_lo
-    base_hi[0], base_lo[0] = st_hi[:, -1:], st_lo[:, -1:]
     x = st_hi ^ st_lo  # XSL-RR: xor the halves, rotate right by the top 6 bits
     rot = st_hi >> np.uint64(58)
     left = x << (np.uint64(64) - rot & np.uint64(63))
@@ -495,30 +499,30 @@ def client_batches(seed: int, clients, rounds, sizes, k_steps: int, batch_size: 
     A column with any rejection among its first K*B values, or whose
     shard size numpy draws from by another path (64-bit Lemire from
     2**32), is drawn through :func:`client_rng` itself, so the result is
-    exact by construction.  Columns and stream positions go in tiles of at
-    most ``_TILE_WORDS`` outputs, so the temporaries stay small beside the
-    (K, m, B) result.
+    exact by construction.  So is every column of a draw longer than
+    ``_REPLAY_VALUES`` values, where numpy's own loop is the faster one.
+    Columns go in tiles of at most ``_TILE_WORDS`` outputs, so the
+    temporaries stay small beside the (K, m, B) result.
     """
     clients = np.asarray(clients)
     rounds = np.broadcast_to(np.asarray(rounds, dtype=np.uint64), clients.shape)
     sizes = np.asarray(sizes, dtype=np.int64)
     m, count = len(clients), k_steps * batch_size
-    hi, lo = _pcg64_starts(seed, clients, rounds)
-    redraw = (sizes < 1) | (sizes >= 2**32)  # off numpy's 32-bit Lemire path
-    n = np.where(redraw, 1, sizes).astype(np.uint64)[:, None]
-    threshold = (np.uint64(2**32) - n) % n
-    words = -(-count // 2)
-    span = min(words, _TILE_WORDS)
-    jumps = _pcg64_jumps(span + 1)
-    width = max(1, _TILE_WORDS // span)
     out = np.empty((m, count), dtype=np.int64)
-    for c0 in range(0, m, width):
-        cols = slice(c0, c0 + width)
-        base_hi, base_lo = hi[:, cols], lo[:, cols]  # views: the state each tile starts from, and inc
-        for w0 in range(0, words, span):
-            # s + inc is one step before the seeded state
-            x = _pcg64_outputs(jumps, base_hi, base_lo, int(w0 == 0), min(span, words - w0))
-            redraw[cols] |= _bounded(x, n[cols], threshold[cols], out[cols, 2 * w0 : 2 * w0 + 2 * span])
+    redraw = (sizes < 1) | (sizes >= 2**32)  # off numpy's 32-bit Lemire path
+    if count > _REPLAY_VALUES:
+        redraw[:] = True
+    else:
+        hi, lo = _pcg64_starts(seed, clients, rounds)
+        n = np.where(redraw, 1, sizes).astype(np.uint64)[:, None]
+        threshold = (np.uint64(2**32) - n) % n
+        words = -(-count // 2)
+        jumps = _pcg64_jumps(words + 1)
+        width = max(1, _TILE_WORDS // words)
+        for c0 in range(0, m, width):
+            cols = slice(c0, c0 + width)
+            x = _pcg64_outputs(jumps, hi[:, cols], lo[:, cols], words)
+            redraw[cols] |= _bounded(x, n[cols], threshold[cols], out[cols])
             del x  # no tile's temporaries outlive it
     for i in np.flatnonzero(redraw):
         out[i] = client_rng(seed, int(clients[i]), int(rounds[i])).integers(0, int(sizes[i]), size=count)

@@ -8,6 +8,14 @@ generators of every participant of a block of rounds in one pass,
 :func:`engine.client_batches`, and hands each round its slice), so a row
 of the stack is bitwise the trajectory the client would follow alone.
 
+Each :func:`local_train` call builds one :class:`models.Workspace` and
+hands it to every step: its K steps and both gradient calls of a SAM
+step reuse the same activations, back-propagated errors, softmax scratch
+and ascent point, and the iterates alternate between two arrays of the
+call.  The workspace lives for that call only; no returned array points
+into it, and the outputs are bitwise those of a step that allocates its
+own arrays.
+
 The SAM step evaluates the gradient twice on the same minibatch: once at
 the current point to obtain the ascent direction, then at the point
 perturbed by ``lam`` along the normalized gradient.  With ``lam == 0`` (or
@@ -26,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, ShardStack, batch_grads
+from .models import ModelSpec, ShardStack, Workspace, batch_grads
 from .models import loss_and_grad  # noqa: F401  re-exported: bench/spans.py wraps it under this name
 
 __all__ = [
@@ -92,21 +100,24 @@ def _as_stack(x: np.ndarray, shard, batch):
 # Each step takes either one client -- x (p,), its Shard (client index for
 # the quadratic family) and (B,) shard-local batch indices -- or a stack:
 # x (m, p), a ShardStack and (m, B) indices.  The result has x's shape.
+# For a stack, ``ws`` is the local phase's Workspace and ``out`` a
+# C-contiguous (m, p) array, not overlapping x, to write the new point
+# into; without them the step allocates its own.
 
 
-def sgd_step(spec: ModelSpec, x, shard, batch, eta: float) -> np.ndarray:
+def sgd_step(spec: ModelSpec, x, shard, batch, eta: float, *, ws=None, out=None) -> np.ndarray:
     xs, stack, rows = _as_stack(x, shard, batch)
-    g = batch_grads(spec, xs, stack.batch(rows))
+    g = batch_grads(spec, xs, stack.batch(rows, ws), ws=ws, out=out)
     g *= eta
     return np.subtract(xs, g, out=g).reshape(np.shape(x))
 
 
 def sam_step(
-    spec: ModelSpec, x, shard, batch, eta: float, lam: float, grad_floor: float = 1e-12
+    spec: ModelSpec, x, shard, batch, eta: float, lam: float, grad_floor: float = 1e-12, *, ws=None, out=None
 ) -> np.ndarray:
     xs, stack, rows = _as_stack(x, shard, batch)
-    minibatch = stack.batch(rows)
-    g = batch_grads(spec, xs, minibatch)
+    minibatch = stack.batch(rows, ws)
+    g = batch_grads(spec, xs, minibatch, ws=ws, out=out)
     if lam != 0.0:
         # np.linalg.norm(row) is sqrt(row @ row); a stacked (1, p) @ (p, 1) matmul takes that same
         # dot product for every row, while einsum or a sum of squares rounds differently
@@ -114,21 +125,27 @@ def sam_step(
         # rows at or below the floor would perturb onto x itself: keep g1
         ascend = ~(norms <= grad_floor)
         if ascend.any():
-            peak = np.multiply(lam, g)
+            peak = np.multiply(lam, g, out=None if ws is None else ws.point)
             peak /= np.where(ascend, norms, 1.0)[:, None]
             peak += xs
-            g = np.where(ascend[:, None], batch_grads(spec, peak, minibatch), g)
+            if ascend.all():  # g1 is spent once the ascent point is built
+                g = batch_grads(spec, peak, minibatch, ws=ws, out=g)
+            else:
+                np.copyto(g, batch_grads(spec, peak, minibatch, ws=ws), where=ascend[:, None])
     g *= eta
     return np.subtract(xs, g, out=g).reshape(np.shape(x))
 
 
 def momentum_step(
-    spec: ModelSpec, x, velocity, shard, batch, eta: float, mu: float
+    spec: ModelSpec, x, velocity, shard, batch, eta: float, mu: float, *, ws=None, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
+    """One heavy-ball step; ``out`` is a pair (new point, new velocity), the latter possibly ``velocity``."""
     xs, stack, rows = _as_stack(x, shard, batch)
-    velocity_new = batch_grads(spec, xs, stack.batch(rows))
-    velocity_new += mu * np.reshape(velocity, xs.shape)
-    step = eta * velocity_new
+    x_out, v_out = (None, None) if out is None else out
+    g = batch_grads(spec, xs, stack.batch(rows, ws), ws=ws, out=x_out)
+    velocity_new = np.multiply(mu, np.reshape(velocity, xs.shape), out=v_out)
+    velocity_new += g
+    step = np.multiply(eta, velocity_new, out=g)
     x_new = np.subtract(xs, step, out=step)
     return x_new.reshape(np.shape(x)), velocity_new.reshape(np.shape(x))
 
@@ -170,21 +187,27 @@ def local_train(
         else:
             draws = draws.integers(0, int(shard.sizes[0]), size=(k_steps, cfg.batch_size))[:, None]
     eta = lr_at_round(cfg, round_index)
+    ws = Workspace(spec, shard, cfg.batch_size, point=cfg.method == "sam" and cfg.lam != 0.0)
+    # the iterates alternate between two arrays of this call; the last one is returned
+    iterates = (np.empty(x0.shape), np.empty(x0.shape))
     x = x0
-    velocity = np.zeros_like(x0) if cfg.method == "sgd_momentum" else None
+    velocity = np.zeros(x0.shape) if cfg.method == "sgd_momentum" else None
     v1 = np.zeros(len(x0)) if ref_point is not None else None
     for k in range(k_steps):
         batch = None if draws is None else draws[k]
-        if v1 is not None:
-            drift = x - ref_point
+        out = iterates[k % 2]
+        if v1 is not None:  # out is free until the step writes it
+            drift = np.subtract(x, ref_point, out=out)
             np.square(drift, out=drift)
             v1 += drift.sum(axis=1)
         if cfg.method == "sgd":
-            x = sgd_step(spec, x, shard, batch, eta)
+            x = sgd_step(spec, x, shard, batch, eta, ws=ws, out=out)
         elif cfg.method == "sam":
-            x = sam_step(spec, x, shard, batch, eta, cfg.lam, cfg.grad_floor)
+            x = sam_step(spec, x, shard, batch, eta, cfg.lam, cfg.grad_floor, ws=ws, out=out)
         else:
-            x, velocity = momentum_step(spec, x, velocity, shard, batch, eta, cfg.mu)
+            x, velocity = momentum_step(
+                spec, x, velocity, shard, batch, eta, cfg.mu, ws=ws, out=(out, velocity)
+            )
     if single:
         return LocalResult(z=x[0], v1=None if v1 is None else float(v1[0]))
     return LocalResult(z=x, v1=v1)

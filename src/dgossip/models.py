@@ -32,6 +32,7 @@ __all__ = [
     "init_params",
     "loss_and_grad",
     "loss_and_predictions",
+    "Workspace",
     "batch_grads",
     "full_objective",
     "quadratic_testbed",
@@ -107,12 +108,16 @@ def _unpack(spec: ModelSpec, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray
     return layers
 
 
-def _forward(spec: ModelSpec, x: np.ndarray, feats: np.ndarray):
-    """Per-layer (weight, bias) views of x and every layer's activations, logits last."""
+def _forward(spec: ModelSpec, x: np.ndarray, feats: np.ndarray, outs=None):
+    """Per-layer (weight, bias) views of x and every layer's activations, logits last.
+
+    ``outs`` are arrays to write each layer's output into, as a
+    :class:`Workspace` holds them; without them each output is a new array.
+    """
     layers = _unpack(spec, x)
     acts = [feats]
     for li, (w, b) in enumerate(layers):
-        z = np.matmul(acts[-1], w)
+        z = np.matmul(acts[-1], w, out=None if outs is None else outs[li])
         z += b[..., None, :]
         if li < len(layers) - 1:
             np.tanh(z, out=z)
@@ -120,13 +125,81 @@ def _forward(spec: ModelSpec, x: np.ndarray, feats: np.ndarray):
     return layers, acts
 
 
-def _softmax_nll(logits: np.ndarray, labels: np.ndarray, with_loss: bool):
-    """Softmax in place; (per-row NLL shaped as labels or None, (rows, classes) view, label index)."""
-    logits -= logits.max(axis=-1, keepdims=True)
+# One pass over a class column costs about as much as numpy's per-row
+# reduction set-up for 64 rows (measured on (n, 32, C) logits, C = 3..10):
+# the softmax takes its class max and sum by columns from 64 * C rows on.
+_COLUMN_ROWS = 64
+
+
+def _class_max(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``logits.max(axis=-1)``, one class column at a time.
+
+    A maximum is exact in any order, so this equals numpy's reduction
+    (tests pin it; a zero maximum may differ in its sign, which the softmax
+    shift cannot see).
+    """
+    if out is None:
+        out = np.empty(logits.shape[:-1])
+    out[...] = logits[..., 0]
+    for j in range(1, logits.shape[-1]):
+        np.maximum(out, logits[..., j], out=out)
+    return out
+
+
+_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE: longer rows are summed in recursive halves
+
+
+def _class_sum(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``logits.sum(axis=-1)`` in numpy's own order, one class column at a time.
+
+    numpy sums each contiguous row pairwise (``pairwise_sum`` in its
+    umath loops) onto the identity 0: fewer than 8 terms one after
+    another; up to ``_PAIRWISE_BLOCK`` terms in 8 interleaved partial sums
+    r_j, folded as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
+    then the remaining terms in turn.  This replays those two cases on
+    whole columns (adding the identity last, which only turns a -0 into
+    +0), so the result is bitwise numpy's; tests pin it to the installed
+    numpy.  Longer rows, which numpy splits in halves, go to numpy's sum.
+    """
+    n = logits.shape[-1]
+    if n > _PAIRWISE_BLOCK or n < 2:
+        return logits.sum(axis=-1, out=out)
+    if n < 8:
+        out = np.add(logits[..., 0], logits[..., 1], out=out)
+        rest = range(2, n)
+    else:
+        r = logits[..., :8]
+        if n >= 16:
+            r = r.copy()
+            for i in range(8, n - n % 8, 8):
+                r += logits[..., i : i + 8]
+        out = np.add(r[..., 0], r[..., 1], out=out)
+        out += r[..., 2] + r[..., 3]
+        out += (r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7])
+        rest = range(n - n % 8, n)
+    for i in rest:
+        out += logits[..., i]
+    out += 0.0
+    return out
+
+
+def _softmax_nll(logits: np.ndarray, labels: np.ndarray, with_loss: bool, ws: Workspace | None = None):
+    """Softmax in place; (per-row NLL shaped as labels or None, flat view, flat index of each label).
+
+    ``ws`` supplies the per-row scratch and the label index; without it
+    they are new arrays.
+    """
+    row = None if ws is None else ws.row
+    by_columns = logits.size >= _COLUMN_ROWS * logits.shape[-1] ** 2
+    row = _class_max(logits, row) if by_columns else logits.max(axis=-1, out=row)
+    logits -= row[..., None]
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    flat = logits.reshape(-1, logits.shape[-1])
-    picked = (np.arange(len(flat)), labels.reshape(-1))
+    logits /= (_class_sum(logits, row) if by_columns else logits.sum(axis=-1, out=row))[..., None]
+    flat = logits.reshape(-1)
+    if ws is None:
+        picked = np.arange(labels.size) * logits.shape[-1] + labels.reshape(-1)
+    else:
+        picked = np.add(ws.class_starts, labels.reshape(-1), out=ws.picked)
     nll = None
     if with_loss:
         nll = -np.log(flat[picked] + 1e-300).reshape(labels.shape)
@@ -134,7 +207,15 @@ def _softmax_nll(logits: np.ndarray, labels: np.ndarray, with_loss: bool):
 
 
 def _forward_backward(
-    spec: ModelSpec, x: np.ndarray, feats: np.ndarray, labels: np.ndarray, divisor, *, with_loss: bool
+    spec: ModelSpec,
+    x: np.ndarray,
+    feats: np.ndarray,
+    labels: np.ndarray,
+    divisor,
+    *,
+    with_loss: bool,
+    ws: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Weighted cross-entropy gradient, for one model or a stack, and the per-row NLL.
 
@@ -146,41 +227,56 @@ def _forward_backward(
     ``divisor``: the batch size n for a batch mean, or a per-row column
     shaped (..., n, 1).  Every product is ``np.matmul``, which makes the
     same BLAS call per row of a stack as for one model, so each row equals
-    the one-model computation bitwise.  Temporaries are reused in place.
-    Returns (per-row NLL shaped as ``labels``, or None, and gradients shaped as x).
+    the one-model computation bitwise.
+
+    Each layer's gradient is written straight into its slice of the
+    result: ``out`` (C-contiguous, shaped as x) or a new array.  A stack's
+    activations, back-propagated errors and softmax scratch live in ``ws``
+    when it is given: the :class:`Workspace` of one ``local_train`` call,
+    shared by its K steps and both gradients of a SAM step.  The call then
+    allocates nothing the size of a batch, nothing it returns points into
+    ``ws``, and its result is bitwise the one without it.  Temporaries are
+    reused in place either way.  Returns (per-row NLL shaped as
+    ``labels``, or None, and the gradient).
     """
-    layers, acts = _forward(spec, x, feats)
+    layers, acts = _forward(spec, x, feats, None if ws is None else ws.acts)
     delta = acts.pop()  # logits, turned in place into probabilities, then the output error
-    nll, flat, picked = _softmax_nll(delta, labels, with_loss)
+    nll, flat, picked = _softmax_nll(delta, labels, with_loss, ws)
     flat[picked] -= 1.0
     delta /= divisor
     blocked = feats.ndim > x.ndim + 1
-    grad = np.empty_like(x)
+    if out is None:
+        out = np.empty(x.shape)
+    elif not out.flags.c_contiguous or out.shape != x.shape:
+        raise ValueError("out must be a C-contiguous array shaped as x")
+    lead = x.shape[:-1]
     end = x.shape[-1]
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
         fan_in, fan_out = w.shape[-2:]
-        bias = delta.sum(axis=-2)
-        weight = np.matmul(acts[li].swapaxes(-1, -2), delta)
-        if blocked:
-            bias, weight = bias.sum(axis=0), weight.sum(axis=0)
-        grad[..., end - fan_out : end] = bias
+        bias = out[..., end - fan_out : end]
         end -= fan_out
-        grad[..., end - fan_in * fan_out : end] = weight.reshape(*x.shape[:-1], -1)
+        weight = out[..., end - fan_in * fan_out : end].reshape(*lead, fan_in, fan_out)
         end -= fan_in * fan_out
+        if blocked:  # each block's sums, then their total
+            delta.sum(axis=-2).sum(axis=0, out=bias)
+            np.matmul(acts[li].swapaxes(-1, -2), delta).sum(axis=0, out=weight)
+        else:
+            delta.sum(axis=-2, out=bias)
+            np.matmul(acts[li].swapaxes(-1, -2), delta, out=weight)
         if li > 0:  # back through tanh: delta W^T * (1 - a^2)
-            delta = np.matmul(delta, w.swapaxes(-1, -2))
+            delta = np.matmul(delta, w.swapaxes(-1, -2), out=None if ws is None else ws.errors[li - 1])
             a = acts[li]
             np.square(a, out=a)
             np.subtract(1.0, a, out=a)
             delta *= a
-    return nll, grad
+    return nll, out
 
 
-def _quadratic_grads(spec: ModelSpec, x: np.ndarray, clients) -> np.ndarray:
-    """A_i x - b_i for one client index and vector, or row-wise for a stack."""
-    grad = np.matmul(spec.quad_a[clients], x[..., None])[..., 0]
-    grad -= spec.quad_b[clients]
+def _quadratic_grads(a: np.ndarray, b: np.ndarray, x: np.ndarray, out: np.ndarray | None = None):
+    """A x - b for one client's terms and vector, or row-wise for stacked terms and a stack."""
+    grad = np.matmul(a, x[..., None], out=None if out is None else out[..., None])[..., 0]
+    grad -= b
     return grad
 
 
@@ -243,11 +339,12 @@ class ShardStack:
             self.clients[rows], self.sizes[rows], self.offsets[rows], self.features, self.labels
         )
 
-    def batch(self, rows: np.ndarray | None) -> Batch:
+    def batch(self, rows: np.ndarray | None, ws: Workspace | None = None) -> Batch:
         """Gather an (m, B) array of shard-local indices into one minibatch.
 
         ``rows`` is ignored for the quadratic family; None selects the whole
-        shard, which needs a one-row stack.
+        shard, which needs a one-row stack.  With a :class:`Workspace` the
+        minibatch is gathered into it, and the next gather overwrites it.
         """
         if self.features is None:
             return Batch(self.clients, None, None)
@@ -255,21 +352,67 @@ class ShardStack:
             if len(self) != 1:
                 raise ValueError("a whole-shard batch needs a one-client stack")
             rows = np.arange(self.sizes[0])[None]
-        index = self.offsets[:, None] + rows
-        return Batch(self.clients, self.features[index], self.labels[index])
+        index = np.add(self.offsets[:, None], rows, out=None if ws is None else ws.index)
+        if index.size and (index.min() < 0 or index.max() >= len(self.labels)):
+            raise IndexError(f"minibatch rows outside the stack's {len(self.labels)} samples")
+        # in range, so "clip" clips nothing; it lets take write into ws without a buffer
+        features = self.features.take(index, axis=0, out=None if ws is None else ws.features, mode="clip")
+        labels = self.labels.take(index, out=None if ws is None else ws.labels, mode="clip")
+        return Batch(self.clients, features, labels)
 
 
-def batch_grads(spec: ModelSpec, x: np.ndarray, batch: Batch) -> np.ndarray:
+class Workspace:
+    """Scratch arrays for the stacked gradient calls of one local phase.
+
+    Built for a :class:`ShardStack`, its (m, B) minibatches and (m, p)
+    model stacks: it holds the gathered minibatch, every layer's output,
+    the error back-propagated to each hidden layer, the per-row softmax
+    scratch and the flat label index, or, for the quadratic family, the
+    stack's gathered terms.  ``point`` is an (m, p) stack at which a
+    gradient is evaluated: SAM's ascent point.  :meth:`ShardStack.batch`
+    and :func:`batch_grads` overwrite it on every call that is passed it,
+    so it lives for one ``local_train`` call and no result points into it.
+    """
+
+    def __init__(self, spec: ModelSpec, shards: ShardStack, batch_size: int, *, point: bool = False):
+        m = len(shards)
+        self.point = np.empty((m, spec.param_count())) if point else None
+        if spec.kind == "quadratic":
+            self.quad = (spec.quad_a[shards.clients], spec.quad_b[shards.clients])
+            return
+        rows = (m, batch_size)
+        self.index = np.empty(rows, dtype=np.intp)
+        self.features = np.empty((*rows, spec.dim), dtype=shards.features.dtype)
+        self.labels = np.empty(rows, dtype=shards.labels.dtype)
+        self.acts = [np.empty((*rows, width)) for width in (*spec.hidden, spec.num_classes)]
+        self.errors = [np.empty((*rows, width)) for width in spec.hidden]
+        self.row = np.empty(rows)
+        self.class_starts = np.arange(m * batch_size) * spec.num_classes  # flat offset of each row's logits
+        self.picked = np.empty(m * batch_size, dtype=np.intp)
+
+
+def batch_grads(
+    spec: ModelSpec,
+    x: np.ndarray,
+    batch: Batch,
+    *,
+    ws: Workspace | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Exact batch-mean gradients of an (m, p) stack, one client per row.
 
     The training kernel: it computes no loss, because local steps never
     read one.  The quadratic family is noiseless and uses only the
-    client indices of ``batch``.
+    client indices of ``batch``, or the terms gathered in ``ws``.  The
+    gradients go into ``out`` (C-contiguous, not overlapping x) when it
+    is given, and the scratch into ``ws`` (see :class:`Workspace`); the
+    result is bitwise the same either way.
     """
     if spec.kind == "quadratic":
-        return _quadratic_grads(spec, x, batch.clients)
+        a, b = (spec.quad_a[batch.clients], spec.quad_b[batch.clients]) if ws is None else ws.quad
+        return _quadratic_grads(a, b, x, out)
     n = batch.labels.shape[-1]
-    return _forward_backward(spec, x, batch.features, batch.labels, n, with_loss=False)[1]
+    return _forward_backward(spec, x, batch.features, batch.labels, n, with_loss=False, ws=ws, out=out)[1]
 
 
 def loss_and_grad(
@@ -288,7 +431,7 @@ def loss_and_grad(
     if spec.kind == "quadratic":
         a = spec.quad_a[shard]
         b = spec.quad_b[shard]
-        return float(0.5 * x @ a @ x - b @ x), _quadratic_grads(spec, x, shard)
+        return float(0.5 * x @ a @ x - b @ x), _quadratic_grads(a, b, x)
     feats = shard.features if batch is None else shard.features[batch]
     labels = shard.labels if batch is None else shard.labels[batch]
     nll, grad = _forward_backward(spec, x, feats, labels, len(labels), with_loss=True)
@@ -325,9 +468,10 @@ def full_objective(spec: ModelSpec, x: np.ndarray, shards: ShardStack) -> tuple[
     """
     m = len(shards)
     if spec.kind == "quadratic":
-        grads = _quadratic_grads(spec, x, shards.clients)
+        b = spec.quad_b[shards.clients]
+        grads = _quadratic_grads(spec.quad_a[shards.clients], b, x)
         # f_i = 0.5 x.A_i x - b_i.x = 0.5 x.(grad_i - b_i)
-        losses = 0.5 * ((grads - spec.quad_b[shards.clients]) @ x)
+        losses = 0.5 * ((grads - b) @ x)
         return float(np.mean(losses)), grads.mean(axis=0)
     sizes = shards.sizes
     n_rows = int(sizes.sum())

@@ -566,6 +566,16 @@ class TestClientStreams:
         assert m * -(-k_steps * batch_size // 2) > engine._TILE_WORDS
         assert_draws_equal_reference(3, np.arange(m), 1, k_steps=k_steps, batch_size=batch_size)
 
+    def test_long_draws_take_numpys_own_loop(self, redraws):
+        # past _REPLAY_VALUES values per column the per-client draw is the faster one
+        clients, sizes = np.arange(100), 2 + np.arange(100) % 90
+        assert_draws_equal_reference(4, clients, 2, sizes=sizes, k_steps=200, batch_size=32)
+        assert redraws == list(range(100))
+        redraws.clear()
+        k_steps = engine._REPLAY_VALUES // 32
+        assert_draws_equal_reference(4, clients, 2, sizes=sizes, k_steps=k_steps, batch_size=32)
+        assert redraws == []
+
     @pytest.mark.parametrize("seed", [7, 2**40 + 3])
     def test_rounds_either_side_of_32_bits_in_one_call(self, seed):
         # SeedSequence hashes t = 2**32 - 1 as one entropy word and t = 2**32 as two

@@ -1,12 +1,23 @@
 """Local optimizer steps and the per-round training loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgossip import localopt
 from dgossip.data import generate_synthetic
-from dgossip.engine import AlgorithmKind, ExperimentConfig
+from dgossip.engine import (
+    AlgorithmKind,
+    DataConfig,
+    ExperimentConfig,
+    ModelConfig,
+    build_problem,
+    client_batches,
+    run_round,
+    validated,
+)
 from dgossip.localopt import (
     OptimizerConfig,
     local_train,
@@ -15,9 +26,18 @@ from dgossip.localopt import (
     sam_step,
     sgd_step,
 )
-from dgossip.models import ModelSpec, Shard, ShardStack, loss_and_grad, quadratic_testbed
+from dgossip.models import (
+    ModelSpec,
+    Shard,
+    ShardStack,
+    Workspace,
+    batch_grads,
+    init_params,
+    loss_and_grad,
+    quadratic_testbed,
+)
 from dgossip.stability import first_draw
-from dgossip.topology import TopologyKind, TopologySpec
+from dgossip.topology import TopologyKind, TopologySpec, build_mixing
 
 
 def identity_quadratic(p=1):
@@ -105,7 +125,7 @@ class TestSamStep:
         g = np.random.default_rng([m, p]).normal(size=(m, p)) * np.logspace(-6, 6, m)[:, None]
         points = []
 
-        def grads(spec, x, minibatch):
+        def grads(spec, x, minibatch, **_):  # the scratch and output keywords go unused
             points.append(x)
             return g.copy()
 
@@ -236,3 +256,91 @@ class TestOptimizerConfigValidation:
 
     def test_defaults_validate(self):
         OptimizerConfig().validate()
+
+
+def mlp_stack(m=6, n=15, batch_size=4, k_steps=3, seed=0):
+    """(spec, ShardStack, x0, (K, m, B) draws) of a small MLP stack."""
+    ds = generate_synthetic(3, 4, 40, 0.8, seed=seed)
+    sizes = np.full(m, n)
+    stack = ShardStack(np.arange(m), sizes, np.arange(m) * n, ds.features, ds.labels)
+    spec = ModelSpec(kind="mlp", dim=4, num_classes=3, hidden=(5, 3))
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(m, spec.param_count()))
+    draws = rng.integers(0, n, size=(k_steps, m, batch_size))
+    return spec, stack, x0, draws
+
+
+class TestNoAliasing:
+    """A local phase's scratch never leaks into what it returns or reads."""
+
+    def test_second_batch_grads_call_leaves_the_first_result(self):
+        spec, stack, x0, draws = mlp_stack()
+        ws = Workspace(spec, stack, draws.shape[-1])
+        first = batch_grads(spec, x0, stack.batch(draws[0], ws), ws=ws)
+        kept = first.copy()
+        second = batch_grads(spec, x0 + 1.0, stack.batch(draws[1], ws), ws=ws)
+        assert np.array_equal(first, kept) and not np.array_equal(first, second)
+        assert np.array_equal(first, batch_grads(spec, x0, stack.batch(draws[0])))
+
+    @pytest.mark.parametrize("method", ["sgd", "sam", "sgd_momentum"])
+    @pytest.mark.parametrize("with_ref", [False, True])
+    def test_local_train_writes_neither_x0_nor_ref_point(self, method, with_ref):
+        spec, stack, x0, draws = mlp_stack()
+        ref = x0 + 0.5 if with_ref else None
+        cfg = OptimizerConfig(method=method, lam=0.05, mu=0.9, batch_size=draws.shape[-1])
+        inputs = [a for a in (x0, ref, draws) if a is not None]
+        kept = [a.copy() for a in inputs]
+        res = local_train(spec, x0, stack, len(draws), cfg, draws, round_index=1, ref_point=ref)
+        again = local_train(spec, x0, stack, len(draws), cfg, draws, round_index=1, ref_point=ref)
+        for a, b in zip(inputs, kept):
+            assert a.tobytes() == b.tobytes()
+            assert not np.shares_memory(res.z, a)
+        assert res.z.tobytes() == again.z.tobytes()
+        assert not np.shares_memory(res.z, again.z)
+
+    @pytest.mark.parametrize("central", [False, True], ids=["ring", "central"])
+    def test_run_round_writes_none_of_its_inputs(self, central):
+        algo = dict(algorithm=AlgorithmKind.FEDSAM_CENTRAL, participation=0.5) if central else dict(
+            algorithm=AlgorithmKind.OLED_SAM, beta=0.5, topology=TopologySpec(TopologyKind.RING, 6)
+        )
+        cfg = validated(ExperimentConfig(
+            m=6, rounds=1, local_steps=3, diagnostics=True, model=ModelConfig(kind="mlp", hidden=(5,)),
+            optimizer=OptimizerConfig(lam=0.05, batch_size=4),
+            data=DataConfig(classes=3, dim=4, per_class=20, test_per_class=5), **algo,
+        ))
+        problem = build_problem(cfg)
+        rng = np.random.default_rng(3)
+        x = problem.x0 + rng.normal(size=(6, problem.x0.size))
+        z = problem.x0 + rng.normal(size=(6, problem.x0.size))
+        w = None if central else build_mixing(cfg.topology)
+        inputs = (x, z, problem.x0, problem.shards.features, problem.shards.labels)
+        kept = [a.copy() for a in inputs]
+        info = run_round(x, z, 1, cfg, w, problem)
+        for a, b in zip(inputs, kept):
+            assert a.tobytes() == b.tobytes()
+        for name in ("z", "x_mixed"):
+            assert not any(np.shares_memory(getattr(info, name), a) for a in inputs)
+
+
+class TestLocalPhaseMemory:
+    # the peak was 6.26 m*p*8 with the workspace and 9.06 before it; 7.0 leaves 0.74 of headroom,
+    # less than one more (m, p) array per step
+    PEAK_MULTIPLE = 7.0
+
+    def test_stacked_sam_peak_stays_within_a_fixed_multiple_of_the_stack(self):
+        m, k_steps, batch_size = 100, 5, 32
+        ds = generate_synthetic(10, 20, 200, 0.5, seed=3)
+        sizes = np.full(m, 20)
+        stack = ShardStack(np.arange(m), sizes, np.cumsum(sizes) - sizes, ds.features, ds.labels)
+        spec = ModelSpec(kind="mlp", dim=20, num_classes=10, hidden=(32,))
+        x0 = np.tile(init_params(spec, 1), (m, 1))
+        draws = client_batches(1, np.arange(m), 0, sizes, k_steps, batch_size)
+        cfg = OptimizerConfig(method="sam", lam=0.05, batch_size=batch_size)
+        local_train(spec, x0, stack, k_steps, cfg, draws, round_index=0)
+        tracemalloc.start()
+        try:
+            local_train(spec, x0, stack, k_steps, cfg, draws, round_index=0, ref_point=x0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_MULTIPLE * x0.nbytes

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dgossip import models
 from dgossip.config import load_config
 from dgossip.data import generate_synthetic
 from dgossip.engine import build_problem
@@ -253,3 +254,62 @@ class TestFullObjective:
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout)
         assert digests[0] == digests[1]
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def class_rows(rng, classes, rows=64):
+    """Logit rows with magnitudes from 1e-300 to 1e300 of either sign, and rows of tied maxima."""
+    mags = 10.0 ** rng.uniform(-300, 300, size=(rows, classes))
+    logits = np.where(rng.random((rows, classes)) < 0.5, -mags, mags)
+    logits[: rows // 4] = rng.normal(size=(rows // 4, classes))  # the softmax's usual range
+    ties = logits[rows // 4 : rows // 2]
+    ties[:, rng.integers(0, classes, size=2)] = ties.max(axis=-1, keepdims=True)
+    logits[rows // 2, :] = 1.5  # every class tied
+    logits[rows // 2 + 1, :] = 0.0
+    return logits
+
+
+class TestClassReductions:
+    """The softmax's class-axis max and sum are pinned to numpy's own reductions.
+
+    The kernel takes both one class column at a time.  If a numpy release
+    changes its reduction order, these tests fail instead of a golden
+    moving quietly.
+    """
+
+    @pytest.mark.parametrize("classes", range(2, 131))
+    def test_class_max_equals_numpys_max_bitwise(self, classes):
+        rng = np.random.default_rng(classes)
+        logits = class_rows(rng, classes).reshape(4, 16, classes)
+        assert np.array_equal(bits(models._class_max(logits)), bits(logits.max(axis=-1)))
+        out = np.empty(logits.shape[:-1])
+        assert models._class_max(logits, out) is out
+
+    @pytest.mark.parametrize("classes", [2, 3, 9, 17, 33, 130])
+    def test_zero_maxima_of_either_sign_shift_the_softmax_alike(self, classes):
+        # numpy's vectorised max may return either zero for a row of +0 and -0 ties;
+        # x - 0.0 and x - (-0.0) are equal for every x but a zero, and exp(+-0) == 1
+        rng = np.random.default_rng(classes)
+        logits = np.where(rng.random((8, classes)) < 0.5, -0.0, 0.0)
+        logits[4:, 0] = -1.0
+        ours, numpys = models._class_max(logits), logits.max(axis=-1)
+        assert np.array_equal(ours, numpys)
+        shifted = [np.exp(logits - row[:, None]) for row in (ours, numpys)]
+        assert np.array_equal(bits(shifted[0]), bits(shifted[1]))
+
+    @pytest.mark.parametrize("classes", range(2, 131))
+    def test_class_sum_equals_numpys_sum_bitwise(self, classes):
+        rng = np.random.default_rng(1000 + classes)
+        logits = class_rows(rng, classes).reshape(4, 16, classes)
+        logits[0, :4] = np.exp(rng.normal(size=(4, classes)) * 30)  # softmax terms
+        logits[0, 4, :] = -0.0
+        assert np.array_equal(bits(models._class_sum(logits)), bits(logits.sum(axis=-1)))
+
+    @pytest.mark.parametrize("classes", [1, 129, 130, 200])
+    def test_class_sum_falls_back_to_numpy_outside_its_range(self, classes):
+        # numpy splits rows past 128 terms in halves, which the column replay would not match
+        logits = class_rows(np.random.default_rng(classes), classes, rows=256)
+        assert np.array_equal(bits(models._class_sum(logits)), bits(logits.sum(axis=-1)))
