@@ -28,7 +28,6 @@ from .engine import (
     Problem,
     build_problem,
     client_batches,
-    client_rng,
     gossip_mix,
     ole_init,
     run_experiment,

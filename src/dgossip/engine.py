@@ -23,24 +23,18 @@ their unweighted average.
 Determinism contract: one thread runs every round, with no thread pool
 and no order that depends on scheduling, and numpy's OpenBLAS is held at
 one thread while a run executes (:mod:`dgossip.blas`).  Every client owns
-a private stream derived from (seed, client, round) and draws its
-minibatches from it alone: exactly
-``default_rng([seed, 0, client, round]).integers(0, n, size=(K, B))``
-(:func:`client_rng`).  Every key is known before round 0, so
-:func:`iter_rounds` draws the batches of every participant of a block of
-rounds in one vectorised pass (:func:`client_batches`), a bitwise replay
-of numpy's seeding, PCG64 and bounded Lemire draw that tests pin to the
-installed numpy; a client whose draw numpy would reject and redo, which
-is rare, is drawn through :func:`client_rng` itself, as is every client
-of a draw long enough for numpy's own loop to be faster.  Gossip
-accumulates each row over a fixed neighbour table in ascending client
-order.  Results are therefore bitwise reproducible, and equal to
-training each client on its own.
+a private counter-based stream keyed by (seed, client, round) and draws
+its minibatches from it alone (:func:`client_batches`): exact uint64
+arithmetic on SplitMix64's mix, with no numpy ``Generator`` involved.
+Every key is known before round 0, so :func:`iter_rounds` draws the
+batches of every participant of a block of rounds in one vectorised
+call.  Gossip accumulates each row over a fixed neighbour table in
+ascending client order.  Results are therefore bitwise reproducible, and
+equal to training each client on its own.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -87,7 +81,6 @@ __all__ = [
     "ExperimentResult",
     "ConfigError",
     "DivergenceError",
-    "client_rng",
     "client_batches",
     "participants",
     "ole_init",
@@ -211,8 +204,8 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("local_steps must be >= 1")
     if cfg.eval_every < 1:
         raise ConfigError("eval_every must be >= 1")
-    if cfg.seed < 0 or (cfg.topology is not None and cfg.topology.seed < 0):
-        raise ConfigError("seed and topology.seed must be >= 0")
+    if not 0 <= cfg.seed < 2**64 or (cfg.topology is not None and cfg.topology.seed < 0):
+        raise ConfigError("seed must be in [0, 2**64) and topology.seed >= 0")  # the draw keys on 64-bit words
 
     beta = cfg.beta if algo in LOOKAHEAD_KINDS else 0.0
     local_steps = 1 if algo is AlgorithmKind.DPSGD else cfg.local_steps
@@ -307,225 +300,88 @@ def _subseed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-def client_rng(seed: int, client: int, t: int) -> np.random.Generator:
-    """The private stream from which ``client`` draws its round-``t`` minibatches."""
-    return np.random.default_rng([seed, _DOM_CLIENT, client, t])
-
-
-def _words(n: int) -> list[int]:
-    """``n`` as SeedSequence splits it: little-endian uint32 words, at least one."""
-    return [n >> s & 0xFFFFFFFF for s in range(0, max(n.bit_length(), 1), 32)]
-
-
-@functools.cache
-def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """SeedSequence's hash constant before each of ``count`` hashmix calls, as a shared read-only column."""
-    consts = np.array([init] + [mult] * count, dtype=np.uint32).cumprod(dtype=np.uint32)[:, None]
-    consts.flags.writeable = False
-    return consts
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix on uint32 arrays, one hash constant pair per row."""
-    value = (value ^ xor) * mul
-    return value ^ value >> 16
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix: MIX_MULT_L * x - MIX_MULT_R * y, then an xorshift."""
-    x = x * 0xCA01F9DD - y * 0x4973F715
-    return x ^ x >> 16
-
-
-_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)  # (INIT_x, MULT_x)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG_DEFAULT_MULTIPLIER_128
-# hashmix call 4 + 3 s + (d - (d > s)) mixes pool word s into word d != s; row s is a dummy
-_POOL_CALLS = np.array([[4 + 3 * s + d - (d > s) if d != s else 0 for d in range(4)] for s in range(4)])
-_POOL_XOR, _POOL_MUL = (_hash_consts(*_HASH_A, 16)[_POOL_CALLS + j] for j in (0, 1))
-
-
-_S32, _LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)  # uint64 scalars, so that numpy 1.x keeps the dtype
-
-
-def _seed_words(seed: int, clients: np.ndarray, rounds: np.ndarray) -> np.ndarray:
-    """SeedSequence([seed, 0, clients[i], rounds[i]]).generate_state(4, uint64) for each column i: (4, m) uint64.
-
-    The entropy hash (numpy/random/bit_generator.pyx) runs as uint32
-    arithmetic with one column per key, the hashmix calls that share a
-    source word as one op.  A round past 2**32 - 1 splits into two words;
-    its high word is the last one hashed, a step that columns of shorter
-    rounds skip.
-    """
-    head = _words(seed) + [_DOM_CLIENT]
-    long = rounds > _LOW32
-    entropy = np.empty((len(head) + 2 + long.any(), len(clients)), dtype=np.uint32)
-    entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
-    entropy[len(head)] = clients
-    entropy[len(head) + 1] = rounds & _LOW32
-    entropy[len(head) + 2 :] = rounds >> _S32
-    consts = _hash_consts(*_HASH_A, 4 * len(entropy))
-    pool = _hashmix(entropy[:4], consts[:4], consts[1:5])
-    for src in range(4):  # mix each pool word into the other three
-        mixed = _mix(pool, _hashmix(pool[src], _POOL_XOR[src], _POOL_MUL[src]))
-        mixed[src] = pool[src]
-        pool = mixed
-    for k in range(16, 4 * len(entropy), 4):  # then each further entropy word into all four
-        mixed = _mix(pool, _hashmix(entropy[k // 4], consts[k : k + 4], consts[k + 1 : k + 5]))
-        pool = np.where(long, mixed, pool) if k // 4 == len(head) + 2 else mixed
-    out = _hash_consts(*_HASH_B, 8)
-    state = _hashmix(np.tile(pool, (2, 1)), out[:-1], out[1:])
-    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").T.astype(np.uint64)
-
-
-_TILE_WORDS = 2**11  # PCG64 outputs drawn per tile; each uint64 temporary of a tile is 16 KiB
-# values per column past which numpy's own per-client loop draws faster than the replay
-# (at m=100 on a 2-core host: 3.7 vs 3.6 ms at K*B = 1024, 5.1 vs 4.1 ms at 1280)
-_REPLAY_VALUES = 1024
+# SplitMix64 (Steele, Lea & Flood 2014): its increment (the golden ratio) and its finaliser's multipliers
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1, _MIX_2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_CHUNK_VALUES = 2**13  # values client_batches draws per row chunk; each uint64 temporary of a chunk is 64 KiB
 _BLOCK_INDICES = 2**15  # minibatch indices iter_rounds draws in one call: 256 KiB of int64
 
 
-def _split(hi: np.ndarray, lo: np.ndarray) -> tuple:
-    """A 128-bit value as _mul128 reads it: (lo, lo's low and high 32 bits, hi)."""
-    return lo, lo & _LOW32, lo >> _S32, hi
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finaliser, in place on a uint64 array."""
+    z ^= z >> 30
+    z *= _MIX_1
+    z ^= z >> 27
+    z *= _MIX_2
+    z ^= z >> 31
+    return z
 
 
-def _mul128(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) of a * b mod 2**128 for _split values.
-
-    The high word of the 64x64-bit low product is summed from 32-bit limb
-    products, each exact in uint64; everything else wraps mod 2**64.  The
-    sums run in place, so few product-sized temporaries are live at once.
-    """
-    a_lo, a0, a1, a_hi = a
-    b_lo, b0, b1, b_hi = b
-    cross = a0 * b0
-    cross >>= _S32
-    cross += a0 * b1
-    carry = a1 * b0
-    carry += cross & _LOW32
-    hi = a1 * b1
-    hi += cross >> _S32
-    hi += carry >> _S32
-    hi += a_hi * b_lo
-    hi += a_lo * b_hi
-    return hi, a_lo * b_lo
-
-
-@functools.lru_cache(maxsize=8)
-def _pcg64_jumps(n: int) -> tuple:
-    """PCG64's i-step jumps (A_i, C_i) for i = 1 .. n, as a read-only _split value of shape (2, 1, n).
-
-    After i steps a state s is A_i s + C_i inc, with A_i = MULT**i and
-    C_i = sum_{k<i} MULT**k (mod 2**128).
-    """
-    a, c, rows = 1, 0, []
-    for _ in range(n):
-        a, c = a * _PCG64_MULT % 2**128, (c * _PCG64_MULT + 1) % 2**128
-        rows.append(((a >> 64, c >> 64), (a & 2**64 - 1, c & 2**64 - 1)))
-    hi, lo = np.array(rows, dtype=np.uint64).transpose(1, 2, 0)[:, :, None]
-    jumps = _split(hi, lo)
-    for words in jumps:
-        words.flags.writeable = False
-    return jumps
-
-
-def _pcg64_starts(seed: int, clients: np.ndarray, rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(hi, lo) words of each column's s + inc, then its inc: (2, m, 1) uint64 each.
-
-    numpy's PCG64 takes SeedSequence's words (s, i) as its seed and stream,
-    sets inc = 2 i + 1, and starts one step past s + inc.
-    """
-    s_hi, s_lo, i_hi, i_lo = _seed_words(seed, clients, rounds)
-    inc_hi, inc_lo = i_hi << np.uint64(1) | i_lo >> np.uint64(63), i_lo << np.uint64(1) | np.uint64(1)
-    lo = s_lo + inc_lo
-    hi = np.stack([s_hi + inc_hi + (lo < inc_lo), inc_hi])[:, :, None]
-    return hi, np.stack([lo, inc_lo])[:, :, None]
-
-
-def _pcg64_outputs(jumps: tuple, base_hi: np.ndarray, base_lo: np.ndarray, w: int) -> np.ndarray:
-    """PCG64's XSL-RR outputs of the states 2 .. w + 1 steps past each column's base state.
-
-    ``base_hi`` and ``base_lo`` are (2, cols, 1): s + inc, then inc.  s + inc
-    is one step before the seeded state, and the generator steps before it
-    outputs, so these are the stream's first w outputs.
-    """
-    jumped = _mul128([v[..., 1 : 1 + w] for v in jumps], _split(base_hi, base_lo))
-    (st_hi, inc_hi), (st_lo, inc_lo) = jumped  # A_i * state and C_i * inc
-    st_lo += inc_lo
-    st_hi += inc_hi
-    st_hi += st_lo < inc_lo
-    x = st_hi ^ st_lo  # XSL-RR: xor the halves, rotate right by the top 6 bits
-    rot = st_hi >> np.uint64(58)
-    left = x << (np.uint64(64) - rot & np.uint64(63))
-    x >>= rot
-    x |= left
-    return x
-
-
-def _bounded(x: np.ndarray, n: np.ndarray, threshold: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Lemire's bounded draw of each column's uint32 values into ``out``; True where numpy would reject one.
-
-    Row i of ``x`` holds column i's PCG64 outputs, and its uint32 stream is
-    each output's low half, then its high half.
-    """
-    stream = x.astype("<u8", copy=False).view("<u4")[:, : out.shape[1]]
-    prod = np.multiply(stream, n, dtype=np.uint64)
-    halves = prod.astype("<u8", copy=False).view("<u4")  # each product's low word, then its high word
-    out[:] = halves[:, 1::2]
-    return (halves[:, ::2] < threshold).any(axis=1)
+def _bounded(z: np.ndarray, n: np.ndarray, threshold: np.ndarray, out=None) -> np.ndarray:
+    """Lemire's index u * n >> 32 of each value's high word u, in place; True where the value is rejected."""
+    z >>= 32
+    z *= n
+    rejected = np.less(z & 0xFFFFFFFF, threshold, out=out)
+    z >>= 32
+    return rejected
 
 
 def client_batches(seed: int, clients, rounds, sizes, k_steps: int, batch_size: int) -> np.ndarray:
-    """(K, m, B) minibatch indices; column i is ``client_rng(seed, clients[i], rounds[i]).integers(0, sizes[i], size=(K, B))``.
+    """(K, m, B) minibatch indices: column i draws uniformly with replacement from ``sizes[i]`` samples.
 
-    ``rounds`` gives each column's round, or one round for all of them, so
-    one call can draw a round's participants or a block of rounds.  A
-    bitwise replay of numpy's draw for all columns at once:
+    Column i reads the private stream of client ``clients[i]`` in round
+    ``rounds[i]`` (or one round for all columns), so one call can draw a
+    round's participants or a block of rounds.  The stream is counter-based
+    (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3")
+    on SplitMix64's finaliser mix64 and increment gamma, all mod 2**64:
 
-    1. seeding: SeedSequence's hash of each column's key
-       (:func:`_seed_words`) gives PCG64's seed s and stream inc, and its
-       first state is one step past s + inc;
-    2. stream: the j-th output of a column is PCG64's XSL-RR function of
-       the state j steps further, one jump (:func:`_pcg64_jumps`) from
-       s + inc, or from the last state of the tile before.  Each 64-bit
-       output gives two uint32 values, low half first, as PCG64's
-       ``has_uint32`` buffer hands them out;
-    3. bounded draw: each value u becomes the index u * n >> 32 (Lemire
-       2019, "Fast random integer generation in an interval"), which numpy
-       rejects and draws again when the product's low word is below
-       (2**32 - n) mod n.  For n == 1 that index is 0, as numpy's, which
-       fills a one-sample draw with zeros without using the stream.
+    1. key: from 0, each word of (seed, 0, client, round) is taken in as
+       key = mix64((key + gamma) ^ word);
+    2. stream: value j of the column, from 0, is mix64(key + (j + 1) gamma),
+       computed directly, so no state is carried from one value to the next;
+    3. bounded draw: the high 32 bits u of a value give the index
+       u * n >> 32 (Lemire 2019, "Fast random integer generation in an
+       interval"), unless the product's low word is below (2**32 - n) mod n.
+       Entry j of a rejected value takes value j + r*K*B at its r-th retry,
+       past the column's first K*B.  n == 1 rejects nothing and draws zeros.
 
-    A column with any rejection among its first K*B values, or whose
-    shard size numpy draws from by another path (64-bit Lemire from
-    2**32), is drawn through :func:`client_rng` itself, so the result is
-    exact by construction.  So is every column of a draw longer than
-    ``_REPLAY_VALUES`` values, where numpy's own loop is the faster one.
-    Columns go in tiles of at most ``_TILE_WORDS`` outputs, so the
-    temporaries stay small beside the (K, m, B) result.
+    Step k holds values k*B to (k+1)*B - 1 of the column.  The draw runs in
+    place in the result, rows of at most ``_CHUNK_VALUES`` values at a
+    time, so its temporaries stay small beside it.  Shard sizes outside
+    [1, 2**32) raise ValueError.
     """
-    clients = np.asarray(clients)
-    rounds = np.broadcast_to(np.asarray(rounds, dtype=np.uint64), clients.shape)
     sizes = np.asarray(sizes, dtype=np.int64)
-    m, count = len(clients), k_steps * batch_size
+    if sizes.size and not (sizes.min() >= 1 and sizes.max() < 2**32):
+        raise ValueError(f"shard sizes must be in [1, 2**32), got {sizes.min()} to {sizes.max()}")
+    key = np.zeros(len(sizes), dtype=np.uint64)
+    for word in (seed, _DOM_CLIENT, clients, rounds):
+        key += _GAMMA
+        key ^= np.asarray(word, dtype=np.uint64)
+        _mix64(key)
+    m, count = len(key), k_steps * batch_size
+    n = sizes.astype(np.uint64)[:, None]
+    threshold = (np.uint64(2**32) - n) % n
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    steps *= _GAMMA
     out = np.empty((m, count), dtype=np.int64)
-    redraw = (sizes < 1) | (sizes >= 2**32)  # off numpy's 32-bit Lemire path
-    if count > _REPLAY_VALUES:
-        redraw[:] = True
-    else:
-        hi, lo = _pcg64_starts(seed, clients, rounds)
-        n = np.where(redraw, 1, sizes).astype(np.uint64)[:, None]
-        threshold = (np.uint64(2**32) - n) % n
-        words = -(-count // 2)
-        jumps = _pcg64_jumps(words + 1)
-        width = max(1, _TILE_WORDS // words)
-        for c0 in range(0, m, width):
-            cols = slice(c0, c0 + width)
-            x = _pcg64_outputs(jumps, hi[:, cols], lo[:, cols], words)
-            redraw[cols] |= _bounded(x, n[cols], threshold[cols], out[cols])
-            del x  # no tile's temporaries outlive it
-    for i in np.flatnonzero(redraw):
-        out[i] = client_rng(seed, int(clients[i]), int(rounds[i])).integers(0, int(sizes[i]), size=count)
+    values = out.view(np.uint64)
+    rejected = np.empty((m, count), dtype=bool)
+    rows = max(1, _CHUNK_VALUES // count)
+    for r0 in range(0, m, rows):
+        chunk = slice(r0, r0 + rows)
+        np.add(key[chunk, None], steps, out=values[chunk])
+        _bounded(_mix64(values[chunk]), n[chunk], threshold[chunk], out=rejected[chunk])
+    row, col = np.nonzero(rejected)
+    tries = 0
+    while row.size:  # retry only the rejected entries, all at once
+        tries += 1
+        retry = col.astype(np.uint64)
+        retry += np.uint64(tries * count + 1)
+        retry *= _GAMMA
+        retry += key[row]
+        again = _bounded(_mix64(retry), n[row, 0], threshold[row, 0])
+        out[row[~again], col[~again]] = retry[~again]
+        row, col = row[again], col[again]
     return out.reshape(m, k_steps, batch_size).transpose(1, 0, 2)
 
 

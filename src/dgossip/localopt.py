@@ -3,10 +3,11 @@
 Client models are the rows of an (m, p) stack and every optimizer step
 updates all rows together through one stacked gradient call
 (:func:`models.batch_grads`).  Each row still sees only its own client's
-minibatch, drawn from that client's own stream (the engine replays the
-generators of every participant of a block of rounds in one pass,
+minibatch, drawn from that client's own (seed, client, round) stream (the
+engine draws every participant of a block of rounds in one call,
 :func:`engine.client_batches`, and hands each round its slice), so a row
 of the stack is bitwise the trajectory the client would follow alone.
+The one-client form takes a numpy ``Generator`` in place of the indices.
 
 Each :func:`local_train` call builds one :class:`models.Workspace` and
 hands it to every step: its K steps and both gradient calls of a SAM

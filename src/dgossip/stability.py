@@ -20,7 +20,7 @@ from .engine import (
     ConfigError,
     ExperimentConfig,
     Problem,
-    client_rng,
+    client_batches,
     iter_rounds,
     participants,
     validated,
@@ -57,9 +57,7 @@ def first_draw(
     for t in range(cfg.rounds):
         if client not in participants(cfg, cfg.m, t):
             continue
-        rows = client_rng(cfg.seed, client, t).integers(
-            0, shard_size, size=(cfg.local_steps, cfg.optimizer.batch_size)
-        )
+        rows = client_batches(cfg.seed, [client], t, [shard_size], cfg.local_steps, cfg.optimizer.batch_size)[:, 0]
         hit = (rows == sample).any(axis=1)
         if hit.any():
             return t, int(np.argmax(hit))

@@ -10,10 +10,11 @@ ascending-j gossip sum.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from dgossip.engine import client_batches, client_rng, gossip_mix
+from dgossip.engine import client_batches, gossip_mix
 from dgossip.localopt import OptimizerConfig, local_train
 from dgossip.models import ModelSpec, Shard, ShardStack, loss_and_grad, quadratic_testbed
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing
+from stream_reference import column
 
 
 def reference_loss_grad(spec, x, feats, labels):
@@ -189,13 +190,13 @@ class TestBatchDraws:
         st.integers(0, 2**31),
     )
     def test_one_draw_per_client_equals_k_draws(self, sizes, k_steps, batch_size, seed):
-        # the engine draws all K batches at once; each client's stream still gives K size-B draws
+        # the engine draws all K batches at once; step k is the k-th run of B values of each client's stream
         rows = client_batches(seed, range(len(sizes)), 3, sizes, k_steps, batch_size)
         assert rows.shape == (k_steps, len(sizes), batch_size)
         for i, n in enumerate(sizes):
-            rng = client_rng(seed, i, 3)
+            values = column(seed, i, 3, n, k_steps * batch_size)
             for k in range(k_steps):
-                assert np.array_equal(rows[k, i], rng.integers(0, n, size=batch_size))
+                assert rows[k, i].tolist() == values[k * batch_size : (k + 1) * batch_size]
 
 
 def dense_gossip(z, w):

@@ -21,7 +21,6 @@ from dgossip.engine import (
     RoundInfo,
     build_problem,
     client_batches,
-    client_rng,
     gossip_mix,
     iter_rounds,
     ole_init,
@@ -36,6 +35,7 @@ from dgossip.metrics import consensus_distance
 from dgossip.models import ModelSpec, ShardStack, quadratic_testbed
 from dgossip.stability import first_draw
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing, chebyshev_modified
+from stream_reference import GAMMA, MASK, column, mix64, reference_draws, stream_key
 
 
 def logistic_cfg(**overrides):
@@ -152,6 +152,13 @@ class TestValidation:
     def test_topology_m_mismatch(self):
         with pytest.raises(ConfigError, match="topology.m"):
             validated(logistic_cfg(topology=TopologySpec(TopologyKind.RING, 4)))
+
+    def test_seed_is_one_64_bit_word(self):
+        # the minibatch stream takes the seed in as one uint64 word
+        assert validated(logistic_cfg(seed=2**64 - 1)).seed == 2**64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="seed"):
+                validated(logistic_cfg(seed=seed))
 
 
 class TestBuildProblem:
@@ -480,17 +487,6 @@ class TestConsensusDynamics:
             assert slope < 0, f"{algo}: slope {slope}"
 
 
-def reference_draws(seed, clients, t, sizes, k_steps, batch_size):
-    """(K, n, B) minibatch indices, one default_rng([seed, 0, client, t]) per column; t may differ by column."""
-    return np.stack(
-        [
-            np.random.default_rng([seed, 0, int(i), int(r)]).integers(0, int(n), size=(k_steps, batch_size))
-            for i, r, n in zip(clients, np.broadcast_to(t, len(clients)), sizes)
-        ],
-        axis=1,
-    )
-
-
 def assert_draws_equal_reference(seed, clients, t, sizes=None, k_steps=3, batch_size=5):
     clients = np.asarray(clients)
     if sizes is None:
@@ -500,20 +496,8 @@ def assert_draws_equal_reference(seed, clients, t, sizes=None, k_steps=3, batch_
     assert np.array_equal(rows, reference_draws(seed, clients, t, sizes, k_steps, batch_size))
 
 
-@pytest.fixture
-def redraws(monkeypatch):
-    """The clients that client_batches redraws through client_rng, in call order."""
-    calls = []
-
-    def counted(seed, client, t):
-        calls.append(client)
-        return client_rng(seed, client, t)
-
-    monkeypatch.setattr(engine, "client_rng", counted)
-    return calls
-
-
 class TestClientStreams:
+    # the reference is the scalar version of the stream in stream_reference.py
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**63 - 1])
     @pytest.mark.parametrize("t", [0, 1, 119, 2**33])
     def test_every_stream_equals_its_default_rng(self, seed, t):
@@ -525,7 +509,7 @@ class TestClientStreams:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.integers(0, 2**63 - 1),
+        st.integers(0, 2**64 - 1),
         st.integers(0, 2**40 - 1),
         st.lists(st.integers(0, 199), min_size=1, max_size=40, unique=True),
         st.integers(1, 4),
@@ -533,52 +517,81 @@ class TestClientStreams:
         st.sampled_from([None, 2**31 + 1, 2**32 - 1]),
     )
     def test_random_subsets_equal_their_default_rng(self, seed, t, clients, k_steps, batch_size, size):
-        # sizes near 2**32 make numpy reject up to half of all values
+        # sizes near 2**32 reject up to half of all values
         sizes = None if size is None else np.full(len(clients), size)
         assert_draws_equal_reference(seed, sorted(clients), t, sizes, k_steps, batch_size)
 
+    @pytest.mark.parametrize(
+        "seed, client, t, n", [(2**63 - 1, 5, 2**33, 1000), (0, 0, 0, 1), (2**64 - 1, 2**20, 2**32 - 1, 7)]
+    )
+    def test_columns_pin_to_the_scalar_version(self, seed, client, t, n):
+        rows = client_batches(seed, [client], t, [n], 4, 8)
+        assert rows[:, 0].ravel().tolist() == column(seed, client, t, n, 32)
+
+    def test_the_scalar_mix_is_splitmix64(self):
+        # the first outputs of SplitMix64 seeded with 0: state += gamma, then the finaliser
+        state, outputs = 0, []
+        for _ in range(3):
+            state += GAMMA
+            outputs.append(mix64(state & MASK))
+        assert outputs == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
     @pytest.mark.parametrize("k_steps, batch_size", [(1, 1), (1, 32), (3, 5), (5, 32), (7, 3)])
     def test_odd_and_even_draw_counts(self, k_steps, batch_size):
-        # an odd K*B leaves the high half of the last 64-bit output unused
+        # a row chunk holds whole columns, whatever their length
         assert_draws_equal_reference(11, np.arange(30), 4, k_steps=k_steps, batch_size=batch_size)
 
-    def test_common_shard_sizes_draw_in_one_pass(self, redraws):
+    def test_common_shard_sizes_draw_in_one_pass(self):
         assert_draws_equal_reference(5, np.arange(100), 3, sizes=np.arange(2, 102), k_steps=1, batch_size=32)
-        assert redraws == []
 
-    def test_one_sample_and_huge_shards_take_the_reference(self, redraws):
-        # numpy fills integers(0, 1) with zeros without consuming the stream, which the
-        # replay matches; sizes past 2**32 go by 64-bit Lemire, so those clients take the reference
-        sizes = np.array([1, 40, 2**32, 7, 1, 9, 2**40 + 1])
-        assert_draws_equal_reference(2, np.arange(7), 9, sizes=sizes)
-        assert redraws == [2, 6]
-        assert (client_batches(2, np.arange(7), 9, sizes, 3, 5)[:, sizes == 1] == 0).all()
+    def test_one_sample_shards_draw_zeros_and_out_of_range_sizes_raise(self):
+        sizes = np.array([1, 40, 2**32 - 1, 7, 1, 9])
+        assert_draws_equal_reference(2, np.arange(6), 9, sizes=sizes)
+        assert (client_batches(2, np.arange(6), 9, sizes, 3, 5)[:, sizes == 1] == 0).all()
+        for bad in (0, 2**32, 2**40 + 1):
+            with pytest.raises(ValueError, match="shard sizes"):
+                client_batches(2, np.arange(3), 9, [40, bad, 7], 3, 5)
 
-    def test_rejected_values_fall_back_to_the_reference(self, redraws):
-        # with n = 3 * 2**29 Lemire's method rejects a quarter of all values
-        sizes = np.where(np.arange(40) % 2 == 0, 3 * 2**29, 1000)
-        assert_draws_equal_reference(8, np.arange(40), 6, sizes=sizes, k_steps=1, batch_size=4)
-        assert 0 < len(redraws) < 20 and all(i % 2 == 0 for i in redraws)
+    def test_rejected_values_are_drawn_again_past_the_column(self):
+        # with n = 2**31 + 1 Lemire's method rejects almost half of all values
+        n = 2**31 + 1
+        args = (8, np.arange(40), 6, np.full(40, n), 2, 16)
+        rows = client_batches(*args)
+        assert rows.min() >= 0 and rows.max() < n
+        assert np.array_equal(rows, client_batches(*args))
+        assert np.array_equal(rows, reference_draws(*args))
+        # about half the entries reject their first value, so the retry path carries the draw
+        keys = [stream_key(8, i, 6) for i in range(40)]
+        first = np.array([mix64(key + (j + 1) * GAMMA & MASK) >> 32 for key in keys for j in range(32)], np.uint64)
+        rejected = (first * n & 0xFFFFFFFF) < (2**32 - n) % n
+        assert 0.4 < rejected.mean() < 0.6
+
+    @pytest.mark.parametrize("n", [2, 7, 100, 1000])
+    def test_bincounts_over_2000_keys_are_uniform(self, n):
+        # chi-square of all indices, and of each key's first index, below the 1e-6 upper quantile
+        critical = {2: 23.93, 7: 38.26, 100: 180.79, 1000: 1226.05}[n]
+        rows = client_batches(123, np.arange(2000) % 100, np.arange(2000) // 100, np.full(2000, n), 5, 10)
+        samples = [rows.ravel()] + ([rows[0, :, 0]] if n <= 100 else [])
+        for values in samples:
+            expected = values.size / n
+            chi2 = ((np.bincount(values, minlength=n) - expected) ** 2 / expected).sum()
+            assert chi2 < critical, (n, values.size, chi2)
+
+    def test_streams_of_neighbouring_keys_do_not_overlap(self):
+        # near n = 2**32 an index is almost a raw value; 100k values of 2**32 repeat about once by chance,
+        # while streams that are shifts of each other would share almost all of them
+        rows = client_batches(4, np.arange(1000), 7, np.full(1000, 2**32 - 1), 10, 10)
+        assert np.unique(rows).size >= rows.size - 10
 
     @pytest.mark.parametrize("m, k_steps, batch_size", [(3, 2, 16391), (300, 3, 41)])
     def test_draws_spanning_several_blocks(self, m, k_steps, batch_size):
-        # more PCG64 outputs per client, or more clients, than one tile of the draw holds
-        assert m * -(-k_steps * batch_size // 2) > engine._TILE_WORDS
+        # more values per client, or more clients, than one row chunk of the draw holds
+        assert m * k_steps * batch_size > engine._CHUNK_VALUES
         assert_draws_equal_reference(3, np.arange(m), 1, k_steps=k_steps, batch_size=batch_size)
-
-    def test_long_draws_take_numpys_own_loop(self, redraws):
-        # past _REPLAY_VALUES values per column the per-client draw is the faster one
-        clients, sizes = np.arange(100), 2 + np.arange(100) % 90
-        assert_draws_equal_reference(4, clients, 2, sizes=sizes, k_steps=200, batch_size=32)
-        assert redraws == list(range(100))
-        redraws.clear()
-        k_steps = engine._REPLAY_VALUES // 32
-        assert_draws_equal_reference(4, clients, 2, sizes=sizes, k_steps=k_steps, batch_size=32)
-        assert redraws == []
 
     @pytest.mark.parametrize("seed", [7, 2**40 + 3])
     def test_rounds_either_side_of_32_bits_in_one_call(self, seed):
-        # SeedSequence hashes t = 2**32 - 1 as one entropy word and t = 2**32 as two
+        # each round is taken in as one 64-bit word, whatever its size
         rounds = np.array([2**32 - 1, 2**32, 0, 2**32 + 5, 2**32 - 1, 2**33, 2**32])
         clients = np.array([0, 1, 2, 3, 4, 5, 0])
         assert_draws_equal_reference(seed, clients, rounds)
@@ -589,7 +602,7 @@ class TestClientStreams:
     def test_temporaries_stay_below_the_result(self, m, k_steps, batch_size):
         # a block of rounds' draws: 16 clients a round over m // 16 rounds
         args = (3, np.arange(m) % 16, np.arange(m) // 16, 2 + np.arange(m) % 90, k_steps, batch_size)
-        client_batches(*args)  # the jump table is cached on the first call
+        client_batches(*args)  # a first call, so that nothing allocated once is counted
         tracemalloc.start()
         try:
             rows = client_batches(*args)
@@ -625,10 +638,8 @@ class TestClientStreams:
             if client not in clients:
                 continue
             mine = rows[:, clients.index(client)]
-            replay = client_rng(cfg.seed, client, t).integers(
-                0, size, size=(cfg.local_steps, cfg.optimizer.batch_size)
-            )
-            assert np.array_equal(mine, replay)
+            replay = reference_draws(cfg.seed, [client], t, [size], cfg.local_steps, cfg.optimizer.batch_size)
+            assert np.array_equal(mine, replay[:, 0])
             hit = (mine == sample).any(axis=1)
             if expected is None and hit.any():
                 expected = (t, int(np.argmax(hit)))
@@ -679,9 +690,8 @@ class TestClientStreams:
         assert sorted(drawn) == list(range(rounds))
         for t, draws in drawn.items():
             clients = participants(cfg, cfg.m, t)
+            sizes = problem.shards.sizes[clients]
             assert draws.shape == (cfg.local_steps, len(clients), batch_size)
-            for j, client in enumerate(clients):
-                ref = client_rng(seed, client, t).integers(
-                    0, problem.shards.sizes[client], size=(cfg.local_steps, batch_size)
-                )
-                assert np.array_equal(draws[:, j], ref)
+            # the block's slice equals the round drawn on its own, and both the scalar stream
+            assert np.array_equal(draws, client_batches(seed, clients, t, sizes, cfg.local_steps, batch_size))
+            assert np.array_equal(draws, reference_draws(seed, clients, t, sizes, cfg.local_steps, batch_size))

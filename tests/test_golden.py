@@ -9,10 +9,15 @@ A change that is meant to keep the numerics, such as a refactor or an
 optimisation, must leave every hash unchanged.  A change
 that alters them on purpose replaces the hash and says why in CHANGES.md.
 
-The hashes are tied to the BLAS kernels they were recorded with (numpy
-2.4.6 on the scipy-openblas 0.3.31 build, x86-64 with AVX-512).  Another
-BLAS build or CPU kernel may round matrix products differently and fail
-these tests although nothing in the program changed.
+The minibatches come from the engine's own counter-based SplitMix64
+stream (``engine.client_batches``), exact uint64 arithmetic that no
+numpy ``Generator`` takes part in, so the draws are the same under any
+numpy version.  The data, partition, init and coordinator streams still
+come from numpy's ``SeedSequence`` and ``default_rng``.  The hashes are
+tied to the BLAS kernels they were recorded with (numpy 2.4.6 on the
+scipy-openblas 0.3.31 build, x86-64 with AVX-512).  Another BLAS build or
+CPU kernel may round matrix products differently and fail these tests
+although nothing in the program changed.
 """
 
 import hashlib
@@ -52,48 +57,48 @@ RUNS = {
 # (sha256 of final_x.tobytes(), sha256 of the metrics.csv bytes)
 RUN_HASHES = {
     "diagnostics[fedsam_central]": (
-        "9b53372929bfdddb59c69cfcbd57b712157dc2b7c52fb2ad5bf367f6f24e86bb",
-        "c94e43eb8465d4c18b9ac353d3295d7929af8330d79922d35b89e6ab9a349e56",
+        "dc230f3bb544ab434b173a0f2f9076e449a27787738a90245959a72639cfb067",
+        "1152626f9bd1716c3411306bca8a2b1062f25af9e03472b304e16b3fe70b4421",
     ),
     "diagnostics[oled_sam]": (
-        "6a7c69c76e3f495d1c7380671b8baca714fdcf09701510bed90d577a3de961ed",
-        "7f09c34efff5e7af31f8fb84ff24e5190bff81eb8597b0213a7c0b5f628568ef",
+        "0a4317b51477f308d8901d3f6979cc064d02129ff9914b8bde9b929a969e5280",
+        "e69392fccdd690de1b9d4f48f101aa0cdd70ad1c7d42ec19c327d163db6d76d6",
     ),
     "large_random_topology": (
-        "02e43686f41b618b56cdf0f209e66c08a42506ebedf6632ed16a7903a3ecb02c",
-        "6d028d99c9a0e52b17a38cd8728cf94a4b28588afc982a0097baeb66b963d0e7",
+        "5cd0b9e3ff48943fe27e26469015ed872f4e10cfbcc73c4d66d076f92a50dd59",
+        "1de5dbef379ee527a0c61f0bf71c475757fdf844b6e712eef67a52c423f47615",
     ),
     "logistic[dfedavg]": (
-        "b9f9a19aba4f15bdb8ceac4c8e24f2cae8d40721a992a8bae832438ad275933d",
-        "4a88303dd37635a6b404f2fe03010874b010c00ff62f80c01711d5f2b556148a",
+        "29a8d70bb9cf19c5759f58d156e2f275a0a9773ab16ba5a1e1aa6939b25c4d23",
+        "7253553f57696b94e4c1b8cd515b997b08efe9c001d27376cde885b4df1cdf2a",
     ),
     "logistic[dfedavgm]": (
-        "cf2ddcfcb65a9c84f7c8c707aa1aa6d140ece709c06abc33911d923d95639f7c",
-        "46b1914990c031f5ade009f5fbb490565e4ef761123fab614c025d027d4fe7ae",
+        "5f1b1dbd9c79b351b5b266c8f7023e918a816a319b999b3e41bdf1bc6e2a927e",
+        "a65d83ed59fb3dd45e3a073ebc96018391a06582f35c4aab888cd3ca1ee3bb3d",
     ),
     "logistic[dfedsam]": (
-        "84b3a7f1414efc8f42e6d390cc6cc96a3efe41895aecf98580d5c9fa4bcf5497",
-        "adfd523ec6531b1d8f97f9fdae406d939692a51b13c45177fbfe33e33db99154",
+        "1074449b001dc9c51ad85241aaaf4dcc8afc9ead6a36f96172c86964f5da8ee4",
+        "df6d9116e0e2f18f38a3dca541abc5b17ef5ce9450ce2af1b30ad92a231ba671",
     ),
     "logistic[dpsgd]": (
-        "a8d8b03f53783cb618b152c1418e02fb8c58731c4a19aaa9f01174c5ef4fb93a",
-        "426b2628d8c38f074f20e99415e265a458eb5a4e0a2ab1b66817c09794844a5b",
+        "8192e00ca5be6c68b879dd5f01e2c6289d769ea2b0873efc4c0c6fcc45197bda",
+        "5c347dbcb346c4bfff39dd770788ee11290a355a4fd0c6ba98366ee2de650ce4",
     ),
     "logistic[fedavg_central]": (
-        "24c57018cd76df2088273a87d3386ea716f5bfbc6503aec223d2c968cf6c64ac",
-        "6a47583bb16523ead6a06e378159ec9bf284217a4577c63a36a985f721af24eb",
+        "51cf8148b1df4a77d6377d11fb7fbc4d072d8f5e640dd68a6838d266d173dbc1",
+        "7573d3eb8ecd1b9ba4ee5e5bed4f052a2199c5166e82655878a1818e4ba2f51a",
     ),
     "logistic[fedsam_central]": (
-        "9b53372929bfdddb59c69cfcbd57b712157dc2b7c52fb2ad5bf367f6f24e86bb",
-        "9c29164179dd3eff3d9cd257cafd361b8ab513ae8f577915ed8be37f2760a162",
+        "dc230f3bb544ab434b173a0f2f9076e449a27787738a90245959a72639cfb067",
+        "16bc103b9082c087816c43ad5640e5a100f7ee86ff8e8a5635bb0d2edf4a55d7",
     ),
     "logistic[oled_sam]": (
-        "6a7c69c76e3f495d1c7380671b8baca714fdcf09701510bed90d577a3de961ed",
-        "2a3e723d7762ba48b0405c1e563d7d73d2089698b59f723788856655ab1e6c10",
+        "0a4317b51477f308d8901d3f6979cc064d02129ff9914b8bde9b929a969e5280",
+        "cbf5fa0df27d801b86400030100d69f0ef3c450282bed555fef72278c9fbb1e9",
     ),
     "logistic[oled_sgd]": (
-        "a3b67994bb2a29bc71b5988dcf68b4a5cf3e861ab2d4fe36049a6a7b26c82717",
-        "df6893fd76e28fef19bbe4efe8fa445b4330bbdc6e43cef12e0f995a251b1ea4",
+        "fe0822d3dc115d85183a57cddea5d32b2515ef4bdbd0cc54907cf9f5bf58cc07",
+        "b0c66ecf3fd0177ee00f0558e053cc4f18aaf34117f6c0f506d8271c94d175ab",
     ),
     "quadratic_ring": (
         "3b88c51951f02b95db9c67c048cf3eeb11ee5a552620ec1f80399f9465f6098f",
@@ -108,8 +113,8 @@ PROBES = {
 }
 
 PROBE_HASHES = {
-    "stability[fedavg_central]": "a074bce233481865a153f87d265db5b14cf0c85dbfe8fdb7d356eeb466494b79",
-    "stability[oled_sgd]": "152a43703683e011ca5d0f85b0370a2ee9712f4f3c1a93bcc58ed80d96e8b572",
+    "stability[fedavg_central]": "a44d039fbff0da64ea1138ce2859189f70a97f1366ecac24773552704dc16879",
+    "stability[oled_sgd]": "0f0b4a94a7421ec1d37b8b78dc3e3f3eefc448ee4c70109674a9c7c73089edf6",
 }
 
 

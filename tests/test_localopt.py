@@ -38,6 +38,7 @@ from dgossip.models import (
 )
 from dgossip.stability import first_draw
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing
+from stream_reference import column
 
 
 def identity_quadratic(p=1):
@@ -221,14 +222,14 @@ class TestLocalTrain:
             algorithm=AlgorithmKind.DFEDAVG, m=4, rounds=8, local_steps=3, seed=7,
             topology=TopologySpec(TopologyKind.RING, 4), optimizer=OptimizerConfig(batch_size=2),
         )
-        size, (client, sample) = 30, (2, 5)
-        # one size-B draw per step from the client's (seed, client, round) stream
+        size, (client, sample) = 30, (2, 6)
+        # step k takes the k-th run of B values of the client's (seed, client, round) stream
         expected = None
+        batch_size = cfg.optimizer.batch_size
         for t in range(cfg.rounds):
-            rng = np.random.default_rng([cfg.seed, 0, client, t])
+            values = column(cfg.seed, client, t, size, cfg.local_steps * batch_size)
             for k in range(cfg.local_steps):
-                batch = rng.integers(0, size, size=cfg.optimizer.batch_size)
-                if expected is None and (batch == sample).any():
+                if expected is None and sample in values[k * batch_size : (k + 1) * batch_size]:
                     expected = (t, k)
         assert expected is not None and expected[0] > 0
         assert first_draw(cfg, size, (client, sample)) == expected
