@@ -14,7 +14,8 @@ For each coefficient it prints the measured per-round contraction beside
 that prediction, and flags a coefficient with psi_tilde >= 1, whose
 modified matrix alone no longer contracts.  It also prints the minimiser
 beta* = (lambda_2 + lambda_m) / (2 - lambda_2 - lambda_m) of psi_tilde,
-clipped to [0, 1) (Xiao & Boyd 2004; Liu & Morse 2011).  Writes one CSV
+clipped to [0, 1) (Xiao & Boyd 2004; Liu & Morse 2011); psi, psi_tilde and
+beta* are all read from the ring's one cached spectrum.  Writes one CSV
 (round, one column per beta) and prints the first round at which each
 coefficient drives consensus below the threshold.
 """
@@ -35,7 +36,7 @@ from dgossip.engine import (
 from dgossip.localopt import OptimizerConfig
 from dgossip.metrics import consensus_distance, consistency_delta
 from dgossip.models import ShardStack, quadratic_testbed
-from dgossip.topology import TopologyKind, TopologySpec, build_mixing, chebyshev_modified
+from dgossip.topology import TopologyKind, TopologySpec, build_mixing
 
 RATE_WINDOW = (50, 60)  # rounds over which the per-round contraction is measured, past the transient
 
@@ -78,13 +79,6 @@ def local_contraction(args) -> float:
     return float(np.max(np.abs(1.0 - args.eta * curvature))) ** args.local_steps
 
 
-def optimal_beta(w) -> float:
-    """beta* = (lambda_2 + lambda_m) / (2 - lambda_2 - lambda_m), clipped to [0, 1)."""
-    vals = np.linalg.eigvalsh(w.w)  # ascending: lambda_m first, the principal 1 last
-    beta = (vals[-2] + vals[0]) / (2.0 - vals[-2] - vals[0])
-    return float(min(max(beta, 0.0), np.nextafter(1.0, 0.0)))
-
-
 def measured_rate(trace, window) -> float:
     """The geometric-mean per-round ratio of ``trace`` from round window[0] to window[1]."""
     start, stop = window
@@ -114,11 +108,11 @@ def main() -> int:
     # a short horizon measures over its last rounds, transient and all
     stop = min(RATE_WINDOW[1], args.rounds - 1)
     window = (max(0, stop - (RATE_WINDOW[1] - RATE_WINDOW[0])), stop)
-    print(f"ring m={args.m}: psi = {ring.psi:.5f}, rho_L = {rho_l:.5f}, beta* = {optimal_beta(ring):.4f}")
+    print(f"ring m={args.m}: psi = {ring.psi:.5f}, rho_L = {rho_l:.5f}, beta* = {ring.beta_star:.4f}")
     print(f"per-round contraction over rounds {window[0]}-{window[1]}, predicted (psi_tilde * rho_L)^2")
     traces = {}
     for beta in betas:
-        psi_tilde = chebyshev_modified(ring, beta).psi_tilde
+        psi_tilde = ring.psi_tilde(beta)
         traces[beta], _ = consensus_trace(beta, args)
         hit = next(
             (t for t, c in enumerate(traces[beta]) if c < args.threshold), None

@@ -67,12 +67,10 @@ from .models import (
 from .stability import StabilityTrace, first_draw, stability_probe
 from .topology import (
     MixingMatrix,
-    ModifiedMatrix,
     TopologyKind,
     TopologySpec,
     beta_theory_bound,
     build_mixing,
-    chebyshev_modified,
     spectral_gap,
 )
 

@@ -4,7 +4,7 @@ Subcommands:
 
 * run          execute one experiment; writes metrics.csv + summary.json
 * sweep        re-run the base config across values of one dotted key
-* topo-report  psi and the admissible lookahead cap per topology
+* topo-report  psi, the admissible lookahead cap, beta* and psi_tilde(beta*) per topology
 * stability    coupled twin runs differing in a single training sample
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical divergence,
@@ -23,12 +23,7 @@ from .config import config_to_dict, load_config, topology_kind
 from .engine import ConfigError, DivergenceError, build_problem, run_experiment, validated
 from .metrics import write_metrics_csv
 from .stability import stability_probe
-from .topology import (
-    REFERENCE_PSI_FORMULAS,
-    TopologySpec,
-    beta_theory_bound,
-    build_mixing,
-)
+from .topology import TopologySpec, beta_theory_bound, build_mixing
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -156,19 +151,18 @@ def cmd_topo_report(args) -> int:
     for m in sizes:  # psi is taken of the dense (m, m) matrix
         if m * m > 2**31:
             raise ConfigError(f"--m {m}: m * m = {m * m} exceeds 2**31")
-    lines = ["kind,m,psi,beta_theory_bound,reference_formula"]
+    lines = ["kind,m,psi,beta_theory_bound,beta_star,psi_tilde_at_beta_star"]
     for kind in kinds:
         for m in sizes:
             spec = TopologySpec(kind=kind, m=m, k=min(args.k, m - 1), seed=args.seed)
             try:
-                psi = build_mixing(spec).psi
+                w = build_mixing(spec)
+                psi, beta = w.psi, w.beta_star
             except (ValueError, RuntimeError) as exc:
                 raise ConfigError(str(exc)) from None
             except MemoryError:
                 raise ConfigError(f"--m {m}: no memory for the dense (m, m) matrix psi needs") from None
-            lines.append(
-                f"{kind.value},{m},{psi!r},{beta_theory_bound(psi)!r},{REFERENCE_PSI_FORMULAS[kind]}"
-            )
+            lines.append(f"{kind.value},{m},{psi!r},{beta_theory_bound(psi)!r},{beta!r},{w.psi_tilde(beta)!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", newline="\n") as fh:

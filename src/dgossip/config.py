@@ -140,7 +140,7 @@ def _reject_unknown(section: dict, where: str) -> None:
 def _as_int(v) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValueError(f"expected integer, got {v!r}")
-    if not -(2**63) <= v < 2**63:
+    if not -(2**63) <= v < 2**64:  # a seed may take the whole unsigned 64-bit range
         raise ValueError(f"expected a 64-bit integer, got {v!r}")
     return v
 

@@ -574,7 +574,7 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem):
     resampled = False
     if cfg.algorithm in DECENTRALIZED_KINDS:
         if cfg.m == 1:
-            w_t = MixingMatrix(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)), psi=0.0)
+            w_t = MixingMatrix(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)))
         elif topo.kind is TopologyKind.RANDOM_K:
             resampled = True
         else:

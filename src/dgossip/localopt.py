@@ -91,34 +91,24 @@ def lr_at_round(cfg: OptimizerConfig, t: int) -> float:
     return cfg.eta0 * cfg.decay**t
 
 
-def _as_stack(x: np.ndarray, shard, batch):
-    """(x, shard, batch) of one client as a one-row stack; stacks pass through."""
-    if np.ndim(x) == 2:
-        return x, shard, batch
-    return x[None], ShardStack.of([shard]), None if batch is None else np.asarray(batch)[None]
+# Each step takes a stack: x (m, p), a ShardStack and (m, B) shard-local
+# batch indices (None for the quadratic family); one client is a one-row
+# stack.  ``ws`` is the local phase's Workspace and ``out`` a C-contiguous
+# (m, p) array, not overlapping x, to write the new point into; without
+# them the step allocates its own.
 
 
-# Each step takes either one client -- x (p,), its Shard (client index for
-# the quadratic family) and (B,) shard-local batch indices -- or a stack:
-# x (m, p), a ShardStack and (m, B) indices.  The result has x's shape.
-# For a stack, ``ws`` is the local phase's Workspace and ``out`` a
-# C-contiguous (m, p) array, not overlapping x, to write the new point
-# into; without them the step allocates its own.
-
-
-def sgd_step(spec: ModelSpec, x, shard, batch, eta: float, *, ws=None, out=None) -> np.ndarray:
-    xs, stack, rows = _as_stack(x, shard, batch)
-    g = batch_grads(spec, xs, stack.batch(rows, ws), ws=ws, out=out)
+def sgd_step(spec: ModelSpec, x, stack, batch, eta: float, *, ws=None, out=None) -> np.ndarray:
+    g = batch_grads(spec, x, stack.batch(batch, ws), ws=ws, out=out)
     g *= eta
-    return np.subtract(xs, g, out=g).reshape(np.shape(x))
+    return np.subtract(x, g, out=g)
 
 
 def sam_step(
-    spec: ModelSpec, x, shard, batch, eta: float, lam: float, grad_floor: float = 1e-12, *, ws=None, out=None
+    spec: ModelSpec, x, stack, batch, eta: float, lam: float, grad_floor: float = 1e-12, *, ws=None, out=None
 ) -> np.ndarray:
-    xs, stack, rows = _as_stack(x, shard, batch)
-    minibatch = stack.batch(rows, ws)
-    g = batch_grads(spec, xs, minibatch, ws=ws, out=out)
+    minibatch = stack.batch(batch, ws)
+    g = batch_grads(spec, x, minibatch, ws=ws, out=out)
     if lam != 0.0:
         # np.linalg.norm(row) is sqrt(row @ row); a stacked (1, p) @ (p, 1) matmul takes that same
         # dot product for every row, while einsum or a sum of squares rounds differently
@@ -128,27 +118,25 @@ def sam_step(
         if ascend.any():
             peak = np.multiply(lam, g, out=None if ws is None else ws.point)
             peak /= np.where(ascend, norms, 1.0)[:, None]
-            peak += xs
+            peak += x
             if ascend.all():  # g1 is spent once the ascent point is built
                 g = batch_grads(spec, peak, minibatch, ws=ws, out=g)
             else:
                 np.copyto(g, batch_grads(spec, peak, minibatch, ws=ws), where=ascend[:, None])
     g *= eta
-    return np.subtract(xs, g, out=g).reshape(np.shape(x))
+    return np.subtract(x, g, out=g)
 
 
 def momentum_step(
-    spec: ModelSpec, x, velocity, shard, batch, eta: float, mu: float, *, ws=None, out=None
+    spec: ModelSpec, x, velocity, stack, batch, eta: float, mu: float, *, ws=None, out=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """One heavy-ball step; ``out`` is a pair (new point, new velocity), the latter possibly ``velocity``."""
-    xs, stack, rows = _as_stack(x, shard, batch)
     x_out, v_out = (None, None) if out is None else out
-    g = batch_grads(spec, xs, stack.batch(rows, ws), ws=ws, out=x_out)
-    velocity_new = np.multiply(mu, np.reshape(velocity, xs.shape), out=v_out)
+    g = batch_grads(spec, x, stack.batch(batch, ws), ws=ws, out=x_out)
+    velocity_new = np.multiply(mu, velocity, out=v_out)
     velocity_new += g
     step = np.multiply(eta, velocity_new, out=g)
-    x_new = np.subtract(xs, step, out=step)
-    return x_new.reshape(np.shape(x)), velocity_new.reshape(np.shape(x))
+    return np.subtract(x, step, out=step), velocity_new
 
 
 def local_train(

@@ -342,16 +342,12 @@ class ShardStack:
     def batch(self, rows: np.ndarray | None, ws: Workspace | None = None) -> Batch:
         """Gather an (m, B) array of shard-local indices into one minibatch.
 
-        ``rows`` is ignored for the quadratic family; None selects the whole
-        shard, which needs a one-row stack.  With a :class:`Workspace` the
-        minibatch is gathered into it, and the next gather overwrites it.
+        ``rows`` is ignored for the quadratic family.  With a
+        :class:`Workspace` the minibatch is gathered into it, and the next
+        gather overwrites it.
         """
         if self.features is None:
             return Batch(self.clients, None, None)
-        if rows is None:
-            if len(self) != 1:
-                raise ValueError("a whole-shard batch needs a one-client stack")
-            rows = np.arange(self.sizes[0])[None]
         index = np.add(self.offsets[:, None], rows, out=None if ws is None else ws.index)
         if index.size and (index.min() < 0 or index.max() >= len(self.labels)):
             raise IndexError(f"minibatch rows outside the stack's {len(self.labels)} samples")

@@ -16,12 +16,15 @@ each row's support and weights: each kind lists its partner pairs, and one
 shared step symmetrises them and derives the rows and weights.  The dense
 (m, m) W is derived only where a spectrum or a reference needs it.
 
-The module also provides the affine spectral transform
+Opposite-lookahead client initialization is algebraically equivalent to
+gossiping with the affine transform
     W_tilde = (1 + beta) * W - beta * I,
-whose eigenvalues are (1 + beta) * lambda - beta with the principal one
-pinned at 1.  Opposite-lookahead client initialization is algebraically
-equivalent to gossiping with this modified (possibly negative-entry)
-matrix, which is why it can accelerate consensus.
+a possibly negative-entry matrix whose eigenvalues are
+(1 + beta) * lambda - beta with the principal one pinned at 1.  Its
+non-principal radius psi_tilde(beta) and the coefficient beta* that
+minimises it are read, like psi, from W's non-principal eigenvalues, which
+a :class:`MixingMatrix` computes once, on first use (Xiao & Boyd 2004;
+Liu & Morse 2011).  W_tilde itself is never formed.
 """
 
 from __future__ import annotations
@@ -36,13 +39,10 @@ __all__ = [
     "TopologyKind",
     "TopologySpec",
     "MixingMatrix",
-    "ModifiedMatrix",
     "build_mixing",
     "spectral_gap",
-    "chebyshev_modified",
     "beta_theory_bound",
     "averaging_matrix",
-    "REFERENCE_PSI_FORMULAS",
 ]
 
 _RANDOM_K_MAX_RETRIES = 32
@@ -54,18 +54,6 @@ class TopologyKind(str, Enum):
     EXPONENTIAL = "exponential"
     FULLY_CONNECTED = "full"
     RANDOM_K = "random_k"
-
-
-# Commonly cited asymptotic orders of psi for Metropolis-free idealized
-# weightings of each graph family; reported as annotations only, never
-# asserted (the numerically computed psi is authoritative here).
-REFERENCE_PSI_FORMULAS: dict[TopologyKind, str] = {
-    TopologyKind.FULLY_CONNECTED: "0",
-    TopologyKind.EXPONENTIAL: "1 - 2/(1 + ln(m))",
-    TopologyKind.GRID: "1 - 1/(m*ln(m))",
-    TopologyKind.RING: "1 - 16*pi^2/(3*m^2)",
-    TopologyKind.RANDOM_K: "",
-}
 
 
 @dataclass(frozen=True)
@@ -105,11 +93,11 @@ class MixingMatrix:
     ``neighbours`` is the (index, weight) pair of (m, D) tables, D the
     largest row support: row i lists the j with w_ij != 0 in ascending
     order, client i itself included, then pads with (i, 0.0) entries.
-    The dense W and psi are derived on first use, so a run that only
-    gossips never builds an (m, m) array or pays for eigvalsh.
+    The dense W and its spectrum are derived on first use, so a run that
+    only gossips never builds an (m, m) array or pays for eigvalsh.
     """
 
-    def __init__(self, index: np.ndarray, weight: np.ndarray, psi: float | None = None):
+    def __init__(self, index: np.ndarray, weight: np.ndarray):
         self.m = len(index)
         # gossip gathers rows without a bounds check, so a table is checked once here
         if index.ndim != 2 or index.shape != weight.shape:
@@ -118,7 +106,7 @@ class MixingMatrix:
             raise ValueError(f"neighbour index out of range [0, {self.m})")
         self.neighbours = (index, weight)
         self._w: np.ndarray | None = None
-        self._psi = psi
+        self._spectrum: np.ndarray | None = None
 
     @property
     def w(self) -> np.ndarray:
@@ -131,21 +119,37 @@ class MixingMatrix:
         return self._w
 
     @property
+    def spectrum(self) -> np.ndarray:
+        """The m - 1 non-principal eigenvalues lambda_m <= ... <= lambda_2, by one eigvalsh."""
+        if self._spectrum is None:
+            # eigvalsh is ascending; the principal eigenvalue (1 on a connected graph) is last
+            self._spectrum = np.linalg.eigvalsh(self.w)[:-1]
+        return self._spectrum
+
+    @property
     def psi(self) -> float:
         """max(|lambda_2|, |lambda_m|), by symmetric eigen-decomposition."""
-        if self._psi is None:
-            self._psi = spectral_gap(self.w)
-        return self._psi
+        return _radius(self.spectrum)
+
+    def psi_tilde(self, beta: float) -> float:
+        """Non-principal spectral radius of (1 + beta) * W - beta * I.
+
+        The transform maps each eigenvalue lambda to (1 + beta) * lambda - beta
+        on the shared eigenvectors and keeps the principal one at exactly 1.
+        """
+        if not 0.0 <= beta < 1.0:
+            raise ValueError(f"beta must satisfy 0 <= beta < 1, got {beta}")
+        return _radius((1.0 + beta) * self.spectrum - beta)
+
+    @property
+    def beta_star(self) -> float:
+        """The psi_tilde minimiser (lambda_2 + lambda_m) / (2 - lambda_2 - lambda_m), clipped to [0, 1)."""
+        lo, hi = self.spectrum[[0, -1]]
+        return float(min(max((hi + lo) / (2.0 - hi - lo), 0.0), np.nextafter(1.0, 0.0)))
 
 
-@dataclass(frozen=True, eq=False)
-class ModifiedMatrix:
-    """Affine transform of a mixing matrix; rows still sum to 1 but
-    entries may be negative, so it is deliberately a distinct type."""
-
-    m: int
-    w: np.ndarray
-    psi_tilde: float
+def _radius(vals: np.ndarray) -> float:
+    return float(np.max(np.abs(vals))) if len(vals) else 0.0
 
 
 def averaging_matrix(m: int) -> np.ndarray:
@@ -229,28 +233,9 @@ def build_mixing(spec: TopologySpec) -> MixingMatrix:
 
 
 def spectral_gap(w: MixingMatrix | np.ndarray) -> float:
-    """psi = max(|lambda_2|, |lambda_m|) via symmetric eigen-decomposition."""
-    # eigvalsh returns ascending eigenvalues; the principal one (== 1 for
-    # a connected stochastic matrix) is last.  psi is the largest
-    # magnitude among the rest.
+    """psi = max(|lambda_2|, |lambda_m|), by a fresh symmetric eigen-decomposition."""
     vals = np.linalg.eigvalsh(w.w if isinstance(w, MixingMatrix) else np.asarray(w, dtype=float))
-    return float(np.max(np.abs(vals[:-1]))) if len(vals) > 1 else 0.0
-
-
-def chebyshev_modified(w: MixingMatrix, beta: float) -> ModifiedMatrix:
-    """(1 + beta) * W - beta * I with its non-principal spectral radius.
-
-    The transform maps each eigenvalue lambda to (1 + beta) * lambda - beta
-    on the shared eigenvectors and keeps the principal eigenvalue at
-    exactly 1; rows still sum to 1 because the combination is affine.
-    """
-    if not 0.0 <= beta < 1.0:
-        raise ValueError(f"beta must satisfy 0 <= beta < 1, got {beta}")
-    mat = (1.0 + beta) * w.w - beta * np.eye(w.m)
-    vals = np.linalg.eigvalsh(w.w)
-    mapped = (1.0 + beta) * vals[:-1] - beta
-    psi_tilde = float(np.max(np.abs(mapped))) if len(vals) > 1 else 0.0
-    return ModifiedMatrix(m=w.m, w=mat, psi_tilde=psi_tilde)
+    return _radius(vals[:-1])
 
 
 def beta_theory_bound(psi: float) -> float:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dgossip import engine, localopt, models
+from dgossip.config import load_config
 from dgossip.engine import DataConfig, ExperimentConfig, ModelConfig
 from dgossip.localopt import OptimizerConfig
 from dgossip.topology import TopologyKind, TopologySpec
@@ -105,3 +106,27 @@ def test_kernels_read_a_built_problem(kind):
         np.random.default_rng(0), round_index=1,
     ).z
     assert z.shape == x0.shape and np.isfinite(z).all()
+
+
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_checks_pass_on_the_presets(monkeypatch):
+    # the --trace 1 pass checks psi, the dense W, spectral_gap, gossip and every
+    # gradient kernel against values computed apart; one call per timing keeps it short
+    run, kernels = load_bench("run"), load_bench("kernels")
+
+    def once(fn):
+        fn()
+        return 0.0
+
+    monkeypatch.setattr(kernels, "time_per_call", once)
+    cfgs = {kind: load_config(str(run.ROOT / "configs" / name)) for kind, name in run.PRESET_FILES.items()}
+    presets = {kind: engine.build_problem(cfg) for kind, cfg in cfgs.items()}
+    timings, fails = kernels.run_kernels(presets, presets["mlp"], cfgs["mlp"])
+    assert fails == []
+    assert "topology.spectral_gap.ms_per_call" in timings

@@ -311,6 +311,24 @@ class TestCmdRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["config"]["optimizer"]["lambda"] == 0.1
 
+    @pytest.mark.parametrize("via", ["set", "env"])
+    def test_seed_takes_the_whole_unsigned_64_bit_range(self, config_file, tmp_path, capsys, monkeypatch, via):
+        # the config layer and validated share one seed bound, [0, 2**64)
+        def run(seed, out):
+            argv = ["run", "--config", str(config_file), "--out", str(tmp_path / out), "--set", "rounds=1"]
+            if via == "env":
+                monkeypatch.setenv("DGOSSIP_SEED", str(seed))
+                return main(argv)
+            return main(argv + ["--set", f"seed={seed}"])
+
+        assert run(2**64 - 1, "top") == 0
+        assert json.loads((tmp_path / "top" / "summary.json").read_text())["config"]["seed"] == 2**64 - 1
+        for seed in (2**64, -1):
+            capsys.readouterr()
+            assert run(seed, "bad") == 2
+            assert "seed" in capsys.readouterr().err
+            assert not (tmp_path / "bad").exists()
+
     def test_env_seed_override(self, config_file, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         monkeypatch.setenv("DGOSSIP_SEED", "777")
@@ -564,7 +582,7 @@ class TestCmdTopoReport:
     def test_values(self, capsys):
         assert main(["topo-report", "--kinds", "full,ring", "--m", "32,4"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
-        assert lines[0] == "kind,m,psi,beta_theory_bound,reference_formula"
+        assert lines[0] == "kind,m,psi,beta_theory_bound,beta_star,psi_tilde_at_beta_star"
         table = {tuple(row.split(",")[:2]): row.split(",") for row in lines[1:]}
         assert abs(float(table[("full", "32")][2])) <= 1e-12
         assert float(table[("ring", "4")][2]) == pytest.approx(1 / 3, abs=1e-9)

@@ -34,7 +34,7 @@ from dgossip.localopt import OptimizerConfig
 from dgossip.metrics import consensus_distance
 from dgossip.models import ModelSpec, ShardStack, quadratic_testbed
 from dgossip.stability import first_draw
-from dgossip.topology import TopologyKind, TopologySpec, build_mixing, chebyshev_modified
+from dgossip.topology import TopologyKind, TopologySpec, build_mixing
 from stream_reference import GAMMA, MASK, column, mix64, reference_draws, stream_key
 
 
@@ -252,7 +252,7 @@ class TestOleChebyshevEquivalence:
         z = rng.normal(size=(m, 5))
         x_mixed = gossip_mix(z, w)
         ole_points = np.stack([ole_init(x_mixed[i], z[i], beta) for i in range(m)])
-        direct = chebyshev_modified(w, beta).w @ z
+        direct = ((1.0 + beta) * w.w - beta * np.eye(m)) @ z
         assert np.abs(ole_points - direct).max() <= 1e-10
 
     def test_ole_preserves_the_mean_after_round_one(self):
@@ -266,7 +266,7 @@ class TestOleChebyshevEquivalence:
     def test_in_run_init_points_match_modified_matrix(self):
         cfg = logistic_cfg(rounds=6, beta=0.35)
         w = build_mixing(cfg.topology)
-        modified = chebyshev_modified(w, cfg.beta).w
+        modified = (1.0 + cfg.beta) * w.w - cfg.beta * np.eye(w.m)
         infos = []
         run_experiment(cfg, on_round=lambda t, info: infos.append(info))
         for prev, cur in zip(infos, infos[1:]):
@@ -329,7 +329,7 @@ class TestRunExperiment:
         x = z = x0[None]
         from dgossip.topology import MixingMatrix
 
-        w1 = MixingMatrix(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)), psi=0.0)
+        w1 = MixingMatrix(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)))
         info = run_round(x, z, 0, cfg, w1, Problem(spec, ShardStack.of([0]), None, x0))
         expected = x0 * (1 - cfg.optimizer.eta0) ** cfg.local_steps
         assert np.allclose(info.x_mixed[0], expected, atol=1e-15)
@@ -369,7 +369,7 @@ class TestRunExperiment:
         monkeypatch.setattr(engine, "build_mixing", recorded)
         run_experiment(logistic_cfg(topology=TopologySpec(kind, 8, k=2, seed=3), rounds=3))
         assert len(built) == (1 if kind is TopologyKind.RING else 3)
-        assert all(w._w is None and w._psi is None for w in built)
+        assert all(w._w is None and w._spectrum is None for w in built)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_abort_names_round_and_client(self):

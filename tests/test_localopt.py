@@ -55,6 +55,10 @@ def toy_shard(seed=0):
     return Shard(ds.features, ds.labels)
 
 
+# the steps take stacks only: one client is a one-row stack
+CLIENT0 = ShardStack.of([0])
+
+
 class TestLrSchedule:
     def test_documented_default_start(self):
         cfg = OptimizerConfig(eta0=0.1, decay=0.998)
@@ -77,45 +81,45 @@ class TestLrSchedule:
 class TestSgdStep:
     def test_identity_quadratic(self):
         spec = identity_quadratic()
-        out = sgd_step(spec, np.array([1.0]), 0, None, eta=0.1)
-        assert out == pytest.approx([0.9])
+        out = sgd_step(spec, np.array([[1.0]]), CLIENT0, None, eta=0.1)
+        assert out == pytest.approx(np.array([[0.9]]))
 
     def test_zero_eta_leaves_x_unchanged(self):
         # eta = 0 is rejected at config level; the raw step still honors it
         spec = identity_quadratic()
-        x = np.array([1.3])
-        assert np.array_equal(sgd_step(spec, x, 0, None, eta=0.0), x)
+        x = np.array([[1.3]])
+        assert np.array_equal(sgd_step(spec, x, CLIENT0, None, eta=0.0), x)
 
     def test_two_steps_linear_recursion(self):
         spec = identity_quadratic()
-        x = np.array([1.0])
+        x = np.array([[1.0]])
         eta = 0.1
         for _ in range(2):
-            x = sgd_step(spec, x, 0, None, eta)
-        assert x == pytest.approx([(1 - eta) ** 2])
+            x = sgd_step(spec, x, CLIENT0, None, eta)
+        assert x == pytest.approx(np.array([[(1 - eta) ** 2]]))
 
 
 class TestSamStep:
     def test_hand_example(self):
         # g1 = [2, 0]; perturbed point [3, 0]; g = [3, 0]; x' = [1.7, 0]
         spec = identity_quadratic(p=2)
-        out = sam_step(spec, np.array([2.0, 0.0]), 0, None, eta=0.1, lam=1.0)
-        assert out == pytest.approx([1.7, 0.0], abs=1e-15)
+        out = sam_step(spec, np.array([[2.0, 0.0]]), CLIENT0, None, eta=0.1, lam=1.0)
+        assert out == pytest.approx(np.array([[1.7, 0.0]]), abs=1e-15)
 
     def test_lambda_zero_is_bitwise_sgd(self, rng):
-        shard = toy_shard()
+        shard = ShardStack.of([toy_shard()])
         spec = ModelSpec(kind="logistic", dim=4, num_classes=3)
         for _ in range(10):
-            x = rng.normal(size=spec.param_count())
-            batch = rng.integers(0, len(shard), size=5)
+            x = rng.normal(size=(1, spec.param_count()))
+            batch = rng.integers(0, shard.sizes[0], size=(1, 5))
             a = sam_step(spec, x, shard, batch, eta=0.1, lam=0.0)
             b = sgd_step(spec, x, shard, batch, eta=0.1)
             assert np.array_equal(a, b)
 
     def test_stationary_point_guard(self):
         spec = identity_quadratic(p=2)
-        x = np.zeros(2)  # exact stationary point: g1 = 0
-        out = sam_step(spec, x, 0, None, eta=0.1, lam=0.5)
+        x = np.zeros((1, 2))  # exact stationary point: g1 = 0
+        out = sam_step(spec, x, CLIENT0, None, eta=0.1, lam=0.5)
         assert np.array_equal(out, x)
 
     @pytest.mark.parametrize("p", [3, 7, 50, 99, 1002, 4097])
@@ -139,20 +143,20 @@ class TestSamStep:
 
 class TestMomentumStep:
     def test_mu_zero_is_sgd(self, rng):
-        shard = toy_shard()
+        shard = ShardStack.of([toy_shard()])
         spec = ModelSpec(kind="logistic", dim=4, num_classes=3)
-        x = rng.normal(size=spec.param_count())
-        batch = rng.integers(0, len(shard), size=5)
+        x = rng.normal(size=(1, spec.param_count()))
+        batch = rng.integers(0, shard.sizes[0], size=(1, 5))
         out, _ = momentum_step(spec, x, np.zeros_like(x), shard, batch, eta=0.1, mu=0.0)
         assert np.array_equal(out, sgd_step(spec, x, shard, batch, eta=0.1))
 
     def test_hand_recursion(self):
         spec = identity_quadratic()
-        x, v = np.array([1.0]), np.zeros(1)
-        x, v = momentum_step(spec, x, v, 0, None, eta=0.1, mu=0.9)
-        assert v == pytest.approx([1.0]) and x == pytest.approx([0.9])
-        x, v = momentum_step(spec, x, v, 0, None, eta=0.1, mu=0.9)
-        assert v == pytest.approx([1.8]) and x == pytest.approx([0.72])
+        x, v = np.array([[1.0]]), np.zeros((1, 1))
+        x, v = momentum_step(spec, x, v, CLIENT0, None, eta=0.1, mu=0.9)
+        assert v == pytest.approx(np.array([[1.0]])) and x == pytest.approx(np.array([[0.9]]))
+        x, v = momentum_step(spec, x, v, CLIENT0, None, eta=0.1, mu=0.9)
+        assert v == pytest.approx(np.array([[1.8]])) and x == pytest.approx(np.array([[0.72]]))
 
     def test_fresh_buffer_first_step_equals_sgd(self):
         spec = identity_quadratic()
@@ -168,7 +172,7 @@ class TestLocalTrain:
         spec = identity_quadratic()
         cfg = OptimizerConfig(method="sgd", eta0=0.1, decay=1.0)
         res = local_train(spec, np.array([1.0]), 0, 1, cfg, np.random.default_rng(0), round_index=0)
-        assert np.array_equal(res.z, sgd_step(spec, np.array([1.0]), 0, None, 0.1))
+        assert np.array_equal(res.z, sgd_step(spec, np.array([[1.0]]), CLIENT0, None, 0.1)[0])
 
     def test_closed_form_after_k_steps(self):
         spec = identity_quadratic()
@@ -200,11 +204,11 @@ class TestLocalTrain:
         # eta below 1/L with L = 2 keeps full-batch local loss non-increasing
         spec = quadratic_testbed(1, 6, 0.0, seed=4)
         cfg = OptimizerConfig(method="sgd", eta0=0.4, decay=1.0)
-        x = np.random.default_rng(0).normal(size=6)
-        losses = [loss_and_grad(spec, x, 0)[0]]
+        x = np.random.default_rng(0).normal(size=(1, 6))
+        losses = [loss_and_grad(spec, x[0], 0)[0]]
         for _ in range(20):
-            x = sgd_step(spec, x, 0, None, cfg.eta0)
-            losses.append(loss_and_grad(spec, x, 0)[0])
+            x = sgd_step(spec, x, CLIENT0, None, cfg.eta0)
+            losses.append(loss_and_grad(spec, x[0], 0)[0])
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_drift_accumulation_counts_pre_step_iterates(self):

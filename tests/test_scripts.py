@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgossip.topology import TopologyKind, TopologySpec, build_mixing, chebyshev_modified
+from dgossip.topology import TopologyKind, TopologySpec, build_mixing
 
 ROOT = Path(__file__).parents[1]
 
@@ -49,24 +49,24 @@ def test_the_spectral_claim_holds_as_a_number(acceleration):
     assert (args.m, args.p, args.local_steps, args.eta) == (16, 8, 5, 0.05)
     ring = build_mixing(TopologySpec(TopologyKind.RING, args.m))
     rho_l = acceleration.local_contraction(args)
-    beta_star = acceleration.optimal_beta(ring)
+    beta_star = ring.beta_star
     assert beta_star == pytest.approx(0.445, abs=1e-3)
     for beta in (0.0, 0.2, beta_star, 0.6):
         consensus, delta = acceleration.consensus_trace(beta, args)
-        predicted = (chebyshev_modified(ring, beta).psi_tilde * rho_l) ** 2
+        predicted = (ring.psi_tilde(beta) * rho_l) ** 2
         rate = acceleration.measured_rate(consensus, acceleration.RATE_WINDOW)
         assert rate == pytest.approx(predicted, abs=1e-3), beta
         assert acceleration.measured_rate(delta, acceleration.RATE_WINDOW) == pytest.approx(rate, abs=1e-3), beta
     # past beta* the modified matrix alone stops contracting; only rho_L < 1 keeps beta = 0.6 convergent
-    psi_tilde = chebyshev_modified(ring, 0.6).psi_tilde
+    psi_tilde = ring.psi_tilde(0.6)
     assert psi_tilde > 1.0 > psi_tilde * rho_l
 
 
-def test_beta_star_minimises_psi_tilde(acceleration):
+def test_beta_star_minimises_psi_tilde():
+    # the beta* the script prints, on its default ring
     ring = build_mixing(TopologySpec(TopologyKind.RING, 16))
-    beta_star = acceleration.optimal_beta(ring)
-    grid = [chebyshev_modified(ring, beta).psi_tilde for beta in np.linspace(0.0, 0.99, 199)]
-    assert chebyshev_modified(ring, beta_star).psi_tilde <= min(grid) + 1e-12
+    grid = [ring.psi_tilde(beta) for beta in np.linspace(0.0, 0.99, 199)]
+    assert ring.psi_tilde(ring.beta_star) <= min(grid) + 1e-12
 
 
 def test_the_script_flags_only_coefficients_with_psi_tilde_past_1(tmp_path):

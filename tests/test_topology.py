@@ -8,20 +8,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgossip.cli import main
 from dgossip.engine import gossip_mix
 from dgossip.topology import (
-    REFERENCE_PSI_FORMULAS,
     MixingMatrix,
     TopologyKind,
     TopologySpec,
     averaging_matrix,
     beta_theory_bound,
     build_mixing,
-    chebyshev_modified,
     spectral_gap,
 )
 
 ALL_KINDS = list(TopologyKind)
+
+
+def modified(w: MixingMatrix, beta: float) -> np.ndarray:
+    """The dense (1 + beta) * W - beta * I that lookahead gossips with."""
+    return (1.0 + beta) * w.w - beta * np.eye(w.m)
 
 
 def ring_metropolis_psi(m: int) -> float:
@@ -92,7 +96,7 @@ class TestBuildMixing:
         assert vals[-1] <= 1.0 + 1e-9
         assert abs(vals[-1] - 1.0) <= 1e-9  # exactly one eigenvalue at 1
         assert vals[-2] < 1.0 - 1e-9
-        assert abs(w.psi - spectral_gap(w)) <= 1e-9
+        assert w.psi == spectral_gap(w.w)  # the cached spectrum is a fresh eigvalsh, bitwise
 
     @settings(max_examples=60, deadline=None)
     @given(specs())
@@ -180,45 +184,77 @@ class TestSpectralGap:
 
 
 class TestChebyshevModified:
+    """psi_tilde(beta), the non-principal radius of (1 + beta) * W - beta * I, and beta*."""
+
     def test_beta_zero_is_identity_transform(self):
         w = build_mixing(make_spec(TopologyKind.GRID, 9))
-        mod = chebyshev_modified(w, 0.0)
-        assert np.allclose(mod.w, w.w, atol=0)
-        assert mod.psi_tilde == pytest.approx(w.psi, abs=1e-12)
+        assert np.array_equal(modified(w, 0.0), w.w)
+        assert w.psi_tilde(0.0) == pytest.approx(w.psi, abs=1e-12)
 
     def test_fully_connected_mapped_spectrum(self):
         # eigenvalues {1, 0, 0, 0} -> {1, -0.3, -0.3, -0.3}
         w = build_mixing(make_spec(TopologyKind.FULLY_CONNECTED, 4))
-        mod = chebyshev_modified(w, 0.3)
-        assert mod.psi_tilde == pytest.approx(0.3, abs=1e-12)
-        vals = np.sort(np.linalg.eigvalsh(mod.w))
+        assert w.psi_tilde(0.3) == pytest.approx(0.3, abs=1e-12)
+        vals = np.sort(np.linalg.eigvalsh(modified(w, 0.3)))
         assert np.allclose(vals, [-0.3, -0.3, -0.3, 1.0], atol=1e-12)
 
     def test_ring16_beta02_contracts_faster(self):
         w = build_mixing(make_spec(TopologyKind.RING, 16))
-        mod = chebyshev_modified(w, 0.2)
         # map the circulant spectrum independently
         lams = [1 / 3 + (2 / 3) * math.cos(2 * math.pi * k / 16) for k in range(1, 16)]
         expected = max(abs(1.2 * l - 0.2) for l in lams)
-        assert mod.psi_tilde == pytest.approx(expected, abs=1e-9)
-        assert mod.psi_tilde < w.psi
+        assert w.psi_tilde(0.2) == pytest.approx(expected, abs=1e-9)
+        assert w.psi_tilde(0.2) < w.psi
 
     def test_rejects_bad_beta(self):
         w = build_mixing(make_spec(TopologyKind.RING, 4))
         for beta in (1.0, 1.5, -0.1):
             with pytest.raises(ValueError):
-                chebyshev_modified(w, beta)
+                w.psi_tilde(beta)
 
     @settings(max_examples=40, deadline=None)
     @given(specs(), st.floats(min_value=0.0, max_value=0.99))
     def test_eigenvalue_map_exactness(self, spec, beta):
         w = build_mixing(spec)
-        mod = chebyshev_modified(w, beta)
-        got = np.sort(np.linalg.eigvalsh(mod.w))
+        mod = modified(w, beta)
+        got = np.sort(np.linalg.eigvalsh(mod))
         want = np.sort((1.0 + beta) * np.linalg.eigvalsh(w.w) - beta)
         assert np.all(np.abs(got - want) <= 1e-9)
-        assert np.all(np.abs(mod.w.sum(axis=1) - 1.0) <= 1e-12)
+        assert np.all(np.abs(mod.sum(axis=1) - 1.0) <= 1e-12)
         assert abs(got[-1] - 1.0) <= 1e-9  # principal eigenvalue stays at 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(specs(), st.floats(min_value=0.0, max_value=0.99))
+    def test_psi_tilde_is_the_modified_matrix_radius(self, spec, beta):
+        # the radius read off W's cached spectrum against eigvalsh of the matrix itself
+        w = build_mixing(spec)
+        assert abs(w.psi_tilde(beta) - spectral_gap(modified(w, beta))) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(specs())
+    def test_psi_tilde_at_zero_is_psi_bitwise(self, spec):
+        w = build_mixing(spec)
+        assert w.psi_tilde(0.0) == w.psi
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.value)
+    def test_beta_star_minimises_psi_tilde(self, kind):
+        w = build_mixing(make_spec(kind, 16, k=3, seed=5))
+        assert 0.0 <= w.beta_star < 1.0
+        grid = [w.psi_tilde(beta) for beta in np.linspace(0.0, 0.99, 199)]
+        assert w.psi_tilde(w.beta_star) <= min(grid) + 1e-12
+
+    def test_one_eigen_decomposition_per_matrix(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a):
+            calls.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        w = build_mixing(make_spec(TopologyKind.RANDOM_K, 20, k=3, seed=1))
+        readings = [w.psi, *(w.psi_tilde(beta) for beta in (0.0, 0.2, 0.5, 0.9)), w.beta_star]
+        assert calls == [(20, 20)] and len(readings) == 6
 
 
 def random_k_adjacency(m: int, k: int, seed: int) -> np.ndarray:
@@ -273,7 +309,7 @@ class TestRandomK:
 
     def test_psi_is_computed_on_first_use(self):
         w = build_mixing(make_spec(TopologyKind.RANDOM_K, 30, k=4, seed=2))
-        assert w._psi is None  # building W_t runs no eigen-decomposition
+        assert w._spectrum is None  # building W_t runs no eigen-decomposition
         assert w._w is None  # nor builds the dense matrix
         assert w.psi == spectral_gap(w.w)
 
@@ -301,8 +337,19 @@ class TestBetaTheoryBound:
         assert all(b1 >= b2 for b1, b2 in zip(bounds, bounds[1:]))
 
 
-def test_reference_formula_table_covers_all_kinds():
-    assert set(REFERENCE_PSI_FORMULAS) == set(TopologyKind)
+def test_reference_formula_table_covers_all_kinds(capsys):
+    # topo-report prints beta* and psi_tilde(beta*) for every kind, from the matrix's one spectrum
+    kinds = ",".join(kind.value for kind in TopologyKind)
+    assert main(["topo-report", "--kinds", kinds, "--m", "4,16,100", "--k", "3"]) == 0
+    header, *rows = capsys.readouterr().out.strip().split("\n")
+    assert header.split(",")[4:] == ["beta_star", "psi_tilde_at_beta_star"]
+    table = {(row.split(",")[0], int(row.split(",")[1])): [float(v) for v in row.split(",")[2:]] for row in rows}
+    assert set(table) == {(kind.value, m) for kind in TopologyKind for m in (4, 16, 100)}
+    for (kind, m), (psi, _, beta_star, psi_tilde) in table.items():
+        w = build_mixing(make_spec(TopologyKind(kind), m, k=3))
+        assert (psi, beta_star, psi_tilde) == (w.psi, w.beta_star, w.psi_tilde(w.beta_star))
+        assert 0.0 <= beta_star < 1.0 and psi_tilde <= psi, (kind, m)
+    assert table[("ring", 16)][2] == pytest.approx(0.4450, abs=1e-4)
 
 
 # sha256 prefixes of the Metropolis matrices, self weights set by the row rule
