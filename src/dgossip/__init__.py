@@ -34,15 +34,7 @@ from .engine import (
     run_round,
     validated,
 )
-from .localopt import (
-    LocalResult,
-    OptimizerConfig,
-    local_train,
-    lr_at_round,
-    momentum_step,
-    sam_step,
-    sgd_step,
-)
+from .localopt import LocalResult, OptimizerConfig, local_train, lr_at_round
 from .metrics import (
     RoundRecord,
     consensus_distance,

@@ -114,10 +114,8 @@ def partition_dirichlet(ds: LabeledDataset, m: int, alpha: float, seed: int) -> 
         raise ValueError(f"cannot give every client a sample: n={n} < m={m}")
     rng = np.random.default_rng([seed])
     parts: list[list[int]] = [[] for _ in range(m)]
-    for c in range(ds.num_classes):
+    for c in np.unique(ds.labels):  # classes without a sample draw nothing
         idx = np.nonzero(ds.labels == c)[0].astype(np.int64)
-        if len(idx) == 0:
-            continue
         rng.shuffle(idx)
         shares = rng.dirichlet(np.full(m, alpha))
         counts = _largest_remainder(shares, len(idx))

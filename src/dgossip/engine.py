@@ -39,6 +39,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from fractions import Fraction
 
 import numpy as np
 
@@ -389,12 +390,20 @@ def participants(cfg: ExperimentConfig, m: int, t: int) -> np.ndarray:
     """Ascending indices of the clients that train in round ``t``.
 
     Decentralized kinds train all ``m`` clients; central kinds sample
-    ceil(participation * m) of them on the coordinator's round stream.
+    :func:`_participant_count` of them on the coordinator's round stream.
     """
     if cfg.algorithm not in CENTRAL_KINDS:
         return np.arange(m)
     coord = np.random.default_rng([cfg.seed, _DOM_COORD, t])
-    return np.sort(coord.choice(m, size=math.ceil(cfg.participation * m), replace=False))
+    return np.sort(coord.choice(m, size=_participant_count(cfg.participation, m), replace=False))
+
+
+def _participant_count(participation: float, m: int) -> int:
+    """ceil(participation * m) on the participation as written, its shortest round-tripping decimal.
+
+    0.07 of 100 clients is 7, where the float product 7.000000000000001 rounds up to 8.
+    """
+    return math.ceil(Fraction(repr(float(participation))) * m)
 
 
 def ole_init(x_mixed: np.ndarray, z_prev: np.ndarray, beta: float) -> np.ndarray:
@@ -520,6 +529,15 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
             if d.test_path:
                 test_ds = load_csv(d.test_path)
                 test = Shard(test_ds.features, test_ds.labels)
+        spec = ModelSpec(
+            kind=cfg.model.kind,
+            dim=dataset.features.shape[1],
+            num_classes=dataset.num_classes,
+            hidden=tuple(cfg.model.hidden) if cfg.model.kind == "mlp" else (),
+        )
+        size = cfg.m * spec.param_count()
+        if size > 2**31:  # validated() bounds synthetic data; a CSV's largest label sets the class count
+            raise ValueError(f"data.path: m * model parameters = {size} exceeds 2**31")
         if scheme == "iid":
             parts = partition_iid(dataset, cfg.m, part_seed)
         elif scheme == "dirichlet":
@@ -537,12 +555,6 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
                 f"data.test_path: label {test.labels.max()}, data.path has {dataset.num_classes} classes"
             )
 
-    spec = ModelSpec(
-        kind=cfg.model.kind,
-        dim=dataset.features.shape[1],
-        num_classes=dataset.num_classes,
-        hidden=tuple(cfg.model.hidden) if cfg.model.kind == "mlp" else (),
-    )
     # one gather lays every client's rows out end to end, in partition order
     sizes = np.array([len(idx) for idx in parts], dtype=np.intp)
     rows = np.concatenate(parts)

@@ -1,28 +1,29 @@
-"""Local training of all clients at once: SGD, SAM, and heavy-ball momentum.
+"""Local training of all clients at once, by one step rule.
 
-Client models are the rows of an (m, p) stack and every optimizer step
-updates all rows together through one stacked gradient call
-(:func:`models.batch_grads`).  Each row still sees only its own client's
-minibatch, drawn from that client's own (seed, client, round) stream (the
-engine draws every participant of a block of rounds in one call,
-:func:`engine.client_batches`, and hands each round its slice), so a row
-of the stack is bitwise the trajectory the client would follow alone.
-The one-client form takes a numpy ``Generator`` in place of the indices.
+SGD, SAM and heavy-ball momentum are one update, v <- mu v + grad f(x +
+lam g / ||g||) and x <- x - eta v with g the gradient at x: SGD is lam = 0
+without a velocity, SAM sets lam and momentum keeps v.  Client models are
+the rows of an (m, p) stack and every step updates all rows together
+through one stacked gradient call (:func:`models.batch_grads`).  Each row
+still sees only its own client's minibatch, drawn from that client's own
+(seed, client, round) stream (the engine draws every participant of a
+block of rounds in one call, :func:`engine.client_batches`, and hands
+each round its slice), so a row of the stack is bitwise the trajectory
+the client would follow alone.  The one-client form takes a numpy
+``Generator`` in place of the indices.
 
 Each :func:`local_train` call builds one :class:`models.Workspace` and
 hands it to every step: its K steps and both gradient calls of a SAM
-step reuse the same activations, back-propagated errors, softmax scratch
-and ascent point, and the iterates alternate between two arrays of the
-call.  The workspace lives for that call only; no returned array points
-into it, and the outputs are bitwise those of a step that allocates its
-own arrays.
+step reuse the same minibatch, activations, back-propagated errors,
+softmax scratch and ascent point, and the iterates alternate between two
+arrays of the call.  The workspace lives for that call only, and no
+returned array points into it.
 
-The SAM step evaluates the gradient twice on the same minibatch: once at
-the current point to obtain the ascent direction, then at the point
-perturbed by ``lam`` along the normalized gradient.  With ``lam == 0`` (or
-a vanishing first gradient) the perturbed point equals the current one, so
-the second evaluation is skipped and the step is bitwise identical to
-plain SGD.
+SAM evaluates the gradient twice on the same minibatch: at the current
+point for the ascent direction, then at the point perturbed by ``lam``
+along it.  With ``lam == 0`` (or a vanishing first gradient) the second
+evaluation is skipped, so the step is bitwise plain SGD; so is momentum
+with ``mu == 0``.
 
 The learning rate decays per communication round and is constant across
 the K steps inside a round.  Momentum buffers are reset at every round
@@ -42,9 +43,6 @@ __all__ = [
     "OptimizerConfig",
     "LocalResult",
     "lr_at_round",
-    "sgd_step",
-    "sam_step",
-    "momentum_step",
     "local_train",
 ]
 
@@ -91,52 +89,35 @@ def lr_at_round(cfg: OptimizerConfig, t: int) -> float:
     return cfg.eta0 * cfg.decay**t
 
 
-# Each step takes a stack: x (m, p), a ShardStack and (m, B) shard-local
-# batch indices (None for the quadratic family); one client is a one-row
-# stack.  ``ws`` is the local phase's Workspace and ``out`` a C-contiguous
-# (m, p) array, not overlapping x, to write the new point into; without
-# them the step allocates its own.
+def _step(spec: ModelSpec, x, minibatch, eta: float, lam: float, cfg: OptimizerConfig, velocity, ws, out):
+    """The module's step rule for every row of the (m, p) stack ``x``, written into ``out``.
 
-
-def sgd_step(spec: ModelSpec, x, stack, batch, eta: float, *, ws=None, out=None) -> np.ndarray:
-    g = batch_grads(spec, x, stack.batch(batch, ws), ws=ws, out=out)
-    g *= eta
-    return np.subtract(x, g, out=g)
-
-
-def sam_step(
-    spec: ModelSpec, x, stack, batch, eta: float, lam: float, grad_floor: float = 1e-12, *, ws=None, out=None
-) -> np.ndarray:
-    minibatch = stack.batch(batch, ws)
-    g = batch_grads(spec, x, minibatch, ws=ws, out=out)
+    ``velocity`` (None for SGD and SAM) is updated in place, ``ws`` is the
+    local phase's Workspace and ``out`` a C-contiguous (m, p) array, not
+    overlapping x.
+    """
+    g = batch_grads(spec, x, minibatch, ws, out=out)
     if lam != 0.0:
         # np.linalg.norm(row) is sqrt(row @ row); a stacked (1, p) @ (p, 1) matmul takes that same
         # dot product for every row, while einsum or a sum of squares rounds differently
         norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
         # rows at or below the floor would perturb onto x itself: keep g1
-        ascend = ~(norms <= grad_floor)
+        ascend = ~(norms <= cfg.grad_floor)
         if ascend.any():
-            peak = np.multiply(lam, g, out=None if ws is None else ws.point)
+            peak = np.multiply(lam, g, out=ws.point)
             peak /= np.where(ascend, norms, 1.0)[:, None]
             peak += x
             if ascend.all():  # g1 is spent once the ascent point is built
-                g = batch_grads(spec, peak, minibatch, ws=ws, out=g)
+                g = batch_grads(spec, peak, minibatch, ws, out=g)
             else:
-                np.copyto(g, batch_grads(spec, peak, minibatch, ws=ws), where=ascend[:, None])
-    g *= eta
+                np.copyto(g, batch_grads(spec, peak, minibatch, ws), where=ascend[:, None])
+    if velocity is not None:
+        velocity *= cfg.mu
+        velocity += g
+        g = np.multiply(eta, velocity, out=g)
+    else:
+        g *= eta
     return np.subtract(x, g, out=g)
-
-
-def momentum_step(
-    spec: ModelSpec, x, velocity, stack, batch, eta: float, mu: float, *, ws=None, out=None
-) -> tuple[np.ndarray, np.ndarray]:
-    """One heavy-ball step; ``out`` is a pair (new point, new velocity), the latter possibly ``velocity``."""
-    x_out, v_out = (None, None) if out is None else out
-    g = batch_grads(spec, x, stack.batch(batch, ws), ws=ws, out=x_out)
-    velocity_new = np.multiply(mu, velocity, out=v_out)
-    velocity_new += g
-    step = np.multiply(eta, velocity_new, out=g)
-    return np.subtract(x, step, out=step), velocity_new
 
 
 def local_train(
@@ -176,7 +157,8 @@ def local_train(
         else:
             draws = draws.integers(0, int(shard.sizes[0]), size=(k_steps, cfg.batch_size))[:, None]
     eta = lr_at_round(cfg, round_index)
-    ws = Workspace(spec, shard, cfg.batch_size, point=cfg.method == "sam" and cfg.lam != 0.0)
+    lam = cfg.lam if cfg.method == "sam" else 0.0
+    ws = Workspace(spec, shard, cfg.batch_size, point=lam != 0.0)
     # the iterates alternate between two arrays of this call; the last one is returned
     iterates = (np.empty(x0.shape), np.empty(x0.shape))
     x = x0
@@ -189,14 +171,7 @@ def local_train(
             drift = np.subtract(x, ref_point, out=out)
             np.square(drift, out=drift)
             v1 += drift.sum(axis=1)
-        if cfg.method == "sgd":
-            x = sgd_step(spec, x, shard, batch, eta, ws=ws, out=out)
-        elif cfg.method == "sam":
-            x = sam_step(spec, x, shard, batch, eta, cfg.lam, cfg.grad_floor, ws=ws, out=out)
-        else:
-            x, velocity = momentum_step(
-                spec, x, velocity, shard, batch, eta, cfg.mu, ws=ws, out=(out, velocity)
-            )
+        x = _step(spec, x, shard.batch(batch, ws), eta, lam, cfg, velocity, ws, out)
     if single:
         return LocalResult(z=x[0], v1=None if v1 is None else float(v1[0]))
     return LocalResult(z=x, v1=v1)

@@ -283,7 +283,6 @@ def _quadratic_grads(a: np.ndarray, b: np.ndarray, x: np.ndarray, out: np.ndarra
 class Batch(NamedTuple):
     """One minibatch of every client in a stack (see :meth:`ShardStack.batch`)."""
 
-    clients: np.ndarray  # (m,) client index of each row: selects the quadratic terms
     features: np.ndarray | None  # (m, B, d); None for the quadratic family
     labels: np.ndarray | None  # (m, B)
 
@@ -339,22 +338,21 @@ class ShardStack:
             self.clients[rows], self.sizes[rows], self.offsets[rows], self.features, self.labels
         )
 
-    def batch(self, rows: np.ndarray | None, ws: Workspace | None = None) -> Batch:
-        """Gather an (m, B) array of shard-local indices into one minibatch.
+    def batch(self, rows: np.ndarray | None, ws: Workspace) -> Batch:
+        """Gather an (m, B) array of shard-local indices into one minibatch in ``ws``.
 
-        ``rows`` is ignored for the quadratic family.  With a
-        :class:`Workspace` the minibatch is gathered into it, and the next
-        gather overwrites it.
+        ``rows`` is ignored for the quadratic family.  The next gather into
+        the same :class:`Workspace` overwrites the minibatch.
         """
         if self.features is None:
-            return Batch(self.clients, None, None)
-        index = np.add(self.offsets[:, None], rows, out=None if ws is None else ws.index)
+            return Batch(None, None)
+        index = np.add(self.offsets[:, None], rows, out=ws.index)
         if index.size and (index.min() < 0 or index.max() >= len(self.labels)):
             raise IndexError(f"minibatch rows outside the stack's {len(self.labels)} samples")
         # in range, so "clip" clips nothing; it lets take write into ws without a buffer
-        features = self.features.take(index, axis=0, out=None if ws is None else ws.features, mode="clip")
-        labels = self.labels.take(index, out=None if ws is None else ws.labels, mode="clip")
-        return Batch(self.clients, features, labels)
+        features = self.features.take(index, axis=0, out=ws.features, mode="clip")
+        labels = self.labels.take(index, out=ws.labels, mode="clip")
+        return Batch(features, labels)
 
 
 class Workspace:
@@ -388,25 +386,18 @@ class Workspace:
 
 
 def batch_grads(
-    spec: ModelSpec,
-    x: np.ndarray,
-    batch: Batch,
-    *,
-    ws: Workspace | None = None,
-    out: np.ndarray | None = None,
+    spec: ModelSpec, x: np.ndarray, batch: Batch, ws: Workspace, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Exact batch-mean gradients of an (m, p) stack, one client per row.
 
     The training kernel: it computes no loss, because local steps never
-    read one.  The quadratic family is noiseless and uses only the
-    client indices of ``batch``, or the terms gathered in ``ws``.  The
-    gradients go into ``out`` (C-contiguous, not overlapping x) when it
-    is given, and the scratch into ``ws`` (see :class:`Workspace`); the
-    result is bitwise the same either way.
+    read one.  The quadratic family is noiseless and takes its terms from
+    ``ws``.  The scratch goes into ``ws`` (see :class:`Workspace`) and the
+    gradients into ``out`` (C-contiguous, not overlapping x) when it is
+    given, or a new array; the result is bitwise the same either way.
     """
     if spec.kind == "quadratic":
-        a, b = (spec.quad_a[batch.clients], spec.quad_b[batch.clients]) if ws is None else ws.quad
-        return _quadratic_grads(a, b, x, out)
+        return _quadratic_grads(*ws.quad, x, out)
     n = batch.labels.shape[-1]
     return _forward_backward(spec, x, batch.features, batch.labels, n, with_loss=False, ws=ws, out=out)[1]
 

@@ -29,7 +29,7 @@ from dgossip.engine import (
     run_round,
     validated,
 )
-from dgossip.localopt import OptimizerConfig, sam_step, sgd_step
+from dgossip.localopt import OptimizerConfig, local_train
 from dgossip.metrics import consensus_distance
 from dgossip.stability import stability_probe
 from dgossip.models import ModelSpec, Shard, ShardStack, loss_and_grad, quadratic_testbed
@@ -127,17 +127,19 @@ def test_criterion_04_degeneracies_are_bitwise():
     assert ra.records == rb.records
     assert np.array_equal(ra.final_x, rb.final_x)
 
-    # two-gradient step with lambda = 0 against plain sgd, per step
+    # two-gradient step with lambda = 0 against plain sgd, per step (one local step each)
     ds = generate_synthetic(3, 5, 30, 0.8, seed=2)
     shard = ShardStack.of([Shard(ds.features, ds.labels)])  # one client as a one-row stack
     spec = ModelSpec(kind="logistic", dim=5, num_classes=3)
+    sam = OptimizerConfig(method="sam", eta0=0.1, lam=0.0, batch_size=8)
+    sgd = dataclasses.replace(sam, method="sgd")
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = rng.normal(size=(1, spec.param_count()))
-        batch = rng.integers(0, shard.sizes[0], size=(1, 8))
+        draws = rng.integers(0, shard.sizes[0], size=(1, 1, 8))
         assert np.array_equal(
-            sam_step(spec, x, shard, batch, eta=0.1, lam=0.0),
-            sgd_step(spec, x, shard, batch, eta=0.1),
+            local_train(spec, x, shard, 1, sam, draws, round_index=0).z,
+            local_train(spec, x, shard, 1, sgd, draws, round_index=0).z,
         )
 
 

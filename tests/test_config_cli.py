@@ -438,6 +438,8 @@ class TestCmdRun:
             ("run", ["data.source=csv", "data.path={dir}/inf.csv"], None, "inf.csv:3"),
             ("run", ["topology.kind=random_k", "topology.k=30000", "m=50000"], None,
              "m * (2 * topology.k + 1) = 3000050000 exceeds 2**31"),
+            ("run", ["data.source=csv", "data.path={dir}/biglabel.csv"], None,
+             "data.path: m * model parameters"),
         ],
     )
     def test_bad_value_exits_2_naming_it(
@@ -450,6 +452,8 @@ class TestCmdRun:
             "label2.csv": "f1,f2,label\n1.0,2.0,0\n1.0,2.0,2\n",
             "nan.csv": "f1,f2,label\n1.0,2.0,0\nnan,2.0,1\n",
             "inf.csv": "f1,f2,label\n1.0,2.0,0\ninf,2.0,1\n",
+            # the largest label sets the class count: 3e9 classes would not fit the model
+            "biglabel.csv": csv.read_text().replace(",1\n", ",3000000000\n", 1),
         }
         for name, text in bad_csvs.items():
             (tmp_path / name).write_text(text)

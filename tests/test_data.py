@@ -132,6 +132,15 @@ class TestDirichlet:
         with pytest.raises(ValueError):
             partition_dirichlet(ds, 5, alpha=0.5, seed=0)
 
+    def test_label_gaps_draw_as_the_compacted_labels(self):
+        # absent classes draw nothing, so only the order of the present labels matters
+        ds = generate_synthetic(4, 2, 30, 0.5, seed=1)
+        gapped = LabeledDataset(ds.features, np.array([0, 7, 8, 3_000_000])[ds.labels], 3_000_001)
+        for seed in range(5):
+            compact = partition_dirichlet(ds, 6, alpha=0.3, seed=seed)
+            spread = partition_dirichlet(gapped, 6, alpha=0.3, seed=seed)
+            assert all(np.array_equal(a, b) for a, b in zip(compact, spread, strict=True))
+
 
 class TestPathological:
     def test_exact_class_counts(self):

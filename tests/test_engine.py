@@ -1,13 +1,16 @@
 """Round orchestration: lookahead init, mixing, baselines, determinism."""
 
 import dataclasses
+import importlib
 import math
+import pkgutil
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dgossip
 from dgossip import engine, localopt
 from dgossip.engine import (
     AlgorithmKind,
@@ -496,6 +499,22 @@ def assert_draws_equal_reference(seed, clients, t, sizes=None, k_steps=3, batch_
     assert np.array_equal(rows, reference_draws(seed, clients, t, sizes, k_steps, batch_size))
 
 
+class TestParticipants:
+    # on each of these the float product's ceiling is one client too many
+    @pytest.mark.parametrize(
+        "participation, m, count", [(0.07, 100, 7), (0.14, 50, 7), (0.28, 25, 7), (0.56, 25, 14)]
+    )
+    def test_count_is_the_ceiling_of_the_decimal_product(self, participation, m, count):
+        assert math.ceil(participation * m) == count + 1
+        cfg = logistic_cfg(algorithm=AlgorithmKind.FEDAVG_CENTRAL, m=m, participation=participation)
+        assert len(participants(cfg, m, 0)) == count
+
+    def test_every_two_decimal_participation_up_to_1000_clients(self):
+        for k in range(1, 101):
+            counts = [engine._participant_count(k / 100, m) for m in range(1, 1001)]
+            assert counts == [-(-k * m // 100) for m in range(1, 1001)], k / 100
+
+
 class TestClientStreams:
     # the reference is the scalar version of the stream in stream_reference.py
     @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**40 + 3, 2**63 - 1])
@@ -695,3 +714,13 @@ class TestClientStreams:
             # the block's slice equals the round drawn on its own, and both the scalar stream
             assert np.array_equal(draws, client_batches(seed, clients, t, sizes, cfg.local_steps, batch_size))
             assert np.array_equal(draws, reference_draws(seed, clients, t, sizes, cfg.local_steps, batch_size))
+
+
+# a stale name in __all__ fails only on ``import *``, which nothing else in the suite does
+MODULES = [m.name for m in pkgutil.iter_modules(dgossip.__path__) if m.name != "__main__"]  # that one runs the CLI
+
+
+@pytest.mark.parametrize("module", ["dgossip", *(f"dgossip.{name}" for name in MODULES)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []

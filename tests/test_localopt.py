@@ -1,6 +1,7 @@
 """Local optimizer steps and the per-round training loop."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,14 +19,7 @@ from dgossip.engine import (
     run_round,
     validated,
 )
-from dgossip.localopt import (
-    OptimizerConfig,
-    local_train,
-    lr_at_round,
-    momentum_step,
-    sam_step,
-    sgd_step,
-)
+from dgossip.localopt import OptimizerConfig, local_train, lr_at_round
 from dgossip.models import (
     ModelSpec,
     Shard,
@@ -55,8 +49,15 @@ def toy_shard(seed=0):
     return Shard(ds.features, ds.labels)
 
 
-# the steps take stacks only: one client is a one-row stack
+# one client as a one-row stack
 CLIENT0 = ShardStack.of([0])
+
+
+def step(spec, x, stack=CLIENT0, batch=None, k_steps=1, **optimizer):
+    """``k_steps`` local steps of the stack ``x`` at eta = eta0, on the (m, B) ``batch`` every step."""
+    cfg = OptimizerConfig(decay=1.0, batch_size=1 if batch is None else batch.shape[-1], **optimizer)
+    draws = None if batch is None else np.stack([batch] * k_steps)
+    return local_train(spec, x, stack, k_steps, cfg, draws, round_index=0).z
 
 
 class TestLrSchedule:
@@ -81,21 +82,21 @@ class TestLrSchedule:
 class TestSgdStep:
     def test_identity_quadratic(self):
         spec = identity_quadratic()
-        out = sgd_step(spec, np.array([[1.0]]), CLIENT0, None, eta=0.1)
+        out = step(spec, np.array([[1.0]]), eta0=0.1)
         assert out == pytest.approx(np.array([[0.9]]))
 
     def test_zero_eta_leaves_x_unchanged(self):
         # eta = 0 is rejected at config level; the raw step still honors it
         spec = identity_quadratic()
         x = np.array([[1.3]])
-        assert np.array_equal(sgd_step(spec, x, CLIENT0, None, eta=0.0), x)
+        assert np.array_equal(step(spec, x, eta0=0.0), x)
 
     def test_two_steps_linear_recursion(self):
         spec = identity_quadratic()
         x = np.array([[1.0]])
         eta = 0.1
         for _ in range(2):
-            x = sgd_step(spec, x, CLIENT0, None, eta)
+            x = step(spec, x, eta0=eta)
         assert x == pytest.approx(np.array([[(1 - eta) ** 2]]))
 
 
@@ -103,7 +104,7 @@ class TestSamStep:
     def test_hand_example(self):
         # g1 = [2, 0]; perturbed point [3, 0]; g = [3, 0]; x' = [1.7, 0]
         spec = identity_quadratic(p=2)
-        out = sam_step(spec, np.array([[2.0, 0.0]]), CLIENT0, None, eta=0.1, lam=1.0)
+        out = step(spec, np.array([[2.0, 0.0]]), method="sam", eta0=0.1, lam=1.0)
         assert out == pytest.approx(np.array([[1.7, 0.0]]), abs=1e-15)
 
     def test_lambda_zero_is_bitwise_sgd(self, rng):
@@ -112,14 +113,14 @@ class TestSamStep:
         for _ in range(10):
             x = rng.normal(size=(1, spec.param_count()))
             batch = rng.integers(0, shard.sizes[0], size=(1, 5))
-            a = sam_step(spec, x, shard, batch, eta=0.1, lam=0.0)
-            b = sgd_step(spec, x, shard, batch, eta=0.1)
+            a = step(spec, x, shard, batch, method="sam", eta0=0.1, lam=0.0)
+            b = step(spec, x, shard, batch, method="sgd", eta0=0.1)
             assert np.array_equal(a, b)
 
     def test_stationary_point_guard(self):
         spec = identity_quadratic(p=2)
         x = np.zeros((1, 2))  # exact stationary point: g1 = 0
-        out = sam_step(spec, x, CLIENT0, None, eta=0.1, lam=0.5)
+        out = step(spec, x, method="sam", eta0=0.1, lam=0.5)
         assert np.array_equal(out, x)
 
     @pytest.mark.parametrize("p", [3, 7, 50, 99, 1002, 4097])
@@ -130,13 +131,17 @@ class TestSamStep:
         g = np.random.default_rng([m, p]).normal(size=(m, p)) * np.logspace(-6, 6, m)[:, None]
         points = []
 
-        def grads(spec, x, minibatch, **_):  # the scratch and output keywords go unused
+        def grads(spec, x, minibatch, ws, out=None):  # the scratch and output go unused
             points.append(x)
             return g.copy()
 
         monkeypatch.setattr(localopt, "batch_grads", grads)
+        # a one-class logistic model has p parameters; every row draws the one sample
+        spec = ModelSpec(kind="logistic", dim=p - 1, num_classes=1)
+        ones = np.ones(m, dtype=np.intp)
+        stack = ShardStack(np.arange(m), ones, ones - 1, np.zeros((1, p - 1)), np.zeros(1, dtype=np.int64))
         x = np.zeros((m, p))
-        sam_step(identity_quadratic(), x, ShardStack.of(range(m)), None, eta=0.1, lam=0.5, grad_floor=0.0)
+        step(spec, x, stack, np.zeros((m, 1), dtype=np.intp), method="sam", lam=0.5, grad_floor=0.0)
         norms = np.array([np.linalg.norm(row) for row in g])
         assert np.array_equal(points[1], np.multiply(0.5, g) / norms[:, None] + x)
 
@@ -147,16 +152,17 @@ class TestMomentumStep:
         spec = ModelSpec(kind="logistic", dim=4, num_classes=3)
         x = rng.normal(size=(1, spec.param_count()))
         batch = rng.integers(0, shard.sizes[0], size=(1, 5))
-        out, _ = momentum_step(spec, x, np.zeros_like(x), shard, batch, eta=0.1, mu=0.0)
-        assert np.array_equal(out, sgd_step(spec, x, shard, batch, eta=0.1))
+        out = step(spec, x, shard, batch, method="sgd_momentum", eta0=0.1, mu=0.0)
+        assert np.array_equal(out, step(spec, x, shard, batch, method="sgd", eta0=0.1))
 
     def test_hand_recursion(self):
         spec = identity_quadratic()
-        x, v = np.array([[1.0]]), np.zeros((1, 1))
-        x, v = momentum_step(spec, x, v, CLIENT0, None, eta=0.1, mu=0.9)
-        assert v == pytest.approx(np.array([[1.0]])) and x == pytest.approx(np.array([[0.9]]))
-        x, v = momentum_step(spec, x, v, CLIENT0, None, eta=0.1, mu=0.9)
-        assert v == pytest.approx(np.array([[1.8]])) and x == pytest.approx(np.array([[0.72]]))
+        # v1 = 1, x1 = 0.9; v2 = 0.9 * 1 + 0.9 = 1.8, x2 = 0.9 - 0.18 = 0.72
+        x = np.array([[1.0]])
+        assert step(spec, x, method="sgd_momentum", eta0=0.1, mu=0.9) == pytest.approx(np.array([[0.9]]))
+        assert step(spec, x, k_steps=2, method="sgd_momentum", eta0=0.1, mu=0.9) == pytest.approx(
+            np.array([[0.72]])
+        )
 
     def test_fresh_buffer_first_step_equals_sgd(self):
         spec = identity_quadratic()
@@ -172,7 +178,7 @@ class TestLocalTrain:
         spec = identity_quadratic()
         cfg = OptimizerConfig(method="sgd", eta0=0.1, decay=1.0)
         res = local_train(spec, np.array([1.0]), 0, 1, cfg, np.random.default_rng(0), round_index=0)
-        assert np.array_equal(res.z, sgd_step(spec, np.array([[1.0]]), CLIENT0, None, 0.1)[0])
+        assert np.array_equal(res.z, step(spec, np.array([[1.0]]), eta0=0.1)[0])
 
     def test_closed_form_after_k_steps(self):
         spec = identity_quadratic()
@@ -190,15 +196,15 @@ class TestLocalTrain:
         assert np.array_equal(a.z, b.z)
 
     def test_sam_lambda_zero_bitwise_equals_sgd_over_round(self):
-        # same generator consumption: one batch draw per step on both paths
-        shard = toy_shard()
-        spec = ModelSpec(kind="logistic", dim=4, num_classes=3)
-        x0 = np.linspace(-0.5, 0.5, spec.param_count())
-        sam = OptimizerConfig(method="sam", eta0=0.1, decay=1.0, lam=0.0, batch_size=4)
-        sgd = OptimizerConfig(method="sgd", eta0=0.1, decay=1.0, batch_size=4)
-        a = local_train(spec, x0.copy(), shard, 6, sam, np.random.default_rng([9]), round_index=0)
-        b = local_train(spec, x0.copy(), shard, 6, sgd, np.random.default_rng([9]), round_index=0)
-        assert np.array_equal(a.z, b.z)
+        # SAM at lambda = 0 and momentum at mu = 0, over a stacked MLP round of K = 3 steps
+        spec, stack, x0, draws = mlp_stack()
+        sgd = OptimizerConfig(method="sgd", eta0=0.1, decay=0.998, batch_size=draws.shape[-1])
+        expected = local_train(spec, x0, stack, len(draws), sgd, draws, round_index=2, ref_point=x0)
+        for method, degenerate in (("sam", dict(lam=0.0)), ("sgd_momentum", dict(mu=0.0))):
+            cfg = replace(sgd, method=method, **degenerate)
+            res = local_train(spec, x0, stack, len(draws), cfg, draws, round_index=2, ref_point=x0)
+            assert res.z.tobytes() == expected.z.tobytes(), method
+            assert res.v1.tobytes() == expected.v1.tobytes(), method
 
     def test_descent_on_noiseless_quadratic(self):
         # eta below 1/L with L = 2 keeps full-batch local loss non-increasing
@@ -207,7 +213,7 @@ class TestLocalTrain:
         x = np.random.default_rng(0).normal(size=(1, 6))
         losses = [loss_and_grad(spec, x[0], 0)[0]]
         for _ in range(20):
-            x = sgd_step(spec, x, CLIENT0, None, cfg.eta0)
+            x = step(spec, x, eta0=cfg.eta0)
             losses.append(loss_and_grad(spec, x[0], 0)[0])
         assert all(a >= b - 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -281,11 +287,12 @@ class TestNoAliasing:
     def test_second_batch_grads_call_leaves_the_first_result(self):
         spec, stack, x0, draws = mlp_stack()
         ws = Workspace(spec, stack, draws.shape[-1])
-        first = batch_grads(spec, x0, stack.batch(draws[0], ws), ws=ws)
+        first = batch_grads(spec, x0, stack.batch(draws[0], ws), ws)
         kept = first.copy()
-        second = batch_grads(spec, x0 + 1.0, stack.batch(draws[1], ws), ws=ws)
+        second = batch_grads(spec, x0 + 1.0, stack.batch(draws[1], ws), ws)
         assert np.array_equal(first, kept) and not np.array_equal(first, second)
-        assert np.array_equal(first, batch_grads(spec, x0, stack.batch(draws[0])))
+        fresh = Workspace(spec, stack, draws.shape[-1])
+        assert np.array_equal(first, batch_grads(spec, x0, stack.batch(draws[0], fresh), fresh))
 
     @pytest.mark.parametrize("method", ["sgd", "sam", "sgd_momentum"])
     @pytest.mark.parametrize("with_ref", [False, True])
