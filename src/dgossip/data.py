@@ -160,14 +160,18 @@ def partition_pathological(
 
     Class assignments are drawn uniformly without replacement per client
     and globally re-drawn until every class is held by someone; each
-    class's samples are then divided evenly among its holders.
+    class's samples are then divided evenly among its holders.  The
+    classes are the labels present, so a label gap holds no class.
     """
-    c_total = ds.num_classes
+    present = np.unique(ds.labels)  # every class on gap-free data, in the same order
+    c_total = len(present)
     if not 1 <= classes_per_client <= c_total:
-        raise ValueError(f"classes_per_client must be in [1, {c_total}], got {classes_per_client}")
+        raise ValueError(
+            f"classes_per_client must be in [1, {c_total}], the classes present; got {classes_per_client}"
+        )
     if m * classes_per_client < c_total:
         raise ValueError(
-            f"infeasible: m*classes_per_client={m * classes_per_client} < num_classes={c_total}"
+            f"infeasible: m*classes_per_client={m * classes_per_client} < {c_total} classes present"
         )
     rng = np.random.default_rng([seed])
     for _ in range(_PATHOLOGICAL_MAX_RETRIES):
@@ -177,21 +181,21 @@ def partition_pathological(
     else:
         raise RuntimeError("could not cover all classes; raise m or classes_per_client")
 
-    holders: list[list[int]] = [[] for _ in range(c_total)]
+    holders: list[list[int]] = [[] for _ in range(c_total)]  # by position in ``present``
     for i, classes in enumerate(owned):
-        for c in classes:
-            holders[c].append(i)
+        for j in classes:
+            holders[j].append(i)
 
     parts: list[list[int]] = [[] for _ in range(m)]
-    for c in range(c_total):
+    for c, held_by in zip(present.tolist(), holders):
         idx = np.nonzero(ds.labels == c)[0].astype(np.int64)
-        if len(idx) < len(holders[c]):
+        if len(idx) < len(held_by):
             raise ValueError(
-                f"class {c} has {len(idx)} samples but {len(holders[c])} holders; "
+                f"class {c} has {len(idx)} samples but {len(held_by)} holders; "
                 "exact per-client class support is impossible"
             )
         rng.shuffle(idx)
-        for holder, chunk in zip(holders[c], np.array_split(idx, len(holders[c]))):
+        for holder, chunk in zip(held_by, np.array_split(idx, len(held_by))):
             parts[holder].extend(chunk.tolist())
     arrays = [np.asarray(p, dtype=np.int64) for p in parts]
     return _as_plan(arrays, len(ds))

@@ -12,12 +12,16 @@ each round its slice), so a row of the stack is bitwise the trajectory
 the client would follow alone.  The one-client form takes a numpy
 ``Generator`` in place of the indices.
 
-Each :func:`local_train` call builds one :class:`models.Workspace` and
+Each :func:`local_train` call lays one :class:`models.Workspace` out and
 hands it to every step: its K steps and both gradient calls of a SAM
 step reuse the same minibatch, activations, back-propagated errors,
-softmax scratch and ascent point, and the iterates alternate between two
-arrays of the call.  The workspace lives for that call only, and no
-returned array points into it.
+softmax scratch and ascent point, and the iterates alternate between the
+result and a spare array.  A run passes its own result array and its
+:class:`models.Scratch`, so the workspace, the spare iterate and the
+velocity take the same memory in every round (the run's gossip steps and
+evaluations reuse it in between) and the call allocates nothing the size
+of the stack; without them it allocates its own.  No returned array
+points into the scratch.
 
 SAM evaluates the gradient twice on the same minibatch: at the current
 point for the ascent direction, then at the point perturbed by ``lam``
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, ShardStack, Workspace, batch_grads
+from .models import ModelSpec, Scratch, ShardStack, batch_grads
 from .models import loss_and_grad  # noqa: F401  re-exported: bench/spans.py wraps it under this name
 
 __all__ = [
@@ -130,6 +134,8 @@ def local_train(
     *,
     round_index: int,
     ref_point: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    scratch: Scratch | None = None,
 ) -> LocalResult:
     """K sequential steps on every client of a stack at once.
 
@@ -146,6 +152,9 @@ def local_train(
 
     ``ref_point`` ((p,) or (m, p)) switches on accumulation of the
     local-drift energy sum_k ||x_{i,k} - ref||^2 over the pre-step iterates.
+    The stacked form writes its result into ``out`` (C-contiguous (m, p),
+    not overlapping ``x0``) when it is given, and lays its workspace, spare
+    iterate and velocity out in ``scratch``; the result is bitwise the same.
     """
     if k_steps < 1:
         raise ValueError("need at least one local step")
@@ -158,20 +167,25 @@ def local_train(
             draws = draws.integers(0, int(shard.sizes[0]), size=(k_steps, cfg.batch_size))[:, None]
     eta = lr_at_round(cfg, round_index)
     lam = cfg.lam if cfg.method == "sam" else 0.0
-    ws = Workspace(spec, shard, cfg.batch_size, point=lam != 0.0)
-    # the iterates alternate between two arrays of this call; the last one is returned
-    iterates = (np.empty(x0.shape), np.empty(x0.shape))
+    momentum = cfg.method == "sgd_momentum"
+    scratch = Scratch() if scratch is None else scratch
+    ws = scratch.workspace(spec, shard, cfg.batch_size, point=lam != 0.0, stacks=1 + momentum)
+    out = np.empty(x0.shape) if out is None else out
+    # the iterates alternate between out and the spare, so that the last step writes into out
+    iterates = (out, ws.stacks[0]) if k_steps % 2 else (ws.stacks[0], out)
     x = x0
-    velocity = np.zeros(x0.shape) if cfg.method == "sgd_momentum" else None
+    velocity = ws.stacks[1] if momentum else None
+    if momentum:
+        velocity.fill(0.0)
     v1 = np.zeros(len(x0)) if ref_point is not None else None
     for k in range(k_steps):
         batch = None if draws is None else draws[k]
-        out = iterates[k % 2]
-        if v1 is not None:  # out is free until the step writes it
-            drift = np.subtract(x, ref_point, out=out)
+        step_out = iterates[k % 2]
+        if v1 is not None:  # step_out is free until the step writes it
+            drift = np.subtract(x, ref_point, out=step_out)
             np.square(drift, out=drift)
             v1 += drift.sum(axis=1)
-        x = _step(spec, x, shard.batch(batch, ws), eta, lam, cfg, velocity, ws, out)
+        x = _step(spec, x, shard.batch(batch, ws), eta, lam, cfg, velocity, ws, step_out)
     if single:
         return LocalResult(z=x[0], v1=None if v1 is None else float(v1[0]))
     return LocalResult(z=x, v1=v1)

@@ -19,7 +19,10 @@ as a single model.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +35,8 @@ __all__ = [
     "init_params",
     "loss_and_grad",
     "loss_and_predictions",
+    "predictions",
+    "Scratch",
     "Workspace",
     "batch_grads",
     "full_objective",
@@ -216,14 +221,17 @@ def _forward_backward(
     with_loss: bool,
     ws: Workspace | None = None,
     out: np.ndarray | None = None,
-) -> tuple[np.ndarray | None, np.ndarray]:
+    sums=None,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Weighted cross-entropy gradient, for one model or a stack, and the per-row NLL.
 
     One model: ``x`` (p,), ``feats`` (n, d), ``labels`` (n,).  A stack:
     ``x`` (m, p), ``feats`` (m, n, d), ``labels`` (m, n), where row i is
     client i's model on its own batch.  One model over row blocks: ``x``
-    (p,), ``feats`` (k, n, d), ``labels`` (k, n), whose block gradients
-    are added up in turn.  Each row's output error is divided by
+    (p,), ``feats`` (k, n, d), ``labels`` (k, n); each block's gradient
+    goes into ``sums``, one (bias (k, fan_out), weight (k, fan_in,
+    fan_out)) pair per layer, for the caller to add up, and no gradient is
+    returned.  Each row's output error is divided by
     ``divisor``: the batch size n for a batch mean, or a per-row column
     shaped (..., n, 1).  Every product is ``np.matmul``, which makes the
     same BLAS call per row of a stack as for one model, so each row equals
@@ -233,19 +241,20 @@ def _forward_backward(
     result: ``out`` (C-contiguous, shaped as x) or a new array.  A stack's
     activations, back-propagated errors and softmax scratch live in ``ws``
     when it is given: the :class:`Workspace` of one ``local_train`` call,
-    shared by its K steps and both gradients of a SAM step.  The call then
-    allocates nothing the size of a batch, nothing it returns points into
-    ``ws``, and its result is bitwise the one without it.  Temporaries are
-    reused in place either way.  Returns (per-row NLL shaped as
-    ``labels``, or None, and the gradient).
+    shared by its K steps and both gradients of a SAM step, or of one
+    ``full_objective`` call.  The call then allocates nothing the size of a
+    batch, nothing it returns points into ``ws``, and its result is bitwise
+    the one without it.  Temporaries are reused in place either way.
+    Returns (per-row NLL shaped as ``labels``, or None, and the gradient).
     """
     layers, acts = _forward(spec, x, feats, None if ws is None else ws.acts)
     delta = acts.pop()  # logits, turned in place into probabilities, then the output error
     nll, flat, picked = _softmax_nll(delta, labels, with_loss, ws)
     flat[picked] -= 1.0
     delta /= divisor
-    blocked = feats.ndim > x.ndim + 1
-    if out is None:
+    if feats.ndim > x.ndim + 1:  # row blocks
+        out = None
+    elif out is None:
         out = np.empty(x.shape)
     elif not out.flags.c_contiguous or out.shape != x.shape:
         raise ValueError("out must be a C-contiguous array shaped as x")
@@ -254,16 +263,15 @@ def _forward_backward(
     for li in range(len(layers) - 1, -1, -1):
         w, _ = layers[li]
         fan_in, fan_out = w.shape[-2:]
-        bias = out[..., end - fan_out : end]
-        end -= fan_out
-        weight = out[..., end - fan_in * fan_out : end].reshape(*lead, fan_in, fan_out)
-        end -= fan_in * fan_out
-        if blocked:  # each block's sums, then their total
-            delta.sum(axis=-2).sum(axis=0, out=bias)
-            np.matmul(acts[li].swapaxes(-1, -2), delta).sum(axis=0, out=weight)
+        if out is None:
+            bias, weight = sums[li]
         else:
-            delta.sum(axis=-2, out=bias)
-            np.matmul(acts[li].swapaxes(-1, -2), delta, out=weight)
+            bias = out[..., end - fan_out : end]
+            end -= fan_out
+            weight = out[..., end - fan_in * fan_out : end].reshape(*lead, fan_in, fan_out)
+            end -= fan_in * fan_out
+        delta.sum(axis=-2, out=bias)
+        np.matmul(acts[li].swapaxes(-1, -2), delta, out=weight)
         if li > 0:  # back through tanh: delta W^T * (1 - a^2)
             delta = np.matmul(delta, w.swapaxes(-1, -2), out=None if ws is None else ws.errors[li - 1])
             a = acts[li]
@@ -338,6 +346,27 @@ class ShardStack:
             self.clients[rows], self.sizes[rows], self.offsets[rows], self.features, self.labels
         )
 
+    @cached_property
+    def objective_layout(self) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+        """:func:`full_objective`'s row blocks over this stack, built on its first call and kept.
+
+        (rows, divisor, starts, sizes): the stack's rows in client order (a
+        take() need not be laid end to end), then padding rows whose error is
+        divided by inf, so they weigh nothing; every row's divisor m n_i,
+        shaped (blocks, length, 1); and each client's first row in that order
+        and row count.
+        """
+        sizes = self.sizes
+        n_rows = int(sizes.sum())
+        blocks = -(-n_rows // _BLOCK_ROWS)
+        length = -(-n_rows // blocks)
+        pad = blocks * length - n_rows
+        starts = np.cumsum(sizes) - sizes
+        rows = np.repeat(self.offsets - starts, sizes) + np.arange(n_rows)
+        rows = np.concatenate([rows, np.zeros(pad, dtype=rows.dtype)])
+        divisor = np.concatenate([np.repeat(float(len(self)) * sizes, sizes), np.full(pad, np.inf)])
+        return rows, divisor.reshape(blocks, length, 1), starts.tolist(), sizes.tolist()
+
     def batch(self, rows: np.ndarray | None, ws: Workspace) -> Batch:
         """Gather an (m, B) array of shard-local indices into one minibatch in ``ws``.
 
@@ -355,34 +384,132 @@ class ShardStack:
         return Batch(features, labels)
 
 
+_ALIGN = 64  # byte boundary of every array a Scratch lays out
+
+
+class Scratch:
+    """One block of memory for arrays that are never in use at the same time.
+
+    Each :meth:`arrays` call lays its arrays out end to end from the
+    block's first byte, so they overwrite those of the call before.  When
+    a call needs more, the block grows to ``headroom`` times that, so that
+    somewhat larger layouts that follow fit as well; pages that no layout
+    touches take no memory.  The arrays of each layout, and each
+    data-backed :class:`Workspace`, are made once per block and handed out
+    again.  A run owns one: its local phases, gossip steps and evaluations
+    take their scratch from it in turn, so once it has grown, none of them
+    allocates.
+    """
+
+    def __init__(self, headroom: int = 1) -> None:
+        self.headroom = headroom
+        self._block = np.empty(0, dtype=np.uint8)
+        self._laid_out: dict[tuple, object] = {}  # a layout or a workspace's shapes -> what is laid out for it
+
+    def workspace(self, spec: ModelSpec, shards: ShardStack, batch_size: int, **options) -> Workspace:
+        """``Workspace(spec, shards, batch_size, scratch=self, **options)``, made once per block for its shapes.
+
+        The quadratic family's workspace holds its stack's gathered terms, so it is made on every call.
+        """
+        if spec.kind == "quadratic":
+            return Workspace(spec, shards, batch_size, scratch=self, **options)
+        dtypes = (shards.features.dtype, shards.labels.dtype)
+        key = (spec, len(shards), batch_size, *dtypes, *sorted(options.items()))
+        ws = self._laid_out.get(key)
+        if ws is None:
+            ws = self._laid_out[key] = Workspace(spec, shards, batch_size, scratch=self, **options)
+        return ws
+
+    def arrays(self, *layout) -> tuple[np.ndarray, ...]:
+        """One uninitialised array per (shape, dtype) pair of ``layout``."""
+        arrays = self._laid_out.get(layout)
+        if arrays is None:
+            offsets, end = [], 0
+            for shape, dtype in layout:
+                offsets.append(end)
+                end += -(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
+            if end > self._block.size:
+                self._block = np.empty(self.headroom * end, dtype=np.uint8)
+                self._laid_out.clear()
+            block = self._block
+            arrays = tuple(np.ndarray(shape, dtype, block, at) for (shape, dtype), at in zip(layout, offsets))
+            self._laid_out[layout] = arrays
+        return arrays
+
+
 class Workspace:
-    """Scratch arrays for the stacked gradient calls of one local phase.
+    """Scratch arrays for the stacked gradient calls of one local phase, or of one full objective.
 
     Built for a :class:`ShardStack`, its (m, B) minibatches and (m, p)
     model stacks: it holds the gathered minibatch, every layer's output,
     the error back-propagated to each hidden layer, the per-row softmax
     scratch and the flat label index, or, for the quadratic family, the
     stack's gathered terms.  ``point`` is an (m, p) stack at which a
-    gradient is evaluated: SAM's ascent point.  :meth:`ShardStack.batch`
-    and :func:`batch_grads` overwrite it on every call that is passed it,
-    so it lives for one ``local_train`` call and no result points into it.
+    gradient is evaluated: SAM's ascent point; ``stacks`` more (m, p)
+    arrays are the caller's own.  With ``blocks``, it serves
+    :func:`full_objective`'s ``blocks`` blocks of ``batch_size`` samples:
+    its rows are the blocks of one pass, at most ``_OBJECTIVE_ROWS``
+    samples, in place of one per client, and it also holds every block's
+    NLL and per-layer gradient sums (``sums``).  The arrays are laid out
+    in ``scratch`` when it is given (see :class:`Scratch`), where the next
+    scratch laid out overwrites them.  :meth:`ShardStack.batch` and
+    :func:`batch_grads` overwrite them on every call that is passed the
+    workspace, and no result points into it.
     """
 
-    def __init__(self, spec: ModelSpec, shards: ShardStack, batch_size: int, *, point: bool = False):
-        m = len(shards)
-        self.point = np.empty((m, spec.param_count())) if point else None
-        if spec.kind == "quadratic":
-            self.quad = (spec.quad_a[shards.clients], spec.quad_b[shards.clients])
-            return
+    def __init__(
+        self,
+        spec: ModelSpec,
+        shards: ShardStack,
+        batch_size: int,
+        *,
+        point: bool = False,
+        stacks: int = 0,
+        blocks: int = 0,
+        scratch: Scratch | None = None,
+    ):
+        m = min(blocks, max(1, _OBJECTIVE_ROWS // batch_size)) if blocks else len(shards)
+        p = spec.param_count()
         rows = (m, batch_size)
-        self.index = np.empty(rows, dtype=np.intp)
-        self.features = np.empty((*rows, spec.dim), dtype=shards.features.dtype)
-        self.labels = np.empty(rows, dtype=shards.labels.dtype)
-        self.acts = [np.empty((*rows, width)) for width in (*spec.hidden, spec.num_classes)]
-        self.errors = [np.empty((*rows, width)) for width in spec.hidden]
-        self.row = np.empty(rows)
+        widths = (*spec.hidden, spec.num_classes)
+        layout = [((m, p), np.float64)] * (point + stacks)
+        if spec.kind == "quadratic":
+            layout += [((m, p, p), np.float64), ((m, p), np.float64)]
+        else:
+            layout += [
+                (rows, np.intp), ((*rows, spec.dim), shards.features.dtype), (rows, shards.labels.dtype),
+                (rows, np.float64), ((m * batch_size,), np.intp),
+                *(((*rows, width), np.float64) for width in (*widths, *spec.hidden)),
+            ]
+            if blocks:
+                layout += [((blocks, batch_size), np.float64)]
+                for fan_in, fan_out in spec.layer_dims():
+                    layout += [((blocks, fan_out), np.float64), ((blocks, fan_in, fan_out), np.float64)]
+        arrays = iter((Scratch() if scratch is None else scratch).arrays(*layout))
+        self.point = next(arrays) if point else None
+        self.stacks = [next(arrays) for _ in range(stacks)]
+        if spec.kind == "quadratic":  # in range, so "clip" clips nothing and take writes in place
+            self.quad = tuple(
+                np.take(terms, shards.clients, axis=0, out=next(arrays), mode="clip")
+                for terms in (spec.quad_a, spec.quad_b)
+            )
+            return
+        self.index, self.features, self.labels, self.row, self.picked = (next(arrays) for _ in range(5))
+        self.acts = [next(arrays) for _ in widths]
+        self.errors = [next(arrays) for _ in spec.hidden]
+        if blocks:
+            self.nll = next(arrays)
+            self.sums = [(next(arrays), next(arrays)) for _ in spec.layer_dims()]  # (bias, weight) per layer
         self.class_starts = np.arange(m * batch_size) * spec.num_classes  # flat offset of each row's logits
-        self.picked = np.empty(m * batch_size, dtype=np.intp)
+
+    def head(self, n: int) -> Workspace:
+        """This workspace for its first ``n`` rows only (a pass over fewer blocks)."""
+        ws = copy.copy(self)
+        samples = n * self.row.shape[1]
+        ws.features, ws.labels, ws.row = self.features[:n], self.labels[:n], self.row[:n]
+        ws.picked, ws.class_starts = self.picked[:samples], self.class_starts[:samples]
+        ws.acts, ws.errors = [a[:n] for a in self.acts], [e[:n] for e in self.errors]
+        return ws
 
 
 def batch_grads(
@@ -425,6 +552,18 @@ def loss_and_grad(
     return float(np.mean(nll)), grad
 
 
+def predictions(spec: ModelSpec, x: np.ndarray, shard: Shard, scratch: Scratch | None = None) -> np.ndarray:
+    """Argmax class of every row of ``shard`` under one model, from one forward pass.
+
+    Ties resolve to the lowest class index, as in :func:`loss_and_predictions`.
+    The layer outputs are laid out in ``scratch`` when it is given.
+    """
+    widths = (*spec.hidden, spec.num_classes)
+    outs = (Scratch() if scratch is None else scratch).arrays(*(((len(shard), w), np.float64) for w in widths))
+    _, acts = _forward(spec, x, shard.features, outs)
+    return np.argmax(acts[-1], axis=-1)
+
+
 def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[float, np.ndarray]:
     """Full-shard loss (as ``loss_and_grad``) and argmax predictions, from one forward pass.
 
@@ -441,41 +580,57 @@ def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[
 # reduction over threads and round it differently; blocks as short as a
 # training batch keep the objective independent of the BLAS thread count.
 _BLOCK_ROWS = 64
+# Rows of one full_objective pass over its blocks: their activations then take
+# no more memory than a local phase of 100 clients on batches of 32 (3200 rows).
+_OBJECTIVE_ROWS = 2048
 
 
-def full_objective(spec: ModelSpec, x: np.ndarray, shards: ShardStack) -> tuple[float, np.ndarray]:
-    """Exact global objective f = (1/m) sum_i f_i and its gradient, in one pass over the stack.
+def full_objective(
+    spec: ModelSpec, x: np.ndarray, shards: ShardStack, scratch: Scratch | None = None
+) -> tuple[float, np.ndarray]:
+    """Exact global objective f = (1/m) sum_i f_i and its gradient, from one forward/backward of every row.
 
-    f_i is client i's full-shard mean loss.  One forward/backward runs over
-    all the stack's rows, in blocks of at most ``_BLOCK_ROWS``, with each
-    row's error weighted by 1/(m n_i).  The loss averages each client's
+    f_i is client i's full-shard mean loss.  A forward/backward runs over
+    all the stack's rows, in blocks of at most ``_BLOCK_ROWS``
+    (:attr:`ShardStack.objective_layout`), with each row's error weighted by
+    1/(m n_i).  It takes passes of at most ``_OBJECTIVE_ROWS`` rows, keeps
+    every block's gradient and adds them up in block order at the end, so
+    the passes do not change the result.  The loss averages each client's
     mean NLL, summed and divided as ``np.mean`` does, so a one-client stack
     of one block equals :func:`loss_and_grad` bitwise.  The quadratic
-    family takes one stacked product over its clients' terms.
+    family takes one stacked product over its clients' terms.  The
+    gathered rows, the activations and the rest of the scratch are a
+    :class:`Workspace` laid out in ``scratch`` when it is given; the result
+    is bitwise the same.
     """
-    m = len(shards)
     if spec.kind == "quadratic":
-        b = spec.quad_b[shards.clients]
-        grads = _quadratic_grads(spec.quad_a[shards.clients], b, x)
+        ws = (Scratch() if scratch is None else scratch).workspace(spec, shards, 0, stacks=2)
+        (a, b), (grads, centred) = ws.quad, ws.stacks
+        grads = _quadratic_grads(a, b, x, out=grads)
         # f_i = 0.5 x.A_i x - b_i.x = 0.5 x.(grad_i - b_i)
-        losses = 0.5 * ((grads - b) @ x)
+        losses = 0.5 * (np.subtract(grads, b, out=centred) @ x)
         return float(np.mean(losses)), grads.mean(axis=0)
-    sizes = shards.sizes
-    n_rows = int(sizes.sum())
-    blocks = -(-n_rows // _BLOCK_ROWS)
-    length = -(-n_rows // blocks)
-    pad = blocks * length - n_rows
-    starts = np.cumsum(sizes) - sizes
-    # the stack's rows in client order (a take() need not be laid end to end),
-    # then padding rows whose error is divided by inf, so they weigh nothing
-    rows = np.repeat(shards.offsets - starts, sizes) + np.arange(n_rows)
-    rows = np.concatenate([rows, np.zeros(pad, dtype=rows.dtype)])
-    divisor = np.concatenate([np.repeat(float(m) * sizes, sizes), np.full(pad, np.inf)])
-    feats = shards.features[rows].reshape(blocks, length, -1)
-    labels = shards.labels[rows].reshape(blocks, length)
-    nll, grad = _forward_backward(spec, x, feats, labels, divisor.reshape(blocks, length, 1), with_loss=True)
-    nll = nll.reshape(-1)
-    means = [nll[a : a + n].sum() / n for a, n in zip(starts.tolist(), sizes.tolist())]
+    rows, divisor, starts, sizes = shards.objective_layout
+    blocks, length = divisor.shape[:2]
+    ws = (Scratch() if scratch is None else scratch).workspace(spec, shards, length, blocks=blocks)
+    per_pass = len(ws.row)
+    for b0 in range(0, blocks, per_pass):
+        part = ws if b0 + per_pass <= blocks else ws.head(blocks - b0)
+        b1 = b0 + len(part.row)
+        taken = rows[b0 * length : b1 * length]  # in range, so "clip" clips nothing and take writes in place
+        shards.features.take(taken, axis=0, out=part.features.reshape(len(taken), -1), mode="clip")
+        shards.labels.take(taken, out=part.labels.reshape(-1), mode="clip")
+        sums = [(bias[b0:b1], weight[b0:b1]) for bias, weight in ws.sums]
+        nll, _ = _forward_backward(
+            spec, x, part.features, part.labels, divisor[b0:b1], with_loss=True, ws=part, sums=sums
+        )
+        ws.nll[b0:b1] = nll
+    grad = np.empty(x.shape)
+    for (weight, bias), (bias_sums, weight_sums) in zip(_unpack(spec, grad), ws.sums):  # each total in turn
+        bias_sums.sum(axis=0, out=bias)
+        weight_sums.sum(axis=0, out=weight)
+    nll = ws.nll.reshape(-1)
+    means = [nll[a : a + n].sum() / n for a, n in zip(starts, sizes)]
     return float(np.mean(means)), grad
 
 

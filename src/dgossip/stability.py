@@ -25,7 +25,7 @@ from .engine import (
     participants,
     validated,
 )
-from .metrics import eval_model
+from .models import loss_and_predictions
 
 __all__ = ["StabilityTrace", "first_draw", "stability_probe"]
 
@@ -91,15 +91,18 @@ def stability_probe(
         labels[shards.offsets[client] + sample] = label
 
     def heldout_loss(x_mixed):
-        return eval_model(problem.spec, x_mixed.mean(axis=0), problem.test)[0]
+        return loss_and_predictions(problem.spec, x_mixed.mean(axis=0), problem.test)[0]
 
     # the twins run in lockstep, so only the current round of each is held
     dists, gaps = [], []
     twin = replace(problem, shards=replace(shards, labels=labels))
     with one_thread():  # as run_experiment does
-        for a, b in zip(iter_rounds(cfg, problem), iter_rounds(cfg, twin)):
+        rounds, twin_rounds = iter_rounds(cfg, problem), iter_rounds(cfg, twin)
+        for a in rounds:
+            b = next(twin_rounds)
             dists.append(np.linalg.norm(a.x_mixed - b.x_mixed, axis=1))
             gaps.append(abs(heldout_loss(a.x_mixed) - heldout_loss(b.x_mixed)))
+            del a, b  # so that each run takes back the arrays of this round
     dists = np.array(dists).reshape(-1, cfg.m)
     return StabilityTrace(
         client=client,

@@ -53,6 +53,38 @@ def test_traced_run_counts_each_layer_once_per_round(kind, builds):
     assert tracer.count("models.full_objective") == len(result.records)
 
 
+ROUND_PATH = ("run_round", "local_train", "gossip_mix", "full_objective", "eval_model")
+
+
+@pytest.mark.parametrize(
+    "overrides, skipped",
+    [
+        ({"topology": TopologySpec(TopologyKind.RING, 6)}, ()),
+        ({"algorithm": engine.AlgorithmKind.FEDAVG_CENTRAL, "participation": 0.5}, ("gossip_mix",)),
+    ],
+    ids=["ring", "central"],
+)
+def test_runs_call_every_round_path_target(monkeypatch, overrides, skipped):
+    # a wrapped name that the run path stops calling would read 0 in its per-layer metric
+    spans = load_spans()
+    calls = {}
+    for mod, attr, _ in spans.TARGETS:
+        def counted(*args, _attr=attr, _fn=getattr(mod, attr), **kwargs):
+            calls[_attr] = calls.get(_attr, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(mod, attr, counted)
+    cfg = ExperimentConfig(
+        m=6, rounds=2, local_steps=2,
+        optimizer=OptimizerConfig(batch_size=4),
+        data=DataConfig(classes=3, dim=4, per_class=8, test_per_class=4),
+        **overrides,
+    )
+    engine.run_experiment(cfg)
+    called = {name: calls.get(name, 0) > 0 for name in ROUND_PATH}
+    assert called == {name: name not in skipped for name in ROUND_PATH}
+
+
 @pytest.mark.parametrize(
     "overrides",
     [

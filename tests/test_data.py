@@ -1,9 +1,12 @@
 """Dataset generation, CSV loading, and partition schemes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgossip.cli import main
 from dgossip.data import (
     LabeledDataset,
     _as_plan,
@@ -166,6 +169,52 @@ class TestPathological:
         ds = generate_synthetic(10, 2, 50, 0.5, seed=0)
         with pytest.raises(ValueError, match="infeasible"):
             partition_pathological(ds, 4, classes_per_client=2, seed=0)
+
+    @staticmethod
+    def dealt_over_every_class_id(ds, m, classes_per_client, seed):
+        """The dealing over range(num_classes), absent ids included, that gap-free data must still get."""
+        rng = np.random.default_rng([seed])
+        while True:
+            owned = [rng.choice(ds.num_classes, size=classes_per_client, replace=False) for _ in range(m)]
+            if len(np.unique(np.concatenate(owned))) == ds.num_classes:
+                break
+        parts = [[] for _ in range(m)]
+        for c in range(ds.num_classes):
+            holders = [i for i, classes in enumerate(owned) if c in classes]
+            idx = np.nonzero(ds.labels == c)[0].astype(np.int64)
+            rng.shuffle(idx)
+            for holder, chunk in zip(holders, np.array_split(idx, len(holders))):
+                parts[holder].extend(chunk.tolist())
+        return [np.asarray(p, dtype=np.int64) for p in parts]
+
+    @pytest.mark.parametrize(
+        "classes, m, cpc, seed", [(10, 100, 2, 1), (4, 5, 4, 0), (10, 5, 2, 3), (3, 7, 2, 9)]
+    )
+    def test_gap_free_data_is_dealt_as_before(self, classes, m, cpc, seed):
+        ds = generate_synthetic(classes, 2, 40, 0.5, seed=seed)
+        plan = partition_pathological(ds, m, classes_per_client=cpc, seed=seed)
+        reference = self.dealt_over_every_class_id(ds, m, cpc, seed)
+        assert all(np.array_equal(a, b) for a, b in zip(plan, reference, strict=True))
+
+    def test_label_gaps_deal_as_the_compacted_labels(self):
+        ds = generate_synthetic(4, 2, 30, 0.5, seed=1)
+        gapped = LabeledDataset(ds.features, np.array([0, 7, 8, 3_000_000])[ds.labels], 3_000_001)
+        for seed in range(5):
+            compact = partition_pathological(ds, 6, classes_per_client=2, seed=seed)
+            spread = partition_pathological(gapped, 6, classes_per_client=2, seed=seed)
+            assert all(np.array_equal(a, b) for a, b in zip(compact, spread, strict=True))
+
+    def test_csv_with_a_label_gap_runs(self, tmp_path):
+        # labels 0 and 2 only: class 1 is absent, and no client is dealt it
+        csv = tmp_path / "gap.csv"
+        csv.write_text("f1,f2,label\n" + "".join(f"{i % 5}.5,{i % 3}.0,{2 * (i % 2)}\n" for i in range(40)))
+        preset = Path(__file__).parents[1] / "configs" / "logistic_dirichlet.toml"
+        overrides = [
+            "m=4", "rounds=2", "partition.scheme=pathological", "partition.classes_per_client=2",
+            "data.source=csv", f"data.path={csv}",
+        ]
+        argv = ["run", "--config", str(preset), "--out", str(tmp_path / "out")]
+        assert main(argv + [arg for o in overrides for arg in ("--set", o)]) == 0
 
 
 @settings(max_examples=30, deadline=None)

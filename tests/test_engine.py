@@ -1,5 +1,6 @@
 """Round orchestration: lookahead init, mixing, baselines, determinism."""
 
+import copy
 import dataclasses
 import importlib
 import math
@@ -423,6 +424,78 @@ class TestCentralKinds:
         )
         result = run_experiment(cfg)
         assert result.summary["best_acc"] > 0.5
+
+
+RUN_ARRAY_CASES = {
+    "oled_sam": dict(algorithm=AlgorithmKind.OLED_SAM, optimizer=OptimizerConfig(lam=0.05, batch_size=8)),
+    "dfedavgm": dict(algorithm=AlgorithmKind.DFEDAVGM, optimizer=OptimizerConfig(mu=0.9, batch_size=8)),
+    "fedavg_central": dict(CENTRAL_CFG, algorithm=AlgorithmKind.FEDAVG_CENTRAL),
+}
+
+
+def mlp_cfg(case, **overrides):
+    # (8, 1795) stacks of 112 KiB: above the buffer of up to 8192 elements (64 KiB) that numpy's
+    # broadcasting ufuncs take per call whatever their operands' size
+    return validated(logistic_cfg(
+        model=ModelConfig(kind="mlp", hidden=(128,)),
+        data=DataConfig(classes=3, dim=10, per_class=40, test_per_class=20),
+        **{**RUN_ARRAY_CASES[case], **overrides},
+    ))
+
+
+class TestRunArrays:
+    """A run lends every round-sized array from one RoundArrays, and never writes one a caller holds."""
+
+    @pytest.mark.parametrize("case", sorted(RUN_ARRAY_CASES))
+    def test_steady_state_allocates_no_stack(self, monkeypatch, case):
+        cfg = mlp_cfg(case, rounds=9, eval_every=1, diagnostics=True)
+        problem = build_problem(cfg)
+        per_round = len(participants(cfg, cfg.m, 0)) * cfg.local_steps * cfg.optimizer.batch_size
+        monkeypatch.setattr(engine, "_BLOCK_INDICES", 2 * per_round)  # blocks start inside the traced rounds
+
+        def trace_after_two_rounds(t, info):
+            if t == 1:
+                tracemalloc.start()
+
+        try:
+            result = run_experiment(cfg, problem=problem, on_round=trace_after_two_rounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stack = problem.x0.nbytes * cfg.m
+        assert len(result.records) == cfg.rounds
+        assert peak < stack  # all that is allocated from round 2 on and live at once: less than one stack
+
+    @pytest.mark.parametrize("case", sorted(RUN_ARRAY_CASES))
+    def test_held_arrays_are_never_written(self, monkeypatch, case):
+        cfg = mlp_cfg(case, rounds=7, diagnostics=True)
+        problem = build_problem(cfg)
+        per_round = len(participants(cfg, cfg.m, 0)) * cfg.local_steps * cfg.optimizer.batch_size
+        monkeypatch.setattr(engine, "_BLOCK_INDICES", 2 * per_round)
+        held, copies, views, drawn = [], [], [], []
+
+        def training(*args, **kwargs):
+            drawn.append((args[5], args[5].copy()))  # the block's indices, as the round reads them
+            return localopt.local_train(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "local_train", training)
+        kept = run_experiment(cfg, problem=problem, on_round=lambda t, info: held.append(info))
+        monkeypatch.setattr(engine, "local_train", localopt.local_train)
+        copied = run_experiment(cfg, problem=problem, on_round=lambda t, info: copies.append(copy.deepcopy(info)))
+
+        def keep_a_view(t, info):
+            views.append((info.x_mixed[1:], info.x_mixed[1:].copy()))
+
+        viewed = run_experiment(cfg, problem=problem, on_round=keep_a_view)
+        assert kept.records == copied.records == viewed.records
+        for info, snapshot in zip(held, copies, strict=True):
+            for f in dataclasses.fields(RoundInfo):
+                got, want = getattr(info, f.name), getattr(snapshot, f.name)
+                assert (got is None and want is None) or (f.name == "t" and got == want) or (
+                    got.tobytes() == want.tobytes() and got.shape == want.shape
+                ), f.name
+        assert all(view.tobytes() == snapshot.tobytes() for view, snapshot in views)
+        assert all(rows.tobytes() == snapshot.tobytes() for rows, snapshot in drawn)
 
 
 class TestConsensusDynamics:

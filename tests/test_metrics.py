@@ -24,8 +24,8 @@ from dgossip.metrics import (
     update_energies,
     write_metrics_csv,
 )
-from dgossip.models import ModelSpec, Shard
-from dgossip import stability
+from dgossip.models import ModelSpec, Scratch, Shard, loss_and_predictions
+from dgossip import models, stability
 from dgossip.stability import stability_probe
 from dgossip.topology import TopologyKind, TopologySpec
 
@@ -105,7 +105,7 @@ class TestEvalModel:
         # uniform scores, argmax tie -> class 0, balanced labels -> exactly 0.5
         ds = generate_synthetic(2, 4, 25, 0.5, seed=0)
         spec = ModelSpec(kind="logistic", dim=4, num_classes=2)
-        _, acc = eval_model(spec, np.zeros(spec.param_count()), Shard(ds.features, ds.labels))
+        acc = eval_model(spec, np.zeros(spec.param_count()), Shard(ds.features, ds.labels))
         assert acc == 0.5
 
     def test_centroid_classifier_on_separable_data(self):
@@ -115,7 +115,7 @@ class TestEvalModel:
         mus = np.stack([ds.features[ds.labels == c].mean(axis=0) for c in range(3)])
         spec = ModelSpec(kind="logistic", dim=6, num_classes=3)
         x = np.concatenate([mus.T.ravel(), -0.5 * np.sum(mus**2, axis=1)])
-        _, acc = eval_model(spec, x, Shard(ds.features, ds.labels))
+        acc = eval_model(spec, x, Shard(ds.features, ds.labels))
         assert acc == 1.0
 
     def test_accuracy_in_unit_interval(self, rng):
@@ -123,8 +123,24 @@ class TestEvalModel:
         spec = ModelSpec(kind="mlp", dim=5, num_classes=4, hidden=(6,))
         for _ in range(5):
             x = rng.normal(size=spec.param_count())
-            _, acc = eval_model(spec, x, Shard(ds.features, ds.labels))
+            acc = eval_model(spec, x, Shard(ds.features, ds.labels))
             assert 0.0 <= acc <= 1.0
+
+    @pytest.mark.parametrize("hidden", [(), (6,)], ids=["logistic", "mlp"])
+    def test_accuracy_is_that_of_loss_and_predictions(self, rng, hidden):
+        ds = generate_synthetic(4, 5, 30, 1.5, seed=3)
+        test = Shard(ds.features, ds.labels)
+        spec = ModelSpec(kind="mlp" if hidden else "logistic", dim=5, num_classes=4, hidden=hidden)
+        xs = [rng.normal(size=spec.param_count()) for _ in range(6)]
+        weight, bias = models._unpack(spec, xs[-1])[-1]  # views of the output layer
+        weight[:, 2], bias[2] = weight[:, 1], bias[1]  # classes 1 and 2 tie exactly on every row
+        xs.append(np.zeros(spec.param_count()))  # every logit ties
+        scratch = Scratch()
+        for x in xs:
+            _, pred = loss_and_predictions(spec, x, test)
+            expected = float(np.mean(pred == test.labels))
+            assert eval_model(spec, x, test) == expected
+            assert eval_model(spec, x, test, scratch) == expected
 
     def test_quadratic_has_no_accuracy(self):
         spec = ModelSpec(kind="quadratic", quad_a=np.eye(2)[None], quad_b=np.zeros((1, 2)))

@@ -255,6 +255,36 @@ class TestFullObjective:
             digests.append(proc.stdout)
         assert digests[0] == digests[1]
 
+    def test_layout_is_built_once_per_stack(self, monkeypatch):
+        problem = build_problem(load_config(str(CONFIGS / "logistic_dirichlet.toml")))
+        spec, shards = problem.spec, problem.shards
+        sub = shards.take(np.array([5, 0, 11, 3]))  # rows not laid end to end
+        built = []
+        layout = ShardStack.objective_layout.func
+        monkeypatch.setattr(ShardStack.objective_layout, "func", lambda stack: built.append(stack) or layout(stack))
+        for stack in (shards, sub, shards, sub):
+            full_objective(spec, problem.x0, stack)
+        assert built == [shards, sub]
+        fresh = layout(sub)  # a take() keeps no layout of the stack it was taken from
+        for cached, want in zip(sub.objective_layout, fresh, strict=True):
+            assert np.array_equal(cached, want) and np.asarray(cached).dtype == np.asarray(want).dtype
+        assert fresh[1].shape[:2] != shards.objective_layout[1].shape[:2]
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
+    def test_scratch_leaves_the_result_bitwise(self, kind, rng):
+        # a scratch that a local phase and other layouts wrote before, as in a run
+        cfg = load_config(str(CONFIGS / "logistic_dirichlet.toml"), [f"model.kind={kind}", "model.hidden=[7]"])
+        problem = build_problem(cfg)
+        spec, shards = problem.spec, problem.shards
+        x = problem.x0 + 0.5 * rng.normal(size=problem.x0.shape)
+        scratch = models.Scratch(headroom=2)
+        for stack in (shards, shards.take(np.array([5, 0, 11, 3])), shards):
+            want_loss, want_grad = full_objective(spec, x, stack)
+            scratch.arrays(((4096,), np.float64))[0].fill(np.nan)
+            models.Workspace(spec, stack, 32, point=True, stacks=2, scratch=scratch)
+            loss, grad = full_objective(spec, x, stack, scratch)
+            assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
 
 def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
