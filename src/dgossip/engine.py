@@ -253,6 +253,9 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
     if d.source not in ("synthetic", "csv"):
         raise ConfigError(f"unknown data source {d.source!r}")
     synthetic = model.kind != "quadratic" and d.source == "synthetic"
+    for name, least in (("classes", 2), ("dim", 1), ("per_class", 1), ("test_per_class", 1)):
+        if synthetic and getattr(d, name) < least:
+            raise ConfigError(f"data.{name} must be >= {least}, got {getattr(d, name)}")
     if synthetic and d.classes * d.per_class < cfg.m:
         raise ConfigError(f"data.classes * data.per_class = {d.classes * d.per_class} samples < m={cfg.m}")
     # arrays past 2**31 elements fail to allocate, or wrap numpy's size arithmetic

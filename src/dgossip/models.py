@@ -12,14 +12,14 @@ Three model families:
 
 All parameters live in one flat float64 vector; gradients are computed
 analytically (closed form or manual backprop), never by autodiff.  The
-gradient kernel also works on an (m, p) stack of such vectors, one
-client per row, with stacked matrix products that round each row exactly
-as a single model.
+gradient kernel takes one such vector or an (m, p) stack of them, one
+model per row, with stacked matrix products that round each row exactly
+as a single model.  Local steps pass one client per row; the full
+objective passes one model broadcast to one row per block of its rows.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -221,21 +221,17 @@ def _forward_backward(
     with_loss: bool,
     ws: Workspace | None = None,
     out: np.ndarray | None = None,
-    sums=None,
-) -> tuple[np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray | None, np.ndarray]:
     """Weighted cross-entropy gradient, for one model or a stack, and the per-row NLL.
 
     One model: ``x`` (p,), ``feats`` (n, d), ``labels`` (n,).  A stack:
     ``x`` (m, p), ``feats`` (m, n, d), ``labels`` (m, n), where row i is
-    client i's model on its own batch.  One model over row blocks: ``x``
-    (p,), ``feats`` (k, n, d), ``labels`` (k, n); each block's gradient
-    goes into ``sums``, one (bias (k, fan_out), weight (k, fan_in,
-    fan_out)) pair per layer, for the caller to add up, and no gradient is
-    returned.  Each row's output error is divided by
-    ``divisor``: the batch size n for a batch mean, or a per-row column
-    shaped (..., n, 1).  Every product is ``np.matmul``, which makes the
-    same BLAS call per row of a stack as for one model, so each row equals
-    the one-model computation bitwise.
+    model i on its own batch; the rows may be one model broadcast (stride
+    0), as :func:`full_objective` passes it.  Each row's output error is
+    divided by ``divisor``: the batch size n for a batch mean, or a per-row
+    column shaped (..., n, 1).  Every product is ``np.matmul``, which makes
+    the same BLAS call per row of a stack as for one model, so each row
+    equals the one-model computation bitwise.
 
     Each layer's gradient is written straight into its slice of the
     result: ``out`` (C-contiguous, shaped as x) or a new array.  A stack's
@@ -252,27 +248,15 @@ def _forward_backward(
     nll, flat, picked = _softmax_nll(delta, labels, with_loss, ws)
     flat[picked] -= 1.0
     delta /= divisor
-    if feats.ndim > x.ndim + 1:  # row blocks
-        out = None
-    elif out is None:
+    if out is None:
         out = np.empty(x.shape)
     elif not out.flags.c_contiguous or out.shape != x.shape:
         raise ValueError("out must be a C-contiguous array shaped as x")
-    lead = x.shape[:-1]
-    end = x.shape[-1]
-    for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
-        fan_in, fan_out = w.shape[-2:]
-        if out is None:
-            bias, weight = sums[li]
-        else:
-            bias = out[..., end - fan_out : end]
-            end -= fan_out
-            weight = out[..., end - fan_in * fan_out : end].reshape(*lead, fan_in, fan_out)
-            end -= fan_in * fan_out
+    for li, (weight, bias) in reversed(list(enumerate(_unpack(spec, out)))):
         delta.sum(axis=-2, out=bias)
         np.matmul(acts[li].swapaxes(-1, -2), delta, out=weight)
         if li > 0:  # back through tanh: delta W^T * (1 - a^2)
+            w = layers[li][0]
             delta = np.matmul(delta, w.swapaxes(-1, -2), out=None if ws is None else ws.errors[li - 1])
             a = acts[li]
             np.square(a, out=a)
@@ -348,24 +332,31 @@ class ShardStack:
 
     @cached_property
     def objective_layout(self) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-        """:func:`full_objective`'s row blocks over this stack, built on its first call and kept.
+        """:func:`full_objective`'s row blocks and passes over this stack, built on its first call and kept.
 
+        The n rows fall into the fewest blocks of at most ``_BLOCK_ROWS``
+        rows, all of one length, and the blocks into the fewest passes of at
+        most ``_OBJECTIVE_ROWS`` rows, all of one block count: whole padding
+        blocks, at most one fewer than the passes, fill the last ones.
         (rows, divisor, starts, sizes): the stack's rows in client order (a
         take() need not be laid end to end), then padding rows whose error is
-        divided by inf, so they weigh nothing; every row's divisor m n_i,
-        shaped (blocks, length, 1); and each client's first row in that order
-        and row count.
+        divided by inf, so they weigh nothing, shaped (passes, rows per
+        pass); every row's divisor m n_i, shaped (passes, blocks per pass,
+        length, 1); and each client's first row in that order and row count.
         """
         sizes = self.sizes
         n_rows = int(sizes.sum())
         blocks = -(-n_rows // _BLOCK_ROWS)
         length = -(-n_rows // blocks)
-        pad = blocks * length - n_rows
+        passes = -(-blocks // (_OBJECTIVE_ROWS // length))
+        per_pass = -(-blocks // passes)
+        pad = passes * per_pass * length - n_rows
         starts = np.cumsum(sizes) - sizes
         rows = np.repeat(self.offsets - starts, sizes) + np.arange(n_rows)
         rows = np.concatenate([rows, np.zeros(pad, dtype=rows.dtype)])
         divisor = np.concatenate([np.repeat(float(len(self)) * sizes, sizes), np.full(pad, np.inf)])
-        return rows, divisor.reshape(blocks, length, 1), starts.tolist(), sizes.tolist()
+        divisor = divisor.reshape(passes, per_pass, length, 1)
+        return rows.reshape(passes, -1), divisor, starts.tolist(), sizes.tolist()
 
     def batch(self, rows: np.ndarray | None, ws: Workspace) -> Batch:
         """Gather an (m, B) array of shard-local indices into one minibatch in ``ws``.
@@ -446,11 +437,12 @@ class Workspace:
     scratch and the flat label index, or, for the quadratic family, the
     stack's gathered terms.  ``point`` is an (m, p) stack at which a
     gradient is evaluated: SAM's ascent point; ``stacks`` more (m, p)
-    arrays are the caller's own.  With ``blocks``, it serves
-    :func:`full_objective`'s ``blocks`` blocks of ``batch_size`` samples:
-    its rows are the blocks of one pass, at most ``_OBJECTIVE_ROWS``
-    samples, in place of one per client, and it also holds every block's
-    NLL and per-layer gradient sums (``sums``).  The arrays are laid out
+    arrays are the caller's own.  With ``blocks``, a (passes, per_pass)
+    pair, it serves :func:`full_objective`'s passes over blocks of
+    ``batch_size`` samples: its rows are the per_pass blocks of one pass in
+    place of one per client, and it also holds every block's NLL
+    (``nll``) and gradient (``grads``), each shaped (passes, per_pass,
+    ...).  The arrays are laid out
     in ``scratch`` when it is given (see :class:`Scratch`), where the next
     scratch laid out overwrites them.  :meth:`ShardStack.batch` and
     :func:`batch_grads` overwrite them on every call that is passed the
@@ -465,10 +457,10 @@ class Workspace:
         *,
         point: bool = False,
         stacks: int = 0,
-        blocks: int = 0,
+        blocks: tuple[int, int] | None = None,
         scratch: Scratch | None = None,
     ):
-        m = min(blocks, max(1, _OBJECTIVE_ROWS // batch_size)) if blocks else len(shards)
+        m = blocks[1] if blocks else len(shards)
         p = spec.param_count()
         rows = (m, batch_size)
         widths = (*spec.hidden, spec.num_classes)
@@ -482,9 +474,7 @@ class Workspace:
                 *(((*rows, width), np.float64) for width in (*widths, *spec.hidden)),
             ]
             if blocks:
-                layout += [((blocks, batch_size), np.float64)]
-                for fan_in, fan_out in spec.layer_dims():
-                    layout += [((blocks, fan_out), np.float64), ((blocks, fan_in, fan_out), np.float64)]
+                layout += [((*blocks, batch_size), np.float64), ((*blocks, p), np.float64)]
         arrays = iter((Scratch() if scratch is None else scratch).arrays(*layout))
         self.point = next(arrays) if point else None
         self.stacks = [next(arrays) for _ in range(stacks)]
@@ -498,18 +488,8 @@ class Workspace:
         self.acts = [next(arrays) for _ in widths]
         self.errors = [next(arrays) for _ in spec.hidden]
         if blocks:
-            self.nll = next(arrays)
-            self.sums = [(next(arrays), next(arrays)) for _ in spec.layer_dims()]  # (bias, weight) per layer
+            self.nll, self.grads = next(arrays), next(arrays)
         self.class_starts = np.arange(m * batch_size) * spec.num_classes  # flat offset of each row's logits
-
-    def head(self, n: int) -> Workspace:
-        """This workspace for its first ``n`` rows only (a pass over fewer blocks)."""
-        ws = copy.copy(self)
-        samples = n * self.row.shape[1]
-        ws.features, ws.labels, ws.row = self.features[:n], self.labels[:n], self.row[:n]
-        ws.picked, ws.class_starts = self.picked[:samples], self.class_starts[:samples]
-        ws.acts, ws.errors = [a[:n] for a in self.acts], [e[:n] for e in self.errors]
-        return ws
 
 
 def batch_grads(
@@ -591,17 +571,19 @@ def full_objective(
     """Exact global objective f = (1/m) sum_i f_i and its gradient, from one forward/backward of every row.
 
     f_i is client i's full-shard mean loss.  A forward/backward runs over
-    all the stack's rows, in blocks of at most ``_BLOCK_ROWS``
-    (:attr:`ShardStack.objective_layout`), with each row's error weighted by
-    1/(m n_i).  It takes passes of at most ``_OBJECTIVE_ROWS`` rows, keeps
-    every block's gradient and adds them up in block order at the end, so
-    the passes do not change the result.  The loss averages each client's
-    mean NLL, summed and divided as ``np.mean`` does, so a one-client stack
-    of one block equals :func:`loss_and_grad` bitwise.  The quadratic
-    family takes one stacked product over its clients' terms.  The
-    gathered rows, the activations and the rest of the scratch are a
-    :class:`Workspace` laid out in ``scratch`` when it is given; the result
-    is bitwise the same.
+    all the stack's rows, in blocks of at most ``_BLOCK_ROWS``, with each
+    row's error weighted by 1/(m n_i), in passes of equal block count and
+    at most ``_OBJECTIVE_ROWS`` rows (:attr:`ShardStack.objective_layout`).
+    Each pass is one stacked gradient call on x broadcast to one row per
+    block, which writes every block's gradient into its own row; the rows
+    are added up in block order at the end, so the passes do not change the
+    result, and padding blocks add only zeros.  The loss averages each
+    client's mean NLL, summed and divided as ``np.mean`` does, so a
+    one-client stack of one block equals :func:`loss_and_grad` bitwise.
+    The quadratic family takes one stacked product over its clients'
+    terms.  The gathered rows, the activations and the rest of the scratch
+    are a :class:`Workspace` laid out in ``scratch`` when it is given; the
+    result is bitwise the same.
     """
     if spec.kind == "quadratic":
         ws = (Scratch() if scratch is None else scratch).workspace(spec, shards, 0, stacks=2)
@@ -611,24 +593,17 @@ def full_objective(
         losses = 0.5 * (np.subtract(grads, b, out=centred) @ x)
         return float(np.mean(losses)), grads.mean(axis=0)
     rows, divisor, starts, sizes = shards.objective_layout
-    blocks, length = divisor.shape[:2]
-    ws = (Scratch() if scratch is None else scratch).workspace(spec, shards, length, blocks=blocks)
-    per_pass = len(ws.row)
-    for b0 in range(0, blocks, per_pass):
-        part = ws if b0 + per_pass <= blocks else ws.head(blocks - b0)
-        b1 = b0 + len(part.row)
-        taken = rows[b0 * length : b1 * length]  # in range, so "clip" clips nothing and take writes in place
-        shards.features.take(taken, axis=0, out=part.features.reshape(len(taken), -1), mode="clip")
-        shards.labels.take(taken, out=part.labels.reshape(-1), mode="clip")
-        sums = [(bias[b0:b1], weight[b0:b1]) for bias, weight in ws.sums]
+    passes, per_pass, length = divisor.shape[:3]
+    ws = (Scratch() if scratch is None else scratch).workspace(spec, shards, length, blocks=(passes, per_pass))
+    stack = np.broadcast_to(x, (per_pass, len(x)))
+    for i, taken in enumerate(rows):  # in range, so "clip" clips nothing and take writes in place
+        shards.features.take(taken, axis=0, out=ws.features.reshape(len(taken), -1), mode="clip")
+        shards.labels.take(taken, out=ws.labels.reshape(-1), mode="clip")
         nll, _ = _forward_backward(
-            spec, x, part.features, part.labels, divisor[b0:b1], with_loss=True, ws=part, sums=sums
+            spec, stack, ws.features, ws.labels, divisor[i], with_loss=True, ws=ws, out=ws.grads[i]
         )
-        ws.nll[b0:b1] = nll
-    grad = np.empty(x.shape)
-    for (weight, bias), (bias_sums, weight_sums) in zip(_unpack(spec, grad), ws.sums):  # each total in turn
-        bias_sums.sum(axis=0, out=bias)
-        weight_sums.sum(axis=0, out=weight)
+        ws.nll[i] = nll
+    grad = ws.grads.reshape(-1, len(x)).sum(axis=0)  # row by row, in block order
     nll = ws.nll.reshape(-1)
     means = [nll[a : a + n].sum() / n for a, n in zip(starts, sizes)]
     return float(np.mean(means)), grad

@@ -440,6 +440,10 @@ class TestCmdRun:
              "m * (2 * topology.k + 1) = 3000050000 exceeds 2**31"),
             ("run", ["data.source=csv", "data.path={dir}/biglabel.csv"], None,
              "data.path: m * model parameters"),
+            ("run", ["data.test_per_class=-3"], None, "data.test_per_class must be >= 1"),
+            ("run", ["data.dim=0"], None, "data.dim must be >= 1"),
+            ("run", ["data.classes=1"], None, "data.classes must be >= 2"),
+            ("run", ["data.per_class=0"], None, "data.per_class must be >= 1"),
         ],
     )
     def test_bad_value_exits_2_naming_it(

@@ -268,7 +268,43 @@ class TestFullObjective:
         fresh = layout(sub)  # a take() keeps no layout of the stack it was taken from
         for cached, want in zip(sub.objective_layout, fresh, strict=True):
             assert np.array_equal(cached, want) and np.asarray(cached).dtype == np.asarray(want).dtype
-        assert fresh[1].shape[:2] != shards.objective_layout[1].shape[:2]
+        assert fresh[1].shape[1:3] != shards.objective_layout[1].shape[1:3]  # (blocks per pass, length)
+
+    @pytest.mark.parametrize("n", [1, 63, 65, 2047, 2048, 2049, 4097, 5000, 6500, 9001])
+    def test_layout_passes_are_equal_and_pad_with_whole_blocks(self, n):
+        stack = split_stack(n, hidden=())[2]
+        rows, divisor, starts, sizes = stack.objective_layout
+        passes, per_pass, length, _ = divisor.shape
+        assert rows.shape == (passes, per_pass * length)
+        assert length <= models._BLOCK_ROWS and per_pass * length <= models._OBJECTIVE_ROWS
+        flat = divisor.reshape(-1)
+        assert np.isfinite(flat[:n]).all() and np.isinf(flat[n:]).all()
+        whole_padding_blocks = np.isinf(divisor[..., 0]).all(axis=-1).sum()
+        assert whole_padding_blocks <= passes - 1
+        assert -(-n // length) == -(-n // models._BLOCK_ROWS)  # the fewest blocks, as without passes
+        order = np.concatenate([np.arange(o, o + k) for o, k in zip(stack.offsets, stack.sizes)])
+        assert np.array_equal(rows.reshape(-1)[:n], order) and starts[-1] + sizes[-1] == n
+
+    @pytest.mark.parametrize("hidden", [(), (1,), (7, 5), (3, 1)])
+    @pytest.mark.parametrize("n", [2047, 2049, 4097, 6500])
+    def test_gradient_adds_the_blocks_in_order(self, n, hidden):
+        # width-1 layers too: numpy adds a contiguous (blocks, 1) column pairwise, not in block order
+        spec, x, stack = split_stack(n, hidden)
+        for st in (stack, stack.take(np.arange(len(stack))[::-1])):
+            _, grad = full_objective(spec, x, st)
+            assert grad.tobytes() == blockwise_reference(spec, x, st).tobytes()
+
+    @pytest.mark.parametrize("hidden", [(), (1,), (7, 5)])
+    def test_a_broadcast_stack_equals_its_copy(self, hidden, rng):
+        spec, x, stack = split_stack(300, hidden)
+        feats = stack.features[:300].reshape(5, 60, -1)
+        labels = stack.labels[:300].reshape(5, 60)
+        divisor = rng.uniform(1.0, 400.0, size=(5, 60, 1))
+        (nll_b, grad_b), (nll_t, grad_t) = (
+            models._forward_backward(spec, stacked, feats, labels, divisor, with_loss=True)
+            for stacked in (np.broadcast_to(x, (5, len(x))), np.tile(x, (5, 1)))
+        )
+        assert nll_b.tobytes() == nll_t.tobytes() and grad_b.tobytes() == grad_t.tobytes()
 
     @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])
     def test_scratch_leaves_the_result_bitwise(self, kind, rng):
@@ -284,6 +320,34 @@ class TestFullObjective:
             models.Workspace(spec, stack, 32, point=True, stacks=2, scratch=scratch)
             loss, grad = full_objective(spec, x, stack, scratch)
             assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
+
+
+def split_stack(n, hidden, d=6, classes=4):
+    """A model and point, and a stack of n random rows over clients of uneven sizes."""
+    rng = np.random.default_rng(n)
+    feats, labels = rng.normal(size=(n, d)), rng.integers(0, classes, size=n)
+    bounds = [0, *sorted(set(rng.integers(1, n, size=min(5, n - 1)).tolist())), n]
+    stack = ShardStack.of([Shard(feats[a:b], labels[a:b]) for a, b in zip(bounds, bounds[1:])])
+    spec = ModelSpec("mlp" if hidden else "logistic", d, classes, hidden)
+    return spec, init_params(spec, 3) + 0.3 * rng.normal(size=spec.param_count()), stack
+
+
+def blockwise_reference(spec, x, stack):
+    """full_objective's gradient from one-model calls, one block of rows at a time, added from zero."""
+    rows = np.concatenate([np.arange(o, o + k) for o, k in zip(stack.offsets, stack.sizes)])
+    divisor = np.repeat(len(stack) * stack.sizes.astype(np.float64), stack.sizes)
+    blocks = -(-len(rows) // 64)
+    length = -(-len(rows) // blocks)
+    pad = blocks * length - len(rows)
+    rows = np.concatenate([rows, np.zeros(pad, dtype=rows.dtype)])
+    divisor = np.concatenate([divisor, np.full(pad, np.inf)])
+    total = np.zeros(spec.param_count())
+    for block, div in zip(rows.reshape(blocks, length), divisor.reshape(blocks, length, 1)):
+        _, grad = models._forward_backward(
+            spec, x, stack.features[block], stack.labels[block], div, with_loss=False
+        )
+        total += grad
+    return total
 
 
 def bits(a):
