@@ -20,17 +20,14 @@ coordinator's own stream, train the participant rows from the global
 model through the same local phase, and replace the global model with
 their unweighted average.
 
-A run owns every round-sized array, in one :class:`RoundArrays`: the
-start points, local outputs and mixed models that each RoundInfo hands
-out, each block's minibatch indices, and one :class:`models.Scratch` in
-which the local phase (workspace, spare iterate, velocity), gossip and
-evaluation lay out their temporaries in turn.  An array a round handed
-out is taken back for a later round only once nothing outside the engine
-refers to it; one a caller keeps stays the caller's and is never written
-again.  So a run whose caller keeps nothing allocates nothing the size
-of the stack after its first rounds, and none of it lives at module
-level.  Evaluation computes only what a RoundRecord reads: accuracy from
-the argmax of the test logits, no test loss.
+Each round hands out fresh arrays: the start points, local outputs and
+mixed models of its RoundInfo, like each block's minibatch indices, are
+new arrays that the engine never writes again, so one a caller keeps
+stays as it was.  Only temporaries share memory: a run's local phases
+(workspace, spare iterate, velocity), gossip steps and evaluations lay
+them out in turn in one :class:`models.Scratch`, and none of it lives at
+module level.  Evaluation computes only what a RoundRecord reads:
+accuracy from the argmax of the test logits, no test loss.
 
 Determinism contract: one thread runs every round, with no thread pool
 and no order that depends on scheduling, and numpy's OpenBLAS is held at
@@ -48,7 +45,6 @@ equal to training each client on its own.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -92,7 +88,6 @@ __all__ = [
     "PartitionConfig",
     "ExperimentConfig",
     "RoundInfo",
-    "RoundArrays",
     "Problem",
     "ExperimentResult",
     "ConfigError",
@@ -345,7 +340,7 @@ def _bounded(z: np.ndarray, n: np.ndarray, threshold: np.ndarray, out=None) -> n
     return rejected
 
 
-def client_batches(seed: int, clients, rounds, sizes, k_steps: int, batch_size: int, out=None) -> np.ndarray:
+def client_batches(seed: int, clients, rounds, sizes, k_steps: int, batch_size: int) -> np.ndarray:
     """(K, m, B) minibatch indices: column i draws uniformly with replacement from ``sizes[i]`` samples.
 
     Column i reads the private stream of client ``clients[i]`` in round
@@ -366,9 +361,9 @@ def client_batches(seed: int, clients, rounds, sizes, k_steps: int, batch_size: 
 
     Step k holds values k*B to (k+1)*B - 1 of the column.  The draw runs in
     place in the result, rows of at most ``_CHUNK_VALUES`` values at a
-    time, so its temporaries stay small beside it.  The result's memory is
-    ``out`` when it is given, a C-contiguous (m, K*B) int64 array.  Shard
-    sizes outside [1, 2**32) raise ValueError.
+    time, so its temporaries stay small beside it.  The result is a view
+    of a new C-contiguous (m, K*B) int64 array.  Shard sizes outside
+    [1, 2**32) raise ValueError.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.size and not (sizes.min() >= 1 and sizes.max() < 2**32):
@@ -383,7 +378,7 @@ def client_batches(seed: int, clients, rounds, sizes, k_steps: int, batch_size: 
     threshold = (np.uint64(2**32) - n) % n
     steps = np.arange(1, count + 1, dtype=np.uint64)
     steps *= _GAMMA
-    out = np.empty((m, count), dtype=np.int64) if out is None else out
+    out = np.empty((m, count), dtype=np.int64)
     values = out.view(np.uint64)
     rejected = np.empty((m, count), dtype=bool)
     rows = max(1, _CHUNK_VALUES // count)
@@ -425,42 +420,41 @@ def _participant_count(participation: float, m: int) -> int:
     return math.ceil(Fraction(repr(float(participation))) * m)
 
 
-def ole_init(x_mixed: np.ndarray, z_prev: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
+def ole_init(x_mixed: np.ndarray, z_prev: np.ndarray, beta: float) -> np.ndarray:
     """Opposite-lookahead start point: x + beta * (x - z_prev).
 
     Steps away from the client's previous local output, which keeps the
     upcoming local phase from drifting far from the mixed model.
     Algebraically this equals (1 + beta) * x - beta * z_prev, i.e. one
     gossip step with the modified matrix (1 + beta) * W - beta * I.
-    Works row-wise on (m, p) stacks as well as on one vector, and writes
-    into ``out`` when it is given.
+    Works row-wise on (m, p) stacks as well as on one vector, and returns
+    a new array.
     """
     if x_mixed.shape != z_prev.shape:
         raise ValueError("x_mixed and z_prev must have equal length")
     if not 0.0 <= beta < 1.0:
         raise ValueError(f"beta must be in [0, 1), got {beta}")
-    start = np.subtract(x_mixed, z_prev, out=out)
+    start = np.subtract(x_mixed, z_prev)
     start *= beta
     return np.add(x_mixed, start, out=start)
 
 
-def gossip_mix(local_outputs, w: MixingMatrix, out=None, scratch: Scratch | None = None) -> np.ndarray:
+def gossip_mix(local_outputs, w: MixingMatrix, scratch: Scratch | None = None) -> np.ndarray:
     """x_i' = sum_j w_ij z_j, accumulated in ascending j for reproducibility.
 
     The sum runs over the neighbour table of ``w`` (see
     :attr:`MixingMatrix.neighbours`), one (m, p) multiply-add per column:
     O(m D p) for largest row support D, not O(m^2 p).  The terms it skips
     are exact zeros for finite inputs, so the result is bitwise the dense
-    ascending-j sum.  It is written into ``out`` when that is given, and
-    the term it gathers is laid out in ``scratch``.
+    ascending-j sum.  The result is a new array; the term it gathers is
+    laid out in ``scratch``.
     """
     z = np.asarray(local_outputs, dtype=float)
     if z.shape[0] != w.m:
         raise ValueError(f"expected {w.m} rows, got {z.shape[0]}")
     index, weight = w.neighbours
     column = (w.m,) + (1,) * (z.ndim - 1)
-    out = np.empty_like(z) if out is None else out
-    out.fill(0.0)
+    out = np.zeros_like(z)
     (term,) = (Scratch() if scratch is None else scratch).arrays((z.shape, z.dtype))
     for d in range(index.shape[1]):
         np.take(z, index[:, d], axis=0, out=term, mode="clip")  # MixingMatrix checks the range
@@ -475,46 +469,6 @@ def _check_finite(z: np.ndarray, t: int, clients: np.ndarray) -> None:
         raise DivergenceError(t, int(clients[bad[0]]))
 
 
-class RoundArrays:
-    """The arrays one run's rounds hand out, and the :class:`Scratch` they lay their temporaries out in.
-
-    :meth:`take` lends an array of a shape and dtype, a free one when there
-    is one.  :meth:`reclaim` frees every lent array but those it is told to
-    keep if nothing outside this object refers to it, and otherwise forgets
-    it: it stays its holder's and is never written again.
-    """
-
-    def __init__(self) -> None:
-        # blocks of twice the need: with blocks of just the need, glibc handed a run's pages back at
-        # its end and the next run faulted them in afresh (92 minor faults per round against 5 on
-        # fullscale_random_sam); pages that no layout touches take no memory
-        self.scratch = Scratch(headroom=2)
-        self._lent: list[np.ndarray] = []
-        self._free: list[np.ndarray] = []
-
-    def take(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        for i, a in enumerate(self._free):
-            if a.shape == shape and a.dtype == dtype:
-                a = self._free.pop(i)
-                break
-        else:
-            a = np.empty(shape, dtype)
-        self._lent.append(a)
-        return a
-
-    def reclaim(self, *keep: np.ndarray) -> None:
-        kept = {id(a) for a in keep}
-        lent, self._lent = self._lent, []
-        probe = np.empty(0)
-        held = [probe]  # one list and one name refer to it, as to each lent array below
-        unshared = sys.getrefcount(probe)
-        for a in lent:
-            if id(a) in kept:
-                self._lent.append(a)
-            elif sys.getrefcount(a) == unshared:
-                self._free.append(a)
-
-
 def run_round(
     x_mixed: np.ndarray,
     z_prev: np.ndarray,
@@ -524,7 +478,7 @@ def run_round(
     problem: Problem,
     clients: np.ndarray | None = None,
     draws: np.ndarray | None = None,
-    arrays: RoundArrays | None = None,
+    scratch: Scratch | None = None,
 ) -> RoundInfo:
     """Execute one communication round; the next starts from ``info.x_mixed`` and ``info.z``.
 
@@ -535,23 +489,21 @@ def run_round(
     ``clients`` and ``draws`` are the round's participants and their
     (K, n, B) minibatch indices, as :func:`iter_rounds` draws them ahead
     for a block of rounds; without them the round samples its
-    participants and draws its own minibatches.  The round's new arrays
-    (start points, local outputs, mixed models) are lent from ``arrays``,
-    whose scratch holds its temporaries; without it they are new arrays.
+    participants and draws its own minibatches.  The start points, local
+    outputs and mixed models it returns are new arrays; its temporaries
+    are laid out in ``scratch``.
     """
-    arrays = RoundArrays() if arrays is None else arrays
     m = len(x_mixed)
     central = cfg.algorithm in CENTRAL_KINDS
     if clients is None:
         clients = participants(cfg, m, t)
     if central:
         ref = x_mixed[0]  # every client holds the global model
-        starts = arrays.take((len(clients), x_mixed.shape[1]))
-        starts[...] = ref
+        starts = np.tile(ref, (len(clients), 1))
         shards = problem.shards.take(clients)
     else:
         ref = x_mixed
-        starts = ole_init(x_mixed, z_prev, cfg.beta, out=arrays.take(x_mixed.shape))
+        starts = ole_init(x_mixed, z_prev, cfg.beta)
         shards = problem.shards
     if draws is None and problem.spec.kind != "quadratic":  # the quadratic family is noiseless
         draws = client_batches(cfg.seed, clients, t, shards.sizes, cfg.local_steps, cfg.optimizer.batch_size)
@@ -564,16 +516,14 @@ def run_round(
         draws,
         round_index=t,
         ref_point=ref if cfg.diagnostics else None,
-        out=arrays.take(starts.shape),
-        scratch=arrays.scratch,
+        scratch=scratch,
     )
     z = res.z
     _check_finite(z, t, clients)
-    x_new = arrays.take(x_mixed.shape)
     if central:
-        x_new[...] = z.mean(axis=0)
+        x_new = np.tile(z.mean(axis=0), (m, 1))
     else:
-        gossip_mix(z, w_t, out=x_new, scratch=arrays.scratch)
+        x_new = gossip_mix(z, w_t, scratch)
     return RoundInfo(
         t=t, ole_points=None if central else starts, z=z, x_prev=x_mixed, x_mixed=x_new, drift=res.v1
     )
@@ -637,7 +587,7 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     return Problem(spec, shards, test, init_params(spec, init_seed))
 
 
-def iter_rounds(cfg: ExperimentConfig, problem: Problem, arrays: RoundArrays | None = None):
+def iter_rounds(cfg: ExperimentConfig, problem: Problem, scratch: Scratch | None = None):
     """Run ``cfg.rounds`` rounds from ``problem.x0``, yielding each round's RoundInfo.
 
     Every client starts at x0 with z_prev = x0.  Decentralized kinds mix
@@ -650,18 +600,16 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem, arrays: RoundArrays | N
     looked up in this module on every call, where the benchmark's call
     tracer wraps them.
 
-    Every round-sized array comes from ``arrays`` (a new
-    :class:`RoundArrays` by default).  When the caller resumes the
-    generator, the finished round's start points and the models it started
-    from are taken back unless the caller still refers to them, and so is a
-    block's indices array once the block is done; a RoundInfo, array or view
-    that the caller keeps is never written again.
+    Every RoundInfo holds new arrays, which no later round writes; the
+    rounds lay their temporaries out in ``scratch`` (a new
+    :class:`Scratch` by default).  The generator drops its RoundInfo when
+    the caller resumes it, so a finished round's arrays that the caller
+    does not keep are freed before the next round allocates its own.
     """
     cfg = validated(cfg)
-    arrays = RoundArrays() if arrays is None else arrays
+    scratch = Scratch() if scratch is None else scratch
     m = len(problem.shards)
-    x = z = arrays.take((m, len(problem.x0)))  # no round writes its inputs
-    x[...] = problem.x0
+    x = z = np.tile(problem.x0, (m, 1))  # no round writes its inputs
     topo = cfg.topology
     w_t = None
     resampled = False
@@ -678,24 +626,20 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem, arrays: RoundArrays | N
     for t0 in range(0, cfg.rounds, span):
         block = range(t0, min(t0 + span, cfg.rounds))
         clients = [participants(cfg, m, t) for t in block]
-        draws = [None] * len(block)  # drops the last block's views of its indices
-        indices = None
+        draws = [None] * len(block)
         if problem.spec.kind != "quadratic":  # the quadratic family is noiseless and draws nothing
-            arrays.reclaim(x, z)
             cols = np.concatenate(clients)
             indices = client_batches(
-                cfg.seed, cols, np.repeat(block, per_round), problem.shards.sizes[cols], k_steps, batch_size,
-                arrays.take((len(cols), k_steps * batch_size), np.int64),
+                cfg.seed, cols, np.repeat(block, per_round), problem.shards.sizes[cols], k_steps, batch_size
             )
             draws = np.split(indices, len(block), axis=1)
         for i, t in enumerate(block):
             if resampled:
                 w_t = build_mixing(replace(topo, seed=_subseed(topo.seed, _DOM_TOPO, t)))
-            info = run_round(x, z, t, cfg, w_t, problem, clients[i], draws[i], arrays)
+            info = run_round(x, z, t, cfg, w_t, problem, clients[i], draws[i], scratch)
             x, z = info.x_mixed, info.z
             yield info
-            del info  # what the caller still refers to stays the caller's
-            arrays.reclaim(x, z, indices)
+            del info  # frees the round's start points and its x_prev, unless the caller keeps them
 
 
 def _evaluate(
@@ -745,30 +689,34 @@ def run_experiment(
     speed do not depend on it.  numpy's OpenBLAS is held at one thread
     while the rounds run and are evaluated (:func:`blas.one_thread`).  ``on_round`` receives (t, RoundInfo)
     after every round; metrics are derived only on recorded rounds.  The
-    rounds and their evaluations share one :class:`RoundArrays`.
+    rounds and their evaluations lay their temporaries out in one
+    :class:`Scratch`.
     """
     cfg = validated(cfg)
     start = time.perf_counter()
     problem = build_problem(cfg) if problem is None else problem
     records: list[RoundRecord] = []
     final_x = None
-    arrays = RoundArrays()
+    # a block of twice the need: with blocks of just the need, glibc handed a run's pages back at its
+    # end and the next run faulted them in afresh (92 minor faults per round against 5 on
+    # fullscale_random_sam); pages that no layout touches take no memory
+    scratch = Scratch(headroom=2)
     with blas.one_thread():
-        for info in iter_rounds(cfg, problem, arrays):
+        for info in iter_rounds(cfg, problem, scratch):
             t = info.t
             if on_round is not None:
                 on_round(t, info)
             if t % cfg.eval_every == 0 or t == cfg.rounds - 1:
-                records.append(_evaluate(cfg, problem, info, arrays.scratch))
+                records.append(_evaluate(cfg, problem, info, scratch))
             final_x = info.x_mixed
-            del info  # so that the next round can take back what only this round's info held
+            del info  # so that what only this round's info held is freed before the next round allocates
         if final_x is None:
             final_x = np.tile(problem.x0, (len(problem.shards), 1))
         if records:
             last = records[-1]
         else:  # degenerate horizon: report initial metrics only, with every client at x0
             at_x0 = RoundInfo(t=0, ole_points=None, z=final_x, x_prev=final_x, x_mixed=final_x, drift=None)
-            last = replace(_evaluate(cfg, problem, at_x0, arrays.scratch), consensus=0.0, delta_t=0.0)
+            last = replace(_evaluate(cfg, problem, at_x0, scratch), consensus=0.0, delta_t=0.0)
     accs = [r.test_acc for r in records if r.test_acc is not None]
     summary = {
         "algorithm": cfg.algorithm.value,

@@ -16,12 +16,11 @@ Each :func:`local_train` call lays one :class:`models.Workspace` out and
 hands it to every step: its K steps and both gradient calls of a SAM
 step reuse the same minibatch, activations, back-propagated errors,
 softmax scratch and ascent point, and the iterates alternate between the
-result and a spare array.  A run passes its own result array and its
-:class:`models.Scratch`, so the workspace, the spare iterate and the
-velocity take the same memory in every round (the run's gossip steps and
-evaluations reuse it in between) and the call allocates nothing the size
-of the stack; without them it allocates its own.  No returned array
-points into the scratch.
+result and a spare array.  A run passes its :class:`models.Scratch`, so
+the workspace, the spare iterate and the velocity take the same memory
+in every round (the run's gossip steps and evaluations reuse it in
+between); without it the call lays them out in one of its own.  The
+result is a new array, and no returned array points into the scratch.
 
 SAM evaluates the gradient twice on the same minibatch: at the current
 point for the ascent direction, then at the point perturbed by ``lam``
@@ -134,7 +133,6 @@ def local_train(
     *,
     round_index: int,
     ref_point: np.ndarray | None = None,
-    out: np.ndarray | None = None,
     scratch: Scratch | None = None,
 ) -> LocalResult:
     """K sequential steps on every client of a stack at once.
@@ -152,9 +150,8 @@ def local_train(
 
     ``ref_point`` ((p,) or (m, p)) switches on accumulation of the
     local-drift energy sum_k ||x_{i,k} - ref||^2 over the pre-step iterates.
-    The stacked form writes its result into ``out`` (C-contiguous (m, p),
-    not overlapping ``x0``) when it is given, and lays its workspace, spare
-    iterate and velocity out in ``scratch``; the result is bitwise the same.
+    The workspace, spare iterate and velocity are laid out in ``scratch``;
+    the result is a new array.
     """
     if k_steps < 1:
         raise ValueError("need at least one local step")
@@ -170,7 +167,7 @@ def local_train(
     momentum = cfg.method == "sgd_momentum"
     scratch = Scratch() if scratch is None else scratch
     ws = scratch.workspace(spec, shard, cfg.batch_size, point=lam != 0.0, stacks=1 + momentum)
-    out = np.empty(x0.shape) if out is None else out
+    out = np.empty(x0.shape)
     # the iterates alternate between out and the spare, so that the last step writes into out
     iterates = (out, ws.stacks[0]) if k_steps % 2 else (ws.stacks[0], out)
     x = x0

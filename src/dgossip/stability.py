@@ -102,7 +102,7 @@ def stability_probe(
             b = next(twin_rounds)
             dists.append(np.linalg.norm(a.x_mixed - b.x_mixed, axis=1))
             gaps.append(abs(heldout_loss(a.x_mixed) - heldout_loss(b.x_mixed)))
-            del a, b  # so that each run takes back the arrays of this round
+            del a, b  # so that this round's arrays are freed before the next round allocates
     dists = np.array(dists).reshape(-1, cfg.m)
     return StabilityTrace(
         client=client,

@@ -6,6 +6,7 @@ import importlib
 import math
 import pkgutil
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -444,27 +445,61 @@ def mlp_cfg(case, **overrides):
 
 
 class TestRunArrays:
-    """A run lends every round-sized array from one RoundArrays, and never writes one a caller holds."""
+    """Rounds hand out fresh arrays, keep temporaries in one Scratch and never write what a caller holds."""
 
     @pytest.mark.parametrize("case", sorted(RUN_ARRAY_CASES))
-    def test_steady_state_allocates_no_stack(self, monkeypatch, case):
+    def test_scratch_settles_and_nothing_leaks(self, monkeypatch, case):
         cfg = mlp_cfg(case, rounds=9, eval_every=1, diagnostics=True)
         problem = build_problem(cfg)
         per_round = len(participants(cfg, cfg.m, 0)) * cfg.local_steps * cfg.optimizer.batch_size
         monkeypatch.setattr(engine, "_BLOCK_INDICES", 2 * per_round)  # blocks start inside the traced rounds
+        scratches = []
 
-        def trace_after_two_rounds(t, info):
-            if t == 1:
+        def training(*args, scratch, **kwargs):
+            scratches.append(scratch)
+            return localopt.local_train(*args, scratch=scratch, **kwargs)
+
+        monkeypatch.setattr(engine, "local_train", training)
+        numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        blocks, traced = [], []
+
+        def trace_from_round_two(t, info):
+            if t == 0:  # every array live from round 2 on is allocated after this
                 tracemalloc.start()
+            else:
+                blocks.append(scratches[-1]._block)
+            if t >= 2:
+                snapshot = tracemalloc.take_snapshot().filter_traces(numpy_data)
+                traced.append(sum(trace.size for trace in snapshot.traces))
 
         try:
-            result = run_experiment(cfg, problem=problem, on_round=trace_after_two_rounds)
-            peak = tracemalloc.get_traced_memory()[1]
+            result = run_experiment(cfg, problem=problem, on_round=trace_from_round_two)
         finally:
             tracemalloc.stop()
-        stack = problem.x0.nbytes * cfg.m
         assert len(result.records) == cfg.rounds
-        assert peak < stack  # all that is allocated from round 2 on and live at once: less than one stack
+        assert all(s is scratches[0] for s in scratches)  # one Scratch for the whole run
+        blocks.append(scratches[0]._block)  # after the last round's evaluation
+        assert all(block is blocks[0] for block in blocks)  # not regrown after round 1
+        # the numpy memory live at each round from round 2 on is no more than at round 2: nothing leaks
+        assert len(traced) == cfg.rounds - 2
+        assert all(later <= traced[0] for later in traced), traced
+
+    @pytest.mark.parametrize("case", sorted(RUN_ARRAY_CASES))
+    def test_a_finished_round_is_freed_before_the_next(self, monkeypatch, case):
+        cfg = mlp_cfg(case, rounds=6, diagnostics=True)
+        refs = []
+
+        def round_watched(*args):
+            # every earlier round's start points and the models it started from are gone by now
+            assert all(ref() is None for ref in refs), [i for i, ref in enumerate(refs) if ref() is not None]
+            info = run_round(*args)
+            refs.extend(weakref.ref(a) for a in (info.ole_points, info.x_prev) if a is not None)
+            return info
+
+        monkeypatch.setattr(engine, "run_round", round_watched)
+        result = run_experiment(cfg, on_round=None)
+        assert len(result.records) == cfg.rounds
+        assert len(refs) == (2 if case != "fedavg_central" else 1) * cfg.rounds
 
     @pytest.mark.parametrize("case", sorted(RUN_ARRAY_CASES))
     def test_held_arrays_are_never_written(self, monkeypatch, case):
