@@ -45,7 +45,6 @@ from .metrics import (
     write_metrics_csv,
 )
 from .models import (
-    Batch,
     ModelSpec,
     Shard,
     ShardStack,

@@ -234,6 +234,8 @@ def load_csv(path: str) -> LabeledDataset:
                 features.append(values)
                 if label < 0:
                     raise ValueError(f"{path}:{rownum}: negative label {label}")
+                if label >= 2**63:  # labels are int64
+                    raise ValueError(f"{path}:{rownum}: label {label} exceeds 2**63 - 1")
                 labels.append(label)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8: {exc}") from None

@@ -23,11 +23,13 @@ their unweighted average.
 Each round hands out fresh arrays: the start points, local outputs and
 mixed models of its RoundInfo, like each block's minibatch indices, are
 new arrays that the engine never writes again, so one a caller keeps
-stays as it was.  Only temporaries share memory: a run's local phases
-(workspace, spare iterate, velocity), gossip steps and evaluations lay
-them out in turn in one :class:`models.Scratch`, and none of it lives at
-module level.  Evaluation computes only what a RoundRecord reads:
-accuracy from the argmax of the test logits, no test loss.
+stays as it was.  Only the workspaces share memory: a run's local phases
+(workspace, spare iterate, velocity) and evaluations (the full
+objective's workspace) lay them out in turn in one
+:class:`models.Scratch`, and none of it lives at module level.  Gossip's
+gathered term, the metrics' differences and the test activations are
+plain numpy temporaries.  Evaluation computes only what a RoundRecord
+reads: accuracy from the argmax of the test logits, no test loss.
 
 Determinism contract: one thread runs every round, with no thread pool
 and no order that depends on scheduling, and numpy's OpenBLAS is held at
@@ -241,6 +243,8 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"unknown model kind {model.kind!r}")
     if model.kind == "quadratic" and model.p < 1:
         raise ConfigError(f"model.p must be >= 1, got {model.p}")
+    if model.kind == "quadratic" and not model.heterogeneity >= 0:  # -h is h with its noise flipped
+        raise ConfigError(f"model.heterogeneity must be >= 0, got {model.heterogeneity}")
     if model.kind == "mlp" and min(model.hidden, default=1) < 1:
         raise ConfigError(f"model.hidden sizes must be >= 1, got {list(model.hidden)}")
     if cfg.partition.scheme not in ("iid", "dirichlet", "pathological"):
@@ -248,8 +252,9 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
     if d.source not in ("synthetic", "csv"):
         raise ConfigError(f"unknown data source {d.source!r}")
     synthetic = model.kind != "quadratic" and d.source == "synthetic"
-    for name, least in (("classes", 2), ("dim", 1), ("per_class", 1), ("test_per_class", 1)):
-        if synthetic and getattr(d, name) < least:
+    # a negative spread is its absolute value with the noise flipped
+    for name, least in (("classes", 2), ("dim", 1), ("per_class", 1), ("test_per_class", 1), ("spread", 0)):
+        if synthetic and not getattr(d, name) >= least:
             raise ConfigError(f"data.{name} must be >= {least}, got {getattr(d, name)}")
     if synthetic and d.classes * d.per_class < cfg.m:
         raise ConfigError(f"data.classes * data.per_class = {d.classes * d.per_class} samples < m={cfg.m}")
@@ -439,15 +444,14 @@ def ole_init(x_mixed: np.ndarray, z_prev: np.ndarray, beta: float) -> np.ndarray
     return np.add(x_mixed, start, out=start)
 
 
-def gossip_mix(local_outputs, w: MixingMatrix, scratch: Scratch | None = None) -> np.ndarray:
+def gossip_mix(local_outputs, w: MixingMatrix) -> np.ndarray:
     """x_i' = sum_j w_ij z_j, accumulated in ascending j for reproducibility.
 
     The sum runs over the neighbour table of ``w`` (see
     :attr:`MixingMatrix.neighbours`), one (m, p) multiply-add per column:
     O(m D p) for largest row support D, not O(m^2 p).  The terms it skips
     are exact zeros for finite inputs, so the result is bitwise the dense
-    ascending-j sum.  The result is a new array; the term it gathers is
-    laid out in ``scratch``.
+    ascending-j sum.  The result is a new array.
     """
     z = np.asarray(local_outputs, dtype=float)
     if z.shape[0] != w.m:
@@ -455,7 +459,7 @@ def gossip_mix(local_outputs, w: MixingMatrix, scratch: Scratch | None = None) -
     index, weight = w.neighbours
     column = (w.m,) + (1,) * (z.ndim - 1)
     out = np.zeros_like(z)
-    (term,) = (Scratch() if scratch is None else scratch).arrays((z.shape, z.dtype))
+    term = np.empty_like(z)
     for d in range(index.shape[1]):
         np.take(z, index[:, d], axis=0, out=term, mode="clip")  # MixingMatrix checks the range
         term *= weight[:, d].reshape(column)
@@ -490,8 +494,8 @@ def run_round(
     (K, n, B) minibatch indices, as :func:`iter_rounds` draws them ahead
     for a block of rounds; without them the round samples its
     participants and draws its own minibatches.  The start points, local
-    outputs and mixed models it returns are new arrays; its temporaries
-    are laid out in ``scratch``.
+    outputs and mixed models it returns are new arrays; its local phase
+    lays its workspace out in ``scratch``.
     """
     m = len(x_mixed)
     central = cfg.algorithm in CENTRAL_KINDS
@@ -523,7 +527,7 @@ def run_round(
     if central:
         x_new = np.tile(z.mean(axis=0), (m, 1))
     else:
-        x_new = gossip_mix(z, w_t, scratch)
+        x_new = gossip_mix(z, w_t)
     return RoundInfo(
         t=t, ole_points=None if central else starts, z=z, x_prev=x_mixed, x_mixed=x_new, drift=res.v1
     )
@@ -601,7 +605,7 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem, scratch: Scratch | None
     tracer wraps them.
 
     Every RoundInfo holds new arrays, which no later round writes; the
-    rounds lay their temporaries out in ``scratch`` (a new
+    local phases lay their workspaces out in ``scratch`` (a new
     :class:`Scratch` by default).  The generator drops its RoundInfo when
     the caller resumes it, so a finished round's arrays that the caller
     does not keep are freed before the next round allocates its own.
@@ -645,19 +649,19 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem, scratch: Scratch | None
 def _evaluate(
     cfg: ExperimentConfig, problem: Problem, info: RoundInfo, scratch: Scratch | None = None
 ) -> RoundRecord:
-    """The metric record of one round, derived from its arrays; temporaries go into ``scratch``."""
+    """One round's metric record, from its arrays; full_objective lays its workspace out in ``scratch``."""
     x = info.x_mixed
     xbar = x.mean(axis=0)
     train_loss, grad = full_objective(problem.spec, xbar, problem.shards, scratch)
     test_acc = None
     if problem.spec.kind != "quadratic" and problem.test is not None:
-        test_acc = eval_model(problem.spec, xbar, problem.test, scratch)
+        test_acc = eval_model(problem.spec, xbar, problem.test)
     if cfg.algorithm in CENTRAL_KINDS:
         # every row is the global model, and a mean of equal rows could round
         consensus = delta = 0.0
         before, after = info.x_prev[0], x[0]
     else:
-        consensus, delta = consensus_distance(x, xbar, scratch), consistency_delta(info.z, x, scratch)
+        consensus, delta = consensus_distance(x, xbar), consistency_delta(info.z, x)
         before, after = info.x_prev.mean(axis=0), xbar
     v1 = v2 = None
     if info.drift is not None:
@@ -689,7 +693,7 @@ def run_experiment(
     speed do not depend on it.  numpy's OpenBLAS is held at one thread
     while the rounds run and are evaluated (:func:`blas.one_thread`).  ``on_round`` receives (t, RoundInfo)
     after every round; metrics are derived only on recorded rounds.  The
-    rounds and their evaluations lay their temporaries out in one
+    rounds and their evaluations lay their workspaces out in one
     :class:`Scratch`.
     """
     cfg = validated(cfg)
@@ -697,10 +701,7 @@ def run_experiment(
     problem = build_problem(cfg) if problem is None else problem
     records: list[RoundRecord] = []
     final_x = None
-    # a block of twice the need: with blocks of just the need, glibc handed a run's pages back at its
-    # end and the next run faulted them in afresh (92 minor faults per round against 5 on
-    # fullscale_random_sam); pages that no layout touches take no memory
-    scratch = Scratch(headroom=2)
+    scratch = Scratch()
     with blas.one_thread():
         for info in iter_rounds(cfg, problem, scratch):
             t = info.t

@@ -13,14 +13,15 @@ the client would follow alone.  The one-client form takes a numpy
 ``Generator`` in place of the indices.
 
 Each :func:`local_train` call lays one :class:`models.Workspace` out and
-hands it to every step: its K steps and both gradient calls of a SAM
-step reuse the same minibatch, activations, back-propagated errors,
-softmax scratch and ascent point, and the iterates alternate between the
-result and a spare array.  A run passes its :class:`models.Scratch`, so
-the workspace, the spare iterate and the velocity take the same memory
-in every round (the run's gossip steps and evaluations reuse it in
-between); without it the call lays them out in one of its own.  The
-result is a new array, and no returned array points into the scratch.
+hands it to every step: each step gathers its minibatch into it, its K
+steps and both gradient calls of a SAM step reuse the same activations,
+back-propagated errors, softmax scratch and ascent point, and the
+iterates alternate between the result and a spare array.  A run passes
+its :class:`models.Scratch`, so the workspace, the spare iterate and the
+velocity take the same memory in every round (the run's evaluations
+reuse it in between); without it the call makes a workspace of its own.
+The result is a new array, and no returned array points into the
+workspace.
 
 SAM evaluates the gradient twice on the same minibatch: at the current
 point for the ascent direction, then at the point perturbed by ``lam``
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, Scratch, ShardStack, batch_grads
+from .models import ModelSpec, Scratch, ShardStack, Workspace, batch_grads
 from .models import loss_and_grad  # noqa: F401  re-exported: bench/spans.py wraps it under this name
 
 __all__ = [
@@ -92,14 +93,14 @@ def lr_at_round(cfg: OptimizerConfig, t: int) -> float:
     return cfg.eta0 * cfg.decay**t
 
 
-def _step(spec: ModelSpec, x, minibatch, eta: float, lam: float, cfg: OptimizerConfig, velocity, ws, out):
+def _step(spec: ModelSpec, x, eta: float, lam: float, cfg: OptimizerConfig, velocity, ws, out):
     """The module's step rule for every row of the (m, p) stack ``x``, written into ``out``.
 
     ``velocity`` (None for SGD and SAM) is updated in place, ``ws`` is the
-    local phase's Workspace and ``out`` a C-contiguous (m, p) array, not
-    overlapping x.
+    local phase's Workspace, holding the step's minibatch, and ``out`` a
+    C-contiguous (m, p) array, not overlapping x.
     """
-    g = batch_grads(spec, x, minibatch, ws, out=out)
+    g = batch_grads(spec, x, ws, out=out)
     if lam != 0.0:
         # np.linalg.norm(row) is sqrt(row @ row); a stacked (1, p) @ (p, 1) matmul takes that same
         # dot product for every row, while einsum or a sum of squares rounds differently
@@ -111,9 +112,9 @@ def _step(spec: ModelSpec, x, minibatch, eta: float, lam: float, cfg: OptimizerC
             peak /= np.where(ascend, norms, 1.0)[:, None]
             peak += x
             if ascend.all():  # g1 is spent once the ascent point is built
-                g = batch_grads(spec, peak, minibatch, ws, out=g)
+                g = batch_grads(spec, peak, ws, out=g)
             else:
-                np.copyto(g, batch_grads(spec, peak, minibatch, ws), where=ascend[:, None])
+                np.copyto(g, batch_grads(spec, peak, ws), where=ascend[:, None])
     if velocity is not None:
         velocity *= cfg.mu
         velocity += g
@@ -150,8 +151,8 @@ def local_train(
 
     ``ref_point`` ((p,) or (m, p)) switches on accumulation of the
     local-drift energy sum_k ||x_{i,k} - ref||^2 over the pre-step iterates.
-    The workspace, spare iterate and velocity are laid out in ``scratch``;
-    the result is a new array.
+    The workspace, spare iterate and velocity are laid out in ``scratch``
+    when it is given; the result is a new array.
     """
     if k_steps < 1:
         raise ValueError("need at least one local step")
@@ -165,8 +166,11 @@ def local_train(
     eta = lr_at_round(cfg, round_index)
     lam = cfg.lam if cfg.method == "sam" else 0.0
     momentum = cfg.method == "sgd_momentum"
-    scratch = Scratch() if scratch is None else scratch
-    ws = scratch.workspace(spec, shard, cfg.batch_size, point=lam != 0.0, stacks=1 + momentum)
+    options = dict(point=lam != 0.0, stacks=1 + momentum)
+    if scratch is None:
+        ws = Workspace(spec, shard, cfg.batch_size, **options)
+    else:
+        ws = scratch.workspace(spec, shard, cfg.batch_size, **options)
     out = np.empty(x0.shape)
     # the iterates alternate between out and the spare, so that the last step writes into out
     iterates = (out, ws.stacks[0]) if k_steps % 2 else (ws.stacks[0], out)
@@ -176,13 +180,13 @@ def local_train(
         velocity.fill(0.0)
     v1 = np.zeros(len(x0)) if ref_point is not None else None
     for k in range(k_steps):
-        batch = None if draws is None else draws[k]
         step_out = iterates[k % 2]
         if v1 is not None:  # step_out is free until the step writes it
             drift = np.subtract(x, ref_point, out=step_out)
             np.square(drift, out=drift)
             v1 += drift.sum(axis=1)
-        x = _step(spec, x, shard.batch(batch, ws), eta, lam, cfg, velocity, ws, step_out)
+        shard.batch(None if draws is None else draws[k], ws)
+        x = _step(spec, x, eta, lam, cfg, velocity, ws, step_out)
     if single:
         return LocalResult(z=x[0], v1=None if v1 is None else float(v1[0]))
     return LocalResult(z=x, v1=v1)

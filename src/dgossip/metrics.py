@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .models import ModelSpec, Scratch, Shard, predictions
+from .models import ModelSpec, Shard, predictions
 
 __all__ = [
     "RoundRecord",
@@ -54,29 +54,23 @@ class RoundRecord:
 METRICS_CSV_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
 
-def consensus_distance(xs: np.ndarray, xbar: np.ndarray | None = None, scratch: Scratch | None = None) -> float:
+def consensus_distance(xs: np.ndarray, xbar: np.ndarray | None = None) -> float:
     """(1/m) sum_i ||x_i - xbar||^2 over an (m, p) stack of client models.
 
-    ``xbar`` is the stack's mean when the caller has taken it already;
-    the one (m, p) temporary is laid out in ``scratch`` when it is given.
+    ``xbar`` is the stack's mean when the caller has taken it already.
     """
     xs = np.asarray(xs, dtype=float)
-    (centred,) = (Scratch() if scratch is None else scratch).arrays((xs.shape, np.float64))
-    np.subtract(xs, xs.mean(axis=0) if xbar is None else xbar, out=centred)
+    centred = np.subtract(xs, xs.mean(axis=0) if xbar is None else xbar)
     return float(np.mean(np.sum(np.square(centred, out=centred), axis=1)))
 
 
-def consistency_delta(z_prev: np.ndarray, x_mixed: np.ndarray, scratch: Scratch | None = None) -> float:
-    """(1/m) sum_i ||z_i - x_i||^2 between pre-mix outputs and mixed models.
-
-    The one (m, p) temporary is laid out in ``scratch`` when it is given.
-    """
+def consistency_delta(z_prev: np.ndarray, x_mixed: np.ndarray) -> float:
+    """(1/m) sum_i ||z_i - x_i||^2 between pre-mix outputs and mixed models."""
     z_prev = np.asarray(z_prev, dtype=float)
     x_mixed = np.asarray(x_mixed, dtype=float)
     if z_prev.shape != x_mixed.shape:
         raise ValueError("shape mismatch between local outputs and mixed models")
-    (gap,) = (Scratch() if scratch is None else scratch).arrays((z_prev.shape, np.float64))
-    np.subtract(z_prev, x_mixed, out=gap)
+    gap = np.subtract(z_prev, x_mixed)
     return float(np.mean(np.sum(np.square(gap, out=gap), axis=1)))
 
 
@@ -94,17 +88,16 @@ def update_energies(
     return v1, v2
 
 
-def eval_model(spec: ModelSpec, x: np.ndarray, test: Shard, scratch: Scratch | None = None) -> float:
+def eval_model(spec: ModelSpec, x: np.ndarray, test: Shard) -> float:
     """Full-test-set top-1 accuracy of one parameter vector, from the argmax of its logits.
 
-    Ties go to the lowest class.  The activations are laid out in
-    ``scratch`` when it is given.  No loss is computed: the held-out loss
+    Ties go to the lowest class.  No loss is computed: the held-out loss
     has its own reader (``stability``), which takes it from
     :func:`models.loss_and_predictions`.
     """
     if spec.kind == "quadratic":
         raise ValueError("quadratic objectives have no held-out accuracy")
-    return float(np.mean(predictions(spec, x, test, scratch) == test.labels))
+    return float(np.mean(predictions(spec, x, test) == test.labels))
 
 
 def rounds_to_target(records, targets) -> list[tuple[float, int | None]]:

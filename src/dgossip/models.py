@@ -23,14 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "Shard",
     "ShardStack",
-    "Batch",
     "ModelSpec",
     "init_params",
     "loss_and_grad",
@@ -272,13 +270,6 @@ def _quadratic_grads(a: np.ndarray, b: np.ndarray, x: np.ndarray, out: np.ndarra
     return grad
 
 
-class Batch(NamedTuple):
-    """One minibatch of every client in a stack (see :meth:`ShardStack.batch`)."""
-
-    features: np.ndarray | None  # (m, B, d); None for the quadratic family
-    labels: np.ndarray | None  # (m, B)
-
-
 @dataclass(frozen=True, eq=False)
 class ShardStack:
     """The shards of several clients laid end to end, one row per client.
@@ -358,44 +349,43 @@ class ShardStack:
         divisor = divisor.reshape(passes, per_pass, length, 1)
         return rows.reshape(passes, -1), divisor, starts.tolist(), sizes.tolist()
 
-    def batch(self, rows: np.ndarray | None, ws: Workspace) -> Batch:
-        """Gather an (m, B) array of shard-local indices into one minibatch in ``ws``.
+    def batch(self, rows: np.ndarray | None, ws: Workspace) -> None:
+        """Gather an (m, B) array of shard-local indices into ``ws.features`` and ``ws.labels``.
 
-        ``rows`` is ignored for the quadratic family.  The next gather into
-        the same :class:`Workspace` overwrites the minibatch.
+        Does nothing for the quadratic family.  The next gather into the
+        same :class:`Workspace` overwrites the minibatch.
         """
         if self.features is None:
-            return Batch(None, None)
+            return
         index = np.add(self.offsets[:, None], rows, out=ws.index)
         if index.size and (index.min() < 0 or index.max() >= len(self.labels)):
             raise IndexError(f"minibatch rows outside the stack's {len(self.labels)} samples")
         # in range, so "clip" clips nothing; it lets take write into ws without a buffer
-        features = self.features.take(index, axis=0, out=ws.features, mode="clip")
-        labels = self.labels.take(index, out=ws.labels, mode="clip")
-        return Batch(features, labels)
+        self.features.take(index, axis=0, out=ws.features, mode="clip")
+        self.labels.take(index, out=ws.labels, mode="clip")
 
 
 _ALIGN = 64  # byte boundary of every array a Scratch lays out
 
 
 class Scratch:
-    """One block of memory for arrays that are never in use at the same time.
+    """One block of memory for :class:`Workspace` arrays that are never in use at the same time.
 
-    Each :meth:`arrays` call lays its arrays out end to end from the
-    block's first byte, so they overwrite those of the call before.  When
-    a call needs more, the block grows to ``headroom`` times that, so that
-    somewhat larger layouts that follow fit as well; pages that no layout
-    touches take no memory.  The arrays of each layout, and each
-    data-backed :class:`Workspace`, are made once per block and handed out
-    again.  A run owns one: its local phases, gossip steps and evaluations
-    take their scratch from it in turn, so once it has grown, none of them
-    allocates.
+    Each Workspace is laid out end to end from the block's first byte, so
+    it overwrites the one laid out before.  When a layout needs more, the
+    block grows to twice that, so that somewhat larger layouts that follow
+    fit as well; pages that no layout touches take no memory.  With blocks
+    of just the need, glibc handed a run's pages back at its end and the
+    next run faulted them in afresh (92 minor faults per round against 5 on
+    fullscale_random_sam).  Each data-backed Workspace is made once per
+    block and handed out again.  A run owns one: its local phases and
+    evaluations take their Workspaces from it in turn, so once it has
+    grown, none of them allocates its workspace.
     """
 
-    def __init__(self, headroom: int = 1) -> None:
-        self.headroom = headroom
+    def __init__(self) -> None:
         self._block = np.empty(0, dtype=np.uint8)
-        self._laid_out: dict[tuple, object] = {}  # a layout or a workspace's shapes -> what is laid out for it
+        self._workspaces: dict[tuple, Workspace] = {}  # a workspace's shapes -> the one laid out for them
 
     def workspace(self, spec: ModelSpec, shards: ShardStack, batch_size: int, **options) -> Workspace:
         """``Workspace(spec, shards, batch_size, scratch=self, **options)``, made once per block for its shapes.
@@ -406,26 +396,21 @@ class Scratch:
             return Workspace(spec, shards, batch_size, scratch=self, **options)
         dtypes = (shards.features.dtype, shards.labels.dtype)
         key = (spec, len(shards), batch_size, *dtypes, *sorted(options.items()))
-        ws = self._laid_out.get(key)
+        ws = self._workspaces.get(key)
         if ws is None:
-            ws = self._laid_out[key] = Workspace(spec, shards, batch_size, scratch=self, **options)
+            ws = self._workspaces[key] = Workspace(spec, shards, batch_size, scratch=self, **options)
         return ws
 
-    def arrays(self, *layout) -> tuple[np.ndarray, ...]:
-        """One uninitialised array per (shape, dtype) pair of ``layout``."""
-        arrays = self._laid_out.get(layout)
-        if arrays is None:
-            offsets, end = [], 0
-            for shape, dtype in layout:
-                offsets.append(end)
-                end += -(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
-            if end > self._block.size:
-                self._block = np.empty(self.headroom * end, dtype=np.uint8)
-                self._laid_out.clear()
-            block = self._block
-            arrays = tuple(np.ndarray(shape, dtype, block, at) for (shape, dtype), at in zip(layout, offsets))
-            self._laid_out[layout] = arrays
-        return arrays
+    def _arrays(self, layout) -> list[np.ndarray]:
+        """One uninitialised array per (shape, dtype) pair of a Workspace's ``layout``."""
+        offsets, end = [], 0
+        for shape, dtype in layout:
+            offsets.append(end)
+            end += -(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
+        if end > self._block.size:
+            self._block = np.empty(2 * end, dtype=np.uint8)
+            self._workspaces.clear()
+        return [np.ndarray(shape, dtype, self._block, at) for (shape, dtype), at in zip(layout, offsets)]
 
 
 class Workspace:
@@ -444,7 +429,8 @@ class Workspace:
     (``nll``) and gradient (``grads``), each shaped (passes, per_pass,
     ...).  The arrays are laid out
     in ``scratch`` when it is given (see :class:`Scratch`), where the next
-    scratch laid out overwrites them.  :meth:`ShardStack.batch` and
+    workspace laid out overwrites them; otherwise they are the workspace's
+    own.  :meth:`ShardStack.batch` and
     :func:`batch_grads` overwrite them on every call that is passed the
     workspace, and no result points into it.
     """
@@ -475,7 +461,10 @@ class Workspace:
             ]
             if blocks:
                 layout += [((*blocks, batch_size), np.float64), ((*blocks, p), np.float64)]
-        arrays = iter((Scratch() if scratch is None else scratch).arrays(*layout))
+        if scratch is None:
+            arrays = iter([np.empty(shape, dtype) for shape, dtype in layout])
+        else:
+            arrays = iter(scratch._arrays(layout))
         self.point = next(arrays) if point else None
         self.stacks = [next(arrays) for _ in range(stacks)]
         if spec.kind == "quadratic":  # in range, so "clip" clips nothing and take writes in place
@@ -492,21 +481,20 @@ class Workspace:
         self.class_starts = np.arange(m * batch_size) * spec.num_classes  # flat offset of each row's logits
 
 
-def batch_grads(
-    spec: ModelSpec, x: np.ndarray, batch: Batch, ws: Workspace, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Exact batch-mean gradients of an (m, p) stack, one client per row.
+def batch_grads(spec: ModelSpec, x: np.ndarray, ws: Workspace, out: np.ndarray | None = None) -> np.ndarray:
+    """Exact batch-mean gradients of an (m, p) stack, one client per row, on the minibatch in ``ws``.
 
     The training kernel: it computes no loss, because local steps never
-    read one.  The quadratic family is noiseless and takes its terms from
-    ``ws``.  The scratch goes into ``ws`` (see :class:`Workspace`) and the
+    read one.  :meth:`ShardStack.batch` gathers the minibatch into
+    ``ws.features`` and ``ws.labels``; the quadratic family is noiseless
+    and takes its terms from ``ws``.  The scratch goes into ``ws`` (see :class:`Workspace`) and the
     gradients into ``out`` (C-contiguous, not overlapping x) when it is
     given, or a new array; the result is bitwise the same either way.
     """
     if spec.kind == "quadratic":
         return _quadratic_grads(*ws.quad, x, out)
-    n = batch.labels.shape[-1]
-    return _forward_backward(spec, x, batch.features, batch.labels, n, with_loss=False, ws=ws, out=out)[1]
+    n = ws.labels.shape[-1]
+    return _forward_backward(spec, x, ws.features, ws.labels, n, with_loss=False, ws=ws, out=out)[1]
 
 
 def loss_and_grad(
@@ -532,15 +520,12 @@ def loss_and_grad(
     return float(np.mean(nll)), grad
 
 
-def predictions(spec: ModelSpec, x: np.ndarray, shard: Shard, scratch: Scratch | None = None) -> np.ndarray:
+def predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> np.ndarray:
     """Argmax class of every row of ``shard`` under one model, from one forward pass.
 
     Ties resolve to the lowest class index, as in :func:`loss_and_predictions`.
-    The layer outputs are laid out in ``scratch`` when it is given.
     """
-    widths = (*spec.hidden, spec.num_classes)
-    outs = (Scratch() if scratch is None else scratch).arrays(*(((len(shard), w), np.float64) for w in widths))
-    _, acts = _forward(spec, x, shard.features, outs)
+    _, acts = _forward(spec, x, shard.features)
     return np.argmax(acts[-1], axis=-1)
 
 
@@ -582,11 +567,11 @@ def full_objective(
     one-client stack of one block equals :func:`loss_and_grad` bitwise.
     The quadratic family takes one stacked product over its clients'
     terms.  The gathered rows, the activations and the rest of the scratch
-    are a :class:`Workspace` laid out in ``scratch`` when it is given; the
+    are a :class:`Workspace`, laid out in ``scratch`` when it is given; the
     result is bitwise the same.
     """
-    if spec.kind == "quadratic":
-        ws = (Scratch() if scratch is None else scratch).workspace(spec, shards, 0, stacks=2)
+    if spec.kind == "quadratic":  # a workspace of gathered terms, as Scratch.workspace makes it
+        ws = Workspace(spec, shards, 0, stacks=2, scratch=scratch)
         (a, b), (grads, centred) = ws.quad, ws.stacks
         grads = _quadratic_grads(a, b, x, out=grads)
         # f_i = 0.5 x.A_i x - b_i.x = 0.5 x.(grad_i - b_i)
@@ -594,7 +579,10 @@ def full_objective(
         return float(np.mean(losses)), grads.mean(axis=0)
     rows, divisor, starts, sizes = shards.objective_layout
     passes, per_pass, length = divisor.shape[:3]
-    ws = (Scratch() if scratch is None else scratch).workspace(spec, shards, length, blocks=(passes, per_pass))
+    if scratch is None:
+        ws = Workspace(spec, shards, length, blocks=(passes, per_pass))
+    else:
+        ws = scratch.workspace(spec, shards, length, blocks=(passes, per_pass))
     stack = np.broadcast_to(x, (per_pass, len(x)))
     for i, taken in enumerate(rows):  # in range, so "clip" clips nothing and take writes in place
         shards.features.take(taken, axis=0, out=ws.features.reshape(len(taken), -1), mode="clip")

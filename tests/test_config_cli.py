@@ -444,6 +444,11 @@ class TestCmdRun:
             ("run", ["data.dim=0"], None, "data.dim must be >= 1"),
             ("run", ["data.classes=1"], None, "data.classes must be >= 2"),
             ("run", ["data.per_class=0"], None, "data.per_class must be >= 1"),
+            ("run", ["data.spread=-1"], None, "data.spread must be >= 0"),
+            ("run", ["model.kind=quadratic", "model.heterogeneity=-2"], None, "model.heterogeneity must be >= 0"),
+            ("run", ["data.source=csv", "data.path={dir}/hugelabel.csv"], None, "hugelabel.csv:3"),
+            ("run", ["data.source=csv", "data.path={csv}", "data.test_path={dir}/hugelabel.csv"], None,
+             "hugelabel.csv:3"),
         ],
     )
     def test_bad_value_exits_2_naming_it(
@@ -458,6 +463,7 @@ class TestCmdRun:
             "inf.csv": "f1,f2,label\n1.0,2.0,0\ninf,2.0,1\n",
             # the largest label sets the class count: 3e9 classes would not fit the model
             "biglabel.csv": csv.read_text().replace(",1\n", ",3000000000\n", 1),
+            "hugelabel.csv": "f1,f2,label\n1.0,2.0,0\n1.0,2.0,100000000000000000000\n",  # past int64
         }
         for name, text in bad_csvs.items():
             (tmp_path / name).write_text(text)

@@ -36,7 +36,7 @@ from dgossip.engine import (
 )
 from dgossip.data import generate_synthetic, partition_dirichlet, partition_iid, partition_pathological
 from dgossip.localopt import OptimizerConfig
-from dgossip.metrics import consensus_distance
+from dgossip.metrics import consensus_distance, consistency_delta
 from dgossip.models import ModelSpec, ShardStack, quadratic_testbed
 from dgossip.stability import first_draw
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing
@@ -531,6 +531,29 @@ class TestRunArrays:
                 ), f.name
         assert all(view.tobytes() == snapshot.tobytes() for view, snapshot in views)
         assert all(rows.tobytes() == snapshot.tobytes() for rows, snapshot in drawn)
+
+    @pytest.mark.parametrize("m, p", [(2, 1), (6, 5), (16, 44), (100, 1002)])
+    def test_gossip_and_metrics_equal_their_expressions_on_an_explicit_temporary(self, m, p):
+        rng = np.random.default_rng([m, p])
+        z, x = rng.normal(size=(2, m, p)) * np.logspace(-4, 4, p)
+        w = build_mixing(TopologySpec(TopologyKind.RANDOM_K, m, k=min(3, m - 1), seed=m))
+        index, weight = w.neighbours
+        mixed, term = np.zeros((m, p)), np.empty((m, p))
+        for d in range(index.shape[1]):  # a take, a multiply and an add per neighbour column, ascending
+            np.take(z, index[:, d], axis=0, out=term)
+            np.multiply(term, weight[:, d].reshape(m, 1), out=term)
+            np.add(mixed, term, out=mixed)
+        assert gossip_mix(z, w).tobytes() == mixed.tobytes()
+
+        def mean_square(a, b):  # a subtraction, a square in place, then a row sum and a mean
+            gap = np.empty((m, p))
+            np.subtract(a, b, out=gap)
+            np.square(gap, out=gap)
+            return float(np.mean(np.sum(gap, axis=1)))
+
+        xbar = x.mean(axis=0)
+        assert consensus_distance(x) == consensus_distance(x, xbar) == mean_square(x, xbar)
+        assert consistency_delta(z, x) == mean_square(z, x)
 
 
 class TestConsensusDynamics:

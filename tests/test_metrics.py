@@ -24,7 +24,7 @@ from dgossip.metrics import (
     update_energies,
     write_metrics_csv,
 )
-from dgossip.models import ModelSpec, Scratch, Shard, loss_and_predictions
+from dgossip.models import ModelSpec, Shard, loss_and_predictions
 from dgossip import models, stability
 from dgossip.stability import stability_probe
 from dgossip.topology import TopologyKind, TopologySpec
@@ -135,12 +135,9 @@ class TestEvalModel:
         weight, bias = models._unpack(spec, xs[-1])[-1]  # views of the output layer
         weight[:, 2], bias[2] = weight[:, 1], bias[1]  # classes 1 and 2 tie exactly on every row
         xs.append(np.zeros(spec.param_count()))  # every logit ties
-        scratch = Scratch()
         for x in xs:
             _, pred = loss_and_predictions(spec, x, test)
-            expected = float(np.mean(pred == test.labels))
-            assert eval_model(spec, x, test) == expected
-            assert eval_model(spec, x, test, scratch) == expected
+            assert eval_model(spec, x, test) == float(np.mean(pred == test.labels))
 
     def test_quadratic_has_no_accuracy(self):
         spec = ModelSpec(kind="quadratic", quad_a=np.eye(2)[None], quad_b=np.zeros((1, 2)))

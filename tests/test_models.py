@@ -313,11 +313,11 @@ class TestFullObjective:
         problem = build_problem(cfg)
         spec, shards = problem.spec, problem.shards
         x = problem.x0 + 0.5 * rng.normal(size=problem.x0.shape)
-        scratch = models.Scratch(headroom=2)
+        scratch = models.Scratch()
         for stack in (shards, shards.take(np.array([5, 0, 11, 3])), shards):
             want_loss, want_grad = full_objective(spec, x, stack)
-            scratch.arrays(((4096,), np.float64))[0].fill(np.nan)
             models.Workspace(spec, stack, 32, point=True, stacks=2, scratch=scratch)
+            scratch._block.fill(0xFF)  # every float64 of the block reads NaN until it is written
             loss, grad = full_objective(spec, x, stack, scratch)
             assert loss == want_loss and grad.tobytes() == want_grad.tobytes()
 

@@ -1,6 +1,7 @@
 """The experiment scripts run end to end, and the acceleration script checks the spectral claim."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -81,3 +82,38 @@ def test_the_script_flags_only_coefficients_with_psi_tilde_past_1(tmp_path):
     assert sorted(rows) == ["beta=0.00", "beta=0.20", "beta=0.40", "beta=0.60"]
     assert [name for name, line in rows.items() if "psi_tilde >= 1" in line] == ["beta=0.60"]
     assert "rate 0.685104 vs 0.685172" in rows["beta=0.00"]
+
+
+def bench_output(env, **values):
+    """bench/run.py's stdout: a report ending in its env line's fields and one JSON result line."""
+    units = {"client_steps_per_s": "steps/s", "round_ms_p50": "ms", "peak_rss_mb": "MB", "setup_s": "s"}
+    result = {"correct": True, "attempted": 4, "failed": 0,
+              "metrics": {name: {"value": value, "unit": units[name]} for name, value in values.items()}}
+    return "\n".join(["env " + json.dumps(env), "op oled_sgd wall 0.5s steps 100 ok", json.dumps(result)])
+
+
+def test_bench_record_summarises_alternating_pairs():
+    record = load_script("bench_record")
+    env = {"workload": "desk_algorithms", "seed": 1, "nproc": 2}
+    parent_steps, change_steps = [100.0, 110.0, 90.0, 105.0], [120.0, 100.0, 95.0, 130.0]
+    pairs = []
+    for b, c in zip(parent_steps, change_steps):
+        sides = [record.parse_output(bench_output(env, client_steps_per_s=s, peak_rss_mb=50.0 * s / b))
+                 for s in (b, c)]
+        assert all(got_env == env for got_env, _ in sides)
+        pairs.append(tuple(result for _, result in sides))
+    end_to_end = [{"name": "client_steps_per_s", "better": "higher", "bound": 0.25},
+                  {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
+    summary = record.summarise(pairs, end_to_end)
+    assert summary["pairs"] == 4 and summary["attempted"] == {"parent": 16, "change": 16}
+    assert summary["failed"] == {"parent": 0, "change": 0} and all(summary["correct"].values())
+    steps = summary["metrics"]["client_steps_per_s"]
+    assert steps["parent"] == {"median": 102.5, "q1": 97.5, "q3": 106.25, "runs": parent_steps}
+    assert steps["change"]["median"] == 110.0 and steps["change"]["runs"] == change_steps
+    assert steps["change_won"] == 3  # 120 > 100, 95 > 90, 130 > 105; 100 < 110 is a loss
+    assert steps["change_vs_parent"] == pytest.approx(110.0 / 102.5)
+    assert not steps["worse_than_bound"]
+    rss = summary["metrics"]["peak_rss_mb"]  # the change reads 50 * c / b: lower is better
+    assert rss["parent"]["runs"] == [50.0] * 4 and rss["change_won"] == 1
+    assert rss["change_vs_parent"] == pytest.approx(rss["change"]["median"] / 50.0)
+    assert rss["worse_than_bound"]  # a median 1.128 times the parent's is past the 0.1 bound
