@@ -243,7 +243,7 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"unknown model kind {model.kind!r}")
     if model.kind == "quadratic" and model.p < 1:
         raise ConfigError(f"model.p must be >= 1, got {model.p}")
-    if model.kind == "quadratic" and not model.heterogeneity >= 0:  # -h is h with its noise flipped
+    if model.kind == "quadratic" and model.heterogeneity < 0:  # -h is h with its noise flipped
         raise ConfigError(f"model.heterogeneity must be >= 0, got {model.heterogeneity}")
     if model.kind == "mlp" and min(model.hidden, default=1) < 1:
         raise ConfigError(f"model.hidden sizes must be >= 1, got {list(model.hidden)}")
@@ -254,7 +254,7 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
     synthetic = model.kind != "quadratic" and d.source == "synthetic"
     # a negative spread is its absolute value with the noise flipped
     for name, least in (("classes", 2), ("dim", 1), ("per_class", 1), ("test_per_class", 1), ("spread", 0)):
-        if synthetic and not getattr(d, name) >= least:
+        if synthetic and getattr(d, name) < least:
             raise ConfigError(f"data.{name} must be >= {least}, got {getattr(d, name)}")
     if synthetic and d.classes * d.per_class < cfg.m:
         raise ConfigError(f"data.classes * data.per_class = {d.classes * d.per_class} samples < m={cfg.m}")
