@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Record a change's benchmark against its parent commit in BENCH_<n>.json.
 
-    python3 scripts/bench_record.py --number 22 --parent HEAD~1 --pairs 10 --seconds 10 --seed 1
+    python3 scripts/bench_record.py --number 22 --parent HEAD~1
 
-For every workload of ``BENCHMARK.json`` it runs ``bench/run.py --trace 0``
-on the parent and on this checkout in alternating pairs: the parent runs
-first in even pairs and second in odd ones.  The parent is its committed
+For every workload of ``BENCHMARK.json`` it runs ``bench/run.py`` untraced
+at seed 1, for the benchmark's ``run_seconds``, on the parent and on this
+checkout in 10 alternating pairs: the parent runs first in even pairs and
+second in odd ones.  The parent is its committed
 files, exported with ``git archive`` into a temporary directory (an
 archive leaves no state in the repository's ``.git``).  The record holds
 each side's ``env`` line and, per workload and end-to-end metric, each
@@ -27,19 +28,15 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+SEED = 1
 
 
 def parse_args(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--number", type=int, required=True, help="n of the BENCH_<n>.json to write")
     parser.add_argument("--parent", default="HEAD~1", help="the parent commit (default HEAD~1)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=10.0, help="bench/run.py --seconds")
-    parser.add_argument("--seed", type=int, default=1, help="bench/run.py --seed")
-    args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
-    return args
+    return parser.parse_args(argv)
 
 
 def parse_output(text: str) -> tuple[dict, dict]:
@@ -51,7 +48,7 @@ def parse_output(text: str) -> tuple[dict, dict]:
 
 def spread(values: list[float]) -> dict:
     """Median and quartiles of the runs, and the runs themselves."""
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
@@ -92,9 +89,9 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     return record
 
 
-def run_bench(checkout: Path, workload: str, seconds: float, seed: int) -> tuple[dict, dict]:
+def run_bench(checkout: Path, workload: str, seconds: float) -> tuple[dict, dict]:
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
@@ -111,7 +108,7 @@ def main(argv=None) -> int:
     parent_rev, change_rev = git("rev-parse", args.parent), git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     out = {
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seed": args.seed, "trace": 0},
+        "settings": {"pairs": PAIRS, "seconds": bench["run_seconds"], "seed": SEED, "trace": 0},
         "parent": {"rev": parent_rev, "env": {}},
         "change": {"rev": change_rev + ("+uncommitted" if dirty else ""), "env": {}},
         "workloads": {},
@@ -124,11 +121,11 @@ def main(argv=None) -> int:
         checkouts = {"parent": parent_dir, "change": ROOT}
         for workload in (w["name"] for w in bench["workloads"]):
             pairs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 got = {}
                 for side in order:
-                    env, got[side] = run_bench(checkouts[side], workload, args.seconds, args.seed)
+                    env, got[side] = run_bench(checkouts[side], workload, bench["run_seconds"])
                     out[side]["env"].setdefault(workload, env)
                     values = {k: v["value"] for k, v in got[side]["metrics"].items()}
                     print(f"{workload} pair {i} {side}: {json.dumps(values)}", flush=True)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, Scratch, ShardStack, Workspace, batch_grads
+from .models import ModelSpec, Scratch, ShardStack, _workspace, batch_grads
 from .models import loss_and_grad  # noqa: F401  re-exported: bench/spans.py wraps it under this name
 
 __all__ = [
@@ -166,11 +166,7 @@ def local_train(
     eta = lr_at_round(cfg, round_index)
     lam = cfg.lam if cfg.method == "sam" else 0.0
     momentum = cfg.method == "sgd_momentum"
-    options = dict(point=lam != 0.0, stacks=1 + momentum)
-    if scratch is None:
-        ws = Workspace(spec, shard, cfg.batch_size, **options)
-    else:
-        ws = scratch.workspace(spec, shard, cfg.batch_size, **options)
+    ws = _workspace(scratch, spec, shard, cfg.batch_size, point=lam != 0.0, stacks=1 + momentum)
     out = np.empty(x0.shape)
     # the iterates alternate between out and the spare, so that the last step writes into out
     iterates = (out, ws.stacks[0]) if k_steps % 2 else (ws.stacks[0], out)

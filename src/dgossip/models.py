@@ -413,6 +413,13 @@ class Scratch:
         return [np.ndarray(shape, dtype, self._block, at) for (shape, dtype), at in zip(layout, offsets)]
 
 
+def _workspace(scratch: Scratch | None, spec: ModelSpec, shards: ShardStack, batch_size: int, **options) -> Workspace:
+    """``scratch.workspace(...)``, or a :class:`Workspace` that owns its arrays when there is no scratch."""
+    if scratch is None:
+        return Workspace(spec, shards, batch_size, **options)
+    return scratch.workspace(spec, shards, batch_size, **options)
+
+
 class Workspace:
     """Scratch arrays for the stacked gradient calls of one local phase, or of one full objective.
 
@@ -570,8 +577,8 @@ def full_objective(
     are a :class:`Workspace`, laid out in ``scratch`` when it is given; the
     result is bitwise the same.
     """
-    if spec.kind == "quadratic":  # a workspace of gathered terms, as Scratch.workspace makes it
-        ws = Workspace(spec, shards, 0, stacks=2, scratch=scratch)
+    if spec.kind == "quadratic":  # a workspace of gathered terms
+        ws = _workspace(scratch, spec, shards, 0, stacks=2)
         (a, b), (grads, centred) = ws.quad, ws.stacks
         grads = _quadratic_grads(a, b, x, out=grads)
         # f_i = 0.5 x.A_i x - b_i.x = 0.5 x.(grad_i - b_i)
@@ -579,10 +586,7 @@ def full_objective(
         return float(np.mean(losses)), grads.mean(axis=0)
     rows, divisor, starts, sizes = shards.objective_layout
     passes, per_pass, length = divisor.shape[:3]
-    if scratch is None:
-        ws = Workspace(spec, shards, length, blocks=(passes, per_pass))
-    else:
-        ws = scratch.workspace(spec, shards, length, blocks=(passes, per_pass))
+    ws = _workspace(scratch, spec, shards, length, blocks=(passes, per_pass))
     stack = np.broadcast_to(x, (per_pass, len(x)))
     for i, taken in enumerate(rows):  # in range, so "clip" clips nothing and take writes in place
         shards.features.take(taken, axis=0, out=ws.features.reshape(len(taken), -1), mode="clip")
