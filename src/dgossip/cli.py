@@ -35,16 +35,17 @@ def _err(msg: str) -> None:
     print(f"dgossip: error: {msg}", file=sys.stderr)
 
 
-def _check_workers(value: str) -> None:
-    """Reject a malformed ``--workers``; outputs and speed do not depend on it."""
+def _workers(value: str) -> int:
+    """``--workers`` as a thread count: a positive integer, or 'auto' for the CPUs this process may use."""
     if value == "auto":
-        return
+        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     try:
         n = int(value)
     except ValueError:
         raise ConfigError(f"--workers must be a positive integer or 'auto', got {value!r}") from None
     if n < 1:
         raise ConfigError(f"--workers must be >= 1, got {n}")
+    return n
 
 
 def _env_seed() -> int | None:
@@ -58,8 +59,7 @@ def _env_seed() -> int | None:
 
 
 def _load(args, *overrides: str):
-    """Check --workers, then load and validate --config under DGOSSIP_SEED, --set, overrides."""
-    _check_workers(args.workers)
+    """Load and validate --config under DGOSSIP_SEED, --set, overrides."""
     return validated(load_config(args.config, [*args.set, *overrides], _env_seed()))
 
 
@@ -82,11 +82,12 @@ def _fmt_round(hit, rounds: int) -> str:
 
 
 def cmd_run(args) -> int:
+    workers = _workers(args.workers)
     cfg = _load(args)
     problem = build_problem(cfg)
     os.makedirs(args.out, exist_ok=True)
     _refuse_overwrite(os.path.join(args.out, "summary.json"), args.force)
-    result = run_experiment(cfg, problem=problem)
+    result = run_experiment(cfg, workers=workers, problem=problem)
     _write_outputs(result, args.out)
     best = result.summary["best_acc"]
     print(
@@ -100,6 +101,7 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("empty sweep")
+    workers = _workers(args.workers)
     # every cell is built before any runs, so a bad value leaves no output
     configs = [(raw, _load(args, f"{args.key}={raw}")) for raw in values]
     cells = [(raw, cfg, build_problem(cfg)) for raw, cfg in configs]
@@ -112,7 +114,7 @@ def cmd_sweep(args) -> int:
         cell_dir = os.path.join(args.out, f"{leaf}={raw}".replace(os.sep, "_"))
         os.makedirs(cell_dir, exist_ok=True)
         try:
-            result = run_experiment(cfg, problem=problem)
+            result = run_experiment(cfg, workers=workers, problem=problem)
         except DivergenceError as exc:
             print(f"{args.key}={raw}: diverged ({exc})", file=sys.stderr)
             rows.append((raw, "", "", "", "diverged"))
@@ -173,6 +175,7 @@ def cmd_topo_report(args) -> int:
 
 
 def cmd_stability(args) -> int:
+    _workers(args.workers)  # checked only: the twin runs step in lockstep on one thread
     cfg = _load(args)
     problem = build_problem(cfg)
     path = os.path.join(args.out, "stability.csv")
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, workers_help):
         sp.add_argument("--config", required=True, help="experiment config file")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument(
@@ -212,17 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument(
             "--workers", default="1",
-            help="positive integer or 'auto'; accepted for compatibility, outputs and "
-            "speed do not depend on it",
+            help=f"positive integer or 'auto' (the CPUs this process may use); {workers_help}",
         )
         sp.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
+    threads = "threads that train and mix each round's clients in row ranges, with bitwise the same outputs"
     sp = sub.add_parser("run", help="run one experiment")
-    common(sp)
+    common(sp, threads)
     sp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("sweep", help="run the config across values of one key")
-    common(sp)
+    common(sp, threads + "; the cells run one after another")
     sp.add_argument("--key", required=True, help="dotted config key to sweep")
     sp.add_argument("--values", required=True, help="comma-separated value list")
     sp.set_defaults(func=cmd_sweep)
@@ -236,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_topo_report)
 
     sp = sub.add_parser("stability", help="coupled twin runs with one swapped sample")
-    common(sp)
+    common(sp, "checked, but the probe runs on one thread")
     sp.add_argument("--client", type=int, required=True, help="client holding the swap")
     sp.add_argument("--sample", type=int, required=True, help="shard-local sample index")
     sp.add_argument(

@@ -25,29 +25,37 @@ mixed models of its RoundInfo, like each block's minibatch indices, are
 new arrays that the engine never writes again, so one a caller keeps
 stays as it was.  Only the workspaces share memory: a run's local phases
 (workspace, spare iterate, velocity) and evaluations (the full
-objective's workspace) lay them out in turn in one
-:class:`models.Scratch`, and none of it lives at module level.  Gossip's
-gathered term, the metrics' differences and the test activations are
-plain numpy temporaries.  Evaluation computes only what a RoundRecord
-reads: accuracy from the argmax of the test logits, no test loss.
+objective's workspace) lay them out in turn in a :class:`models.Scratch`
+of the run, one per worker thread, and none of it lives at module level.
+Gossip's gathered term, the metrics' differences and the test
+activations are plain numpy temporaries.  Evaluation computes only what a
+RoundRecord reads: accuracy from the argmax of the test logits, no test
+loss.
 
-Determinism contract: one thread runs every round, with no thread pool
-and no order that depends on scheduling, and numpy's OpenBLAS is held at
-one thread while a run executes (:mod:`dgossip.blas`).  Every client owns
-a private counter-based stream keyed by (seed, client, round) and draws
-its minibatches from it alone (:func:`client_batches`): exact uint64
+Determinism contract: with ``workers`` > 1 a run owns a thread pool, and
+the local phase and gossip of each round split the round's rows into at
+most ``workers`` contiguous ranges, one per thread (:func:`_row_ranges`);
+with one worker a single call covers every row.  No row's arithmetic
+depends on the split, and the ranges are joined in row order, so no
+result depends on scheduling; numpy's OpenBLAS is held at one thread
+while a run executes (:mod:`dgossip.blas`).  Every client owns a private
+counter-based stream keyed by (seed, client, round) and draws its
+minibatches from it alone (:func:`client_batches`): exact uint64
 arithmetic on SplitMix64's mix, with no numpy ``Generator`` involved.
 Every key is known before round 0, so :func:`iter_rounds` draws the
 batches of every participant of a block of rounds in one vectorised
 call.  Gossip accumulates each row over a fixed neighbour table in
-ascending client order.  Results are therefore bitwise reproducible, and
-equal to training each client on its own.
+ascending client order.  Results are therefore bitwise reproducible,
+equal for every worker count, and equal to training each client on its
+own.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -444,26 +452,54 @@ def ole_init(x_mixed: np.ndarray, z_prev: np.ndarray, beta: float) -> np.ndarray
     return np.add(x_mixed, start, out=start)
 
 
-def gossip_mix(local_outputs, w: MixingMatrix) -> np.ndarray:
+def _row_ranges(rows: int, workers: int) -> list[slice]:
+    """``min(workers, rows)`` contiguous ranges covering ``range(rows)`` in order (one when rows is 0).
+
+    Their sizes differ by at most one.
+    """
+    n = max(1, min(workers, rows))
+    return [slice(rows * i // n, rows * (i + 1) // n) for i in range(n)]
+
+
+def _map_ranges(fn, rows: int, pool: ThreadPoolExecutor | None, workers: int) -> list:
+    """``[fn(i, range_i)]`` over :func:`_row_ranges` (rows, workers), in row order.
+
+    The ranges run on ``pool``'s threads, or as one call on this thread
+    when there is a single range (always, without a pool).
+    """
+    ranges = _row_ranges(rows, workers if pool is not None else 1)
+    if len(ranges) == 1:
+        return [fn(0, ranges[0])]
+    return list(pool.map(fn, range(len(ranges)), ranges))
+
+
+def gossip_mix(
+    local_outputs, w: MixingMatrix, pool: ThreadPoolExecutor | None = None, workers: int = 1
+) -> np.ndarray:
     """x_i' = sum_j w_ij z_j, accumulated in ascending j for reproducibility.
 
     The sum runs over the neighbour table of ``w`` (see
     :attr:`MixingMatrix.neighbours`), one (m, p) multiply-add per column:
     O(m D p) for largest row support D, not O(m^2 p).  The terms it skips
     are exact zeros for finite inputs, so the result is bitwise the dense
-    ascending-j sum.  The result is a new array.
+    ascending-j sum.  With a ``pool``, up to ``workers`` threads each fill
+    a range of output rows by the same steps.  The result is a new array.
     """
     z = np.asarray(local_outputs, dtype=float)
     if z.shape[0] != w.m:
         raise ValueError(f"expected {w.m} rows, got {z.shape[0]}")
     index, weight = w.neighbours
-    column = (w.m,) + (1,) * (z.ndim - 1)
+    column = (-1,) + (1,) * (z.ndim - 1)
     out = np.zeros_like(z)
-    term = np.empty_like(z)
-    for d in range(index.shape[1]):
-        np.take(z, index[:, d], axis=0, out=term, mode="clip")  # MixingMatrix checks the range
-        term *= weight[:, d].reshape(column)
-        out += term
+
+    def mix(_, rows: slice) -> None:
+        term = np.empty_like(out[rows])
+        for d in range(index.shape[1]):
+            np.take(z, index[rows, d], axis=0, out=term, mode="clip")  # MixingMatrix checks the range
+            term *= weight[rows, d].reshape(column)
+            out[rows] += term
+
+    _map_ranges(mix, w.m, pool, workers)
     return out
 
 
@@ -482,20 +518,28 @@ def run_round(
     problem: Problem,
     clients: np.ndarray | None = None,
     draws: np.ndarray | None = None,
-    scratch: Scratch | None = None,
+    scratches: list[Scratch] | None = None,
+    pool: ThreadPoolExecutor | None = None,
 ) -> RoundInfo:
     """Execute one communication round; the next starts from ``info.x_mixed`` and ``info.z``.
 
     The participating clients (all of them for decentralized kinds) are
-    trained by a single batched local phase, one ``local_train`` call.
-    Central kinds (``w_t is None``) read only row 0 of ``x_mixed``, the
-    global model, and never read ``z_prev``.  No input is written in place.
+    trained by one batched local phase, a ``local_train`` call per row
+    range.  Central kinds (``w_t is None``) read only row 0 of
+    ``x_mixed``, the global model, and never read ``z_prev``.  No input is
+    written in place.
     ``clients`` and ``draws`` are the round's participants and their
     (K, n, B) minibatch indices, as :func:`iter_rounds` draws them ahead
     for a block of rounds; without them the round samples its
     participants and draws its own minibatches.  The start points, local
-    outputs and mixed models it returns are new arrays; its local phase
-    lays its workspace out in ``scratch``.
+    outputs and mixed models it returns are new arrays.
+
+    ``scratches`` holds one :class:`Scratch` per worker.  Without a
+    ``pool`` one ``local_train`` call trains every row in the first of
+    them (or in a workspace of its own).  With one, the rows split into at
+    most ``len(scratches)`` ranges (:func:`_row_ranges`), range i trains
+    on a pool thread in ``scratches[i]``, the outputs are joined in row
+    order, and ``gossip_mix`` fills its row ranges on the pool as well.
     """
     m = len(x_mixed)
     central = cfg.algorithm in CENTRAL_KINDS
@@ -511,25 +555,40 @@ def run_round(
         shards = problem.shards
     if draws is None and problem.spec.kind != "quadratic":  # the quadratic family is noiseless
         draws = client_batches(cfg.seed, clients, t, shards.sizes, cfg.local_steps, cfg.optimizer.batch_size)
-    res = local_train(
-        problem.spec,
-        starts,
-        shards,
-        cfg.local_steps,
-        cfg.optimizer,
-        draws,
-        round_index=t,
-        ref_point=ref if cfg.diagnostics else None,
-        scratch=scratch,
-    )
-    z = res.z
+    scratches = scratches or [None]
+    ref = ref if cfg.diagnostics else None
+
+    def train(i: int, rows: slice):
+        x0, stack, batches, ref_rows = starts, shards, draws, ref
+        if rows != slice(0, len(starts)):  # one range of several: its rows of every per-row input
+            x0, stack = starts[rows], shards.take(rows)
+            batches = None if draws is None else draws[:, rows]
+            ref_rows = None if ref is None else ref if central else ref[rows]
+        return local_train(
+            problem.spec,
+            x0,
+            stack,
+            cfg.local_steps,
+            cfg.optimizer,
+            batches,
+            round_index=t,
+            ref_point=ref_rows,
+            scratch=scratches[i],
+        )
+
+    def joined(arrays: list[np.ndarray]) -> np.ndarray:  # the ranges' outputs in row order
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+    parts = _map_ranges(train, len(starts), pool, len(scratches))
+    z = joined([res.z for res in parts])
+    drift = joined([res.v1 for res in parts]) if cfg.diagnostics else None
     _check_finite(z, t, clients)
     if central:
         x_new = np.tile(z.mean(axis=0), (m, 1))
     else:
-        x_new = gossip_mix(z, w_t)
+        x_new = gossip_mix(z, w_t, pool, len(scratches))
     return RoundInfo(
-        t=t, ole_points=None if central else starts, z=z, x_prev=x_mixed, x_mixed=x_new, drift=res.v1
+        t=t, ole_points=None if central else starts, z=z, x_prev=x_mixed, x_mixed=x_new, drift=drift
     )
 
 
@@ -591,7 +650,12 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     return Problem(spec, shards, test, init_params(spec, init_seed))
 
 
-def iter_rounds(cfg: ExperimentConfig, problem: Problem, scratch: Scratch | None = None):
+def iter_rounds(
+    cfg: ExperimentConfig,
+    problem: Problem,
+    scratches: list[Scratch] | None = None,
+    pool: ThreadPoolExecutor | None = None,
+):
     """Run ``cfg.rounds`` rounds from ``problem.x0``, yielding each round's RoundInfo.
 
     Every client starts at x0 with z_prev = x0.  Decentralized kinds mix
@@ -605,13 +669,15 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem, scratch: Scratch | None
     tracer wraps them.
 
     Every RoundInfo holds new arrays, which no later round writes; the
-    local phases lay their workspaces out in ``scratch`` (a new
-    :class:`Scratch` by default).  The generator drops its RoundInfo when
-    the caller resumes it, so a finished round's arrays that the caller
-    does not keep are freed before the next round allocates its own.
+    local phases lay their workspaces out in ``scratches`` (one new
+    :class:`Scratch` by default), and run their row ranges on ``pool``
+    when there is one (see :func:`run_round`).  The generator drops its
+    RoundInfo when the caller resumes it, so a finished round's arrays that
+    the caller does not keep are freed before the next round allocates its
+    own.
     """
     cfg = validated(cfg)
-    scratch = Scratch() if scratch is None else scratch
+    scratches = scratches or [Scratch()]
     m = len(problem.shards)
     x = z = np.tile(problem.x0, (m, 1))  # no round writes its inputs
     topo = cfg.topology
@@ -640,7 +706,7 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem, scratch: Scratch | None
         for i, t in enumerate(block):
             if resampled:
                 w_t = build_mixing(replace(topo, seed=_subseed(topo.seed, _DOM_TOPO, t)))
-            info = run_round(x, z, t, cfg, w_t, problem, clients[i], draws[i], scratch)
+            info = run_round(x, z, t, cfg, w_t, problem, clients[i], draws[i], scratches, pool)
             x, z = info.x_mixed, info.z
             yield info
             del info  # frees the round's start points and its x_prev, unless the caller keeps them
@@ -688,22 +754,30 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run T communication rounds and collect the metric record series.
 
-    ``workers`` is accepted for compatibility and has no effect: one
-    thread runs every round as a batched computation, so outputs and
-    speed do not depend on it.  numpy's OpenBLAS is held at one thread
-    while the rounds run and are evaluated (:func:`blas.one_thread`).  ``on_round`` receives (t, RoundInfo)
-    after every round; metrics are derived only on recorded rounds.  The
-    rounds and their evaluations lay their workspaces out in one
-    :class:`Scratch`.
+    ``workers`` (a positive int; ConfigError otherwise) is the number of
+    threads that run each round's local phase and gossip, as contiguous
+    row ranges.  With more than one, the run owns a thread pool of
+    ``min(workers, m)`` threads, so never more threads than rows, and one
+    :class:`Scratch` per thread, and shuts the pool down before it
+    returns or raises; with one, every round runs on the calling thread.
+    Outputs are bitwise the same for every worker count.  numpy's
+    OpenBLAS is held at one thread while the rounds run and are evaluated
+    (:func:`blas.one_thread`).  ``on_round`` receives (t, RoundInfo) after
+    every round; metrics are derived only on recorded rounds, and lay
+    their workspaces out in the first Scratch.
     """
+    if not (isinstance(workers, int) and workers >= 1):
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     cfg = validated(cfg)
     start = time.perf_counter()
     problem = build_problem(cfg) if problem is None else problem
     records: list[RoundRecord] = []
     final_x = None
-    scratch = Scratch()
-    with blas.one_thread():
-        for info in iter_rounds(cfg, problem, scratch):
+    threads = min(workers, len(problem.shards))
+    scratches = [Scratch() for _ in range(threads)]
+    scratch = scratches[0]
+    with blas.one_thread(), ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
+        for info in iter_rounds(cfg, problem, scratches, pool):
             t = info.t
             if on_round is not None:
                 on_round(t, info)

@@ -17,9 +17,10 @@ hands it to every step: each step gathers its minibatch into it, its K
 steps and both gradient calls of a SAM step reuse the same activations,
 back-propagated errors, softmax scratch and ascent point, and the
 iterates alternate between the result and a spare array.  A run passes
-its :class:`models.Scratch`, so the workspace, the spare iterate and the
-velocity take the same memory in every round (the run's evaluations
-reuse it in between); without it the call makes a workspace of its own.
+the :class:`models.Scratch` of the worker that trains the call's rows,
+so the workspace, the spare iterate and the velocity take the same
+memory in every round (the run's evaluations reuse the first worker's
+in between); without it the call makes a workspace of its own.
 The result is a new array, and no returned array points into the
 workspace.
 

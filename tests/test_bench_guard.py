@@ -53,6 +53,26 @@ def test_traced_run_counts_each_layer_once_per_round(kind, builds):
     assert tracer.count("models.full_objective") == len(result.records)
 
 
+def test_traced_run_under_the_pool_counts_one_local_train_per_range():
+    # with workers=2 the tracer still sees one round and one gossip call per round, one
+    # local_train per row range from the pool's threads, and one local-phase span per round
+    spans = load_spans()
+    cfg = ExperimentConfig(
+        m=7, rounds=3, local_steps=2,
+        topology=TopologySpec(TopologyKind.RANDOM_K, 7, k=2, seed=1),
+        optimizer=OptimizerConfig(batch_size=4),
+        data=DataConfig(classes=3, dim=4, per_class=8, test_per_class=4),
+    )
+    with spans.traced(spans.Tracer()) as tracer:
+        result = engine.run_experiment(cfg, workers=2)
+    assert len(result.records) == 3
+    assert tracer.count("engine.round") == tracer.count("engine.gossip_mix") == 3
+    assert tracer.count("localopt.local_train") == 3 * 2
+    assert sorted(tracer.phases) == [1, 2, 3]
+    assert all(end > start for start, end in tracer.phases.values())
+    assert tracer.phase_wall_s() > 0
+
+
 ROUND_PATH = ("run_round", "local_train", "gossip_mix", "full_objective", "eval_model")
 
 

@@ -22,7 +22,7 @@ from dgossip.config import (
     parse_config_text,
     parse_scalar,
 )
-from dgossip.engine import AlgorithmKind, ConfigError, validated
+from dgossip.engine import AlgorithmKind, ConfigError, run_experiment, validated
 from dgossip.topology import TopologyKind, build_mixing
 
 BASE_CONFIG = """\
@@ -401,6 +401,35 @@ class TestCmdRun:
         )
         assert code == 2
         assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, expected", [(None, 1), ("3", 3), ("auto", len(os.sched_getaffinity(0)))])
+    def test_run_and_sweep_pass_workers_to_the_engine(self, monkeypatch, config_file, tmp_path, flag, expected):
+        seen = []
+
+        def spy(cfg, **kwargs):
+            seen.append(kwargs["workers"])
+            return run_experiment(cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "run_experiment", spy)
+        extra = [] if flag is None else ["--workers", flag]
+        assert main(["run", "--config", str(config_file), "--out", str(tmp_path / "r"), *extra]) == 0
+        assert main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "s"),
+                     "--key", "beta", "--values", "0.0,0.1", *extra]) == 0
+        assert seen == [expected] * 3
+
+    def test_stability_checks_workers(self, config_file, tmp_path, capsys):
+        argv = ["stability", "--config", str(config_file), "--out", str(tmp_path / "s"),
+                "--client", "0", "--sample", "0", "--workers"]
+        assert main([*argv, "0"]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert main([*argv, "2"]) == 0
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "stability"])
+    def test_no_help_calls_workers_inert(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--workers" in text and "speed do not depend" not in text and "compatibility" not in text
 
     @pytest.mark.parametrize(
         "command, sets, env_seed, named",

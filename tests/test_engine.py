@@ -5,8 +5,10 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -845,6 +847,105 @@ class TestClientStreams:
             # the block's slice equals the round drawn on its own, and both the scalar stream
             assert np.array_equal(draws, client_batches(seed, clients, t, sizes, cfg.local_steps, batch_size))
             assert np.array_equal(draws, reference_draws(seed, clients, t, sizes, cfg.local_steps, batch_size))
+
+
+def workers_cfg(**overrides):
+    base = dict(
+        m=7, rounds=4, model=ModelConfig(kind="mlp", hidden=(6,)),
+        data=DataConfig(classes=3, dim=6, per_class=40, spread=0.8, test_per_class=20),
+    )
+    return logistic_cfg(**{**base, **overrides})
+
+
+CENTRAL = dict(topology=None, participation=0.5)
+WORKER_CASES = {
+    **{a.value: dict(algorithm=a, **(CENTRAL if a in engine.CENTRAL_KINDS else {})) for a in AlgorithmKind},
+    "random_k": dict(topology=TopologySpec(TopologyKind.RANDOM_K, 7, k=2, seed=3)),
+    "diagnostics": dict(algorithm=AlgorithmKind.OLED_SAM, diagnostics=True),
+    "diagnostics_central": dict(algorithm=AlgorithmKind.FEDSAM_CENTRAL, diagnostics=True, **CENTRAL),
+    "width_1": dict(model=ModelConfig(kind="mlp", hidden=(1,))),
+    "logistic": dict(model=ModelConfig(kind="logistic")),
+    "fewer_rows_than_workers": dict(m=2, algorithm=AlgorithmKind.DFEDAVGM),
+    "one_participant": dict(algorithm=AlgorithmKind.FEDAVG_CENTRAL, topology=None, participation=0.1),
+}
+
+
+def run_fingerprint(result):
+    """Records, summary less its wall time and final_x, as exact bytes."""
+    summary = {k: v for k, v in result.summary.items() if k != "wall_time_seconds"}
+    return repr(result.records), repr(summary), result.final_x.tobytes()
+
+
+class TestWorkers:
+    """Row ranges on a per-run pool: bitwise one worker, no thread left behind."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 100])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8, 10**9])
+    def test_row_ranges_cover_the_rows_in_order_capped_at_the_rows(self, rows, workers):
+        ranges = engine._row_ranges(rows, workers)
+        assert len(ranges) == min(workers, rows)
+        assert [i for r in ranges for i in range(rows)[r]] == list(range(rows))
+        sizes = [r.stop - r.start for r in ranges]
+        assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", None])
+    def test_bad_worker_count_is_a_config_error(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            run_experiment(workers_cfg(rounds=1), workers=workers)
+
+    @pytest.mark.parametrize("case", sorted(WORKER_CASES) + ["quadratic"])
+    def test_every_worker_count_is_bitwise_one_worker(self, case):
+        cfg = quadratic_cfg(rounds=6) if case == "quadratic" else workers_cfg(**WORKER_CASES[case])
+        problem = build_problem(cfg)
+        single = run_fingerprint(run_experiment(cfg, problem=problem))
+        for workers in (2, 3):
+            assert run_fingerprint(run_experiment(cfg, workers=workers, problem=problem)) == single, workers
+
+    def test_local_phase_trains_one_range_per_pool_thread(self, monkeypatch):
+        calls = []
+
+        def training(spec, x0, *args, **kwargs):
+            calls.append((kwargs["round_index"], len(x0), threading.get_ident(), id(kwargs["scratch"])))
+            return localopt.local_train(spec, x0, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "local_train", training)
+        run_experiment(workers_cfg(), workers=3)
+        assert [(t, rows) for t, rows, *_ in calls] == [(t, rows) for t in range(4) for rows in (2, 2, 3)]
+        assert threading.get_ident() not in {thread for *_, thread, _ in calls}
+        # each range of a round has a Scratch of its own
+        assert all(len({s for t, _, _, s in calls if t == r}) == 3 for r in range(4))
+
+    def test_the_pool_never_has_more_threads_than_rows(self, monkeypatch):
+        sizes = []
+
+        def pool(n):
+            sizes.append(n)
+            return ThreadPoolExecutor(min(n, 4))  # a broken cap still starts few threads
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", pool)
+        run_experiment(workers_cfg(m=3, rounds=2), workers=10**6)
+        run_experiment(workers_cfg(m=3, rounds=2), workers=1)
+        assert sizes == [3]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_a_later_range_and_no_thread_outlives_a_run(self):
+        cfg = workers_cfg(m=6, model=ModelConfig(kind="logistic"))
+        problem = build_problem(cfg)
+        shards = problem.shards
+        features = shards.features.copy()
+        # client 4 is in the second range of two (rows 0-2, 3-5) and the last of three
+        features[shards.offsets[4]:shards.offsets[4] + shards.sizes[4]] *= 1e300
+        problem = dataclasses.replace(problem, shards=dataclasses.replace(shards, features=features))
+        before = threading.active_count()
+        raised = []
+        for workers in (1, 2, 3):
+            with pytest.raises(DivergenceError) as exc:
+                run_experiment(cfg, workers=workers, problem=problem)
+            raised.append((exc.value.round_index, exc.value.client))
+            assert threading.active_count() == before
+        assert raised == [raised[0]] * 3 and raised[0][1] == 4
+        run_experiment(cfg, workers=3)
+        assert threading.active_count() == before
 
 
 # a stale name in __all__ fails only on ``import *``, which nothing else in the suite does
