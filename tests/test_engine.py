@@ -1,10 +1,13 @@
 """Round orchestration: lookahead init, mixing, baselines, determinism."""
 
+import concurrent.futures
 import copy
 import dataclasses
 import importlib
 import math
+import os
 import pkgutil
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -901,6 +904,19 @@ class TestWorkers:
         for workers in (2, 3):
             assert run_fingerprint(run_experiment(cfg, workers=workers, problem=problem)) == single, workers
 
+    def test_more_threads_than_cores_switching_fast_stay_bitwise(self):
+        workers = len(os.sched_getaffinity(0)) + 1
+        cfg = workers_cfg(m=2 * workers + 1, algorithm=AlgorithmKind.OLED_SAM, diagnostics=True)
+        problem = build_problem(cfg)
+        single = run_fingerprint(run_experiment(cfg, problem=problem))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = run_fingerprint(run_experiment(cfg, workers=workers, problem=problem))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pooled == single
+
     def test_local_phase_trains_one_range_per_pool_thread(self, monkeypatch):
         calls = []
 
@@ -922,7 +938,7 @@ class TestWorkers:
             sizes.append(n)
             return ThreadPoolExecutor(min(n, 4))  # a broken cap still starts few threads
 
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
         run_experiment(workers_cfg(m=3, rounds=2), workers=10**6)
         run_experiment(workers_cfg(m=3, rounds=2), workers=1)
         assert sizes == [3]
