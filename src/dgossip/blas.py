@@ -2,13 +2,13 @@
 
 OpenBLAS splits a large product over its threads, and the split changes
 the order in which a dot product's terms are summed, so some shapes round
-differently on two threads than on one.  The engine runs every round on
-one thread by design, so :func:`one_thread` pins the OpenBLAS that numpy
-loaded to one thread for the duration of a run and restores the previous
-count afterwards.  It reaches the library through ctypes, by the
-thread-count functions that numpy's wheels export.  Where none is found
-(a numpy built against another BLAS), the pin does nothing and the run
-goes ahead unpinned.
+differently on two threads than on one.  A run's pool threads split its
+rows, never a product, so :func:`one_thread` pins the OpenBLAS that numpy
+loaded to one thread for the duration of a run, pool threads included
+(the count is process-wide), and restores the previous count afterwards.
+It reaches the library through ctypes, by the thread-count functions that
+numpy's wheels export.  Where none is found (a numpy built against
+another BLAS), the pin does nothing and the run goes ahead unpinned.
 """
 
 from __future__ import annotations

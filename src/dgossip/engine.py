@@ -664,9 +664,9 @@ def iter_rounds(
     before round 0, so the participants' minibatches are drawn for a block
     of rounds at a time, one ``client_batches`` call of at most
     ``_BLOCK_INDICES`` indices (or one round), and each round is handed its
-    slice.  ``run_round``, ``build_mixing`` and ``client_batches`` are
-    looked up in this module on every call, where the benchmark's call
-    tracer wraps them.
+    slice.  ``run_round`` and ``build_mixing``, and a round's
+    ``local_train`` and ``gossip_mix``, are looked up in this module on
+    every call, where the benchmark's call tracer wraps them.
 
     Every RoundInfo holds new arrays, which no later round writes; the
     local phases lay their workspaces out in ``scratches`` (one new

@@ -13,9 +13,10 @@ Three model families:
 All parameters live in one flat float64 vector; gradients are computed
 analytically (closed form or manual backprop), never by autodiff.  The
 gradient kernel takes one such vector or an (m, p) stack of them, one
-model per row, with stacked matrix products that round each row exactly
-as a single model.  Local steps pass one client per row; the full
-objective passes one model broadcast to one row per block of its rows.
+model per row, with stacked matrix products and left-to-right class
+passes that round each row exactly as a single model.  Local steps pass
+one client per row; the full objective passes one model broadcast to one
+row per block of its rows.
 """
 
 from __future__ import annotations
@@ -128,76 +129,41 @@ def _forward(spec: ModelSpec, x: np.ndarray, feats: np.ndarray, outs=None):
     return layers, acts
 
 
-# One pass over a class column costs about as much as numpy's per-row
-# reduction set-up for 64 rows (measured on (n, 32, C) logits, C = 3..10):
-# the softmax takes its class max and sum by columns from 64 * C rows on.
-_COLUMN_ROWS = 64
-
-
 def _class_max(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``logits.max(axis=-1)``, one class column at a time.
+    """``logits.max(axis=-1)`` as one pass over the class columns, left to right.
 
-    A maximum is exact in any order, so this equals numpy's reduction
-    (tests pin it; a zero maximum may differ in its sign, which the softmax
-    shift cannot see).
+    A maximum is exact in any order, so this equals numpy's reduction (a
+    zero maximum may differ in its sign, which the softmax shift cannot see).
     """
-    if out is None:
-        out = np.empty(logits.shape[:-1])
-    out[...] = logits[..., 0]
+    out = np.positive(logits[..., 0], out=out)  # column 0, copied
     for j in range(1, logits.shape[-1]):
         np.maximum(out, logits[..., j], out=out)
     return out
 
 
-_PAIRWISE_BLOCK = 128  # numpy's PW_BLOCKSIZE: longer rows are summed in recursive halves
-
-
 def _class_sum(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``logits.sum(axis=-1)`` in numpy's own order, one class column at a time.
+    """The class-axis sum as one pass over the class columns, left to right.
 
-    numpy sums each contiguous row pairwise (``pairwise_sum`` in its
-    umath loops) onto the identity 0: fewer than 8 terms one after
-    another; up to ``_PAIRWISE_BLOCK`` terms in 8 interleaved partial sums
-    r_j, folded as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)),
-    then the remaining terms in turn.  This replays those two cases on
-    whole columns (adding the identity last, which only turns a -0 into
-    +0), so the result is bitwise numpy's; tests pin it to the installed
-    numpy.  Longer rows, which numpy splits in halves, go to numpy's sum.
+    The same order at every size, so a row sums alike in any stack or in any
+    worker's range.  Below 8 classes it is numpy's order, so it equals
+    ``logits.sum(axis=-1)`` on terms that are never -0, such as a softmax's.
     """
-    n = logits.shape[-1]
-    if n > _PAIRWISE_BLOCK or n < 2:
-        return logits.sum(axis=-1, out=out)
-    if n < 8:
-        out = np.add(logits[..., 0], logits[..., 1], out=out)
-        rest = range(2, n)
-    else:
-        r = logits[..., :8]
-        if n >= 16:
-            r = r.copy()
-            for i in range(8, n - n % 8, 8):
-                r += logits[..., i : i + 8]
-        out = np.add(r[..., 0], r[..., 1], out=out)
-        out += r[..., 2] + r[..., 3]
-        out += (r[..., 4] + r[..., 5]) + (r[..., 6] + r[..., 7])
-        rest = range(n - n % 8, n)
-    for i in rest:
-        out += logits[..., i]
-    out += 0.0
+    out = np.positive(logits[..., 0], out=out)  # column 0, copied
+    for j in range(1, logits.shape[-1]):
+        np.add(out, logits[..., j], out=out)
     return out
 
 
 def _softmax_nll(logits: np.ndarray, labels: np.ndarray, with_loss: bool, ws: Workspace | None = None):
     """Softmax in place; (per-row NLL shaped as labels or None, flat view, flat index of each label).
 
-    ``ws`` supplies the per-row scratch and the label index; without it
-    they are new arrays.
+    ``ws`` supplies the per-row scratch of the class max and sum (one
+    left-to-right column pass each) and the label index; else new arrays.
     """
-    row = None if ws is None else ws.row
-    by_columns = logits.size >= _COLUMN_ROWS * logits.shape[-1] ** 2
-    row = _class_max(logits, row) if by_columns else logits.max(axis=-1, out=row)
+    row = _class_max(logits, None if ws is None else ws.row)
     logits -= row[..., None]
     np.exp(logits, out=logits)
-    logits /= (_class_sum(logits, row) if by_columns else logits.sum(axis=-1, out=row))[..., None]
+    logits /= _class_sum(logits, row)[..., None]
     flat = logits.reshape(-1)
     if ws is None:
         picked = np.arange(labels.size) * logits.shape[-1] + labels.reshape(-1)
@@ -427,19 +393,18 @@ class Workspace:
 
     Built for a :class:`ShardStack`, its (m, B) minibatches and (m, p)
     model stacks: it holds the gathered minibatch, every layer's output,
-    the error back-propagated to each hidden layer, the per-row softmax
-    scratch and the flat label index, or, for the quadratic family, the
-    stack's gathered terms.  ``point`` is an (m, p) stack at which a
-    gradient is evaluated: SAM's ascent point; ``stacks`` more (m, p)
-    arrays are the caller's own.  With ``blocks``, a (passes, per_pass)
-    pair, it serves :func:`full_objective`'s passes over blocks of
-    ``batch_size`` samples: its rows are the per_pass blocks of one pass in
-    place of one per client, and it also holds every block's NLL
-    (``nll``) and gradient (``grads``), each shaped (passes, per_pass,
-    ...).  The arrays are laid out
-    in ``scratch`` when it is given (see :class:`Scratch`), where the next
-    workspace laid out overwrites them; otherwise they are the workspace's
-    own.  :meth:`ShardStack.batch` and
+    the error back-propagated to each hidden layer, the per-row class max
+    and sum of the softmax (``row``) and the flat label index, or, for the
+    quadratic family, the stack's gathered terms.  ``point`` is an (m, p)
+    stack at which a gradient is evaluated: SAM's ascent point; ``stacks``
+    more (m, p) arrays are the caller's own.  With ``blocks``, a (passes,
+    per_pass) pair, it serves :func:`full_objective`'s passes over blocks
+    of ``batch_size`` samples: its rows are the per_pass blocks of one pass
+    in place of one per client, and it also holds every block's NLL
+    (``nll``) and gradient (``grads``), each shaped (passes, per_pass, ...).
+    The arrays are laid out in ``scratch`` when it is given (see
+    :class:`Scratch`), where the next workspace laid out overwrites them;
+    otherwise they are the workspace's own.  :meth:`ShardStack.batch` and
     :func:`batch_grads` overwrite them on every call that is passed the
     workspace, and no result points into it.
     """

@@ -870,6 +870,12 @@ WORKER_CASES = {
     "logistic": dict(model=ModelConfig(kind="logistic")),
     "fewer_rows_than_workers": dict(m=2, algorithm=AlgorithmKind.DFEDAVGM),
     "one_participant": dict(algorithm=AlgorithmKind.FEDAVG_CENTRAL, topology=None, participation=0.1),
+    # 24 * 32 rows of 10 classes for one worker, half or a third of them per range
+    "ten_classes": dict(
+        m=24,
+        data=DataConfig(classes=10, dim=6, per_class=40, spread=0.8, test_per_class=20),
+        optimizer=OptimizerConfig(eta0=0.1, decay=0.998, batch_size=32),
+    ),
 }
 
 

@@ -65,8 +65,8 @@ RUN_HASHES = {
         "e69392fccdd690de1b9d4f48f101aa0cdd70ad1c7d42ec19c327d163db6d76d6",
     ),
     "large_random_topology": (
-        "5cd0b9e3ff48943fe27e26469015ed872f4e10cfbcc73c4d66d076f92a50dd59",
-        "1de5dbef379ee527a0c61f0bf71c475757fdf844b6e712eef67a52c423f47615",
+        "2fa2ffbaf037bf2bf0faa3db7aee49a2117290051b86f56735bd8e177eb818a7",
+        "b4b593db8dbbef40f2ec05c03a54ed5b59e6cef9dc13a3a8c4f889d6461475e0",
     ),
     "logistic[dfedavg]": (
         "29a8d70bb9cf19c5759f58d156e2f275a0a9773ab16ba5a1e1aa6939b25c4d23",

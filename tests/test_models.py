@@ -1,5 +1,6 @@
 """Objectives and analytic gradients against a finite-difference oracle."""
 
+import functools
 import math
 import os
 import subprocess
@@ -367,11 +368,12 @@ def class_rows(rng, classes, rows=64):
 
 
 class TestClassReductions:
-    """The softmax's class-axis max and sum are pinned to numpy's own reductions.
+    """The softmax's class-axis max and sum are one left-to-right pass over the class columns.
 
-    The kernel takes both one class column at a time.  If a numpy release
-    changes its reduction order, these tests fail instead of a golden
-    moving quietly.
+    The same rule holds at every class count and stack size.  A maximum is
+    exact in any order, so it equals numpy's.  The sum adds column 0 and
+    each later column in turn; below 8 classes that is numpy's own row-sum
+    order, which is why the 4-class goldens did not move with the rule.
     """
 
     @pytest.mark.parametrize("classes", range(2, 131))
@@ -394,16 +396,42 @@ class TestClassReductions:
         shifted = [np.exp(logits - row[:, None]) for row in (ours, numpys)]
         assert np.array_equal(bits(shifted[0]), bits(shifted[1]))
 
-    @pytest.mark.parametrize("classes", range(2, 131))
-    def test_class_sum_equals_numpys_sum_bitwise(self, classes):
+    @pytest.mark.parametrize("classes", range(1, 201))
+    def test_class_sum_adds_the_columns_left_to_right_bitwise(self, classes):
         rng = np.random.default_rng(1000 + classes)
         logits = class_rows(rng, classes).reshape(4, 16, classes)
         logits[0, :4] = np.exp(rng.normal(size=(4, classes)) * 30)  # softmax terms
         logits[0, 4, :] = -0.0
-        assert np.array_equal(bits(models._class_sum(logits)), bits(logits.sum(axis=-1)))
+        reference = functools.reduce(np.add, np.moveaxis(logits, -1, 0))
+        assert np.array_equal(bits(models._class_sum(logits)), bits(reference))
+        out = np.empty(logits.shape[:-1])
+        assert models._class_sum(logits, out) is out
+        assert np.array_equal(bits(out), bits(reference))
 
-    @pytest.mark.parametrize("classes", [1, 129, 130, 200])
-    def test_class_sum_falls_back_to_numpy_outside_its_range(self, classes):
-        # numpy splits rows past 128 terms in halves, which the column replay would not match
-        logits = class_rows(np.random.default_rng(classes), classes, rows=256)
-        assert np.array_equal(bits(models._class_sum(logits)), bits(logits.sum(axis=-1)))
+    @pytest.mark.parametrize("classes", range(1, 8))
+    def test_class_sum_is_numpys_row_sum_on_softmax_terms_below_8_classes(self, classes):
+        # numpy adds fewer than 8 terms in turn onto its identity +0, which only a -0 row could tell apart
+        rng = np.random.default_rng(2000 + classes)
+        terms = np.abs(class_rows(rng, classes, rows=256))
+        terms[:64] = np.exp(rng.normal(size=(64, classes)) * 30)
+        assert np.array_equal(bits(models._class_sum(terms)), bits(terms.sum(axis=-1)))
+
+    @pytest.mark.parametrize("classes", [10, 130])
+    @pytest.mark.parametrize("m", [1, 24])
+    def test_a_stacked_row_equals_the_one_client_gradient(self, classes, m):
+        # 32 and 24 * 32 rows of 10 classes sat on either side of the 64 * C rows
+        # from which the softmax once switched from numpy's reductions to its own
+        rng = np.random.default_rng(classes + m)
+        shards = [
+            Shard(rng.normal(size=(40, 6)), rng.integers(0, classes, size=40)) for _ in range(m)
+        ]
+        stack = ShardStack.of(shards)
+        spec = ModelSpec("mlp", 6, classes, (8,))
+        x = init_params(spec, 1) + 0.3 * rng.normal(size=(m, spec.param_count()))
+        rows = rng.integers(0, 40, size=(m, 32))
+        ws = models.Workspace(spec, stack, 32)
+        stack.batch(rows, ws)
+        grads = models.batch_grads(spec, x, ws)
+        for i, shard in enumerate(shards):
+            _, grad = loss_and_grad(spec, x[i], shard, rows[i])
+            assert np.array_equal(bits(grads[i]), bits(grad)), i
