@@ -422,9 +422,7 @@ class TestClassReductions:
         # 32 and 24 * 32 rows of 10 classes sat on either side of the 64 * C rows
         # from which the softmax once switched from numpy's reductions to its own
         rng = np.random.default_rng(classes + m)
-        shards = [
-            Shard(rng.normal(size=(40, 6)), rng.integers(0, classes, size=40)) for _ in range(m)
-        ]
+        shards = [Shard(rng.normal(size=(40, 6)), rng.integers(0, classes, size=40)) for _ in range(m)]
         stack = ShardStack.of(shards)
         spec = ModelSpec("mlp", 6, classes, (8,))
         x = init_params(spec, 1) + 0.3 * rng.normal(size=(m, spec.param_count()))
