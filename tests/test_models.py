@@ -373,7 +373,8 @@ class TestClassReductions:
     The same rule holds at every class count and stack size.  A maximum is
     exact in any order, so it equals numpy's.  The sum adds column 0 and
     each later column in turn; below 8 classes that is numpy's own row-sum
-    order, which is why the 4-class goldens did not move with the rule.
+    order, which is why the 4-class goldens did not move with the rule.  At
+    any class count it is numpy's own sum over the columns as a leading axis.
     """
 
     @pytest.mark.parametrize("classes", range(2, 131))
@@ -407,6 +408,18 @@ class TestClassReductions:
         out = np.empty(logits.shape[:-1])
         assert models._class_sum(logits, out) is out
         assert np.array_equal(bits(out), bits(reference))
+
+    @pytest.mark.parametrize("classes", range(2, 131))
+    def test_class_sum_equals_numpys_sum_bitwise(self, classes):
+        # over a leading axis numpy adds the columns in turn, with no pairwise split;
+        # it starts from +0 unless told otherwise, and -0 + x == x keeps the -0 row
+        rng = np.random.default_rng(1000 + classes)
+        logits = class_rows(rng, classes).reshape(4, 16, classes)
+        logits[0, :4] = np.exp(rng.normal(size=(4, classes)) * 30)  # softmax terms
+        logits[0, 4, :] = -0.0
+        columns = np.ascontiguousarray(np.moveaxis(logits, -1, 0))
+        numpys = columns.sum(axis=0, initial=-0.0)
+        assert np.array_equal(bits(models._class_sum(logits)), bits(numpys))
 
     @pytest.mark.parametrize("classes", range(1, 8))
     def test_class_sum_is_numpys_row_sum_on_softmax_terms_below_8_classes(self, classes):
