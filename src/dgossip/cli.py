@@ -148,8 +148,8 @@ def cmd_topo_report(args) -> int:
         raise ConfigError(f"--m: {exc}") from None
     if not kinds or not sizes:
         raise ConfigError("need at least one kind and one m")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not 0 <= args.seed < 2**64:  # TopologySpec's bound, named by the flag
+        raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
     for m in sizes:  # psi is taken of the dense (m, m) matrix
         if m * m > 2**31:
             raise ConfigError(f"--m {m}: m * m = {m * m} exceeds 2**31")

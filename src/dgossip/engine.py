@@ -71,6 +71,7 @@ from .data import (
     partition_iid,
     partition_pathological,
 )
+from .keyed import _DOM_CLIENT, _DOM_COORD, _DOM_DATA, _DOM_INIT, _DOM_PARTITION, _DOM_TOPO, _draw, _keys
 from .localopt import OptimizerConfig, local_train, lr_at_round
 from .metrics import (
     RoundRecord,
@@ -115,15 +116,6 @@ __all__ = [
     "run_experiment",
     "validated",
 ]
-
-# domain tags for deriving independent generator streams from one seed
-_DOM_CLIENT = 0
-_DOM_COORD = 1
-_DOM_TOPO = 2
-_DOM_DATA = 3
-_DOM_PARTITION = 4
-_DOM_INIT = 5
-
 
 class AlgorithmKind(str, Enum):
     OLED_SGD = "oled_sgd"
@@ -228,8 +220,8 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError("local_steps must be >= 1")
     if cfg.eval_every < 1:
         raise ConfigError("eval_every must be >= 1")
-    if not 0 <= cfg.seed < 2**64 or (cfg.topology is not None and cfg.topology.seed < 0):
-        raise ConfigError("seed must be in [0, 2**64) and topology.seed >= 0")  # the draw keys on 64-bit words
+    if not 0 <= cfg.seed < 2**64:  # the draw keys on 64-bit words; topology.validate bounds topology.seed
+        raise ConfigError(f"seed must be in [0, 2**64), got {cfg.seed}")
 
     beta = cfg.beta if algo in LOOKAHEAD_KINDS else 0.0
     local_steps = 1 if algo is AlgorithmKind.DPSGD else cfg.local_steps
@@ -330,30 +322,7 @@ def _subseed(*parts: int) -> int:
     return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
 
 
-# SplitMix64 (Steele, Lea & Flood 2014): its increment (the golden ratio) and its finaliser's multipliers
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX_1, _MIX_2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-_CHUNK_VALUES = 2**13  # values client_batches draws per row chunk; each uint64 temporary of a chunk is 64 KiB
 _BLOCK_INDICES = 2**15  # minibatch indices iter_rounds draws in one call: 256 KiB of int64
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finaliser, in place on a uint64 array."""
-    z ^= z >> 30
-    z *= _MIX_1
-    z ^= z >> 27
-    z *= _MIX_2
-    z ^= z >> 31
-    return z
-
-
-def _bounded(z: np.ndarray, n: np.ndarray, threshold: np.ndarray, out=None) -> np.ndarray:
-    """Lemire's index u * n >> 32 of each value's high word u, in place; True where the value is rejected."""
-    z >>= 32
-    z *= n
-    rejected = np.less(z & 0xFFFFFFFF, threshold, out=out)
-    z >>= 32
-    return rejected
 
 
 def client_batches(seed: int, clients, rounds, sizes, k_steps: int, batch_size: int) -> np.ndarray:
@@ -361,59 +330,20 @@ def client_batches(seed: int, clients, rounds, sizes, k_steps: int, batch_size: 
 
     Column i reads the private stream of client ``clients[i]`` in round
     ``rounds[i]`` (or one round for all columns), so one call can draw a
-    round's participants or a block of rounds.  The stream is counter-based
-    (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3")
-    on SplitMix64's finaliser mix64 and increment gamma, all mod 2**64:
-
-    1. key: from 0, each word of (seed, 0, client, round) is taken in as
-       key = mix64((key + gamma) ^ word);
-    2. stream: value j of the column, from 0, is mix64(key + (j + 1) gamma),
-       computed directly, so no state is carried from one value to the next;
-    3. bounded draw: the high 32 bits u of a value give the index
-       u * n >> 32 (Lemire 2019, "Fast random integer generation in an
-       interval"), unless the product's low word is below (2**32 - n) mod n.
-       Entry j of a rejected value takes value j + r*K*B at its r-th retry,
-       past the column's first K*B.  n == 1 rejects nothing and draws zeros.
-
-    Step k holds values k*B to (k+1)*B - 1 of the column.  The draw runs in
-    place in the result, rows of at most ``_CHUNK_VALUES`` values at a
-    time, so its temporaries stay small beside it.  The result is a view
-    of a new C-contiguous (m, K*B) int64 array.  Shard sizes outside
-    [1, 2**32) raise ValueError.
+    round's participants or a block of rounds.  The stream is the keyed
+    SplitMix64 stream of :mod:`dgossip.keyed`, its key taking in the words
+    (seed, 0, client, round), and each column draws K*B values bounded by
+    its shard size, a rejected entry j taking value j + r*K*B at its r-th
+    retry.  Step k holds values k*B to (k+1)*B - 1 of the column.  The
+    result is a view of a new C-contiguous (m, K*B) int64 array.  Shard
+    sizes outside [1, 2**32) raise ValueError.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     if sizes.size and not (sizes.min() >= 1 and sizes.max() < 2**32):
         raise ValueError(f"shard sizes must be in [1, 2**32), got {sizes.min()} to {sizes.max()}")
-    key = np.zeros(len(sizes), dtype=np.uint64)
-    for word in (seed, _DOM_CLIENT, clients, rounds):
-        key += _GAMMA
-        key ^= np.asarray(word, dtype=np.uint64)
-        _mix64(key)
-    m, count = len(key), k_steps * batch_size
-    n = sizes.astype(np.uint64)[:, None]
-    threshold = (np.uint64(2**32) - n) % n
-    steps = np.arange(1, count + 1, dtype=np.uint64)
-    steps *= _GAMMA
-    out = np.empty((m, count), dtype=np.int64)
-    values = out.view(np.uint64)
-    rejected = np.empty((m, count), dtype=bool)
-    rows = max(1, _CHUNK_VALUES // count)
-    for r0 in range(0, m, rows):
-        chunk = slice(r0, r0 + rows)
-        np.add(key[chunk, None], steps, out=values[chunk])
-        _bounded(_mix64(values[chunk]), n[chunk], threshold[chunk], out=rejected[chunk])
-    row, col = np.nonzero(rejected)
-    tries = 0
-    while row.size:  # retry only the rejected entries, all at once
-        tries += 1
-        retry = col.astype(np.uint64)
-        retry += np.uint64(tries * count + 1)
-        retry *= _GAMMA
-        retry += key[row]
-        again = _bounded(_mix64(retry), n[row, 0], threshold[row, 0])
-        out[row[~again], col[~again]] = retry[~again]
-        row, col = row[again], col[again]
-    return out.reshape(m, k_steps, batch_size).transpose(1, 0, 2)
+    key = _keys(len(sizes), seed, _DOM_CLIENT, clients, rounds)
+    out = _draw(key, sizes.astype(np.uint64)[:, None], k_steps * batch_size)
+    return out.reshape(len(sizes), k_steps, batch_size).transpose(1, 0, 2)
 
 
 def participants(cfg: ExperimentConfig, m: int, t: int) -> np.ndarray:

@@ -15,6 +15,9 @@ A matrix is built and held as its neighbour table, the (m, D) arrays of
 each row's support and weights: each kind lists its partner pairs, and one
 shared step symmetrises them and derives the rows and weights.  The dense
 (m, m) W is derived only where a spectrum or a reference needs it.
+random_k partners come from the keyed SplitMix64 stream of
+:mod:`dgossip.keyed` by Floyd's sampler, every client's row in one array
+pass, with no numpy ``Generator``.
 
 Opposite-lookahead client initialization is algebraically equivalent to
 gossiping with the affine transform
@@ -34,6 +37,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .keyed import _DOM_TOPO, _floyd, _keys
 
 __all__ = [
     "TopologyKind",
@@ -61,7 +66,9 @@ class TopologySpec:
     """Declarative description of a communication graph.
 
     ``k`` and ``seed`` are only meaningful for ``random_k``, where each
-    node draws ``k`` partners per round from a seeded stream.
+    node draws ``k`` distinct partners from its own keyed stream, keyed by
+    ``seed``, the topology domain, the redraw attempt and the node.  The
+    key takes ``seed`` in as one 64-bit word, so it must lie in [0, 2**64).
     """
 
     kind: TopologyKind
@@ -76,6 +83,8 @@ class TopologySpec:
             side = math.isqrt(self.m)
             if side * side != self.m:
                 raise ValueError(f"grid topology: perfect square required, got m={self.m}")
+        if not 0 <= self.seed < 2**64:  # random_k keys its draws on the seed as one 64-bit word
+            raise ValueError(f"topology.seed must be in [0, 2**64), got {self.seed}")
         if self.kind is TopologyKind.RANDOM_K:
             if not 1 <= self.k < self.m:
                 raise ValueError(f"random_k topology needs 1 <= k < m, got k={self.k}, m={self.m}")
@@ -161,10 +170,11 @@ def _partners(spec: TopologySpec, attempt: int) -> np.ndarray:
     """(m, h) array of each client's partners one way; :func:`_metropolis` adds the reverse."""
     m, nodes = spec.m, np.arange(spec.m)[:, None]
     if spec.kind is TopologyKind.RANDOM_K:
-        # k distinct uniform draws by each client in turn, skipping itself; an
-        # edge exists if either endpoint drew it, so every degree is >= k
-        rng = np.random.default_rng([spec.seed, attempt])
-        draws = np.stack([rng.choice(m - 1, size=spec.k, replace=False) for _ in range(m)])
+        # each client i draws k distinct of the m - 1 others, a uniform k-subset,
+        # by Floyd's sampler on its own keyed stream (seed, _DOM_TOPO, attempt, i),
+        # all clients at once; draws at or past i skip over it.  An edge exists
+        # if either endpoint drew it, so every degree is >= k
+        draws = _floyd(_keys(m, spec.seed, _DOM_TOPO, attempt, nodes[:, 0]), m - 1, spec.k)
         return np.where(draws >= nodes, draws + 1, draws)
     if spec.kind is TopologyKind.GRID:
         # 2D torus, client r * side + c at row r and column c: the next

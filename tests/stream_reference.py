@@ -1,8 +1,9 @@
-"""The engine's minibatch stream as scalar Python, one value at a time.
+"""The keyed stream's draws as scalar Python, one value at a time.
 
-``engine.client_batches`` draws every column of a block at once in numpy
-arrays.  This is the same formula on Python ints, short enough to check
-by eye, that the tests hold the vectorised draw to.
+``engine.client_batches`` draws every column of a block of minibatches at
+once, and ``topology`` every client's random_k partners, in numpy arrays.
+This is the same formula on Python ints, short enough to check by eye,
+that the tests hold the vectorised draws to.
 """
 
 import numpy as np
@@ -18,26 +19,48 @@ def mix64(z: int) -> int:
     return z ^ z >> 31
 
 
-def stream_key(seed: int, client: int, t: int) -> int:
+def keyed(*words: int) -> int:
+    """The key that takes in ``words`` from 0 as key = mix64((key + gamma) ^ word)."""
     key = 0
-    for word in (seed, 0, client, t):
+    for word in words:
         key = mix64((key + GAMMA & MASK) ^ word)
     return key
 
 
+def stream_key(seed: int, client: int, t: int) -> int:
+    return keyed(seed, 0, client, t)
+
+
+def bounded(key: int, j: int, n: int, count: int) -> int:
+    """Entry j of a row of ``count`` indices in [0, n) on stream key; a rejected entry retries value j + r*count."""
+    r = 0
+    while True:
+        u = mix64(key + (j + r * count + 1) * GAMMA & MASK) >> 32
+        if u * n & 0xFFFFFFFF >= (2**32 - n) % n:
+            return u * n >> 32
+        r += 1
+
+
 def column(seed: int, client: int, t: int, n: int, count: int) -> list[int]:
-    """The ``count`` indices in [0, n) that client draws in round t; a rejected entry j retries value j + r*count."""
+    """The ``count`` indices in [0, n) that client draws in round t."""
     key = stream_key(seed, client, t)
-    out = []
-    for j in range(count):
-        r = 0
-        while True:
-            u = mix64(key + (j + r * count + 1) * GAMMA & MASK) >> 32
-            if u * n & 0xFFFFFFFF >= (2**32 - n) % n:
-                break
-            r += 1
-        out.append(u * n >> 32)
-    return out
+    return [bounded(key, j, n, count) for j in range(count)]
+
+
+def floyd(key: int, n: int, k: int) -> list[int]:
+    """k distinct values of [0, n) by Floyd's sampler: step j draws t in [0, n - k + j], or takes n - k + j if t is taken."""
+    picks = []
+    for j in range(k):
+        top = n - k + j
+        t = bounded(key, j, top + 1, k)
+        picks.append(top if t in picks else t)
+    return picks
+
+
+def partners(seed: int, m: int, k: int, attempt: int) -> np.ndarray:
+    """(m, k) random_k partners like ``topology._partners``: client i's Floyd draws, skipping i itself."""
+    rows = [[p + (p >= i) for p in floyd(keyed(seed, 2, attempt, i), m - 1, k)] for i in range(m)]
+    return np.array(rows, dtype=np.int64)
 
 
 def reference_draws(seed, clients, t, sizes, k_steps, batch_size) -> np.ndarray:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dgossip
-from dgossip import engine, localopt
+from dgossip import engine, keyed, localopt
 from dgossip.engine import (
     AlgorithmKind,
     ConfigError,
@@ -741,7 +741,7 @@ class TestClientStreams:
     @pytest.mark.parametrize("m, k_steps, batch_size", [(3, 2, 16391), (300, 3, 41)])
     def test_draws_spanning_several_blocks(self, m, k_steps, batch_size):
         # more values per client, or more clients, than one row chunk of the draw holds
-        assert m * k_steps * batch_size > engine._CHUNK_VALUES
+        assert m * k_steps * batch_size > keyed._CHUNK_VALUES
         assert_draws_equal_reference(3, np.arange(m), 1, k_steps=k_steps, batch_size=batch_size)
 
     @pytest.mark.parametrize("seed", [7, 2**40 + 3])

@@ -65,8 +65,8 @@ RUN_HASHES = {
         "e69392fccdd690de1b9d4f48f101aa0cdd70ad1c7d42ec19c327d163db6d76d6",
     ),
     "large_random_topology": (
-        "2fa2ffbaf037bf2bf0faa3db7aee49a2117290051b86f56735bd8e177eb818a7",
-        "b4b593db8dbbef40f2ec05c03a54ed5b59e6cef9dc13a3a8c4f889d6461475e0",
+        "d953625506e5725b80b92dad9f506e2af7a49ca1e2d01ec10d90d83e8125ae4f",
+        "75cd80fb6cf84e4da0fa872e237c896ca865c12d650c2fb1dc4d635ae48adf73",
     ),
     "logistic[dfedavg]": (
         "29a8d70bb9cf19c5759f58d156e2f275a0a9773ab16ba5a1e1aa6939b25c4d23",

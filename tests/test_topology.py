@@ -1,6 +1,7 @@
 """Mixing-matrix construction, spectral quantities, and the affine transform."""
 
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -10,15 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 from dgossip.cli import main
 from dgossip.engine import gossip_mix
+from dgossip.keyed import _floyd, _keys
 from dgossip.topology import (
     MixingMatrix,
     TopologyKind,
     TopologySpec,
+    _partners,
     averaging_matrix,
     beta_theory_bound,
     build_mixing,
     spectral_gap,
 )
+from stream_reference import GAMMA, MASK, floyd, mix64, partners
 
 ALL_KINDS = list(TopologyKind)
 
@@ -314,6 +318,70 @@ class TestRandomK:
         assert w.psi == spectral_gap(w.w)
 
 
+class TestFloydPartners:
+    """random_k partners: Floyd's sampler on each client's keyed stream, held to the scalar reference."""
+
+    @pytest.mark.parametrize(
+        "m, k, seed, attempt",
+        [(2, 1, 0, 0), (5, 4, 3, 0), (16, 15, 9, 2), (100, 10, 0, 0), (100, 10, 1, 0), (100, 10, 7, 3),
+         (37, 5, 2**64 - 1, 31)],
+    )
+    def test_partners_equal_the_scalar_reference(self, m, k, seed, attempt):
+        got = _partners(TopologySpec(TopologyKind.RANDOM_K, m, k=k, seed=seed), attempt)
+        assert got.dtype == np.int64 and np.array_equal(got, partners(seed, m, k, attempt))
+
+    def test_rejected_values_retry_like_the_scalar_reference(self):
+        # near n = 3 * 2**30 the Lemire threshold (2**32 - n) mod n is about 2**30,
+        # so about a quarter of the first values are rejected, some more than once
+        n, k, rows = 3 * 2**30 + 7, 6, 64
+        key = _keys(rows, 5, 2, 0, np.arange(rows))
+        first = [
+            mix64(int(row) + (j + 1) * GAMMA & MASK) >> 32 for row in key for j in range(k)
+        ]
+        tops = [n - k + j + 1 for _ in range(rows) for j in range(k)]
+        rejected = sum(u * top & 0xFFFFFFFF < (2**32 - top) % top for u, top in zip(first, tops))
+        assert 0.15 * rows * k < rejected < 0.35 * rows * k
+        assert np.array_equal(_floyd(key, n, k), [floyd(int(row), n, k) for row in key])
+
+    def test_k_subsets_are_uniform(self):
+        # each of the 6 clients' 2 partners, as a subset of the 5 others, over 2000 fixed seeds:
+        # chi-square with 9 degrees of freedom below its 0.999 quantile
+        index = {pair: i for i, pair in enumerate(itertools.combinations(range(5), 2))}
+        counts = np.zeros(len(index))
+        for seed in range(2000):
+            for i, row in enumerate(_partners(TopologySpec(TopologyKind.RANDOM_K, 6, k=2, seed=seed), 0)):
+                counts[index[tuple(sorted(int(p) - (p > i) for p in row))]] += 1
+        expected = counts.sum() / len(counts)
+        assert ((counts - expected) ** 2 / expected).sum() < 27.877
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 40).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, m - 1))),
+        st.integers(0, 2**64 - 1),
+        st.integers(0, 31),
+    )
+    def test_each_row_has_k_distinct_partners_and_not_itself(self, mk, seed, attempt):
+        m, k = mk
+        got = _partners(TopologySpec(TopologyKind.RANDOM_K, m, k=k, seed=seed), attempt)
+        assert got.shape == (m, k) and got.min() >= 0 and got.max() < m
+        assert all(len(set(row)) == k and i not in row for i, row in enumerate(got.tolist()))
+
+
+class TestSeedBound:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_spec_outside_64_bits_is_refused_naming_the_seed(self, seed):
+        with pytest.raises(ValueError, match="topology.seed"):
+            TopologySpec(TopologyKind.RANDOM_K, 4, k=1, seed=seed).validate()
+
+    def test_topo_report_refuses_a_seed_of_2_to_the_64(self, capsys):
+        assert main(["topo-report", "--kinds", "random_k", "--m", "2", "--k", "1", "--seed", str(2**64)]) == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_topo_report_takes_the_largest_64_bit_seed(self, capsys):
+        assert main(["topo-report", "--kinds", "random_k", "--m", "2,5", "--k", "1", "--seed", str(2**64 - 1)]) == 0
+        assert len(capsys.readouterr().out.strip().split("\n")) == 3
+
+
 class TestBetaTheoryBound:
     def test_psi_zero(self):
         # both branches evaluated independently: sqrt(10)/40 > sqrt(5)/30
@@ -376,10 +444,10 @@ W_FINGERPRINTS = {
 
 # the same for random_k draws, keyed by (m, k, seed)
 RANDOM_K_FINGERPRINTS = {
-    (16, 3, 0): "f1c016bb3818cdfd", (16, 3, 1): "17d27bb382bfad9a",
-    (16, 10, 0): "0804b59c1d4fcf18", (16, 10, 1): "38d985a0837a1579",
-    (100, 3, 0): "d70b3a55a5f06439", (100, 3, 1): "4ec0871118c12cfa",
-    (100, 10, 0): "11078cab605167ab", (100, 10, 1): "8964ea402e300b7b",
+    (16, 3, 0): "4f1c4235b9b6d6d2", (16, 3, 1): "7063fc3dc5625f1e",
+    (16, 10, 0): "f39bc05804268544", (16, 10, 1): "839fdc519f172f71",
+    (100, 3, 0): "53daaa09c2ae3e3f", (100, 3, 1): "7625e929f911cf7b",
+    (100, 10, 0): "775131fe7634224f", (100, 10, 1): "15c9d4e5a1a5c2bd",
 }
 
 
