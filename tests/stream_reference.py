@@ -58,7 +58,10 @@ def floyd(key: int, n: int, k: int) -> list[int]:
 
 
 def partners(seed: int, m: int, k: int, attempt: int) -> np.ndarray:
-    """(m, k) random_k partners like ``topology._partners``: client i's Floyd draws, skipping i itself."""
+    """(m, k) random_k partners like ``topology._partners``, each client i skipping itself.
+
+    Client i's Floyd draws read the key (seed, 2, attempt, i), 2 being the topology domain.
+    """
     rows = [[p + (p >= i) for p in floyd(keyed(seed, 2, attempt, i), m - 1, k)] for i in range(m)]
     return np.array(rows, dtype=np.int64)
 
