@@ -6,9 +6,11 @@ differently on two threads than on one.  A run's pool threads split its
 rows, never a product, so :func:`one_thread` pins the OpenBLAS that numpy
 loaded to one thread for the duration of a run, pool threads included
 (the count is process-wide), and restores the previous count afterwards.
-It reaches the library through ctypes, by the thread-count functions that
-numpy's wheels export.  Where none is found (a numpy built against
-another BLAS), the pin does nothing and the run goes ahead unpinned.
+Dense gossip, one product on the calling thread, takes the same pin
+around that product, so its bits hold outside a run too.  It reaches the
+library through ctypes, by the thread-count functions that numpy's wheels
+export.  Where none is found (a numpy built against another BLAS), the
+pin does nothing and the run goes ahead unpinned.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ place.  One decentralized round is the matrix recurrence
                     x0 at t = 0, so round 0 starts from x0 for any beta);
 2. local training   K optimizer steps, each one stacked gradient call for
                     all clients on their own minibatches;
-3. gossip mixing    X' = W_t Z over the neighbour table of the round's
-                    mixing matrix; no dense (m, m) W is built.
+3. gossip mixing    X' = W_t Z: one dense BLAS product where the graph
+                    is dense enough (:func:`gossip_mix`), else a sum over
+                    the round's neighbour table, with no (m, m) W built.
 
 Centralized rounds sample a participation fraction of clients on the
 coordinator's own stream, train the participant rows from the global
@@ -27,27 +28,28 @@ stays as it was.  Only the workspaces share memory: a run's local phases
 (workspace, spare iterate, velocity) and evaluations (the full
 objective's workspace) lay them out in turn in a :class:`models.Scratch`
 of the run, one per worker thread, and none of it lives at module level.
-Gossip's gathered term, the metrics' differences and the test
+Table gossip's gathered term, the metrics' differences and the test
 activations are plain numpy temporaries.  Evaluation computes only what a
 RoundRecord reads: accuracy from the argmax of the test logits, no test
 loss.
 
 Determinism contract: with ``workers`` > 1 a run owns a thread pool, and
-the local phase and gossip of each round split the round's rows into at
-most ``workers`` contiguous ranges, one per thread (:func:`_row_ranges`);
-with one worker a single call covers every row.  No row's arithmetic
-depends on the split, and the ranges are joined in row order, so no
-result depends on scheduling; numpy's OpenBLAS is held at one thread
-while a run executes (:mod:`dgossip.blas`).  Every client owns a private
-counter-based stream keyed by (seed, client, round) and draws its
-minibatches from it alone (:func:`client_batches`): exact uint64
-arithmetic on SplitMix64's mix, with no numpy ``Generator`` involved.
-Every key is known before round 0, so :func:`iter_rounds` draws the
-batches of every participant of a block of rounds in one vectorised
-call.  Gossip accumulates each row over a fixed neighbour table in
-ascending client order.  Results are therefore bitwise reproducible,
-equal for every worker count, and equal to training each client on its
-own.
+the local phase and table gossip of each round split the round's rows
+into at most ``workers`` contiguous ranges, one per thread
+(:func:`_row_ranges`); with one worker a single call covers every row.
+No row's arithmetic depends on the split, and the ranges are joined in
+row order, so no result depends on scheduling; numpy's OpenBLAS is held
+at one thread while a run executes (:mod:`dgossip.blas`).  Every client
+owns a private counter-based stream keyed by (seed, client, round) and
+draws its minibatches from it alone (:func:`client_batches`): exact
+uint64 arithmetic on SplitMix64's mix, with no numpy ``Generator``
+involved.  Every key is known before round 0, so :func:`iter_rounds`
+draws the batches of every participant of a block of rounds in one
+vectorised call.  Dense gossip is one BLAS product on the calling thread, its sum
+order the BLAS kernel's; table gossip accumulates each row over a fixed
+neighbour table in ascending client order.  Results are therefore bitwise
+reproducible, equal for every worker count and BLAS thread count, and
+equal to training each client on its own.
 """
 
 from __future__ import annotations
@@ -403,22 +405,51 @@ def _map_ranges(fn, rows: int, pool: ThreadPoolExecutor | None, workers: int) ->
     return list(pool.map(fn, range(len(ranges)), ranges))
 
 
+_DENSE_ROWS_PER_COLUMN = 100  # gossip_mix's path rule: dense while m <= this * D
+
+
 def gossip_mix(
     local_outputs, w: MixingMatrix, pool: ThreadPoolExecutor | None = None, workers: int = 1
 ) -> np.ndarray:
-    """x_i' = sum_j w_ij z_j, accumulated in ascending j for reproducibility.
+    """x_i' = sum_j w_ij z_j, by one of two paths chosen from m and D alone.
 
-    The sum runs over the neighbour table of ``w`` (see
-    :attr:`MixingMatrix.neighbours`), one (m, p) multiply-add per column:
-    O(m D p) for largest row support D, not O(m^2 p).  The terms it skips
-    are exact zeros for finite inputs, so the result is bitwise the dense
-    ascending-j sum.  With a ``pool``, up to ``workers`` threads each fill
-    a range of output rows by the same steps.  The result is a new array.
+    D is the width of the neighbour table of ``w`` (see
+    :attr:`MixingMatrix.neighbours`), its largest row support.
+
+    * Dense, while m <= 100 * D: one BLAS product ``w.w @ Z`` of the
+      cached dense W with a C-ordered (m, p) view of the input, on the
+      calling thread under :func:`blas.one_thread`.  Each row's sum order
+      is the BLAS kernel's, and splitting rows or BLAS threads would
+      change it, so the bits depend on neither ``pool``, ``workers`` nor
+      the caller's BLAS thread count.
+    * Table, past that: one (m, p) take, multiply and add per table
+      column, O(m D p) rather than O(m^2 p), and no (m, m) array.  Each
+      row accumulates in ascending j; the terms it skips are exact zeros
+      for finite inputs, so the result is bitwise the dense ascending-j
+      sum.  With a ``pool``, up to ``workers`` threads each fill a range
+      of output rows by the same steps.
+
+    The rule is the measured crossover (one BLAS thread, p = 1002, on a
+    2-core x86-64 host with AVX-512), table against dense: ring m=200 3.32 vs 1.40 ms, m=300 4.36 vs 3.59 ms,
+    m=400 6.12 vs 5.49 ms, m=512 6.50 vs 7.95 ms, m=1000 11.05 vs 41.5 ms;
+    grid m=256 3.28 vs 2.70 ms; exponential m=256 10.2 vs 2.75 ms;
+    random_k k=10 m=100 4.81 vs 0.43 ms, m=1000 89.6 vs 32.7 ms.  Dense
+    wins up to m / D of about 100 to 130, and a sparse graph far past it
+    (a 100000-client ring) could not hold its dense W at all.
+
+    The result is a new array of the input's shape, defined for finite
+    input: on the dense path one non-finite row reaches every row
+    (0 * inf is NaN), on the table path only its neighbours.
     """
     z = np.asarray(local_outputs, dtype=float)
     if z.shape[0] != w.m:
         raise ValueError(f"expected {w.m} rows, got {z.shape[0]}")
     index, weight = w.neighbours
+    if w.m <= _DENSE_ROWS_PER_COLUMN * index.shape[1]:
+        # BLAS rounds a Fortran-ordered operand differently, so the product always reads C order
+        flat = np.ascontiguousarray(z).reshape(w.m, -1)
+        with blas.one_thread():
+            return (w.w @ flat).reshape(z.shape)
     column = (-1,) + (1,) * (z.ndim - 1)
     out = np.zeros_like(z)
 
@@ -469,7 +500,8 @@ def run_round(
     them (or in a workspace of its own).  With one, the rows split into at
     most ``len(scratches)`` ranges (:func:`_row_ranges`), range i trains
     on a pool thread in ``scratches[i]``, the outputs are joined in row
-    order, and ``gossip_mix`` fills its row ranges on the pool as well.
+    order, and table gossip fills its row ranges on the pool as well
+    (dense gossip is one call on this thread; see :func:`gossip_mix`).
     """
     m = len(x_mixed)
     central = cfg.algorithm in CENTRAL_KINDS
@@ -685,10 +717,10 @@ def run_experiment(
     """Run T communication rounds and collect the metric record series.
 
     ``workers`` (a positive int; ConfigError otherwise) is the number of
-    threads that run each round's local phase and gossip, as contiguous
-    row ranges.  With more than one, the run owns a thread pool of
-    ``min(workers, m)`` threads, so never more threads than rows, and one
-    :class:`Scratch` per thread, and shuts the pool down before it
+    threads that run each round's local phase and table gossip, as
+    contiguous row ranges.  With more than one, the run owns a thread pool
+    of ``min(workers, m)`` threads, so never more threads than rows, and
+    one :class:`Scratch` per thread, and shuts the pool down before it
     returns or raises; with one, every round runs on the calling thread.
     Outputs are bitwise the same for every worker count.  numpy's
     OpenBLAS is held at one thread while the rounds run and are evaluated

@@ -14,7 +14,10 @@ which satisfies every property above on any connected undirected graph.
 A matrix is built and held as its neighbour table, the (m, D) arrays of
 each row's support and weights: each kind lists its partner pairs, and one
 shared step symmetrises them and derives the rows and weights.  The dense
-(m, m) W is derived only where a spectrum or a reference needs it.
+(m, m) W is derived, once per matrix, where a spectrum needs it or where
+gossip takes its dense path (m <= 100 D for table width D; see
+:func:`dgossip.engine.gossip_mix`); a large sparse graph gossips over its
+table and never builds it.
 random_k partners come from the keyed SplitMix64 stream of
 :mod:`dgossip.keyed` by Floyd's sampler, every client's row in one array
 pass, with no numpy ``Generator``.
@@ -102,8 +105,9 @@ class MixingMatrix:
     ``neighbours`` is the (index, weight) pair of (m, D) tables, D the
     largest row support: row i lists the j with w_ij != 0 in ascending
     order, client i itself included, then pads with (i, 0.0) entries.
-    The dense W and its spectrum are derived on first use, so a run that
-    only gossips never builds an (m, m) array or pays for eigvalsh.
+    The dense W and its spectrum are each derived on first use and kept:
+    gossip builds W only where it takes its dense path (m <= 100 D), once
+    per matrix, and no run pays for eigvalsh.
     """
 
     def __init__(self, index: np.ndarray, weight: np.ndarray):
@@ -119,7 +123,7 @@ class MixingMatrix:
 
     @property
     def w(self) -> np.ndarray:
-        """The dense (m, m) matrix, for spectra and reference checks."""
+        """The dense (m, m) matrix, for dense gossip, spectra and reference checks."""
         if self._w is None:
             index, weight = self.neighbours
             live = weight != 0.0  # padding carries weight 0, every edge and w_ii > 0

@@ -1,15 +1,18 @@
-"""The batched local phase and sparse gossip against per-client references.
+"""The batched local phase and both gossip paths against references.
 
 The engine trains every client as one row of an (m, p) stack and mixes
-over a neighbour table.  These tests hold both to straightforward
-one-client-at-a-time implementations written here, bitwise: same
-minibatch draws, same gradients, same optimizer arithmetic, same
-ascending-j gossip sum.
+by one dense product or over a neighbour table.  These tests hold the
+local phase to a straightforward one-client-at-a-time implementation
+written here, bitwise: same minibatch draws, same gradients, same
+optimizer arithmetic.  They hold dense gossip to one ``W @ Z`` on one
+BLAS thread and table gossip to the ascending-j dense sum, both bitwise.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from dgossip import blas
 from dgossip.engine import client_batches, gossip_mix
 from dgossip.localopt import OptimizerConfig, local_train
 from dgossip.models import ModelSpec, Shard, ShardStack, loss_and_grad, quadratic_testbed
@@ -211,15 +214,69 @@ class TestSparseGossip:
     @settings(max_examples=60, deadline=None)
     @given(
         st.sampled_from(list(TopologyKind)),
-        st.sampled_from([4, 9, 16, 25]),
+        st.sampled_from([4, 9, 16, 25, 100]),
+        st.integers(1, 300),
+        st.integers(0, 2**31),
+    )
+    def test_dense_path_equals_one_blas_product_bitwise(self, kind, m, p, seed):
+        w = build_mixing(TopologySpec(kind, m, k=min(3, m - 1), seed=seed))
+        z = np.random.default_rng(seed).normal(size=(m, p))
+        with blas.one_thread():
+            assert np.array_equal(gossip_mix(z, w), w.w @ z)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([(TopologyKind.RING, 400), (TopologyKind.RING, 512), (TopologyKind.GRID, 900)]),
         st.integers(1, 40),
         st.integers(0, 2**31),
     )
-    def test_equals_dense_ascending_sum_bitwise(self, kind, m, p, seed):
-        spec = TopologySpec(kind, m, k=min(3, m - 1), seed=seed)
-        w = build_mixing(spec)
-        z = np.random.default_rng(seed).normal(size=(m, p))
-        assert np.array_equal(gossip_mix(z, w), dense_gossip(z, w.w))
+    def test_table_path_equals_dense_ascending_sum_bitwise(self, shape, p, seed):
+        w = build_mixing(TopologySpec(*shape))
+        z = np.random.default_rng(seed).normal(size=(w.m, p))
+        mixed = gossip_mix(z, w)
+        assert w._w is None  # the table path never builds the dense W
+        assert np.array_equal(mixed, dense_gossip(z, w.w))
+
+    @pytest.mark.parametrize(
+        "kind, m, k, dense",
+        [
+            (TopologyKind.RANDOM_K, 100, 10, True),
+            (TopologyKind.RING, 16, 0, True),
+            (TopologyKind.FULLY_CONNECTED, 32, 0, True),
+            (TopologyKind.RING, 512, 0, False),
+        ],
+    )
+    def test_the_path_follows_m_against_the_table_width(self, kind, m, k, dense):
+        w = build_mixing(TopologySpec(kind, m, k=k, seed=1))
+        gossip_mix(np.ones((m, 2)), w)
+        assert (w._w is not None) == dense
+
+    @pytest.mark.parametrize("p", [1, 7, 44, 1002])
+    def test_dense_bits_hold_across_blas_threads_order_and_shape(self, p):
+        control = blas.thread_control()
+        if control is None:
+            pytest.skip("numpy's BLAS exports no known thread-count functions")
+        setter, getter = control
+        w = build_mixing(TopologySpec(TopologyKind.RANDOM_K, 100, k=10, seed=p))
+        z = np.random.default_rng(p).normal(size=(100, p))
+        wide = np.zeros((100, 2 * p))
+        wide[:, ::2] = z
+        layouts = [z, np.asfortranarray(z), wide[:, ::2]]  # C order, Fortran order, a strided view
+        before = getter()
+        try:
+            setter(1)
+            reference = gossip_mix(z, w)
+            results = [gossip_mix(layout, w) for layout in layouts]
+            setter(2)
+            results += [gossip_mix(layout, w) for layout in layouts]
+            assert getter() == 2  # gossip restores the caller's count
+        finally:
+            setter(before)
+        assert all(r.tobytes() == reference.tobytes() and r.shape == z.shape for r in results)
+        column = z[:, :1]
+        assert np.array_equal(gossip_mix(column[:, 0], w), gossip_mix(column, w)[:, 0])
+        cube = z.reshape(100, 1, p)
+        assert np.array_equal(gossip_mix(cube, w), reference.reshape(cube.shape))
 
     def test_neighbour_table_lists_support_in_ascending_order(self):
         w = build_mixing(TopologySpec(TopologyKind.RANDOM_K, 30, k=4, seed=7))

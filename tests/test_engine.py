@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dgossip
-from dgossip import engine, keyed, localopt
+from dgossip import blas, engine, keyed, localopt
 from dgossip.engine import (
     AlgorithmKind,
     ConfigError,
@@ -368,8 +368,10 @@ class TestRunExperiment:
         fields = [f.name for f in dataclasses.fields(RoundInfo)]
         assert fields == ["t", "ole_points", "z", "x_prev", "x_mixed", "drift"]
 
-    @pytest.mark.parametrize("kind", [TopologyKind.RING, TopologyKind.RANDOM_K])
-    def test_run_builds_no_dense_mixing_matrix(self, monkeypatch, kind):
+    @pytest.mark.parametrize(
+        "kind, m, dense", [(TopologyKind.RING, 8, True), (TopologyKind.RANDOM_K, 8, True), (TopologyKind.RING, 512, False)]
+    )
+    def test_run_takes_no_spectrum_and_builds_w_only_for_dense_gossip(self, monkeypatch, kind, m, dense):
         built = []
 
         def recorded(spec):
@@ -377,15 +379,36 @@ class TestRunExperiment:
             return built[-1]
 
         monkeypatch.setattr(engine, "build_mixing", recorded)
-        run_experiment(logistic_cfg(topology=TopologySpec(kind, 8, k=2, seed=3), rounds=3))
+        run_experiment(quadratic_cfg(m=m, topology=TopologySpec(kind, m, k=2, seed=3), rounds=3))
         assert len(built) == (1 if kind is TopologyKind.RING else 3)
-        assert all(w._w is None and w._spectrum is None for w in built)
+        assert all(w._spectrum is None for w in built)
+        # gossip's dense path (m <= 100 D) builds each W once; the table path never does
+        assert all((w._w is not None) == dense for w in built)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_abort_names_round_and_client(self):
         cfg = quadratic_cfg(optimizer=OptimizerConfig(eta0=1e200, decay=1.0), rounds=5)
         with pytest.raises(DivergenceError, match=r"round \d+, client \d+"):
             run_experiment(cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_named_before_dense_gossip_spreads_it(self):
+        # only client 5 has curvature, so at eta0=1e200 it alone overflows, in round 1;
+        # dense gossip would carry its inf into every row as NaN, so the check must come first
+        m = 8
+        quad_a = np.zeros((m, 2, 2))
+        quad_a[5] = np.eye(2)
+        spec = ModelSpec(kind="quadratic", quad_a=quad_a, quad_b=np.zeros((m, 2)), quad_opt=np.zeros(2))
+        cfg = quadratic_cfg(
+            m=m, topology=TopologySpec(TopologyKind.RING, m), local_steps=1,
+            optimizer=OptimizerConfig(eta0=1e200, decay=1.0), rounds=5,
+        )
+        problem = Problem(spec, ShardStack.of(range(m)), None, np.ones(2))
+        mixed = []
+        with pytest.raises(DivergenceError, match=r"^non-finite parameters at round 1, client 5$") as exc:
+            run_experiment(cfg, problem=problem, on_round=lambda t, info: mixed.append(info.x_mixed))
+        assert (exc.value.round_index, exc.value.client) == (1, 5)
+        assert len(mixed) == 1 and np.isfinite(mixed[0]).all()
 
     def test_random_k_resampled_per_round(self):
         cfg = logistic_cfg(
@@ -537,17 +560,31 @@ class TestRunArrays:
         assert all(view.tobytes() == snapshot.tobytes() for view, snapshot in views)
         assert all(rows.tobytes() == snapshot.tobytes() for rows, snapshot in drawn)
 
-    @pytest.mark.parametrize("m, p", [(2, 1), (6, 5), (16, 44), (100, 1002)])
-    def test_gossip_and_metrics_equal_their_expressions_on_an_explicit_temporary(self, m, p):
+    @pytest.mark.parametrize(
+        "kind, m, p",
+        [
+            (TopologyKind.RANDOM_K, 2, 1),
+            (TopologyKind.RANDOM_K, 6, 5),
+            (TopologyKind.RANDOM_K, 16, 44),
+            (TopologyKind.RANDOM_K, 100, 1002),
+            (TopologyKind.RING, 512, 44),
+            (TopologyKind.GRID, 900, 5),
+        ],
+    )
+    def test_gossip_and_metrics_equal_their_expressions_on_an_explicit_temporary(self, kind, m, p):
         rng = np.random.default_rng([m, p])
         z, x = rng.normal(size=(2, m, p)) * np.logspace(-4, 4, p)
-        w = build_mixing(TopologySpec(TopologyKind.RANDOM_K, m, k=min(3, m - 1), seed=m))
+        w = build_mixing(TopologySpec(kind, m, k=min(3, m - 1), seed=m))
         index, weight = w.neighbours
-        mixed, term = np.zeros((m, p)), np.empty((m, p))
-        for d in range(index.shape[1]):  # a take, a multiply and an add per neighbour column, ascending
-            np.take(z, index[:, d], axis=0, out=term)
-            np.multiply(term, weight[:, d].reshape(m, 1), out=term)
-            np.add(mixed, term, out=mixed)
+        if kind is TopologyKind.RANDOM_K:  # dense path: one product on one BLAS thread
+            with blas.one_thread():
+                mixed = w.w @ z
+        else:  # table path: a take, a multiply and an add per neighbour column, ascending
+            mixed, term = np.zeros((m, p)), np.empty((m, p))
+            for d in range(index.shape[1]):
+                np.take(z, index[:, d], axis=0, out=term)
+                np.multiply(term, weight[:, d].reshape(m, 1), out=term)
+                np.add(mixed, term, out=mixed)
         assert gossip_mix(z, w).tobytes() == mixed.tobytes()
 
         def mean_square(a, b):  # a subtraction, a square in place, then a row sum and a mean

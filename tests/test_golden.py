@@ -17,7 +17,9 @@ come from numpy's ``SeedSequence`` and ``default_rng``.  The hashes are
 tied to the BLAS kernels they were recorded with (numpy 2.4.6 on the
 scipy-openblas 0.3.31 build, x86-64 with AVX-512).  Another BLAS build or
 CPU kernel may round matrix products differently and fail these tests
-although nothing in the program changed.
+although nothing in the program changed.  That holds for gossip too: every
+decentralized case here mixes on the dense path, one ``W @ Z`` product
+whose sum order is the BLAS kernel's.
 """
 
 import hashlib
@@ -61,28 +63,28 @@ RUN_HASHES = {
         "1152626f9bd1716c3411306bca8a2b1062f25af9e03472b304e16b3fe70b4421",
     ),
     "diagnostics[oled_sam]": (
-        "0a4317b51477f308d8901d3f6979cc064d02129ff9914b8bde9b929a969e5280",
-        "e69392fccdd690de1b9d4f48f101aa0cdd70ad1c7d42ec19c327d163db6d76d6",
+        "93b69034391c045daa892de169d49687b7ab2dbd03b41e6f09ac663f1908c464",
+        "5a2f9185594f576104aa9a972b3164338645ad17d27becf51d8d9984f917899f",
     ),
     "large_random_topology": (
-        "d953625506e5725b80b92dad9f506e2af7a49ca1e2d01ec10d90d83e8125ae4f",
-        "75cd80fb6cf84e4da0fa872e237c896ca865c12d650c2fb1dc4d635ae48adf73",
+        "9802830283d9da5ead4c8af37313e9f2c4b9371c275dc5388d7d55ca2e9af77e",
+        "cc09a08e9562f374e891c4f451bfaeee52ea50d59c70e0e97568e1ea33a035ca",
     ),
     "logistic[dfedavg]": (
-        "29a8d70bb9cf19c5759f58d156e2f275a0a9773ab16ba5a1e1aa6939b25c4d23",
-        "7253553f57696b94e4c1b8cd515b997b08efe9c001d27376cde885b4df1cdf2a",
+        "ee8371628faa3385a2cdc085b98ebbbdbf495c43214aa1002f34443e6bbc10dc",
+        "eedd8c512a0db8647e74e54bdb30b96941c976b030c139dac04f2db2ad736223",
     ),
     "logistic[dfedavgm]": (
-        "5f1b1dbd9c79b351b5b266c8f7023e918a816a319b999b3e41bdf1bc6e2a927e",
-        "a65d83ed59fb3dd45e3a073ebc96018391a06582f35c4aab888cd3ca1ee3bb3d",
+        "95f9cd738cbf0d13e1db1d07ceef5b505e8c1631410926ea054e7aaed3e1cce8",
+        "ebfdf6bcc7aae77a118619b2293f48f6926963aa24615410be26a5aad6655b02",
     ),
     "logistic[dfedsam]": (
-        "1074449b001dc9c51ad85241aaaf4dcc8afc9ead6a36f96172c86964f5da8ee4",
-        "df6d9116e0e2f18f38a3dca541abc5b17ef5ce9450ce2af1b30ad92a231ba671",
+        "337514d36c50e85c9ba99f948c44bf26ad9033065cda4695d0af9b0598a46ba4",
+        "c277f2e1d80a3abe8bd7a69429ceda5eefea2555068a42f9bd095b48737de54c",
     ),
     "logistic[dpsgd]": (
-        "8192e00ca5be6c68b879dd5f01e2c6289d769ea2b0873efc4c0c6fcc45197bda",
-        "5c347dbcb346c4bfff39dd770788ee11290a355a4fd0c6ba98366ee2de650ce4",
+        "69f58a0bcf1a5579bc2ed64f6228352f72538523185bd50d0c8ca24e8ea0f94d",
+        "d6cf356c9a59cc986bbd29985680c43fd459a36ea5d4a2ee41ea3ee47f1eaeca",
     ),
     "logistic[fedavg_central]": (
         "51cf8148b1df4a77d6377d11fb7fbc4d072d8f5e640dd68a6838d266d173dbc1",
@@ -93,16 +95,16 @@ RUN_HASHES = {
         "16bc103b9082c087816c43ad5640e5a100f7ee86ff8e8a5635bb0d2edf4a55d7",
     ),
     "logistic[oled_sam]": (
-        "0a4317b51477f308d8901d3f6979cc064d02129ff9914b8bde9b929a969e5280",
-        "cbf5fa0df27d801b86400030100d69f0ef3c450282bed555fef72278c9fbb1e9",
+        "93b69034391c045daa892de169d49687b7ab2dbd03b41e6f09ac663f1908c464",
+        "f1c074718208f8bb68acb209887337bfbe82c67a300804efdd542cebc43e7d71",
     ),
     "logistic[oled_sgd]": (
-        "fe0822d3dc115d85183a57cddea5d32b2515ef4bdbd0cc54907cf9f5bf58cc07",
-        "b0c66ecf3fd0177ee00f0558e053cc4f18aaf34117f6c0f506d8271c94d175ab",
+        "da3e0a2dfc471aa572f9c22370b78c28438fd74a67c6befd14929a05ba0f28f2",
+        "2f680961265de48af1cc5969d6041feaff2ef3644f8aec9c8820aa8aa8e2faf1",
     ),
     "quadratic_ring": (
-        "3b88c51951f02b95db9c67c048cf3eeb11ee5a552620ec1f80399f9465f6098f",
-        "3d39031e0caf91446ae3ddcc6b1cbddcad1d54de549320db3ad5bb6b4ecea834",
+        "1beedcd8c2ff94248d8193c5c13f7e39a50ab0018e1614dbd63f40f55fabf538",
+        "1d48d66136c80bc530ebe1e15b7713cf3288e42b2c383208fd5e32c1c7325f6a",
     ),
 }
 
@@ -114,7 +116,7 @@ PROBES = {
 
 PROBE_HASHES = {
     "stability[fedavg_central]": "a44d039fbff0da64ea1138ce2859189f70a97f1366ecac24773552704dc16879",
-    "stability[oled_sgd]": "0f0b4a94a7421ec1d37b8b78dc3e3f3eefc448ee4c70109674a9c7c73089edf6",
+    "stability[oled_sgd]": "b5e84cf4d0728ac83bd1a6a096215878d894d1fc0758ed100264ac06b20d104d",
 }
 
 
