@@ -369,7 +369,8 @@ class TestRunExperiment:
         assert fields == ["t", "ole_points", "z", "x_prev", "x_mixed", "drift"]
 
     @pytest.mark.parametrize(
-        "kind, m, dense", [(TopologyKind.RING, 8, True), (TopologyKind.RANDOM_K, 8, True), (TopologyKind.RING, 512, False)]
+        "kind, m, dense",
+        [(TopologyKind.RING, 8, True), (TopologyKind.RANDOM_K, 8, True), (TopologyKind.RING, 512, False)],
     )
     def test_run_takes_no_spectrum_and_builds_w_only_for_dense_gossip(self, monkeypatch, kind, m, dense):
         built = []
