@@ -368,11 +368,8 @@ class TestRunExperiment:
         fields = [f.name for f in dataclasses.fields(RoundInfo)]
         assert fields == ["t", "ole_points", "z", "x_prev", "x_mixed", "drift"]
 
-    @pytest.mark.parametrize(
-        "kind, m, dense",
-        [(TopologyKind.RING, 8, True), (TopologyKind.RANDOM_K, 8, True), (TopologyKind.RING, 512, False)],
-    )
-    def test_run_takes_no_spectrum_and_builds_w_only_for_dense_gossip(self, monkeypatch, kind, m, dense):
+    @staticmethod
+    def _mixings_built(monkeypatch, kind, m):
         built = []
 
         def recorded(spec):
@@ -382,6 +379,21 @@ class TestRunExperiment:
         monkeypatch.setattr(engine, "build_mixing", recorded)
         run_experiment(quadratic_cfg(m=m, topology=TopologySpec(kind, m, k=2, seed=3), rounds=3))
         assert len(built) == (1 if kind is TopologyKind.RING else 3)
+        return built
+
+    @pytest.mark.parametrize("kind", [TopologyKind.RING, TopologyKind.RANDOM_K])
+    def test_run_builds_no_dense_mixing_matrix(self, monkeypatch, kind):
+        # m = 2000 is past 100 D for a ring (D = 3) and for random_k k=2 (D about 10 to 14),
+        # so gossip takes the table path and no (m, m) array is ever made
+        built = self._mixings_built(monkeypatch, kind, 2000)
+        assert all(w._w is None and w._spectrum is None for w in built)
+
+    @pytest.mark.parametrize(
+        "kind, m, dense",
+        [(TopologyKind.RING, 8, True), (TopologyKind.RANDOM_K, 8, True), (TopologyKind.RING, 512, False)],
+    )
+    def test_run_takes_no_spectrum_and_builds_w_only_for_dense_gossip(self, monkeypatch, kind, m, dense):
+        built = self._mixings_built(monkeypatch, kind, m)
         assert all(w._spectrum is None for w in built)
         # gossip's dense path (m <= 100 D) builds each W once; the table path never does
         assert all((w._w is not None) == dense for w in built)
