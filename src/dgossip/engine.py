@@ -16,10 +16,9 @@ place.  One decentralized round is the matrix recurrence
                     is dense enough (:func:`gossip_mix`), else a sum over
                     the round's neighbour table, with no (m, m) W built.
 
-Centralized rounds sample a participation fraction of clients on the
-coordinator's own stream, train the participant rows from the global
-model through the same local phase, and replace the global model with
-their unweighted average.
+Centralized rounds train a participation fraction of clients, chosen by
+their keys (:func:`participants`), from the global model through the same
+local phase, and replace the global model with their unweighted average.
 
 Each round hands out fresh arrays: the start points, local outputs and
 mixed models of its RoundInfo, like each block's minibatch indices, are
@@ -42,12 +41,17 @@ row order, so no result depends on scheduling; numpy's OpenBLAS is held
 at one thread while a run executes (:mod:`dgossip.blas`).  Every client
 owns a private counter-based stream keyed by (seed, client, round) and
 draws its minibatches from it alone (:func:`client_batches`): exact
-uint64 arithmetic on SplitMix64's mix, with no numpy ``Generator``
-involved.  Every key is known before round 0, so :func:`iter_rounds`
-draws the batches of every participant of a block of rounds in one
-vectorised call.  Dense gossip is one BLAS product on the calling thread, its sum
-order the BLAS kernel's; table gossip accumulates each row over a fixed
-neighbour table in ascending client order.  Results are therefore bitwise
+uint64 arithmetic on SplitMix64's mix.  Every other seed and per-round
+draw is a key of the same :mod:`dgossip.keyed` rule: the central
+participants (seed, _DOM_COORD, t, i), each random_k round's graph seed
+(topology.seed, _DOM_TOPO, t) and the data, partition and init seeds
+(seed, _DOM_DATA | _DOM_PARTITION | _DOM_INIT), so no numpy ``Generator``
+runs on the round path.  Every key is known before round 0, so
+:func:`iter_rounds` draws the batches of every participant of a block of
+rounds, and the block's graph seeds, in one vectorised call each.  Dense
+gossip is one BLAS product on the calling thread, its sum order the BLAS
+kernel's; table gossip accumulates each row over a fixed neighbour table
+in ascending client order.  Results are therefore bitwise
 reproducible, equal for every worker count and BLAS thread count, and
 equal to training each client on its own.
 """
@@ -320,10 +324,6 @@ class ExperimentResult:
     final_x: np.ndarray  # (m, p) client models after the last round
 
 
-def _subseed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, np.uint64)[0])
-
-
 _BLOCK_INDICES = 2**15  # minibatch indices iter_rounds draws in one call: 256 KiB of int64
 
 
@@ -351,13 +351,15 @@ def client_batches(seed: int, clients, rounds, sizes, k_steps: int, batch_size: 
 def participants(cfg: ExperimentConfig, m: int, t: int) -> np.ndarray:
     """Ascending indices of the clients that train in round ``t``.
 
-    Decentralized kinds train all ``m`` clients; central kinds sample
-    :func:`_participant_count` of them on the coordinator's round stream.
+    Decentralized kinds train all ``m`` clients.  Central kinds key client
+    i by the words (seed, _DOM_COORD, t, i) of :mod:`dgossip.keyed` and
+    take the :func:`_participant_count` clients with the smallest keys,
+    a tie going to the lower index: a uniform subset of the clients.
     """
     if cfg.algorithm not in CENTRAL_KINDS:
         return np.arange(m)
-    coord = np.random.default_rng([cfg.seed, _DOM_COORD, t])
-    return np.sort(coord.choice(m, size=_participant_count(cfg.participation, m), replace=False))
+    key = _keys(m, cfg.seed, _DOM_COORD, t, np.arange(m))
+    return np.sort(np.argsort(key, kind="stable")[: _participant_count(cfg.participation, m)])
 
 
 def _participant_count(participation: float, m: int) -> int:
@@ -555,16 +557,18 @@ def run_round(
 
 
 def build_problem(cfg: ExperimentConfig) -> Problem:
-    """Deterministically construct objective, shards, held-out data, and x0."""
+    """Deterministically construct objective, shards, held-out data, and x0.
+
+    The data, partition and init seeds are the keys (seed, _DOM_DATA),
+    (seed, _DOM_PARTITION) and (seed, _DOM_INIT), in one ``_keys`` call.
+    """
     cfg = validated(cfg)
-    data_seed = _subseed(cfg.seed, _DOM_DATA)
-    init_seed = _subseed(cfg.seed, _DOM_INIT)
+    data_seed, part_seed, init_seed = map(int, _keys(3, cfg.seed, [_DOM_DATA, _DOM_PARTITION, _DOM_INIT]))
     if cfg.model.kind == "quadratic":
         spec = quadratic_testbed(cfg.m, cfg.model.p, cfg.model.heterogeneity, data_seed)
         return Problem(spec, ShardStack.of(range(cfg.m)), None, init_params(spec, init_seed))
 
     d = cfg.data
-    part_seed = _subseed(cfg.seed, _DOM_PARTITION)
     scheme = cfg.partition.scheme
     try:
         if d.source == "synthetic":
@@ -621,12 +625,13 @@ def iter_rounds(
     """Run ``cfg.rounds`` rounds from ``problem.x0``, yielding each round's RoundInfo.
 
     Every client starts at x0 with z_prev = x0.  Decentralized kinds mix
-    with one static W, or with a random_k W drawn afresh each round;
-    central kinds with none.  Every key (seed, client, round) is known
-    before round 0, so the participants' minibatches are drawn for a block
-    of rounds at a time, one ``client_batches`` call of at most
-    ``_BLOCK_INDICES`` indices (or one round), and each round is handed its
-    slice.  ``run_round`` and ``build_mixing``, and a round's
+    with one static W, or with a random_k W drawn afresh each round at the
+    seed keyed (topology.seed, _DOM_TOPO, t); central kinds with none.
+    Every key (seed, client, round) is known before round 0, so the
+    participants' minibatches are drawn for a block of rounds at a time,
+    one ``client_batches`` call of at most ``_BLOCK_INDICES`` indices (or
+    one round), with the block's graph seeds in one ``_keys`` call, and
+    each round is handed its slice.  ``run_round`` and ``build_mixing``, and a round's
     ``local_train`` and ``gossip_mix``, are looked up in this module on
     every call, where the benchmark's call tracer wraps them.
 
@@ -665,9 +670,11 @@ def iter_rounds(
                 cfg.seed, cols, np.repeat(block, per_round), problem.shards.sizes[cols], k_steps, batch_size
             )
             draws = np.split(indices, len(block), axis=1)
+        if resampled:  # round t's graph seed is the key (topology.seed, _DOM_TOPO, t)
+            seeds = _keys(len(block), topo.seed, _DOM_TOPO, block)
         for i, t in enumerate(block):
             if resampled:
-                w_t = build_mixing(replace(topo, seed=_subseed(topo.seed, _DOM_TOPO, t)))
+                w_t = build_mixing(replace(topo, seed=int(seeds[i])))
             info = run_round(x, z, t, cfg, w_t, problem, clients[i], draws[i], scratches, pool)
             x, z = info.x_mixed, info.z
             yield info

@@ -15,8 +15,15 @@ as easy as 1, 2, 3") on SplitMix64's finaliser mix64 and increment gamma
    ``count`` values, a rejected entry j takes value j + r*count at its
    r-th retry.  n == 1 rejects nothing and draws zeros.
 
-``engine.client_batches`` draws minibatches this way, and ``topology``
-draws random_k partners by Floyd's sampler on it.
+Every seed and per-round draw of a run is a key of this rule, each a pure
+function of its words: ``engine.client_batches`` draws minibatches from
+(seed, _DOM_CLIENT, client, round), ``engine.participants`` keeps the
+central clients with the smallest keys (seed, _DOM_COORD, t, i),
+``engine.iter_rounds`` seeds round t's random_k graph with the key
+(topology.seed, _DOM_TOPO, t), ``engine.build_problem`` seeds the data,
+partition and init with (seed, _DOM_DATA), (seed, _DOM_PARTITION) and
+(seed, _DOM_INIT), and ``topology`` draws random_k partners by Floyd's
+sampler on (seed, _DOM_TOPO, attempt, i).
 """
 
 from __future__ import annotations

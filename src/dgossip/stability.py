@@ -5,7 +5,7 @@ shares the feature array, the model init and every random stream, so the
 twins' states stay bitwise identical until the swapped sample is first
 drawn into a minibatch of its client.  Where that happens depends only on
 the client's (seed, client, round) streams, K, B and the shard size, plus
-the coordinator's sampling for central kinds, so :func:`first_draw` finds
+the keyed participant choice for central kinds, so :func:`first_draw` finds
 it by replaying those draws after the fact.
 """
 

@@ -20,7 +20,8 @@ gossip takes its dense path (m <= 100 D for table width D; see
 table and never builds it.
 random_k partners come from the keyed SplitMix64 stream of
 :mod:`dgossip.keyed` by Floyd's sampler, every client's row in one array
-pass, with no numpy ``Generator``.
+pass, with no numpy ``Generator``; a run redraws the graph each round t at
+the spec seed keyed (topology.seed, _DOM_TOPO, t).
 
 Opposite-lookahead client initialization is algebraically equivalent to
 gossiping with the affine transform

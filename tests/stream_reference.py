@@ -1,9 +1,13 @@
 """The keyed stream's draws as scalar Python, one value at a time.
 
 ``engine.client_batches`` draws every column of a block of minibatches at
-once, and ``topology`` every client's random_k partners, in numpy arrays.
-This is the same formula on Python ints, short enough to check by eye,
-that the tests hold the vectorised draws to.
+once, ``engine.participants`` keys every client of a round, ``iter_rounds``
+a block's random_k graph seeds and ``build_problem`` its three build seeds,
+and ``topology`` every client's random_k partners, in numpy arrays.  This
+is the same formula on Python ints, short enough to check by eye, that the
+tests hold the vectorised draws to.  The domain tags are 0 for the clients'
+minibatches, 1 for the coordinator, 2 for the topology and 3, 4 and 5 for
+the data, partition and init seeds.
 """
 
 import numpy as np
@@ -64,6 +68,25 @@ def partners(seed: int, m: int, k: int, attempt: int) -> np.ndarray:
     """
     rows = [[p + (p >= i) for p in floyd(keyed(seed, 2, attempt, i), m - 1, k)] for i in range(m)]
     return np.array(rows, dtype=np.int64)
+
+
+def participants(seed: int, m: int, c: int, t: int) -> list[int]:
+    """The c of m clients that train in central round t: the smallest keys (seed, 1, t, i), ascending.
+
+    Of two equal keys the lower client index comes first.
+    """
+    by_key = sorted(range(m), key=lambda i: (keyed(seed, 1, t, i), i))
+    return sorted(by_key[:c])
+
+
+def graph_seed(seed: int, t: int) -> int:
+    """The spec seed of random_k round t's graph, from the topology's seed."""
+    return keyed(seed, 2, t)
+
+
+def build_seeds(seed: int) -> tuple[int, int, int]:
+    """The (data, partition, init) seeds ``build_problem`` derives from the run's seed."""
+    return keyed(seed, 3), keyed(seed, 4), keyed(seed, 5)
 
 
 def reference_draws(seed, clients, t, sizes, k_steps, batch_size) -> np.ndarray:

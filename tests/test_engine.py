@@ -45,7 +45,17 @@ from dgossip.metrics import consensus_distance, consistency_delta
 from dgossip.models import ModelSpec, ShardStack, quadratic_testbed
 from dgossip.stability import first_draw
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing
-from stream_reference import GAMMA, MASK, column, mix64, reference_draws, stream_key
+from stream_reference import (
+    GAMMA,
+    MASK,
+    build_seeds,
+    column,
+    graph_seed,
+    mix64,
+    participants as reference_participants,
+    reference_draws,
+    stream_key,
+)
 
 
 def logistic_cfg(**overrides):
@@ -177,10 +187,8 @@ class TestBuildProblem:
         cfg = logistic_cfg(partition=PartitionConfig(scheme=scheme, alpha=0.5, classes_per_client=2))
         problem = engine.build_problem(cfg)
         d = cfg.data
-        dataset = generate_synthetic(
-            d.classes, d.dim, d.per_class, d.spread, engine._subseed(cfg.seed, engine._DOM_DATA)
-        )
-        part_seed = engine._subseed(cfg.seed, engine._DOM_PARTITION)
+        data_seed, part_seed, _ = build_seeds(cfg.seed)
+        dataset = generate_synthetic(d.classes, d.dim, d.per_class, d.spread, data_seed)
         if scheme == "iid":
             plan = partition_iid(dataset, cfg.m, part_seed)
         elif scheme == "dirichlet":
@@ -193,6 +201,27 @@ class TestBuildProblem:
             shard = problem.shards[i]
             assert shard.features.tobytes() == dataset.features[idx].tobytes()
             assert shard.labels.tobytes() == dataset.labels[idx].tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63, 2**64 - 1])
+    def test_build_seeds_are_the_keyed_references(self, monkeypatch, seed):
+        seen = {}
+        for name in ("generate_synthetic", "generate_synthetic_holdout", "partition_dirichlet", "init_params",
+                     "quadratic_testbed"):
+            def recording(*args, _name=name, _fn=getattr(engine, name)):
+                seen.setdefault(_name, []).append(args[-1])  # each takes its seed last
+                return _fn(*args)
+
+            monkeypatch.setattr(engine, name, recording)
+        build_problem(logistic_cfg(seed=seed))
+        build_problem(quadratic_cfg(seed=seed))
+        data_seed, part_seed, init_seed = build_seeds(seed)
+        assert seen == {
+            "generate_synthetic": [data_seed],
+            "generate_synthetic_holdout": [data_seed],
+            "partition_dirichlet": [part_seed],
+            "init_params": [init_seed, init_seed],
+            "quadratic_testbed": [data_seed],
+        }
 
     def test_quadratic_shards_are_client_indices(self):
         problem = engine.build_problem(quadratic_cfg(m=5, topology=TopologySpec(TopologyKind.RING, 5)))
@@ -429,6 +458,22 @@ class TestRunExperiment:
         )
         result = run_experiment(cfg)
         assert len(result.records) == 4
+
+    @pytest.mark.parametrize("one_round_blocks", [False, True], ids=["default_blocks", "one_round_blocks"])
+    def test_random_k_graph_seeds_are_keyed_by_round(self, monkeypatch, one_round_blocks):
+        cfg = validated(logistic_cfg(rounds=7, topology=TopologySpec(TopologyKind.RANDOM_K, 8, k=2, seed=2**64 - 5)))
+        seeds = []
+
+        def recording(spec):
+            seeds.append(spec.seed)
+            return build_mixing(spec)
+
+        monkeypatch.setattr(engine, "build_mixing", recording)
+        if one_round_blocks:
+            monkeypatch.setattr(engine, "_BLOCK_INDICES", cfg.m * cfg.local_steps * cfg.optimizer.batch_size)
+        for _ in iter_rounds(cfg, build_problem(cfg)):
+            pass
+        assert seeds == [graph_seed(cfg.topology.seed, t) for t in range(cfg.rounds)]
 
     def test_diagnostics_populate_energies(self):
         result = run_experiment(logistic_cfg(diagnostics=True, rounds=4))
@@ -695,6 +740,26 @@ class TestParticipants:
         cfg = logistic_cfg(algorithm=AlgorithmKind.FEDAVG_CENTRAL, m=m, participation=participation)
         assert len(participants(cfg, m, 0)) == count
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 60), st.integers(1, 100), st.integers(0, 2**64 - 1))
+    def test_subsets_equal_the_scalar_reference(self, seed, m, percent, t):
+        cfg = logistic_cfg(algorithm=AlgorithmKind.FEDAVG_CENTRAL, m=m, participation=percent / 100, seed=seed)
+        chosen = participants(cfg, m, t)
+        assert chosen.dtype == np.intp
+        assert chosen.tolist() == reference_participants(seed, m, -(-percent * m // 100), t)
+
+    def test_equal_keys_go_to_the_lower_index(self, monkeypatch):
+        # 20 clients on each of the keys 0 to 4: the 30 picks are key 0's and the 10 lowest of key 1's
+        monkeypatch.setattr(engine, "_keys", lambda count, *words: (np.arange(count) * 7 % 5).astype(np.uint64))
+        cfg = logistic_cfg(algorithm=AlgorithmKind.FEDAVG_CENTRAL, m=100, participation=0.3)
+        assert participants(cfg, 100, 4).tolist() == sorted([*range(0, 100, 5), *range(3, 50, 5)])
+
+    def test_every_client_is_picked_about_equally_often(self):
+        # m=16, c=4 over 20000 rounds: each count is Binomial(20000, 1/4), mean 5000, sd 61.2
+        cfg = logistic_cfg(algorithm=AlgorithmKind.FEDAVG_CENTRAL, m=16, participation=0.25)
+        counts = np.bincount(np.concatenate([participants(cfg, 16, t) for t in range(20000)]), minlength=16)
+        assert np.abs(counts - 5000).max() <= 5 * math.sqrt(20000 * 0.25 * 0.75)
+
     def test_every_two_decimal_participation_up_to_1000_clients(self):
         for k in range(1, 101):
             counts = [engine._participant_count(k / 100, m) for m in range(1, 1001)]
@@ -952,9 +1017,12 @@ class TestWorkers:
         with pytest.raises(ConfigError, match="workers"):
             run_experiment(workers_cfg(rounds=1), workers=workers)
 
-    @pytest.mark.parametrize("case", sorted(WORKER_CASES) + ["quadratic"])
+    @pytest.mark.parametrize("case", sorted(WORKER_CASES) + ["quadratic", "quadratic_table_gossip"])
     def test_every_worker_count_is_bitwise_one_worker(self, case):
-        cfg = quadratic_cfg(rounds=6) if case == "quadratic" else workers_cfg(**WORKER_CASES[case])
+        # a 400-client ring is past 100 * D = 300, so its gossip takes the table path in row ranges
+        quadratic = {"quadratic": quadratic_cfg(rounds=6),
+                     "quadratic_table_gossip": quadratic_cfg(m=400, rounds=3, topology=TopologySpec(TopologyKind.RING, 400))}
+        cfg = quadratic[case] if case in quadratic else workers_cfg(**WORKER_CASES[case])
         problem = build_problem(cfg)
         single = run_fingerprint(run_experiment(cfg, problem=problem))
         for workers in (2, 3):

@@ -9,25 +9,33 @@ A change that is meant to keep the numerics, such as a refactor or an
 optimisation, must leave every hash unchanged.  A change
 that alters them on purpose replaces the hash and says why in CHANGES.md.
 
-The minibatches come from the engine's own counter-based SplitMix64
-stream (``engine.client_batches``), exact uint64 arithmetic that no
-numpy ``Generator`` takes part in, so the draws are the same under any
-numpy version.  The data, partition, init and coordinator streams still
-come from numpy's ``SeedSequence`` and ``default_rng``.  The hashes are
-tied to the BLAS kernels they were recorded with (numpy 2.4.6 on the
-scipy-openblas 0.3.31 build, x86-64 with AVX-512).  Another BLAS build or
-CPU kernel may round matrix products differently and fail these tests
-although nothing in the program changed.  That holds for gossip too: every
-decentralized case here mixes on the dense path, one ``W @ Z`` product
-whose sum order is the BLAS kernel's.
+Every seed and every per-round draw comes from the keyed counter-based
+SplitMix64 stream of ``dgossip.keyed``, exact uint64 arithmetic: the
+minibatches, the central participants, each random_k round's graph and
+the data, partition and init seeds.  numpy ``Generator``s seeded from
+those keys run only at set-up, to draw the synthetic data, the partition
+and the initial model.
+
+The hashes are tied to the BLAS kernel they were recorded on, so they are
+held per OpenBLAS kernel, by the name ``scipy_openblas_get_corename64_``
+gives it (numpy 2.4.6 on its scipy-openblas 0.3.31 build; ``SkylakeX``,
+``Haswell`` and ``Sandybridge`` are recorded).  Two kernels may round a
+matrix product differently, gossip's ``W @ Z`` included, so each has its
+own hashes.  A kernel with none recorded fails and names itself.
+``OPENBLAS_CORETYPE=<kernel> python tests/test_golden.py``, with ``src``
+on ``PYTHONPATH``, prints that kernel's entries; a change that moves the
+numerics on purpose records them on every kernel.
 """
 
+import ctypes
+import functools
 import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dgossip.config import load_config
@@ -56,68 +64,205 @@ RUNS = {
     ),
 }
 
-# (sha256 of final_x.tobytes(), sha256 of the metrics.csv bytes)
-RUN_HASHES = {
-    "diagnostics[fedsam_central]": (
-        "dc230f3bb544ab434b173a0f2f9076e449a27787738a90245959a72639cfb067",
-        "1152626f9bd1716c3411306bca8a2b1062f25af9e03472b304e16b3fe70b4421",
-    ),
-    "diagnostics[oled_sam]": (
-        "93b69034391c045daa892de169d49687b7ab2dbd03b41e6f09ac663f1908c464",
-        "5a2f9185594f576104aa9a972b3164338645ad17d27becf51d8d9984f917899f",
-    ),
-    "large_random_topology": (
-        "9802830283d9da5ead4c8af37313e9f2c4b9371c275dc5388d7d55ca2e9af77e",
-        "cc09a08e9562f374e891c4f451bfaeee52ea50d59c70e0e97568e1ea33a035ca",
-    ),
-    "logistic[dfedavg]": (
-        "ee8371628faa3385a2cdc085b98ebbbdbf495c43214aa1002f34443e6bbc10dc",
-        "eedd8c512a0db8647e74e54bdb30b96941c976b030c139dac04f2db2ad736223",
-    ),
-    "logistic[dfedavgm]": (
-        "95f9cd738cbf0d13e1db1d07ceef5b505e8c1631410926ea054e7aaed3e1cce8",
-        "ebfdf6bcc7aae77a118619b2293f48f6926963aa24615410be26a5aad6655b02",
-    ),
-    "logistic[dfedsam]": (
-        "337514d36c50e85c9ba99f948c44bf26ad9033065cda4695d0af9b0598a46ba4",
-        "c277f2e1d80a3abe8bd7a69429ceda5eefea2555068a42f9bd095b48737de54c",
-    ),
-    "logistic[dpsgd]": (
-        "69f58a0bcf1a5579bc2ed64f6228352f72538523185bd50d0c8ca24e8ea0f94d",
-        "d6cf356c9a59cc986bbd29985680c43fd459a36ea5d4a2ee41ea3ee47f1eaeca",
-    ),
-    "logistic[fedavg_central]": (
-        "51cf8148b1df4a77d6377d11fb7fbc4d072d8f5e640dd68a6838d266d173dbc1",
-        "7573d3eb8ecd1b9ba4ee5e5bed4f052a2199c5166e82655878a1818e4ba2f51a",
-    ),
-    "logistic[fedsam_central]": (
-        "dc230f3bb544ab434b173a0f2f9076e449a27787738a90245959a72639cfb067",
-        "16bc103b9082c087816c43ad5640e5a100f7ee86ff8e8a5635bb0d2edf4a55d7",
-    ),
-    "logistic[oled_sam]": (
-        "93b69034391c045daa892de169d49687b7ab2dbd03b41e6f09ac663f1908c464",
-        "f1c074718208f8bb68acb209887337bfbe82c67a300804efdd542cebc43e7d71",
-    ),
-    "logistic[oled_sgd]": (
-        "da3e0a2dfc471aa572f9c22370b78c28438fd74a67c6befd14929a05ba0f28f2",
-        "2f680961265de48af1cc5969d6041feaff2ef3644f8aec9c8820aa8aa8e2faf1",
-    ),
-    "quadratic_ring": (
-        "1beedcd8c2ff94248d8193c5c13f7e39a50ab0018e1614dbd63f40f55fabf538",
-        "1d48d66136c80bc530ebe1e15b7713cf3288e42b2c383208fd5e32c1c7325f6a",
-    ),
-}
-
 # (overrides, swapped (client, shard-local sample))
 PROBES = {
     "stability[oled_sgd]": (("rounds=30",), (2, 1)),
     "stability[fedavg_central]": (("algorithm=fedavg_central", "rounds=30", "participation=0.5"), (3, 0)),
 }
 
-PROBE_HASHES = {
-    "stability[fedavg_central]": "a44d039fbff0da64ea1138ce2859189f70a97f1366ecac24773552704dc16879",
-    "stability[oled_sgd]": "b5e84cf4d0728ac83bd1a6a096215878d894d1fc0758ed100264ac06b20d104d",
+# per OpenBLAS kernel, as scipy_openblas_get_corename64_ names it:
+# RUN_HASHES[kernel][name] is (sha256 of final_x.tobytes(), sha256 of the metrics.csv bytes)
+RUN_HASHES = {
+    "SkylakeX": {
+        "diagnostics[fedsam_central]": (
+            "1cb736b6179a10ba931c62ef2dff826e54a46b6aae18f9ec36b72f524f4f82f7",
+            "94ea538f35667503947ea8723a228d91f2abfa501c4b4e4091df6b84c6a790ef",
+        ),
+        "diagnostics[oled_sam]": (
+            "76842562ef700adb1f9870e7536dea9d03804a9abbe8e17e19767cc2ef714a6d",
+            "6cb57837be3e044864232426552fd9d5b44057b06ddb9f15c38ff0b7458c07a8",
+        ),
+        "large_random_topology": (
+            "017e165770f7ec2eabc30e7b4c9083836a7ab3b295c71b2cc73c3d120b9f895e",
+            "b5b8cd12cc2d9d9ab0ba61fadf6d52b4044bcd2aa1734a8f6baa8d4c9758db7b",
+        ),
+        "logistic[dfedavg]": (
+            "c8d1584c5e8b05c53dcc955e5b9190acf200854da152d76aeafad111ddbc445e",
+            "105c73589406ebd82f8202a9969858eb75eb25e7c8144f5d69a5ef2b8fb79e54",
+        ),
+        "logistic[dfedavgm]": (
+            "a54af58914fe5738fb93c8d4d4f8e1a95ce9180199e573cd3f7eb49e61363f11",
+            "2ba8cd9c0270b833fb4a6724585eda42fc087880d8e393e029e2e71ea3d3bdf4",
+        ),
+        "logistic[dfedsam]": (
+            "3a9f1adbcbbf94d94a1de7e90692a486b15ab7170b8dc265423d63878397071f",
+            "e099a04b2d600403ee813d251227c6cbaa2c0b05a77827ecc0d35fccada46d34",
+        ),
+        "logistic[dpsgd]": (
+            "41c43689cb7f74b66c3876d34287fa729ae5910e2b4f12c1cf06989c4dd9b2cb",
+            "0e56dad8df38286305930587bbc689b688c86295659d673e4ce4611dbdb317f3",
+        ),
+        "logistic[fedavg_central]": (
+            "8cd58eb6189ad984da83a052b277954e2126507febb599b73fbcdcce3e7f8eed",
+            "e4d41b3fcfc4fb66a7cea32e4bce33b9266c466cbe2e3e14711f6e92224f90ec",
+        ),
+        "logistic[fedsam_central]": (
+            "1cb736b6179a10ba931c62ef2dff826e54a46b6aae18f9ec36b72f524f4f82f7",
+            "ae9429fd0b3b78441ee71850b7bed548b6069c0f6de1a32b67d4bd353af1a3a8",
+        ),
+        "logistic[oled_sam]": (
+            "76842562ef700adb1f9870e7536dea9d03804a9abbe8e17e19767cc2ef714a6d",
+            "06162c539cc419a844c47f26877f13e4d68eb78718af4d128dea37721334d730",
+        ),
+        "logistic[oled_sgd]": (
+            "d2ff2c7b6f5260ec04dcbe8e2544da8b9484262bacb0082a88e34f7409ed9f44",
+            "4b3a9fdbc10a86e7dc89a7b06ac75b1225786f3b1543272ca284a5985963332a",
+        ),
+        "quadratic_ring": (
+            "87704e24b176a9c8c10ec42547bd98455a086db6b759445c1518cbf35a0f48b5",
+            "e9785d45af85f76464a32d21513ab234da26872130edf23cd688402b98ae68be",
+        ),
+    },
+    "Haswell": {
+        "diagnostics[fedsam_central]": (
+            "b424e157747b2ea95c318cca86c414bdf1866c7eb0656754f557de27af8678cc",
+            "355fd3e825c1d2cf907c48e08ec0bbe23aa1e4f8a0be9713e72bacc7ba268283",
+        ),
+        "diagnostics[oled_sam]": (
+            "662dfcdc2fed3f2abde1424e5783d05052c67cc8f9a3b8c0834f5f37b73dccae",
+            "6d61fa3f192c737b06c72bbcfa20b0308450b866e0a2cf095584fc97d18ef590",
+        ),
+        "large_random_topology": (
+            "f9a3c9cdcce7a9847e1b2e67423f1577145bb87338e809cb9c4e4850a3a7b877",
+            "bb1ce20fab6ac6cc60e13bc6f212c7323cc909924506fe21bc1dc5e41584ecdb",
+        ),
+        "logistic[dfedavg]": (
+            "4477c5fa180d1be5fe1e32b5aeecd4fa9ee2bc7cd66cf686c5983a318e2ead65",
+            "f2998e21b6f475a71026a21f9f2743ad36057804ffdb648e2f72a939aefb0cc4",
+        ),
+        "logistic[dfedavgm]": (
+            "fd205065c3e96443da161cc9b059515ce428b380cc2cff3469e10e4de3b9052f",
+            "69df5413debdf58a86343586adf85d122e3eaa5824ff41a44a7eb17e900cc98e",
+        ),
+        "logistic[dfedsam]": (
+            "9dc27a360aba00629979304c8a33ec2115c7cbb4309eaa1e84218ef202dbcd61",
+            "2e968e261a6c6aa6f56a98d403b9363eff798a90ca076e148061cd8da1305519",
+        ),
+        "logistic[dpsgd]": (
+            "dd84499656ba0990ac7842d04474d404f8fdd38711871195b8ea931e10d0cfe2",
+            "1e9c44bd495db7e67b1160a633aa8929fd5fea97e0f93f754f98c23f916768e2",
+        ),
+        "logistic[fedavg_central]": (
+            "8cd58eb6189ad984da83a052b277954e2126507febb599b73fbcdcce3e7f8eed",
+            "1db36e1d4eb22864664160b44ccf18d096aa8fa896a73827ec64b92e4ee5feaf",
+        ),
+        "logistic[fedsam_central]": (
+            "b424e157747b2ea95c318cca86c414bdf1866c7eb0656754f557de27af8678cc",
+            "cffc65009ebc21463e1a089cc5fa9cacd7fbcfde7fe1c25ed688f9de64c75ed6",
+        ),
+        "logistic[oled_sam]": (
+            "662dfcdc2fed3f2abde1424e5783d05052c67cc8f9a3b8c0834f5f37b73dccae",
+            "48d27e1653006973fdda806f1cb927e87bc1e2af5c8d8d1597e1018261ab21db",
+        ),
+        "logistic[oled_sgd]": (
+            "c66f78f1005b83566e73d67dd500755235294861a218feaa2b576afe3a8bad4c",
+            "5f0822cc8e2b677f08ea1bcee2d9a31e59fc698e76e21e9e09f3cb2a8cf77b9a",
+        ),
+        "quadratic_ring": (
+            "5b9866cb39ffaf9c3d17e9d315a92844a8e7b36414028cdc394eb1907aad0fac",
+            "da5aeaa29c142bf4d5cf68e9398be7f2be41c4c460fe2bb05d75062d45d7f42d",
+        ),
+    },
+    "Sandybridge": {
+        "diagnostics[fedsam_central]": (
+            "c0dace5c86cef977e985745fe547e98d2e9d2139ffd75df6872e1e555dc412ce",
+            "6cd433eef0e62a06da8183af3a1e6d344d6ffb3fa13fd3551c03c409c2b575da",
+        ),
+        "diagnostics[oled_sam]": (
+            "bd42afb34afa196583bba07b4c4dc602d277c33e6799e70d6c72ad1ea2b2e30c",
+            "1316d68116440eb8314d6d32843cde5ace8a4921d4b633e8e2cf2c6021951f73",
+        ),
+        "large_random_topology": (
+            "f2e0a02faee1d8bad75ba0a1cdf943e9de70b103d3f2a54bdda4580a6f4ac6be",
+            "38d78c0d601e8b9f054a539e7d27da83cc0966c9ab328b73a5fec6583b13a2be",
+        ),
+        "logistic[dfedavg]": (
+            "b3670f77943f98f588dab58255171dc8f16415970814e3354df9cf8cf3de8b86",
+            "e625bb4a65841fff690301ac6ec582cf5019da3c40e53d95d60a44f30da61f2d",
+        ),
+        "logistic[dfedavgm]": (
+            "d5bf83b963ba92e374824b0e264bdacdc677c469c037796f5336b01d4117521a",
+            "0aab531f7de41d2135c37b585fb817f40a54aec530f3e38c6211db9598422881",
+        ),
+        "logistic[dfedsam]": (
+            "da7f1a4286b50ca220c648374ab40689e02064b9cdff8d48452832ce924338ad",
+            "d65cb69f2b315ef640c5a71b2b6ed23b70bbd344b47c6cb24414ef2cbec1d94f",
+        ),
+        "logistic[dpsgd]": (
+            "0180d5c5bc680064bdfaf6f2e2ec83d6efb17ef3f022311508eee9cef4f7033b",
+            "24abeb1f8d467a8d1e8bf496604ab66acc2fc79f5b978610166e62baac4a1490",
+        ),
+        "logistic[fedavg_central]": (
+            "83af48915c80d2f650b953e50669bf4043d98a37099a89e83c0f4b1bea2ead67",
+            "3199e3fe9d9da7664ffd55c8443323302aa1e5d1f17ced9c4d487445a9058c69",
+        ),
+        "logistic[fedsam_central]": (
+            "c0dace5c86cef977e985745fe547e98d2e9d2139ffd75df6872e1e555dc412ce",
+            "84f2f84a1ae2590c0c006e7e36ef4ce2ec2c0d387c956a5ae4723285515ed411",
+        ),
+        "logistic[oled_sam]": (
+            "bd42afb34afa196583bba07b4c4dc602d277c33e6799e70d6c72ad1ea2b2e30c",
+            "f1befb3e97f7a48e41107ce0da0d5a5c1466c7b9d83194dbcc7d212a0652bae0",
+        ),
+        "logistic[oled_sgd]": (
+            "a26a00e9ee5278ea26d5fcf3241fb1bf001e3c8a4039cd738fa6d68c12c2b0ab",
+            "20d667f70946856782200d2b93c7cd7ec08f751cc6b68aff64951b12d101da7d",
+        ),
+        "quadratic_ring": (
+            "ba57840c64bdd9ad35af36fde123ef84638e6b471e853cfdfc14fc3700db91a6",
+            "3f74ef2b6401ed7e4fd321453734da8872600fae281c76513db17709db4fbb85",
+        ),
+    },
 }
+
+PROBE_HASHES = {
+    "SkylakeX": {
+        "stability[fedavg_central]": "3a7601bd7c8e22d5fe04512cc85819a928ffbed7adacc578642f0144372d1263",
+        "stability[oled_sgd]": "afb6ee28406d3b44565a89f921837c84abd157384a1610df298ea308d84d0dca",
+    },
+    "Haswell": {
+        "stability[fedavg_central]": "3a7601bd7c8e22d5fe04512cc85819a928ffbed7adacc578642f0144372d1263",
+        "stability[oled_sgd]": "14616b4d19f37e50ea6efd44d259681b9cbcddf6df7d3c7b7390e571f91fc453",
+    },
+    "Sandybridge": {
+        "stability[fedavg_central]": "4bf6db973fda60db32a44095d40e6ae635bd33ab6264e4359f4b40a564aba37f",
+        "stability[oled_sgd]": "4a89ec48e3b3268f53d816c9b6cc53b324944d001afd500bebf1b35b925acadf",
+    },
+}
+
+
+@functools.cache
+def blas_kernel() -> str:
+    """The name of the OpenBLAS kernel numpy runs on, such as ``SkylakeX``, or ``unknown``."""
+    root = Path(np.__file__).parent
+    for path in sorted(root.parent.glob("numpy.libs/*openblas*")) + sorted(root.glob(".dylibs/*openblas*")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy loaded: the same file maps to one handle
+        if hasattr(lib, "scipy_openblas_get_corename64_"):
+            corename = lib.scipy_openblas_get_corename64_
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def recorded(hashes: dict) -> dict:
+    """This kernel's hashes; a kernel with none recorded fails, naming itself and how to record it."""
+    kernel = blas_kernel()
+    if kernel not in hashes:
+        pytest.fail(
+            f"no golden hashes are recorded for the OpenBLAS kernel {kernel!r}; on that kernel, "
+            f"`PYTHONPATH=src OPENBLAS_CORETYPE={kernel} python tests/test_golden.py` prints them"
+        )
+    return hashes[kernel]
 
 
 def run_fingerprint(preset: str, overrides, tmp_path) -> tuple[str, str]:
@@ -141,13 +286,13 @@ def probe_fingerprint(overrides, swap) -> str:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_fingerprint(name, tmp_path):
     preset, overrides = RUNS[name]
-    assert run_fingerprint(preset, overrides, tmp_path) == RUN_HASHES[name]
+    assert run_fingerprint(preset, overrides, tmp_path) == recorded(RUN_HASHES)[name]
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))
 def test_probe_fingerprint(name):
     overrides, swap = PROBES[name]
-    assert probe_fingerprint(overrides, swap) == PROBE_HASHES[name]
+    assert probe_fingerprint(overrides, swap) == recorded(PROBE_HASHES)[name]
 
 
 def test_probe_cases_reach_their_first_draw():
@@ -156,6 +301,12 @@ def test_probe_cases_reach_their_first_draw():
         cfg = load_config(str(CONFIGS / LOGISTIC), list(overrides))
         first = first_draw(cfg, len(build_problem(cfg).shards[swap[0]]), swap)
         assert first is not None and first[0] < cfg.rounds
+
+
+def test_an_unrecorded_kernel_fails_naming_itself_and_its_recording(monkeypatch):
+    monkeypatch.setattr(sys.modules[__name__], "blas_kernel", lambda: "Zen")
+    with pytest.raises(pytest.fail.Exception, match="'Zen'.*OPENBLAS_CORETYPE=Zen python tests/test_golden.py"):
+        recorded(RUN_HASHES)
 
 
 @pytest.mark.parametrize("name", ["logistic[oled_sgd]", "logistic[oled_sam]", "logistic[fedavg_central]"])
@@ -167,6 +318,7 @@ def test_run_fingerprint_is_independent_of_blas_threads(name, tmp_path):
         "from test_golden import RUNS, run_fingerprint; "
         "print(*run_fingerprint(*RUNS[sys.argv[2]], pathlib.Path(sys.argv[3])))"
     )
+    expected = recorded(RUN_HASHES)[name]
     digests = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"), "OPENBLAS_NUM_THREADS": threads}
@@ -176,4 +328,20 @@ def test_run_fingerprint_is_independent_of_blas_threads(name, tmp_path):
         )
         assert proc.returncode == 0, proc.stderr
         digests.append(tuple(proc.stdout.split()))
-    assert digests == [RUN_HASHES[name]] * 2
+    assert digests == [expected] * 2
+
+
+if __name__ == "__main__":  # prints this kernel's entries of RUN_HASHES and PROBE_HASHES, ready to paste
+    import tempfile
+
+    kernel = blas_kernel()
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {name: run_fingerprint(*RUNS[name], Path(tmp)) for name in sorted(RUNS)}
+    print(f"# OpenBLAS kernel {kernel}: the first entry goes in RUN_HASHES, the second in PROBE_HASHES")
+    print(f'    "{kernel}": {{')
+    for name, (final_x, csv) in runs.items():
+        print(f'        "{name}": (\n            "{final_x}",\n            "{csv}",\n        ),')
+    print(f'    }},\n    "{kernel}": {{')
+    for name in sorted(PROBES):
+        print(f'        "{name}": "{probe_fingerprint(*PROBES[name])}",')
+    print("    },")
