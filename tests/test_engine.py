@@ -1020,8 +1020,10 @@ class TestWorkers:
     @pytest.mark.parametrize("case", sorted(WORKER_CASES) + ["quadratic", "quadratic_table_gossip"])
     def test_every_worker_count_is_bitwise_one_worker(self, case):
         # a 400-client ring is past 100 * D = 300, so its gossip takes the table path in row ranges
-        quadratic = {"quadratic": quadratic_cfg(rounds=6),
-                     "quadratic_table_gossip": quadratic_cfg(m=400, rounds=3, topology=TopologySpec(TopologyKind.RING, 400))}
+        quadratic = {
+            "quadratic": quadratic_cfg(rounds=6),
+            "quadratic_table_gossip": quadratic_cfg(m=400, rounds=3, topology=TopologySpec(TopologyKind.RING, 400)),
+        }
         cfg = quadratic[case] if case in quadratic else workers_cfg(**WORKER_CASES[case])
         problem = build_problem(cfg)
         single = run_fingerprint(run_experiment(cfg, problem=problem))
