@@ -47,11 +47,11 @@ participants (seed, _DOM_COORD, t, i), each random_k round's graph seed
 (topology.seed, _DOM_TOPO, t) and the data, partition and init seeds
 (seed, _DOM_DATA | _DOM_PARTITION | _DOM_INIT), so no numpy ``Generator``
 runs on the round path.  Every key is known before round 0, so
-:func:`iter_rounds` draws the batches of every participant of a block of
-rounds, and the block's graph seeds, in one vectorised call each.  Dense
-gossip is one BLAS product on the calling thread, its sum order the BLAS
-kernel's; table gossip accumulates each row over a fixed neighbour table
-in ascending client order.  Results are therefore bitwise
+:func:`iter_rounds` picks the central participants of a block of rounds,
+draws their batches, and derives the block's graph seeds, in one
+vectorised call each.  Dense gossip is one BLAS product on the calling
+thread, its sum order the BLAS kernel's; table gossip accumulates each
+row over a fixed neighbour table in ascending client order.  Results are therefore bitwise
 reproducible, equal for every worker count and BLAS thread count, and
 equal to training each client on its own.
 """
@@ -92,6 +92,7 @@ from .models import (
     Scratch,
     Shard,
     ShardStack,
+    _with_ones,
     full_objective,
     init_params,
     quadratic_testbed,
@@ -356,10 +357,28 @@ def participants(cfg: ExperimentConfig, m: int, t: int) -> np.ndarray:
     take the :func:`_participant_count` clients with the smallest keys,
     a tie going to the lower index: a uniform subset of the clients.
     """
+    return _participants(cfg, m, [t])[0]
+
+
+def _participants(cfg: ExperimentConfig, m: int, rounds) -> np.ndarray:
+    """(len(rounds), c) array whose row r is ``participants(cfg, m, rounds[r])``.
+
+    Central kinds key the rounds' clients in one ``_keys`` call and pick
+    them by one row-wise stable argsort, ``_BLOCK_INDICES`` keys (or one
+    round) at a time.
+    """
     if cfg.algorithm not in CENTRAL_KINDS:
-        return np.arange(m)
-    key = _keys(m, cfg.seed, _DOM_COORD, t, np.arange(m))
-    return np.sort(np.argsort(key, kind="stable")[: _participant_count(cfg.participation, m)])
+        return np.tile(np.arange(m), (len(rounds), 1))
+    rounds = np.asarray(rounds, dtype=np.uint64)
+    chosen = np.empty((len(rounds), _participant_count(cfg.participation, m)), dtype=np.intp)
+    span = max(1, _BLOCK_INDICES // m)
+    for r0 in range(0, len(rounds), span):
+        part = rounds[r0 : r0 + span]
+        key = _keys(len(part) * m, cfg.seed, _DOM_COORD, np.repeat(part, m), np.tile(np.arange(m), len(part)))
+        picks = np.argsort(key.reshape(len(part), m), axis=1, kind="stable")[:, : chosen.shape[1]]
+        picks.sort(axis=1)
+        chosen[r0 : r0 + span] = picks
+    return chosen
 
 
 def _participant_count(participation: float, m: int) -> int:
@@ -607,11 +626,11 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
                 f"data.test_path: label {test.labels.max()}, data.path has {dataset.num_classes} classes"
             )
 
-    # one gather lays every client's rows out end to end, in partition order
+    # one gather lays every client's rows out end to end, in partition order, with the kernel's ones column
     sizes = np.array([len(idx) for idx in parts], dtype=np.intp)
     rows = np.concatenate(parts)
     shards = ShardStack(
-        np.arange(cfg.m), sizes, np.cumsum(sizes) - sizes, dataset.features[rows], dataset.labels[rows]
+        np.arange(cfg.m), sizes, np.cumsum(sizes) - sizes, _with_ones(dataset.features[rows]), dataset.labels[rows]
     )
     return Problem(spec, shards, test, init_params(spec, init_seed))
 
@@ -630,8 +649,9 @@ def iter_rounds(
     Every key (seed, client, round) is known before round 0, so the
     participants' minibatches are drawn for a block of rounds at a time,
     one ``client_batches`` call of at most ``_BLOCK_INDICES`` indices (or
-    one round), with the block's graph seeds in one ``_keys`` call, and
-    each round is handed its slice.  ``run_round`` and ``build_mixing``, and a round's
+    one round), with the block's participants (:func:`_participants`)
+    and graph seeds in one ``_keys`` call each, and each round is handed
+    its slice.  ``run_round`` and ``build_mixing``, and a round's
     ``local_train`` and ``gossip_mix``, are looked up in this module on
     every call, where the benchmark's call tracer wraps them.
 
@@ -662,10 +682,10 @@ def iter_rounds(
     span = max(1, _BLOCK_INDICES // (per_round * k_steps * batch_size))
     for t0 in range(0, cfg.rounds, span):
         block = range(t0, min(t0 + span, cfg.rounds))
-        clients = [participants(cfg, m, t) for t in block]
+        clients = _participants(cfg, m, block)
         draws = [None] * len(block)
         if problem.spec.kind != "quadratic":  # the quadratic family is noiseless and draws nothing
-            cols = np.concatenate(clients)
+            cols = clients.reshape(-1)
             indices = client_batches(
                 cfg.seed, cols, np.repeat(block, per_round), problem.shards.sizes[cols], k_steps, batch_size
             )

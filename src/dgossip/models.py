@@ -11,12 +11,17 @@ Three model families:
   trend-level convergence checks rely on.
 
 All parameters live in one flat float64 vector; gradients are computed
-analytically (closed form or manual backprop), never by autodiff.  The
-gradient kernel takes one such vector or an (m, p) stack of them, one
-model per row, with stacked matrix products and left-to-right class
-passes that round each row exactly as a single model.  Local steps pass
-one client per row; the full objective passes one model broadcast to one
-row per block of its rows.
+analytically (closed form or manual backprop), never by autodiff.  Each
+layer's (fan_in, fan_out) weight block is followed by its fan_out bias,
+so its slice is one row-major (fan_in + 1, fan_out) augmented matrix
+``[W; b]``.  The gradient kernel gives every layer's input a trailing
+column of ones, so each layer is one matrix product forward and one back,
+the bias riding in the product.  It takes one such vector or an (m, p)
+stack of them, one model per row, with stacked matrix products and
+left-to-right class passes that round each row exactly as a single model.
+Local steps pass one client per row; the full objective passes one model
+broadcast to one row per block of its rows.  Evaluation keeps the plain
+``a @ W + b`` forward.
 """
 
 from __future__ import annotations
@@ -94,39 +99,46 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     return np.concatenate(chunks)
 
 
-def _unpack(spec: ModelSpec, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per-layer (weight, bias) views of x along its last axis.
+def _unpack(spec: ModelSpec, x: np.ndarray) -> list[np.ndarray]:
+    """Per-layer augmented weight views ``[W; b]`` of x along its last axis.
 
-    For one vector the weights are (fan_in, fan_out); for an (m, p) stack
-    they are (m, fan_in, fan_out) and the biases (m, fan_out).
+    Each layer's (fan_in, fan_out) weight block is followed by its fan_out
+    bias, so its slice of x is one row-major (fan_in + 1, fan_out) matrix
+    whose last row is the bias; for an (m, p) stack the views are (m,
+    fan_in + 1, fan_out).
     """
     lead = x.shape[:-1]
     layers = []
     offset = 0
     for fan_in, fan_out in spec.layer_dims():
-        w = x[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
-        offset += fan_in * fan_out
-        b = x[..., offset : offset + fan_out]
-        offset += fan_out
-        layers.append((w, b))
+        size = (fan_in + 1) * fan_out
+        layers.append(x[..., offset : offset + size].reshape(*lead, fan_in + 1, fan_out))
+        offset += size
     return layers
 
 
-def _forward(spec: ModelSpec, x: np.ndarray, feats: np.ndarray, outs=None):
-    """Per-layer (weight, bias) views of x and every layer's activations, logits last.
+def _forward(spec: ModelSpec, x: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """Logits of one model on plain (n, d) features, each layer as ``a @ W + b``.
 
-    ``outs`` are arrays to write each layer's output into, as a
-    :class:`Workspace` holds them; without them each output is a new array.
+    The evaluation forward: the weights and bias are split apart, so that
+    the logits are bitwise those of the flat layout's straightforward form.
     """
     layers = _unpack(spec, x)
-    acts = [feats]
-    for li, (w, b) in enumerate(layers):
-        z = np.matmul(acts[-1], w, out=None if outs is None else outs[li])
-        z += b[..., None, :]
+    a = feats
+    for li, layer in enumerate(layers):
+        a = np.matmul(a, layer[..., :-1, :])
+        a += layer[..., -1, :]
         if li < len(layers) - 1:
-            np.tanh(z, out=z)
-        acts.append(z)
-    return layers, acts
+            np.tanh(a, out=a)
+    return a
+
+
+def _with_ones(features: np.ndarray) -> np.ndarray:
+    """(..., n, d) features as the gradient kernel's (..., n, d + 1) input: each row, then 1.0."""
+    out = np.empty((*features.shape[:-1], features.shape[-1] + 1), dtype=features.dtype)
+    out[..., :-1] = features
+    out[..., -1] = 1.0
+    return out
 
 
 def _class_max(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -188,10 +200,17 @@ def _forward_backward(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Weighted cross-entropy gradient, for one model or a stack, and the per-row NLL.
 
-    One model: ``x`` (p,), ``feats`` (n, d), ``labels`` (n,).  A stack:
-    ``x`` (m, p), ``feats`` (m, n, d), ``labels`` (m, n), where row i is
-    model i on its own batch; the rows may be one model broadcast (stride
-    0), as :func:`full_objective` passes it.  Each row's output error is
+    One model: ``x`` (p,), ``feats`` (n, d + 1), ``labels`` (n,).  A stack:
+    ``x`` (m, p), ``feats`` (m, n, d + 1), ``labels`` (m, n), where row i
+    is model i on its own batch; the rows may be one model broadcast
+    (stride 0), as :func:`full_objective` passes it.  Every row of
+    ``feats`` ends in a 1.0 (see :class:`ShardStack`), and each layer reads
+    its slice of x as the augmented matrix ``[W; b]`` (:func:`_unpack`):
+    the forward pass is one product ``[a, 1] @ [W; b]`` per layer, each
+    hidden layer's output held as (..., n, h + 1) with its ones column
+    written after ``tanh`` on every call, and the backward pass writes a
+    layer's weight and bias gradient together as ``[a, 1]^T @ delta``.
+    Errors go back through ``W`` alone.  Each row's output error is
     divided by ``divisor``: the batch size n for a batch mean, or a per-row
     column shaped (..., n, 1).  Every product is ``np.matmul``, which makes
     the same BLAS call per row of a stack as for one model, so each row
@@ -207,7 +226,22 @@ def _forward_backward(
     the one without it.  Temporaries are reused in place either way.
     Returns (per-row NLL shaped as ``labels``, or None, and the gradient).
     """
-    layers, acts = _forward(spec, x, feats, None if ws is None else ws.acts)
+    layers = _unpack(spec, x)
+    rows = feats.shape[:-1]
+    if ws is None:
+        outs = [np.empty((*rows, width + 1)) for width in spec.hidden] + [np.empty((*rows, spec.num_classes))]
+    else:
+        outs = ws.acts
+    acts = [feats]
+    for li, layer in enumerate(layers):
+        z = outs[li]
+        if li < len(layers) - 1:
+            np.matmul(acts[-1], layer, out=z[..., :-1])
+            np.tanh(z, out=z)  # the whole contiguous buffer, then the ones column afresh
+            z[..., -1] = 1.0
+        else:
+            np.matmul(acts[-1], layer, out=z)
+        acts.append(z)
     delta = acts.pop()  # logits, turned in place into probabilities, then the output error
     nll, flat, picked = _softmax_nll(delta, labels, with_loss, ws)
     flat[picked] -= 1.0
@@ -216,16 +250,15 @@ def _forward_backward(
         out = np.empty(x.shape)
     elif not out.flags.c_contiguous or out.shape != x.shape:
         raise ValueError("out must be a C-contiguous array shaped as x")
-    for li, (weight, bias) in reversed(list(enumerate(_unpack(spec, out)))):
-        delta.sum(axis=-2, out=bias)
-        np.matmul(acts[li].swapaxes(-1, -2), delta, out=weight)
+    for li, grad in reversed(list(enumerate(_unpack(spec, out)))):
+        np.matmul(acts[li].swapaxes(-1, -2), delta, out=grad)
         if li > 0:  # back through tanh: delta W^T * (1 - a^2)
-            w = layers[li][0]
+            w = layers[li][..., :-1, :]
             delta = np.matmul(delta, w.swapaxes(-1, -2), out=None if ws is None else ws.errors[li - 1])
             a = acts[li]
             np.square(a, out=a)
             np.subtract(1.0, a, out=a)
-            delta *= a
+            delta *= a[..., :-1]
     return nll, out
 
 
@@ -242,19 +275,22 @@ class ShardStack:
 
     Row i owns rows ``offsets[i] .. offsets[i] + sizes[i]`` of ``features``
     and ``labels``, so a single gather draws the minibatches of every
-    client.  The quadratic family has no data: its shards are client
-    indices, and ``features``/``labels`` are None.
+    client.  Each row of ``features`` holds a sample's d features and then
+    1.0, the column that multiplies each layer's bias row in the gradient
+    kernel, so the gather is the kernel's input as it stands;
+    :meth:`of` appends it.  The quadratic family has no data: its shards
+    are client indices, and ``features``/``labels`` are None.
     """
 
     clients: np.ndarray  # (m,)
     sizes: np.ndarray  # (m,)
     offsets: np.ndarray  # (m,)
-    features: np.ndarray | None = None  # (N, d)
+    features: np.ndarray | None = None  # (N, d + 1), each row ending in 1.0
     labels: np.ndarray | None = None  # (N,)
 
     @classmethod
     def of(cls, shards) -> "ShardStack":
-        """Stack a list of :class:`Shard` objects, or of quadratic client indices."""
+        """Stack a list of :class:`Shard` objects, appending the ones column, or of quadratic client indices."""
         if not all(isinstance(s, Shard) for s in shards):
             clients = np.array([int(s) for s in shards], dtype=np.intp)
             zeros = np.zeros(len(clients), dtype=np.intp)
@@ -264,7 +300,7 @@ class ShardStack:
             clients=np.arange(len(shards)),
             sizes=sizes,
             offsets=np.cumsum(sizes) - sizes,
-            features=np.concatenate([s.features for s in shards]),
+            features=_with_ones(np.concatenate([s.features for s in shards])),
             labels=np.concatenate([s.labels for s in shards]),
         )
 
@@ -272,11 +308,11 @@ class ShardStack:
         return len(self.clients)
 
     def __getitem__(self, i: int):
-        """Client i's :class:`Shard` as views into the stack; its index for the quadratic family."""
+        """Client i's :class:`Shard`, (n, d) views into the stack; its index for the quadratic family."""
         if self.features is None:
             return int(self.clients[i])
         rows = slice(self.offsets[i], self.offsets[i] + self.sizes[i])
-        return Shard(self.features[rows], self.labels[rows])
+        return Shard(self.features[rows, :-1], self.labels[rows])
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
@@ -392,7 +428,10 @@ class Workspace:
     """Scratch arrays for the stacked gradient calls of one local phase, or of one full objective.
 
     Built for a :class:`ShardStack`, its (m, B) minibatches and (m, p)
-    model stacks: it holds the gathered minibatch, every layer's output,
+    model stacks: it holds the gathered minibatch, (m, B, d + 1) with its
+    ones column, every layer's output, each hidden layer's (m, B, h + 1)
+    with a ones column that the gradient kernel writes on every call (an
+    earlier layout in the same :class:`Scratch` may have overwritten it),
     the error back-propagated to each hidden layer, the per-row class max
     and sum of the softmax (``row``) and the flat label index, or, for the
     quadratic family, the stack's gathered terms.  ``point`` is an (m, p)
@@ -423,13 +462,15 @@ class Workspace:
         m = blocks[1] if blocks else len(shards)
         p = spec.param_count()
         rows = (m, batch_size)
-        widths = (*spec.hidden, spec.num_classes)
+        widths = (*(h + 1 for h in spec.hidden), spec.num_classes)  # each layer's output, ones column included
         layout = [((m, p), np.float64)] * (point + stacks)
         if spec.kind == "quadratic":
             layout += [((m, p, p), np.float64), ((m, p), np.float64)]
         else:
+            if shards.features.shape[-1] != spec.dim + 1:
+                raise ValueError(f"the stack's features must be {spec.dim} per row and then 1.0 (see ShardStack)")
             layout += [
-                (rows, np.intp), ((*rows, spec.dim), shards.features.dtype), (rows, shards.labels.dtype),
+                (rows, np.intp), ((*rows, spec.dim + 1), shards.features.dtype), (rows, shards.labels.dtype),
                 (rows, np.float64), ((m * batch_size,), np.intp),
                 *(((*rows, width), np.float64) for width in (*widths, *spec.hidden)),
             ]
@@ -482,13 +523,14 @@ def loss_and_grad(
     ``shard`` is the client's :class:`Shard` for classification models and
     the client index for the quadratic family (whose objective has no
     sampling noise, so ``batch`` is ignored there).  The gradient comes
-    from the same kernel as training, applied to a single model.
+    from the same kernel as training, applied to a single model, on the
+    batch's rows with a 1.0 appended to each.
     """
     if spec.kind == "quadratic":
         a = spec.quad_a[shard]
         b = spec.quad_b[shard]
         return float(0.5 * x @ a @ x - b @ x), _quadratic_grads(a, b, x)
-    feats = shard.features if batch is None else shard.features[batch]
+    feats = _with_ones(shard.features if batch is None else shard.features[batch])
     labels = shard.labels if batch is None else shard.labels[batch]
     nll, grad = _forward_backward(spec, x, feats, labels, len(labels), with_loss=True)
     return float(np.mean(nll)), grad
@@ -499,8 +541,7 @@ def predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> np.ndarray:
 
     Ties resolve to the lowest class index, as in :func:`loss_and_predictions`.
     """
-    _, acts = _forward(spec, x, shard.features)
-    return np.argmax(acts[-1], axis=-1)
+    return np.argmax(_forward(spec, x, shard.features), axis=-1)
 
 
 def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[float, np.ndarray]:
@@ -508,8 +549,7 @@ def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[
 
     Prediction ties resolve to the lowest class index.
     """
-    _, acts = _forward(spec, x, shard.features)
-    logits = acts[-1]
+    logits = _forward(spec, x, shard.features)
     predictions = np.argmax(logits, axis=-1)
     nll, _, _ = _softmax_nll(logits, shard.labels, with_loss=True)
     return float(np.mean(nll)), predictions

@@ -3,9 +3,11 @@
 The engine trains every client as one row of an (m, p) stack and mixes
 by one dense product or over a neighbour table.  These tests hold the
 local phase to a straightforward one-client-at-a-time implementation
-written here, bitwise: same minibatch draws, same gradients, same
-optimizer arithmetic.  They hold dense gossip to one ``W @ Z`` on one
-BLAS thread and table gossip to the ascending-j dense sum, both bitwise.
+written here, bitwise: same minibatch draws, same gradients (each bias
+carried in its layer's product, as the kernel does), same optimizer
+arithmetic; and that gradient to the bias-apart form within rounding.
+They hold dense gossip to one ``W @ Z`` on one BLAS thread and table
+gossip to the ascending-j dense sum, both bitwise.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -22,34 +24,64 @@ from dgossip.topology import TopologyKind, TopologySpec, build_mixing
 from stream_reference import column
 
 
-def reference_loss_grad(spec, x, feats, labels):
-    """Cross-entropy loss and gradient of one model, with 2-D products only."""
+def reference_layers(spec, x):
+    """Each layer's slice of x as the augmented (fan_in + 1, fan_out) matrix [W; b], its bias the last row."""
     sizes = [spec.dim, *spec.hidden, spec.num_classes]
     layers, offset = [], 0
     for fan_in, fan_out in zip(sizes, sizes[1:]):
-        w = x[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-        offset += fan_in * fan_out
-        layers.append((w, x[offset : offset + fan_out]))
-        offset += fan_out
+        layers.append(x[offset : offset + (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out))
+        offset += (fan_in + 1) * fan_out
+    return layers
+
+
+def softmax_error(logits, labels):
+    """Mean cross-entropy and the output error (probabilities less the one-hot labels) over n."""
     n = len(labels)
-    acts = [feats]
-    for li, (w, b) in enumerate(layers):
-        z = acts[-1] @ w + b
-        acts.append(np.tanh(z) if li < len(layers) - 1 else z)
-    shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)
     loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
-    delta = probs
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
+    probs[np.arange(n), labels] -= 1.0
+    probs /= n
+    return loss, probs
+
+
+def reference_loss_grad(spec, x, feats, labels):
+    """Cross-entropy loss and gradient of one model, with 2-D products only.
+
+    A layer's input gains a column of ones, so the forward pass is
+    [a, 1] @ [W; b] and the weight and bias gradient together is
+    [a, 1]^T @ delta.  The error goes back through W alone.
+    """
+    layers = reference_layers(spec, x)
+    ones = np.ones((len(labels), 1))
+    acts = [np.hstack([feats, ones])]
+    for li, layer in enumerate(layers):
+        z = acts[-1] @ layer
+        acts.append(np.hstack([np.tanh(z), ones]) if li < len(layers) - 1 else z)
+    loss, delta = softmax_error(acts[-1], labels)
     grads = []
     for li in range(len(layers) - 1, -1, -1):
-        w, _ = layers[li]
+        grads.append((acts[li].T @ delta).ravel())
+        if li > 0:
+            delta = (delta @ layers[li][:-1].T) * (1.0 - acts[li][:, :-1] ** 2)
+    return loss, np.concatenate(grads[::-1])
+
+
+def unfused_reference_loss_grad(spec, x, feats, labels):
+    """The same loss and gradient with each bias apart: ``a @ W + b`` forward and ``delta.sum(0)`` back."""
+    layers = reference_layers(spec, x)
+    acts = [feats]
+    for li, layer in enumerate(layers):
+        z = acts[-1] @ layer[:-1] + layer[-1]
+        acts.append(np.tanh(z) if li < len(layers) - 1 else z)
+    loss, delta = softmax_error(acts[-1], labels)
+    grads = []
+    for li in range(len(layers) - 1, -1, -1):
         grads.append(delta.sum(axis=0))
         grads.append((acts[li].T @ delta).ravel())
         if li > 0:
-            delta = (delta @ w.T) * (1.0 - acts[li] ** 2)
+            delta = (delta @ layers[li][:-1].T) * (1.0 - acts[li] ** 2)
     return loss, np.concatenate(grads[::-1])
 
 
@@ -184,6 +216,20 @@ class TestStackedLocalPhase:
                 ref_loss, ref_grad = reference_loss_grad(spec, x0[i], shard.features, shard.labels)
                 assert loss == ref_loss
                 assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize("hidden", [(), (1,), (5,), (1, 3), (8, 1)])
+def test_fused_bias_matches_the_unfused_reference(hidden):
+    # the kernel carries each bias in its layer's product; the separate add and sum differ only in rounding
+    rng = np.random.default_rng(len(hidden) + sum(hidden))
+    spec = ModelSpec(kind="mlp" if hidden else "logistic", dim=4, num_classes=3, hidden=hidden)
+    for n in (1, 7, 32):
+        shard = Shard(rng.normal(size=(n, 4)), rng.integers(0, 3, size=n))
+        x = rng.normal(size=spec.param_count())
+        loss, grad = loss_and_grad(spec, x, shard)
+        ref_loss, ref_grad = unfused_reference_loss_grad(spec, x, shard.features, shard.labels)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        assert np.abs(grad - ref_grad).max() <= 1e-12 * np.abs(ref_grad).max()
 
 
 class TestBatchDraws:

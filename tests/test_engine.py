@@ -748,6 +748,40 @@ class TestParticipants:
         assert chosen.dtype == np.intp
         assert chosen.tolist() == reference_participants(seed, m, -(-percent * m // 100), t)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1), st.integers(1, 40), st.integers(1, 100),
+        st.integers(0, 2**64 - 9), st.integers(1, 8),
+    )
+    def test_a_blocks_subsets_equal_the_scalar_reference(self, seed, m, percent, t0, rounds):
+        cfg = logistic_cfg(algorithm=AlgorithmKind.FEDAVG_CENTRAL, m=m, participation=percent / 100, seed=seed)
+        count = -(-percent * m // 100)
+        chosen = engine._participants(cfg, m, range(t0, t0 + rounds))
+        assert chosen.dtype == np.intp and chosen.shape == (rounds, count)
+        for r, row in enumerate(chosen):
+            assert row.tolist() == reference_participants(seed, m, count, t0 + r)
+
+    @pytest.mark.parametrize("algorithm", [AlgorithmKind.FEDSAM_CENTRAL, AlgorithmKind.OLED_SGD])
+    def test_every_round_of_a_run_trains_its_reference_subset(self, monkeypatch, algorithm):
+        # blocks of 3 rounds and a horizon that ends inside one
+        topology = None if algorithm in engine.CENTRAL_KINDS else TopologySpec(TopologyKind.RING, 10)
+        cfg = validated(logistic_cfg(algorithm=algorithm, m=10, participation=0.3, rounds=8, topology=topology))
+        per_round = len(participants(cfg, cfg.m, 0)) * cfg.local_steps * cfg.optimizer.batch_size
+        monkeypatch.setattr(engine, "_BLOCK_INDICES", 3 * per_round)
+        trained = []
+
+        def recording(x, z, t, cfg, w_t, problem, clients, *rest):
+            trained.append(np.asarray(clients).tolist())
+            return run_round(x, z, t, cfg, w_t, problem, clients, *rest)
+
+        monkeypatch.setattr(engine, "run_round", recording)
+        for _ in iter_rounds(cfg, build_problem(cfg)):
+            pass
+        if algorithm in engine.CENTRAL_KINDS:
+            assert trained == [reference_participants(cfg.seed, 10, 3, t) for t in range(cfg.rounds)]
+        else:
+            assert trained == [list(range(10))] * cfg.rounds
+
     def test_equal_keys_go_to_the_lower_index(self, monkeypatch):
         # 20 clients on each of the keys 0 to 4: the 30 picks are key 0's and the 10 lowest of key 1's
         monkeypatch.setattr(engine, "_keys", lambda count, *words: (np.arange(count) * 7 % 5).astype(np.uint64))

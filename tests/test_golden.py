@@ -83,8 +83,8 @@ RUN_HASHES = {
             "6cb57837be3e044864232426552fd9d5b44057b06ddb9f15c38ff0b7458c07a8",
         ),
         "large_random_topology": (
-            "017e165770f7ec2eabc30e7b4c9083836a7ab3b295c71b2cc73c3d120b9f895e",
-            "b5b8cd12cc2d9d9ab0ba61fadf6d52b4044bcd2aa1734a8f6baa8d4c9758db7b",
+            "fc11c6efcdf3000a65e184c1aaf4a09e7b058121985fe85193d2681834a01721",
+            "0ab972ad4a93f8332399ad7e9fac661d9f282d168a1a549a6bd013bd8b75fe0b",
         ),
         "logistic[dfedavg]": (
             "c8d1584c5e8b05c53dcc955e5b9190acf200854da152d76aeafad111ddbc445e",
@@ -125,48 +125,48 @@ RUN_HASHES = {
     },
     "Haswell": {
         "diagnostics[fedsam_central]": (
-            "b424e157747b2ea95c318cca86c414bdf1866c7eb0656754f557de27af8678cc",
-            "355fd3e825c1d2cf907c48e08ec0bbe23aa1e4f8a0be9713e72bacc7ba268283",
+            "bc9135c2acdcf0a6f869a0926e71f39f8a7d6e0349a0afd639b83650dc8ee114",
+            "705edb41e018e6aba292917962697cdf6287e1d165da079badcf8b74ccd69796",
         ),
         "diagnostics[oled_sam]": (
-            "662dfcdc2fed3f2abde1424e5783d05052c67cc8f9a3b8c0834f5f37b73dccae",
-            "6d61fa3f192c737b06c72bbcfa20b0308450b866e0a2cf095584fc97d18ef590",
+            "f1f5e56e741ae00d0c5aa7fdb784ee010ea652e7e75981caebdad40dc9417737",
+            "e395dc448b9492eb69043c0b127bf26f07630d8e0c84210874d7c04a1537aace",
         ),
         "large_random_topology": (
-            "f9a3c9cdcce7a9847e1b2e67423f1577145bb87338e809cb9c4e4850a3a7b877",
-            "bb1ce20fab6ac6cc60e13bc6f212c7323cc909924506fe21bc1dc5e41584ecdb",
+            "3e563403a2d144d1f44cfb38616392391b36b866d632d03ebcf8d4dc9a829b19",
+            "934e9d2abd6e33a4cf370f9ad140b08c6ba351c623db880c49a72eb1c063068c",
         ),
         "logistic[dfedavg]": (
-            "4477c5fa180d1be5fe1e32b5aeecd4fa9ee2bc7cd66cf686c5983a318e2ead65",
-            "f2998e21b6f475a71026a21f9f2743ad36057804ffdb648e2f72a939aefb0cc4",
+            "193dbaa1d073df86aa974154c37c81a4bc88fd7ddc04c60082c170e8f7db4e95",
+            "a8eeda0bb8e5b226c740857526017b383de03f0ae704aa213b5c7e96112899b2",
         ),
         "logistic[dfedavgm]": (
-            "fd205065c3e96443da161cc9b059515ce428b380cc2cff3469e10e4de3b9052f",
-            "69df5413debdf58a86343586adf85d122e3eaa5824ff41a44a7eb17e900cc98e",
+            "e220cd7ff857a002b1c98fb8117050563abcc4730bc8897896b09c353017e21c",
+            "80f341e8a12111b335820fa4082129341f64010e60c41256d728112354d145a9",
         ),
         "logistic[dfedsam]": (
-            "9dc27a360aba00629979304c8a33ec2115c7cbb4309eaa1e84218ef202dbcd61",
-            "2e968e261a6c6aa6f56a98d403b9363eff798a90ca076e148061cd8da1305519",
+            "99b8444cee463a7c4d9a333a256d2b553d9e029827e36192126f078a4736cd88",
+            "ad39a6c7bd3ef237bd8552556f0806b7afb5931e2cf6dbc2dd01ae0c607acebb",
         ),
         "logistic[dpsgd]": (
-            "dd84499656ba0990ac7842d04474d404f8fdd38711871195b8ea931e10d0cfe2",
-            "1e9c44bd495db7e67b1160a633aa8929fd5fea97e0f93f754f98c23f916768e2",
+            "52d26764a05bff5009de4ec05390aa4a2e57801929ceca579e24bb30abd520ff",
+            "70babd6a660b51f42d3b29b1fc15aebc5d35b92bf01294b5cf4adb23266d66af",
         ),
         "logistic[fedavg_central]": (
-            "8cd58eb6189ad984da83a052b277954e2126507febb599b73fbcdcce3e7f8eed",
-            "1db36e1d4eb22864664160b44ccf18d096aa8fa896a73827ec64b92e4ee5feaf",
+            "258276044d84640b3d80e9e910398dea8564708eb1c16b1a75f841dab7ab10bb",
+            "6bb04c05c82a405ec8e8096a40c98f9a3025a784c4898488ebc690ba05a4767d",
         ),
         "logistic[fedsam_central]": (
-            "b424e157747b2ea95c318cca86c414bdf1866c7eb0656754f557de27af8678cc",
-            "cffc65009ebc21463e1a089cc5fa9cacd7fbcfde7fe1c25ed688f9de64c75ed6",
+            "bc9135c2acdcf0a6f869a0926e71f39f8a7d6e0349a0afd639b83650dc8ee114",
+            "e8fd18158477e5d4741847f7eb5fb1d6c6407e97dda075af8d4c8798f3dbe9d1",
         ),
         "logistic[oled_sam]": (
-            "662dfcdc2fed3f2abde1424e5783d05052c67cc8f9a3b8c0834f5f37b73dccae",
-            "48d27e1653006973fdda806f1cb927e87bc1e2af5c8d8d1597e1018261ab21db",
+            "f1f5e56e741ae00d0c5aa7fdb784ee010ea652e7e75981caebdad40dc9417737",
+            "50cef76de487cc734416c1241c81c5b6dc7e19ea8cb6957cd93d4a83e5b62946",
         ),
         "logistic[oled_sgd]": (
-            "c66f78f1005b83566e73d67dd500755235294861a218feaa2b576afe3a8bad4c",
-            "5f0822cc8e2b677f08ea1bcee2d9a31e59fc698e76e21e9e09f3cb2a8cf77b9a",
+            "cc3b9c8e9c2777f6f8eb309cc1a0107da8547f18e99765cd287d3352cfd8524e",
+            "0e7a5e3868547a91a09a5e0d9de9c7b602915aecdef9294d9a909937eaba2ffa",
         ),
         "quadratic_ring": (
             "5b9866cb39ffaf9c3d17e9d315a92844a8e7b36414028cdc394eb1907aad0fac",
@@ -231,8 +231,8 @@ PROBE_HASHES = {
         "stability[oled_sgd]": "afb6ee28406d3b44565a89f921837c84abd157384a1610df298ea308d84d0dca",
     },
     "Haswell": {
-        "stability[fedavg_central]": "3a7601bd7c8e22d5fe04512cc85819a928ffbed7adacc578642f0144372d1263",
-        "stability[oled_sgd]": "14616b4d19f37e50ea6efd44d259681b9cbcddf6df7d3c7b7390e571f91fc453",
+        "stability[fedavg_central]": "1734bf366214185e7271b3ffb7660bd0cf54e606a66ed680ff39bc2f77e407d2",
+        "stability[oled_sgd]": "89a982ba827422928b1fed7a44c3355d81ea85bcede73417be24b9ffc5a0eb07",
     },
     "Sandybridge": {
         "stability[fedavg_central]": "4bf6db973fda60db32a44095d40e6ae635bd33ab6264e4359f4b40a564aba37f",

@@ -22,9 +22,11 @@ from dgossip.engine import (
 from dgossip.localopt import OptimizerConfig, local_train, lr_at_round
 from dgossip.models import (
     ModelSpec,
+    Scratch,
     Shard,
     ShardStack,
     Workspace,
+    _with_ones,
     batch_grads,
     init_params,
     loss_and_grad,
@@ -139,7 +141,8 @@ class TestSamStep:
         # a one-class logistic model has p parameters; every row draws the one sample
         spec = ModelSpec(kind="logistic", dim=p - 1, num_classes=1)
         ones = np.ones(m, dtype=np.intp)
-        stack = ShardStack(np.arange(m), ones, ones - 1, np.zeros((1, p - 1)), np.zeros(1, dtype=np.int64))
+        features = _with_ones(np.zeros((1, p - 1)))
+        stack = ShardStack(np.arange(m), ones, ones - 1, features, np.zeros(1, dtype=np.int64))
         x = np.zeros((m, p))
         step(spec, x, stack, np.zeros((m, 1), dtype=np.intp), method="sam", lam=0.5, grad_floor=0.0)
         norms = np.array([np.linalg.norm(row) for row in g])
@@ -273,12 +276,28 @@ def mlp_stack(m=6, n=15, batch_size=4, k_steps=3, seed=0):
     """(spec, ShardStack, x0, (K, m, B) draws) of a small MLP stack."""
     ds = generate_synthetic(3, 4, 40, 0.8, seed=seed)
     sizes = np.full(m, n)
-    stack = ShardStack(np.arange(m), sizes, np.arange(m) * n, ds.features, ds.labels)
+    stack = ShardStack(np.arange(m), sizes, np.arange(m) * n, _with_ones(ds.features), ds.labels)
     spec = ModelSpec(kind="mlp", dim=4, num_classes=3, hidden=(5, 3))
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(m, spec.param_count()))
     draws = rng.integers(0, n, size=(k_steps, m, batch_size))
     return spec, stack, x0, draws
+
+
+@pytest.mark.parametrize("hidden", [(), (5, 3)], ids=["logistic", "mlp"])
+@pytest.mark.parametrize("method", ["sgd", "sam", "sgd_momentum"])
+def test_a_poisoned_scratch_leaves_the_local_phase_bitwise(hidden, method):
+    # every float64 of the block reads NaN until written: each ones column is written on every call
+    spec, stack, x0, draws = mlp_stack()
+    spec = replace(spec, kind="mlp" if hidden else "logistic", hidden=hidden)
+    x0 = x0[:, : spec.param_count()]
+    cfg = OptimizerConfig(method=method, lam=0.05, mu=0.9, batch_size=draws.shape[-1])
+    want = local_train(spec, x0, stack, len(draws), cfg, draws, round_index=1, ref_point=x0)
+    scratch = Scratch()
+    for t in range(3):
+        res = local_train(spec, x0, stack, len(draws), cfg, draws, round_index=1, ref_point=x0, scratch=scratch)
+        assert res.z.tobytes() == want.z.tobytes() and res.v1.tobytes() == want.v1.tobytes(), t
+        scratch._block.fill(0xFF)
 
 
 class TestNoAliasing:
@@ -346,7 +365,7 @@ class TestLocalPhaseMemory:
         m, k_steps, batch_size = 100, 5, 32
         ds = generate_synthetic(10, 20, 200, 0.5, seed=3)
         sizes = np.full(m, 20)
-        stack = ShardStack(np.arange(m), sizes, np.cumsum(sizes) - sizes, ds.features, ds.labels)
+        stack = ShardStack(np.arange(m), sizes, np.cumsum(sizes) - sizes, _with_ones(ds.features), ds.labels)
         spec = ModelSpec(kind="mlp", dim=20, num_classes=10, hidden=(32,))
         x0 = np.tile(init_params(spec, 1), (m, 1))
         draws = client_batches(1, np.arange(m), 0, sizes, k_steps, batch_size)

@@ -132,8 +132,8 @@ class TestEvalModel:
         test = Shard(ds.features, ds.labels)
         spec = ModelSpec(kind="mlp" if hidden else "logistic", dim=5, num_classes=4, hidden=hidden)
         xs = [rng.normal(size=spec.param_count()) for _ in range(6)]
-        weight, bias = models._unpack(spec, xs[-1])[-1]  # views of the output layer
-        weight[:, 2], bias[2] = weight[:, 1], bias[1]  # classes 1 and 2 tie exactly on every row
+        layer = models._unpack(spec, xs[-1])[-1]  # a view of the output layer, [W; b]
+        layer[:, 2] = layer[:, 1]  # classes 1 and 2 tie exactly on every row
         xs.append(np.zeros(spec.param_count()))  # every logit ties
         for x in xs:
             _, pred = loss_and_predictions(spec, x, test)

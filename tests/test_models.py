@@ -195,6 +195,33 @@ class TestMlp:
             assert loss >= 0.0
 
 
+def plain_logits(spec, x, feats):
+    """Logits as ``a @ W + b`` per layer, tanh between: each layer's weight block, then its bias."""
+    sizes = [spec.dim, *spec.hidden, spec.num_classes]
+    a, offset = feats, 0
+    for li, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+        w = x[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        a = a @ w + x[offset : offset + fan_out]
+        offset += fan_out
+        if li < len(sizes) - 2:
+            a = np.tanh(a)
+    return a
+
+
+@pytest.mark.parametrize("hidden", [(), (1,), (7, 5)])
+def test_predictions_take_the_plain_forward_bitwise(hidden, rng):
+    # evaluation keeps each bias out of its layer's product, so accuracy can be recomputed from the plain form
+    shard = toy_shard(n=60)
+    spec = ModelSpec(kind="mlp" if hidden else "logistic", dim=5, num_classes=3, hidden=hidden)
+    for _ in range(5):
+        x = rng.normal(size=spec.param_count())
+        logits = plain_logits(spec, x, shard.features)
+        assert np.array_equal(bits(models._forward(spec, x, shard.features)), bits(logits))
+        assert np.array_equal(models.predictions(spec, x, shard), np.argmax(logits, axis=1))
+        assert np.array_equal(models.loss_and_predictions(spec, x, shard)[1], np.argmax(logits, axis=1))
+
+
 class TestFullObjective:
     def test_single_client_identity(self):
         shard = toy_shard()
