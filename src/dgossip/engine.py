@@ -92,7 +92,6 @@ from .models import (
     Scratch,
     Shard,
     ShardStack,
-    _with_ones,
     full_objective,
     init_params,
     quadratic_testbed,
@@ -325,7 +324,7 @@ class ExperimentResult:
     final_x: np.ndarray  # (m, p) client models after the last round
 
 
-_BLOCK_INDICES = 2**15  # minibatch indices iter_rounds draws in one call: 256 KiB of int64
+_BLOCK_INDICES = 2**15  # keys or minibatch indices iter_rounds draws per block: 256 KiB of int64
 
 
 def client_batches(seed: int, clients, rounds, sizes, k_steps: int, batch_size: int) -> np.ndarray:
@@ -363,22 +362,16 @@ def participants(cfg: ExperimentConfig, m: int, t: int) -> np.ndarray:
 def _participants(cfg: ExperimentConfig, m: int, rounds) -> np.ndarray:
     """(len(rounds), c) array whose row r is ``participants(cfg, m, rounds[r])``.
 
-    Central kinds key the rounds' clients in one ``_keys`` call and pick
-    them by one row-wise stable argsort, ``_BLOCK_INDICES`` keys (or one
-    round) at a time.
+    Central kinds key every client of every round in one ``_keys`` call and
+    pick by one row-wise stable argsort.  The caller bounds the rounds:
+    :func:`iter_rounds` passes a block of at most ``_BLOCK_INDICES`` keys, or one round.
     """
     if cfg.algorithm not in CENTRAL_KINDS:
         return np.tile(np.arange(m), (len(rounds), 1))
     rounds = np.asarray(rounds, dtype=np.uint64)
-    chosen = np.empty((len(rounds), _participant_count(cfg.participation, m)), dtype=np.intp)
-    span = max(1, _BLOCK_INDICES // m)
-    for r0 in range(0, len(rounds), span):
-        part = rounds[r0 : r0 + span]
-        key = _keys(len(part) * m, cfg.seed, _DOM_COORD, np.repeat(part, m), np.tile(np.arange(m), len(part)))
-        picks = np.argsort(key.reshape(len(part), m), axis=1, kind="stable")[:, : chosen.shape[1]]
-        picks.sort(axis=1)
-        chosen[r0 : r0 + span] = picks
-    return chosen
+    key = _keys(len(rounds) * m, cfg.seed, _DOM_COORD, np.repeat(rounds, m), np.tile(np.arange(m), len(rounds)))
+    picks = np.argsort(key.reshape(len(rounds), m), axis=1, kind="stable")
+    return np.sort(picks[:, : _participant_count(cfg.participation, m)], axis=1)
 
 
 def _participant_count(participation: float, m: int) -> int:
@@ -580,6 +573,8 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
 
     The data, partition and init seeds are the keys (seed, _DOM_DATA),
     (seed, _DOM_PARTITION) and (seed, _DOM_INIT), in one ``_keys`` call.
+    The partition's rows are gathered once, client by client, and
+    :meth:`ShardStack.stacked` lays them out as the run's one stack.
     """
     cfg = validated(cfg)
     data_seed, part_seed, init_seed = map(int, _keys(3, cfg.seed, [_DOM_DATA, _DOM_PARTITION, _DOM_INIT]))
@@ -626,12 +621,8 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
                 f"data.test_path: label {test.labels.max()}, data.path has {dataset.num_classes} classes"
             )
 
-    # one gather lays every client's rows out end to end, in partition order, with the kernel's ones column
-    sizes = np.array([len(idx) for idx in parts], dtype=np.intp)
-    rows = np.concatenate(parts)
-    shards = ShardStack(
-        np.arange(cfg.m), sizes, np.cumsum(sizes) - sizes, _with_ones(dataset.features[rows]), dataset.labels[rows]
-    )
+    rows = np.concatenate(parts)  # one gather of every client's rows, in partition order
+    shards = ShardStack.stacked(dataset.features[rows], dataset.labels[rows], [len(idx) for idx in parts])
     return Problem(spec, shards, test, init_params(spec, init_seed))
 
 
@@ -647,11 +638,12 @@ def iter_rounds(
     with one static W, or with a random_k W drawn afresh each round at the
     seed keyed (topology.seed, _DOM_TOPO, t); central kinds with none.
     Every key (seed, client, round) is known before round 0, so the
-    participants' minibatches are drawn for a block of rounds at a time,
-    one ``client_batches`` call of at most ``_BLOCK_INDICES`` indices (or
-    one round), with the block's participants (:func:`_participants`)
-    and graph seeds in one ``_keys`` call each, and each round is handed
-    its slice.  ``run_round`` and ``build_mixing``, and a round's
+    rounds run in blocks, each with its participants (:func:`_participants`),
+    minibatches (one ``client_batches`` call) and graph seeds drawn in one
+    call each, and each round is handed its slice.  One bound sizes a
+    block: a round keys m clients and draws c*K*B indices (c its
+    participants), so a block holds ``_BLOCK_INDICES // max(m, c*K*B)``
+    rounds, or one.  ``run_round`` and ``build_mixing``, and a round's
     ``local_train`` and ``gossip_mix``, are looked up in this module on
     every call, where the benchmark's call tracer wraps them.
 
@@ -678,8 +670,8 @@ def iter_rounds(
         else:
             w_t = build_mixing(topo)
     k_steps, batch_size = cfg.local_steps, cfg.optimizer.batch_size
-    per_round = len(participants(cfg, m, 0))  # the same count every round
-    span = max(1, _BLOCK_INDICES // (per_round * k_steps * batch_size))
+    per_round = _participant_count(cfg.participation, m) if cfg.algorithm in CENTRAL_KINDS else m
+    span = max(1, _BLOCK_INDICES // max(m, per_round * k_steps * batch_size))
     for t0 in range(0, cfg.rounds, span):
         block = range(t0, min(t0 + span, cfg.rounds))
         clients = _participants(cfg, m, block)

@@ -142,13 +142,15 @@ def local_train(
     Stacked form: ``x0`` is (m, p), ``shard`` a :class:`ShardStack` and
     ``draws`` the (K, m, B) shard-local minibatch indices, one column per
     row, as :func:`engine.client_batches` draws them (None for the
-    quadratic family).  One client: ``x0`` is (p,), ``shard`` its
-    :class:`Shard` (client index for the quadratic family) and ``draws``
-    its generator, from which all K batches are drawn uniformly with
-    replacement in one ``integers(0, n, size=(K, B))`` call, the stream of
-    K successive size-B draws; the result then drops the client axis.  The
-    quadratic family is noiseless and draws nothing.  Each step updates
-    all rows with one stacked gradient call.
+    quadratic family); another shape raises ValueError, and an index
+    outside its own row's shard IndexError (:meth:`ShardStack.batch`).
+    One client: ``x0`` is (p,), ``shard`` its :class:`Shard` (client index
+    for the quadratic family) and ``draws`` its generator, from which all
+    K batches are drawn uniformly with replacement in one ``integers(0,
+    n, size=(K, B))`` call, the stream of K successive size-B draws; the
+    result then drops the client axis.  The quadratic family is noiseless
+    and draws nothing.  Each step updates all rows with one stacked
+    gradient call.
 
     ``ref_point`` ((p,) or (m, p)) switches on accumulation of the
     local-drift energy sum_k ||x_{i,k} - ref||^2 over the pre-step iterates.
@@ -164,6 +166,9 @@ def local_train(
             draws = None
         else:
             draws = draws.integers(0, int(shard.sizes[0]), size=(k_steps, cfg.batch_size))[:, None]
+    expected = (k_steps, len(x0), cfg.batch_size)
+    if spec.kind != "quadratic" and np.shape(draws) != expected:
+        raise ValueError(f"draws shaped {np.shape(draws)}, expected (K, m, batch_size) = {expected}")
     eta = lr_at_round(cfg, round_index)
     lam = cfg.lam if cfg.method == "sam" else 0.0
     momentum = cfg.method == "sgd_momentum"

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,6 +62,15 @@ class Shard:
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
+    """A model family and its shapes.
+
+    ``layers`` is the flat parameter layout's one definition: per layer of
+    the sizes dim, *hidden, num_classes, its (slice, fan_in, fan_out), the
+    slice holding the row-major (fan_in + 1, fan_out) matrix ``[W; b]``.
+    The spec is frozen, so the table, built on first use and kept, cannot
+    go stale; ``param_count``, ``init_params`` and ``_unpack`` read it.
+    """
+
     kind: str  # "quadratic" | "logistic" | "mlp"
     dim: int = 0
     num_classes: int = 0
@@ -71,14 +81,17 @@ class ModelSpec:
     quad_b: np.ndarray | None = None  # (m, p)
     quad_opt: np.ndarray | None = field(default=None, compare=False)
 
-    def layer_dims(self) -> list[tuple[int, int]]:
+    @cached_property
+    def layers(self) -> tuple[tuple[slice, int, int], ...]:
         sizes = [self.dim, *self.hidden, self.num_classes]
-        return [(sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
+        fans = list(zip(sizes, sizes[1:]))
+        starts = [0, *accumulate((fan_in + 1) * fan_out for fan_in, fan_out in fans)]
+        return tuple((slice(a, b), *fan) for a, b, fan in zip(starts, starts[1:], fans))
 
     def param_count(self) -> int:
         if self.kind == "quadratic":
             return self.quad_a.shape[1]
-        return sum(fi * fo + fo for fi, fo in self.layer_dims())
+        return self.layers[-1][0].stop
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
@@ -92,7 +105,7 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
         return np.zeros(spec.param_count())
     rng = np.random.default_rng([seed])
     chunks = []
-    for fan_in, fan_out in spec.layer_dims():
+    for _, fan_in, fan_out in spec.layers:
         a = np.sqrt(6.0 / (fan_in + fan_out))
         chunks.append(rng.uniform(-a, a, size=fan_in * fan_out))
         chunks.append(np.zeros(fan_out))
@@ -100,21 +113,13 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 def _unpack(spec: ModelSpec, x: np.ndarray) -> list[np.ndarray]:
-    """Per-layer augmented weight views ``[W; b]`` of x along its last axis.
+    """Per-layer augmented weight views ``[W; b]`` of x along its last axis, cut by ``spec.layers``.
 
-    Each layer's (fan_in, fan_out) weight block is followed by its fan_out
-    bias, so its slice of x is one row-major (fan_in + 1, fan_out) matrix
-    whose last row is the bias; for an (m, p) stack the views are (m,
-    fan_in + 1, fan_out).
+    Each view is (fan_in + 1, fan_out), its last row the bias; for an (m,
+    p) stack the views are (m, fan_in + 1, fan_out).
     """
     lead = x.shape[:-1]
-    layers = []
-    offset = 0
-    for fan_in, fan_out in spec.layer_dims():
-        size = (fan_in + 1) * fan_out
-        layers.append(x[..., offset : offset + size].reshape(*lead, fan_in + 1, fan_out))
-        offset += size
-    return layers
+    return [x[..., cut].reshape(*lead, fan_in + 1, fan_out) for cut, fan_in, fan_out in spec.layers]
 
 
 def _forward(spec: ModelSpec, x: np.ndarray, feats: np.ndarray) -> np.ndarray:
@@ -277,9 +282,11 @@ class ShardStack:
     and ``labels``, so a single gather draws the minibatches of every
     client.  Each row of ``features`` holds a sample's d features and then
     1.0, the column that multiplies each layer's bias row in the gradient
-    kernel, so the gather is the kernel's input as it stands;
-    :meth:`of` appends it.  The quadratic family has no data: its shards
-    are client indices, and ``features``/``labels`` are None.
+    kernel, so the gather is the kernel's input as it stands.
+    :meth:`stacked` is the one place that lays this out; :meth:`of` and
+    ``engine.build_problem`` call it, and :meth:`take` selects rows of a
+    stack without moving its data.  The quadratic family has no data: its
+    shards are client indices, and ``features``/``labels`` are None.
     """
 
     clients: np.ndarray  # (m,)
@@ -289,20 +296,24 @@ class ShardStack:
     labels: np.ndarray | None = None  # (N,)
 
     @classmethod
+    def stacked(cls, features: np.ndarray, labels: np.ndarray, sizes) -> "ShardStack":
+        """Clients 0..m-1, client i owning the next ``sizes[i]`` rows of (N, d) features and (N,) labels.
+
+        Client i starts at the sum of the sizes before it, and the features
+        are copied once with the kernel's ones column appended.
+        """
+        sizes = np.asarray(sizes, dtype=np.intp)
+        return cls(np.arange(len(sizes)), sizes, np.cumsum(sizes) - sizes, _with_ones(features), labels)
+
+    @classmethod
     def of(cls, shards) -> "ShardStack":
-        """Stack a list of :class:`Shard` objects, appending the ones column, or of quadratic client indices."""
+        """Stack a list of :class:`Shard` objects by :meth:`stacked`, or of quadratic client indices."""
         if not all(isinstance(s, Shard) for s in shards):
             clients = np.array([int(s) for s in shards], dtype=np.intp)
             zeros = np.zeros(len(clients), dtype=np.intp)
             return cls(clients, zeros, zeros)
-        sizes = np.array([len(s) for s in shards], dtype=np.intp)
-        return cls(
-            clients=np.arange(len(shards)),
-            sizes=sizes,
-            offsets=np.cumsum(sizes) - sizes,
-            features=_with_ones(np.concatenate([s.features for s in shards])),
-            labels=np.concatenate([s.labels for s in shards]),
-        )
+        features, labels = zip(*((s.features, s.labels) for s in shards))
+        return cls.stacked(np.concatenate(features), np.concatenate(labels), [len(s) for s in shards])
 
     def __len__(self) -> int:
         return len(self.clients)
@@ -354,14 +365,19 @@ class ShardStack:
     def batch(self, rows: np.ndarray | None, ws: Workspace) -> None:
         """Gather an (m, B) array of shard-local indices into ``ws.features`` and ``ws.labels``.
 
-        Does nothing for the quadratic family.  The next gather into the
-        same :class:`Workspace` overwrites the minibatch.
+        Row i's indices must lie in [0, sizes[i]), its own shard, else
+        IndexError names the first client out of range.  Does nothing for
+        the quadratic family.  The next gather into the same
+        :class:`Workspace` overwrites the minibatch.
         """
         if self.features is None:
             return
         index = np.add(self.offsets[:, None], rows, out=ws.index)
-        if index.size and (index.min() < 0 or index.max() >= len(self.labels)):
-            raise IndexError(f"minibatch rows outside the stack's {len(self.labels)} samples")
+        # viewed unsigned, a negative index exceeds every size, so one comparison bounds both ends
+        inside = np.less(np.asarray(rows, dtype=np.intp).view(np.uintp), self.sizes.astype(np.uintp)[:, None])
+        if np.count_nonzero(inside) < inside.size:
+            i = np.argmin(inside.all(axis=1))  # the first client with an index outside its shard
+            raise IndexError(f"minibatch rows of client {self.clients[i]} outside its {self.sizes[i]} samples")
         # in range, so "clip" clips nothing; it lets take write into ws without a buffer
         self.features.take(index, axis=0, out=ws.features, mode="clip")
         self.labels.take(index, out=ws.labels, mode="clip")

@@ -39,7 +39,12 @@ def softmax_error(logits, labels):
     n = len(labels)
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
+    # the classes summed left to right, as the kernel sums them; numpy's row sum
+    # takes that order only below 8 classes
+    total = e[:, 0].copy()
+    for j in range(1, e.shape[1]):
+        total += e[:, j]
+    probs = e / total[:, None]
     loss = float(-np.mean(np.log(probs[np.arange(n), labels] + 1e-300)))
     probs[np.arange(n), labels] -= 1.0
     probs /= n
@@ -104,14 +109,17 @@ def stacked_draws(spec, seed, shards, k_steps, batch_size):
     )
 
 
-def reference_local_train(spec, x, shard, k_steps, cfg, rng, t, ref):
-    """One client's K steps, one size-B draw per step."""
+def reference_local_train(spec, x, shard, cfg, batches, t, ref=None):
+    """One client's steps, one per size-B row of ``batches`` (a None per step for the quadratic family).
+
+    Returns the last iterate and, given ``ref``, the drift sum_k ||x_k - ref||^2 over the pre-step iterates.
+    """
     eta = cfg.eta0 * cfg.decay**t
     velocity = np.zeros_like(x)
     v1 = 0.0
-    for k in range(k_steps):
-        batch = None if spec.kind == "quadratic" else rng.integers(0, len(shard), size=cfg.batch_size)
-        v1 += float(np.sum((x - ref) ** 2))
+    for batch in batches:
+        if ref is not None:
+            v1 += float(np.sum((x - ref) ** 2))
         g = reference_grad(spec, x, shard, batch)
         if cfg.method == "sgd":
             x = x - eta * g
@@ -183,9 +191,12 @@ class TestStackedLocalPhase:
             round_index=t, ref_point=ref,
         )
         for i in range(m):
-            z, v1 = reference_local_train(
-                spec, x0[i], shards[i], k_steps, cfg, np.random.default_rng([seed, i]), t, ref[i],
-            )
+            rng = np.random.default_rng([seed, i])  # one size-B draw per step
+            batches = [
+                None if spec.kind == "quadratic" else rng.integers(0, len(shards[i]), size=cfg.batch_size)
+                for _ in range(k_steps)
+            ]
+            z, v1 = reference_local_train(spec, x0[i], shards[i], cfg, batches, t, ref[i])
             assert np.array_equal(res.z[i], z)
             assert res.v1[i] == v1
 

@@ -983,7 +983,8 @@ class TestClientStreams:
             blocks_drawn.append(args[2])
             return client_batches(*args)
 
-        per_round = len(participants(cfg, cfg.m, 0)) * cfg.local_steps * batch_size
+        # a round's share of the block: its m keys or its draws, whichever is more
+        per_round = max(cfg.m, len(participants(cfg, cfg.m, 0)) * cfg.local_steps * batch_size)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(engine, "_BLOCK_INDICES", span * per_round)
             mp.setattr(engine, "local_train", training)

@@ -2,12 +2,14 @@
 
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgossip import localopt
+from dgossip.config import load_config
 from dgossip.data import generate_synthetic
 from dgossip.engine import (
     AlgorithmKind,
@@ -35,6 +37,8 @@ from dgossip.models import (
 from dgossip.stability import first_draw
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing
 from stream_reference import column
+
+ROOT = Path(__file__).parents[1]
 
 
 def identity_quadratic(p=1):
@@ -252,6 +256,28 @@ class TestLocalTrain:
         cfg = OptimizerConfig()
         with pytest.raises(ValueError):
             local_train(spec, np.zeros(1), 0, 0, cfg, np.random.default_rng(0), round_index=0)
+
+    @pytest.mark.parametrize("client, row", [(0, 27), (1, -1)], ids=["past_its_end", "before_its_start"])
+    def test_a_row_outside_its_own_shard_raises(self, client, row):
+        # client 0 holds 27 samples and client 1 holds 2, so client 0's row 27 is client 1's first
+        # sample and client 1's row -1 is client 0's last: inside the stack, outside the shard
+        cfg = validated(load_config(str(ROOT / "configs" / "logistic_dirichlet.toml")))
+        problem = build_problem(cfg)
+        sizes, k_steps, batch_size = problem.shards.sizes, cfg.local_steps, cfg.optimizer.batch_size
+        assert sizes[:2].tolist() == [27, 2]
+        draws = client_batches(cfg.seed, np.arange(cfg.m), 0, sizes, k_steps, batch_size)
+        draws[:, client] = row
+        x0 = np.tile(problem.x0, (cfg.m, 1))
+        message = rf"^minibatch rows of client {client} outside its {sizes[client]} samples$"
+        with pytest.raises(IndexError, match=message):
+            local_train(problem.spec, x0, problem.shards, k_steps, cfg.optimizer, draws, round_index=0)
+
+    def test_draws_of_another_shape_raise(self):
+        spec, stack, x0, draws = mlp_stack(batch_size=4)
+        cfg = OptimizerConfig(batch_size=32)
+        message = r"^draws shaped \(3, 6, 4\), expected \(K, m, batch_size\) = \(3, 6, 32\)$"
+        with pytest.raises(ValueError, match=message):
+            local_train(spec, x0, stack, 3, cfg, draws, round_index=0)
 
 
 class TestOptimizerConfigValidation:

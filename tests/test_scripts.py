@@ -117,3 +117,40 @@ def test_bench_record_summarises_alternating_pairs():
     assert rss["parent"]["runs"] == [50.0] * 4 and rss["change_won"] == 1
     assert rss["change_vs_parent"] == pytest.approx(rss["change"]["median"] / 50.0)
     assert rss["worse_than_bound"]  # a median 1.128 times the parent's is past the 0.1 bound
+
+
+SIZE_FIXTURE = '''"""Module docstring,
+
+over three lines."""
+
+import os  # a trailing comment leaves the line code
+
+
+# a comment alone
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        text = """a string, not the first statement,
+
+        is code"""
+        return text
+'''
+
+
+def test_src_size_counts_every_line_once(tmp_path):
+    src_size = load_script("src_size")
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(SIZE_FIXTURE)
+    (tmp_path / "pkg" / "empty.py").write_text("")
+    counts = {"code": 7, "docstring": 5, "comment": 1, "blank": 4}
+    empty = dict.fromkeys(counts, 0)
+    assert src_size.table(tmp_path / "pkg") == [("empty.py", empty), ("mod.py", counts), ("total", counts)]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "src_size.py"), str(tmp_path / "pkg")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["total", "17", "7", "5", "1", "4"]
