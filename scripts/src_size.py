@@ -61,7 +61,8 @@ def count(source: str) -> dict[str, int]:
 
 def table(root: Path) -> list[tuple[str, dict[str, int]]]:
     """(module path relative to ``root``, counts) per ``.py`` file, then ("total", sums)."""
-    rows = [(str(path.relative_to(root)), count(path.read_text(encoding="utf-8"))) for path in sorted(root.rglob("*.py"))]
+    paths = sorted(root.rglob("*.py"))
+    rows = [(str(path.relative_to(root)), count(path.read_text(encoding="utf-8"))) for path in paths]
     total = {kind: sum(counts[kind] for _, counts in rows) for kind in KINDS}
     return rows + [("total", total)]
 

@@ -39,6 +39,9 @@ from stream_reference import column, graph_seed, participants
 from test_batched import reference_local_train
 
 
+FINAL_KEYS = ("t", "train_loss", "test_acc", "grad_norm_sq", "consensus", "delta_t")  # the keys of summary["final"]
+
+
 def local_phase(cfg, problem, t, clients, starts, refs):
     """Each client's K steps from its start point: (outputs, drift sums), one row per client."""
     k_steps, batch_size = cfg.local_steps, cfg.optimizer.batch_size
@@ -109,8 +112,6 @@ def naive_run(cfg):
         "rounds": cfg.rounds,
         "best_acc": max(accs) if accs else None,
         "rounds_to_targets": {repr(target): hit for target, hit in rounds_to_target(records, cfg.targets)},
-        "final": {
-            key: getattr(last, key) for key in ("t", "train_loss", "test_acc", "grad_norm_sq", "consensus", "delta_t")
-        },
+        "final": {key: getattr(last, key) for key in FINAL_KEYS},
     }
     return records, summary, x
