@@ -141,7 +141,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_topo_report(args) -> int:
-    kinds = [topology_kind(k) for k in args.kinds.split(",") if k.strip()]
+    kinds = [topology_kind(k.strip()) for k in args.kinds.split(",") if k.strip()]
     try:
         sizes = [int(v) for v in args.m.split(",") if v.strip()]
     except ValueError as exc:
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
-    threads = "threads that train and mix each round's clients in row ranges, with bitwise the same outputs"
+    threads = "threads that train each round's clients in row ranges, with bitwise the same outputs"
     sp = sub.add_parser("run", help="run one experiment")
     common(sp, threads)
     sp.set_defaults(func=cmd_run)

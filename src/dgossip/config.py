@@ -29,24 +29,11 @@ __all__ = [
     "load_config",
 ]
 
-_KIND_ALIASES = {
-    "ring": TopologyKind.RING,
-    "grid": TopologyKind.GRID,
-    "exponential": TopologyKind.EXPONENTIAL,
-    "exp": TopologyKind.EXPONENTIAL,
-    "full": TopologyKind.FULLY_CONNECTED,
-    "fullyconnected": TopologyKind.FULLY_CONNECTED,
-    "fully_connected": TopologyKind.FULLY_CONNECTED,
-    "random_k": TopologyKind.RANDOM_K,
-    "randomk": TopologyKind.RANDOM_K,
-    "random-k": TopologyKind.RANDOM_K,
-}
-
 
 def topology_kind(name: str) -> TopologyKind:
     try:
-        return _KIND_ALIASES[str(name).strip().lower()]
-    except KeyError:
+        return TopologyKind(name)
+    except ValueError:
         raise ConfigError(f"unknown topology kind {name!r}") from None
 
 

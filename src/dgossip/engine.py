@@ -33,27 +33,28 @@ RoundRecord reads: accuracy from the argmax of the test logits, no test
 loss.
 
 Determinism contract: with ``workers`` > 1 a run owns a thread pool, and
-the local phase and table gossip of each round split the round's rows
-into at most ``workers`` contiguous ranges, one per thread
-(:func:`_row_ranges`); with one worker a single call covers every row.
-No row's arithmetic depends on the split, and the ranges are joined in
-row order, so no result depends on scheduling; numpy's OpenBLAS is held
-at one thread while a run executes (:mod:`dgossip.blas`).  Every client
-owns a private counter-based stream keyed by (seed, client, round) and
-draws its minibatches from it alone (:func:`client_batches`): exact
-uint64 arithmetic on SplitMix64's mix.  Every other seed and per-round
-draw is a key of the same :mod:`dgossip.keyed` rule: the central
-participants (seed, _DOM_COORD, t, i), each random_k round's graph seed
-(topology.seed, _DOM_TOPO, t) and the data, partition and init seeds
-(seed, _DOM_DATA | _DOM_PARTITION | _DOM_INIT), so no numpy ``Generator``
-runs on the round path.  Every key is known before round 0, so
-:func:`iter_rounds` picks the central participants of a block of rounds,
-draws their batches, and derives the block's graph seeds, in one
-vectorised call each.  Dense gossip is one BLAS product on the calling
-thread, its sum order the BLAS kernel's; table gossip accumulates each
-row over a fixed neighbour table in ascending client order.  Results are therefore bitwise
-reproducible, equal for every worker count and BLAS thread count, and
-equal to training each client on its own.
+only the local phase splits each round's rows, into at most ``workers``
+contiguous ranges, one per thread (:func:`_row_ranges`); with one worker
+a single call covers every row.  No row's arithmetic depends on the
+split, and the ranges are joined in row order, so no result depends on
+scheduling; gossip, evaluation and every draw run on the calling thread.
+numpy's OpenBLAS is held at one thread while a run executes
+(:mod:`dgossip.blas`).  Every client owns a private counter-based stream
+keyed by (seed, client, round) and draws its minibatches from it alone
+(:func:`client_batches`): exact uint64 arithmetic on SplitMix64's mix.
+Every other seed and per-round draw is a key of the same
+:mod:`dgossip.keyed` rule: the central participants (seed, _DOM_COORD,
+t, i), each random_k round's graph seed (topology.seed, _DOM_TOPO, t)
+and the data, partition and init seeds (seed, _DOM_DATA |
+_DOM_PARTITION | _DOM_INIT), so no numpy ``Generator`` runs on the round
+path.  Every key is known before round 0, so :func:`iter_rounds` picks
+the central participants of a block of rounds, draws their batches, and
+derives the block's graph seeds, in one vectorised call each.  Dense
+gossip is one BLAS product, its sum order the BLAS kernel's; table
+gossip accumulates each row over a fixed neighbour table in ascending
+client order.
+Results are therefore bitwise reproducible, equal for every worker count
+and BLAS thread count, and equal to training each client on its own.
 """
 
 from __future__ import annotations
@@ -407,49 +408,30 @@ def _row_ranges(rows: int, workers: int) -> list[slice]:
     return [slice(rows * i // n, rows * (i + 1) // n) for i in range(n)]
 
 
-def _map_ranges(fn, rows: int, pool: ThreadPoolExecutor | None, workers: int) -> list:
-    """``[fn(i, range_i)]`` over :func:`_row_ranges` (rows, workers), in row order.
-
-    The ranges run on ``pool``'s threads, or as one call on this thread
-    when there is a single range (always, without a pool).
-    """
-    ranges = _row_ranges(rows, workers if pool is not None else 1)
-    if len(ranges) == 1:
-        return [fn(0, ranges[0])]
-    return list(pool.map(fn, range(len(ranges)), ranges))
-
-
 _DENSE_ROWS_PER_COLUMN = 100  # gossip_mix's path rule: dense while m <= this * D
 
 
-def gossip_mix(
-    local_outputs, w: MixingMatrix, pool: ThreadPoolExecutor | None = None, workers: int = 1
-) -> np.ndarray:
-    """x_i' = sum_j w_ij z_j, by one of two paths chosen from m and D alone.
+def gossip_mix(local_outputs, w: MixingMatrix) -> np.ndarray:
+    """x_i' = sum_j w_ij z_j, on the calling thread, by one of two paths chosen from m and D alone.
 
     D is the width of the neighbour table of ``w`` (see
     :attr:`MixingMatrix.neighbours`), its largest row support.
 
     * Dense, while m <= 100 * D: one BLAS product ``w.w @ Z`` of the
-      cached dense W with a C-ordered (m, p) view of the input, on the
-      calling thread under :func:`blas.one_thread`.  Each row's sum order
-      is the BLAS kernel's, and splitting rows or BLAS threads would
-      change it, so the bits depend on neither ``pool``, ``workers`` nor
-      the caller's BLAS thread count.
+      cached dense W with a C-ordered (m, p) view of the input, under
+      :func:`blas.one_thread`.  Each row's sum order is the BLAS kernel's,
+      and splitting rows or BLAS threads would change it, so the bits do
+      not depend on the caller's BLAS thread count.
     * Table, past that: one (m, p) take, multiply and add per table
       column, O(m D p) rather than O(m^2 p), and no (m, m) array.  Each
       row accumulates in ascending j; the terms it skips are exact zeros
       for finite inputs, so the result is bitwise the dense ascending-j
-      sum.  With a ``pool``, up to ``workers`` threads each fill a range
-      of output rows by the same steps.
+      sum.
 
-    The rule is the measured crossover (one BLAS thread, p = 1002, on a
-    2-core x86-64 host with AVX-512), table against dense: ring m=200 3.32 vs 1.40 ms, m=300 4.36 vs 3.59 ms,
-    m=400 6.12 vs 5.49 ms, m=512 6.50 vs 7.95 ms, m=1000 11.05 vs 41.5 ms;
-    grid m=256 3.28 vs 2.70 ms; exponential m=256 10.2 vs 2.75 ms;
-    random_k k=10 m=100 4.81 vs 0.43 ms, m=1000 89.6 vs 32.7 ms.  Dense
-    wins up to m / D of about 100 to 130, and a sparse graph far past it
-    (a 100000-client ring) could not hold its dense W at all.
+    The rule is the measured crossover of the two paths on one thread
+    (CHANGES.md): dense wins up to m / D of about 100 to 130, and a sparse
+    graph far past it (a 100000-client ring) could not hold its dense W at
+    all.
 
     The result is a new array of the input's shape, defined for finite
     input: on the dense path one non-finite row reaches every row
@@ -466,15 +448,11 @@ def gossip_mix(
             return (w.w @ flat).reshape(z.shape)
     column = (-1,) + (1,) * (z.ndim - 1)
     out = np.zeros_like(z)
-
-    def mix(_, rows: slice) -> None:
-        term = np.empty_like(out[rows])
-        for d in range(index.shape[1]):
-            np.take(z, index[rows, d], axis=0, out=term, mode="clip")  # MixingMatrix checks the range
-            term *= weight[rows, d].reshape(column)
-            out[rows] += term
-
-    _map_ranges(mix, w.m, pool, workers)
+    term = np.empty_like(z)
+    for d in range(index.shape[1]):
+        np.take(z, index[:, d], axis=0, out=term, mode="clip")  # MixingMatrix checks the range
+        term *= weight[:, d].reshape(column)
+        out += term
     return out
 
 
@@ -513,56 +491,50 @@ def run_round(
     ``pool`` one ``local_train`` call trains every row in the first of
     them (or in a workspace of its own).  With one, the rows split into at
     most ``len(scratches)`` ranges (:func:`_row_ranges`), range i trains
-    on a pool thread in ``scratches[i]``, the outputs are joined in row
-    order, and table gossip fills its row ranges on the pool as well
-    (dense gossip is one call on this thread; see :func:`gossip_mix`).
+    on a pool thread in ``scratches[i]``, and the outputs are joined in
+    row order.  Gossip runs on this thread (see :func:`gossip_mix`).
     """
     m = len(x_mixed)
     central = cfg.algorithm in CENTRAL_KINDS
     if clients is None:
         clients = participants(cfg, m, t)
-    if central:
-        ref = x_mixed[0]  # every client holds the global model
-        starts = np.tile(ref, (len(clients), 1))
+    if central:  # every client holds the global model, its start and its drift reference
+        starts = np.tile(x_mixed[0], (len(clients), 1))
         shards = problem.shards.take(clients)
     else:
-        ref = x_mixed
         starts = ole_init(x_mixed, z_prev, cfg.beta)
         shards = problem.shards
     if draws is None and problem.spec.kind != "quadratic":  # the quadratic family is noiseless
         draws = client_batches(cfg.seed, clients, t, shards.sizes, cfg.local_steps, cfg.optimizer.batch_size)
     scratches = scratches or [None]
-    ref = ref if cfg.diagnostics else None
+    ref = (starts if central else x_mixed) if cfg.diagnostics else None
+    ranges = _row_ranges(len(starts), len(scratches) if pool is not None else 1)
 
     def train(i: int, rows: slice):
-        x0, stack, batches, ref_rows = starts, shards, draws, ref
-        if rows != slice(0, len(starts)):  # one range of several: its rows of every per-row input
-            x0, stack = starts[rows], shards.take(rows)
-            batches = None if draws is None else draws[:, rows]
-            ref_rows = None if ref is None else ref if central else ref[rows]
         return local_train(
             problem.spec,
-            x0,
-            stack,
+            starts[rows],
+            shards if len(ranges) == 1 else shards.take(rows),
             cfg.local_steps,
             cfg.optimizer,
-            batches,
+            None if draws is None else draws[:, rows],
             round_index=t,
-            ref_point=ref_rows,
+            ref_point=None if ref is None else ref[rows],
             scratch=scratches[i],
         )
 
-    def joined(arrays: list[np.ndarray]) -> np.ndarray:  # the ranges' outputs in row order
-        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-    parts = _map_ranges(train, len(starts), pool, len(scratches))
-    z = joined([res.z for res in parts])
-    drift = joined([res.v1 for res in parts]) if cfg.diagnostics else None
+    if len(ranges) == 1:
+        res = train(0, ranges[0])
+        z, drift = res.z, res.v1
+    else:  # the ranges' outputs in row order
+        parts = list(pool.map(train, range(len(ranges)), ranges))
+        z = np.concatenate([res.z for res in parts])
+        drift = np.concatenate([res.v1 for res in parts]) if cfg.diagnostics else None
     _check_finite(z, t, clients)
     if central:
         x_new = np.tile(z.mean(axis=0), (m, 1))
     else:
-        x_new = gossip_mix(z, w_t, pool, len(scratches))
+        x_new = gossip_mix(z, w_t)
     return RoundInfo(
         t=t, ole_points=None if central else starts, z=z, x_prev=x_mixed, x_mixed=x_new, drift=drift
     )
@@ -650,10 +622,10 @@ def iter_rounds(
     Every RoundInfo holds new arrays, which no later round writes; the
     local phases lay their workspaces out in ``scratches`` (one new
     :class:`Scratch` by default), and run their row ranges on ``pool``
-    when there is one (see :func:`run_round`).  The generator drops its
-    RoundInfo when the caller resumes it, so a finished round's arrays that
-    the caller does not keep are freed before the next round allocates its
-    own.
+    when there is one; gossip never does (see :func:`run_round`).  The
+    generator drops its RoundInfo when the caller resumes it, so a finished
+    round's arrays that the caller does not keep are freed before the next
+    round allocates its own.
     """
     cfg = validated(cfg)
     scratches = scratches or [Scratch()]
@@ -736,11 +708,12 @@ def run_experiment(
     """Run T communication rounds and collect the metric record series.
 
     ``workers`` (a positive int; ConfigError otherwise) is the number of
-    threads that run each round's local phase and table gossip, as
-    contiguous row ranges.  With more than one, the run owns a thread pool
-    of ``min(workers, m)`` threads, so never more threads than rows, and
-    one :class:`Scratch` per thread, and shuts the pool down before it
-    returns or raises; with one, every round runs on the calling thread.
+    threads that run each round's local phase, as contiguous row ranges;
+    gossip and evaluation run on the calling thread.  With more than one,
+    the run owns a thread pool of ``min(workers, m)`` threads, so never
+    more threads than rows, and one :class:`Scratch` per thread, and shuts
+    the pool down before it returns or raises; with one, every round runs
+    on the calling thread.
     Outputs are bitwise the same for every worker count.  numpy's
     OpenBLAS is held at one thread while the rounds run and are evaluated
     (:func:`blas.one_thread`).  ``on_round`` receives (t, RoundInfo) after

@@ -295,6 +295,23 @@ class ShardStack:
     features: np.ndarray | None = None  # (N, d + 1), each row ending in 1.0
     labels: np.ndarray | None = None  # (N,)
 
+    def __post_init__(self):
+        """Refuse, with ValueError naming the first such client, a shard that runs outside the data.
+
+        :meth:`batch` gathers with ``mode="clip"``, which would read a row
+        past the data as the last row.
+        """
+        if self.features is None:
+            return
+        rows = min(len(self.features), len(self.labels))
+        outside = (self.offsets < 0) | (self.offsets + self.sizes > rows)
+        if outside.any():
+            i = np.argmax(outside)
+            raise ValueError(
+                f"shard of client {self.clients[i]} spans rows {self.offsets[i]} to"
+                f" {self.offsets[i] + self.sizes[i]}, outside the {rows} rows of data"
+            )
+
     @classmethod
     def stacked(cls, features: np.ndarray, labels: np.ndarray, sizes) -> "ShardStack":
         """Clients 0..m-1, client i owning the next ``sizes[i]`` rows of (N, d) features and (N,) labels.

@@ -10,8 +10,6 @@ They hold dense gossip to one ``W @ Z`` on one BLAS thread and table
 gossip to the ascending-j dense sum, both bitwise.
 """
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,22 +293,6 @@ class TestSparseGossip:
         mixed = gossip_mix(z, w)
         assert w._w is None  # the table path never builds the dense W
         assert np.array_equal(mixed, dense_gossip(z, w.w))
-
-    @pytest.mark.parametrize(
-        "spec",
-        [TopologySpec(TopologyKind.RING, 512), TopologySpec(TopologyKind.GRID, 900),
-         TopologySpec(TopologyKind.RANDOM_K, 2000, k=2, seed=5)],
-        ids=["ring-512", "grid-900", "random_k-2000"],
-    )
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_table_path_on_the_pool_is_bitwise_one_thread(self, spec, workers):
-        w = build_mixing(spec)
-        z = np.random.default_rng(workers).normal(size=(w.m, 7))
-        single = gossip_mix(z, w)
-        with ThreadPoolExecutor(workers) as pool:
-            pooled = gossip_mix(z, w, pool, workers)
-        assert w._w is None  # both calls took the table path
-        assert pooled.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize(
         "kind, m, k, dense",

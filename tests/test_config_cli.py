@@ -299,6 +299,13 @@ class TestCmdRun:
         assert code == 2
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["exp", "fully_connected", "random-k", "Ring", " ring"])
+    def test_topology_kind_other_than_its_value_exits_2_naming_it(self, tmp_path, capsys, kind):
+        path = tmp_path / "experiment.toml"
+        path.write_text(BASE_CONFIG.replace('kind = "ring"', f'kind = "{kind}"'))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"unknown topology kind {kind!r}" in capsys.readouterr().err
+
     def test_lambda_override_echoed(self, config_file, tmp_path):
         out = tmp_path / "out"
         code = main(
@@ -633,6 +640,10 @@ class TestCmdTopoReport:
     def test_grid_requires_square(self, capsys):
         assert main(["topo-report", "--kinds", "grid", "--m", "15"]) == 2
         assert "perfect square" in capsys.readouterr().err
+
+    def test_kinds_are_stripped_of_whitespace(self, capsys):
+        assert main(["topo-report", "--kinds", " full , ring ", "--m", "4"]) == 0
+        assert [row.split(",")[0] for row in capsys.readouterr().out.strip().split("\n")[1:]] == ["full", "ring"]
 
     def test_unknown_kind(self, capsys):
         assert main(["topo-report", "--kinds", "tree", "--m", "4"]) == 2

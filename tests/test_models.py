@@ -59,6 +59,27 @@ def toy_shard(seed=0, n=24, d=5, c=3):
     return Shard(ds.features, ds.labels)
 
 
+class TestShardStack:
+    @pytest.mark.parametrize(
+        "offsets, sizes, client",
+        [([0, 5], [5, 10], 1), ([0, -1], [4, 2], 1), ([13, 0], [1, 12], 0)],
+        ids=["past_the_end", "before_the_start", "first_client"],
+    )
+    def test_a_shard_outside_the_data_is_refused_naming_its_client(self, offsets, sizes, client):
+        features, labels = np.ones((12, 3)), np.zeros(12, dtype=np.intp)
+        offsets, sizes = np.array(offsets), np.array(sizes)
+        end = offsets[client] + sizes[client]
+        message = rf"^shard of client {client + 7} spans rows {offsets[client]} to {end}, outside the 12 rows of data$"
+        with pytest.raises(ValueError, match=message):
+            ShardStack(np.arange(2) + 7, sizes, offsets, features, labels)
+
+    def test_a_stack_that_fits_its_data_builds_and_takes(self):
+        features, labels = np.ones((12, 3)), np.zeros(12, dtype=np.intp)
+        stack = ShardStack(np.arange(2), np.array([5, 7]), np.array([7, 0]), features, labels)
+        assert stack.take([1]).offsets.tolist() == [0]
+        assert len(ShardStack.of(range(3)).take([0, 2])) == 2  # the quadratic family has no data to check
+
+
 class TestInitParams:
     def test_quadratic_starts_at_origin(self):
         spec = quadratic_testbed(2, 3, 1.0, seed=0)
