@@ -1054,7 +1054,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("case", sorted(WORKER_CASES) + ["quadratic", "quadratic_table_gossip"])
     def test_every_worker_count_is_bitwise_one_worker(self, case):
-        # a 400-client ring is past 100 * D = 300, so its gossip takes the table path in row ranges
+        # a 400-client ring is past 100 * D = 300, so its gossip takes the table path
         quadratic = {
             "quadratic": quadratic_cfg(rounds=6),
             "quadratic_table_gossip": quadratic_cfg(m=400, rounds=3, topology=TopologySpec(TopologyKind.RING, 400)),
