@@ -147,7 +147,7 @@ def cmd_topo_report(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--m: {exc}") from None
     if not kinds or not sizes:
-        raise ConfigError("need at least one kind and one m")
+        raise ConfigError("--kinds and --m each need at least one value")
     if not 0 <= args.seed < 2**64:  # TopologySpec's bound, named by the flag
         raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
     for m in sizes:  # psi is taken of the dense (m, m) matrix

@@ -250,7 +250,7 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(str(exc)) from None
     model, d = cfg.model, cfg.data
     if model.kind not in ("quadratic", "logistic", "mlp"):
-        raise ConfigError(f"unknown model kind {model.kind!r}")
+        raise ConfigError(f"model.kind must be quadratic, logistic or mlp, got {model.kind!r}")
     if model.kind == "quadratic" and model.p < 1:
         raise ConfigError(f"model.p must be >= 1, got {model.p}")
     if model.kind == "quadratic" and model.heterogeneity < 0:  # -h is h with its noise flipped
@@ -258,9 +258,11 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
     if model.kind == "mlp" and min(model.hidden, default=1) < 1:
         raise ConfigError(f"model.hidden sizes must be >= 1, got {list(model.hidden)}")
     if cfg.partition.scheme not in ("iid", "dirichlet", "pathological"):
-        raise ConfigError(f"unknown partition scheme {cfg.partition.scheme!r}")
+        raise ConfigError(
+            f"partition.scheme must be iid, dirichlet or pathological, got {cfg.partition.scheme!r}"
+        )
     if d.source not in ("synthetic", "csv"):
-        raise ConfigError(f"unknown data source {d.source!r}")
+        raise ConfigError(f"data.source must be synthetic or csv, got {d.source!r}")
     synthetic = model.kind != "quadratic" and d.source == "synthetic"
     # a negative spread is its absolute value with the noise flipped
     for name, least in (("classes", 2), ("dim", 1), ("per_class", 1), ("test_per_class", 1), ("spread", 0)):

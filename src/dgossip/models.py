@@ -16,12 +16,13 @@ layer's (fan_in, fan_out) weight block is followed by its fan_out bias,
 so its slice is one row-major (fan_in + 1, fan_out) augmented matrix
 ``[W; b]``.  The gradient kernel gives every layer's input a trailing
 column of ones, so each layer is one matrix product forward and one back,
-the bias riding in the product.  It takes one such vector or an (m, p)
-stack of them, one model per row, with stacked matrix products and
-left-to-right class passes that round each row exactly as a single model.
-Local steps pass one client per row; the full objective passes one model
-broadcast to one row per block of its rows.  Evaluation keeps the plain
-``a @ W + b`` forward.
+the bias riding in the product.  It takes an (m, p) stack of such vectors,
+one model per row, and a :class:`Workspace` that holds its buffers, with
+stacked matrix products and left-to-right class passes that round each
+row exactly as a one-row stack.  Local steps pass one client per row; the
+full objective passes one model broadcast to one row per block of its
+rows; ``loss_and_grad`` passes one model as a one-row stack.  Evaluation
+keeps the plain ``a @ W + b`` forward.
 """
 
 from __future__ import annotations
@@ -146,29 +147,23 @@ def _with_ones(features: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_max(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``logits.max(axis=-1)`` as one pass over the class columns, left to right.
+def _class_pass(ufunc: np.ufunc, logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The class axis reduced by ``ufunc`` in one pass over the class columns, left to right.
 
-    A maximum is exact in any order, so this equals numpy's reduction (a
-    zero maximum may differ in its sign, which the softmax shift cannot see).
-    """
-    out = np.positive(logits[..., 0], out=out)  # column 0, copied
-    for j in range(1, logits.shape[-1]):
-        np.maximum(out, logits[..., j], out=out)
-    return out
-
-
-def _class_sum(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The class-axis sum as one pass over the class columns, left to right.
-
-    The same order at every size, so a row sums alike in any stack or in any
-    worker's range.  Below 8 classes it is numpy's order, so it equals
+    ``ufunc`` is ``np.maximum`` for the class max or ``np.add`` for the
+    class sum; ``out`` (C-contiguous, shaped as ``logits`` less its last
+    axis) or a new array holds the result.  The same order at every size,
+    so a row reduces alike in any stack or in any worker's range.  A
+    maximum is exact in any order, so the max equals numpy's reduction (a
+    zero maximum may differ in its sign, which the softmax shift cannot
+    see).  Below 8 classes the sum is numpy's order, so it equals
     ``logits.sum(axis=-1)`` on terms that are never -0, such as a softmax's.
     """
-    out = np.positive(logits[..., 0], out=out)  # column 0, copied
-    for j in range(1, logits.shape[-1]):
-        np.add(out, logits[..., j], out=out)
-    return out
+    columns = logits.reshape(-1, logits.shape[-1]).T  # one flat column per class: numpy's cheaper 1-D loop
+    total = np.positive(columns[0], out=None if out is None else out.reshape(-1))  # column 0, copied
+    for column in columns[1:]:
+        ufunc(total, column, out=total)
+    return total.reshape(logits.shape[:-1]) if out is None else out
 
 
 def _softmax_nll(logits: np.ndarray, labels: np.ndarray, with_loss: bool, ws: Workspace | None = None):
@@ -177,10 +172,10 @@ def _softmax_nll(logits: np.ndarray, labels: np.ndarray, with_loss: bool, ws: Wo
     ``ws`` supplies the per-row scratch of the class max and sum (one
     left-to-right column pass each) and the label index; else new arrays.
     """
-    row = _class_max(logits, None if ws is None else ws.row)
+    row = _class_pass(np.maximum, logits, None if ws is None else ws.row)
     logits -= row[..., None]
     np.exp(logits, out=logits)
-    logits /= _class_sum(logits, row)[..., None]
+    logits /= _class_pass(np.add, logits, row)[..., None]
     flat = logits.reshape(-1)
     if ws is None:
         picked = np.arange(labels.size) * logits.shape[-1] + labels.reshape(-1)
@@ -200,46 +195,38 @@ def _forward_backward(
     divisor,
     *,
     with_loss: bool,
-    ws: Workspace | None = None,
+    ws: Workspace,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Weighted cross-entropy gradient, for one model or a stack, and the per-row NLL.
+    """Weighted cross-entropy gradient of an (m, p) stack, and the per-row NLL.
 
-    One model: ``x`` (p,), ``feats`` (n, d + 1), ``labels`` (n,).  A stack:
     ``x`` (m, p), ``feats`` (m, n, d + 1), ``labels`` (m, n), where row i
     is model i on its own batch; the rows may be one model broadcast
     (stride 0), as :func:`full_objective` passes it.  Every row of
     ``feats`` ends in a 1.0 (see :class:`ShardStack`), and each layer reads
     its slice of x as the augmented matrix ``[W; b]`` (:func:`_unpack`):
     the forward pass is one product ``[a, 1] @ [W; b]`` per layer, each
-    hidden layer's output held as (..., n, h + 1) with its ones column
+    hidden layer's output held as (m, n, h + 1) with its ones column
     written after ``tanh`` on every call, and the backward pass writes a
     layer's weight and bias gradient together as ``[a, 1]^T @ delta``.
     Errors go back through ``W`` alone.  Each row's output error is
     divided by ``divisor``: the batch size n for a batch mean, or a per-row
-    column shaped (..., n, 1).  Every product is ``np.matmul``, which makes
-    the same BLAS call per row of a stack as for one model, so each row
-    equals the one-model computation bitwise.
+    column shaped (m, n, 1).  Every product is ``np.matmul``, which makes
+    the same BLAS call per row of a stack as for a one-row stack, so each
+    row equals its own one-row computation bitwise.
 
-    Each layer's gradient is written straight into its slice of the
-    result: ``out`` (C-contiguous, shaped as x) or a new array.  A stack's
-    activations, back-propagated errors and softmax scratch live in ``ws``
-    when it is given: the :class:`Workspace` of one ``local_train`` call,
-    shared by its K steps and both gradients of a SAM step, or of one
-    ``full_objective`` call.  The call then allocates nothing the size of a
-    batch, nothing it returns points into ``ws``, and its result is bitwise
-    the one without it.  Temporaries are reused in place either way.
-    Returns (per-row NLL shaped as ``labels``, or None, and the gradient).
+    The activations, back-propagated errors and softmax scratch live in
+    ``ws``: the :class:`Workspace` of one ``local_train`` call, shared by
+    its K steps and both gradients of a SAM step, of one ``full_objective``
+    call, or of one ``loss_and_grad`` call.  The call allocates nothing the
+    size of a batch, and nothing it returns points into ``ws``.  Each
+    layer's gradient is written straight into its slice of the result:
+    ``out`` (C-contiguous, shaped as x) or a new array.  Returns (per-row
+    NLL shaped as ``labels``, or None, and the gradient).
     """
     layers = _unpack(spec, x)
-    rows = feats.shape[:-1]
-    if ws is None:
-        outs = [np.empty((*rows, width + 1)) for width in spec.hidden] + [np.empty((*rows, spec.num_classes))]
-    else:
-        outs = ws.acts
     acts = [feats]
-    for li, layer in enumerate(layers):
-        z = outs[li]
+    for li, (layer, z) in enumerate(zip(layers, ws.acts)):
         if li < len(layers) - 1:
             np.matmul(acts[-1], layer, out=z[..., :-1])
             np.tanh(z, out=z)  # the whole contiguous buffer, then the ones column afresh
@@ -259,7 +246,7 @@ def _forward_backward(
         np.matmul(acts[li].swapaxes(-1, -2), delta, out=grad)
         if li > 0:  # back through tanh: delta W^T * (1 - a^2)
             w = layers[li][..., :-1, :]
-            delta = np.matmul(delta, w.swapaxes(-1, -2), out=None if ws is None else ws.errors[li - 1])
+            delta = np.matmul(delta, w.swapaxes(-1, -2), out=ws.errors[li - 1])
             a = acts[li]
             np.square(a, out=a)
             np.subtract(1.0, a, out=a)
@@ -320,7 +307,7 @@ class ShardStack:
         are copied once with the kernel's ones column appended.
         """
         sizes = np.asarray(sizes, dtype=np.intp)
-        return cls(np.arange(len(sizes)), sizes, np.cumsum(sizes) - sizes, _with_ones(features), labels)
+        return cls(np.arange(len(sizes)), sizes, sizes.cumsum() - sizes, _with_ones(features), labels)
 
     @classmethod
     def of(cls, shards) -> "ShardStack":
@@ -458,7 +445,7 @@ def _workspace(scratch: Scratch | None, spec: ModelSpec, shards: ShardStack, bat
 
 
 class Workspace:
-    """Scratch arrays for the stacked gradient calls of one local phase, or of one full objective.
+    """Scratch arrays for the gradient calls of one local phase, one full objective or one ``loss_and_grad``.
 
     Built for a :class:`ShardStack`, its (m, B) minibatches and (m, p)
     model stacks: it holds the gathered minibatch, (m, B, d + 1) with its
@@ -526,7 +513,7 @@ class Workspace:
         self.errors = [next(arrays) for _ in spec.hidden]
         if blocks:
             self.nll, self.grads = next(arrays), next(arrays)
-        self.class_starts = np.arange(m * batch_size) * spec.num_classes  # flat offset of each row's logits
+        self.class_starts = np.arange(0, m * batch_size * spec.num_classes, spec.num_classes)  # each row's first logit
 
 
 def batch_grads(spec: ModelSpec, x: np.ndarray, ws: Workspace, out: np.ndarray | None = None) -> np.ndarray:
@@ -556,17 +543,23 @@ def loss_and_grad(
     ``shard`` is the client's :class:`Shard` for classification models and
     the client index for the quadratic family (whose objective has no
     sampling noise, so ``batch`` is ignored there).  The gradient comes
-    from the same kernel as training, applied to a single model, on the
-    batch's rows with a 1.0 appended to each.
+    from the same kernel as training: the batch, or the whole shard when
+    ``batch`` is None, runs as a one-row :class:`ShardStack` (each row with
+    a 1.0 appended) in a :class:`Workspace` of its own, so it equals the
+    model's row of any stack on the same rows bitwise.
     """
     if spec.kind == "quadratic":
         a = spec.quad_a[shard]
         b = spec.quad_b[shard]
         return float(0.5 * x @ a @ x - b @ x), _quadratic_grads(a, b, x)
-    feats = _with_ones(shard.features if batch is None else shard.features[batch])
+    feats = shard.features if batch is None else shard.features[batch]
     labels = shard.labels if batch is None else shard.labels[batch]
-    nll, grad = _forward_backward(spec, x, feats, labels, len(labels), with_loss=True)
-    return float(np.mean(nll)), grad
+    n = len(labels)
+    stack = ShardStack.stacked(feats, labels, [n])
+    nll, grad = _forward_backward(
+        spec, x[None], stack.features[None], labels[None], n, with_loss=True, ws=Workspace(spec, stack, n)
+    )
+    return float(nll.sum() / n), grad[0]  # np.mean's sum and division
 
 
 def predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> np.ndarray:

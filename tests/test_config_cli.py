@@ -94,6 +94,18 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 2"):
             parse_config_text("a = 1\nnot a pair\n")
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("[]\na = 1\n", "line 1: empty section name"),
+            ("a = 1\n[a]\nb = 2\n", "line 2: a collides with a value"),
+            ("a = 1\n = 3\n", "line 2: missing key"),
+        ],
+    )
+    def test_bad_text_names_its_line(self, text, named):
+        with pytest.raises(ConfigError, match=named):
+            parse_config_text(text)
+
     def test_override(self):
         tree = parse_config_text(BASE_CONFIG)
         apply_override(tree, "optimizer.lambda=0.1")
@@ -485,6 +497,22 @@ class TestCmdRun:
             ("run", ["data.source=csv", "data.path={dir}/hugelabel.csv"], None, "hugelabel.csv:3"),
             ("run", ["data.source=csv", "data.path={csv}", "data.test_path={dir}/hugelabel.csv"], None,
              "hugelabel.csv:3"),
+            ("run", ["foo"], None, "override must look like key=value, got 'foo'"),
+            ("run", ["=3"], None, "override key is empty"),
+            ("run", ["seed.x=1"], None, "override 'seed.x' descends into a scalar"),
+            ("run", ["m=0"], None, "m must be >= 1"),
+            ("run", ["rounds=-1"], None, "rounds must be >= 0"),
+            ("run", ["local_steps=0"], None, "local_steps must be >= 1"),
+            ("run", ["eval_every=0"], None, "eval_every must be >= 1"),
+            ("run", ["algorithm=foo"], None, "unknown algorithm 'foo'"),
+            ("run", ["model.kind=foo"], None, "model.kind"),
+            ("run", ["partition.scheme=foo"], None, "partition.scheme"),
+            ("run", ["data.source=foo"], None, "data.source"),
+            ("run", ["data.source=csv", "data.path={dir}/empty.csv"], None, "empty.csv: empty dataset"),
+            ("run", ["data.source=csv", "data.path={dir}/onecolumn.csv"], None,
+             "onecolumn.csv:2: need at least one feature and a label"),
+            ("run", ["data.source=csv", "data.path={dir}/badlabel.csv"], None, "badlabel.csv:3: parse failure"),
+            ("topo-report", ["--kinds", "ring", "--m", ","], None, "--m"),
         ],
     )
     def test_bad_value_exits_2_naming_it(
@@ -500,6 +528,9 @@ class TestCmdRun:
             # the largest label sets the class count: 3e9 classes would not fit the model
             "biglabel.csv": csv.read_text().replace(",1\n", ",3000000000\n", 1),
             "hugelabel.csv": "f1,f2,label\n1.0,2.0,0\n1.0,2.0,100000000000000000000\n",  # past int64
+            "empty.csv": "",
+            "onecolumn.csv": "label\n0\n1\n",
+            "badlabel.csv": "f1,f2,label\n1.0,2.0,0\n1.0,2.0,one\n",
         }
         for name, text in bad_csvs.items():
             (tmp_path / name).write_text(text)

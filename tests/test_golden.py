@@ -21,7 +21,9 @@ held per OpenBLAS kernel, by the name ``scipy_openblas_get_corename64_``
 gives it (numpy 2.4.6 on its scipy-openblas 0.3.31 build; ``SkylakeX``,
 ``Haswell`` and ``Sandybridge`` are recorded).  Two kernels may round a
 matrix product differently, gossip's ``W @ Z`` included, so each has its
-own hashes.  A kernel with none recorded fails and names itself.
+own hashes.  A kernel with none recorded fails and names itself.  The
+host's kernel is checked in process, and every other recorded kernel in a
+child under ``OPENBLAS_CORETYPE``, skipped where the host runs another.
 ``OPENBLAS_CORETYPE=<kernel> python tests/test_golden.py``, with ``src``
 on ``PYTHONPATH``, prints that kernel's entries; a change that moves the
 numerics on purpose records them on every kernel.
@@ -30,6 +32,7 @@ numerics on purpose records them on every kernel.
 import ctypes
 import functools
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -329,6 +332,30 @@ def test_run_fingerprint_is_independent_of_blas_threads(name, tmp_path):
         assert proc.returncode == 0, proc.stderr
         digests.append(tuple(proc.stdout.split()))
     assert digests == [expected] * 2
+
+
+@pytest.mark.parametrize("kernel", sorted(set(RUN_HASHES) - {blas_kernel()}))
+def test_every_other_recorded_kernel_matches_its_hashes(kernel, tmp_path):
+    # a child under OPENBLAS_CORETYPE=<kernel> computes every fingerprint; it imports this module, runs no test
+    child = (
+        "import json, pathlib, sys; sys.path.insert(0, sys.argv[1]); import test_golden as g; "
+        "runs = {n: g.run_fingerprint(*g.RUNS[n], pathlib.Path(sys.argv[2])) for n in g.RUNS}; "
+        "probes = {n: g.probe_fingerprint(*g.PROBES[n]) for n in g.PROBES}; "
+        "print(json.dumps([g.blas_kernel(), runs, probes]))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(CONFIGS.parent / "src"), "OPENBLAS_CORETYPE": kernel}
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(Path(__file__).parent), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    if proc.returncode < 0:
+        pytest.skip(f"the child on the OpenBLAS kernel {kernel!r} died by signal {-proc.returncode}")
+    assert proc.returncode == 0, proc.stderr
+    ran, runs, probes = json.loads(proc.stdout)
+    if ran != kernel:
+        pytest.skip(f"OPENBLAS_CORETYPE={kernel} ran the OpenBLAS kernel {ran!r} on this host")
+    assert {name: tuple(pair) for name, pair in runs.items()} == RUN_HASHES[kernel]
+    assert probes == PROBE_HASHES[kernel]
 
 
 if __name__ == "__main__":  # prints this kernel's entries of RUN_HASHES and PROBE_HASHES, ready to paste

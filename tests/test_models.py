@@ -349,8 +349,9 @@ class TestFullObjective:
         feats = stack.features[:300].reshape(5, 60, -1)
         labels = stack.labels[:300].reshape(5, 60)
         divisor = rng.uniform(1.0, 400.0, size=(5, 60, 1))
+        ws = models.Workspace(spec, stack, 60, blocks=(1, 5))
         (nll_b, grad_b), (nll_t, grad_t) = (
-            models._forward_backward(spec, stacked, feats, labels, divisor, with_loss=True)
+            models._forward_backward(spec, stacked, feats, labels, divisor, with_loss=True, ws=ws)
             for stacked in (np.broadcast_to(x, (5, len(x))), np.tile(x, (5, 1)))
         )
         assert nll_b.tobytes() == nll_t.tobytes() and grad_b.tobytes() == grad_t.tobytes()
@@ -382,7 +383,7 @@ def split_stack(n, hidden, d=6, classes=4):
 
 
 def blockwise_reference(spec, x, stack):
-    """full_objective's gradient from one-model calls, one block of rows at a time, added from zero."""
+    """full_objective's gradient from one-row stacks, one block of rows at a time, added from zero."""
     rows = np.concatenate([np.arange(o, o + k) for o, k in zip(stack.offsets, stack.sizes)])
     divisor = np.repeat(len(stack) * stack.sizes.astype(np.float64), stack.sizes)
     blocks = -(-len(rows) // 64)
@@ -391,11 +392,12 @@ def blockwise_reference(spec, x, stack):
     rows = np.concatenate([rows, np.zeros(pad, dtype=rows.dtype)])
     divisor = np.concatenate([divisor, np.full(pad, np.inf)])
     total = np.zeros(spec.param_count())
+    ws = models.Workspace(spec, stack, length, blocks=(1, 1))
     for block, div in zip(rows.reshape(blocks, length), divisor.reshape(blocks, length, 1)):
         _, grad = models._forward_backward(
-            spec, x, stack.features[block], stack.labels[block], div, with_loss=False
+            spec, x[None], stack.features[block][None], stack.labels[block][None], div, with_loss=False, ws=ws
         )
-        total += grad
+        total += grad[0]
     return total
 
 
@@ -429,9 +431,9 @@ class TestClassReductions:
     def test_class_max_equals_numpys_max_bitwise(self, classes):
         rng = np.random.default_rng(classes)
         logits = class_rows(rng, classes).reshape(4, 16, classes)
-        assert np.array_equal(bits(models._class_max(logits)), bits(logits.max(axis=-1)))
+        assert np.array_equal(bits(models._class_pass(np.maximum, logits)), bits(logits.max(axis=-1)))
         out = np.empty(logits.shape[:-1])
-        assert models._class_max(logits, out) is out
+        assert models._class_pass(np.maximum, logits, out) is out
 
     @pytest.mark.parametrize("classes", [2, 3, 9, 17, 33, 130])
     def test_zero_maxima_of_either_sign_shift_the_softmax_alike(self, classes):
@@ -440,7 +442,7 @@ class TestClassReductions:
         rng = np.random.default_rng(classes)
         logits = np.where(rng.random((8, classes)) < 0.5, -0.0, 0.0)
         logits[4:, 0] = -1.0
-        ours, numpys = models._class_max(logits), logits.max(axis=-1)
+        ours, numpys = models._class_pass(np.maximum, logits), logits.max(axis=-1)
         assert np.array_equal(ours, numpys)
         shifted = [np.exp(logits - row[:, None]) for row in (ours, numpys)]
         assert np.array_equal(bits(shifted[0]), bits(shifted[1]))
@@ -452,9 +454,9 @@ class TestClassReductions:
         logits[0, :4] = np.exp(rng.normal(size=(4, classes)) * 30)  # softmax terms
         logits[0, 4, :] = -0.0
         reference = functools.reduce(np.add, np.moveaxis(logits, -1, 0))
-        assert np.array_equal(bits(models._class_sum(logits)), bits(reference))
+        assert np.array_equal(bits(models._class_pass(np.add, logits)), bits(reference))
         out = np.empty(logits.shape[:-1])
-        assert models._class_sum(logits, out) is out
+        assert models._class_pass(np.add, logits, out) is out
         assert np.array_equal(bits(out), bits(reference))
 
     @pytest.mark.parametrize("classes", range(2, 131))
@@ -467,7 +469,7 @@ class TestClassReductions:
         logits[0, 4, :] = -0.0
         columns = np.ascontiguousarray(np.moveaxis(logits, -1, 0))
         numpys = columns.sum(axis=0, initial=-0.0)
-        assert np.array_equal(bits(models._class_sum(logits)), bits(numpys))
+        assert np.array_equal(bits(models._class_pass(np.add, logits)), bits(numpys))
 
     @pytest.mark.parametrize("classes", range(1, 8))
     def test_class_sum_is_numpys_row_sum_on_softmax_terms_below_8_classes(self, classes):
@@ -475,7 +477,7 @@ class TestClassReductions:
         rng = np.random.default_rng(2000 + classes)
         terms = np.abs(class_rows(rng, classes, rows=256))
         terms[:64] = np.exp(rng.normal(size=(64, classes)) * 30)
-        assert np.array_equal(bits(models._class_sum(terms)), bits(terms.sum(axis=-1)))
+        assert np.array_equal(bits(models._class_pass(np.add, terms)), bits(terms.sum(axis=-1)))
 
     @pytest.mark.parametrize("classes", [10, 130])
     @pytest.mark.parametrize("m", [1, 24])
