@@ -66,7 +66,7 @@ def consensus_trace(beta: float, args) -> tuple[list[float], list[float]]:
     x = z = args.spread * np.random.default_rng(args.seed).normal(size=(args.m, args.p))
     consensus, delta = [], []
     for t in range(args.rounds):
-        info = run_round(x, z, t, cfg, w, problem)
+        info = run_round(x, z, t, cfg, w, problem, np.arange(args.m), None)
         x, z = info.x_mixed, info.z
         consensus.append(consensus_distance(x))
         delta.append(consistency_delta(z, x))

@@ -6,7 +6,8 @@ The format is a TOML-style subset parsed without third-party packages
 booleans, integers, floats, quoted strings, or flat ``[a, b]`` lists.
 CLI overrides address the same tree through dotted keys
 (``optimizer.lambda=0.1``).  The keys are the fields of the config
-dataclasses, read and written by walking them.
+dataclasses, read and written by walking them, less the two that are
+derived: ``optimizer.method`` from the algorithm and ``topology.m`` from m.
 """
 
 from __future__ import annotations
@@ -175,7 +176,7 @@ _CASTS = {
 }
 
 # the file key of a field where it differs from the field name; None: not a file key
-_FILE_KEY = {(OptimizerConfig, "lam"): "lambda", (TopologySpec, "m"): None}
+_FILE_KEY = {(OptimizerConfig, "lam"): "lambda", (OptimizerConfig, "method"): None, (TopologySpec, "m"): None}
 
 
 def _section_class(hint):
@@ -226,7 +227,7 @@ def config_from_dict(tree: dict) -> ExperimentConfig:
     if not sections["topology"] and cfg.algorithm in CENTRAL_KINDS:
         del sections["topology"]  # a central run without a [topology] section has no graph
     method = METHOD_FOR[cfg.algorithm]
-    # the file's defaults, where they differ from the dataclasses'
+    # the file's defaults where they differ from the dataclasses', and the derived method and topology.m
     defaults = {
         "optimizer": {"method": method, "lam": 0.1, "mu": 0.9 if method == "sgd_momentum" else 0.0},
         "topology": {"kind": TopologyKind.RING, "m": cfg.m, "k": 10, "seed": cfg.seed},
@@ -235,11 +236,6 @@ def config_from_dict(tree: dict) -> ExperimentConfig:
         name: _read(_SECTIONS[name], section, f"{name}.", **defaults.get(name, {}))
         for name, section in sections.items()
     }
-    if parts["optimizer"].method != method:
-        raise ConfigError(
-            f"optimizer.method={parts['optimizer'].method!r} conflicts with algorithm "
-            f"{cfg.algorithm.value!r} (implies {method!r})"
-        )
     return replace(cfg, **parts)
 
 

@@ -118,6 +118,9 @@ def partition_dirichlet(ds: LabeledDataset, m: int, alpha: float, seed: int) -> 
         idx = np.nonzero(ds.labels == c)[0].astype(np.int64)
         rng.shuffle(idx)
         shares = rng.dirichlet(np.full(m, alpha))
+        # past m * alpha of about 1.8e308 the gamma draws sum to inf, so every share is 0; inf or NaN draws NaN
+        if not shares.sum() > 0:
+            raise ValueError(f"partition.alpha={alpha} draws no Dirichlet shares (they sum to {shares.sum()})")
         counts = _largest_remainder(shares, len(idx))
         start = 0
         for i, cnt in enumerate(counts):

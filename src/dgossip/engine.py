@@ -253,8 +253,8 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
         raise ConfigError(f"model.kind must be quadratic, logistic or mlp, got {model.kind!r}")
     if model.kind == "quadratic" and model.p < 1:
         raise ConfigError(f"model.p must be >= 1, got {model.p}")
-    if model.kind == "quadratic" and model.heterogeneity < 0:  # -h is h with its noise flipped
-        raise ConfigError(f"model.heterogeneity must be >= 0, got {model.heterogeneity}")
+    if model.kind == "quadratic" and not 0 <= model.heterogeneity < math.inf:  # -h is h with its noise flipped
+        raise ConfigError(f"model.heterogeneity must be >= 0 and finite, got {model.heterogeneity}")
     if model.kind == "mlp" and min(model.hidden, default=1) < 1:
         raise ConfigError(f"model.hidden sizes must be >= 1, got {list(model.hidden)}")
     if cfg.partition.scheme not in ("iid", "dirichlet", "pathological"):
@@ -266,8 +266,8 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
     synthetic = model.kind != "quadratic" and d.source == "synthetic"
     # a negative spread is its absolute value with the noise flipped
     for name, least in (("classes", 2), ("dim", 1), ("per_class", 1), ("test_per_class", 1), ("spread", 0)):
-        if synthetic and getattr(d, name) < least:
-            raise ConfigError(f"data.{name} must be >= {least}, got {getattr(d, name)}")
+        if synthetic and not least <= getattr(d, name) < math.inf:
+            raise ConfigError(f"data.{name} must be >= {least} and finite, got {getattr(d, name)}")
     if synthetic and d.classes * d.per_class < cfg.m:
         raise ConfigError(f"data.classes * data.per_class = {d.classes * d.per_class} samples < m={cfg.m}")
     # arrays past 2**31 elements fail to allocate, or wrap numpy's size arithmetic
@@ -471,8 +471,8 @@ def run_round(
     cfg: ExperimentConfig,
     w_t: MixingMatrix | None,
     problem: Problem,
-    clients: np.ndarray | None = None,
-    draws: np.ndarray | None = None,
+    clients: np.ndarray,
+    draws: np.ndarray | None,
     scratches: list[Scratch] | None = None,
     pool: ThreadPoolExecutor | None = None,
 ) -> RoundInfo:
@@ -483,11 +483,12 @@ def run_round(
     range.  Central kinds (``w_t is None``) read only row 0 of
     ``x_mixed``, the global model, and never read ``z_prev``.  No input is
     written in place.
-    ``clients`` and ``draws`` are the round's participants and their
-    (K, n, B) minibatch indices, as :func:`iter_rounds` draws them ahead
-    for a block of rounds; without them the round samples its
-    participants and draws its own minibatches.  The start points, local
-    outputs and mixed models it returns are new arrays.
+    ``clients`` are the round's participants, ascending, and ``draws``
+    their (K, n, B) minibatch indices (None for the noiseless quadratic
+    family), as :func:`iter_rounds` derives them ahead for a block of
+    rounds; a caller driving rounds by hand passes ``participants(cfg, m,
+    t)`` and their ``client_batches``.  The start points, local outputs
+    and mixed models it returns are new arrays.
 
     ``scratches`` holds one :class:`Scratch` per worker.  Without a
     ``pool`` one ``local_train`` call trains every row in the first of
@@ -498,16 +499,12 @@ def run_round(
     """
     m = len(x_mixed)
     central = cfg.algorithm in CENTRAL_KINDS
-    if clients is None:
-        clients = participants(cfg, m, t)
     if central:  # every client holds the global model, its start and its drift reference
         starts = np.tile(x_mixed[0], (len(clients), 1))
         shards = problem.shards.take(clients)
     else:
         starts = ole_init(x_mixed, z_prev, cfg.beta)
         shards = problem.shards
-    if draws is None and problem.spec.kind != "quadratic":  # the quadratic family is noiseless
-        draws = client_batches(cfg.seed, clients, t, shards.sizes, cfg.local_steps, cfg.optimizer.batch_size)
     scratches = scratches or [None]
     ref = (starts if central else x_mixed) if cfg.diagnostics else None
     ranges = _row_ranges(len(starts), len(scratches) if pool is not None else 1)
@@ -722,7 +719,7 @@ def run_experiment(
     every round; metrics are derived only on recorded rounds, and lay
     their workspaces out in the first Scratch.
     """
-    if not (isinstance(workers, int) and workers >= 1):
+    if isinstance(workers, bool) or not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     cfg = validated(cfg)
     start = time.perf_counter()

@@ -37,6 +37,7 @@ start so that a freshly mixed model never inherits stale velocity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,16 +68,16 @@ class OptimizerConfig:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown optimizer method {self.method!r}; choose from {METHODS}")
-        if self.eta0 <= 0:
-            raise ValueError(f"eta0 must be positive, got {self.eta0}")
+        if not 0 < self.eta0 < math.inf:
+            raise ValueError(f"eta0 must be positive and finite, got {self.eta0}")
         if not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lambda must be >= 0 and finite, got {self.lam}")
         if not 0.0 <= self.mu < 1.0:
             raise ValueError(f"mu must be in [0, 1), got {self.mu}")
-        if self.grad_floor < 0:
-            raise ValueError("grad_floor must be >= 0")
+        if not 0.0 <= self.grad_floor < math.inf:
+            raise ValueError(f"grad_floor must be >= 0 and finite, got {self.grad_floor}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

@@ -209,7 +209,7 @@ def _rounds_to_consensus(beta: float, tol=1e-6, cap=300) -> int:
     problem = Problem(spec, ShardStack.of(range(m)), None, np.zeros(p))
     x = z = 3.0 * np.random.default_rng(3).normal(size=(m, p))
     for t in range(cap):
-        info = run_round(x, z, t, cfg, w, problem)
+        info = run_round(x, z, t, cfg, w, problem, np.arange(m), None)
         x, z = info.x_mixed, info.z
         if consensus_distance(info.x_mixed) < tol:
             return t + 1

@@ -140,6 +140,13 @@ class TestConfigFromDict:
         with pytest.raises(ConfigError, match="method"):
             config_from_dict(tree)
 
+    def test_implied_method_is_not_a_config_key(self):
+        # the method follows from the algorithm alone, so a file may not set it even to that value
+        tree = parse_config_text(BASE_CONFIG)
+        tree["optimizer"]["method"] = "sgd"
+        with pytest.raises(ConfigError, match="unknown config key: optimizer.method"):
+            config_from_dict(tree)
+
     def test_type_errors_name_the_key(self):
         tree = parse_config_text(BASE_CONFIG)
         tree["rounds"] = "many"
@@ -513,6 +520,7 @@ class TestCmdRun:
              "onecolumn.csv:2: need at least one feature and a label"),
             ("run", ["data.source=csv", "data.path={dir}/badlabel.csv"], None, "badlabel.csv:3: parse failure"),
             ("topo-report", ["--kinds", "ring", "--m", ","], None, "--m"),
+            ("run", ["partition.alpha=1e308"], None, "partition.alpha"),  # Dir(alpha) draws all-zero shares
         ],
     )
     def test_bad_value_exits_2_naming_it(

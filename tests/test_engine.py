@@ -173,6 +173,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="topology.m"):
             validated(logistic_cfg(topology=TopologySpec(TopologyKind.RING, 4)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "field, named",
+        [("optimizer.eta0", "eta0"), ("optimizer.lam", "lambda"), ("optimizer.grad_floor", "grad_floor"),
+         ("model.heterogeneity", "model.heterogeneity"), ("data.spread", "data.spread")],
+    )
+    def test_non_finite_float_is_refused_by_name(self, field, named, value):
+        # a config file's values are refused earlier, by config._as_float
+        section, name = field.split(".")
+        cfg = quadratic_cfg() if section == "model" else logistic_cfg()
+        cfg = dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section), **{name: value})})
+        with pytest.raises(ConfigError, match=named):
+            validated(cfg)
+
     def test_seed_is_one_64_bit_word(self):
         # the minibatch stream takes the seed in as one uint64 word
         assert validated(logistic_cfg(seed=2**64 - 1)).seed == 2**64 - 1
@@ -182,6 +196,12 @@ class TestValidation:
 
 
 class TestBuildProblem:
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 1e308])
+    def test_alpha_without_dirichlet_shares_is_a_config_error(self, alpha):
+        # inf and NaN draw NaN shares; at m=8, 1e308 overflows the draws' sum and draws zeros
+        with pytest.raises(ConfigError, match="partition.alpha"):
+            build_problem(logistic_cfg(partition=PartitionConfig(scheme="dirichlet", alpha=alpha)))
+
     @pytest.mark.parametrize("scheme", ["iid", "dirichlet", "pathological"])
     def test_shards_are_the_partition_rows(self, scheme):
         cfg = logistic_cfg(partition=PartitionConfig(scheme=scheme, alpha=0.5, classes_per_client=2))
@@ -246,6 +266,13 @@ class TestBuildProblem:
 CENTRAL_CFG = dict(algorithm=AlgorithmKind.FEDSAM_CENTRAL, participation=0.5, topology=None)
 
 
+def round_inputs(cfg, problem, t):
+    """Round t's participants and their minibatch indices, derived for that round alone."""
+    clients = participants(cfg, cfg.m, t)
+    sizes = problem.shards.sizes[clients]
+    return clients, client_batches(cfg.seed, clients, t, sizes, cfg.local_steps, cfg.optimizer.batch_size)
+
+
 class TestRoundContract:
     """A round maps two (m, p) arrays to a RoundInfo; the next starts from its x_mixed and z."""
 
@@ -258,7 +285,7 @@ class TestRoundContract:
         w = None if cfg.topology is None else build_mixing(cfg.topology)
         x = z = np.tile(problem.x0, (cfg.m, 1))
         for info in iter_rounds(cfg, problem):
-            hand = run_round(x, z, info.t, cfg, w, problem)
+            hand = run_round(x, z, info.t, cfg, w, problem, *round_inputs(cfg, problem, info.t))
             for name in ("ole_points", "z", "x_prev", "x_mixed", "drift"):
                 got, want = getattr(info, name), getattr(hand, name)
                 assert (got is None and want is None) or got.tobytes() == want.tobytes(), name
@@ -272,7 +299,7 @@ class TestRoundContract:
         rng = np.random.default_rng(5)
         x = np.tile(rng.normal(size=problem.x0.shape), (cfg.m, 1))
         odd = np.full_like(x, np.nan) if z_prev == "nan" else np.zeros((3, 1))
-        ref, got = (run_round(x, z, 2, cfg, None, problem) for z in (x, odd))
+        ref, got = (run_round(x, z, 2, cfg, None, problem, *round_inputs(cfg, problem, 2)) for z in (x, odd))
         assert got.ole_points is None and ref.ole_points is None
         for name in ("z", "x_prev", "x_mixed"):
             assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
@@ -369,7 +396,7 @@ class TestRunExperiment:
         from dgossip.topology import MixingMatrix
 
         w1 = MixingMatrix(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)))
-        info = run_round(x, z, 0, cfg, w1, Problem(spec, ShardStack.of([0]), None, x0))
+        info = run_round(x, z, 0, cfg, w1, Problem(spec, ShardStack.of([0]), None, x0), np.arange(1), None)
         expected = x0 * (1 - cfg.optimizer.eta0) ** cfg.local_steps
         assert np.allclose(info.x_mixed[0], expected, atol=1e-15)
 
@@ -672,7 +699,7 @@ class TestConsensusDynamics:
         x = z = starts
         prev = consensus_distance(x)
         for t in range(30):
-            info = run_round(x, z, t, cfg, w, problem)
+            info = run_round(x, z, t, cfg, w, problem, np.arange(m), None)
             x, z = info.x_mixed, info.z
             cur = consensus_distance(info.x_mixed)
             assert cur <= prev * (1 + 1e-12) + 1e-30
@@ -689,7 +716,7 @@ class TestConsensusDynamics:
             x = z = starts
             rounds_needed[beta] = None
             for t in range(300):
-                info = run_round(x, z, t, cfg, w, problem)
+                info = run_round(x, z, t, cfg, w, problem, np.arange(m), None)
                 x, z = info.x_mixed, info.z
                 if consensus_distance(info.x_mixed) < 1e-6:
                     rounds_needed[beta] = t + 1
@@ -1047,7 +1074,7 @@ class TestWorkers:
         sizes = [r.stop - r.start for r in ranges]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
-    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", None])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", None, True])
     def test_bad_worker_count_is_a_config_error(self, workers):
         with pytest.raises(ConfigError, match="workers"):
             run_experiment(workers_cfg(rounds=1), workers=workers)

@@ -18,6 +18,7 @@ from dgossip.engine import (
     ModelConfig,
     build_problem,
     client_batches,
+    participants,
     run_round,
     validated,
 )
@@ -375,7 +376,9 @@ class TestNoAliasing:
         w = None if central else build_mixing(cfg.topology)
         inputs = (x, z, problem.x0, problem.shards.features, problem.shards.labels)
         kept = [a.copy() for a in inputs]
-        info = run_round(x, z, 1, cfg, w, problem)
+        clients = participants(cfg, 6, 1)
+        draws = client_batches(cfg.seed, clients, 1, problem.shards.sizes[clients], 3, 4)
+        info = run_round(x, z, 1, cfg, w, problem, clients, draws)
         for a, b in zip(inputs, kept):
             assert a.tobytes() == b.tobytes()
         for name in ("z", "x_mixed"):
