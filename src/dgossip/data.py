@@ -106,7 +106,7 @@ def partition_dirichlet(ds: LabeledDataset, m: int, alpha: float, seed: int) -> 
     repaired by stealing one sample from the currently largest client.
     """
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise ValueError(f"partition.alpha must be positive, got {alpha}")
     if m < 1:
         raise ValueError("m must be >= 1")
     n = len(ds)

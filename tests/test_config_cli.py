@@ -521,6 +521,7 @@ class TestCmdRun:
             ("run", ["data.source=csv", "data.path={dir}/badlabel.csv"], None, "badlabel.csv:3: parse failure"),
             ("topo-report", ["--kinds", "ring", "--m", ","], None, "--m"),
             ("run", ["partition.alpha=1e308"], None, "partition.alpha"),  # Dir(alpha) draws all-zero shares
+            ("run", ["partition.alpha=0"], None, "partition.alpha"),
         ],
     )
     def test_bad_value_exits_2_naming_it(
