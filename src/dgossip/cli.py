@@ -19,11 +19,11 @@ import json
 import os
 import sys
 
-from .config import config_to_dict, load_config, topology_kind
-from .engine import ConfigError, DivergenceError, build_problem, run_experiment, validated
+from .config import config_to_dict, load_config
+from .engine import ConfigError, DivergenceError, _as_kind, build_problem, run_experiment, validated
 from .metrics import write_metrics_csv
 from .stability import stability_probe
-from .topology import TopologySpec, beta_theory_bound, build_mixing
+from .topology import TopologyKind, TopologySpec, beta_theory_bound, build_mixing
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -141,7 +141,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_topo_report(args) -> int:
-    kinds = [topology_kind(k.strip()) for k in args.kinds.split(",") if k.strip()]
+    kinds = [_as_kind(TopologyKind, k.strip()) for k in args.kinds.split(",") if k.strip()]
     try:
         sizes = [int(v) for v in args.m.split(",") if v.strip()]
     except ValueError as exc:

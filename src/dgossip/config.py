@@ -8,16 +8,18 @@ CLI overrides address the same tree through dotted keys
 (``optimizer.lambda=0.1``).  The keys are the fields of the config
 dataclasses, read and written by walking them, less the two that are
 derived: ``optimizer.method`` from the algorithm and ``topology.m`` from m.
+Each value goes through the cast of its field's type, the one that
+``engine.validated`` applies to a config built in Python.  An absent key
+takes its field's default, so a file and Python build the same config;
+only ``topology.kind`` (ring; the field has no default) and
+``topology.seed`` (the top-level seed) are filled in from elsewhere.
 """
 
 from __future__ import annotations
 
-import math
-import typing
-from dataclasses import fields, is_dataclass, replace
 from enum import Enum
 
-from .engine import CENTRAL_KINDS, METHOD_FOR, AlgorithmKind, ConfigError, ExperimentConfig
+from .engine import _SCALARS, _SECTIONS, CENTRAL_KINDS, METHOD_FOR, ConfigError, ExperimentConfig
 from .localopt import OptimizerConfig
 from .topology import TopologyKind, TopologySpec
 
@@ -29,13 +31,6 @@ __all__ = [
     "config_to_dict",
     "load_config",
 ]
-
-
-def topology_kind(name: str) -> TopologyKind:
-    try:
-        return TopologyKind(name)
-    except ValueError:
-        raise ConfigError(f"unknown topology kind {name!r}") from None
 
 
 def _strip_comment(line: str) -> str:
@@ -125,83 +120,16 @@ def _reject_unknown(section: dict, where: str) -> None:
         raise ConfigError(f"unknown config key: {where}{key}")
 
 
-def _as_int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"expected integer, got {v!r}")
-    if not -(2**63) <= v < 2**64:  # a seed may take the whole unsigned 64-bit range
-        raise ValueError(f"expected a 64-bit integer, got {v!r}")
-    return v
-
-
-def _as_float(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ValueError(f"expected a finite number, got {v!r}")
-    return float(v)
-
-
-def _as_str(v) -> str:
-    if not isinstance(v, str):
-        raise ValueError(f"expected string, got {v!r}")
-    return v
-
-
-def _as_bool(v) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"expected true/false, got {v!r}")
-    return v
-
-
-def _as_algorithm(v) -> AlgorithmKind:
-    name = _as_str(v)
-    try:
-        return AlgorithmKind(name.strip().lower().replace("-", "_"))
-    except ValueError:
-        raise ConfigError(f"unknown algorithm {name!r}") from None
-
-
-def _tuple_of(cast):
-    return lambda v: tuple(cast(x) for x in v)
-
-
-# every config field is read through the cast of its declared type
-_CASTS = {
-    int: _as_int,
-    float: _as_float,
-    str: _as_str,
-    bool: _as_bool,
-    tuple[int, ...]: _tuple_of(_as_int),
-    tuple[float, ...]: _tuple_of(_as_float),
-    AlgorithmKind: _as_algorithm,
-    TopologyKind: lambda v: topology_kind(_as_str(v)),
+# (file key, field name, cast) for each scalar field of each config dataclass, less the two derived ones
+_DERIVED = {(OptimizerConfig, "method"), (TopologySpec, "m")}
+_KEYS = {
+    cls: [(key, name, cast) for key, name, cast in scalars if (cls, name) not in _DERIVED]
+    for cls, scalars in _SCALARS.items()
 }
 
-# the file key of a field where it differs from the field name; None: not a file key
-_FILE_KEY = {(OptimizerConfig, "lam"): "lambda", (OptimizerConfig, "method"): None, (TopologySpec, "m"): None}
 
-
-def _section_class(hint):
-    """The config dataclass a field holds (``X`` or ``X | None``); None for a scalar field."""
-    return next((t for t in typing.get_args(hint) or (hint,) if is_dataclass(t)), None)
-
-
-def _file_keys(cls) -> list:
-    """(file key, field name, cast) for each scalar field of a config dataclass."""
-    hints = typing.get_type_hints(cls)
-    keys = [(_FILE_KEY.get((cls, f.name), f.name), f.name, hints[f.name]) for f in fields(cls)]
-    return [(key, name, _CASTS[hint]) for key, name, hint in keys if key and not _section_class(hint)]
-
-
-# section name -> dataclass, in field order; the other ExperimentConfig fields are top-level keys
-_SECTIONS = {
-    name: _section_class(hint)
-    for name, hint in typing.get_type_hints(ExperimentConfig).items()
-    if _section_class(hint)
-}
-_KEYS = {cls: _file_keys(cls) for cls in (ExperimentConfig, *_SECTIONS.values())}
-
-
-def _read(cls, section: dict, where: str, **values):
-    """Build ``cls`` from a section; absent keys take ``values``, else the field defaults."""
+def _read(cls, section: dict, where: str, **values) -> dict:
+    """The field values of ``cls`` that a section gives, cast, over ``values``."""
     for key, name, cast in _KEYS[cls]:
         if key in section:
             try:
@@ -211,7 +139,7 @@ def _read(cls, section: dict, where: str, **values):
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"bad value for {where}{key}: {exc}") from None
     _reject_unknown(section, where)
-    return cls(**values)
+    return values
 
 
 def config_from_dict(tree: dict) -> ExperimentConfig:
@@ -223,20 +151,20 @@ def config_from_dict(tree: dict) -> ExperimentConfig:
         if not isinstance(section, dict):
             raise ConfigError(f"{name} must be a section")
         sections[name] = dict(section)
-    cfg = _read(ExperimentConfig, tree, "")
-    if not sections["topology"] and cfg.algorithm in CENTRAL_KINDS:
+    top = _read(ExperimentConfig, tree, "")
+    # an absent key takes its field's default, which the dataclass keeps as a class attribute
+    algorithm, m, seed = (top.get(name, getattr(ExperimentConfig, name)) for name in ("algorithm", "m", "seed"))
+    if not sections["topology"] and algorithm in CENTRAL_KINDS:
         del sections["topology"]  # a central run without a [topology] section has no graph
-    method = METHOD_FOR[cfg.algorithm]
-    # the file's defaults where they differ from the dataclasses', and the derived method and topology.m
+    # the values derived from the top level: the method, and the topology's m and seed (ring by default)
     defaults = {
-        "optimizer": {"method": method, "lam": 0.1, "mu": 0.9 if method == "sgd_momentum" else 0.0},
-        "topology": {"kind": TopologyKind.RING, "m": cfg.m, "k": 10, "seed": cfg.seed},
+        "optimizer": {"method": METHOD_FOR[algorithm]},
+        "topology": {"kind": TopologyKind.RING, "m": m, "seed": seed},
     }
-    parts = {
-        name: _read(_SECTIONS[name], section, f"{name}.", **defaults.get(name, {}))
-        for name, section in sections.items()
-    }
-    return replace(cfg, **parts)
+    for name, section in sections.items():
+        cls = _SECTIONS[name]
+        top[name] = cls(**_read(cls, section, f"{name}.", **defaults.get(name, {})))
+    return ExperimentConfig(**top)
 
 
 def _plain(value):

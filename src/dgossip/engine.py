@@ -61,10 +61,12 @@ from __future__ import annotations
 
 import math
 import time
+import typing
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -210,13 +212,122 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
 
+def _as_int(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ValueError(f"expected integer, got {v!r}")
+    if not -(2**63) <= v < 2**64:  # a seed may take the whole unsigned 64-bit range
+        raise ValueError(f"expected a 64-bit integer, got {v!r}")
+    return v
+
+
+def _as_float(v) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _as_str(v) -> str:
+    if not isinstance(v, str):
+        raise ValueError(f"expected string, got {v!r}")
+    return v
+
+
+def _as_bool(v) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"expected true/false, got {v!r}")
+    return v
+
+
+def _tuple_of(cast):
+    """A cast of each element; a tuple that no element's cast changes is returned as it is."""
+    return lambda v: v if type(v) is tuple and all(cast(x) is x for x in v) else tuple(cast(x) for x in v)
+
+
+_KIND_NAMES = {AlgorithmKind: "algorithm", TopologyKind: "topology kind"}
+
+
+def _as_kind(kind: type[Enum], v) -> Enum:
+    """The member of ``kind`` whose value is exactly the string ``v`` (a member is itself)."""
+    if isinstance(v, kind):  # the usual case, and much cheaper than kind(v)
+        return v
+    name = _as_str(v)
+    try:
+        return kind(name)
+    except ValueError:
+        raise ConfigError(f"unknown {_KIND_NAMES[kind]} {name!r}") from None
+
+
+# every scalar config field, built in Python or read from a file, goes through the cast of its type
+_CASTS = {
+    int: _as_int,
+    float: _as_float,
+    str: _as_str,
+    bool: _as_bool,
+    tuple[int, ...]: _tuple_of(_as_int),
+    tuple[float, ...]: _tuple_of(_as_float),
+    **{kind: partial(_as_kind, kind) for kind in _KIND_NAMES},
+}
+
+
+def _section_class(hint):
+    """The config dataclass a field holds (``X`` or ``X | None``); None for a scalar field."""
+    return next((t for t in typing.get_args(hint) or (hint,) if is_dataclass(t)), None)
+
+
+# section name -> dataclass, in field order; the other ExperimentConfig fields are scalars
+_SECTIONS = {
+    name: cls for name, hint in typing.get_type_hints(ExperimentConfig).items() if (cls := _section_class(hint))
+}
+# (config key, field name, cast) for each scalar field of each config dataclass, in field order
+_SCALARS = {
+    cls: [
+        ("lambda" if (cls, name) == (OptimizerConfig, "lam") else name, name, _CASTS[hint])
+        for name, hint in typing.get_type_hints(cls).items()
+        if not _section_class(hint)
+    ]
+    for cls in (ExperimentConfig, *_SECTIONS.values())
+}
+
+
+def _changed(obj, cls, where: str) -> dict:
+    """The scalar fields of ``obj`` that their types' casts change, by name; a refused value names its key."""
+    changed = {}
+    try:
+        for key, name, cast in _SCALARS[cls]:
+            value = getattr(obj, name)
+            if (typed := cast(value)) is not value:
+                changed[name] = typed
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {where}{key}: {exc}") from None
+    return changed
+
+
+def _typed(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` with every field read through the cast of its type, as a config file's values are."""
+    changed = _changed(cfg, ExperimentConfig, "")
+    for name, cls in _SECTIONS.items():
+        section = getattr(cfg, name)
+        if section is None and name == "topology":  # a central run may have no graph
+            continue
+        if not isinstance(section, cls):
+            raise ConfigError(f"{name} must be a {cls.__name__}, got {section!r}")
+        if fields := _changed(section, cls, name + "."):
+            changed[name] = replace(section, **fields)
+    return replace(cfg, **changed) if changed else cfg
+
+
 def validated(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check invariants and normalize derived fields.
 
-    Forces beta = 0 for non-lookahead kinds, a single local step for
-    dpsgd, and the optimizer method implied by the algorithm.
+    Reads every field through the cast of its type, as a config file is
+    read, so a wrongly typed value is a ConfigError that names it.  Forces
+    beta = 0 for non-lookahead kinds, a single local step for dpsgd, and
+    the optimizer method implied by the algorithm.
     """
-    algo = AlgorithmKind(cfg.algorithm)
+    cfg = _typed(cfg)
+    algo = cfg.algorithm
     if not 0.0 <= cfg.beta < 1.0:
         raise ConfigError(f"beta must be < 1 (and >= 0), got {cfg.beta}")
     if cfg.m < 1:
@@ -241,7 +352,9 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
     elif not 0.0 < cfg.participation <= 1.0:
         raise ConfigError(f"participation must be in (0, 1], got {cfg.participation}")
 
-    optimizer = replace(cfg.optimizer, method=METHOD_FOR[algo])
+    optimizer = cfg.optimizer
+    if optimizer.method != METHOD_FOR[algo]:
+        optimizer = replace(optimizer, method=METHOD_FOR[algo])
     try:  # the optimizer's and topology's own checks name their fields
         optimizer.validate()
         if algo in DECENTRALIZED_KINDS and cfg.m > 1:
@@ -283,15 +396,9 @@ def validated(cfg: ExperimentConfig) -> ExperimentConfig:
     for name, size in sizes.items():
         if size > 2**31:
             raise ConfigError(f"{name} = {size} exceeds 2**31")
-    return replace(
-        cfg,
-        algorithm=algo,
-        beta=beta,
-        local_steps=local_steps,
-        optimizer=optimizer,
-        model=replace(cfg.model, hidden=tuple(cfg.model.hidden)),
-        targets=tuple(cfg.targets),
-    )
+    if (beta, local_steps, optimizer) == (cfg.beta, cfg.local_steps, cfg.optimizer):
+        return cfg  # a validated config is returned as it is, not rebuilt
+    return replace(cfg, beta=beta, local_steps=local_steps, optimizer=optimizer)
 
 
 @dataclass
@@ -672,7 +779,7 @@ def _evaluate(
     xbar = x.mean(axis=0)
     train_loss, grad = full_objective(problem.spec, xbar, problem.shards, scratch)
     test_acc = None
-    if problem.spec.kind != "quadratic" and problem.test is not None:
+    if problem.test is not None:
         test_acc = eval_model(problem.spec, xbar, problem.test)
     if cfg.algorithm in CENTRAL_KINDS:
         # every row is the global model, and a mean of equal rows could round

@@ -60,8 +60,8 @@ class OptimizerConfig:
     method: str = "sgd"
     eta0: float = 0.1
     decay: float = 0.998
-    lam: float = 0.0  # SAM perturbation radius
-    mu: float = 0.0  # heavy-ball momentum
+    lam: float = 0.1  # SAM perturbation radius
+    mu: float = 0.9  # heavy-ball momentum
     grad_floor: float = 1e-12  # skip SAM perturbation below this gradient norm
     batch_size: int = 32
 

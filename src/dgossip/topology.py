@@ -77,7 +77,7 @@ class TopologySpec:
 
     kind: TopologyKind
     m: int
-    k: int = 0
+    k: int = 10
     seed: int = 0
 
     def validate(self) -> None:

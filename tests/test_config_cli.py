@@ -22,8 +22,8 @@ from dgossip.config import (
     parse_config_text,
     parse_scalar,
 )
-from dgossip.engine import AlgorithmKind, ConfigError, run_experiment, validated
-from dgossip.topology import TopologyKind, build_mixing
+from dgossip.engine import AlgorithmKind, ConfigError, ExperimentConfig, run_experiment, validated
+from dgossip.topology import TopologyKind, TopologySpec, build_mixing
 
 BASE_CONFIG = """\
 # desk-scale logistic run
@@ -156,6 +156,13 @@ class TestConfigFromDict:
     def test_round_trip_identity(self):
         cfg = validated(config_from_dict(parse_config_text(BASE_CONFIG)))
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    @pytest.mark.parametrize("algorithm", list(AlgorithmKind))
+    def test_a_file_and_python_build_the_same_config(self, algorithm):
+        # the dataclasses carry the defaults; a file adds only the ring and the derived method, m and seed
+        built = ExperimentConfig(algorithm=algorithm, m=8, topology=TopologySpec(TopologyKind.RING, 8))
+        read = config_from_dict({"algorithm": algorithm.value, "m": 8, "topology": {"kind": "ring"}})
+        assert validated(built) == validated(read)
 
     def test_round_trip_central_kind(self):
         tree = parse_config_text(BASE_CONFIG)
@@ -522,6 +529,8 @@ class TestCmdRun:
             ("topo-report", ["--kinds", "ring", "--m", ","], None, "--m"),
             ("run", ["partition.alpha=1e308"], None, "partition.alpha"),  # Dir(alpha) draws all-zero shares
             ("run", ["partition.alpha=0"], None, "partition.alpha"),
+            ("run", ["algorithm=OLED-SAM"], None, "unknown algorithm 'OLED-SAM'"),
+            ("run", ["algorithm=Oled_Sgd"], None, "unknown algorithm 'Oled_Sgd'"),
         ],
     )
     def test_bad_value_exits_2_naming_it(

@@ -194,6 +194,46 @@ class TestValidation:
             with pytest.raises(ConfigError, match="seed"):
                 validated(logistic_cfg(seed=seed))
 
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            (dict(rounds=True), "bad value for rounds: expected integer"),
+            (dict(rounds=2.0), "bad value for rounds: expected integer"),
+            (dict(eval_every=1.5), "bad value for eval_every: expected integer"),
+            (dict(seed=1.5), "bad value for seed: expected integer"),
+            (dict(topology=TopologySpec(TopologyKind.RING, 8, seed=1.5)), "bad value for topology.seed"),
+            (dict(diagnostics=1), "bad value for diagnostics: expected true/false"),
+            (dict(algorithm=AlgorithmKind.FEDAVG_CENTRAL, topology=None, participation=True),
+             "bad value for participation: expected a finite number"),
+            (dict(local_steps=2.5), "bad value for local_steps"),
+            (dict(local_steps=True), "bad value for local_steps"),
+            (dict(optimizer=OptimizerConfig(batch_size=True)), "bad value for optimizer.batch_size"),
+            (dict(optimizer=OptimizerConfig(batch_size=4.0)), "bad value for optimizer.batch_size"),
+            (dict(model=ModelConfig(kind="mlp", hidden=(4.0,))), "bad value for model.hidden"),
+            (dict(data=DataConfig(classes=4.0)), "bad value for data.classes"),
+            (dict(data=DataConfig(dim=True)), "bad value for data.dim"),
+            (dict(partition=PartitionConfig(scheme="pathological", classes_per_client=2.0)),
+             "bad value for partition.classes_per_client"),
+            (dict(topology=TopologySpec("Ring", 8)), "unknown topology kind 'Ring'"),
+            (dict(model="mlp"), "model must be a ModelConfig"),
+            (dict(algorithm="OLED_SGD"), "unknown algorithm 'OLED_SGD'"),
+        ],
+    )
+    def test_a_wrongly_typed_python_value_is_refused_by_name_before_any_round(self, overrides, named):
+        # a config built in Python goes through the casts that a config file's values go through
+        def no_round(t, info):
+            pytest.fail(f"round {t} ran")
+
+        with pytest.raises(ConfigError, match=named):
+            run_experiment(logistic_cfg(**overrides), on_round=no_round)
+
+    def test_an_exact_kind_string_converts_to_its_kind(self):
+        cfg = validated(logistic_cfg(algorithm="oled_sam", topology=TopologySpec("random_k", 8, k=2)))
+        assert cfg.algorithm is AlgorithmKind.OLED_SAM and cfg.topology.kind is TopologyKind.RANDOM_K
+        assert run_experiment(cfg).records == run_experiment(
+            logistic_cfg(algorithm=AlgorithmKind.OLED_SAM, topology=TopologySpec(TopologyKind.RANDOM_K, 8, k=2))
+        ).records
+
 
 class TestBuildProblem:
     @pytest.mark.parametrize("alpha", [math.nan, math.inf, 1e308])
@@ -1073,6 +1113,13 @@ class TestWorkers:
         assert [i for r in ranges for i in range(rows)[r]] == list(range(rows))
         sizes = [r.stop - r.start for r in ranges]
         assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize("algorithm, off", [(AlgorithmKind.OLED_SAM, "lam"), (AlgorithmKind.DFEDAVGM, "mu")])
+    def test_a_python_built_config_runs_its_algorithm_with_the_default_radius_or_momentum(self, algorithm, off):
+        # the dataclasses carry lambda = 0.1 and mu = 0.9, so an omitted value does not fall back to SGD
+        cfg = workers_cfg(algorithm=algorithm)
+        plain = dataclasses.replace(cfg, optimizer=dataclasses.replace(cfg.optimizer, **{off: 0.0}))
+        assert not np.array_equal(run_experiment(cfg).final_x, run_experiment(plain).final_x)
 
     @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", None, True])
     def test_bad_worker_count_is_a_config_error(self, workers):
