@@ -34,6 +34,8 @@ __all__ = [
 
 
 def _strip_comment(line: str) -> str:
+    if '"' not in line:
+        return line.partition("#")[0]
     out = []
     in_string = False
     for ch in line:

@@ -4,7 +4,8 @@ Datasets are dense feature matrices with integer labels.  A partition is
 a tuple of per-client row-index arrays that assigns every dataset row to
 exactly one client; heterogeneity is driven either by Dirichlet-distributed
 per-class client shares or by restricting each client to a fixed number of
-classes.
+classes.  Under either, a client lists its rows class by class, and a
+class's rows in the order of that class's one shuffle.
 """
 
 from __future__ import annotations
@@ -50,11 +51,24 @@ class LabeledDataset:
 def _as_plan(parts: list[np.ndarray], n: int) -> tuple[np.ndarray, ...]:
     """The per-client index arrays, checked to cover every one of ``n`` rows exactly once."""
     flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
-    if len(flat) != n or len(np.unique(flat)) != n:
+    if len(flat) != n or flat.min() < 0 or flat.max() >= n or np.bincount(flat, minlength=n).max() != 1:
         raise AssertionError("internal error: assignments are not a partition")
     if any(len(p) == 0 for p in parts):
         raise AssertionError("internal error: empty client shard survived repair")
     return tuple(np.asarray(p, dtype=np.int64) for p in parts)
+
+
+def _class_rows(labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The labels present, ascending, and each one's rows, ascending: views of one stable argsort."""
+    order = np.argsort(labels, kind="stable")
+    cuts = np.flatnonzero(labels[order[1:]] != labels[order[:-1]]) + 1
+    return labels[order[np.r_[0, cuts]]], np.split(order, cuts)
+
+
+def _deal(rows: np.ndarray, owners: np.ndarray, m: int) -> list[np.ndarray]:
+    """Each of ``m`` clients' rows, in the order ``rows`` lists them; ``owners[j]`` holds ``rows[j]``."""
+    order = np.argsort(owners, kind="stable")
+    return np.split(rows[order], np.bincount(owners, minlength=m).cumsum()[:-1])
 
 
 def generate_synthetic(
@@ -83,8 +97,10 @@ def _synthetic(num_classes, dim, per_class, spread, seed, noise_stream) -> Label
     raw = np.random.default_rng([seed, 0]).normal(size=(num_classes, dim))
     means = 2.0 * raw / np.linalg.norm(raw, axis=1, keepdims=True)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class)
-    noise = np.random.default_rng([seed, noise_stream]).normal(size=(len(labels), dim))
-    features = means[labels] + spread * noise
+    features = np.random.default_rng([seed, noise_stream]).normal(size=(len(labels), dim))
+    features *= spread  # spread * noise + means[labels], in place
+    blocks = features.reshape(num_classes, per_class, dim)  # a view: one block of rows per class
+    blocks += means[:, None, :]
     return LabeledDataset(features=features, labels=labels, num_classes=num_classes)
 
 
@@ -94,8 +110,7 @@ def partition_iid(ds: LabeledDataset, m: int, seed: int) -> tuple[np.ndarray, ..
     if n < m:
         raise ValueError(f"cannot give every client a sample: n={n} < m={m}")
     perm = np.random.default_rng([seed]).permutation(n).astype(np.int64)
-    parts = [perm[i::m] for i in range(m)]
-    return _as_plan(parts, n)
+    return _as_plan(_deal(perm, np.arange(n) % m, m), n)
 
 
 def partition_dirichlet(ds: LabeledDataset, m: int, alpha: float, seed: int) -> tuple[np.ndarray, ...]:
@@ -113,22 +128,16 @@ def partition_dirichlet(ds: LabeledDataset, m: int, alpha: float, seed: int) -> 
     if n < m:
         raise ValueError(f"cannot give every client a sample: n={n} < m={m}")
     rng = np.random.default_rng([seed])
-    parts: list[list[int]] = [[] for _ in range(m)]
-    for c in np.unique(ds.labels):  # classes without a sample draw nothing
-        idx = np.nonzero(ds.labels == c)[0].astype(np.int64)
+    _, class_rows = _class_rows(ds.labels)  # classes without a sample draw nothing
+    owners = []
+    for idx in class_rows:
         rng.shuffle(idx)
         shares = rng.dirichlet(np.full(m, alpha))
         # past m * alpha of about 1.8e308 the gamma draws sum to inf, so every share is 0; inf or NaN draws NaN
         if not shares.sum() > 0:
             raise ValueError(f"partition.alpha={alpha} draws no Dirichlet shares (they sum to {shares.sum()})")
-        counts = _largest_remainder(shares, len(idx))
-        start = 0
-        for i, cnt in enumerate(counts):
-            parts[i].extend(idx[start : start + cnt].tolist())
-            start += cnt
-    arrays = [np.asarray(p, dtype=np.int64) for p in parts]
-    arrays = _repair_empty(arrays)
-    return _as_plan(arrays, n)
+        owners.append(np.repeat(np.arange(m), _largest_remainder(shares, len(idx))))
+    return _as_plan(_repair_empty(_deal(np.concatenate(class_rows), np.concatenate(owners), m)), n)
 
 
 def _largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
@@ -166,7 +175,7 @@ def partition_pathological(
     class's samples are then divided evenly among its holders.  The
     classes are the labels present, so a label gap holds no class.
     """
-    present = np.unique(ds.labels)  # every class on gap-free data, in the same order
+    present, class_rows = _class_rows(ds.labels)  # every class on gap-free data, in the same order
     c_total = len(present)
     if not 1 <= classes_per_client <= c_total:
         raise ValueError(
@@ -178,30 +187,25 @@ def partition_pathological(
         )
     rng = np.random.default_rng([seed])
     for _ in range(_PATHOLOGICAL_MAX_RETRIES):
-        owned = [rng.choice(c_total, size=classes_per_client, replace=False) for _ in range(m)]
-        if len(np.unique(np.concatenate(owned))) == c_total:
+        owned = np.array([rng.choice(c_total, size=classes_per_client, replace=False) for _ in range(m)])
+        if len(np.unique(owned)) == c_total:
             break
     else:
         raise RuntimeError("could not cover all classes; raise m or classes_per_client")
 
-    holders: list[list[int]] = [[] for _ in range(c_total)]  # by position in ``present``
-    for i, classes in enumerate(owned):
-        for j in classes:
-            holders[j].append(i)
-
-    parts: list[list[int]] = [[] for _ in range(m)]
-    for c, held_by in zip(present.tolist(), holders):
-        idx = np.nonzero(ds.labels == c)[0].astype(np.int64)
+    # each class's holders, ascending, by its position in ``present``
+    holders = _deal(np.repeat(np.arange(m), classes_per_client), owned.ravel(), c_total)
+    owners = []
+    for c, idx, held_by in zip(present, class_rows, holders):
         if len(idx) < len(held_by):
             raise ValueError(
                 f"class {c} has {len(idx)} samples but {len(held_by)} holders; "
                 "exact per-client class support is impossible"
             )
         rng.shuffle(idx)
-        for holder, chunk in zip(held_by, np.array_split(idx, len(held_by))):
-            parts[holder].extend(chunk.tolist())
-    arrays = [np.asarray(p, dtype=np.int64) for p in parts]
-    return _as_plan(arrays, len(ds))
+        q, r = divmod(len(idx), len(held_by))  # np.array_split's sizes: r chunks of q + 1, then q
+        owners.append(np.repeat(held_by, np.where(np.arange(len(held_by)) < r, q + 1, q)))
+    return _as_plan(_deal(np.concatenate(class_rows), np.concatenate(owners), m), len(ds))
 
 
 def load_csv(path: str) -> LabeledDataset:

@@ -65,6 +65,9 @@ class TopologyKind(str, Enum):
     RANDOM_K = "random_k"
 
 
+_KIND_VALUES = tuple(kind.value for kind in TopologyKind)
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """Declarative description of a communication graph.
@@ -80,7 +83,13 @@ class TopologySpec:
     k: int = 10
     seed: int = 0
 
+    def __post_init__(self):  # an exact kind value becomes its member; validate() refuses any other kind
+        if self.kind in _KIND_VALUES:
+            object.__setattr__(self, "kind", TopologyKind(self.kind))
+
     def validate(self) -> None:
+        if not isinstance(self.kind, TopologyKind):
+            raise ValueError(f"unknown topology kind {self.kind!r}")
         if self.m < 2:
             raise ValueError(f"need at least 2 clients, got m={self.m}")
         if self.kind is TopologyKind.GRID:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgossip import engine, localopt, models
+from dgossip import config, engine, localopt, models
 from dgossip.config import load_config
 from dgossip.engine import DataConfig, ExperimentConfig, ModelConfig
 from dgossip.localopt import OptimizerConfig
@@ -135,6 +135,23 @@ def test_traced_run_draws_through_the_engines_client_batches(monkeypatch, overri
     assert tracer.count("engine.round") == 3
     assert len(blocks) == 1  # three rounds of 6 clients fit one block
     assert blocks[0] == [(t, int(i)) for t in range(3) for i in engine.participants(cfg, 6, t)]
+
+
+@pytest.mark.parametrize(
+    "partition",
+    [["partition.scheme=iid"], ["partition.scheme=dirichlet"],
+     ["partition.scheme=pathological", "partition.classes_per_client=2"]],
+    ids=["iid", "dirichlet", "pathological"],
+)
+def test_traced_setup_counts_each_setup_layer(partition):
+    # bench/run.py --trace 1 divides the set-up spans by the set-ups it traced;
+    # a load or a partition that bypassed the wrapped lookups would read 0 ms
+    spans = load_spans()
+    preset = BENCH.parent / "configs" / "logistic_dirichlet.toml"
+    with spans.traced(spans.Tracer()) as tracer:
+        engine.build_problem(config.load_config(str(preset), partition))
+    counts = {name: tracer.count(name) for name in ("config.load", "data.generate", "data.partition")}
+    assert counts == {"config.load": 1, "data.generate": 2, "data.partition": 1}
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic", "mlp"])

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from dgossip import cli
 from dgossip.cli import main
 from dgossip.config import (
+    _strip_comment,
     apply_override,
     config_from_dict,
     config_to_dict,
@@ -89,6 +90,23 @@ class TestParsing:
     def test_hash_inside_string_kept(self):
         tree = parse_config_text('name = "a#b"  # trailing comment\n')
         assert tree["name"] == "a#b"
+
+    @staticmethod
+    def stripped_by_character(line):
+        """The line up to its first '#' outside a quoted string, one character at a time."""
+        out, in_string = [], False
+        for ch in line:
+            if ch == '"':
+                in_string = not in_string
+            if ch == "#" and not in_string:
+                break
+            out.append(ch)
+        return "".join(out)
+
+    @settings(max_examples=300, deadline=None)
+    @given(line=st.text(st.sampled_from('ab =#"[],.\t') | st.characters(), max_size=30))
+    def test_comment_strip_matches_the_character_loop(self, line):
+        assert _strip_comment(line) == self.stripped_by_character(line)
 
     def test_bad_line_reports_number(self):
         with pytest.raises(ConfigError, match="line 2"):

@@ -1,5 +1,7 @@
 """Dataset generation, CSV loading, and partition schemes."""
 
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,8 @@ from dgossip.cli import main
 from dgossip.data import (
     LabeledDataset,
     _as_plan,
+    _largest_remainder,
+    _repair_empty,
     generate_synthetic,
     generate_synthetic_holdout,
     load_csv,
@@ -92,6 +96,24 @@ class TestIID:
 
 
 class TestDirichlet:
+    @staticmethod
+    def dealt_client_by_client(ds, m, alpha, seed):
+        """The per-(class, client) loop that the vectorised deal must match bitwise, errors included."""
+        n = len(ds)
+        if n < m:
+            raise ValueError(f"cannot give every client a sample: n={n} < m={m}")
+        rng = np.random.default_rng([seed])
+        parts = [[] for _ in range(m)]
+        for c in np.unique(ds.labels):
+            idx = np.nonzero(ds.labels == c)[0].astype(np.int64)
+            rng.shuffle(idx)
+            shares = rng.dirichlet(np.full(m, alpha))
+            start = 0
+            for i, cnt in enumerate(_largest_remainder(shares, len(idx))):
+                parts[i].extend(idx[start : start + cnt].tolist())
+                start += cnt
+        return _repair_empty([np.asarray(p, dtype=np.int64) for p in parts])
+
     def test_single_client_takes_all(self):
         ds = generate_synthetic(3, 2, 10, 0.5, seed=0)
         plan = partition_dirichlet(ds, 1, alpha=0.5, seed=0)
@@ -182,6 +204,11 @@ class TestPathological:
         for c in range(ds.num_classes):
             holders = [i for i, classes in enumerate(owned) if c in classes]
             idx = np.nonzero(ds.labels == c)[0].astype(np.int64)
+            if len(idx) < len(holders):
+                raise ValueError(
+                    f"class {c} has {len(idx)} samples but {len(holders)} holders; "
+                    "exact per-client class support is impossible"
+                )
             rng.shuffle(idx)
             for holder, chunk in zip(holders, np.array_split(idx, len(holders))):
                 parts[holder].extend(chunk.tolist())
@@ -237,14 +264,84 @@ def test_every_scheme_yields_a_set_partition(scheme, m, seed):
     assert all(a.dtype == np.int64 for a in plan)
 
 
-@pytest.mark.parametrize(
-    "parts",
-    [[np.array([0, 0, 1])], [np.array([0, 1]), np.array([], dtype=np.int64)]],
-    ids=["overlap", "empty"],
+@st.composite
+def labelled_rows(draw):
+    """(dataset, its labels compacted to 0..C-1, the label of each compact class).
+
+    2-30 classes of 1-40 rows each, in a shuffled row order; half the time
+    the labels have gaps and the largest is 3,000,000.
+    """
+    sizes = draw(st.lists(st.integers(1, 40), min_size=2, max_size=30))
+    c = len(sizes)
+    if draw(st.booleans()):
+        ids = np.arange(c)
+    else:
+        ids = np.sort(np.random.default_rng(draw(st.integers(0, 2**32))).choice(3_000_000, c - 1, replace=False))
+        ids = np.append(ids, 3_000_000)
+    order = np.random.default_rng(draw(st.integers(0, 2**32))).permutation(sum(sizes))
+    compact = np.repeat(np.arange(c), sizes)[order]
+    features = np.zeros((len(compact), 1))
+    return (
+        LabeledDataset(features, ids[compact], int(ids[-1]) + 1),
+        LabeledDataset(features, compact, c),
+        ids,
+    )
+
+
+def outcome(partition, *args):
+    """The plan as lists, or the ValueError's message."""
+    try:
+        return [p.tolist() for p in partition(*args)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=labelled_rows(),
+    m=st.integers(1, 120),
+    alpha=st.floats(0.01, 1e3),
+    seed=st.integers(0, 2**32),
 )
-def test_partition_check_rejects_overlap_and_empty_clients(parts):
+def test_dirichlet_deals_as_the_client_by_client_loop(data, m, alpha, seed):
+    # small alpha leaves clients empty, so the repair runs; n < m fails alike on both sides
+    ds, _, _ = data
+    got = outcome(partition_dirichlet, ds, m, alpha, seed)
+    assert got == outcome(TestDirichlet.dealt_client_by_client, ds, m, alpha, seed)
+    assert isinstance(got, list) or "sample" in got
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=labelled_rows(), m=st.integers(1, 120), cpc_pick=st.floats(0, 1), seed=st.integers(0, 2**32))
+def test_pathological_deals_as_the_class_by_class_loop(data, m, cpc_pick, seed):
+    # enough classes per client that one draw of owners covers every class with odds over 1/2,
+    # so neither side spends its retries; a class with fewer rows than holders fails alike
+    ds, compact, ids = data
+    c = len(ids)
+    low = min(c, math.ceil(c * (1 + math.log(c)) / m))
+    cpc = low + int(cpc_pick * (c - low))
+    got = outcome(partition_pathological, ds, m, cpc, seed)
+    want = outcome(TestPathological.dealt_over_every_class_id, compact, m, cpc, seed)
+    if isinstance(want, str):  # the reference names the compact class; the partition names its label
+        want = re.sub(r"^class (\d+)", lambda hit: f"class {ids[int(hit[1])]}", want)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "parts, n",
+    [
+        ([np.array([0, 0, 1])], 2),
+        ([np.array([0, 1]), np.array([], dtype=np.int64)], 2),
+        ([np.array([0, 1]), np.array([5])], 3),
+        ([np.array([-1, 1])], 2),
+        ([np.array([0, 2]), np.array([2])], 3),
+        ([np.array([1]), np.array([2])], 3),
+    ],
+    ids=["overlap", "empty", "out_of_range", "negative", "duplicate", "missing"],
+)
+def test_partition_check_rejects_overlap_and_empty_clients(parts, n):
     with pytest.raises(AssertionError, match="internal error"):
-        _as_plan(parts, 2)
+        _as_plan(parts, n)
 
 
 class TestLoadCsv:

@@ -88,6 +88,19 @@ class TestBuildMixing:
         with pytest.raises(ValueError):
             build_mixing(TopologySpec(TopologyKind.RANDOM_K, m=4, k=4))
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_an_exact_kind_value_builds_its_members_matrix(self, kind):
+        spec = TopologySpec(kind.value, 9, k=3, seed=5)
+        assert spec.kind is kind
+        got, want = build_mixing(spec), build_mixing(TopologySpec(kind, 9, k=3, seed=5))
+        assert all(np.array_equal(a, b) for a, b in zip(got.neighbours, want.neighbours, strict=True))
+        assert got.w.tobytes() == want.w.tobytes()
+
+    @pytest.mark.parametrize("kind", ["Ring", "RING", " ring", "fully_connected", "exp", 3])
+    def test_an_unknown_kind_is_refused_naming_it(self, kind):
+        with pytest.raises(ValueError, match=f"unknown topology kind {kind!r}"):
+            build_mixing(TopologySpec(kind, 9))
+
     @settings(max_examples=60, deadline=None)
     @given(specs())
     def test_invariants(self, spec):
