@@ -34,17 +34,10 @@ __all__ = [
 
 
 def _strip_comment(line: str) -> str:
-    if '"' not in line:
-        return line.partition("#")[0]
-    out = []
-    in_string = False
-    for ch in line:
-        if ch == '"':
-            in_string = not in_string
-        if ch == "#" and not in_string:
-            break
-        out.append(ch)
-    return "".join(out)
+    i = line.find("#")
+    while i != -1 and line.count('"', 0, i) % 2:  # an odd count of quotes before it: inside a string
+        i = line.find("#", i + 1)
+    return line if i == -1 else line[:i]
 
 
 def parse_scalar(text: str):

@@ -58,11 +58,11 @@ def _as_plan(parts: list[np.ndarray], n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.asarray(p, dtype=np.int64) for p in parts)
 
 
-def _class_rows(labels: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The labels present, ascending, and each one's rows, ascending: views of one stable argsort."""
+def _class_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The labels present, ascending; one stable argsort of the labels; and each label's rows, views of it."""
     order = np.argsort(labels, kind="stable")
     cuts = np.flatnonzero(labels[order[1:]] != labels[order[:-1]]) + 1
-    return labels[order[np.r_[0, cuts]]], np.split(order, cuts)
+    return labels[order[np.r_[0, cuts]]], order, np.split(order, cuts)
 
 
 def _deal(rows: np.ndarray, owners: np.ndarray, m: int) -> list[np.ndarray]:
@@ -110,7 +110,7 @@ def partition_iid(ds: LabeledDataset, m: int, seed: int) -> tuple[np.ndarray, ..
     if n < m:
         raise ValueError(f"cannot give every client a sample: n={n} < m={m}")
     perm = np.random.default_rng([seed]).permutation(n).astype(np.int64)
-    return _as_plan(_deal(perm, np.arange(n) % m, m), n)
+    return _as_plan([perm[i::m] for i in range(m)], n)
 
 
 def partition_dirichlet(ds: LabeledDataset, m: int, alpha: float, seed: int) -> tuple[np.ndarray, ...]:
@@ -128,7 +128,7 @@ def partition_dirichlet(ds: LabeledDataset, m: int, alpha: float, seed: int) -> 
     if n < m:
         raise ValueError(f"cannot give every client a sample: n={n} < m={m}")
     rng = np.random.default_rng([seed])
-    _, class_rows = _class_rows(ds.labels)  # classes without a sample draw nothing
+    _, rows, class_rows = _class_rows(ds.labels)  # classes without a sample draw nothing; shuffles act on rows
     owners = []
     for idx in class_rows:
         rng.shuffle(idx)
@@ -137,7 +137,7 @@ def partition_dirichlet(ds: LabeledDataset, m: int, alpha: float, seed: int) -> 
         if not shares.sum() > 0:
             raise ValueError(f"partition.alpha={alpha} draws no Dirichlet shares (they sum to {shares.sum()})")
         owners.append(np.repeat(np.arange(m), _largest_remainder(shares, len(idx))))
-    return _as_plan(_repair_empty(_deal(np.concatenate(class_rows), np.concatenate(owners), m)), n)
+    return _as_plan(_repair_empty(_deal(rows, np.concatenate(owners), m)), n)
 
 
 def _largest_remainder(shares: np.ndarray, total: int) -> np.ndarray:
@@ -175,7 +175,7 @@ def partition_pathological(
     class's samples are then divided evenly among its holders.  The
     classes are the labels present, so a label gap holds no class.
     """
-    present, class_rows = _class_rows(ds.labels)  # every class on gap-free data, in the same order
+    present, rows, class_rows = _class_rows(ds.labels)  # every class on gap-free data, in the same order
     c_total = len(present)
     if not 1 <= classes_per_client <= c_total:
         raise ValueError(
@@ -205,7 +205,7 @@ def partition_pathological(
         rng.shuffle(idx)
         q, r = divmod(len(idx), len(held_by))  # np.array_split's sizes: r chunks of q + 1, then q
         owners.append(np.repeat(held_by, np.where(np.arange(len(held_by)) < r, q + 1, q)))
-    return _as_plan(_deal(np.concatenate(class_rows), np.concatenate(owners), m), len(ds))
+    return _as_plan(_deal(rows, np.concatenate(owners), m), len(ds))
 
 
 def load_csv(path: str) -> LabeledDataset:

@@ -65,9 +65,6 @@ class TopologyKind(str, Enum):
     RANDOM_K = "random_k"
 
 
-_KIND_VALUES = tuple(kind.value for kind in TopologyKind)
-
-
 @dataclass(frozen=True)
 class TopologySpec:
     """Declarative description of a communication graph.
@@ -84,7 +81,7 @@ class TopologySpec:
     seed: int = 0
 
     def __post_init__(self):  # an exact kind value becomes its member; validate() refuses any other kind
-        if self.kind in _KIND_VALUES:
+        if self.kind in tuple(TopologyKind):  # a str enum: its members equal their exact values
             object.__setattr__(self, "kind", TopologyKind(self.kind))
 
     def validate(self) -> None:
