@@ -2,10 +2,11 @@
 
 OpenBLAS splits a large product over its threads, and the split changes
 the order in which a dot product's terms are summed, so some shapes round
-differently on two threads than on one.  A run's pool threads split its
-rows, never a product, so :func:`one_thread` pins the OpenBLAS that numpy
-loaded to one thread for the duration of a run, pool threads included
-(the count is process-wide), and restores the previous count afterwards.
+differently on two threads than on one.  A run's worker processes split
+its rows, never a product, so :func:`one_thread` pins the OpenBLAS that
+numpy loaded to one thread for the duration of a run, and restores the
+previous count afterwards.  The workers are forked inside the pin, so
+they inherit it.
 Dense gossip, one product on the calling thread, takes the same pin
 around that product, so its bits hold outside a run too.  It reaches the
 library through ctypes, by the thread-count functions that numpy's wheels

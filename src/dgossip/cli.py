@@ -36,15 +36,24 @@ def _err(msg: str) -> None:
 
 
 def _workers(value: str) -> int:
-    """``--workers`` as a thread count: a positive integer, or 'auto' for the CPUs this process may use."""
+    """``--workers`` as a process count: a positive integer, or 'auto' for the CPUs this process may use.
+
+    More than one needs the ``"fork"`` start method, checked here before any output is written.
+    """
     if value == "auto":
-        return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    try:
-        n = int(value)
-    except ValueError:
-        raise ConfigError(f"--workers must be a positive integer or 'auto', got {value!r}") from None
-    if n < 1:
-        raise ConfigError(f"--workers must be >= 1, got {n}")
+        n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    else:
+        try:
+            n = int(value)
+        except ValueError:
+            raise ConfigError(f"--workers must be a positive integer or 'auto', got {value!r}") from None
+        if n < 1:
+            raise ConfigError(f"--workers must be >= 1, got {n}")
+    if n > 1:
+        from .forked import can_fork
+
+        if not can_fork():
+            raise ConfigError(f"--workers {n} needs the 'fork' start method, which this platform lacks")
     return n
 
 
@@ -175,7 +184,7 @@ def cmd_topo_report(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    _workers(args.workers)  # checked only: the twin runs step in lockstep on one thread
+    _workers(args.workers)  # checked only: the twin runs step in lockstep in one process
     cfg = _load(args)
     problem = build_problem(cfg)
     path = os.path.join(args.out, "stability.csv")
@@ -219,13 +228,16 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
-    threads = "threads that train each round's clients in row ranges, with bitwise the same outputs"
+    procs = (
+        "processes that train each round's clients in row ranges, with bitwise the same outputs;"
+        " more than one forks worker processes, where the platform can fork"
+    )
     sp = sub.add_parser("run", help="run one experiment")
-    common(sp, threads)
+    common(sp, procs)
     sp.set_defaults(func=cmd_run)
 
     sp = sub.add_parser("sweep", help="run the config across values of one key")
-    common(sp, threads + "; the cells run one after another")
+    common(sp, procs + "; the cells run one after another")
     sp.add_argument("--key", required=True, help="dotted config key to sweep")
     sp.add_argument("--values", required=True, help="comma-separated value list")
     sp.set_defaults(func=cmd_sweep)
@@ -239,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_topo_report)
 
     sp = sub.add_parser("stability", help="coupled twin runs with one swapped sample")
-    common(sp, "checked, but the probe runs on one thread")
+    common(sp, "checked, but the probe runs in one process")
     sp.add_argument("--client", type=int, required=True, help="client holding the swap")
     sp.add_argument("--sample", type=int, required=True, help="shard-local sample index")
     sp.add_argument(

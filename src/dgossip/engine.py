@@ -26,22 +26,25 @@ new arrays that the engine never writes again, so one a caller keeps
 stays as it was.  Only the workspaces share memory: a run's local phases
 (workspace, spare iterate, velocity) and evaluations (the full
 objective's workspace) lay them out in turn in a :class:`models.Scratch`
-of the run, one per worker thread, and none of it lives at module level.
-Table gossip's gathered term, the metrics' differences and the test
-activations are plain numpy temporaries.  Evaluation computes only what a
-RoundRecord reads: accuracy from the argmax of the test logits, no test
-loss.
+of the run, one in the caller and one in each worker process, and none
+of it lives at module level.  Table gossip's gathered term, the metrics'
+differences and the test activations are plain numpy temporaries.
+Evaluation computes only what a RoundRecord reads: accuracy from the
+argmax of the test logits, no test loss.
 
-Determinism contract: with ``workers`` > 1 a run owns a thread pool, and
-only the local phase splits each round's rows, into at most ``workers``
-contiguous ranges, one per thread (:func:`_row_ranges`); with one worker
-a single call covers every row.  No row's arithmetic depends on the
-split, and the ranges are joined in row order, so no result depends on
-scheduling; gossip, evaluation and every draw run on the calling thread.
-numpy's OpenBLAS is held at one thread while a run executes
-(:mod:`dgossip.blas`).  Every client owns a private counter-based stream
-keyed by (seed, client, round) and draws its minibatches from it alone
-(:func:`client_batches`): exact uint64 arithmetic on SplitMix64's mix.
+Determinism contract: with ``workers`` > 1 a run forks worker processes
+once (:class:`_LocalPhase`), and only the local phase splits each round's
+rows, into at most ``workers`` contiguous ranges (:func:`_row_ranges`):
+the caller trains the first and each worker one more, reading its inputs
+from and writing its outputs to a shared mapping.  With one worker a
+single call covers every row and no process is started.  No row's
+arithmetic depends on the split, and the ranges are joined in row order,
+so no result depends on scheduling; gossip, evaluation and every draw
+run in the caller.  numpy's OpenBLAS is held at one thread while a run
+executes, in the workers too (:mod:`dgossip.blas`).  Every client owns a
+private counter-based stream keyed by (seed, client, round) and draws its
+minibatches from it alone (:func:`client_batches`): exact uint64
+arithmetic on SplitMix64's mix.
 Every other seed and per-round draw is a key of the same
 :mod:`dgossip.keyed` rule: the central participants (seed, _DOM_COORD,
 t, i), each random_k round's graph seed (topology.seed, _DOM_TOPO, t)
@@ -67,7 +70,6 @@ from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -100,9 +102,6 @@ from .models import (
     quadratic_testbed,
 )
 from .topology import MixingMatrix, TopologyKind, TopologySpec, build_mixing
-
-if TYPE_CHECKING:  # run_experiment imports it only for a pool: the import alone takes 0.8 MB of RSS
-    from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "AlgorithmKind",
@@ -571,6 +570,79 @@ def _check_finite(z: np.ndarray, t: int, clients: np.ndarray) -> None:
         raise DivergenceError(t, int(clients[bad[0]]))
 
 
+class _LocalPhase:
+    """A run's local phase in ``procs + 1`` row ranges: the first on the caller, one more per forked worker.
+
+    The workers are forked once, by :class:`forked.Workers`, so each holds
+    the run's config and problem as they were built.  Each round the
+    caller copies the inputs of the workers' rows into shared arrays: the
+    start points, minibatch indices, central participants and, with
+    diagnostics on, the drift reference.  It sends each worker its range,
+    trains the first range itself, and joins in row order the outputs that
+    the workers leave in shared arrays.  Each worker lays its workspaces
+    out in a Scratch of its own.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, problem: Problem, rows: int, procs: int):
+        from .forked import Workers, shared_array  # imports multiprocessing and mmap, which one worker never needs
+
+        central, p = cfg.algorithm in CENTRAL_KINDS, problem.x0.size
+        self.cfg, self.problem = cfg, problem
+        self.starts, self.z = shared_array((rows, p), float), shared_array((rows, p), float)
+        self.clients = shared_array((rows,), np.intp) if central else None
+        noisy = problem.spec.kind != "quadratic"
+        self.draws = shared_array((cfg.local_steps, rows, cfg.optimizer.batch_size), np.int64) if noisy else None
+        # a central round's drift reference is its start points
+        self.ref = (self.starts if central else shared_array((rows, p), float)) if cfg.diagnostics else None
+        self.v1 = shared_array((rows,), float) if cfg.diagnostics else None
+        self.ranges = _row_ranges(rows, procs + 1)
+        self.scratch = Scratch()  # used only after the fork, where each worker has its own copy
+        self.workers = Workers(procs, self._serve)
+
+    def __enter__(self) -> _LocalPhase:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.workers.close()
+
+    def _train(self, t: int, rows: slice, starts, shards: ShardStack, draws, ref, scratch):
+        return local_train(
+            self.problem.spec,
+            starts[rows],
+            shards.take(rows),
+            self.cfg.local_steps,
+            self.cfg.optimizer,
+            None if draws is None else draws[:, rows],
+            round_index=t,
+            ref_point=None if ref is None else ref[rows],
+            scratch=scratch,
+        )
+
+    def _serve(self, t: int, rows: slice) -> None:
+        """Train ``rows`` of round ``t`` in a worker, from the shared inputs into the shared outputs."""
+        shards = self.problem.shards if self.clients is None else self.problem.shards.take(self.clients)
+        res = self._train(t, rows, self.starts, shards, self.draws, self.ref, self.scratch)
+        self.z[rows] = res.z
+        if self.v1 is not None:
+            self.v1[rows] = res.v1
+
+    def train(self, t: int, starts, shards: ShardStack, clients, draws, ref, scratch):
+        """(z, drift) of every row of round ``t``: the first range trains here, in ``scratch``."""
+        first, rest = self.ranges[0], slice(self.ranges[0].stop, None)
+        self.starts[rest] = starts[rest]
+        if self.clients is not None:
+            self.clients[:] = clients
+        if self.draws is not None:
+            self.draws[:, rest] = draws[:, rest]
+        if self.ref is not None:
+            self.ref[rest] = ref[rest]
+        self.workers.send([(t, rows) for rows in self.ranges[1:]])
+        res = self._train(t, first, starts, shards, draws, ref, scratch)
+        self.workers.wait()
+        z = np.concatenate([res.z, self.z[rest]])
+        return z, None if self.v1 is None else np.concatenate([res.v1, self.v1[rest]])
+
+
 def run_round(
     x_mixed: np.ndarray,
     z_prev: np.ndarray,
@@ -580,16 +652,15 @@ def run_round(
     problem: Problem,
     clients: np.ndarray,
     draws: np.ndarray | None,
-    scratches: list[Scratch] | None = None,
-    pool: ThreadPoolExecutor | None = None,
+    scratch: Scratch | None = None,
+    pool: _LocalPhase | None = None,
 ) -> RoundInfo:
     """Execute one communication round; the next starts from ``info.x_mixed`` and ``info.z``.
 
     The participating clients (all of them for decentralized kinds) are
-    trained by one batched local phase, a ``local_train`` call per row
-    range.  Central kinds (``w_t is None``) read only row 0 of
-    ``x_mixed``, the global model, and never read ``z_prev``.  No input is
-    written in place.
+    trained by one batched local phase.  Central kinds (``w_t is None``)
+    read only row 0 of ``x_mixed``, the global model, and never read
+    ``z_prev``.  No input is written in place.
     ``clients`` are the round's participants, ascending, and ``draws``
     their (K, n, B) minibatch indices (None for the noiseless quadratic
     family), as :func:`iter_rounds` derives them ahead for a block of
@@ -597,12 +668,13 @@ def run_round(
     t)`` and their ``client_batches``.  The start points, local outputs
     and mixed models it returns are new arrays.
 
-    ``scratches`` holds one :class:`Scratch` per worker.  Without a
-    ``pool`` one ``local_train`` call trains every row in the first of
-    them (or in a workspace of its own).  With one, the rows split into at
-    most ``len(scratches)`` ranges (:func:`_row_ranges`), range i trains
-    on a pool thread in ``scratches[i]``, and the outputs are joined in
-    row order.  Gossip runs on this thread (see :func:`gossip_mix`).
+    Without a ``pool`` one ``local_train`` call trains every row, laying
+    its workspaces out in ``scratch`` (or in its own).  ``pool`` is a run's
+    forked local phase (:func:`run_experiment` makes one for more than one
+    worker): the rows split into contiguous ranges (:func:`_row_ranges`),
+    the first trains here in ``scratch`` and each other one in a worker
+    process, and the outputs are joined in row order.  Gossip runs here
+    (see :func:`gossip_mix`).
     """
     m = len(x_mixed)
     central = cfg.algorithm in CENTRAL_KINDS
@@ -612,30 +684,15 @@ def run_round(
     else:
         starts = ole_init(x_mixed, z_prev, cfg.beta)
         shards = problem.shards
-    scratches = scratches or [None]
     ref = (starts if central else x_mixed) if cfg.diagnostics else None
-    ranges = _row_ranges(len(starts), len(scratches) if pool is not None else 1)
-
-    def train(i: int, rows: slice):
-        return local_train(
-            problem.spec,
-            starts[rows],
-            shards if len(ranges) == 1 else shards.take(rows),
-            cfg.local_steps,
-            cfg.optimizer,
-            None if draws is None else draws[:, rows],
-            round_index=t,
-            ref_point=None if ref is None else ref[rows],
-            scratch=scratches[i],
+    if pool is None:
+        res = local_train(
+            problem.spec, starts, shards, cfg.local_steps, cfg.optimizer, draws,
+            round_index=t, ref_point=ref, scratch=scratch,
         )
-
-    if len(ranges) == 1:
-        res = train(0, ranges[0])
         z, drift = res.z, res.v1
-    else:  # the ranges' outputs in row order
-        parts = list(pool.map(train, range(len(ranges)), ranges))
-        z = np.concatenate([res.z for res in parts])
-        drift = np.concatenate([res.v1 for res in parts]) if cfg.diagnostics else None
+    else:
+        z, drift = pool.train(t, starts, shards, clients, draws, ref, scratch)
     _check_finite(z, t, clients)
     if central:
         x_new = np.tile(z.mean(axis=0), (m, 1))
@@ -707,8 +764,8 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
 def iter_rounds(
     cfg: ExperimentConfig,
     problem: Problem,
-    scratches: list[Scratch] | None = None,
-    pool: ThreadPoolExecutor | None = None,
+    scratch: Scratch | None = None,
+    pool: _LocalPhase | None = None,
 ):
     """Run ``cfg.rounds`` rounds from ``problem.x0``, yielding each round's RoundInfo.
 
@@ -726,15 +783,16 @@ def iter_rounds(
     every call, where the benchmark's call tracer wraps them.
 
     Every RoundInfo holds new arrays, which no later round writes; the
-    local phases lay their workspaces out in ``scratches`` (one new
-    :class:`Scratch` by default), and run their row ranges on ``pool``
-    when there is one; gossip never does (see :func:`run_round`).  The
+    local phases lay their workspaces out in ``scratch`` (a new
+    :class:`Scratch` by default), and split their rows over ``pool``'s
+    worker processes when there is one; gossip never does (see
+    :func:`run_round`).  The
     generator drops its RoundInfo when the caller resumes it, so a finished
     round's arrays that the caller does not keep are freed before the next
     round allocates its own.
     """
     cfg = validated(cfg)
-    scratches = scratches or [Scratch()]
+    scratch = Scratch() if scratch is None else scratch
     m = len(problem.shards)
     x = z = np.tile(problem.x0, (m, 1))  # no round writes its inputs
     topo = cfg.topology
@@ -765,7 +823,7 @@ def iter_rounds(
         for i, t in enumerate(block):
             if resampled:
                 w_t = build_mixing(replace(topo, seed=int(seeds[i])))
-            info = run_round(x, z, t, cfg, w_t, problem, clients[i], draws[i], scratches, pool)
+            info = run_round(x, z, t, cfg, w_t, problem, clients[i], draws[i], scratch, pool)
             x, z = info.x_mixed, info.z
             yield info
             del info  # frees the round's start points and its x_prev, unless the caller keeps them
@@ -814,32 +872,42 @@ def run_experiment(
     """Run T communication rounds and collect the metric record series.
 
     ``workers`` (a positive int; ConfigError otherwise) is the number of
-    threads that run each round's local phase, as contiguous row ranges;
-    gossip and evaluation run on the calling thread.  With more than one,
-    the run owns a thread pool of ``min(workers, m)`` threads, so never
-    more threads than rows, and one :class:`Scratch` per thread, and shuts
-    the pool down before it returns or raises; with one, every round runs
-    on the calling thread.
+    processes that train each round's local phase, as contiguous row
+    ranges (:func:`_row_ranges`).  With more than one, the run forks
+    ``min(workers, rows) - 1`` worker processes, ``rows`` being m or, for
+    central kinds, the participant count, so that no process is left
+    without a range: the caller trains the first range and each worker
+    one more.  It stops and reaps them before it returns or raises.  An
+    error in a worker is raised here, and a worker that dies is a
+    RuntimeError.  Forking needs the ``"fork"`` start method: where the
+    platform lacks it, more than one worker is a ConfigError.  Gossip,
+    evaluation and every draw run on the caller.  With one worker, no
+    process is started.
     Outputs are bitwise the same for every worker count.  numpy's
     OpenBLAS is held at one thread while the rounds run and are evaluated
-    (:func:`blas.one_thread`).  ``on_round`` receives (t, RoundInfo) after
-    every round; metrics are derived only on recorded rounds, and lay
-    their workspaces out in the first Scratch.
+    (:func:`blas.one_thread`), and the workers are forked under that pin.
+    ``on_round`` receives (t, RoundInfo) after every round; metrics are
+    derived only on recorded rounds, and lay their workspaces out in the
+    caller's Scratch.
     """
     if isinstance(workers, bool) or not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+    if workers > 1:
+        from .forked import can_fork
+
+        if not can_fork():
+            raise ConfigError(f"workers={workers} needs the 'fork' start method, which this platform lacks")
     cfg = validated(cfg)
     start = time.perf_counter()
     problem = build_problem(cfg) if problem is None else problem
     records: list[RoundRecord] = []
     final_x = None
-    threads = min(workers, len(problem.shards))
-    scratches = [Scratch() for _ in range(threads)]
-    scratch = scratches[0]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-    with blas.one_thread(), ThreadPoolExecutor(threads) if threads > 1 else nullcontext() as pool:
-        for info in iter_rounds(cfg, problem, scratches, pool):
+    m = len(problem.shards)
+    rows = _participant_count(cfg.participation, m) if cfg.algorithm in CENTRAL_KINDS else m
+    procs = min(workers, rows) - 1
+    scratch = Scratch()
+    with blas.one_thread(), _LocalPhase(cfg, problem, rows, procs) if procs else nullcontext() as pool:
+        for info in iter_rounds(cfg, problem, scratch, pool):
             t = info.t
             if on_round is not None:
                 on_round(t, info)
@@ -848,7 +916,7 @@ def run_experiment(
             final_x = info.x_mixed
             del info  # so that what only this round's info held is freed before the next round allocates
         if final_x is None:
-            final_x = np.tile(problem.x0, (len(problem.shards), 1))
+            final_x = np.tile(problem.x0, (m, 1))
         if records:
             last = records[-1]
         else:  # degenerate horizon: report initial metrics only, with every client at x0

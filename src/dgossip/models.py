@@ -400,10 +400,10 @@ class Scratch:
     of just the need, glibc handed a run's pages back at its end and the
     next run faulted them in afresh (92 minor faults per round against 5 on
     fullscale_random_sam).  Each data-backed Workspace is made once per
-    block and handed out again.  A run owns one per worker thread: each
-    thread's local phases take their Workspaces from its own, and the
-    evaluations from the first, between rounds, so no two calls that run
-    at the same time share one, and once they have grown, none of them
+    block and handed out again.  A run owns one in the caller, whose local
+    phases and evaluations take their Workspaces from it in turn, and each
+    of its worker processes one of its own, so no two calls that run at
+    the same time share one, and once they have grown, none of them
     allocates its workspace.  A Scratch is not for two threads at once.
     """
 

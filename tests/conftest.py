@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -12,3 +14,10 @@ def pytest_runtest_logreport(report):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture(autouse=True)
+def no_process_left_behind():
+    # a run stops and reaps its worker processes before it returns or raises
+    yield
+    assert multiprocessing.active_children() == []

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -474,6 +475,16 @@ class TestCmdRun:
         assert main([*argv, "0"]) == 2
         assert "--workers" in capsys.readouterr().err
         assert main([*argv, "2"]) == 0
+
+    @pytest.mark.parametrize("flag", ["2", "auto"])
+    def test_workers_past_one_without_fork_is_config_error(self, monkeypatch, config_file, tmp_path, capsys, flag):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config_file), "--out", str(out), "--workers", flag]) == 2
+        assert "--workers 2 needs the 'fork' start method" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["run", "--config", str(config_file), "--out", str(out), "--workers", "1"]) == 0
 
     @pytest.mark.parametrize("command", ["run", "sweep", "stability"])
     def test_no_help_calls_workers_inert(self, command, capsys):

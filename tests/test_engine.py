@@ -1,17 +1,18 @@
 """Round orchestration: lookahead init, mixing, baselines, determinism."""
 
-import concurrent.futures
 import copy
 import dataclasses
 import importlib
 import math
+import multiprocessing
 import os
 import pkgutil
+import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1103,7 +1104,19 @@ def run_fingerprint(result):
 
 
 class TestWorkers:
-    """Row ranges on a per-run pool: bitwise one worker, no thread left behind."""
+    """Row ranges on forked worker processes: bitwise one worker, no process left behind."""
+
+    @pytest.fixture(autouse=True)
+    def deadline(self):
+        # a run that hangs on a worker fails here instead of stalling the suite
+        def expire(signum, frame):
+            raise TimeoutError("the test ran past 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 7, 100])
     @pytest.mark.parametrize("workers", [1, 2, 3, 8, 10**9])
@@ -1152,32 +1165,113 @@ class TestWorkers:
             sys.setswitchinterval(interval)
         assert pooled == single
 
-    def test_local_phase_trains_one_range_per_pool_thread(self, monkeypatch):
-        calls = []
+    def test_local_phase_trains_one_range_per_worker_process(self, monkeypatch, tmp_path):
+        # a worker's calls happen in its own memory, so each call appends a line to a shared file
+        log = tmp_path / "calls"
 
         def training(spec, x0, *args, **kwargs):
-            calls.append((kwargs["round_index"], len(x0), threading.get_ident(), id(kwargs["scratch"])))
+            with open(log, "a") as fh:
+                fh.write(f"{kwargs['round_index']} {len(x0)} {os.getpid()}\n")
             return localopt.local_train(spec, x0, *args, **kwargs)
 
         monkeypatch.setattr(engine, "local_train", training)
         run_experiment(workers_cfg(), workers=3)
+        calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
         # the ranges of a round finish in any order
-        assert sorted((t, rows) for t, rows, *_ in calls) == [(t, rows) for t in range(4) for rows in (2, 2, 3)]
-        assert threading.get_ident() not in {thread for *_, thread, _ in calls}
-        # each range of a round has a Scratch of its own
-        assert all(len({s for t, _, _, s in calls if t == r}) == 3 for r in range(4))
+        assert sorted((t, rows) for t, rows, _ in calls) == [(t, rows) for t in range(4) for rows in (2, 2, 3)]
+        # the caller trains the first range; two workers, forked once per run, one range each per round
+        assert sorted((t, pid) for t, rows, pid in calls if pid == os.getpid()) == [(t, os.getpid()) for t in range(4)]
+        workers = {pid for *_, pid in calls} - {os.getpid()}
+        assert len(workers) == 2
+        assert sorted((t, pid) for t, _, pid in calls if pid in workers) == [(t, w) for t in range(4) for w in sorted(workers)]
 
-    def test_the_pool_never_has_more_threads_than_rows(self, monkeypatch):
-        sizes = []
+    @pytest.mark.parametrize(
+        "overrides, workers, procs",
+        [
+            (dict(m=3), 10**6, 2),
+            (dict(m=3), 2, 1),
+            (dict(m=3), 1, 0),
+            (dict(m=1), 8, 0),
+            (dict(m=7, **CENTRAL), 10**6, 3),  # 4 participants
+            (dict(m=7, topology=None, participation=0.25), 3, 1),  # 2 participants
+            (dict(m=7, topology=None, participation=0.1), 3, 0),  # 1 participant
+        ],
+        ids=["m3_many_workers", "m3_two_workers", "m3_one_worker", "m1", "central_4_rows", "central_2_rows", "central_1_row"],
+    )
+    def test_a_run_starts_one_process_fewer_than_its_rows_or_its_workers(self, monkeypatch, overrides, workers, procs):
+        started, alive = [], []
+        start = multiprocessing.process.BaseProcess.start
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", lambda self: (started.append(self), start(self))[1])
+        algorithm = AlgorithmKind.FEDAVG_CENTRAL if "participation" in overrides else AlgorithmKind.OLED_SGD
+        cfg = workers_cfg(rounds=3, algorithm=algorithm, **overrides)
+        run_experiment(cfg, workers=workers, on_round=lambda t, info: alive.append(len(multiprocessing.active_children())))
+        assert len(started) == procs
+        assert alive == [procs] * 3
 
-        def pool(n):
-            sizes.append(n)
-            return ThreadPoolExecutor(min(n, 4))  # a broken cap still starts few threads
+    def test_central_participation_below_workers_over_m_matches_one_worker(self):
+        # 2 participants of 7 for 3 workers: one worker process trains the second range, every round
+        cfg = workers_cfg(algorithm=AlgorithmKind.FEDSAM_CENTRAL, topology=None, participation=0.25, diagnostics=True)
+        problem = build_problem(cfg)
+        single = run_fingerprint(run_experiment(cfg, problem=problem))
+        assert run_fingerprint(run_experiment(cfg, workers=3, problem=problem)) == single
 
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", pool)
-        run_experiment(workers_cfg(m=3, rounds=2), workers=10**6)
-        run_experiment(workers_cfg(m=3, rounds=2), workers=1)
-        assert sizes == [3]
+    def test_an_error_in_a_worker_reaches_the_caller_with_its_type_and_message(self, monkeypatch):
+        caller = os.getpid()
+
+        def training(*args, **kwargs):
+            if os.getpid() != caller:
+                raise KeyError(f"range of round {kwargs['round_index']}")
+            return localopt.local_train(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "local_train", training)
+        with pytest.raises(KeyError, match="range of round 0"):
+            run_experiment(workers_cfg(), workers=3)
+        assert multiprocessing.active_children() == []
+
+    def test_an_error_that_cannot_be_pickled_reaches_the_caller_by_name(self, monkeypatch):
+        caller = os.getpid()
+
+        class Unpicklable(Exception):
+            pass
+
+        def training(*args, **kwargs):
+            if os.getpid() != caller:
+                raise Unpicklable("local class")
+            return localopt.local_train(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "local_train", training)
+        with pytest.raises(RuntimeError, match="Unpicklable: local class"):
+            run_experiment(workers_cfg(), workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_a_worker_that_dies_ends_the_run_with_an_error(self, monkeypatch):
+        caller = os.getpid()
+
+        def training(*args, **kwargs):
+            if os.getpid() != caller and kwargs["round_index"] == 2:
+                os._exit(7)
+            return localopt.local_train(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "local_train", training)
+        with pytest.raises(RuntimeError, match="exit code 7"):
+            run_experiment(workers_cfg(), workers=3)
+        assert multiprocessing.active_children() == []
+
+    def test_one_worker_imports_no_process_machinery(self):
+        code = (
+            "import sys; from dgossip import cli, engine;"
+            " ring = engine.TopologySpec(engine.TopologyKind.RING, 16);"
+            " engine.run_experiment(engine.ExperimentConfig(rounds=2, topology=ring));"
+            " print(sorted(m for m in ('dgossip.forked', 'mmap', 'multiprocessing') if m in sys.modules))"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]"
+
+    def test_without_fork_more_than_one_worker_is_a_config_error(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with pytest.raises(ConfigError, match="workers=2 .*fork"):
+            run_experiment(workers_cfg(rounds=1), workers=2)
+        run_experiment(workers_cfg(rounds=1), workers=1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_in_a_later_range_and_no_thread_outlives_a_run(self):
@@ -1195,9 +1289,11 @@ class TestWorkers:
                 run_experiment(cfg, workers=workers, problem=problem)
             raised.append((exc.value.round_index, exc.value.client))
             assert threading.active_count() == before
+            assert multiprocessing.active_children() == []
         assert raised == [raised[0]] * 3 and raised[0][1] == 4
         run_experiment(cfg, workers=3)
         assert threading.active_count() == before
+        assert multiprocessing.active_children() == []
 
 
 # a stale name in __all__ fails only on ``import *``, which nothing else in the suite does
