@@ -10,7 +10,8 @@ worker that dies ends the wait with an error instead of a hang.  Fork
 carries the caller's state across as it stands (the built problem, the
 config, any function patched in before the fork) with no pickling, so it
 is the one start method used; :func:`can_fork` says whether the platform
-has it.
+has it.  Fork copies only the calling thread: a lock that another thread
+of the caller holds at that moment stays held in the workers.
 """
 
 from __future__ import annotations
