@@ -25,19 +25,21 @@ mixed models of its RoundInfo, like each block's minibatch indices, are
 new arrays that the engine never writes again, so one a caller keeps
 stays as it was.  Only the workspaces share memory: a run's local phases
 (workspace, spare iterate, velocity) and evaluations (the full
-objective's workspace) lay them out in turn in a :class:`models.Scratch`
-of the run, one in the caller and one in each worker process, and none
-of it lives at module level.  Table gossip's gathered term, the metrics'
+objective's workspace) lay them out in turn in the one
+:class:`models.Scratch` that the run's :class:`_LocalPhase` owns, of
+which each worker process has its own copy, and none of it lives at
+module level.  Table gossip's gathered term, the metrics'
 differences and the test activations are plain numpy temporaries.
 Evaluation computes only what a RoundRecord reads: accuracy from the
 argmax of the test logits, no test loss.
 
-Determinism contract: with ``workers`` > 1 a run forks worker processes
-once (:class:`_LocalPhase`), and only the local phase splits each round's
-rows, into at most ``workers`` contiguous ranges (:func:`_row_ranges`):
-the caller trains the first and each worker one more, reading its inputs
-from and writing its outputs to a shared mapping.  With one worker a
-single call covers every row and no process is started.  No row's
+Determinism contract: every round's local phase goes through the run's
+one :class:`_LocalPhase`, which splits its rows into at most ``workers``
+contiguous ranges (:func:`_row_ranges`).  With more than one range it
+forks worker processes once: the caller trains the first range and each
+worker one more, reading its inputs from and writing its outputs to a
+shared mapping.  With one range a single call covers every row and no
+process is started.  No row's
 arithmetic depends on the split, and the ranges are joined in row order,
 so no result depends on scheduling; gossip, evaluation and every draw
 run in the caller.  numpy's OpenBLAS is held at one thread while a run
@@ -65,7 +67,6 @@ from __future__ import annotations
 import math
 import time
 import typing
-from contextlib import nullcontext
 from dataclasses import dataclass, field, is_dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -571,63 +572,76 @@ def _check_finite(z: np.ndarray, t: int, clients: np.ndarray) -> None:
 
 
 class _LocalPhase:
-    """A run's local phase in ``procs + 1`` row ranges: the first on the caller, one more per forked worker.
+    """A run's local phase, in at most ``workers`` row ranges: the first on the caller, one more per forked worker.
 
-    The workers are forked once, by :class:`forked.Workers`, so each holds
-    the run's config and problem as they were built.  Each round the
-    caller copies the inputs of the workers' rows into shared arrays: the
-    start points, minibatch indices, central participants and, with
-    diagnostics on, the drift reference.  It sends each worker its range,
-    trains the first range itself, and joins in row order the outputs that
-    the workers leave in shared arrays.  Each worker lays its workspaces
-    out in a Scratch of its own.
+    Its rows are a round's participants: m, or the participant count for
+    central kinds.  It owns the process's one :class:`Scratch`, in which
+    the caller's local phases and evaluations lay out their workspaces in
+    turn.  With one range nothing more is made: each round is one
+    ``local_train`` call over the whole stack.  With more, the workers are
+    forked once, by :class:`forked.Workers`, so each holds the run's
+    config and problem as they were built, and a copy of the Scratch of
+    its own.  Each round the caller copies the inputs of the workers' rows
+    into shared arrays: the start points, minibatch indices, central
+    participants and, with diagnostics on, the drift reference.  It sends
+    each worker its range, trains the first range itself, and joins in row
+    order the outputs that the workers leave in shared arrays.
     """
 
-    def __init__(self, cfg: ExperimentConfig, problem: Problem, rows: int, procs: int):
-        from .forked import Workers, shared_array  # imports multiprocessing and mmap, which one worker never needs
-
-        central, p = cfg.algorithm in CENTRAL_KINDS, problem.x0.size
+    def __init__(self, cfg: ExperimentConfig, problem: Problem, workers: int = 1):
+        if len(problem.shards) != cfg.m:
+            raise ConfigError(f"m={cfg.m}, but the problem was built for {len(problem.shards)} clients")
         self.cfg, self.problem = cfg, problem
+        self.central = cfg.algorithm in CENTRAL_KINDS
+        self.rows = _participant_count(cfg.participation, cfg.m) if self.central else cfg.m
+        self.ranges = _row_ranges(self.rows, workers)
+        self.scratch = Scratch()
+        self.workers = None
+        if len(self.ranges) == 1:
+            return
+        from .forked import Workers, shared_array  # imports multiprocessing and mmap, which one range never needs
+
+        rows, p = self.rows, problem.x0.size
         self.starts, self.z = shared_array((rows, p), float), shared_array((rows, p), float)
-        self.clients = shared_array((rows,), np.intp) if central else None
+        self.clients = shared_array((rows,), np.intp) if self.central else None
         noisy = problem.spec.kind != "quadratic"
         self.draws = shared_array((cfg.local_steps, rows, cfg.optimizer.batch_size), np.int64) if noisy else None
         # a central round's drift reference is its start points
-        self.ref = (self.starts if central else shared_array((rows, p), float)) if cfg.diagnostics else None
+        self.ref = (self.starts if self.central else shared_array((rows, p), float)) if cfg.diagnostics else None
         self.v1 = shared_array((rows,), float) if cfg.diagnostics else None
-        self.ranges = _row_ranges(rows, procs + 1)
-        self.scratch = Scratch()  # used only after the fork, where each worker has its own copy
-        self.workers = Workers(procs, self._serve)
+        self.workers = Workers(len(self.ranges) - 1, self._serve)
 
     def __enter__(self) -> _LocalPhase:
         return self
 
     def __exit__(self, *exc) -> None:
-        self.workers.close()
+        if self.workers is not None:
+            self.workers.close()
 
-    def _train(self, t: int, rows: slice, starts, shards: ShardStack, draws, ref, scratch):
+    def _train(self, t: int, rows: slice | None, starts, clients, draws, ref):
+        """One ``local_train`` of round ``t``'s ``rows`` (every row for None), in this process's Scratch."""
+        shards = self.problem.shards.take(clients) if self.central else self.problem.shards
+        if rows is not None:
+            starts, shards = starts[rows], shards.take(rows)
+            draws = None if draws is None else draws[:, rows]
+            ref = None if ref is None else ref[rows]
         return local_train(
-            self.problem.spec,
-            starts[rows],
-            shards.take(rows),
-            self.cfg.local_steps,
-            self.cfg.optimizer,
-            None if draws is None else draws[:, rows],
-            round_index=t,
-            ref_point=None if ref is None else ref[rows],
-            scratch=scratch,
+            self.problem.spec, starts, shards, self.cfg.local_steps, self.cfg.optimizer, draws,
+            round_index=t, ref_point=ref, scratch=self.scratch,
         )
 
     def _serve(self, t: int, rows: slice) -> None:
         """Train ``rows`` of round ``t`` in a worker, from the shared inputs into the shared outputs."""
-        shards = self.problem.shards if self.clients is None else self.problem.shards.take(self.clients)
-        res = self._train(t, rows, self.starts, shards, self.draws, self.ref, self.scratch)
+        res = self._train(t, rows, self.starts, self.clients, self.draws, self.ref)
         self.z[rows] = res.z
         if self.v1 is not None:
             self.v1[rows] = res.v1
 
-    def train(self, t: int, starts, shards: ShardStack, clients, draws, ref, scratch):
-        """(z, drift) of every row of round ``t``: the first range trains here, in ``scratch``."""
+    def train(self, t: int, starts, clients, draws, ref):
+        """(z, drift) of every row of round ``t``; the first range trains here."""
+        if self.workers is None:
+            res = self._train(t, None, starts, clients, draws, ref)
+            return res.z, res.v1
         first, rest = self.ranges[0], slice(self.ranges[0].stop, None)
         self.starts[rest] = starts[rest]
         if self.clients is not None:
@@ -637,7 +651,7 @@ class _LocalPhase:
         if self.ref is not None:
             self.ref[rest] = ref[rest]
         self.workers.send([(t, rows) for rows in self.ranges[1:]])
-        res = self._train(t, first, starts, shards, draws, ref, scratch)
+        res = self._train(t, first, starts, clients, draws, ref)
         self.workers.wait()
         z = np.concatenate([res.z, self.z[rest]])
         return z, None if self.v1 is None else np.concatenate([res.v1, self.v1[rest]])
@@ -652,8 +666,7 @@ def run_round(
     problem: Problem,
     clients: np.ndarray,
     draws: np.ndarray | None,
-    scratch: Scratch | None = None,
-    pool: _LocalPhase | None = None,
+    phase: _LocalPhase | None = None,
 ) -> RoundInfo:
     """Execute one communication round; the next starts from ``info.x_mixed`` and ``info.z``.
 
@@ -668,31 +681,21 @@ def run_round(
     t)`` and their ``client_batches``.  The start points, local outputs
     and mixed models it returns are new arrays.
 
-    Without a ``pool`` one ``local_train`` call trains every row, laying
-    its workspaces out in ``scratch`` (or in its own).  ``pool`` is a run's
-    forked local phase (:func:`run_experiment` makes one for more than one
-    worker): the rows split into contiguous ranges (:func:`_row_ranges`),
-    the first trains here in ``scratch`` and each other one in a worker
-    process, and the outputs are joined in row order.  Gossip runs here
-    (see :func:`gossip_mix`).
+    ``phase`` is the run's local phase (:class:`_LocalPhase`), which
+    trains the rows and lays their workspaces out in its Scratch; by
+    default a one-worker phase of this round alone.  Gossip runs here (see
+    :func:`gossip_mix`).  A problem built for other than ``cfg.m`` clients
+    is a ConfigError.
     """
+    phase = _LocalPhase(cfg, problem) if phase is None else phase
     m = len(x_mixed)
     central = cfg.algorithm in CENTRAL_KINDS
     if central:  # every client holds the global model, its start and its drift reference
         starts = np.tile(x_mixed[0], (len(clients), 1))
-        shards = problem.shards.take(clients)
     else:
         starts = ole_init(x_mixed, z_prev, cfg.beta)
-        shards = problem.shards
     ref = (starts if central else x_mixed) if cfg.diagnostics else None
-    if pool is None:
-        res = local_train(
-            problem.spec, starts, shards, cfg.local_steps, cfg.optimizer, draws,
-            round_index=t, ref_point=ref, scratch=scratch,
-        )
-        z, drift = res.z, res.v1
-    else:
-        z, drift = pool.train(t, starts, shards, clients, draws, ref, scratch)
+    z, drift = phase.train(t, starts, clients, draws, ref)
     _check_finite(z, t, clients)
     if central:
         x_new = np.tile(z.mean(axis=0), (m, 1))
@@ -761,12 +764,7 @@ def build_problem(cfg: ExperimentConfig) -> Problem:
     return Problem(spec, shards, test, init_params(spec, init_seed))
 
 
-def iter_rounds(
-    cfg: ExperimentConfig,
-    problem: Problem,
-    scratch: Scratch | None = None,
-    pool: _LocalPhase | None = None,
-):
+def iter_rounds(cfg: ExperimentConfig, problem: Problem, phase: _LocalPhase | None = None):
     """Run ``cfg.rounds`` rounds from ``problem.x0``, yielding each round's RoundInfo.
 
     Every client starts at x0 with z_prev = x0.  Decentralized kinds mix
@@ -782,18 +780,18 @@ def iter_rounds(
     ``local_train`` and ``gossip_mix``, are looked up in this module on
     every call, where the benchmark's call tracer wraps them.
 
-    Every RoundInfo holds new arrays, which no later round writes; the
-    local phases lay their workspaces out in ``scratch`` (a new
-    :class:`Scratch` by default), and split their rows over ``pool``'s
-    worker processes when there is one; gossip never does (see
-    :func:`run_round`).  The
-    generator drops its RoundInfo when the caller resumes it, so a finished
-    round's arrays that the caller does not keep are freed before the next
-    round allocates its own.
+    Every round trains its rows through ``phase``, the run's local phase
+    (by default a one-worker :class:`_LocalPhase`, which refuses a problem
+    built for other than ``cfg.m`` clients), and reads its row count from
+    it; gossip runs here (see :func:`run_round`).  Every RoundInfo holds
+    new arrays, which no later round writes.  The generator drops its
+    RoundInfo when the caller resumes it, so a finished round's arrays
+    that the caller does not keep are freed before the next round
+    allocates its own.
     """
     cfg = validated(cfg)
-    scratch = Scratch() if scratch is None else scratch
-    m = len(problem.shards)
+    phase = _LocalPhase(cfg, problem) if phase is None else phase
+    m, per_round = cfg.m, phase.rows
     x = z = np.tile(problem.x0, (m, 1))  # no round writes its inputs
     topo = cfg.topology
     w_t = None
@@ -806,7 +804,6 @@ def iter_rounds(
         else:
             w_t = build_mixing(topo)
     k_steps, batch_size = cfg.local_steps, cfg.optimizer.batch_size
-    per_round = _participant_count(cfg.participation, m) if cfg.algorithm in CENTRAL_KINDS else m
     span = max(1, _BLOCK_INDICES // max(m, per_round * k_steps * batch_size))
     for t0 in range(0, cfg.rounds, span):
         block = range(t0, min(t0 + span, cfg.rounds))
@@ -823,15 +820,13 @@ def iter_rounds(
         for i, t in enumerate(block):
             if resampled:
                 w_t = build_mixing(replace(topo, seed=int(seeds[i])))
-            info = run_round(x, z, t, cfg, w_t, problem, clients[i], draws[i], scratch, pool)
+            info = run_round(x, z, t, cfg, w_t, problem, clients[i], draws[i], phase)
             x, z = info.x_mixed, info.z
             yield info
             del info  # frees the round's start points and its x_prev, unless the caller keeps them
 
 
-def _evaluate(
-    cfg: ExperimentConfig, problem: Problem, info: RoundInfo, scratch: Scratch | None = None
-) -> RoundRecord:
+def _evaluate(cfg: ExperimentConfig, problem: Problem, info: RoundInfo, scratch: Scratch) -> RoundRecord:
     """One round's metric record, from its arrays; full_objective lays its workspace out in ``scratch``."""
     x = info.x_mixed
     xbar = x.mean(axis=0)
@@ -873,22 +868,23 @@ def run_experiment(
 
     ``workers`` (a positive int; ConfigError otherwise) is the number of
     processes that train each round's local phase, as contiguous row
-    ranges (:func:`_row_ranges`).  With more than one, the run forks
-    ``min(workers, rows) - 1`` worker processes, ``rows`` being m or, for
-    central kinds, the participant count, so that no process is left
-    without a range: the caller trains the first range and each worker
-    one more.  It stops and reaps them before it returns or raises.  An
-    error in a worker is raised here, and a worker that dies is a
-    RuntimeError.  Forking needs the ``"fork"`` start method: where the
-    platform lacks it, more than one worker is a ConfigError.  Gossip,
-    evaluation and every draw run on the caller.  With one worker, no
-    process is started.
+    ranges (:func:`_row_ranges`).  The run makes one :class:`_LocalPhase`
+    for it, which forks ``min(workers, rows) - 1`` worker processes,
+    ``rows`` being m or, for central kinds, the participant count, so
+    that no process is left without a range: the caller trains the first
+    range and each worker one more.  It stops and reaps them before the
+    run returns or raises.  An error in a worker is raised here, and a
+    worker that dies is a RuntimeError.  Forking needs the ``"fork"``
+    start method: where the platform lacks it, more than one worker is a
+    ConfigError.  Gossip, evaluation and every draw run on the caller.
+    With one worker, no process is started.  A ``problem`` built for
+    other than ``cfg.m`` clients is a ConfigError.
     Outputs are bitwise the same for every worker count.  numpy's
     OpenBLAS is held at one thread while the rounds run and are evaluated
     (:func:`blas.one_thread`), and the workers are forked under that pin.
     ``on_round`` receives (t, RoundInfo) after every round; metrics are
     derived only on recorded rounds, and lay their workspaces out in the
-    caller's Scratch.
+    phase's Scratch, between the caller's local phases.
     """
     if isinstance(workers, bool) or not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
@@ -902,26 +898,22 @@ def run_experiment(
     problem = build_problem(cfg) if problem is None else problem
     records: list[RoundRecord] = []
     final_x = None
-    m = len(problem.shards)
-    rows = _participant_count(cfg.participation, m) if cfg.algorithm in CENTRAL_KINDS else m
-    procs = min(workers, rows) - 1
-    scratch = Scratch()
-    with blas.one_thread(), _LocalPhase(cfg, problem, rows, procs) if procs else nullcontext() as pool:
-        for info in iter_rounds(cfg, problem, scratch, pool):
+    with blas.one_thread(), _LocalPhase(cfg, problem, workers) as phase:
+        for info in iter_rounds(cfg, problem, phase):
             t = info.t
             if on_round is not None:
                 on_round(t, info)
             if t % cfg.eval_every == 0 or t == cfg.rounds - 1:
-                records.append(_evaluate(cfg, problem, info, scratch))
+                records.append(_evaluate(cfg, problem, info, phase.scratch))
             final_x = info.x_mixed
             del info  # so that what only this round's info held is freed before the next round allocates
         if final_x is None:
-            final_x = np.tile(problem.x0, (m, 1))
+            final_x = np.tile(problem.x0, (cfg.m, 1))
         if records:
             last = records[-1]
         else:  # degenerate horizon: report initial metrics only, with every client at x0
             at_x0 = RoundInfo(t=0, ole_points=None, z=final_x, x_prev=final_x, x_mixed=final_x, drift=None)
-            last = replace(_evaluate(cfg, problem, at_x0, scratch), consensus=0.0, delta_t=0.0)
+            last = replace(_evaluate(cfg, problem, at_x0, phase.scratch), consensus=0.0, delta_t=0.0)
     accs = [r.test_acc for r in records if r.test_acc is not None]
     summary = {
         "algorithm": cfg.algorithm.value,

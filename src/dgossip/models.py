@@ -400,11 +400,12 @@ class Scratch:
     of just the need, glibc handed a run's pages back at its end and the
     next run faulted them in afresh (92 minor faults per round against 5 on
     fullscale_random_sam).  Each data-backed Workspace is made once per
-    block and handed out again.  A run owns one in the caller, whose local
-    phases and evaluations take their Workspaces from it in turn, and each
-    of its worker processes one of its own, so no two calls that run at
-    the same time share one, and once they have grown, none of them
-    allocates its workspace.  A Scratch is not for two threads at once.
+    block and handed out again.  A run's local phase owns one, from which
+    the caller's local phases and evaluations take their Workspaces in
+    turn, and each worker process forked from it has a copy of its own, so
+    no two calls that run at the same time share one, and once they have
+    grown, none of them allocates its workspace.  A Scratch is not for two
+    threads at once.
     """
 
     def __init__(self) -> None:

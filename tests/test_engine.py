@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dgossip
-from dgossip import blas, engine, keyed, localopt
+from dgossip import blas, engine, keyed, localopt, models
 from dgossip.engine import (
     AlgorithmKind,
     ConfigError,
@@ -333,6 +333,24 @@ class TestRoundContract:
             x, z = hand.x_mixed, hand.z
         assert info.t == cfg.rounds - 1
 
+    @pytest.mark.parametrize("entry", ["run_experiment", "run_experiment_two_workers", "iter_rounds", "run_round"])
+    @pytest.mark.parametrize("overrides", [{}, CENTRAL_CFG], ids=["ring", "central"])
+    def test_a_problem_built_for_another_client_count_is_refused(self, overrides, entry):
+        # a central run used to train the other count's clients silently, a ring one to fail in gossip_mix
+        cfg = validated(logistic_cfg(rounds=2, **overrides))
+        other = build_problem(logistic_cfg(m=16, **overrides))
+        x = np.tile(other.x0, (cfg.m, 1))
+        w = None if cfg.topology is None else build_mixing(cfg.topology)
+        calls = {
+            "run_experiment": lambda: run_experiment(cfg, problem=other),
+            "run_experiment_two_workers": lambda: run_experiment(cfg, workers=2, problem=other),
+            "iter_rounds": lambda: next(iter_rounds(cfg, other)),
+            "run_round": lambda: run_round(x, x, 0, cfg, w, other, *round_inputs(cfg, other, 0)),
+        }
+        with pytest.raises(ConfigError, match="m=8, but the problem was built for 16 clients"):
+            calls[entry]()
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("z_prev", ["nan", "shape"])
     def test_central_round_never_reads_z_prev(self, z_prev):
         cfg = validated(logistic_cfg(rounds=1, **CENTRAL_CFG))
@@ -607,36 +625,54 @@ class TestRunArrays:
         problem = build_problem(cfg)
         per_round = len(participants(cfg, cfg.m, 0)) * cfg.local_steps * cfg.optimizer.batch_size
         monkeypatch.setattr(engine, "_BLOCK_INDICES", 2 * per_round)  # blocks start inside the traced rounds
-        scratches = []
+        phases, scratches, evaluated = [], [], []
 
+        class Recorded(engine._LocalPhase):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                phases.append(self)
+
+        # a worker process appends to its own copy of the list, so only the caller's calls are seen
         def training(*args, scratch, **kwargs):
             scratches.append(scratch)
             return localopt.local_train(*args, scratch=scratch, **kwargs)
 
+        def objective(spec, x, shards, scratch):
+            evaluated.append(scratch)
+            return models.full_objective(spec, x, shards, scratch)
+
+        monkeypatch.setattr(engine, "_LocalPhase", Recorded)
         monkeypatch.setattr(engine, "local_train", training)
+        monkeypatch.setattr(engine, "full_objective", objective)
         numpy_data = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
-        blocks, traced = [], []
+        for workers in (1, 2):
+            phases[:], scratches[:], evaluated[:] = [], [], []
+            blocks, traced = [], []
 
-        def trace_from_round_two(t, info):
-            if t == 0:  # every array live from round 2 on is allocated after this
-                tracemalloc.start()
-            else:
-                blocks.append(scratches[-1]._block)
-            if t >= 2:
-                snapshot = tracemalloc.take_snapshot().filter_traces(numpy_data)
-                traced.append(sum(trace.size for trace in snapshot.traces))
+            def trace_from_round_two(t, info):
+                if t == 0:  # every array live from round 2 on is allocated after this
+                    tracemalloc.start()
+                else:
+                    blocks.append(scratches[-1]._block)
+                if t >= 2:
+                    snapshot = tracemalloc.take_snapshot().filter_traces(numpy_data)
+                    traced.append(sum(trace.size for trace in snapshot.traces))
 
-        try:
-            result = run_experiment(cfg, problem=problem, on_round=trace_from_round_two)
-        finally:
-            tracemalloc.stop()
-        assert len(result.records) == cfg.rounds
-        assert all(s is scratches[0] for s in scratches)  # one Scratch for the whole run
-        blocks.append(scratches[0]._block)  # after the last round's evaluation
-        assert all(block is blocks[0] for block in blocks)  # not regrown after round 1
-        # the numpy memory live at each round from round 2 on is no more than at round 2: nothing leaks
-        assert len(traced) == cfg.rounds - 2
-        assert all(later <= traced[0] for later in traced), traced
+            try:
+                result = run_experiment(cfg, workers=workers, problem=problem, on_round=trace_from_round_two)
+            finally:
+                tracemalloc.stop()
+            assert len(result.records) == cfg.rounds
+            # one Scratch in the caller for the whole run, the phase's: each round's local phase and evaluation
+            [phase] = phases
+            assert len(phase.ranges) == workers
+            assert len(scratches) == len(evaluated) == cfg.rounds
+            assert all(s is phase.scratch for s in scratches + evaluated)
+            blocks.append(phase.scratch._block)  # after the last round's evaluation
+            assert all(block is blocks[0] for block in blocks)  # not regrown after round 1
+            # the numpy memory live at each round from round 2 on is no more than at round 2: nothing leaks
+            assert len(traced) == cfg.rounds - 2
+            assert all(later <= traced[0] for later in traced), (workers, traced)
 
     @pytest.mark.parametrize("case", sorted(RUN_ARRAY_CASES))
     def test_a_finished_round_is_freed_before_the_next(self, monkeypatch, case):
