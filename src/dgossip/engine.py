@@ -575,7 +575,8 @@ class _LocalPhase:
     """A run's local phase, in at most ``workers`` row ranges: the first on the caller, one more per forked worker.
 
     Its rows are a round's participants: m, or the participant count for
-    central kinds.  It owns the process's one :class:`Scratch`, in which
+    central kinds; a problem built for other than ``cfg.m`` clients is a
+    ConfigError.  It owns the process's one :class:`Scratch`, in which
     the caller's local phases and evaluations lay out their workspaces in
     turn.  With one range nothing more is made: each round is one
     ``local_train`` call over the whole stack.  With more, the workers are
