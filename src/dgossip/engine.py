@@ -31,7 +31,13 @@ which each worker process has its own copy, and none of it lives at
 module level.  Table gossip's gathered term, the metrics'
 differences and the test activations are plain numpy temporaries.
 Evaluation computes only what a RoundRecord reads: accuracy from the
-argmax of the test logits, no test loss.
+argmax of the test logits, no test loss.  A recorded round's consensus,
+δ_t and energies are taken from its arrays at once, and its client
+average is queued in one row of a (G, p) array that the run allocates
+once; the objective and accuracy are computed per group of G queued
+rounds, in one ``full_objective`` and one ``eval_model`` call over the
+stack (:func:`models.evaluation_group` gives G), each row bitwise its
+own one-model call.  A queued round holds that row and four scalars.
 
 Determinism contract: every round's local phase goes through the run's
 one :class:`_LocalPhase`, which splits its rows into at most ``workers``
@@ -98,8 +104,10 @@ from .models import (
     Scratch,
     Shard,
     ShardStack,
+    evaluation_group,
     full_objective,
     init_params,
+    objective_workspace,
     quadratic_testbed,
 )
 from .topology import MixingMatrix, TopologyKind, TopologySpec, build_mixing
@@ -827,14 +835,10 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem, phase: _LocalPhase | No
             del info  # frees the round's start points and its x_prev, unless the caller keeps them
 
 
-def _evaluate(cfg: ExperimentConfig, problem: Problem, info: RoundInfo, scratch: Scratch) -> RoundRecord:
-    """One round's metric record, from its arrays; full_objective lays its workspace out in ``scratch``."""
+def _queue(cfg: ExperimentConfig, info: RoundInfo, xbar: np.ndarray) -> tuple:
+    """Write round ``info``'s client average into ``xbar``; (t, consensus, delta_t, v1, v2) of its record."""
     x = info.x_mixed
-    xbar = x.mean(axis=0)
-    train_loss, grad = full_objective(problem.spec, xbar, problem.shards, scratch)
-    test_acc = None
-    if problem.test is not None:
-        test_acc = eval_model(problem.spec, xbar, problem.test)
+    xbar[:] = x.mean(axis=0)
     if cfg.algorithm in CENTRAL_KINDS:
         # every row is the global model, and a mean of equal rows could round
         consensus = delta = 0.0
@@ -845,17 +849,30 @@ def _evaluate(cfg: ExperimentConfig, problem: Problem, info: RoundInfo, scratch:
     v1 = v2 = None
     if info.drift is not None:
         v1, v2 = update_energies(info.drift, before, after)
-    return RoundRecord(
-        t=info.t,
-        train_loss=train_loss,
-        test_acc=test_acc,
-        grad_norm_sq=float(grad @ grad),
-        consensus=consensus,
-        delta_t=delta,
-        v1=v1,
-        v2=v2,
-        lr=lr_at_round(cfg.optimizer, info.t),
-    )
+    return info.t, consensus, delta, v1, v2
+
+
+def _evaluate(cfg: ExperimentConfig, problem: Problem, xbars: np.ndarray, queued, scratch: Scratch) -> list[RoundRecord]:
+    """The RoundRecords of the ``queued`` rounds, from one full_objective and one eval_model call over their ``xbars``.
+
+    full_objective lays its workspace out in ``scratch``.
+    """
+    losses, grads = full_objective(problem.spec, xbars, problem.shards, scratch)
+    accs = [None] * len(queued) if problem.test is None else eval_model(problem.spec, xbars, problem.test).tolist()
+    return [
+        RoundRecord(
+            t=t,
+            train_loss=loss,
+            test_acc=acc,
+            grad_norm_sq=float(grad @ grad),
+            consensus=consensus,
+            delta_t=delta,
+            v1=v1,
+            v2=v2,
+            lr=lr_at_round(cfg.optimizer, t),
+        )
+        for (t, consensus, delta, v1, v2), loss, acc, grad in zip(queued, losses.tolist(), accs, grads, strict=True)
+    ]
 
 
 def run_experiment(
@@ -884,8 +901,18 @@ def run_experiment(
     OpenBLAS is held at one thread while the rounds run and are evaluated
     (:func:`blas.one_thread`), and the workers are forked under that pin.
     ``on_round`` receives (t, RoundInfo) after every round; metrics are
-    derived only on recorded rounds, and lay their workspaces out in the
-    phase's Scratch, between the caller's local phases.
+    derived only on recorded rounds.  A recorded round's consensus, δ_t
+    and energies are taken at once and its client average is queued; its
+    RoundRecord is computed when G rounds are queued or the run ends, with
+    the others of its group, by one ``full_objective`` and one
+    ``eval_model`` call (G from :func:`models.evaluation_group`: 5 on the
+    desk preset, 1 for the quadratic family and wherever one model needs
+    more than one objective pass).  So ``on_round`` still fires every
+    round, but a record may be computed some rounds after it.  The
+    records are bitwise those of one evaluation per round.  The
+    evaluations lay their workspaces out in the phase's Scratch, between
+    the caller's local phases; the group's is laid out once before round
+    0, so the Scratch takes its final size within round 0.
     """
     if isinstance(workers, bool) or not (isinstance(workers, int) and workers >= 1):
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
@@ -899,22 +926,28 @@ def run_experiment(
     problem = build_problem(cfg) if problem is None else problem
     records: list[RoundRecord] = []
     final_x = None
+    # the client averages of the recorded rounds not yet evaluated, one row each
+    xbars = np.empty((evaluation_group(problem.spec, problem.shards, problem.test), problem.x0.size))
+    queued = []  # their (t, consensus, delta_t, v1, v2), in round order
     with blas.one_thread(), _LocalPhase(cfg, problem, workers) as phase:
+        objective_workspace(problem.spec, problem.shards, len(xbars), phase.scratch)
         for info in iter_rounds(cfg, problem, phase):
             t = info.t
             if on_round is not None:
                 on_round(t, info)
             if t % cfg.eval_every == 0 or t == cfg.rounds - 1:
-                records.append(_evaluate(cfg, problem, info, phase.scratch))
+                queued.append(_queue(cfg, info, xbars[len(queued)]))
+                if len(queued) == len(xbars) or t == cfg.rounds - 1:
+                    records += _evaluate(cfg, problem, xbars[: len(queued)], queued, phase.scratch)
+                    queued.clear()
             final_x = info.x_mixed
             del info  # so that what only this round's info held is freed before the next round allocates
-        if final_x is None:
+        if final_x is None:  # degenerate horizon: report initial metrics only, with every client at x0
             final_x = np.tile(problem.x0, (cfg.m, 1))
-        if records:
+            xbars[0] = final_x.mean(axis=0)
+            [last] = _evaluate(cfg, problem, xbars[:1], [(0, 0.0, 0.0, None, None)], phase.scratch)
+        else:
             last = records[-1]
-        else:  # degenerate horizon: report initial metrics only, with every client at x0
-            at_x0 = RoundInfo(t=0, ole_points=None, z=final_x, x_prev=final_x, x_mixed=final_x, drift=None)
-            last = replace(_evaluate(cfg, problem, at_x0, phase.scratch), consensus=0.0, delta_t=0.0)
     accs = [r.test_acc for r in records if r.test_acc is not None]
     summary = {
         "algorithm": cfg.algorithm.value,

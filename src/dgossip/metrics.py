@@ -88,16 +88,19 @@ def update_energies(
     return v1, v2
 
 
-def eval_model(spec: ModelSpec, x: np.ndarray, test: Shard) -> float:
+def eval_model(spec: ModelSpec, x: np.ndarray, test: Shard):
     """Full-test-set top-1 accuracy of one parameter vector, from the argmax of its logits.
 
-    Ties go to the lowest class.  No loss is computed: the held-out loss
-    has its own reader (``stability``), which takes it from
+    For a (g, p) stack of vectors, a (g,) array of their accuracies, from
+    one stacked forward; each equals its vector's own call bitwise.  Ties
+    go to the lowest class.  No loss is computed: the held-out loss has
+    its own reader (``stability``), which takes it from
     :func:`models.loss_and_predictions`.
     """
     if spec.kind == "quadratic":
         raise ValueError("quadratic objectives have no held-out accuracy")
-    return float(np.mean(predictions(spec, x, test) == test.labels))
+    hits = predictions(spec, x, test) == test.labels
+    return np.mean(hits, axis=-1) if x.ndim == 2 else float(np.mean(hits))
 
 
 def rounds_to_target(records, targets) -> list[tuple[float, int | None]]:

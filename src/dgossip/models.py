@@ -21,8 +21,9 @@ one model per row, and a :class:`Workspace` that holds its buffers, with
 stacked matrix products and left-to-right class passes that round each
 row exactly as a one-row stack.  Local steps pass one client per row; the
 full objective passes one model broadcast to one row per block of its
-rows; ``loss_and_grad`` passes one model as a one-row stack.  Evaluation
-keeps the plain ``a @ W + b`` forward.
+rows, or each model of a stack over its own copy of the blocks;
+``loss_and_grad`` passes one model as a one-row stack.  Evaluation keeps
+the plain ``a @ W + b`` forward, over one model or a stack of them.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ __all__ = [
     "Scratch",
     "Workspace",
     "batch_grads",
+    "evaluation_group",
+    "objective_workspace",
     "full_objective",
     "quadratic_testbed",
 ]
@@ -124,16 +127,18 @@ def _unpack(spec: ModelSpec, x: np.ndarray) -> list[np.ndarray]:
 
 
 def _forward(spec: ModelSpec, x: np.ndarray, feats: np.ndarray) -> np.ndarray:
-    """Logits of one model on plain (n, d) features, each layer as ``a @ W + b``.
+    """Logits of one model, (n, C), or of a (g, p) stack, (g, n, C), on plain (n, d) features, each layer as ``a @ W + b``.
 
     The evaluation forward: the weights and bias are split apart, so that
     the logits are bitwise those of the flat layout's straightforward form.
+    A stack broadcasts the features in one ``np.matmul`` per layer, which
+    makes each model's own BLAS call, so its rows equal its one-model call.
     """
     layers = _unpack(spec, x)
     a = feats
     for li, layer in enumerate(layers):
         a = np.matmul(a, layer[..., :-1, :])
-        a += layer[..., -1, :]
+        a += layer[..., -1:, :]
         if li < len(layers) - 1:
             np.tanh(a, out=a)
     return a
@@ -462,6 +467,8 @@ class Workspace:
     of ``batch_size`` samples: its rows are the per_pass blocks of one pass
     in place of one per client, and it also holds every block's NLL
     (``nll``) and gradient (``grads``), each shaped (passes, per_pass, ...).
+    For a stack of g models there is one pass, and its per_pass blocks are
+    g copies of one model's, the models side by side.
     The arrays are laid out in ``scratch`` when it is given (see
     :class:`Scratch`), where the next workspace laid out overwrites them;
     otherwise they are the workspace's own.  :meth:`ShardStack.batch` and
@@ -564,7 +571,7 @@ def loss_and_grad(
 
 
 def predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> np.ndarray:
-    """Argmax class of every row of ``shard`` under one model, from one forward pass.
+    """Argmax class of every row of ``shard`` under one model, or (g, n) under a (g, p) stack, from one forward pass.
 
     Ties resolve to the lowest class index, as in :func:`loss_and_predictions`.
     """
@@ -591,9 +598,36 @@ _BLOCK_ROWS = 64
 _OBJECTIVE_ROWS = 2048
 
 
+def evaluation_group(spec: ModelSpec, shards: ShardStack, test: Shard | None = None) -> int:
+    """How many models one :func:`full_objective` call over ``shards`` and one forward over ``test`` take together.
+
+    The most models whose one-pass layouts (:attr:`ShardStack.objective_layout`)
+    fit side by side in ``_OBJECTIVE_ROWS`` rows, and whose forwards over
+    the test rows fit too; 1 for the quadratic family and wherever one
+    model needs more than one pass.
+    """
+    if spec.kind == "quadratic":
+        return 1
+    rows = max(shards.objective_layout[0].size, 0 if test is None else len(test))
+    return max(1, _OBJECTIVE_ROWS // rows)
+
+
+def objective_workspace(spec: ModelSpec, shards: ShardStack, g: int = 1, scratch: Scratch | None = None) -> Workspace:
+    """The :class:`Workspace` of a :func:`full_objective` call on g models over ``shards``, laid out in ``scratch``.
+
+    A run lays out its evaluation group's once before its first round, so
+    that its Scratch grows to the size of both that and its local phase
+    within round 0, and not again when the first group is evaluated.
+    """
+    if spec.kind == "quadratic":  # a workspace of gathered terms
+        return _workspace(scratch, spec, shards, 0, stacks=2)
+    passes, per_pass, length = shards.objective_layout[1].shape[:3]
+    return _workspace(scratch, spec, shards, length, blocks=(passes, g * per_pass))
+
+
 def full_objective(
     spec: ModelSpec, x: np.ndarray, shards: ShardStack, scratch: Scratch | None = None
-) -> tuple[float, np.ndarray]:
+):
     """Exact global objective f = (1/m) sum_i f_i and its gradient, from one forward/backward of every row.
 
     f_i is client i's full-shard mean loss.  A forward/backward runs over
@@ -606,22 +640,39 @@ def full_objective(
     result, and padding blocks add only zeros.  The loss averages each
     client's mean NLL, summed and divided as ``np.mean`` does, so a
     one-client stack of one block equals :func:`loss_and_grad` bitwise.
-    The quadratic family takes one stacked product over its clients'
-    terms.  The gathered rows, the activations and the rest of the scratch
-    are a :class:`Workspace`, laid out in ``scratch`` when it is given; the
+
+    ``x`` is one model, for (loss, (p,) gradient), or a (g, p) stack of
+    models, for ((g,) losses, (g, p) gradients).  A stack takes one pass
+    in which each model's layout is laid once, over its own copy of the
+    blocks, and its losses and gradients are reduced per model in the
+    same order, so each row equals its one-model call bitwise.  A stack
+    whose layouts do not fit one pass of ``_OBJECTIVE_ROWS`` rows is a
+    ValueError, never split.  The quadratic family takes one stacked
+    product over its clients' terms, for one model at a time.
+    The gathered rows, the activations and the rest of the scratch are a
+    :class:`Workspace`, laid out in ``scratch`` when it is given; the
     result is bitwise the same.
     """
-    if spec.kind == "quadratic":  # a workspace of gathered terms
-        ws = _workspace(scratch, spec, shards, 0, stacks=2)
+    xs = x if x.ndim == 2 else x[None]
+    g, p = xs.shape
+    if spec.kind == "quadratic":
+        if g > 1:
+            raise ValueError("the quadratic family's objective takes one model per call")
+        ws = objective_workspace(spec, shards, scratch=scratch)
         (a, b), (grads, centred) = ws.quad, ws.stacks
-        grads = _quadratic_grads(a, b, x, out=grads)
+        grads = _quadratic_grads(a, b, xs[0], out=grads)
         # f_i = 0.5 x.A_i x - b_i.x = 0.5 x.(grad_i - b_i)
-        losses = 0.5 * (np.subtract(grads, b, out=centred) @ x)
-        return float(np.mean(losses)), grads.mean(axis=0)
+        losses = 0.5 * (np.subtract(grads, b, out=centred) @ xs[0])
+        loss, grad = np.mean(losses), grads.mean(axis=0)
+        return (loss[None], grad[None]) if x.ndim == 2 else (float(loss), grad)
     rows, divisor, starts, sizes = shards.objective_layout
-    passes, per_pass, length = divisor.shape[:3]
-    ws = _workspace(scratch, spec, shards, length, blocks=(passes, per_pass))
-    stack = np.broadcast_to(x, (per_pass, len(x)))
+    if g > 1 and g * rows.size > _OBJECTIVE_ROWS:
+        raise ValueError(f"{g} models of {rows.size} rows each do not fit one pass of {_OBJECTIVE_ROWS} rows")
+    per_pass = divisor.shape[1]
+    if g > 1:  # one pass, the layout once per model
+        rows, divisor = np.tile(rows, g), np.tile(divisor, (1, g, 1, 1))
+    ws = objective_workspace(spec, shards, g, scratch)
+    stack = np.broadcast_to(xs[:, None], (g, per_pass, p)).reshape(-1, p)  # each model over its own blocks
     for i, taken in enumerate(rows):  # in range, so "clip" clips nothing and take writes in place
         shards.features.take(taken, axis=0, out=ws.features.reshape(len(taken), -1), mode="clip")
         shards.labels.take(taken, out=ws.labels.reshape(-1), mode="clip")
@@ -629,10 +680,13 @@ def full_objective(
             spec, stack, ws.features, ws.labels, divisor[i], with_loss=True, ws=ws, out=ws.grads[i]
         )
         ws.nll[i] = nll
-    grad = ws.grads.reshape(-1, len(x)).sum(axis=0)  # row by row, in block order
-    nll = ws.nll.reshape(-1)
-    means = [nll[a : a + n].sum() / n for a, n in zip(starts, sizes)]
-    return float(np.mean(means)), grad
+    grads = ws.grads.reshape(g, -1, p).sum(axis=1)  # each model's rows, in block order
+    nll = ws.nll.reshape(g, -1)
+    means = np.empty((g, len(sizes)))
+    for i, (a, n) in enumerate(zip(starts, sizes)):
+        means[:, i] = nll[:, a : a + n].sum(axis=1) / n
+    losses = means.mean(axis=1)
+    return (losses, grads) if x.ndim == 2 else (float(losses[0]), grads[0])
 
 
 def quadratic_testbed(

@@ -50,7 +50,9 @@ def test_traced_run_counts_each_layer_once_per_round(kind, builds):
     for name in ("engine.round", "localopt.local_train", "engine.gossip_mix"):
         assert tracer.count(name) == 3, name
     assert tracer.count("topology.build_mixing") == builds
-    assert tracer.count("models.full_objective") == len(result.records)
+    problem = engine.build_problem(cfg)
+    groups = -(-len(result.records) // models.evaluation_group(problem.spec, problem.shards, problem.test))
+    assert tracer.count("models.full_objective") == tracer.count("metrics.eval_model") == groups
 
 
 def test_traced_run_under_the_pool_counts_one_local_train_per_range():

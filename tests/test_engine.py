@@ -470,6 +470,23 @@ class TestRunExperiment:
         result = run_experiment(logistic_cfg(rounds=10, eval_every=4))
         assert [rec.t for rec in result.records] == [0, 4, 8, 9]
 
+    @pytest.mark.parametrize("rounds, eval_every", [(0, 1), (7, 1), (7, 3), (8, 2)])
+    @pytest.mark.parametrize("kind", ["logistic", "mlp"])
+    def test_records_are_the_same_for_every_group_size(self, monkeypatch, kind, rounds, eval_every):
+        # recorded rounds are evaluated in groups, the last one cut short where the run ends
+        cfg = logistic_cfg(
+            model=ModelConfig(kind=kind, hidden=(5,)), rounds=rounds, eval_every=eval_every, diagnostics=True
+        )
+        problem = build_problem(cfg)
+        assert models.evaluation_group(problem.spec, problem.shards, problem.test) > 3
+        runs = []
+        for group in (None, 1, 2, 3):
+            if group is not None:
+                monkeypatch.setattr(engine, "evaluation_group", lambda *args, _g=group: _g)
+            result = run_experiment(cfg, problem=problem)
+            runs.append((repr(result.records), repr(result.summary["final"])))
+        assert runs[1:] == runs[:1] * 3
+
     def test_metrics_derived_on_recorded_rounds_only(self, monkeypatch):
         calls = {"consensus_distance": 0, "consistency_delta": 0}
         for name in calls:
@@ -666,7 +683,8 @@ class TestRunArrays:
             # one Scratch in the caller for the whole run, the phase's: each round's local phase and evaluation
             [phase] = phases
             assert len(phase.ranges) == workers
-            assert len(scratches) == len(evaluated) == cfg.rounds
+            groups = -(-cfg.rounds // models.evaluation_group(problem.spec, problem.shards, problem.test))
+            assert len(scratches) == cfg.rounds and len(evaluated) == groups
             assert all(s is phase.scratch for s in scratches + evaluated)
             blocks.append(phase.scratch._block)  # after the last round's evaluation
             assert all(block is blocks[0] for block in blocks)  # not regrown after round 1

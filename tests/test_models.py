@@ -9,11 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dgossip import models
 from dgossip.config import load_config
 from dgossip.data import generate_synthetic
 from dgossip.engine import build_problem
+from dgossip.metrics import eval_model
 from dgossip.models import (
     ModelSpec,
     Shard,
@@ -496,3 +498,65 @@ class TestClassReductions:
         for i, shard in enumerate(shards):
             _, grad = loss_and_grad(spec, x[i], shard, rows[i])
             assert np.array_equal(bits(grads[i]), bits(grad)), i
+
+
+@st.composite
+def evaluation_stacks(draw):
+    """A logistic or MLP model, uneven shards (maybe a take()), held-out rows and a stack of models that fits one pass."""
+    classes = draw(st.integers(2, 130))
+    hidden = draw(st.sampled_from([(), (1,), (4,), (3, 1)]))
+    dim = draw(st.integers(1, 6))
+    sizes = draw(st.lists(st.integers(1, 90), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = sum(sizes)
+    stack = ShardStack.stacked(rng.normal(size=(n, dim)), rng.integers(0, classes, size=n), sizes)
+    if draw(st.booleans()):  # a take(): the rows are no longer laid end to end
+        order = draw(st.permutations(range(len(sizes))))
+        stack = stack.take(np.array(order[: draw(st.integers(1, len(order)))]))
+    test_rows = draw(st.integers(1, 200))
+    test = Shard(rng.normal(size=(test_rows, dim)), rng.integers(0, classes, size=test_rows))
+    spec = ModelSpec("mlp" if hidden else "logistic", dim, classes, hidden)
+    group = models.evaluation_group(spec, stack, test)
+    g = draw(st.integers(1, group))
+    xs = init_params(spec, 1) + draw(st.sampled_from([0.3, 3.0])) * rng.normal(size=(g, spec.param_count()))
+    return spec, stack, test, xs
+
+
+class TestStackedEvaluation:
+    """A (g, p) stack of models evaluates in one pass, each row bitwise its own one-model call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(evaluation_stacks())
+    def test_each_row_equals_its_one_model_call(self, case):
+        spec, stack, test, xs = case
+        scratch = models.Scratch()
+        losses, grads = full_objective(spec, xs, stack, scratch)
+        accs = eval_model(spec, xs, test)
+        preds = models.predictions(spec, xs, test)
+        assert losses.shape == (len(xs),) and grads.shape == xs.shape and preds.shape == (len(xs), len(test))
+        for j, x in enumerate(xs):
+            loss, grad = full_objective(spec, x, stack)
+            assert bits(losses[j]) == bits(loss) and grads[j].tobytes() == grad.tobytes(), j
+            assert np.array_equal(preds[j], models.predictions(spec, x, test)), j
+            assert bits(accs[j]) == bits(eval_model(spec, x, test)), j
+
+    @pytest.mark.parametrize("preset, group", [("large_random_topology.toml", 1), ("logistic_dirichlet.toml", 5)])
+    def test_the_group_rule_on_the_presets(self, preset, group):
+        # desk: one pass of 7 blocks of 58 rows (406) and 200 test rows; m=100: 5000 rows, 3 passes of one model
+        problem = build_problem(load_config(str(CONFIGS / preset)))
+        assert models.evaluation_group(problem.spec, problem.shards, problem.test) == group
+        x = problem.x0
+        full_objective(problem.spec, np.tile(x, (group, 1)), problem.shards)
+        with pytest.raises(ValueError, match="one pass"):
+            full_objective(problem.spec, np.tile(x, (group + 1, 1)), problem.shards)
+
+    def test_the_quadratic_family_takes_one_model(self):
+        problem = build_problem(load_config(str(CONFIGS / "quadratic_ring.toml")))
+        spec, shards = problem.spec, problem.shards
+        assert models.evaluation_group(spec, shards) == 1
+        x = problem.x0 + 1.0
+        losses, grads = full_objective(spec, x[None], shards)
+        loss, grad = full_objective(spec, x, shards)
+        assert bits(losses[0]) == bits(loss) and grads[0].tobytes() == grad.tobytes()
+        with pytest.raises(ValueError, match="one model"):
+            full_objective(spec, np.tile(x, (2, 1)), shards)
