@@ -666,10 +666,10 @@ def full_objective(
         loss, grad = np.mean(losses), grads.mean(axis=0)
         return (loss[None], grad[None]) if x.ndim == 2 else (float(loss), grad)
     rows, divisor, starts, sizes = shards.objective_layout
-    if g > 1 and g * rows.size > _OBJECTIVE_ROWS:
-        raise ValueError(f"{g} models of {rows.size} rows each do not fit one pass of {_OBJECTIVE_ROWS} rows")
     per_pass = divisor.shape[1]
     if g > 1:  # one pass, the layout once per model
+        if g * rows.size > _OBJECTIVE_ROWS:
+            raise ValueError(f"{g} models of {rows.size} rows each do not fit one pass of {_OBJECTIVE_ROWS} rows")
         rows, divisor = np.tile(rows, g), np.tile(divisor, (1, g, 1, 1))
     ws = objective_workspace(spec, shards, g, scratch)
     stack = np.broadcast_to(xs[:, None], (g, per_pass, p)).reshape(-1, p)  # each model over its own blocks
