@@ -12,14 +12,14 @@ import sys
 
 import numpy as np
 
-from dgossip.engine import (
+from dgossip.config import (
     AlgorithmKind,
     DataConfig,
     ExperimentConfig,
     ModelConfig,
     PartitionConfig,
-    run_experiment,
 )
+from dgossip.engine import run_experiment
 from dgossip.localopt import OptimizerConfig
 from dgossip.topology import TopologyKind, TopologySpec
 

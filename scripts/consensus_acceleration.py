@@ -25,14 +25,13 @@ import sys
 
 import numpy as np
 
-from dgossip.engine import (
+from dgossip.config import (
     AlgorithmKind,
     ExperimentConfig,
     ModelConfig,
-    Problem,
-    run_round,
     validated,
 )
+from dgossip.engine import Problem, run_round
 from dgossip.localopt import OptimizerConfig
 from dgossip.metrics import consensus_distance, consistency_delta
 from dgossip.models import ShardStack, quadratic_testbed

@@ -7,6 +7,15 @@ consistency term, spectral quantities, stability probing) for checking
 the algorithm family's trend-level claims at desk scale.
 """
 
+from .config import (
+    AlgorithmKind,
+    ConfigError,
+    DataConfig,
+    ExperimentConfig,
+    ModelConfig,
+    PartitionConfig,
+    validated,
+)
 from .data import (
     LabeledDataset,
     generate_synthetic,
@@ -17,14 +26,8 @@ from .data import (
     partition_pathological,
 )
 from .engine import (
-    AlgorithmKind,
-    ConfigError,
-    DataConfig,
     DivergenceError,
-    ExperimentConfig,
     ExperimentResult,
-    ModelConfig,
-    PartitionConfig,
     Problem,
     build_problem,
     client_batches,
@@ -32,7 +35,6 @@ from .engine import (
     ole_init,
     run_experiment,
     run_round,
-    validated,
 )
 from .localopt import LocalResult, OptimizerConfig, local_train, lr_at_round
 from .metrics import (

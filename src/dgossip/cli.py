@@ -19,8 +19,8 @@ import json
 import os
 import sys
 
-from .config import config_to_dict, load_config
-from .engine import ConfigError, DivergenceError, _as_kind, build_problem, run_experiment, validated
+from .config import ConfigError, _as_kind, config_to_dict, load_config, validated
+from .engine import DivergenceError, build_problem, run_experiment
 from .metrics import write_metrics_csv
 from .stability import stability_probe
 from .topology import TopologyKind, TopologySpec, beta_theory_bound, build_mixing

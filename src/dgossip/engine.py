@@ -6,7 +6,9 @@ mixing step, and Z_prev, the local outputs of the previous round.
 next round starts from ``info.x_mixed`` and ``info.z``.  Client data is
 one ShardStack in the Problem, every client's rows laid end to end;
 build_problem lays it out once, and every run of that problem reads it in
-place.  One decentralized round is the matrix recurrence
+place.  build_problem, iter_rounds and run_experiment read their config
+through :func:`dgossip.config.validated`.  One decentralized round is the
+matrix recurrence
 
 1. lookahead init   X_0 = X + beta * (X - Z_prev) (both equal the shared
                     x0 at t = 0, so round 0 starts from x0 for any beta);
@@ -72,15 +74,14 @@ from __future__ import annotations
 
 import math
 import time
-import typing
-from dataclasses import dataclass, field, is_dataclass, replace
-from enum import Enum
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
 from . import blas
+from .config import CENTRAL_KINDS, ConfigError, ExperimentConfig, validated
+from .config import LOOKAHEAD_KINDS  # noqa: F401  kept here: bench/workloads.py imports it from engine
 from .data import (
     generate_synthetic,
     generate_synthetic_holdout,
@@ -90,7 +91,7 @@ from .data import (
     partition_pathological,
 )
 from .keyed import _DOM_CLIENT, _DOM_COORD, _DOM_DATA, _DOM_INIT, _DOM_PARTITION, _DOM_TOPO, _draw, _keys
-from .localopt import OptimizerConfig, local_train, lr_at_round
+from .localopt import local_train, lr_at_round
 from .metrics import (
     RoundRecord,
     consensus_distance,
@@ -110,18 +111,12 @@ from .models import (
     objective_workspace,
     quadratic_testbed,
 )
-from .topology import MixingMatrix, TopologyKind, TopologySpec, build_mixing
+from .topology import MixingMatrix, TopologyKind, build_mixing
 
 __all__ = [
-    "AlgorithmKind",
-    "ModelConfig",
-    "DataConfig",
-    "PartitionConfig",
-    "ExperimentConfig",
     "RoundInfo",
     "Problem",
     "ExperimentResult",
-    "ConfigError",
     "DivergenceError",
     "client_batches",
     "participants",
@@ -131,38 +126,7 @@ __all__ = [
     "iter_rounds",
     "build_problem",
     "run_experiment",
-    "validated",
 ]
-
-class AlgorithmKind(str, Enum):
-    OLED_SGD = "oled_sgd"
-    OLED_SAM = "oled_sam"
-    DFEDAVG = "dfedavg"
-    DFEDAVGM = "dfedavgm"
-    DFEDSAM = "dfedsam"
-    DPSGD = "dpsgd"
-    FEDAVG_CENTRAL = "fedavg_central"
-    FEDSAM_CENTRAL = "fedsam_central"
-
-
-CENTRAL_KINDS = frozenset({AlgorithmKind.FEDAVG_CENTRAL, AlgorithmKind.FEDSAM_CENTRAL})
-DECENTRALIZED_KINDS = frozenset(set(AlgorithmKind) - CENTRAL_KINDS)
-LOOKAHEAD_KINDS = frozenset({AlgorithmKind.OLED_SGD, AlgorithmKind.OLED_SAM})
-
-METHOD_FOR = {
-    AlgorithmKind.OLED_SGD: "sgd",
-    AlgorithmKind.OLED_SAM: "sam",
-    AlgorithmKind.DFEDAVG: "sgd",
-    AlgorithmKind.DFEDAVGM: "sgd_momentum",
-    AlgorithmKind.DFEDSAM: "sam",
-    AlgorithmKind.DPSGD: "sgd",
-    AlgorithmKind.FEDAVG_CENTRAL: "sgd",
-    AlgorithmKind.FEDSAM_CENTRAL: "sam",
-}
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; maps to CLI exit code 2."""
 
 
 class DivergenceError(RuntimeError):
@@ -172,241 +136,6 @@ class DivergenceError(RuntimeError):
         self.round_index = round_index
         self.client = client
         super().__init__(f"non-finite parameters at round {round_index}, client {client}")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    kind: str = "logistic"  # "quadratic" | "logistic" | "mlp"
-    p: int = 8  # quadratic dimension
-    heterogeneity: float = 1.0  # quadratic linear-term spread
-    hidden: tuple[int, ...] = ()  # mlp hidden sizes
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    source: str = "synthetic"  # "synthetic" | "csv"
-    classes: int = 4
-    dim: int = 10
-    per_class: int = 100
-    spread: float = 0.5
-    test_per_class: int = 50
-    path: str = ""
-    test_path: str = ""
-
-
-@dataclass(frozen=True)
-class PartitionConfig:
-    scheme: str = "dirichlet"  # "iid" | "dirichlet" | "pathological"
-    alpha: float = 0.3
-    classes_per_client: int = 2
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    algorithm: AlgorithmKind = AlgorithmKind.OLED_SGD
-    beta: float = 0.0
-    m: int = 16
-    rounds: int = 100
-    local_steps: int = 5
-    participation: float = 0.1  # central kinds only
-    seed: int = 0
-    eval_every: int = 1
-    diagnostics: bool = False
-    targets: tuple[float, ...] = (0.5, 0.7, 0.9)
-    topology: TopologySpec | None = None
-    model: ModelConfig = field(default_factory=ModelConfig)
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
-    partition: PartitionConfig = field(default_factory=PartitionConfig)
-    data: DataConfig = field(default_factory=DataConfig)
-
-
-def _as_int(v) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ValueError(f"expected integer, got {v!r}")
-    if not -(2**63) <= v < 2**64:  # a seed may take the whole unsigned 64-bit range
-        raise ValueError(f"expected a 64-bit integer, got {v!r}")
-    return v
-
-
-def _as_float(v) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ValueError(f"expected a finite number, got {v!r}")
-    return float(v)
-
-
-def _as_str(v) -> str:
-    if not isinstance(v, str):
-        raise ValueError(f"expected string, got {v!r}")
-    return v
-
-
-def _as_bool(v) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"expected true/false, got {v!r}")
-    return v
-
-
-def _tuple_of(cast):
-    """A cast of each element; a tuple that no element's cast changes is returned as it is."""
-    return lambda v: v if type(v) is tuple and all(cast(x) is x for x in v) else tuple(cast(x) for x in v)
-
-
-_KIND_NAMES = {AlgorithmKind: "algorithm", TopologyKind: "topology kind"}
-
-
-def _as_kind(kind: type[Enum], v) -> Enum:
-    """The member of ``kind`` whose value is exactly the string ``v`` (a member is itself)."""
-    if isinstance(v, kind):  # the usual case, and much cheaper than kind(v)
-        return v
-    name = _as_str(v)
-    try:
-        return kind(name)
-    except ValueError:
-        raise ConfigError(f"unknown {_KIND_NAMES[kind]} {name!r}") from None
-
-
-# every scalar config field, built in Python or read from a file, goes through the cast of its type
-_CASTS = {
-    int: _as_int,
-    float: _as_float,
-    str: _as_str,
-    bool: _as_bool,
-    tuple[int, ...]: _tuple_of(_as_int),
-    tuple[float, ...]: _tuple_of(_as_float),
-    **{kind: partial(_as_kind, kind) for kind in _KIND_NAMES},
-}
-
-
-def _section_class(hint):
-    """The config dataclass a field holds (``X`` or ``X | None``); None for a scalar field."""
-    return next((t for t in typing.get_args(hint) or (hint,) if is_dataclass(t)), None)
-
-
-# section name -> dataclass, in field order; the other ExperimentConfig fields are scalars
-_SECTIONS = {
-    name: cls for name, hint in typing.get_type_hints(ExperimentConfig).items() if (cls := _section_class(hint))
-}
-# (config key, field name, cast) for each scalar field of each config dataclass, in field order
-_SCALARS = {
-    cls: [
-        ("lambda" if (cls, name) == (OptimizerConfig, "lam") else name, name, _CASTS[hint])
-        for name, hint in typing.get_type_hints(cls).items()
-        if not _section_class(hint)
-    ]
-    for cls in (ExperimentConfig, *_SECTIONS.values())
-}
-
-
-def _changed(obj, cls, where: str) -> dict:
-    """The scalar fields of ``obj`` that their types' casts change, by name; a refused value names its key."""
-    changed = {}
-    try:
-        for key, name, cast in _SCALARS[cls]:
-            value = getattr(obj, name)
-            if (typed := cast(value)) is not value:
-                changed[name] = typed
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {where}{key}: {exc}") from None
-    return changed
-
-
-def _typed(cfg: ExperimentConfig) -> ExperimentConfig:
-    """``cfg`` with every field read through the cast of its type, as a config file's values are."""
-    changed = _changed(cfg, ExperimentConfig, "")
-    for name, cls in _SECTIONS.items():
-        section = getattr(cfg, name)
-        if section is None and name == "topology":  # a central run may have no graph
-            continue
-        if not isinstance(section, cls):
-            raise ConfigError(f"{name} must be a {cls.__name__}, got {section!r}")
-        if fields := _changed(section, cls, name + "."):
-            changed[name] = replace(section, **fields)
-    return replace(cfg, **changed) if changed else cfg
-
-
-def validated(cfg: ExperimentConfig) -> ExperimentConfig:
-    """Check invariants and normalize derived fields.
-
-    Reads every field through the cast of its type, as a config file is
-    read, so a wrongly typed value is a ConfigError that names it.  Forces
-    beta = 0 for non-lookahead kinds, a single local step for dpsgd, and
-    the optimizer method implied by the algorithm.
-    """
-    cfg = _typed(cfg)
-    algo = cfg.algorithm
-    if not 0.0 <= cfg.beta < 1.0:
-        raise ConfigError(f"beta must be < 1 (and >= 0), got {cfg.beta}")
-    if cfg.m < 1:
-        raise ConfigError(f"m must be >= 1, got {cfg.m}")
-    if cfg.rounds < 0:
-        raise ConfigError("rounds must be >= 0")
-    if cfg.local_steps < 1:
-        raise ConfigError("local_steps must be >= 1")
-    if cfg.eval_every < 1:
-        raise ConfigError("eval_every must be >= 1")
-    if not 0 <= cfg.seed < 2**64:  # the draw keys on 64-bit words; topology.validate bounds topology.seed
-        raise ConfigError(f"seed must be in [0, 2**64), got {cfg.seed}")
-
-    beta = cfg.beta if algo in LOOKAHEAD_KINDS else 0.0
-    local_steps = 1 if algo is AlgorithmKind.DPSGD else cfg.local_steps
-    topology = cfg.topology
-    if algo in DECENTRALIZED_KINDS:
-        if topology is None:
-            raise ConfigError(f"{algo.value} requires a topology")
-        if topology.m != cfg.m:
-            raise ConfigError(f"topology.m={topology.m} != m={cfg.m}")
-    elif not 0.0 < cfg.participation <= 1.0:
-        raise ConfigError(f"participation must be in (0, 1], got {cfg.participation}")
-
-    optimizer = cfg.optimizer
-    if optimizer.method != METHOD_FOR[algo]:
-        optimizer = replace(optimizer, method=METHOD_FOR[algo])
-    try:  # the optimizer's and topology's own checks name their fields
-        optimizer.validate()
-        if algo in DECENTRALIZED_KINDS and cfg.m > 1:
-            topology.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    model, d = cfg.model, cfg.data
-    if model.kind not in ("quadratic", "logistic", "mlp"):
-        raise ConfigError(f"model.kind must be quadratic, logistic or mlp, got {model.kind!r}")
-    if model.kind == "quadratic" and model.p < 1:
-        raise ConfigError(f"model.p must be >= 1, got {model.p}")
-    if model.kind == "quadratic" and not 0 <= model.heterogeneity < math.inf:  # -h is h with its noise flipped
-        raise ConfigError(f"model.heterogeneity must be >= 0 and finite, got {model.heterogeneity}")
-    if model.kind == "mlp" and min(model.hidden, default=1) < 1:
-        raise ConfigError(f"model.hidden sizes must be >= 1, got {list(model.hidden)}")
-    if cfg.partition.scheme not in ("iid", "dirichlet", "pathological"):
-        raise ConfigError(
-            f"partition.scheme must be iid, dirichlet or pathological, got {cfg.partition.scheme!r}"
-        )
-    if d.source not in ("synthetic", "csv"):
-        raise ConfigError(f"data.source must be synthetic or csv, got {d.source!r}")
-    synthetic = model.kind != "quadratic" and d.source == "synthetic"
-    # a negative spread is its absolute value with the noise flipped
-    for name, least in (("classes", 2), ("dim", 1), ("per_class", 1), ("test_per_class", 1), ("spread", 0)):
-        if synthetic and not least <= getattr(d, name) < math.inf:
-            raise ConfigError(f"data.{name} must be >= {least} and finite, got {getattr(d, name)}")
-    if synthetic and d.classes * d.per_class < cfg.m:
-        raise ConfigError(f"data.classes * data.per_class = {d.classes * d.per_class} samples < m={cfg.m}")
-    # arrays past 2**31 elements fail to allocate, or wrap numpy's size arithmetic
-    sizes = {"local_steps * m * optimizer.batch_size": local_steps * cfg.m * optimizer.batch_size}
-    if model.kind == "quadratic":
-        sizes["m * model.p**2"] = cfg.m * model.p**2
-    elif synthetic:
-        hidden = tuple(model.hidden) if model.kind == "mlp" else ()
-        sizes["m * model parameters"] = cfg.m * ModelSpec(model.kind, d.dim, d.classes, hidden).param_count()
-        sizes["data.classes * (data.per_class + data.test_per_class) * data.dim"] = (
-            d.classes * (d.per_class + d.test_per_class) * d.dim
-        )
-    for name, size in sizes.items():
-        if size > 2**31:
-            raise ConfigError(f"{name} = {size} exceeds 2**31")
-    if (beta, local_steps, optimizer) == (cfg.beta, cfg.local_steps, cfg.optimizer):
-        return cfg  # a validated config is returned as it is, not rebuilt
-    return replace(cfg, beta=beta, local_steps=local_steps, optimizer=optimizer)
 
 
 @dataclass
@@ -805,7 +534,7 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem, phase: _LocalPhase | No
     topo = cfg.topology
     w_t = None
     resampled = False
-    if cfg.algorithm in DECENTRALIZED_KINDS:
+    if cfg.algorithm not in CENTRAL_KINDS:
         if cfg.m == 1:
             w_t = MixingMatrix(np.zeros((1, 1), dtype=np.intp), np.ones((1, 1)))
         elif topo.kind is TopologyKind.RANDOM_K:

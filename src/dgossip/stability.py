@@ -16,15 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .blas import one_thread
-from .engine import (
-    ConfigError,
-    ExperimentConfig,
-    Problem,
-    client_batches,
-    iter_rounds,
-    participants,
-    validated,
-)
+from .config import ConfigError, ExperimentConfig, validated
+from .engine import Problem, client_batches, iter_rounds, participants
 from .models import loss_and_predictions
 
 __all__ = ["StabilityTrace", "first_draw", "stability_probe"]

@@ -24,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from dgossip import blas
-from dgossip.engine import CENTRAL_KINDS, build_problem, validated
+from dgossip.config import CENTRAL_KINDS, validated
+from dgossip.engine import build_problem
 from dgossip.metrics import (
     RoundRecord,
     consensus_distance,

@@ -14,20 +14,22 @@ import pytest
 
 from dgossip.cli import main
 from dgossip.data import generate_synthetic, partition_dirichlet, partition_iid, partition_pathological
-from dgossip.engine import (
+from dgossip.config import (
     AlgorithmKind,
     ConfigError,
     DataConfig,
     ExperimentConfig,
     ModelConfig,
     PartitionConfig,
+    validated,
+)
+from dgossip.engine import (
     Problem,
     build_problem,
     gossip_mix,
     ole_init,
     run_experiment,
     run_round,
-    validated,
 )
 from dgossip.localopt import OptimizerConfig, local_train
 from dgossip.metrics import consensus_distance

@@ -6,14 +6,14 @@ would otherwise break ``bench/run.py --trace 1`` unseen.  These checks read
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dgossip import config, engine, localopt, models
-from dgossip.config import load_config
-from dgossip.engine import DataConfig, ExperimentConfig, ModelConfig
+from dgossip.config import DataConfig, ExperimentConfig, ModelConfig, load_config
 from dgossip.localopt import OptimizerConfig
 from dgossip.topology import TopologyKind, TopologySpec
 
@@ -83,7 +83,7 @@ ROUND_PATH = ("run_round", "local_train", "gossip_mix", "full_objective", "eval_
     "overrides, skipped",
     [
         ({"topology": TopologySpec(TopologyKind.RING, 6)}, ()),
-        ({"algorithm": engine.AlgorithmKind.FEDAVG_CENTRAL, "participation": 0.5}, ("gossip_mix",)),
+        ({"algorithm": config.AlgorithmKind.FEDAVG_CENTRAL, "participation": 0.5}, ("gossip_mix",)),
     ],
     ids=["ring", "central"],
 )
@@ -112,7 +112,7 @@ def test_runs_call_every_round_path_target(monkeypatch, overrides, skipped):
     "overrides",
     [
         {"topology": TopologySpec(TopologyKind.RING, 6)},
-        {"algorithm": engine.AlgorithmKind.FEDAVG_CENTRAL, "participation": 0.5},
+        {"algorithm": config.AlgorithmKind.FEDAVG_CENTRAL, "participation": 0.5},
     ],
     ids=["ring", "central"],
 )
@@ -202,3 +202,16 @@ def test_kernel_checks_pass_on_the_presets(monkeypatch):
     timings, fails = kernels.run_kernels(presets, presets["mlp"], cfgs["mlp"])
     assert fails == []
     assert "topology.spectral_gap.ms_per_call" in timings
+
+
+def test_every_workload_builds_its_configs(monkeypatch):
+    # bench/workloads.py imports CENTRAL_KINDS, LOOKAHEAD_KINDS, ConfigError and
+    # DivergenceError from dgossip.engine, and no other test loads it
+    monkeypatch.syspath_prepend(str(BENCH))  # for its own `from kernels import`
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # where @dataclass looks its module up
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        cfgs = workload.configs(seed=0)
+        assert len(cfgs) == len(workload.overrides) and all(engine.validated(cfg) is cfg for cfg in cfgs)

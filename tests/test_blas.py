@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from dgossip import blas, engine
-from dgossip.engine import DataConfig, ExperimentConfig, run_experiment
+from dgossip.config import DataConfig, ExperimentConfig
+from dgossip.engine import run_experiment
 from dgossip.localopt import OptimizerConfig
 from dgossip.topology import TopologyKind, TopologySpec
 

@@ -16,6 +16,9 @@ from hypothesis import given, settings, strategies as st
 from dgossip import cli
 from dgossip.cli import main
 from dgossip.config import (
+    AlgorithmKind,
+    ConfigError,
+    ExperimentConfig,
     _strip_comment,
     apply_override,
     config_from_dict,
@@ -23,8 +26,9 @@ from dgossip.config import (
     load_config,
     parse_config_text,
     parse_scalar,
+    validated,
 )
-from dgossip.engine import AlgorithmKind, ConfigError, ExperimentConfig, run_experiment, validated
+from dgossip.engine import run_experiment
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing
 
 BASE_CONFIG = """\
@@ -551,6 +555,7 @@ class TestCmdRun:
             ("run", ["model.kind=foo"], None, "model.kind"),
             ("run", ["partition.scheme=foo"], None, "partition.scheme"),
             ("run", ["data.source=foo"], None, "data.source"),
+            ("run", ["data.source=csv"], None, "data.path must name a CSV file"),
             ("run", ["data.source=csv", "data.path={dir}/empty.csv"], None, "empty.csv: empty dataset"),
             ("run", ["data.source=csv", "data.path={dir}/onecolumn.csv"], None,
              "onecolumn.csv:2: need at least one feature and a label"),

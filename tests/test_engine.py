@@ -1,5 +1,6 @@
 """Round orchestration: lookahead init, mixing, baselines, determinism."""
 
+import ast
 import copy
 import dataclasses
 import importlib
@@ -19,15 +20,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dgossip
-from dgossip import blas, engine, keyed, localopt, models
-from dgossip.engine import (
+from dgossip import blas, config, engine, keyed, localopt, models
+from dgossip.config import (
     AlgorithmKind,
     ConfigError,
     DataConfig,
-    DivergenceError,
     ExperimentConfig,
     ModelConfig,
     PartitionConfig,
+    validated,
+)
+from dgossip.engine import (
+    DivergenceError,
     Problem,
     RoundInfo,
     build_problem,
@@ -38,7 +42,6 @@ from dgossip.engine import (
     participants,
     run_experiment,
     run_round,
-    validated,
 )
 from dgossip.data import generate_synthetic, partition_dirichlet, partition_iid, partition_pathological
 from dgossip.localopt import OptimizerConfig
@@ -139,21 +142,25 @@ class TestValidation:
         with pytest.raises(ConfigError, match="beta"):
             validated(logistic_cfg(beta=1.0))
 
-    def test_non_lookahead_kinds_force_beta_zero(self):
-        cfg = validated(logistic_cfg(algorithm=AlgorithmKind.DFEDAVG, beta=0.7))
-        assert cfg.beta == 0.0
-
-    def test_dpsgd_forces_single_local_step(self):
-        cfg = validated(logistic_cfg(algorithm=AlgorithmKind.DPSGD, local_steps=5))
-        assert cfg.local_steps == 1
-
-    def test_method_derived_from_algorithm(self):
-        assert validated(logistic_cfg()).optimizer.method == "sgd"
-        assert validated(logistic_cfg(algorithm=AlgorithmKind.OLED_SAM)).optimizer.method == "sam"
-        assert (
-            validated(logistic_cfg(algorithm=AlgorithmKind.DFEDAVGM)).optimizer.method
-            == "sgd_momentum"
-        )
+    # README's algorithm table: beta is kept with lookahead only, K forced to 1 for
+    # dpsgd's single step, and the local optimizer follows from the algorithm
+    @pytest.mark.parametrize(
+        "algorithm, beta, local_steps, method",
+        [
+            ("oled_sgd", 0.5, 3, "sgd"),
+            ("oled_sam", 0.5, 3, "sam"),
+            ("dfedavg", 0.0, 3, "sgd"),
+            ("dfedavgm", 0.0, 3, "sgd_momentum"),
+            ("dfedsam", 0.0, 3, "sam"),
+            ("dpsgd", 0.0, 1, "sgd"),
+            ("fedavg_central", 0.0, 3, "sgd"),
+            ("fedsam_central", 0.0, 3, "sam"),
+        ],
+    )
+    def test_each_algorithm_sets_beta_k_and_method_as_the_readme_table(self, algorithm, beta, local_steps, method):
+        base = logistic_cfg(algorithm=AlgorithmKind(algorithm), beta=0.5, local_steps=3)
+        cfg = validated(dataclasses.replace(base, optimizer=dataclasses.replace(base.optimizer, method="sgd")))
+        assert (cfg.beta, cfg.local_steps, cfg.optimizer.method) == (beta, local_steps, method)
 
     def test_decentralized_requires_topology(self):
         with pytest.raises(ConfigError, match="topology"):
@@ -1313,9 +1320,9 @@ class TestWorkers:
 
     def test_one_worker_imports_no_process_machinery(self):
         code = (
-            "import sys; from dgossip import cli, engine;"
-            " ring = engine.TopologySpec(engine.TopologyKind.RING, 16);"
-            " engine.run_experiment(engine.ExperimentConfig(rounds=2, topology=ring));"
+            "import sys; from dgossip import cli, config, engine, topology;"
+            " ring = topology.TopologySpec(topology.TopologyKind.RING, 16);"
+            " engine.run_experiment(config.ExperimentConfig(rounds=2, topology=ring));"
             " print(sorted(m for m in ('dgossip.forked', 'mmap', 'multiprocessing') if m in sys.modules))"
         )
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
@@ -1358,3 +1365,19 @@ MODULES = [m.name for m in pkgutil.iter_modules(dgossip.__path__) if m.name != "
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_config_imports_nothing_from_engine():
+    # the dependency runs one way: engine reads the config layer, never the reverse
+    imported = []
+    for node in ast.walk(ast.parse(open(config.__file__, encoding="utf-8").read())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or "", *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert [name for name in imported if "engine" in name.split(".")] == []
+
+
+@pytest.mark.parametrize("name", ["validated", "CENTRAL_KINDS", "LOOKAHEAD_KINDS", "ConfigError"])
+def test_each_config_name_bench_reads_from_engine_is_the_config_object(name):
+    assert getattr(engine, name) is getattr(config, name)

@@ -9,18 +9,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dgossip import localopt
-from dgossip.config import load_config
-from dgossip.data import generate_synthetic
-from dgossip.engine import (
+from dgossip.config import (
     AlgorithmKind,
     DataConfig,
     ExperimentConfig,
     ModelConfig,
+    load_config,
+    validated,
+)
+from dgossip.data import generate_synthetic
+from dgossip.engine import (
     build_problem,
     client_batches,
     participants,
     run_round,
-    validated,
 )
 from dgossip.localopt import OptimizerConfig, local_train, lr_at_round
 from dgossip.models import (

@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from dgossip.data import generate_synthetic
-from dgossip.engine import (
+from dgossip.config import (
     AlgorithmKind,
     DataConfig,
     ExperimentConfig,
     ModelConfig,
     PartitionConfig,
-    build_problem,
-    iter_rounds,
-    run_experiment,
 )
+from dgossip.engine import build_problem, iter_rounds, run_experiment
 from dgossip.localopt import OptimizerConfig
 from dgossip.metrics import (
     RoundRecord,

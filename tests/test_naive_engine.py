@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgossip.config import load_config
-from dgossip.engine import (
+from dgossip.config import (
     CENTRAL_KINDS,
     AlgorithmKind,
     DataConfig,
     ExperimentConfig,
     ModelConfig,
     PartitionConfig,
-    run_experiment,
+    load_config,
 )
+from dgossip.engine import run_experiment
 from dgossip.localopt import OptimizerConfig
 from dgossip.topology import TopologyKind, TopologySpec
 from naive_engine import naive_run
