@@ -11,7 +11,10 @@ files, exported with ``git archive`` into a temporary directory (an
 archive leaves no state in the repository's ``.git``).  The record holds
 each side's ``env`` line and, per workload and end-to-end metric, each
 side's runs, median and quartiles, and the number of pairs the change won
-(ties count for neither side).  It is written to ``BENCH_<n>.json`` at the
+(ties count for neither side).  Beside each scaled metric it keeps each
+side's median of the ``unscaled`` value that ``bench/run.py`` prints, and
+per workload each side's median of the runs' host-speed factor medians,
+so that a scaled reading can be set against its unscaled twin.  It is written to ``BENCH_<n>.json`` at the
 repository root.  Every run is printed as it finishes.
 """
 
@@ -30,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 SEED = 1
+HOST_SPEED = "host speed factor: median "
 
 
 def parse_args(argv=None):
@@ -40,10 +44,22 @@ def parse_args(argv=None):
 
 
 def parse_output(text: str) -> tuple[dict, dict]:
-    """(env, result) from ``bench/run.py``'s stdout: its ``env`` line and its last line."""
+    """(env, result) from ``bench/run.py``'s stdout: its ``env`` line and its last line.
+
+    The result also carries ``unscaled``, each ``unscaled <metric> <value>
+    <unit>`` line's value by metric name, and ``host_speed_factor``, the
+    median of the ``host speed factor: median <f>, ...`` line (None
+    without one).
+    """
     lines = text.strip().splitlines()
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
-    return env, json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["unscaled"] = {
+        words[1]: float(words[2]) for words in (line.split() for line in lines) if words[0] == "unscaled"
+    }
+    factors = [line for line in lines if line.startswith(HOST_SPEED)]
+    result["host_speed_factor"] = float(factors[0][len(HOST_SPEED):].split(",")[0]) if factors else None
+    return env, result
 
 
 def spread(values: list[float]) -> dict:
@@ -59,7 +75,10 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
     parent in the same pair, and the change's median relative to the
     parent's (``change_vs_parent``, > 1 when the change reads higher).
     ``worse_than_bound`` is True when the change's median is worse than
-    the parent's by more than the metric's bound.
+    the parent's by more than the metric's bound.  ``unscaled`` holds each
+    side's median of the metric's unscaled values and their ratio, where
+    every run printed one, and ``host_speed_factor`` each side's median of
+    the runs' factors, where every run printed one.
     """
     sides = ("parent", "change")
     record = {
@@ -69,6 +88,9 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
         "correct": {side: all(p[i]["correct"] for p in pairs) for i, side in enumerate(sides)},
         "metrics": {},
     }
+    factors = [[p[i].get("host_speed_factor") for p in pairs] for i in range(2)]
+    if None not in factors[0] + factors[1]:
+        record["host_speed_factor"] = {side: statistics.median(f) for side, f in zip(sides, factors)}
     for spec in end_to_end:
         name, higher = spec["name"], spec["better"] == "higher"
         values = [[p[i]["metrics"][name]["value"] for p in pairs] for i in range(2)]
@@ -86,6 +108,12 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
             "change_vs_parent": ratio,
             "worse_than_bound": worse > spec["bound"],
         }
+        unscaled = [[p[i].get("unscaled", {}).get(name) for p in pairs] for i in range(2)]
+        if None not in unscaled[0] + unscaled[1]:
+            medians = {side: statistics.median(u) for side, u in zip(sides, unscaled)}
+            record["metrics"][name]["unscaled"] = {
+                **medians, "change_vs_parent": medians["change"] / medians["parent"]
+            }
     return record
 
 
@@ -128,7 +156,9 @@ def main(argv=None) -> int:
                     env, got[side] = run_bench(checkouts[side], workload, bench["run_seconds"])
                     out[side]["env"].setdefault(workload, env)
                     values = {k: v["value"] for k, v in got[side]["metrics"].items()}
-                    print(f"{workload} pair {i} {side}: {json.dumps(values)}", flush=True)
+                    unscaled, factor = got[side]["unscaled"], got[side]["host_speed_factor"]
+                    print(f"{workload} pair {i} {side}: {json.dumps(values)} unscaled {json.dumps(unscaled)}"
+                          f" host speed factor {factor}", flush=True)
                 pairs.append((got["parent"], got["change"]))
             out["workloads"][workload] = summarise(pairs, bench["end_to_end"])
     path = ROOT / f"BENCH_{args.number}.json"

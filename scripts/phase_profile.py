@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Each engine seam's share of a run's wall time, its time per call and its calls per round.
+
+    python3 scripts/phase_profile.py --config configs/logistic_dirichlet.toml \\
+        [--set KEY=VALUE ...] [--workers N] [--runs R]
+
+It loads the preset with its overrides, builds the problem once, makes one
+warm-up run and then R timed runs of ``engine.run_experiment`` (3 by
+default).  During the timed runs each seam in ``SEAMS``, a name that
+``engine`` looks up on every call, is replaced by a wrapper that counts
+its calls and adds up their wall time; every name is restored in a
+``finally``, so the wrappers never outlive the profile.  The table gives
+each seam's share of the timed runs' wall time, its µs per call and its
+calls per round.  Seams nest: ``full_objective`` and ``eval_model`` run
+inside ``_evaluate``, so the shares do not add up to 100%.
+
+With more than one worker, the workers' calls stay in their own
+processes, so the profile times the caller's calls only: its own row
+range's ``local_train``, and everything else a round runs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from time import perf_counter
+
+from dgossip import engine
+from dgossip.config import load_config
+
+SEAMS = (
+    "local_train", "gossip_mix", "build_mixing", "ole_init", "client_batches",
+    "_check_finite", "_queue", "_evaluate", "full_objective", "eval_model",
+)
+
+
+def parse_args(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--config", required=True, help="the preset to profile")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="a config override")
+    parser.add_argument("--workers", type=int, default=1, help="worker processes of each run (default 1)")
+    parser.add_argument("--runs", type=int, default=3, help="timed runs after the warm-up (default 3)")
+    return parser.parse_args(argv)
+
+
+def profile(cfg, problem, workers: int = 1, runs: int = 1):
+    """({seam: [calls, seconds]}, wall seconds, the last ExperimentResult) of ``runs`` runs with every seam wrapped."""
+    stats = {name: [0, 0.0] for name in SEAMS}
+    originals = {name: getattr(engine, name) for name in SEAMS}
+
+    def timed(fn, tally):
+        def call(*args, **kwargs):
+            start = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                tally[0] += 1
+                tally[1] += perf_counter() - start
+        return call
+
+    wall, result = 0.0, None
+    try:
+        for name, fn in originals.items():
+            setattr(engine, name, timed(fn, stats[name]))
+        for _ in range(runs):
+            start = perf_counter()
+            result = engine.run_experiment(cfg, workers=workers, problem=problem)
+            wall += perf_counter() - start
+    finally:
+        for name, fn in originals.items():
+            setattr(engine, name, fn)
+    return stats, wall, result
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    cfg = engine.validated(load_config(args.config, args.set))
+    problem = engine.build_problem(cfg)
+    engine.run_experiment(cfg, workers=args.workers, problem=problem)  # warm-up
+    stats, wall, _ = profile(cfg, problem, args.workers, args.runs)
+    rounds = args.runs * cfg.rounds
+    print(f"{' '.join([args.config, *args.set])}: {cfg.algorithm.value}, m={cfg.m}, workers={args.workers}, "
+          f"{args.runs} runs of {cfg.rounds} rounds, {1e3 * wall / rounds:.3f} ms per round")
+    if args.workers > 1:
+        print("workers > 1: the caller's calls only; each worker's local_train stays in its process")
+    print(f"{'seam':<16} {'share':>7} {'us/call':>10} {'calls/round':>12}")
+    for name, (calls, seconds) in stats.items():
+        per_call = 1e6 * seconds / calls if calls else 0.0
+        print(f"{name:<16} {100 * seconds / wall:>6.1f}% {per_call:>10.1f} {calls / rounds:>12.3f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -59,13 +59,17 @@ def thread_control():
 
 @contextmanager
 def one_thread():
-    """Run the block with numpy's OpenBLAS on one thread, then restore its thread count."""
+    """Run the block with numpy's OpenBLAS on one thread, then restore its thread count.
+
+    A count that is already 1 is left alone, so a pin nested in another
+    (dense gossip inside a run) costs one getter call.
+    """
     control = thread_control()
-    if control is None:
+    before = None if control is None else control[1]()
+    if before is None or before == 1:
         yield
         return
-    setter, getter = control
-    before = getter()
+    setter = control[0]
     setter(1)
     try:
         yield

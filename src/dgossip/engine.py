@@ -303,9 +303,11 @@ def gossip_mix(local_outputs, w: MixingMatrix) -> np.ndarray:
 
 
 def _check_finite(z: np.ndarray, t: int, clients: np.ndarray) -> None:
+    """DivergenceError naming the client of ``z``'s first non-finite row, searched for only when there is one."""
+    if np.isfinite(z).all():
+        return
     bad = np.flatnonzero(~np.isfinite(z).all(axis=1))
-    if bad.size:
-        raise DivergenceError(t, int(clients[bad[0]]))
+    raise DivergenceError(t, int(clients[bad[0]]))
 
 
 class _LocalPhase:
@@ -567,16 +569,13 @@ def iter_rounds(cfg: ExperimentConfig, problem: Problem, phase: _LocalPhase | No
 def _queue(cfg: ExperimentConfig, info: RoundInfo, xbar: np.ndarray) -> tuple:
     """Write round ``info``'s client average into ``xbar``; (t, consensus, delta_t, v1, v2) of its record."""
     x = info.x_mixed
-    xbar[:] = x.mean(axis=0)
-    if cfg.algorithm in CENTRAL_KINDS:
-        # every row is the global model, and a mean of equal rows could round
-        consensus = delta = 0.0
-        before, after = info.x_prev[0], x[0]
-    else:
-        consensus, delta = consensus_distance(x, xbar), consistency_delta(info.z, x)
-        before, after = info.x_prev.mean(axis=0), xbar
+    np.divide(np.add.reduce(x, axis=0, out=xbar), len(x), out=xbar)  # np.mean's sum and true divide
+    central = cfg.algorithm in CENTRAL_KINDS
+    # every central row is the global model, and a mean of equal rows could round
+    consensus, delta = (0.0, 0.0) if central else (consensus_distance(x, xbar), consistency_delta(info.z, x))
     v1 = v2 = None
     if info.drift is not None:
+        before, after = (info.x_prev[0], x[0]) if central else (info.x_prev.mean(axis=0), xbar)
         v1, v2 = update_energies(info.drift, before, after)
     return info.t, consensus, delta, v1, v2
 

@@ -12,9 +12,13 @@ each round its slice), so a row of the stack is bitwise the trajectory
 the client would follow alone.  The one-client form takes a numpy
 ``Generator`` in place of the indices.
 
-Each :func:`local_train` call lays one :class:`models.Workspace` out and
-hands it to every step: each step gathers its minibatch into it, its K
-steps and both gradient calls of a SAM step reuse the same activations,
+Each :func:`local_train` call checks and offsets all K steps' draws and
+gathers their labels into one flat label index at once
+(:meth:`models.ShardStack.minibatches`), so an index out of range stops
+it before its first step.  It lays one :class:`models.Workspace` out and
+hands it to every step: each step gathers its features into it with one
+``take`` and points it at its row of the label index, and its K steps
+and both gradient calls of a SAM step reuse the same activations,
 back-propagated errors, softmax scratch and ascent point, and the
 iterates alternate between the result and a spare array.  A run's local
 phase passes its :class:`models.Scratch`, of which each worker process
@@ -99,7 +103,8 @@ def _step(spec: ModelSpec, x, eta: float, lam: float, cfg: OptimizerConfig, velo
     """The module's step rule for every row of the (m, p) stack ``x``, written into ``out``.
 
     ``velocity`` (None for SGD and SAM) is updated in place, ``ws`` is the
-    local phase's Workspace, holding the step's minibatch, and ``out`` a
+    local phase's Workspace, holding the step's minibatch and its label
+    index, which both gradient calls of a SAM step read, and ``out`` a
     C-contiguous (m, p) array, not overlapping x.
     """
     g = batch_grads(spec, x, ws, out=out)
@@ -109,11 +114,12 @@ def _step(spec: ModelSpec, x, eta: float, lam: float, cfg: OptimizerConfig, velo
         norms = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
         # rows at or below the floor would perturb onto x itself: keep g1
         ascend = ~(norms <= cfg.grad_floor)
-        if ascend.any():
+        every = ascend.all()
+        if every or ascend.any():
             peak = np.multiply(lam, g, out=ws.point)
-            peak /= np.where(ascend, norms, 1.0)[:, None]
+            peak /= (norms if every else np.where(ascend, norms, 1.0))[:, None]
             peak += x
-            if ascend.all():  # g1 is spent once the ascent point is built
+            if every:  # g1 is spent once the ascent point is built
                 g = batch_grads(spec, peak, ws, out=g)
             else:
                 np.copyto(g, batch_grads(spec, peak, ws), where=ascend[:, None])
@@ -144,7 +150,8 @@ def local_train(
     ``draws`` the (K, m, B) shard-local minibatch indices, one column per
     row, as :func:`engine.client_batches` draws them (None for the
     quadratic family); another shape raises ValueError, and an index
-    outside its own row's shard IndexError (:meth:`ShardStack.batch`).
+    outside its own row's shard, in any step, IndexError before the first
+    step (:meth:`ShardStack.minibatches`).
     One client: ``x0`` is (p,), ``shard`` its :class:`Shard` (client index
     for the quadratic family) and ``draws`` its generator, from which all
     K batches are drawn uniformly with replacement in one ``integers(0,
@@ -182,13 +189,18 @@ def local_train(
     if momentum:
         velocity.fill(0.0)
     v1 = np.zeros(len(x0)) if ref_point is not None else None
+    # every step's minibatch rows and label index, checked and offset at once
+    index, picked = (None, None) if spec.kind == "quadratic" else shard.minibatches(draws, ws)
     for k in range(k_steps):
         step_out = iterates[k % 2]
         if v1 is not None:  # step_out is free until the step writes it
             drift = np.subtract(x, ref_point, out=step_out)
             np.square(drift, out=drift)
             v1 += drift.sum(axis=1)
-        shard.batch(None if draws is None else draws[k], ws)
+        if index is not None:
+            # in range, so "clip" clips nothing; it lets take write into ws without a buffer
+            shard.features.take(index[k], axis=0, out=ws.features, mode="clip")
+            ws.picked = picked[k]
         x = _step(spec, x, eta, lam, cfg, velocity, ws, step_out)
     if single:
         return LocalResult(z=x[0], v1=None if v1 is None else float(v1[0]))

@@ -61,7 +61,7 @@ def consensus_distance(xs: np.ndarray, xbar: np.ndarray | None = None) -> float:
     """
     xs = np.asarray(xs, dtype=float)
     centred = np.subtract(xs, xs.mean(axis=0) if xbar is None else xbar)
-    return float(np.mean(np.sum(np.square(centred, out=centred), axis=1)))
+    return _mean_row_sum(np.square(centred, out=centred))
 
 
 def consistency_delta(z_prev: np.ndarray, x_mixed: np.ndarray) -> float:
@@ -71,7 +71,12 @@ def consistency_delta(z_prev: np.ndarray, x_mixed: np.ndarray) -> float:
     if z_prev.shape != x_mixed.shape:
         raise ValueError("shape mismatch between local outputs and mixed models")
     gap = np.subtract(z_prev, x_mixed)
-    return float(np.mean(np.sum(np.square(gap, out=gap), axis=1)))
+    return _mean_row_sum(np.square(gap, out=gap))
+
+
+def _mean_row_sum(a: np.ndarray) -> float:
+    """``np.mean(np.sum(a, axis=1))`` of an (m, p) array, bitwise: np.mean is a sum and one true divide by m."""
+    return float(np.add.reduce(np.add.reduce(a, axis=1)) / len(a))
 
 
 def update_energies(

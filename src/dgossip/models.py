@@ -157,46 +157,49 @@ def _class_pass(ufunc: np.ufunc, logits: np.ndarray, out: np.ndarray | None = No
 
     ``ufunc`` is ``np.maximum`` for the class max or ``np.add`` for the
     class sum; ``out`` (C-contiguous, shaped as ``logits`` less its last
-    axis) or a new array holds the result.  The same order at every size,
-    so a row reduces alike in any stack or in any worker's range.  A
+    axis) or a new array holds ``ufunc`` of columns 0 and 1 (column 0, for
+    one class), then of each later column in place.  The same order at
+    every size, so a row reduces alike in any stack or worker's range.  A
     maximum is exact in any order, so the max equals numpy's reduction (a
     zero maximum may differ in its sign, which the softmax shift cannot
     see).  Below 8 classes the sum is numpy's order, so it equals
     ``logits.sum(axis=-1)`` on terms that are never -0, such as a softmax's.
     """
     columns = logits.reshape(-1, logits.shape[-1]).T  # one flat column per class: numpy's cheaper 1-D loop
-    total = np.positive(columns[0], out=None if out is None else out.reshape(-1))  # column 0, copied
-    for column in columns[1:]:
-        ufunc(total, column, out=total)
+    flat = None if out is None else out.reshape(-1)
+    if len(columns) == 1:
+        total = np.positive(columns[0], out=flat)  # the one column, copied
+    else:
+        total = ufunc(columns[0], columns[1], out=flat)
+        for column in columns[2:]:
+            ufunc(total, column, out=total)
     return total.reshape(logits.shape[:-1]) if out is None else out
 
 
-def _softmax_nll(logits: np.ndarray, labels: np.ndarray, with_loss: bool, ws: Workspace | None = None):
-    """Softmax in place; (per-row NLL shaped as labels or None, flat view, flat index of each label).
+def _softmax_nll(logits: np.ndarray, picked: np.ndarray, with_loss: bool, row: np.ndarray | None = None):
+    """Softmax in place; (per-row NLL shaped as logits less its last axis, or None, flat view).
 
-    ``ws`` supplies the per-row scratch of the class max and sum (one
-    left-to-right column pass each) and the label index; else new arrays.
+    ``picked`` is the flat label index: the position of each row's label in
+    the flattened logits, row r's being r * C + its label.  ``row``
+    (shaped as the NLL) or a new array holds the per-row class max and then
+    sum, each one left-to-right column pass.
     """
-    row = _class_pass(np.maximum, logits, None if ws is None else ws.row)
+    row = _class_pass(np.maximum, logits, row)
     logits -= row[..., None]
     np.exp(logits, out=logits)
     logits /= _class_pass(np.add, logits, row)[..., None]
     flat = logits.reshape(-1)
-    if ws is None:
-        picked = np.arange(labels.size) * logits.shape[-1] + labels.reshape(-1)
-    else:
-        picked = np.add(ws.class_starts, labels.reshape(-1), out=ws.picked)
     nll = None
     if with_loss:
-        nll = -np.log(flat[picked] + 1e-300).reshape(labels.shape)
-    return nll, flat, picked
+        nll = -np.log(flat[picked] + 1e-300).reshape(logits.shape[:-1])
+    return nll, flat
 
 
 def _forward_backward(
     spec: ModelSpec,
     x: np.ndarray,
     feats: np.ndarray,
-    labels: np.ndarray,
+    picked: np.ndarray,
     divisor,
     *,
     with_loss: bool,
@@ -205,8 +208,9 @@ def _forward_backward(
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """Weighted cross-entropy gradient of an (m, p) stack, and the per-row NLL.
 
-    ``x`` (m, p), ``feats`` (m, n, d + 1), ``labels`` (m, n), where row i
-    is model i on its own batch; the rows may be one model broadcast
+    ``x`` (m, p) and ``feats`` (m, n, d + 1), where row i is model i on
+    its own batch, and ``picked`` the batch's (m n,) flat label index (see
+    :func:`_softmax_nll`); the rows of x may be one model broadcast
     (stride 0), as :func:`full_objective` passes it.  Every row of
     ``feats`` ends in a 1.0 (see :class:`ShardStack`), and each layer reads
     its slice of x as the augmented matrix ``[W; b]`` (:func:`_unpack`):
@@ -227,7 +231,7 @@ def _forward_backward(
     size of a batch, and nothing it returns points into ``ws``.  Each
     layer's gradient is written straight into its slice of the result:
     ``out`` (C-contiguous, shaped as x) or a new array.  Returns (per-row
-    NLL shaped as ``labels``, or None, and the gradient).
+    NLL, (m, n), or None, and the gradient).
     """
     layers = _unpack(spec, x)
     acts = [feats]
@@ -240,8 +244,8 @@ def _forward_backward(
             np.matmul(acts[-1], layer, out=z)
         acts.append(z)
     delta = acts.pop()  # logits, turned in place into probabilities, then the output error
-    nll, flat, picked = _softmax_nll(delta, labels, with_loss, ws)
-    flat[picked] -= 1.0
+    nll, flat = _softmax_nll(delta, picked, with_loss, ws.row)
+    np.subtract.at(flat, picked, 1.0)  # one call for the get, subtract and set; the indices are unique
     delta /= divisor
     if out is None:
         out = np.empty(x.shape)
@@ -290,8 +294,8 @@ class ShardStack:
     def __post_init__(self):
         """Refuse, with ValueError naming the first such client, a shard that runs outside the data.
 
-        :meth:`batch` gathers with ``mode="clip"``, which would read a row
-        past the data as the last row.
+        Minibatches are gathered with ``mode="clip"``, which would read a
+        row past the data as the last row.
         """
         if self.features is None:
             return
@@ -371,25 +375,45 @@ class ShardStack:
         divisor = divisor.reshape(passes, per_pass, length, 1)
         return rows.reshape(passes, -1), divisor, starts.tolist(), sizes.tolist()
 
+    def minibatches(self, draws: np.ndarray, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
+        """Stack rows and flat label index of K steps' (K, m, B) shard-local indices, checked and offset in one pass.
+
+        Row i's indices must lie in [0, sizes[i]), its own shard, in every
+        step, else IndexError names the first client, in row order, with an
+        index out of range in any step.  Returns the (K, m, B) stack rows,
+        C-contiguous, and the (K, m B) flat label index on
+        ``ws.class_starts``, whose row k is step k's ``ws.picked``.
+        """
+        # viewed unsigned, a negative index exceeds every size, so one comparison bounds both ends
+        inside = np.less(np.asarray(draws, dtype=np.intp).view(np.uintp), self.sizes.astype(np.uintp)[:, None])
+        if np.count_nonzero(inside) < inside.size:
+            i = np.argmin(inside.all(axis=(0, 2)))  # the first client with an index outside its shard
+            raise IndexError(f"minibatch rows of client {self.clients[i]} outside its {self.sizes[i]} samples")
+        index = np.add(self.offsets[:, None], draws, order="C")
+        return index, _label_index(self.labels, index.reshape(len(index), -1), ws.class_starts)
+
     def batch(self, rows: np.ndarray | None, ws: Workspace) -> None:
-        """Gather an (m, B) array of shard-local indices into ``ws.features`` and ``ws.labels``.
+        """Gather an (m, B) array of shard-local indices into ``ws.features`` and ``ws.labels``, and set ``ws.picked``.
 
         Row i's indices must lie in [0, sizes[i]), its own shard, else
-        IndexError names the first client out of range.  Does nothing for
+        IndexError names the first client out of range.  ``ws.picked`` is
+        the minibatch's flat label index, a new array.  Does nothing for
         the quadratic family.  The next gather into the same
         :class:`Workspace` overwrites the minibatch.
         """
         if self.features is None:
             return
-        index = np.add(self.offsets[:, None], rows, out=ws.index)
-        # viewed unsigned, a negative index exceeds every size, so one comparison bounds both ends
-        inside = np.less(np.asarray(rows, dtype=np.intp).view(np.uintp), self.sizes.astype(np.uintp)[:, None])
-        if np.count_nonzero(inside) < inside.size:
-            i = np.argmin(inside.all(axis=1))  # the first client with an index outside its shard
-            raise IndexError(f"minibatch rows of client {self.clients[i]} outside its {self.sizes[i]} samples")
+        [index], [ws.picked] = self.minibatches(np.asarray(rows)[None], ws)
         # in range, so "clip" clips nothing; it lets take write into ws without a buffer
         self.features.take(index, axis=0, out=ws.features, mode="clip")
         self.labels.take(index, out=ws.labels, mode="clip")
+
+
+def _label_index(labels: np.ndarray, rows: np.ndarray, class_starts: np.ndarray) -> np.ndarray:
+    """The flat label index of the in-range stack rows ``rows``, (..., n): each label plus its ``class_starts``."""
+    picked = labels.take(rows, mode="clip").astype(np.intp, copy=False)
+    picked += class_starts
+    return picked
 
 
 _ALIGN = 64  # byte boundary of every array a Scratch lays out
@@ -455,12 +479,15 @@ class Workspace:
 
     Built for a :class:`ShardStack`, its (m, B) minibatches and (m, p)
     model stacks: it holds the gathered minibatch, (m, B, d + 1) with its
-    ones column, every layer's output, each hidden layer's (m, B, h + 1)
-    with a ones column that the gradient kernel writes on every call (an
-    earlier layout in the same :class:`Scratch` may have overwritten it),
-    the error back-propagated to each hidden layer, the per-row class max
-    and sum of the softmax (``row``) and the flat label index, or, for the
-    quadratic family, the stack's gathered terms.  ``point`` is an (m, p)
+    ones column, and its labels, every layer's output, each hidden layer's
+    (m, B, h + 1) with a ones column that the gradient kernel writes on
+    every call (an earlier layout in the same :class:`Scratch` may have
+    overwritten it), the error back-propagated to each hidden layer and the
+    per-row class max and sum of the softmax (``row``), or, for the
+    quadratic family, the stack's gathered terms.  ``picked``, the flat
+    label index the kernel reads (see :func:`_softmax_nll`), is not laid
+    out: whoever gathers a minibatch points it at one built on
+    ``class_starts`` (:meth:`ShardStack.minibatches`).  ``point`` is an (m, p)
     stack at which a gradient is evaluated: SAM's ascent point; ``stacks``
     more (m, p) arrays are the caller's own.  With ``blocks``, a (passes,
     per_pass) pair, it serves :func:`full_objective`'s passes over blocks
@@ -471,9 +498,9 @@ class Workspace:
     g copies of one model's, the models side by side.
     The arrays are laid out in ``scratch`` when it is given (see
     :class:`Scratch`), where the next workspace laid out overwrites them;
-    otherwise they are the workspace's own.  :meth:`ShardStack.batch` and
-    :func:`batch_grads` overwrite them on every call that is passed the
-    workspace, and no result points into it.
+    otherwise they are the workspace's own.  A gather (:meth:`ShardStack.batch`,
+    or a local phase's step) and :func:`batch_grads` overwrite them on every
+    call that is passed the workspace, and no result points into it.
     """
 
     def __init__(
@@ -498,8 +525,7 @@ class Workspace:
             if shards.features.shape[-1] != spec.dim + 1:
                 raise ValueError(f"the stack's features must be {spec.dim} per row and then 1.0 (see ShardStack)")
             layout += [
-                (rows, np.intp), ((*rows, spec.dim + 1), shards.features.dtype), (rows, shards.labels.dtype),
-                (rows, np.float64), ((m * batch_size,), np.intp),
+                ((*rows, spec.dim + 1), shards.features.dtype), (rows, shards.labels.dtype), (rows, np.float64),
                 *(((*rows, width), np.float64) for width in (*widths, *spec.hidden)),
             ]
             if blocks:
@@ -516,7 +542,8 @@ class Workspace:
                 for terms in (spec.quad_a, spec.quad_b)
             )
             return
-        self.index, self.features, self.labels, self.row, self.picked = (next(arrays) for _ in range(5))
+        self.features, self.labels, self.row = (next(arrays) for _ in range(3))
+        self.picked = None
         self.acts = [next(arrays) for _ in widths]
         self.errors = [next(arrays) for _ in spec.hidden]
         if blocks:
@@ -528,16 +555,17 @@ def batch_grads(spec: ModelSpec, x: np.ndarray, ws: Workspace, out: np.ndarray |
     """Exact batch-mean gradients of an (m, p) stack, one client per row, on the minibatch in ``ws``.
 
     The training kernel: it computes no loss, because local steps never
-    read one.  :meth:`ShardStack.batch` gathers the minibatch into
-    ``ws.features`` and ``ws.labels``; the quadratic family is noiseless
-    and takes its terms from ``ws``.  The scratch goes into ``ws`` (see :class:`Workspace`) and the
-    gradients into ``out`` (C-contiguous, not overlapping x) when it is
-    given, or a new array; the result is bitwise the same either way.
+    read one.  It reads the minibatch from ``ws.features`` and its flat
+    label index from ``ws.picked``, as the gather left them; the quadratic
+    family is noiseless and takes its terms from ``ws``.  The scratch goes
+    into ``ws`` (see :class:`Workspace`) and the gradients into ``out``
+    (C-contiguous, not overlapping x) when it is given, or a new array; the
+    result is bitwise the same either way.
     """
     if spec.kind == "quadratic":
         return _quadratic_grads(*ws.quad, x, out)
-    n = ws.labels.shape[-1]
-    return _forward_backward(spec, x, ws.features, ws.labels, n, with_loss=False, ws=ws, out=out)[1]
+    n = ws.features.shape[-2]
+    return _forward_backward(spec, x, ws.features, ws.picked, n, with_loss=False, ws=ws, out=out)[1]
 
 
 def loss_and_grad(
@@ -564,8 +592,9 @@ def loss_and_grad(
     labels = shard.labels if batch is None else shard.labels[batch]
     n = len(labels)
     stack = ShardStack.stacked(feats, labels, [n])
+    ws = Workspace(spec, stack, n)
     nll, grad = _forward_backward(
-        spec, x[None], stack.features[None], labels[None], n, with_loss=True, ws=Workspace(spec, stack, n)
+        spec, x[None], stack.features[None], ws.class_starts + labels, n, with_loss=True, ws=ws
     )
     return float(nll.sum() / n), grad[0]  # np.mean's sum and division
 
@@ -585,7 +614,7 @@ def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[
     """
     logits = _forward(spec, x, shard.features)
     predictions = np.argmax(logits, axis=-1)
-    nll, _, _ = _softmax_nll(logits, shard.labels, with_loss=True)
+    nll, _ = _softmax_nll(logits, np.arange(len(shard)) * logits.shape[-1] + shard.labels, with_loss=True)
     return float(np.mean(nll)), predictions
 
 
@@ -673,18 +702,18 @@ def full_objective(
         rows, divisor = np.tile(rows, g), np.tile(divisor, (1, g, 1, 1))
     ws = objective_workspace(spec, shards, g, scratch)
     stack = np.broadcast_to(xs[:, None], (g, per_pass, p)).reshape(-1, p)  # each model over its own blocks
+    picked = _label_index(shards.labels, rows, ws.class_starts)  # every pass's at once
     for i, taken in enumerate(rows):  # in range, so "clip" clips nothing and take writes in place
         shards.features.take(taken, axis=0, out=ws.features.reshape(len(taken), -1), mode="clip")
-        shards.labels.take(taken, out=ws.labels.reshape(-1), mode="clip")
         nll, _ = _forward_backward(
-            spec, stack, ws.features, ws.labels, divisor[i], with_loss=True, ws=ws, out=ws.grads[i]
+            spec, stack, ws.features, picked[i], divisor[i], with_loss=True, ws=ws, out=ws.grads[i]
         )
         ws.nll[i] = nll
     grads = ws.grads.reshape(g, -1, p).sum(axis=1)  # each model's rows, in block order
     nll = ws.nll.reshape(g, -1)
     means = np.empty((g, len(sizes)))
-    for i, (a, n) in enumerate(zip(starts, sizes)):
-        means[:, i] = nll[:, a : a + n].sum(axis=1) / n
+    for i, (a, n) in enumerate(zip(starts, sizes)):  # a sum and a true divide, as .sum(axis=1) / n
+        np.divide(np.add.reduce(nll[:, a : a + n], axis=1), n, out=means[:, i])
     losses = means.mean(axis=1)
     return (losses, grads) if x.ndim == 2 else (float(losses[0]), grads[0])
 

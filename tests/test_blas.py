@@ -83,3 +83,51 @@ def test_wide_mlp_run_is_independent_of_blas_threads(tmp_path):
         assert proc.returncode == 0, proc.stderr
         outputs.append((proc.stdout, hashlib.sha256(csv.read_bytes()).hexdigest()))
     assert outputs[0] == outputs[1]
+
+
+class CountingControl:
+    """A fake ``thread_control()`` pair that records every setter call."""
+
+    def __init__(self, count):
+        self.count, self.sets, self.gets = count, [], 0
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+    def get(self):
+        self.gets += 1
+        return self.count
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    def install(count):
+        fake = CountingControl(count)
+        monkeypatch.setattr(blas, "thread_control", lambda: (fake.set, fake.get))
+        return fake
+    return install
+
+
+def test_a_count_already_at_one_makes_no_setter_call(counting):
+    fake = counting(1)
+    with blas.one_thread():
+        assert fake.count == 1
+    assert fake.sets == [] and fake.gets == 1
+
+
+def test_nested_pins_restore_the_outer_count(counting):
+    fake = counting(4)
+    with blas.one_thread():
+        with blas.one_thread():  # as dense gossip inside a run: one getter call, no setter call
+            assert fake.count == 1
+        assert fake.count == 1
+    assert fake.count == 4 and fake.sets == [1, 4] and fake.gets == 2
+
+
+def test_the_count_is_restored_after_an_exception(counting):
+    fake = counting(3)
+    with pytest.raises(ZeroDivisionError):
+        with blas.one_thread():
+            1 / 0
+    assert fake.count == 3 and fake.sets == [1, 3]

@@ -562,6 +562,24 @@ class TestRunExperiment:
         assert (exc.value.round_index, exc.value.client) == (1, 5)
         assert len(mixed) == 1 and np.isfinite(mixed[0]).all()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("central", [False, True], ids=["decentralized", "central"])
+    def test_a_bad_last_or_only_row_names_its_client(self, bad, central):
+        # a finite stack passes one whole-stack test; only a failing one is searched row by row
+        algo = dict(algorithm=AlgorithmKind.FEDAVG_CENTRAL, participation=0.5) if central else {}
+        cfg = validated(logistic_cfg(**algo))
+        clients = participants(cfg, cfg.m, 3)
+        # the central set's last client is not its row 3, so the error must map the row to its client
+        assert len(clients) == (4 if central else 8) and (not central or clients[-1] != 3)
+        z = np.ones((len(clients), 5))
+        engine._check_finite(z, 3, clients)
+        engine._check_finite(z[-1:], 3, clients[-1:])
+        z[-1, 4] = bad
+        for stack, named in ((z, clients), (z[-1:], clients[-1:])):
+            with pytest.raises(DivergenceError) as exc:
+                engine._check_finite(stack, 3, named)
+            assert (exc.value.round_index, exc.value.client) == (3, int(clients[-1]))
+
     def test_random_k_resampled_per_round(self):
         cfg = logistic_cfg(
             topology=TopologySpec(TopologyKind.RANDOM_K, 8, k=2, seed=3), rounds=4

@@ -283,6 +283,74 @@ class TestLocalTrain:
             local_train(spec, x0, stack, 3, cfg, draws, round_index=0)
 
 
+class TestPhaseIndex:
+    """A local phase checks and indexes all K steps' minibatches once, before its first step."""
+
+    def test_a_bad_index_in_the_last_step_raises_before_any_gradient_call(self, monkeypatch):
+        spec, stack, x0, draws = mlp_stack()
+        draws[-1, 4, 2] = stack.sizes[4]
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1])
+            return batch_grads(*args, **kwargs)
+
+        monkeypatch.setattr(localopt, "batch_grads", spy)
+        cfg = OptimizerConfig(batch_size=draws.shape[-1])
+        with pytest.raises(IndexError, match=r"^minibatch rows of client 4 outside its 15 samples$"):
+            local_train(spec, x0, stack, len(draws), cfg, draws, round_index=0)
+        assert calls == []
+        draws[-1, 4, 2] = 0
+        local_train(spec, x0, stack, len(draws), cfg, draws, round_index=0)
+        assert len(calls) == len(draws)
+
+    @pytest.mark.parametrize("late", [-1, 10**6], ids=["before_its_start", "past_its_end"])
+    def test_the_error_names_the_first_bad_client_over_all_steps(self, late):
+        # client 3 is out of range in step 0 and client 1 only in the last step: client 1 comes first
+        spec, stack, x0, draws = mlp_stack()
+        draws[0, 3, 0] = stack.sizes[3]
+        draws[-1, 1, -1] = late
+        cfg = OptimizerConfig(batch_size=draws.shape[-1])
+        with pytest.raises(IndexError, match=r"^minibatch rows of client 1 outside its 15 samples$"):
+            local_train(spec, x0, stack, len(draws), cfg, draws, round_index=0)
+
+    @pytest.mark.parametrize("method", ["sgd", "sam", "sgd_momentum"])
+    def test_a_stacked_phase_equals_a_step_loop_over_batch_and_batch_grads(self, method):
+        spec, stack, x0, draws = mlp_stack(m=8, k_steps=4)
+        floor = float(np.median([np.linalg.norm(g) for g in first_gradients(spec, stack, x0, draws[0])]))
+        cfg = OptimizerConfig(method=method, lam=0.05, mu=0.9, grad_floor=floor, batch_size=draws.shape[-1])
+        res = local_train(spec, x0, stack, len(draws), cfg, draws, round_index=3, ref_point=x0)
+        eta = lr_at_round(cfg, 3)
+        ws = Workspace(spec, stack, draws.shape[-1])
+        x, v, v1, split = x0.copy(), np.zeros_like(x0), np.zeros(len(x0)), []
+        for rows in draws:
+            v1 += np.square(x - x0).sum(axis=1)
+            stack.batch(rows, ws)
+            g = batch_grads(spec, x, ws)
+            if method == "sam":
+                norms = np.array([np.linalg.norm(row) for row in g])
+                ascend = norms > floor
+                split.append(ascend.sum())
+                peak = np.multiply(cfg.lam, g) / np.where(ascend, norms, 1.0)[:, None] + x
+                g = np.where(ascend[:, None], batch_grads(spec, peak, ws), g)
+            if method == "sgd_momentum":
+                v = v * cfg.mu + g
+                g = eta * v
+            else:
+                g = eta * g
+            x = x - g
+        assert res.z.tobytes() == x.tobytes() and res.v1.tobytes() == v1.tobytes()
+        if method == "sam":  # the floor splits step 0's rows in half
+            assert split[0] == len(x0) // 2
+
+
+def first_gradients(spec, stack, x, rows):
+    """The stack's gradients at x on the (m, B) minibatch ``rows``, by the public gather and kernel."""
+    ws = Workspace(spec, stack, rows.shape[-1])
+    stack.batch(rows, ws)
+    return batch_grads(spec, x, ws)
+
+
 class TestOptimizerConfigValidation:
     def test_rejects_bad_values(self):
         for kwargs in (
@@ -388,8 +456,9 @@ class TestNoAliasing:
 
 
 class TestLocalPhaseMemory:
-    # the peak was 6.26 m*p*8 with the workspace and 9.06 before it; 7.0 leaves 0.74 of headroom,
-    # less than one more (m, p) array per step
+    # the peak was 6.26 m*p*8 with the workspace and 9.06 before it, and 6.57 once a local phase
+    # holds all its steps' minibatch rows and label index; 7.0 leaves 0.43 of headroom, less than
+    # one more (m, p) array per step
     PEAK_MULTIPLE = 7.0
 
     def test_stacked_sam_peak_stays_within_a_fixed_multiple_of_the_stack(self):

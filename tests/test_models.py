@@ -352,8 +352,9 @@ class TestFullObjective:
         labels = stack.labels[:300].reshape(5, 60)
         divisor = rng.uniform(1.0, 400.0, size=(5, 60, 1))
         ws = models.Workspace(spec, stack, 60, blocks=(1, 5))
+        picked = ws.class_starts + labels.reshape(-1)
         (nll_b, grad_b), (nll_t, grad_t) = (
-            models._forward_backward(spec, stacked, feats, labels, divisor, with_loss=True, ws=ws)
+            models._forward_backward(spec, stacked, feats, picked, divisor, with_loss=True, ws=ws)
             for stacked in (np.broadcast_to(x, (5, len(x))), np.tile(x, (5, 1)))
         )
         assert nll_b.tobytes() == nll_t.tobytes() and grad_b.tobytes() == grad_t.tobytes()
@@ -397,7 +398,8 @@ def blockwise_reference(spec, x, stack):
     ws = models.Workspace(spec, stack, length, blocks=(1, 1))
     for block, div in zip(rows.reshape(blocks, length), divisor.reshape(blocks, length, 1)):
         _, grad = models._forward_backward(
-            spec, x[None], stack.features[block][None], stack.labels[block][None], div, with_loss=False, ws=ws
+            spec, x[None], stack.features[block][None], ws.class_starts + stack.labels[block], div,
+            with_loss=False, ws=ws,
         )
         total += grad[0]
     return total

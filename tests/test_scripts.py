@@ -84,24 +84,37 @@ def test_the_script_flags_only_coefficients_with_psi_tilde_past_1(tmp_path):
     assert "rate 0.685104 vs 0.685172" in rows["beta=0.00"]
 
 
-def bench_output(env, **values):
-    """bench/run.py's stdout: a report ending in its env line's fields and one JSON result line."""
+def bench_output(env, factor, **values):
+    """bench/run.py's stdout: its env line, a report with each metric scaled and unscaled, and one JSON result line.
+
+    Each unscaled value is the scaled one times the host-speed ``factor``.
+    """
     units = {"client_steps_per_s": "steps/s", "round_ms_p50": "ms", "peak_rss_mb": "MB", "setup_s": "s"}
     result = {"correct": True, "attempted": 4, "failed": 0,
               "metrics": {name: {"value": value, "unit": units[name]} for name, value in values.items()}}
-    return "\n".join(["env " + json.dumps(env), "op oled_sgd wall 0.5s steps 100 ok", json.dumps(result)])
+    return "\n".join([
+        "env " + json.dumps(env), "op oled_sgd wall 0.5s steps 100 ok",
+        *(f"{name:<48} {value:>14.6g} {units[name]}" for name, value in values.items()),
+        *(f"{'unscaled ' + name:<48} {value * factor:>14.6g} {units[name]}" for name, value in values.items()),
+        f"host speed factor: median {factor:.3f}, quartiles 0.900-1.100, 40 samples",
+        json.dumps(result),
+    ])
 
 
 def test_bench_record_summarises_alternating_pairs():
     record = load_script("bench_record")
     env = {"workload": "desk_algorithms", "seed": 1, "nproc": 2}
     parent_steps, change_steps = [100.0, 110.0, 90.0, 105.0], [120.0, 100.0, 95.0, 130.0]
+    factors = {"parent": [1.0, 1.25, 1.0, 1.5], "change": [0.5, 1.0, 1.0, 1.0]}
     pairs = []
-    for b, c in zip(parent_steps, change_steps):
-        sides = [record.parse_output(bench_output(env, client_steps_per_s=s, peak_rss_mb=50.0 * s / b))
-                 for s in (b, c)]
+    for i, (b, c) in enumerate(zip(parent_steps, change_steps)):
+        sides = [record.parse_output(bench_output(env, factors[side][i], client_steps_per_s=s,
+                                                  peak_rss_mb=50.0 * s / b))
+                 for side, s in (("parent", b), ("change", c))]
         assert all(got_env == env for got_env, _ in sides)
         pairs.append(tuple(result for _, result in sides))
+    assert pairs[1][0]["unscaled"] == {"client_steps_per_s": 137.5, "peak_rss_mb": 62.5}
+    assert pairs[1][0]["host_speed_factor"] == 1.25
     end_to_end = [{"name": "client_steps_per_s", "better": "higher", "bound": 0.25},
                   {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]
     summary = record.summarise(pairs, end_to_end)
@@ -117,6 +130,14 @@ def test_bench_record_summarises_alternating_pairs():
     assert rss["parent"]["runs"] == [50.0] * 4 and rss["change_won"] == 1
     assert rss["change_vs_parent"] == pytest.approx(rss["change"]["median"] / 50.0)
     assert rss["worse_than_bound"]  # a median 1.128 times the parent's is past the 0.1 bound
+    # unscaled steps: parent 100, 137.5, 90, 157.5 and change 60, 100, 95, 130
+    assert summary["host_speed_factor"] == {"parent": 1.125, "change": 1.0}
+    assert steps["unscaled"] == {"parent": 118.75, "change": 97.5, "change_vs_parent": 97.5 / 118.75}
+    # a run without the unscaled lines (a traced run) leaves the unscaled side out
+    traced = record.parse_output(bench_output(env, 1.0, client_steps_per_s=1.0).replace("unscaled", "traced"))
+    assert traced[1]["unscaled"] == {}
+    bare = record.summarise([(traced[1], traced[1])] * 2, end_to_end[:1])
+    assert "unscaled" not in bare["metrics"]["client_steps_per_s"] and "host_speed_factor" in bare
 
 
 SIZE_FIXTURE = '''"""Module docstring,
@@ -154,3 +175,38 @@ def test_src_size_counts_every_line_once(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split() == ["total", "17", "7", "5", "1", "4"]
+
+
+def test_phase_profile_restores_every_seam_and_leaves_the_records_bitwise(tmp_path):
+    phase_profile = load_script("phase_profile")
+    from dgossip import engine
+    from dgossip.config import load_config
+
+    preset = str(ROOT / "configs" / "logistic_dirichlet.toml")
+    cfg = engine.validated(load_config(preset, ["rounds=3", "eval_every=1", "diagnostics=true"]))
+    problem = engine.build_problem(cfg)
+    originals = {name: getattr(engine, name) for name in phase_profile.SEAMS}
+    plain = engine.run_experiment(cfg, problem=problem)
+    stats, wall, profiled = phase_profile.profile(cfg, problem, runs=2)
+    assert all(getattr(engine, name) is fn for name, fn in originals.items())
+    assert [repr(r) for r in profiled.records] == [repr(r) for r in plain.records]
+    assert profiled.final_x.tobytes() == plain.final_x.tobytes()
+    calls = {name: tally[0] for name, tally in stats.items()}
+    assert calls["local_train"] == calls["gossip_mix"] == calls["_queue"] == 6  # 2 runs of 3 rounds
+    assert calls["_evaluate"] == calls["full_objective"] == calls["eval_model"] == 2  # one group of 3 per run
+    assert calls["build_mixing"] == 2 and 0 < stats["local_train"][1] < wall
+    # a run that raises leaves no wrapper behind either
+    other_m = engine.validated(load_config(preset, ["rounds=3", "m=8"]))
+    with pytest.raises(engine.ConfigError, match="built for 16 clients"):
+        phase_profile.profile(other_m, problem)
+    assert all(getattr(engine, name) is fn for name, fn in originals.items())
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "phase_profile.py"), "--config", preset,
+         "--set", "rounds=3", "--workers", "2", "--runs", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "the caller's calls only" in lines[1]
+    assert [line.split()[0] for line in lines[3:]] == list(phase_profile.SEAMS)
