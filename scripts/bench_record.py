@@ -14,8 +14,9 @@ side's runs, median and quartiles, and the number of pairs the change won
 (ties count for neither side).  Beside each scaled metric it keeps each
 side's median of the ``unscaled`` value that ``bench/run.py`` prints, and
 per workload each side's median of the runs' host-speed factor medians,
-so that a scaled reading can be set against its unscaled twin.  It is written to ``BENCH_<n>.json`` at the
-repository root.  Every run is printed as it finishes.
+so that a scaled reading can be set against its unscaled twin.  It is
+written to ``BENCH_<n>.json`` at the repository root.  Every run is
+printed as it finishes.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def parse_output(text: str) -> tuple[dict, dict]:
     env = next(json.loads(line[4:]) for line in lines if line.startswith("env "))
     result = json.loads(lines[-1])
     result["unscaled"] = {
-        words[1]: float(words[2]) for words in (line.split() for line in lines) if words[0] == "unscaled"
+        words[1]: float(words[2]) for words in (line.split() for line in lines) if words[:1] == ["unscaled"]
     }
     factors = [line for line in lines if line.startswith(HOST_SPEED)]
     result["host_speed_factor"] = float(factors[0][len(HOST_SPEED):].split(",")[0]) if factors else None
@@ -88,7 +89,7 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
         "correct": {side: all(p[i]["correct"] for p in pairs) for i, side in enumerate(sides)},
         "metrics": {},
     }
-    factors = [[p[i].get("host_speed_factor") for p in pairs] for i in range(2)]
+    factors = [[p[i]["host_speed_factor"] for p in pairs] for i in range(2)]
     if None not in factors[0] + factors[1]:
         record["host_speed_factor"] = {side: statistics.median(f) for side, f in zip(sides, factors)}
     for spec in end_to_end:
@@ -108,7 +109,7 @@ def summarise(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
             "change_vs_parent": ratio,
             "worse_than_bound": worse > spec["bound"],
         }
-        unscaled = [[p[i].get("unscaled", {}).get(name) for p in pairs] for i in range(2)]
+        unscaled = [[p[i]["unscaled"].get(name) for p in pairs] for i in range(2)]
         if None not in unscaled[0] + unscaled[1]:
             medians = {side: statistics.median(u) for side, u in zip(sides, unscaled)}
             record["metrics"][name]["unscaled"] = {
