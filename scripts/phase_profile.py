@@ -6,17 +6,21 @@
 
 It loads the preset with its overrides, builds the problem once, makes one
 warm-up run and then R timed runs of ``engine.run_experiment`` (3 by
-default).  During the timed runs each seam in ``SEAMS``, a name that
-``engine`` looks up on every call, is replaced by a wrapper that counts
-its calls and adds up their wall time; every name is restored in a
-``finally``, so the wrappers never outlive the profile.  The table gives
-each seam's share of the timed runs' wall time, its µs per call and its
-calls per round.  Seams nest: ``full_objective`` and ``eval_model`` run
-inside ``_evaluate``, so the shares do not add up to 100%.
+default).  During the timed runs each seam in ``SEAMS``, a (module, name) pair
+that the module looks up on every call (``engine``'s round seams, and
+``localopt.batch_grads``, the gradient kernel of every local step), is
+replaced by a wrapper that counts its calls and adds up their wall time;
+every name is restored in a ``finally``, so the wrappers never outlive
+the profile.  The table gives each seam's share of the timed runs' wall
+time, its µs per call and its calls per round.  Seams nest:
+``full_objective`` and ``eval_model`` run inside ``_evaluate``, and
+``batch_grads`` inside ``local_train``, so the shares do not add up to
+100%.
 
 With more than one worker, the workers' calls stay in their own
 processes, so the profile times the caller's calls only: its own row
-range's ``local_train``, and everything else a round runs.
+range's ``local_train`` and ``batch_grads``, and everything else a round
+runs.
 """
 
 from __future__ import annotations
@@ -25,12 +29,15 @@ import argparse
 import sys
 from time import perf_counter
 
-from dgossip import engine
+from dgossip import engine, localopt
 from dgossip.config import load_config
 
 SEAMS = (
-    "local_train", "gossip_mix", "build_mixing", "ole_init", "client_batches",
-    "_check_finite", "_queue", "_evaluate", "full_objective", "eval_model",
+    *((engine, name) for name in (
+        "local_train", "gossip_mix", "build_mixing", "ole_init", "client_batches",
+        "_check_finite", "_queue", "_evaluate", "full_objective", "eval_model",
+    )),
+    (localopt, "batch_grads"),
 )
 
 
@@ -44,9 +51,9 @@ def parse_args(argv=None):
 
 
 def profile(cfg, problem, workers: int = 1, runs: int = 1):
-    """({seam: [calls, seconds]}, wall seconds, the last ExperimentResult) of ``runs`` runs with every seam wrapped."""
-    stats = {name: [0, 0.0] for name in SEAMS}
-    originals = {name: getattr(engine, name) for name in SEAMS}
+    """({seam name: [calls, seconds]}, wall seconds, the last ExperimentResult) of ``runs`` runs with every seam wrapped."""
+    stats = {name: [0, 0.0] for _, name in SEAMS}
+    originals = {(module, name): getattr(module, name) for module, name in SEAMS}
 
     def timed(fn, tally):
         def call(*args, **kwargs):
@@ -60,15 +67,15 @@ def profile(cfg, problem, workers: int = 1, runs: int = 1):
 
     wall, result = 0.0, None
     try:
-        for name, fn in originals.items():
-            setattr(engine, name, timed(fn, stats[name]))
+        for (module, name), fn in originals.items():
+            setattr(module, name, timed(fn, stats[name]))
         for _ in range(runs):
             start = perf_counter()
             result = engine.run_experiment(cfg, workers=workers, problem=problem)
             wall += perf_counter() - start
     finally:
-        for name, fn in originals.items():
-            setattr(engine, name, fn)
+        for (module, name), fn in originals.items():
+            setattr(module, name, fn)
     return stats, wall, result
 
 

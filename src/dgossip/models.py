@@ -22,8 +22,11 @@ stacked matrix products and left-to-right class passes that round each
 row exactly as a one-row stack.  Local steps pass one client per row; the
 full objective passes one model broadcast to one row per block of its
 rows, or each model of a stack over its own copy of the blocks;
-``loss_and_grad`` passes one model as a one-row stack.  Evaluation keeps
-the plain ``a @ W + b`` forward, over one model or a stack of them.
+``loss_and_grad`` passes one model as a one-row stack.  The workspace
+binds, once when it is laid out, every view of its arrays that the kernel
+reads, so a gradient call is one flat run of numpy calls on views it
+does not build.  Evaluation keeps the plain ``a @ W + b`` forward, over
+one model or a stack of them.
 """
 
 from __future__ import annotations
@@ -152,67 +155,77 @@ def _with_ones(features: np.ndarray) -> np.ndarray:
     return out
 
 
-def _class_pass(ufunc: np.ufunc, logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The class axis reduced by ``ufunc`` in one pass over the class columns, left to right.
+def _class_pass(ufunc: np.ufunc, columns: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
+    """The class axis reduced by ``ufunc`` in one pass over the class columns, left to right, into ``out``.
 
-    ``ufunc`` is ``np.maximum`` for the class max or ``np.add`` for the
-    class sum; ``out`` (C-contiguous, shaped as ``logits`` less its last
-    axis) or a new array holds ``ufunc`` of columns 0 and 1 (column 0, for
-    one class), then of each later column in place.  The same order at
-    every size, so a row reduces alike in any stack or worker's range.  A
-    maximum is exact in any order, so the max equals numpy's reduction (a
-    zero maximum may differ in its sign, which the softmax shift cannot
-    see).  Below 8 classes the sum is numpy's order, so it equals
-    ``logits.sum(axis=-1)`` on terms that are never -0, such as a softmax's.
+    ``columns`` are the logits' class columns, each a 1-D view of one
+    class's flat column (numpy's cheaper 1-D loop), as
+    :func:`_softmax_views` binds them; ``ufunc`` is ``np.maximum`` for the
+    class max or ``np.add`` for the class sum, and ``out``, 1-D and
+    C-contiguous, holds ``ufunc`` of columns 0 and 1 (column 0, for one
+    class), then of each later column in place, and is returned.  The same
+    order at every size, so a row reduces alike in any stack or worker's
+    range.  A maximum is exact in any order, so the max equals numpy's
+    reduction (a zero maximum may differ in its sign, which the softmax
+    shift cannot see).  Below 8 classes the sum is numpy's order, so it
+    equals ``logits.sum(axis=-1)`` on terms that are never -0, such as a
+    softmax's.
     """
-    columns = logits.reshape(-1, logits.shape[-1]).T  # one flat column per class: numpy's cheaper 1-D loop
-    flat = None if out is None else out.reshape(-1)
     if len(columns) == 1:
-        total = np.positive(columns[0], out=flat)  # the one column, copied
-    else:
-        total = ufunc(columns[0], columns[1], out=flat)
-        for column in columns[2:]:
-            ufunc(total, column, out=total)
-    return total.reshape(logits.shape[:-1]) if out is None else out
+        return np.positive(columns[0], out=out)  # the one column, copied
+    total = ufunc(columns[0], columns[1], out=out)
+    for column in columns[2:]:
+        ufunc(total, column, out=total)
+    return total
 
 
-def _softmax_nll(logits: np.ndarray, picked: np.ndarray, with_loss: bool, row: np.ndarray | None = None):
-    """Softmax in place; (per-row NLL shaped as logits less its last axis, or None, flat view).
+def _softmax_views(logits: np.ndarray, row: np.ndarray) -> tuple:
+    """The views of C-contiguous ``logits`` and ``row`` (shaped as logits less its last axis) that the softmax reads.
+
+    (logits, flat logits, the class columns, flat row, ``row[..., None]``):
+    a :class:`Workspace` binds them once for its own arrays, and
+    :func:`loss_and_predictions` builds them once per call.
+    """
+    flat = logits.reshape(-1)
+    columns = tuple(flat.reshape(-1, logits.shape[-1]).T)
+    return logits, flat, columns, row.reshape(-1), row[..., None]
+
+
+def _softmax_nll(views: tuple, picked: np.ndarray, with_loss: bool) -> np.ndarray | None:
+    """Softmax in place over the ``views`` of :func:`_softmax_views`; the per-row NLL, shaped as the row, or None.
 
     ``picked`` is the flat label index: the position of each row's label in
-    the flattened logits, row r's being r * C + its label.  ``row``
-    (shaped as the NLL) or a new array holds the per-row class max and then
-    sum, each one left-to-right column pass.
+    the flattened logits, row r's being r * C + its label.  The row holds
+    the per-row class max and then sum, each one left-to-right pass over
+    the class columns (:func:`_class_pass`).
     """
-    row = _class_pass(np.maximum, logits, row)
-    logits -= row[..., None]
+    logits, flat, columns, row, shift = views
+    _class_pass(np.maximum, columns, row)
+    logits -= shift
     np.exp(logits, out=logits)
-    logits /= _class_pass(np.add, logits, row)[..., None]
-    flat = logits.reshape(-1)
-    nll = None
+    _class_pass(np.add, columns, row)
+    logits /= shift
     if with_loss:
-        nll = -np.log(flat[picked] + 1e-300).reshape(logits.shape[:-1])
-    return nll, flat
+        return -np.log(flat[picked] + 1e-300).reshape(logits.shape[:-1])
+    return None
 
 
 def _forward_backward(
     spec: ModelSpec,
     x: np.ndarray,
-    feats: np.ndarray,
+    ws: Workspace,
     picked: np.ndarray,
     divisor,
-    *,
     with_loss: bool,
-    ws: Workspace,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Weighted cross-entropy gradient of an (m, p) stack, and the per-row NLL.
+    """Weighted cross-entropy gradient of an (m, p) stack on the minibatch in ``ws``, and the per-row NLL.
 
-    ``x`` (m, p) and ``feats`` (m, n, d + 1), where row i is model i on
-    its own batch, and ``picked`` the batch's (m n,) flat label index (see
-    :func:`_softmax_nll`); the rows of x may be one model broadcast
-    (stride 0), as :func:`full_objective` passes it.  Every row of
-    ``feats`` ends in a 1.0 (see :class:`ShardStack`), and each layer reads
+    ``x`` (m, p) and ``ws.features`` (m, n, d + 1), where row i is model i
+    on its own batch, and ``picked`` the batch's (m n,) flat label index
+    (see :func:`_softmax_nll`); the rows of x may be one model broadcast
+    (stride 0), as :func:`full_objective` passes it.  Every row of the
+    features ends in a 1.0 (see :class:`ShardStack`), and each layer reads
     its slice of x as the augmented matrix ``[W; b]`` (:func:`_unpack`):
     the forward pass is one product ``[a, 1] @ [W; b]`` per layer, each
     hidden layer's output held as (m, n, h + 1) with its ones column
@@ -227,39 +240,38 @@ def _forward_backward(
     The activations, back-propagated errors and softmax scratch live in
     ``ws``: the :class:`Workspace` of one ``local_train`` call, shared by
     its K steps and both gradients of a SAM step, of one ``full_objective``
-    call, or of one ``loss_and_grad`` call.  The call allocates nothing the
-    size of a batch, and nothing it returns points into ``ws``.  Each
-    layer's gradient is written straight into its slice of the result:
-    ``out`` (C-contiguous, shaped as x) or a new array.  Returns (per-row
-    NLL, (m, n), or None, and the gradient).
+    call, or of one ``loss_and_grad`` call.  The kernel reads them only
+    through the views the workspace bound when it was laid out, so a call
+    is one flat run of numpy calls.  It allocates nothing the size of a
+    batch, and nothing it returns points into ``ws``.  Each layer's
+    gradient is written straight into its slice of the result: ``out``
+    (C-contiguous, shaped as x) or a new array.  Returns (per-row NLL, (m,
+    n), or None, and the gradient).
     """
     layers = _unpack(spec, x)
-    acts = [feats]
-    for li, (layer, z) in enumerate(zip(layers, ws.acts)):
-        if li < len(layers) - 1:
-            np.matmul(acts[-1], layer, out=z[..., :-1])
-            np.tanh(z, out=z)  # the whole contiguous buffer, then the ones column afresh
-            z[..., -1] = 1.0
-        else:
-            np.matmul(acts[-1], layer, out=z)
-        acts.append(z)
-    delta = acts.pop()  # logits, turned in place into probabilities, then the output error
-    nll, flat = _softmax_nll(delta, picked, with_loss, ws.row)
-    np.subtract.at(flat, picked, 1.0)  # one call for the get, subtract and set; the indices are unique
+    for layer, (a, pre, z, ones) in zip(layers, ws.forward):
+        np.matmul(a, layer, out=pre)
+        np.tanh(z, out=z)  # the whole contiguous buffer, then the ones column afresh
+        ones.fill(1.0)
+    # the logits, turned in place into probabilities, then the output error
+    delta = np.matmul(ws.forward_last, layers[-1], out=ws.acts[-1])
+    nll = _softmax_nll(ws.softmax, picked, with_loss)
+    # on the flat logits, one call for the get, subtract and set; the indices are unique
+    np.subtract.at(ws.softmax[1], picked, 1.0)
     delta /= divisor
     if out is None:
         out = np.empty(x.shape)
     elif not out.flags.c_contiguous or out.shape != x.shape:
         raise ValueError("out must be a C-contiguous array shaped as x")
-    for li, grad in reversed(list(enumerate(_unpack(spec, out)))):
-        np.matmul(acts[li].swapaxes(-1, -2), delta, out=grad)
-        if li > 0:  # back through tanh: delta W^T * (1 - a^2)
-            w = layers[li][..., :-1, :]
-            delta = np.matmul(delta, w.swapaxes(-1, -2), out=ws.errors[li - 1])
-            a = acts[li]
-            np.square(a, out=a)
-            np.subtract(1.0, a, out=a)
-            delta *= a[..., :-1]
+    grads = _unpack(spec, out)
+    for grad, layer, (a_t, into, a, errors, derivative) in zip(grads[:0:-1], layers[:0:-1], ws.backward):
+        np.matmul(a_t, delta, out=grad)
+        # back through tanh: delta W^T * (1 - a^2)
+        delta = np.matmul(delta, layer[..., :-1, :].swapaxes(-1, -2), out=into)
+        np.square(a, out=a)
+        np.subtract(1.0, a, out=a)
+        errors *= derivative
+    np.matmul(ws.features_t, delta, out=grads[0])
     return nll, out
 
 
@@ -479,12 +491,18 @@ class Workspace:
 
     Built for a :class:`ShardStack`, its (m, B) minibatches and (m, p)
     model stacks: it holds the gathered minibatch, (m, B, d + 1) with its
-    ones column, and its labels, every layer's output, each hidden layer's
-    (m, B, h + 1) with a ones column that the gradient kernel writes on
-    every call (an earlier layout in the same :class:`Scratch` may have
-    overwritten it), the error back-propagated to each hidden layer and the
-    per-row class max and sum of the softmax (``row``), or, for the
-    quadratic family, the stack's gathered terms.  ``picked``, the flat
+    ones column, and its labels, every layer's output (``acts``), each
+    hidden layer's (m, B, h + 1) with a ones column that the gradient
+    kernel writes on every call (an earlier layout in the same
+    :class:`Scratch` may have overwritten it), the error back-propagated to
+    each hidden layer (``errors``) and the per-row class max and sum of the
+    softmax (``row``), or, for the quadratic family, the stack's gathered
+    terms.  A hidden layer wider than one unit has an (m, B, h + 1) error
+    buffer: the kernel writes the error into its ``[..., :-1]`` view and
+    multiplies the whole buffer by the whole ``1 - a^2``, whose last column
+    is 0, so the buffer starts at zero to keep that column finite; a
+    one-unit layer keeps a contiguous (m, B, 1) error, as a strided width-1
+    operand takes another BLAS path with other bits.  ``picked``, the flat
     label index the kernel reads (see :func:`_softmax_nll`), is not laid
     out: whoever gathers a minibatch points it at one built on
     ``class_starts`` (:meth:`ShardStack.minibatches`).  ``point`` is an (m, p)
@@ -501,6 +519,19 @@ class Workspace:
     otherwise they are the workspace's own.  A gather (:meth:`ShardStack.batch`,
     or a local phase's step) and :func:`batch_grads` overwrite them on every
     call that is passed the workspace, and no result points into it.
+
+    It binds, once when it is laid out, every view of these arrays that
+    :func:`_forward_backward` reads: ``forward``, per hidden layer, its
+    input, pre-activation view ``[..., :-1]``, whole output and ones
+    column; ``forward_last``, the last layer's input; ``softmax``, the
+    views of :func:`_softmax_views` on the logits and ``row``;
+    ``backward``, per layer after the first, from the last, its transposed
+    input, the view the error sent back through it is written to, its
+    input again (turned into ``1 - a^2`` in place), the error buffer and
+    the derivative view the buffer is multiplied by; and ``features_t``,
+    the transposed minibatch.  A :class:`Scratch` that grows lays out new
+    workspaces, which bind new views, so no view points into a stale
+    block.
     """
 
     def __init__(
@@ -526,7 +557,8 @@ class Workspace:
                 raise ValueError(f"the stack's features must be {spec.dim} per row and then 1.0 (see ShardStack)")
             layout += [
                 ((*rows, spec.dim + 1), shards.features.dtype), (rows, shards.labels.dtype), (rows, np.float64),
-                *(((*rows, width), np.float64) for width in (*widths, *spec.hidden)),
+                *(((*rows, width), np.float64) for width in widths),
+                *(((*rows, h + (h > 1)), np.float64) for h in spec.hidden),  # a wide layer's with a spare column
             ]
             if blocks:
                 layout += [((*blocks, batch_size), np.float64), ((*blocks, p), np.float64)]
@@ -544,11 +576,22 @@ class Workspace:
             return
         self.features, self.labels, self.row = (next(arrays) for _ in range(3))
         self.picked = None
-        self.acts = [next(arrays) for _ in widths]
-        self.errors = [next(arrays) for _ in spec.hidden]
+        self.batch_size = batch_size
+        self.acts = acts = [next(arrays) for _ in widths]
+        self.errors = errors = [next(arrays) for _ in spec.hidden]
         if blocks:
             self.nll, self.grads = next(arrays), next(arrays)
         self.class_starts = np.arange(0, m * batch_size * spec.num_classes, spec.num_classes)  # each row's first logit
+        inputs, hidden = [self.features, *acts[:-1]], acts[:-1]
+        self.forward = [(a, z[..., :-1], z, z[..., -1]) for a, z in zip(inputs, hidden)]
+        self.forward_last = inputs[-1]
+        self.softmax = _softmax_views(acts[-1], self.row)
+        self.backward = []  # the layers after the first, from the last
+        for z, e in zip(hidden, errors):
+            e.fill(0.0)  # a spare column meets the derivative's zero column: it must stay finite
+            into, derivative = (e, z[..., :-1]) if e.shape[-1] == 1 else (e[..., :-1], z)
+            self.backward.insert(0, (z.swapaxes(-1, -2), into, z, e, derivative))
+        self.features_t = self.features.swapaxes(-1, -2)
 
 
 def batch_grads(spec: ModelSpec, x: np.ndarray, ws: Workspace, out: np.ndarray | None = None) -> np.ndarray:
@@ -564,8 +607,7 @@ def batch_grads(spec: ModelSpec, x: np.ndarray, ws: Workspace, out: np.ndarray |
     """
     if spec.kind == "quadratic":
         return _quadratic_grads(*ws.quad, x, out)
-    n = ws.features.shape[-2]
-    return _forward_backward(spec, x, ws.features, ws.picked, n, with_loss=False, ws=ws, out=out)[1]
+    return _forward_backward(spec, x, ws, ws.picked, ws.batch_size, False, out)[1]
 
 
 def loss_and_grad(
@@ -593,9 +635,8 @@ def loss_and_grad(
     n = len(labels)
     stack = ShardStack.stacked(feats, labels, [n])
     ws = Workspace(spec, stack, n)
-    nll, grad = _forward_backward(
-        spec, x[None], stack.features[None], ws.class_starts + labels, n, with_loss=True, ws=ws
-    )
+    ws.features[0] = stack.features
+    nll, grad = _forward_backward(spec, x[None], ws, ws.class_starts + labels, n, True)
     return float(nll.sum() / n), grad[0]  # np.mean's sum and division
 
 
@@ -614,7 +655,8 @@ def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[
     """
     logits = _forward(spec, x, shard.features)
     predictions = np.argmax(logits, axis=-1)
-    nll, _ = _softmax_nll(logits, np.arange(len(shard)) * logits.shape[-1] + shard.labels, with_loss=True)
+    picked = np.arange(len(shard)) * logits.shape[-1] + shard.labels
+    nll = _softmax_nll(_softmax_views(logits, np.empty(logits.shape[:-1])), picked, True)
     return float(np.mean(nll)), predictions
 
 
@@ -705,10 +747,7 @@ def full_objective(
     picked = _label_index(shards.labels, rows, ws.class_starts)  # every pass's at once
     for i, taken in enumerate(rows):  # in range, so "clip" clips nothing and take writes in place
         shards.features.take(taken, axis=0, out=ws.features.reshape(len(taken), -1), mode="clip")
-        nll, _ = _forward_backward(
-            spec, stack, ws.features, picked[i], divisor[i], with_loss=True, ws=ws, out=ws.grads[i]
-        )
-        ws.nll[i] = nll
+        ws.nll[i] = _forward_backward(spec, stack, ws, picked[i], divisor[i], True, ws.grads[i])[0]
     grads = ws.grads.reshape(g, -1, p).sum(axis=1)  # each model's rows, in block order
     nll = ws.nll.reshape(g, -1)
     means = np.empty((g, len(sizes)))

@@ -352,9 +352,10 @@ class TestFullObjective:
         labels = stack.labels[:300].reshape(5, 60)
         divisor = rng.uniform(1.0, 400.0, size=(5, 60, 1))
         ws = models.Workspace(spec, stack, 60, blocks=(1, 5))
+        ws.features[...] = feats
         picked = ws.class_starts + labels.reshape(-1)
         (nll_b, grad_b), (nll_t, grad_t) = (
-            models._forward_backward(spec, stacked, feats, picked, divisor, with_loss=True, ws=ws)
+            models._forward_backward(spec, stacked, ws, picked, divisor, True)
             for stacked in (np.broadcast_to(x, (5, len(x))), np.tile(x, (5, 1)))
         )
         assert nll_b.tobytes() == nll_t.tobytes() and grad_b.tobytes() == grad_t.tobytes()
@@ -397,12 +398,22 @@ def blockwise_reference(spec, x, stack):
     total = np.zeros(spec.param_count())
     ws = models.Workspace(spec, stack, length, blocks=(1, 1))
     for block, div in zip(rows.reshape(blocks, length), divisor.reshape(blocks, length, 1)):
-        _, grad = models._forward_backward(
-            spec, x[None], stack.features[block][None], ws.class_starts + stack.labels[block], div,
-            with_loss=False, ws=ws,
-        )
+        ws.features[0] = stack.features[block]
+        _, grad = models._forward_backward(spec, x[None], ws, ws.class_starts + stack.labels[block], div, False)
         total += grad[0]
     return total
+
+
+def columns(logits):
+    """The class columns of C-contiguous logits, as the kernel's workspace binds them (models._softmax_views)."""
+    return models._softmax_views(logits, np.empty(logits.shape[:-1]))[2]
+
+
+def class_pass(ufunc, logits):
+    """models._class_pass over the class columns of logits, into a new array shaped as logits less its last axis."""
+    row = np.empty(logits.shape[:-1])
+    models._class_pass(ufunc, columns(logits), row.reshape(-1))
+    return row
 
 
 def bits(a):
@@ -435,9 +446,10 @@ class TestClassReductions:
     def test_class_max_equals_numpys_max_bitwise(self, classes):
         rng = np.random.default_rng(classes)
         logits = class_rows(rng, classes).reshape(4, 16, classes)
-        assert np.array_equal(bits(models._class_pass(np.maximum, logits)), bits(logits.max(axis=-1)))
+        assert np.array_equal(bits(class_pass(np.maximum, logits)), bits(logits.max(axis=-1)))
         out = np.empty(logits.shape[:-1])
-        assert models._class_pass(np.maximum, logits, out) is out
+        flat = out.reshape(-1)
+        assert models._class_pass(np.maximum, columns(logits), flat) is flat
 
     @pytest.mark.parametrize("classes", [2, 3, 9, 17, 33, 130])
     def test_zero_maxima_of_either_sign_shift_the_softmax_alike(self, classes):
@@ -446,7 +458,7 @@ class TestClassReductions:
         rng = np.random.default_rng(classes)
         logits = np.where(rng.random((8, classes)) < 0.5, -0.0, 0.0)
         logits[4:, 0] = -1.0
-        ours, numpys = models._class_pass(np.maximum, logits), logits.max(axis=-1)
+        ours, numpys = class_pass(np.maximum, logits), logits.max(axis=-1)
         assert np.array_equal(ours, numpys)
         shifted = [np.exp(logits - row[:, None]) for row in (ours, numpys)]
         assert np.array_equal(bits(shifted[0]), bits(shifted[1]))
@@ -458,9 +470,10 @@ class TestClassReductions:
         logits[0, :4] = np.exp(rng.normal(size=(4, classes)) * 30)  # softmax terms
         logits[0, 4, :] = -0.0
         reference = functools.reduce(np.add, np.moveaxis(logits, -1, 0))
-        assert np.array_equal(bits(models._class_pass(np.add, logits)), bits(reference))
+        assert np.array_equal(bits(class_pass(np.add, logits)), bits(reference))
         out = np.empty(logits.shape[:-1])
-        assert models._class_pass(np.add, logits, out) is out
+        flat = out.reshape(-1)
+        assert models._class_pass(np.add, columns(logits), flat) is flat
         assert np.array_equal(bits(out), bits(reference))
 
     @pytest.mark.parametrize("classes", range(2, 131))
@@ -473,7 +486,7 @@ class TestClassReductions:
         logits[0, 4, :] = -0.0
         columns = np.ascontiguousarray(np.moveaxis(logits, -1, 0))
         numpys = columns.sum(axis=0, initial=-0.0)
-        assert np.array_equal(bits(models._class_pass(np.add, logits)), bits(numpys))
+        assert np.array_equal(bits(class_pass(np.add, logits)), bits(numpys))
 
     @pytest.mark.parametrize("classes", range(1, 8))
     def test_class_sum_is_numpys_row_sum_on_softmax_terms_below_8_classes(self, classes):
@@ -481,7 +494,7 @@ class TestClassReductions:
         rng = np.random.default_rng(2000 + classes)
         terms = np.abs(class_rows(rng, classes, rows=256))
         terms[:64] = np.exp(rng.normal(size=(64, classes)) * 30)
-        assert np.array_equal(bits(models._class_pass(np.add, terms)), bits(terms.sum(axis=-1)))
+        assert np.array_equal(bits(class_pass(np.add, terms)), bits(terms.sum(axis=-1)))
 
     @pytest.mark.parametrize("classes", [10, 130])
     @pytest.mark.parametrize("m", [1, 24])
@@ -499,6 +512,79 @@ class TestClassReductions:
         grads = models.batch_grads(spec, x, ws)
         for i, shard in enumerate(shards):
             _, grad = loss_and_grad(spec, x[i], shard, rows[i])
+            assert np.array_equal(bits(grads[i]), bits(grad)), i
+
+
+def owners(ws, view):
+    """The names of the workspace's own arrays that ``view`` shares memory with."""
+    arrays = {"features": ws.features, "row": ws.row}
+    arrays.update({f"acts[{i}]": a for i, a in enumerate(ws.acts)})
+    arrays.update({f"errors[{i}]": e for i, e in enumerate(ws.errors)})
+    return [name for name, array in arrays.items() if np.shares_memory(view, array)]
+
+
+class TestBoundViews:
+    """A workspace binds, once when it is laid out, every view of its own arrays the gradient kernel reads."""
+
+    @pytest.mark.parametrize("hidden", [(), (1,), (3, 1), (2, 5)])
+    @pytest.mark.parametrize("scratch", [False, True])
+    def test_every_bound_view_shares_memory_with_its_own_array(self, hidden, scratch):
+        spec, _, stack = split_stack(200, hidden)
+        ws = models._workspace(models.Scratch() if scratch else None, spec, stack, 8, point=True)
+        inputs = ["features", *(f"acts[{i}]" for i in range(len(hidden)))]
+        for i, (a, pre, z, ones) in enumerate(ws.forward):
+            assert owners(ws, a) == [inputs[i]]
+            assert owners(ws, pre) == owners(ws, z) == owners(ws, ones) == [f"acts[{i}]"]
+        assert len(ws.forward) == len(hidden) and owners(ws, ws.forward_last) == [inputs[-1]]
+        logits, flat, class_columns, row, shift = ws.softmax
+        assert len(class_columns) == spec.num_classes
+        for view in (logits, flat, *class_columns):
+            assert owners(ws, view) == [f"acts[{len(hidden)}]"]
+        assert owners(ws, row) == owners(ws, shift) == ["row"]
+        assert owners(ws, ws.features_t) == ["features"]
+        assert len(ws.backward) == len(hidden)
+        for layer, (a_t, into, a, errors, derivative) in zip(range(len(hidden), 0, -1), ws.backward):
+            assert owners(ws, a_t) == owners(ws, a) == owners(ws, derivative) == [f"acts[{layer - 1}]"]
+            assert owners(ws, into) == owners(ws, errors) == [f"errors[{layer - 1}]"]
+            # a one-unit layer's error stays contiguous; a wide one's is a view of a buffer one column wider
+            h = hidden[layer - 1]
+            assert into.shape == (len(stack), 8, h) and into.flags.c_contiguous == (h == 1)
+
+    @pytest.mark.parametrize("hidden", [(), (1,), (3, 1), (2, 5)])
+    def test_a_grown_scratch_binds_views_in_its_new_block(self, hidden, rng):
+        spec, x, stack = split_stack(300, hidden)
+        xs = x + 0.1 * rng.normal(size=(len(stack), len(x)))
+        rows = rng.integers(0, stack.sizes[:, None], size=(len(stack), 16))
+        scratch = models.Scratch()
+        small = scratch.workspace(spec, stack.take(np.array([0])), 2)
+        stack.take(np.array([0])).batch(rows[:1, :2], small)
+        models.batch_grads(spec, xs[:1], small)
+        old = scratch._block
+        old.fill(0xFF)  # every float64 of the old block reads NaN
+        ws = scratch.workspace(spec, stack, 16, point=True)
+        assert scratch._block is not old and scratch.workspace(spec, stack.take(np.array([0])), 2) is not small
+        fresh = models.Workspace(spec, stack, 16, point=True)
+        for w in (ws, fresh):
+            stack.batch(rows, w)
+        assert models.batch_grads(spec, xs, ws).tobytes() == models.batch_grads(spec, xs, fresh).tobytes()
+
+    @pytest.mark.parametrize("hidden", [(), (1,), (3, 1), (2, 5)])
+    @pytest.mark.parametrize("classes", [1, 2, 7, 8, 9, 100])
+    def test_batch_grads_equals_the_one_client_reference(self, classes, hidden):
+        # one class takes the single-column copy, 8 is numpy's pairwise boundary, width 1 the contiguous error
+        from test_batched import reference_loss_grad
+
+        rng = np.random.default_rng(classes + 10 * len(hidden))
+        shards = [Shard(rng.normal(size=(30, 5)), rng.integers(0, classes, size=30)) for _ in range(6)]
+        stack = ShardStack.of(shards)
+        spec = ModelSpec("mlp" if hidden else "logistic", 5, classes, hidden)
+        x = init_params(spec, 2) + 0.3 * rng.normal(size=(len(shards), spec.param_count()))
+        rows = rng.integers(0, 30, size=(len(shards), 12))
+        ws = models.Workspace(spec, stack, 12)
+        stack.batch(rows, ws)
+        grads = models.batch_grads(spec, x, ws)
+        for i, shard in enumerate(shards):
+            _, grad = reference_loss_grad(spec, x[i], shard.features[rows[i]], shard.labels[rows[i]])
             assert np.array_equal(bits(grads[i]), bits(grad)), i
 
 

@@ -179,27 +179,29 @@ def test_src_size_counts_every_line_once(tmp_path):
 
 def test_phase_profile_restores_every_seam_and_leaves_the_records_bitwise(tmp_path):
     phase_profile = load_script("phase_profile")
-    from dgossip import engine
+    from dgossip import engine, localopt
     from dgossip.config import load_config
 
     preset = str(ROOT / "configs" / "logistic_dirichlet.toml")
     cfg = engine.validated(load_config(preset, ["rounds=3", "eval_every=1", "diagnostics=true"]))
     problem = engine.build_problem(cfg)
-    originals = {name: getattr(engine, name) for name in phase_profile.SEAMS}
+    originals = {(module, name): getattr(module, name) for module, name in phase_profile.SEAMS}
+    assert (localopt, "batch_grads") in originals
     plain = engine.run_experiment(cfg, problem=problem)
     stats, wall, profiled = phase_profile.profile(cfg, problem, runs=2)
-    assert all(getattr(engine, name) is fn for name, fn in originals.items())
+    assert all(getattr(module, name) is fn for (module, name), fn in originals.items())
     assert [repr(r) for r in profiled.records] == [repr(r) for r in plain.records]
     assert profiled.final_x.tobytes() == plain.final_x.tobytes()
     calls = {name: tally[0] for name, tally in stats.items()}
     assert calls["local_train"] == calls["gossip_mix"] == calls["_queue"] == 6  # 2 runs of 3 rounds
     assert calls["_evaluate"] == calls["full_objective"] == calls["eval_model"] == 2  # one group of 3 per run
     assert calls["build_mixing"] == 2 and 0 < stats["local_train"][1] < wall
+    assert calls["batch_grads"] == 6 * cfg.local_steps and 0 < stats["batch_grads"][1] < stats["local_train"][1]
     # a run that raises leaves no wrapper behind either
     other_m = engine.validated(load_config(preset, ["rounds=3", "m=8"]))
     with pytest.raises(engine.ConfigError, match="built for 16 clients"):
         phase_profile.profile(other_m, problem)
-    assert all(getattr(engine, name) is fn for name, fn in originals.items())
+    assert all(getattr(module, name) is fn for (module, name), fn in originals.items())
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "phase_profile.py"), "--config", preset,
@@ -209,4 +211,17 @@ def test_phase_profile_restores_every_seam_and_leaves_the_records_bitwise(tmp_pa
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert "the caller's calls only" in lines[1]
-    assert [line.split()[0] for line in lines[3:]] == list(phase_profile.SEAMS)
+    assert [line.split()[0] for line in lines[3:]] == [name for _, name in phase_profile.SEAMS]
+
+
+def test_ab_cycles_prints_one_ratio_per_pair(tmp_path):
+    src = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "ab_cycles.py"), "--workload", "desk_algorithms",
+         "--a", src, "--b", src, "--pairs", "1", "--cycles", "1", "--rounds", "3"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pairs = [line for line in proc.stdout.splitlines() if line.startswith("pair ")]
+    assert len(pairs) == 1 and float(pairs[0].rsplit("B/A ", 1)[1]) > 0
+    assert proc.stdout.splitlines()[-1].startswith("B/A median") and "of 1 pairs" in proc.stdout
