@@ -158,18 +158,16 @@ def _with_ones(features: np.ndarray) -> np.ndarray:
 def _class_pass(ufunc: np.ufunc, columns: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
     """The class axis reduced by ``ufunc`` in one pass over the class columns, left to right, into ``out``.
 
-    ``columns`` are the logits' class columns, each a 1-D view of one
-    class's flat column (numpy's cheaper 1-D loop), as
-    :func:`_softmax_views` binds them; ``ufunc`` is ``np.maximum`` for the
-    class max or ``np.add`` for the class sum, and ``out``, 1-D and
-    C-contiguous, holds ``ufunc`` of columns 0 and 1 (column 0, for one
-    class), then of each later column in place, and is returned.  The same
-    order at every size, so a row reduces alike in any stack or worker's
-    range.  A maximum is exact in any order, so the max equals numpy's
-    reduction (a zero maximum may differ in its sign, which the softmax
-    shift cannot see).  Below 8 classes the sum is numpy's order, so it
-    equals ``logits.sum(axis=-1)`` on terms that are never -0, such as a
-    softmax's.
+    ``columns`` are the 1-D class columns that :func:`_softmax_views`
+    binds (numpy's cheaper 1-D loop), ``ufunc`` is ``np.maximum`` for the
+    class max or ``np.add`` for the class sum, and ``out`` (1-D,
+    C-contiguous, returned) holds ``ufunc`` of columns 0 and 1 (column 0,
+    for one class), then of each later column in place.  The same order at
+    every size, so a row reduces alike in any stack or worker's range.  A
+    maximum is exact in any order, so the max equals numpy's reduction (a
+    zero maximum may differ in its sign, which the softmax shift cannot
+    see).  Below 8 classes the sum is numpy's order, so it equals
+    ``logits.sum(axis=-1)`` on terms that are never -0, such as a softmax's.
     """
     if len(columns) == 1:
         return np.positive(columns[0], out=out)  # the one column, copied
@@ -497,12 +495,10 @@ class Workspace:
     :class:`Scratch` may have overwritten it), the error back-propagated to
     each hidden layer (``errors``) and the per-row class max and sum of the
     softmax (``row``), or, for the quadratic family, the stack's gathered
-    terms.  A hidden layer wider than one unit has an (m, B, h + 1) error
-    buffer: the kernel writes the error into its ``[..., :-1]`` view and
-    multiplies the whole buffer by the whole ``1 - a^2``, whose last column
-    is 0, so the buffer starts at zero to keep that column finite; a
-    one-unit layer keeps a contiguous (m, B, 1) error, as a strided width-1
-    operand takes another BLAS path with other bits.  ``picked``, the flat
+    terms.  A hidden layer wider than one unit sends its error back into
+    the ``[..., :-1]`` view of a zeroed (m, B, h + 1) buffer, multiplied
+    whole by ``1 - a^2``; a one-unit layer's stays a contiguous (m, B, 1)
+    array, as a strided width-1 operand takes another BLAS path.  ``picked``, the flat
     label index the kernel reads (see :func:`_softmax_nll`), is not laid
     out: whoever gathers a minibatch points it at one built on
     ``class_starts`` (:meth:`ShardStack.minibatches`).  ``point`` is an (m, p)
@@ -521,17 +517,12 @@ class Workspace:
     call that is passed the workspace, and no result points into it.
 
     It binds, once when it is laid out, every view of these arrays that
-    :func:`_forward_backward` reads: ``forward``, per hidden layer, its
-    input, pre-activation view ``[..., :-1]``, whole output and ones
-    column; ``forward_last``, the last layer's input; ``softmax``, the
-    views of :func:`_softmax_views` on the logits and ``row``;
-    ``backward``, per layer after the first, from the last, its transposed
-    input, the view the error sent back through it is written to, its
-    input again (turned into ``1 - a^2`` in place), the error buffer and
-    the derivative view the buffer is multiplied by; and ``features_t``,
-    the transposed minibatch.  A :class:`Scratch` that grows lays out new
-    workspaces, which bind new views, so no view points into a stale
-    block.
+    :func:`_forward_backward` reads: ``forward`` (each hidden layer's
+    input, pre-activation, output and ones column), ``forward_last``,
+    ``softmax`` (:func:`_softmax_views`), ``backward`` (each later layer's
+    transposed input and error views, from the last) and ``features_t``.
+    A :class:`Scratch` that grows lays out new workspaces, which bind new
+    views, so none points into a stale block.
     """
 
     def __init__(
