@@ -262,13 +262,13 @@ def _forward_backward(
     elif not out.flags.c_contiguous or out.shape != x.shape:
         raise ValueError("out must be a C-contiguous array shaped as x")
     grads = _unpack(spec, out)
-    for grad, layer, (a_t, into, a, errors, derivative) in zip(grads[:0:-1], layers[:0:-1], ws.backward):
+    for grad, layer, (a_t, errors, a, derivative) in zip(grads[:0:-1], layers[:0:-1], ws.backward):
         np.matmul(a_t, delta, out=grad)
         # back through tanh: delta W^T * (1 - a^2)
-        delta = np.matmul(delta, layer[..., :-1, :].swapaxes(-1, -2), out=into)
+        delta = np.matmul(delta, layer[..., :-1, :].swapaxes(-1, -2), out=errors)
         np.square(a, out=a)
         np.subtract(1.0, a, out=a)
-        errors *= derivative
+        delta *= derivative
     np.matmul(ws.features_t, delta, out=grads[0])
     return nll, out
 
@@ -495,11 +495,7 @@ class Workspace:
     :class:`Scratch` may have overwritten it), the error back-propagated to
     each hidden layer (``errors``) and the per-row class max and sum of the
     softmax (``row``), or, for the quadratic family, the stack's gathered
-    terms.  A hidden layer wider than one unit sends its error back into
-    the ``[..., :-1]`` view of a zeroed (m, B, h + 1) buffer, multiplied
-    whole by ``1 - a^2``; a one-unit layer's stays a contiguous (m, B, 1)
-    array, as a strided width-1 operand takes another BLAS path.  ``picked``, the flat
-    label index the kernel reads (see :func:`_softmax_nll`), is not laid
+    terms.  ``picked``, the flat label index the kernel reads (see :func:`_softmax_nll`), is not laid
     out: whoever gathers a minibatch points it at one built on
     ``class_starts`` (:meth:`ShardStack.minibatches`).  ``point`` is an (m, p)
     stack at which a gradient is evaluated: SAM's ascent point; ``stacks``
@@ -520,7 +516,7 @@ class Workspace:
     :func:`_forward_backward` reads: ``forward`` (each hidden layer's
     input, pre-activation, output and ones column), ``forward_last``,
     ``softmax`` (:func:`_softmax_views`), ``backward`` (each later layer's
-    transposed input and error views, from the last) and ``features_t``.
+    transposed input, error, output and derivative view, from the last) and ``features_t``.
     A :class:`Scratch` that grows lays out new workspaces, which bind new
     views, so none points into a stale block.
     """
@@ -548,8 +544,7 @@ class Workspace:
                 raise ValueError(f"the stack's features must be {spec.dim} per row and then 1.0 (see ShardStack)")
             layout += [
                 ((*rows, spec.dim + 1), shards.features.dtype), (rows, shards.labels.dtype), (rows, np.float64),
-                *(((*rows, width), np.float64) for width in widths),
-                *(((*rows, h + (h > 1)), np.float64) for h in spec.hidden),  # a wide layer's with a spare column
+                *(((*rows, width), np.float64) for width in (*widths, *spec.hidden)),
             ]
             if blocks:
                 layout += [((*blocks, batch_size), np.float64), ((*blocks, p), np.float64)]
@@ -579,9 +574,7 @@ class Workspace:
         self.softmax = _softmax_views(acts[-1], self.row)
         self.backward = []  # the layers after the first, from the last
         for z, e in zip(hidden, errors):
-            e.fill(0.0)  # a spare column meets the derivative's zero column: it must stay finite
-            into, derivative = (e, z[..., :-1]) if e.shape[-1] == 1 else (e[..., :-1], z)
-            self.backward.insert(0, (z.swapaxes(-1, -2), into, z, e, derivative))
+            self.backward.insert(0, (z.swapaxes(-1, -2), e, z, z[..., :-1]))
         self.features_t = self.features.swapaxes(-1, -2)
 
 

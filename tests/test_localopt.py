@@ -33,6 +33,7 @@ from dgossip.models import (
     Workspace,
     _with_ones,
     batch_grads,
+    full_objective,
     init_params,
     loss_and_grad,
     quadratic_testbed,
@@ -395,6 +396,20 @@ def test_a_poisoned_scratch_leaves_the_local_phase_bitwise(hidden, method):
         res = local_train(spec, x0, stack, len(draws), cfg, draws, round_index=1, ref_point=x0, scratch=scratch)
         assert res.z.tobytes() == want.z.tobytes() and res.v1.tobytes() == want.v1.tobytes(), t
         scratch._block.fill(0xFF)
+
+
+@pytest.mark.parametrize("method", ["sgd", "sam"])
+def test_an_infinite_scratch_between_an_evaluation_and_a_local_phase_leaves_it_bitwise(method):
+    # +inf, unlike NaN, warns when multiplied by zero, and a RuntimeWarning fails the test
+    spec, stack, x0, draws = mlp_stack()
+    cfg = OptimizerConfig(method=method, lam=0.05, batch_size=draws.shape[-1])
+    want = local_train(spec, x0, stack, len(draws), cfg, draws, round_index=1)
+    scratch = Scratch()
+    for t in range(3):
+        res = local_train(spec, x0, stack, len(draws), cfg, draws, round_index=1, scratch=scratch)
+        assert res.z.tobytes() == want.z.tobytes(), t
+        full_objective(spec, x0[0], stack, scratch)  # lays out over the local phase's cached workspace
+        scratch._block.view(np.uint64).fill(0x7FF0000000000000)  # every float64 reads +inf
 
 
 class TestNoAliasing:

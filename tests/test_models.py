@@ -543,12 +543,10 @@ class TestBoundViews:
         assert owners(ws, row) == owners(ws, shift) == ["row"]
         assert owners(ws, ws.features_t) == ["features"]
         assert len(ws.backward) == len(hidden)
-        for layer, (a_t, into, a, errors, derivative) in zip(range(len(hidden), 0, -1), ws.backward):
+        for layer, (a_t, errors, a, derivative) in zip(range(len(hidden), 0, -1), ws.backward):
             assert owners(ws, a_t) == owners(ws, a) == owners(ws, derivative) == [f"acts[{layer - 1}]"]
-            assert owners(ws, into) == owners(ws, errors) == [f"errors[{layer - 1}]"]
-            # a one-unit layer's error stays contiguous; a wide one's is a view of a buffer one column wider
-            h = hidden[layer - 1]
-            assert into.shape == (len(stack), 8, h) and into.flags.c_contiguous == (h == 1)
+            assert owners(ws, errors) == [f"errors[{layer - 1}]"]
+            assert errors.shape == (len(stack), 8, hidden[layer - 1]) and errors.flags.c_contiguous
 
     @pytest.mark.parametrize("hidden", [(), (1,), (3, 1), (2, 5)])
     def test_a_grown_scratch_binds_views_in_its_new_block(self, hidden, rng):
@@ -571,7 +569,7 @@ class TestBoundViews:
     @pytest.mark.parametrize("hidden", [(), (1,), (3, 1), (2, 5)])
     @pytest.mark.parametrize("classes", [1, 2, 7, 8, 9, 100])
     def test_batch_grads_equals_the_one_client_reference(self, classes, hidden):
-        # one class takes the single-column copy, 8 is numpy's pairwise boundary, width 1 the contiguous error
+        # one class takes the single-column copy, 8 is numpy's pairwise boundary, and width 1 a one-column error
         from test_batched import reference_loss_grad
 
         rng = np.random.default_rng(classes + 10 * len(hidden))

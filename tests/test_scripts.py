@@ -212,16 +212,3 @@ def test_phase_profile_restores_every_seam_and_leaves_the_records_bitwise(tmp_pa
     lines = proc.stdout.splitlines()
     assert "the caller's calls only" in lines[1]
     assert [line.split()[0] for line in lines[3:]] == [name for _, name in phase_profile.SEAMS]
-
-
-def test_ab_cycles_prints_one_ratio_per_pair(tmp_path):
-    src = str(ROOT / "src")
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "ab_cycles.py"), "--workload", "desk_algorithms",
-         "--a", src, "--b", src, "--pairs", "1", "--cycles", "1", "--rounds", "3"],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    pairs = [line for line in proc.stdout.splitlines() if line.startswith("pair ")]
-    assert len(pairs) == 1 and float(pairs[0].rsplit("B/A ", 1)[1]) > 0
-    assert proc.stdout.splitlines()[-1].startswith("B/A median") and "of 1 pairs" in proc.stdout
