@@ -495,9 +495,10 @@ class Workspace:
     :class:`Scratch` may have overwritten it), the error back-propagated to
     each hidden layer (``errors``) and the per-row class max and sum of the
     softmax (``row``), or, for the quadratic family, the stack's gathered
-    terms.  ``picked``, the flat label index the kernel reads (see :func:`_softmax_nll`), is not laid
-    out: whoever gathers a minibatch points it at one built on
-    ``class_starts`` (:meth:`ShardStack.minibatches`).  ``point`` is an (m, p)
+    terms.  ``picked``, the flat label index the kernel reads (see
+    :func:`_softmax_nll`), is not laid out: whoever gathers a minibatch
+    points it at one built on ``class_starts``
+    (:meth:`ShardStack.minibatches`).  ``point`` is an (m, p)
     stack at which a gradient is evaluated: SAM's ascent point; ``stacks``
     more (m, p) arrays are the caller's own.  With ``blocks``, a (passes,
     per_pass) pair, it serves :func:`full_objective`'s passes over blocks
@@ -516,9 +517,9 @@ class Workspace:
     :func:`_forward_backward` reads: ``forward`` (each hidden layer's
     input, pre-activation, output and ones column), ``forward_last``,
     ``softmax`` (:func:`_softmax_views`), ``backward`` (each later layer's
-    transposed input, error, output and derivative view, from the last) and ``features_t``.
-    A :class:`Scratch` that grows lays out new workspaces, which bind new
-    views, so none points into a stale block.
+    transposed input, error, output and derivative view, from the last)
+    and ``features_t``.  A :class:`Scratch` that grows lays out new
+    workspaces, which bind new views, so none points into a stale block.
     """
 
     def __init__(
