@@ -15,7 +15,10 @@ the profile.  The table gives each seam's share of the timed runs' wall
 time, its µs per call and its calls per round.  Seams nest:
 ``full_objective`` and ``eval_model`` run inside ``_evaluate``, and
 ``batch_grads`` inside ``local_train``, so the shares do not add up to
-100%.
+100%.  One call of those three evaluation seams covers a group of
+recorded rounds (``models.evaluation_group``), so their µs per call
+grows with the group; the table also gives their µs per recorded round,
+which compares across group sizes.
 
 With more than one worker, the workers' calls stay in their own
 processes, so the profile times the caller's calls only: its own row
@@ -39,6 +42,7 @@ SEAMS = (
     )),
     (localopt, "batch_grads"),
 )
+EVALUATION = ("_evaluate", "full_objective", "eval_model")  # one call per group of recorded rounds
 
 
 def parse_args(argv=None):
@@ -79,21 +83,36 @@ def profile(cfg, problem, workers: int = 1, runs: int = 1):
     return stats, wall, result
 
 
+def table(stats, wall: float, rounds: int, records: int) -> list[tuple]:
+    """Per seam of ``stats``: (name, % of ``wall``, µs per call, calls per round, µs per recorded round or None).
+
+    The last is given for the ``EVALUATION`` seams only: their seconds over
+    the ``records`` recorded rounds of the runs.
+    """
+    return [
+        (
+            name, 100 * seconds / wall, 1e6 * seconds / calls if calls else 0.0, calls / rounds,
+            1e6 * seconds / records if name in EVALUATION else None,
+        )
+        for name, (calls, seconds) in stats.items()
+    ]
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     cfg = engine.validated(load_config(args.config, args.set))
     problem = engine.build_problem(cfg)
     engine.run_experiment(cfg, workers=args.workers, problem=problem)  # warm-up
-    stats, wall, _ = profile(cfg, problem, args.workers, args.runs)
+    stats, wall, result = profile(cfg, problem, args.workers, args.runs)
     rounds = args.runs * cfg.rounds
     print(f"{' '.join([args.config, *args.set])}: {cfg.algorithm.value}, m={cfg.m}, workers={args.workers}, "
           f"{args.runs} runs of {cfg.rounds} rounds, {1e3 * wall / rounds:.3f} ms per round")
     if args.workers > 1:
         print("workers > 1: the caller's calls only; each worker's local_train stays in its process")
-    print(f"{'seam':<16} {'share':>7} {'us/call':>10} {'calls/round':>12}")
-    for name, (calls, seconds) in stats.items():
-        per_call = 1e6 * seconds / calls if calls else 0.0
-        print(f"{name:<16} {100 * seconds / wall:>6.1f}% {per_call:>10.1f} {calls / rounds:>12.3f}")
+    print(f"{'seam':<16} {'share':>7} {'us/call':>10} {'calls/round':>12} {'us/record':>10}")
+    for name, share, per_call, per_round, per_record in table(stats, wall, rounds, args.runs * len(result.records)):
+        last = "" if per_record is None else f" {per_record:>10.1f}"
+        print(f"{name:<16} {share:>6.1f}% {per_call:>10.1f} {per_round:>12.3f}{last}")
     return 0
 
 

@@ -38,8 +38,10 @@ argmax of the test logits, no test loss.  A recorded round's consensus,
 average is queued in one row of a (G, p) array that the run allocates
 once; the objective and accuracy are computed per group of G queued
 rounds, in one ``full_objective`` and one ``eval_model`` call over the
-stack (:func:`models.evaluation_group` gives G), each row bitwise its
-own one-model call.  A queued round holds that row and four scalars.
+stack, each row bitwise its own one-model call.  G
+(:func:`models.evaluation_group`) is the most models whose objective
+pass and test forward fit the byte budget of one ``full_objective``
+pass.  A queued round holds that row and four scalars.
 
 Determinism contract: every round's local phase goes through the run's
 one :class:`_LocalPhase`, which splits its rows into at most ``workers``
@@ -633,7 +635,7 @@ def run_experiment(
     and energies are taken at once and its client average is queued; its
     RoundRecord is computed when G rounds are queued or the run ends, with
     the others of its group, by one ``full_objective`` and one
-    ``eval_model`` call (G from :func:`models.evaluation_group`: 5 on the
+    ``eval_model`` call (G from :func:`models.evaluation_group`: 27 on the
     desk preset, 1 for the quadratic family and wherever one model needs
     more than one objective pass).  So ``on_round`` still fires every
     round, but a record may be computed some rounds after it.  The

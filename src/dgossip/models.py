@@ -358,32 +358,41 @@ class ShardStack:
         )
 
     @cached_property
-    def objective_layout(self) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-        """:func:`full_objective`'s row blocks and passes over this stack, built on its first call and kept.
+    def objective_blocks(self) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
+        """:func:`full_objective`'s row blocks of one model over this stack, built on its first call and kept.
 
         The n rows fall into the fewest blocks of at most ``_BLOCK_ROWS``
-        rows, all of one length, and the blocks into the fewest passes of at
-        most ``_OBJECTIVE_ROWS`` rows, all of one block count: whole padding
-        blocks, at most one fewer than the passes, fill the last ones.
+        rows, all of one length, the last one filled with padding rows.
         (rows, divisor, starts, sizes): the stack's rows in client order (a
         take() need not be laid end to end), then padding rows whose error is
-        divided by inf, so they weigh nothing, shaped (passes, rows per
-        pass); every row's divisor m n_i, shaped (passes, blocks per pass,
-        length, 1); and each client's first row in that order and row count.
+        divided by inf, so they weigh nothing, shaped (blocks, length); every
+        row's divisor m n_i, shaped (blocks, length, 1); and each client's
+        first row in that order and row count.
         """
         sizes = self.sizes
         n_rows = int(sizes.sum())
         blocks = -(-n_rows // _BLOCK_ROWS)
         length = -(-n_rows // blocks)
-        passes = -(-blocks // (_OBJECTIVE_ROWS // length))
-        per_pass = -(-blocks // passes)
-        pad = passes * per_pass * length - n_rows
+        pad = blocks * length - n_rows
         starts = np.cumsum(sizes) - sizes
         rows = np.repeat(self.offsets - starts, sizes) + np.arange(n_rows)
         rows = np.concatenate([rows, np.zeros(pad, dtype=rows.dtype)])
         divisor = np.concatenate([np.repeat(float(len(self)) * sizes, sizes), np.full(pad, np.inf)])
-        divisor = divisor.reshape(passes, per_pass, length, 1)
-        return rows.reshape(passes, -1), divisor, starts.tolist(), sizes.tolist()
+        return rows.reshape(blocks, length), divisor.reshape(blocks, length, 1), starts.tolist(), sizes.tolist()
+
+    def objective_layout(self, spec: ModelSpec, g: int = 1) -> tuple[int, int, int]:
+        """(passes, blocks per pass, block length) of :func:`full_objective` on g models of ``spec`` over this stack.
+
+        The g models' blocks (:attr:`objective_blocks`), laid model after
+        model, fall into the fewest passes of one block count whose blocks
+        take at most ``_OBJECTIVE_BYTES`` (:func:`_block_bytes`), and at
+        least one block each, so a model may span passes; the last pass is
+        filled with at most one fewer blocks than there are passes.
+        """
+        blocks, length = self.objective_blocks[0].shape
+        per_pass = max(1, _OBJECTIVE_BYTES // _block_bytes(spec, self, length))
+        passes = -(-g * blocks // per_pass)
+        return passes, -(-g * blocks // passes), length
 
     def minibatches(self, draws: np.ndarray, ws: Workspace) -> tuple[np.ndarray, np.ndarray]:
         """Stack rows and flat label index of K steps' (K, m, B) shard-local indices, checked and offset in one pass.
@@ -500,13 +509,12 @@ class Workspace:
     points it at one built on ``class_starts``
     (:meth:`ShardStack.minibatches`).  ``point`` is an (m, p)
     stack at which a gradient is evaluated: SAM's ascent point; ``stacks``
-    more (m, p) arrays are the caller's own.  With ``blocks``, a (passes,
-    per_pass) pair, it serves :func:`full_objective`'s passes over blocks
-    of ``batch_size`` samples: its rows are the per_pass blocks of one pass
-    in place of one per client, and it also holds every block's NLL
-    (``nll``) and gradient (``grads``), each shaped (passes, per_pass, ...).
-    For a stack of g models there is one pass, and its per_pass blocks are
-    g copies of one model's, the models side by side.
+    more (m, p) arrays are the caller's own.  With ``blocks``, the block
+    count of one pass, it serves :func:`full_objective`'s passes over
+    blocks of ``batch_size`` samples: its rows are the blocks of one pass
+    in place of one per client, and it also holds their gradients
+    (``grads``, (blocks, p)), which the next pass overwrites once they are
+    added into the models' running sums.
     The arrays are laid out in ``scratch`` when it is given (see
     :class:`Scratch`), where the next workspace laid out overwrites them;
     otherwise they are the workspace's own.  A gather (:meth:`ShardStack.batch`,
@@ -530,10 +538,10 @@ class Workspace:
         *,
         point: bool = False,
         stacks: int = 0,
-        blocks: tuple[int, int] | None = None,
+        blocks: int | None = None,
         scratch: Scratch | None = None,
     ):
-        m = blocks[1] if blocks else len(shards)
+        m = blocks or len(shards)
         p = spec.param_count()
         rows = (m, batch_size)
         widths = (*(h + 1 for h in spec.hidden), spec.num_classes)  # each layer's output, ones column included
@@ -548,7 +556,7 @@ class Workspace:
                 *(((*rows, width), np.float64) for width in (*widths, *spec.hidden)),
             ]
             if blocks:
-                layout += [((*blocks, batch_size), np.float64), ((*blocks, p), np.float64)]
+                layout.append(((m, p), np.float64))
         if scratch is None:
             arrays = iter([np.empty(shape, dtype) for shape, dtype in layout])
         else:
@@ -567,7 +575,7 @@ class Workspace:
         self.acts = acts = [next(arrays) for _ in widths]
         self.errors = errors = [next(arrays) for _ in spec.hidden]
         if blocks:
-            self.nll, self.grads = next(arrays), next(arrays)
+            self.grads = next(arrays)
         self.class_starts = np.arange(0, m * batch_size * spec.num_classes, spec.num_classes)  # each row's first logit
         inputs, hidden = [self.features, *acts[:-1]], acts[:-1]
         self.forward = [(a, z[..., :-1], z, z[..., -1]) for a, z in zip(inputs, hidden)]
@@ -649,36 +657,88 @@ def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[
 # reduction over threads and round it differently; blocks as short as a
 # training batch keep the objective independent of the BLAS thread count.
 _BLOCK_ROWS = 64
-# Rows of one full_objective pass over its blocks: their activations then take
-# no more memory than a local phase of 100 clients on batches of 32 (3200 rows).
-_OBJECTIVE_ROWS = 2048
+# Bytes that the blocks of one full_objective pass may take (_block_bytes).
+# 1.6 MiB holds 27 blocks of 64 rows of the m=100 MLP presets, which keep their
+# 3 passes, and 27 models of the logistic desk preset's 7 blocks of 58 rows;
+# the Scratch block then stays under 4 MiB (twice its largest layout), from
+# which numpy asks for huge pages, which round a run's peak RSS up by 2 MiB.
+_OBJECTIVE_BYTES = 16 * 2**20 // 10
+
+
+def _block_bytes(spec: ModelSpec, shards: ShardStack, length: int) -> int:
+    """Bytes that one block of ``length`` rows adds to a :func:`full_objective` pass over ``shards``.
+
+    Per row, what :class:`Workspace` lays out: the gathered features with
+    their ones column, the label, the softmax's row scratch, each layer's
+    output and each hidden layer's error, and then the NLL that the pass
+    returns; per block, its gradient row of p words.
+    """
+    words = 2 + spec.num_classes + sum(2 * h + 1 for h in spec.hidden)  # row scratch, NLL, outputs, errors
+    row = shards.features.itemsize * shards.features.shape[1] + shards.labels.itemsize + 8 * words
+    return length * row + 8 * spec.param_count()
 
 
 def evaluation_group(spec: ModelSpec, shards: ShardStack, test: Shard | None = None) -> int:
     """How many models one :func:`full_objective` call over ``shards`` and one forward over ``test`` take together.
 
-    The most models whose one-pass layouts (:attr:`ShardStack.objective_layout`)
-    fit side by side in ``_OBJECTIVE_ROWS`` rows, and whose forwards over
-    the test rows fit too; 1 for the quadratic family and wherever one
-    model needs more than one pass.
+    The most models whose blocks (:attr:`ShardStack.objective_blocks`) fit
+    side by side in one pass of ``_OBJECTIVE_BYTES`` (:func:`_block_bytes`),
+    and whose test forwards, each layer's (rows, width) output, fit the
+    same bytes; 1 for the quadratic family and wherever one model takes
+    more than one pass.
     """
     if spec.kind == "quadratic":
         return 1
-    rows = max(shards.objective_layout[0].size, 0 if test is None else len(test))
-    return max(1, _OBJECTIVE_ROWS // rows)
+    blocks, length = shards.objective_blocks[0].shape
+    forward = 0 if test is None else 8 * len(test) * (sum(spec.hidden) + spec.num_classes)
+    return max(1, _OBJECTIVE_BYTES // max(blocks * _block_bytes(spec, shards, length), forward))
 
 
 def objective_workspace(spec: ModelSpec, shards: ShardStack, g: int = 1, scratch: Scratch | None = None) -> Workspace:
     """The :class:`Workspace` of a :func:`full_objective` call on g models over ``shards``, laid out in ``scratch``.
 
-    A run lays out its evaluation group's once before its first round, so
-    that its Scratch grows to the size of both that and its local phase
-    within round 0, and not again when the first group is evaluated.
+    It holds one pass (:meth:`ShardStack.objective_layout`).  A run lays
+    out its evaluation group's once before its first round, so that its
+    Scratch grows to the size of both that and its local phase within
+    round 0, and not again when the first group is evaluated.
     """
     if spec.kind == "quadratic":  # a workspace of gathered terms
         return _workspace(scratch, spec, shards, 0, stacks=2)
-    passes, per_pass, length = shards.objective_layout[1].shape[:3]
-    return _workspace(scratch, spec, shards, length, blocks=(passes, g * per_pass))
+    _, per_pass, length = shards.objective_layout(spec, g)
+    return _workspace(scratch, spec, shards, length, blocks=per_pass)
+
+
+def _add_blocks(sums: np.ndarray, grads: np.ndarray, first: int, blocks: int) -> None:
+    """Add one pass's block gradients into the g models' running sums ``sums``, in block order.
+
+    Row j of ``grads`` is block ``first + j`` of the models' blocks, laid
+    model after model, ``blocks`` to a model; rows past the last model's
+    fill the pass and are not read.  Each model's sum is numpy's reduction
+    over its blocks, which adds them one at a time from +0.0, as ``.sum``
+    over all of them at once would: a model whose first block is in this
+    pass has its blocks here reduced into its row of ``sums``.  A model
+    that began in an earlier pass first has its sum so far added into its
+    first block here (``grads`` is scratch), which is that order's next
+    addition, and is then reduced the same way; a sum from +0.0 is never
+    -0.0, so the reduction's +0.0 leaves it as it is.
+    """
+    end = min(first + len(grads), len(sums) * blocks)
+    at = first
+    model, done = divmod(at, blocks)
+    if done:  # the rest of a model that began in an earlier pass
+        at = min(end, at - done + blocks)
+        np.add(sums[model], grads[0], out=grads[0])
+        np.add.reduce(grads[: at - first], axis=0, out=sums[model])
+    whole = (end - at) // blocks  # the models all of whose blocks are in this pass
+    if whole:
+        model = at // blocks
+        np.add.reduce(
+            grads[at - first : at - first + whole * blocks].reshape(whole, blocks, -1),
+            axis=1, out=sums[model : model + whole],
+        )
+        at += whole * blocks
+    if at < end:  # a model that goes on in the next pass
+        np.add.reduce(grads[at - first : end - first], axis=0, out=sums[at // blocks])
 
 
 def full_objective(
@@ -687,27 +747,28 @@ def full_objective(
     """Exact global objective f = (1/m) sum_i f_i and its gradient, from one forward/backward of every row.
 
     f_i is client i's full-shard mean loss.  A forward/backward runs over
-    all the stack's rows, in blocks of at most ``_BLOCK_ROWS``, with each
-    row's error weighted by 1/(m n_i), in passes of equal block count and
-    at most ``_OBJECTIVE_ROWS`` rows (:attr:`ShardStack.objective_layout`).
-    Each pass is one stacked gradient call on x broadcast to one row per
-    block, which writes every block's gradient into its own row; the rows
-    are added up in block order at the end, so the passes do not change the
-    result, and padding blocks add only zeros.  The loss averages each
-    client's mean NLL, summed and divided as ``np.mean`` does, so a
-    one-client stack of one block equals :func:`loss_and_grad` bitwise.
+    all the stack's rows, in blocks of at most ``_BLOCK_ROWS``
+    (:attr:`ShardStack.objective_blocks`), with each row's error weighted
+    by 1/(m n_i), in passes of equal block count that take at most
+    ``_OBJECTIVE_BYTES``, or one block (:meth:`ShardStack.objective_layout`).
+    Each pass is one stacked gradient call, one model row per block, which
+    writes every block's gradient into its own row; before the next pass,
+    each model's blocks are added into its running sum, in block order
+    from +0.0 (:func:`_add_blocks`), so the passes do not change the
+    result, and the blocks that fill the last pass are not read.  The
+    loss averages each client's mean NLL, summed and divided as
+    ``np.mean`` does, so a one-client stack of one block equals
+    :func:`loss_and_grad` bitwise.
 
     ``x`` is one model, for (loss, (p,) gradient), or a (g, p) stack of
-    models, for ((g,) losses, (g, p) gradients).  A stack takes one pass
-    in which each model's layout is laid once, over its own copy of the
-    blocks, and its losses and gradients are reduced per model in the
-    same order, so each row equals its one-model call bitwise.  A stack
-    whose layouts do not fit one pass of ``_OBJECTIVE_ROWS`` rows is a
-    ValueError, never split.  The quadratic family takes one stacked
-    product over its clients' terms, for one model at a time.
-    The gathered rows, the activations and the rest of the scratch are a
-    :class:`Workspace`, laid out in ``scratch`` when it is given; the
-    result is bitwise the same.
+    models, for ((g,) losses, (g, p) gradients).  The g models' blocks
+    are laid model after model, each model over its own copy of them, and
+    each model's losses and gradients are reduced in the same order, so
+    each row equals its one-model call bitwise, however the passes fall.
+    The quadratic family takes one stacked product over its clients'
+    terms, for one model at a time.  The gathered rows, the activations
+    and the block gradients of a pass are a :class:`Workspace`, laid out
+    in ``scratch`` when it is given; the result is bitwise the same.
     """
     xs = x if x.ndim == 2 else x[None]
     g, p = xs.shape
@@ -721,20 +782,23 @@ def full_objective(
         losses = 0.5 * (np.subtract(grads, b, out=centred) @ xs[0])
         loss, grad = np.mean(losses), grads.mean(axis=0)
         return (loss[None], grad[None]) if x.ndim == 2 else (float(loss), grad)
-    rows, divisor, starts, sizes = shards.objective_layout
-    per_pass = divisor.shape[1]
-    if g > 1:  # one pass, the layout once per model
-        if g * rows.size > _OBJECTIVE_ROWS:
-            raise ValueError(f"{g} models of {rows.size} rows each do not fit one pass of {_OBJECTIVE_ROWS} rows")
-        rows, divisor = np.tile(rows, g), np.tile(divisor, (1, g, 1, 1))
-    ws = objective_workspace(spec, shards, g, scratch)
-    stack = np.broadcast_to(xs[:, None], (g, per_pass, p)).reshape(-1, p)  # each model over its own blocks
+    rows, divisor, starts, sizes = shards.objective_blocks
+    blocks = len(rows)
+    passes, per_pass, length = shards.objective_layout(spec, g)
+    # np.resize repeats the blocks: g copies, model after model, then the first ones again to fill the last pass
+    rows = np.resize(rows, (passes, per_pass * length))
+    divisor = np.resize(divisor, (passes, per_pass, length, 1))
+    owner = np.arange(passes * per_pass).reshape(passes, per_pass) // blocks % g  # each block's model
+    ws = _workspace(scratch, spec, shards, length, blocks=per_pass)
     picked = _label_index(shards.labels, rows, ws.class_starts)  # every pass's at once
+    nll = np.empty((passes, per_pass, length))
+    grads = np.empty((g, p))
     for i, taken in enumerate(rows):  # in range, so "clip" clips nothing and take writes in place
         shards.features.take(taken, axis=0, out=ws.features.reshape(len(taken), -1), mode="clip")
-        ws.nll[i] = _forward_backward(spec, stack, ws, picked[i], divisor[i], True, ws.grads[i])[0]
-    grads = ws.grads.reshape(g, -1, p).sum(axis=1)  # each model's rows, in block order
-    nll = ws.nll.reshape(g, -1)
+        stack = np.broadcast_to(xs[0], (per_pass, p)) if g == 1 else xs.take(owner[i], axis=0)
+        nll[i] = _forward_backward(spec, stack, ws, picked[i], divisor[i], True, ws.grads)[0]
+        _add_blocks(grads, ws.grads, i * per_pass, blocks)
+    nll = nll.reshape(-1)[: g * blocks * length].reshape(g, -1)
     means = np.empty((g, len(sizes)))
     for i, (a, n) in enumerate(zip(starts, sizes)):  # a sum and a true divide, as .sum(axis=1) / n
         np.divide(np.add.reduce(nll[:, a : a + n], axis=1), n, out=means[:, i])

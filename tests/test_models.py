@@ -311,37 +311,47 @@ class TestFullObjective:
         spec, shards = problem.spec, problem.shards
         sub = shards.take(np.array([5, 0, 11, 3]))  # rows not laid end to end
         built = []
-        layout = ShardStack.objective_layout.func
-        monkeypatch.setattr(ShardStack.objective_layout, "func", lambda stack: built.append(stack) or layout(stack))
+        layout = ShardStack.objective_blocks.func
+        monkeypatch.setattr(ShardStack.objective_blocks, "func", lambda stack: built.append(stack) or layout(stack))
         for stack in (shards, sub, shards, sub):
             full_objective(spec, problem.x0, stack)
         assert built == [shards, sub]
         fresh = layout(sub)  # a take() keeps no layout of the stack it was taken from
-        for cached, want in zip(sub.objective_layout, fresh, strict=True):
+        for cached, want in zip(sub.objective_blocks, fresh, strict=True):
             assert np.array_equal(cached, want) and np.asarray(cached).dtype == np.asarray(want).dtype
-        assert fresh[1].shape[1:3] != shards.objective_layout[1].shape[1:3]  # (blocks per pass, length)
+        assert fresh[0].shape != shards.objective_blocks[0].shape  # (blocks, length)
 
+    @pytest.mark.parametrize("held", [None, 1, 5])
+    @pytest.mark.parametrize("g", [1, 3])
     @pytest.mark.parametrize("n", [1, 63, 65, 2047, 2048, 2049, 4097, 5000, 6500, 9001])
-    def test_layout_passes_are_equal_and_pad_with_whole_blocks(self, n):
-        stack = split_stack(n, hidden=())[2]
-        rows, divisor, starts, sizes = stack.objective_layout
-        passes, per_pass, length, _ = divisor.shape
-        assert rows.shape == (passes, per_pass * length)
-        assert length <= models._BLOCK_ROWS and per_pass * length <= models._OBJECTIVE_ROWS
+    def test_layout_passes_are_equal_and_pad_with_whole_blocks(self, monkeypatch, n, g, held):
+        spec, _, stack = split_stack(n, hidden=())
+        rows, divisor, starts, sizes = stack.objective_blocks
+        blocks, length = rows.shape
+        block = models._block_bytes(spec, stack, length)
+        if held is not None:
+            hold(monkeypatch, spec, stack, held)
+        passes, per_pass, pass_length = stack.objective_layout(spec, g)
+        assert pass_length == length <= models._BLOCK_ROWS and divisor.shape == (blocks, length, 1)
+        assert per_pass * block <= max(models._OBJECTIVE_BYTES, block)
+        assert passes == -(-g * blocks // max(1, models._OBJECTIVE_BYTES // block))  # the fewest
+        assert 0 <= passes * per_pass - g * blocks <= passes - 1  # whole blocks fill the last pass
         flat = divisor.reshape(-1)
-        assert np.isfinite(flat[:n]).all() and np.isinf(flat[n:]).all()
-        whole_padding_blocks = np.isinf(divisor[..., 0]).all(axis=-1).sum()
-        assert whole_padding_blocks <= passes - 1
-        assert -(-n // length) == -(-n // models._BLOCK_ROWS)  # the fewest blocks, as without passes
+        assert np.isfinite(flat[:n]).all() and np.isinf(flat[n:]).all() and len(flat) - n < length
+        assert blocks == -(-n // models._BLOCK_ROWS)  # the fewest blocks
         order = np.concatenate([np.arange(o, o + k) for o, k in zip(stack.offsets, stack.sizes)])
         assert np.array_equal(rows.reshape(-1)[:n], order) and starts[-1] + sizes[-1] == n
 
+    @pytest.mark.parametrize("held", [None, 1, 7])
     @pytest.mark.parametrize("hidden", [(), (1,), (7, 5), (3, 1)])
     @pytest.mark.parametrize("n", [2047, 2049, 4097, 6500])
-    def test_gradient_adds_the_blocks_in_order(self, n, hidden):
+    def test_gradient_adds_the_blocks_in_order(self, monkeypatch, n, hidden, held):
         # width-1 layers too: numpy adds a contiguous (blocks, 1) column pairwise, not in block order
         spec, x, stack = split_stack(n, hidden)
         for st in (stack, stack.take(np.arange(len(stack))[::-1])):
+            if held is not None:  # the running sum carried from pass to pass
+                hold(monkeypatch, spec, st, held)
+                assert st.objective_layout(spec)[0] > 1
             _, grad = full_objective(spec, x, st)
             assert grad.tobytes() == blockwise_reference(spec, x, st).tobytes()
 
@@ -351,7 +361,7 @@ class TestFullObjective:
         feats = stack.features[:300].reshape(5, 60, -1)
         labels = stack.labels[:300].reshape(5, 60)
         divisor = rng.uniform(1.0, 400.0, size=(5, 60, 1))
-        ws = models.Workspace(spec, stack, 60, blocks=(1, 5))
+        ws = models.Workspace(spec, stack, 60, blocks=5)
         ws.features[...] = feats
         picked = ws.class_starts + labels.reshape(-1)
         (nll_b, grad_b), (nll_t, grad_t) = (
@@ -386,6 +396,12 @@ def split_stack(n, hidden, d=6, classes=4):
     return spec, init_params(spec, 3) + 0.3 * rng.normal(size=spec.param_count()), stack
 
 
+def hold(monkeypatch, spec, stack, blocks):
+    """Set the pass budget to the bytes of ``blocks`` of the stack's blocks under ``spec``, and less than one more."""
+    block = models._block_bytes(spec, stack, stack.objective_blocks[0].shape[1])
+    monkeypatch.setattr(models, "_OBJECTIVE_BYTES", (blocks + 1) * block - 1)
+
+
 def blockwise_reference(spec, x, stack):
     """full_objective's gradient from one-row stacks, one block of rows at a time, added from zero."""
     rows = np.concatenate([np.arange(o, o + k) for o, k in zip(stack.offsets, stack.sizes)])
@@ -396,7 +412,7 @@ def blockwise_reference(spec, x, stack):
     rows = np.concatenate([rows, np.zeros(pad, dtype=rows.dtype)])
     divisor = np.concatenate([divisor, np.full(pad, np.inf)])
     total = np.zeros(spec.param_count())
-    ws = models.Workspace(spec, stack, length, blocks=(1, 1))
+    ws = models.Workspace(spec, stack, length, blocks=1)
     for block, div in zip(rows.reshape(blocks, length), divisor.reshape(blocks, length, 1)):
         ws.features[0] = stack.features[block]
         _, grad = models._forward_backward(spec, x[None], ws, ws.class_starts + stack.labels[block], div, False)
@@ -626,15 +642,79 @@ class TestStackedEvaluation:
             assert np.array_equal(preds[j], models.predictions(spec, x, test)), j
             assert bits(accs[j]) == bits(eval_model(spec, x, test)), j
 
-    @pytest.mark.parametrize("preset, group", [("large_random_topology.toml", 1), ("logistic_dirichlet.toml", 5)])
-    def test_the_group_rule_on_the_presets(self, preset, group):
-        # desk: one pass of 7 blocks of 58 rows (406) and 200 test rows; m=100: 5000 rows, 3 passes of one model
-        problem = build_problem(load_config(str(CONFIGS / preset)))
-        assert models.evaluation_group(problem.spec, problem.shards, problem.test) == group
-        x = problem.x0
-        full_objective(problem.spec, np.tile(x, (group, 1)), problem.shards)
-        with pytest.raises(ValueError, match="one pass"):
-            full_objective(problem.spec, np.tile(x, (group + 1, 1)), problem.shards)
+    @pytest.mark.parametrize(
+        "preset, group, layout",
+        [
+            ("configs/large_random_topology.toml", 1, (3, 27, 64)),
+            ("bench/gossip_ring100.toml", 1, (3, 27, 64)),
+            ("configs/logistic_dirichlet.toml", 27, (1, 189, 58)),
+        ],
+    )
+    def test_the_group_rule_on_the_presets(self, preset, group, layout):
+        # m=100: 5000 rows in 79 blocks of 64, 58,704 bytes each; desk: 406 rows in 7 blocks of 58, 8,704 bytes each
+        problem = build_problem(load_config(str(CONFIGS.parent / preset)))
+        spec, shards, test = problem.spec, problem.shards, problem.test
+        assert models.evaluation_group(spec, shards, test) == group
+        assert shards.objective_layout(spec, group) == layout
+        assert shards.objective_layout(spec, group + 1)[0] > 1  # one model more takes another pass
+        _, per_pass, length = layout
+        assert per_pass * models._block_bytes(spec, shards, length) <= models._OBJECTIVE_BYTES
+        # and the group's test forward, each layer's output, fits the same bytes
+        assert group * 8 * len(test) * (sum(spec.hidden) + spec.num_classes) <= models._OBJECTIVE_BYTES
+
+    def test_a_desk_group_equals_its_one_model_calls(self, rng):
+        problem = build_problem(load_config(str(CONFIGS / "logistic_dirichlet.toml")))
+        spec, shards, test = problem.spec, problem.shards, problem.test
+        xs = problem.x0 + rng.normal(size=(models.evaluation_group(spec, shards, test), problem.x0.size))
+        losses, grads = full_objective(spec, xs, shards, models.Scratch())
+        accs = eval_model(spec, xs, test)
+        for j, x in enumerate(xs):
+            loss, grad = full_objective(spec, x, shards)
+            assert bits(losses[j]) == bits(loss) and grads[j].tobytes() == grad.tobytes(), j
+            assert bits(accs[j]) == bits(eval_model(spec, x, test)), j
+
+    @pytest.mark.parametrize("held", [1, 4, 16])
+    def test_a_stack_in_many_passes_equals_its_one_pass(self, monkeypatch, held, rng):
+        # 5 models of 7 blocks: one block per pass, or passes that split models, carry whole ones or both
+        problem = build_problem(load_config(str(CONFIGS / "logistic_dirichlet.toml"), ["model.kind=mlp", "model.hidden=[5]"]))
+        spec, shards = problem.spec, problem.shards
+        xs = problem.x0 + 0.5 * rng.normal(size=(5, problem.x0.size))
+        kernel = models._forward_backward
+
+        def signed_zeros(*args):  # every block's gradient starts with -0.0, which +0.0 plus them turns to +0.0
+            nll, out = kernel(*args)
+            out[:, :3] = -0.0
+            return nll, out
+
+        monkeypatch.setattr(models, "_forward_backward", signed_zeros)
+        assert shards.objective_layout(spec, len(xs))[0] == 1
+        want_losses, want_grads = full_objective(spec, xs, shards)
+        assert not np.signbit(want_grads[:, :3]).any()
+        hold(monkeypatch, spec, shards, held)
+        assert shards.objective_layout(spec, len(xs))[0] == -(-5 * len(shards.objective_blocks[0]) // held)
+        losses, grads = full_objective(spec, xs, shards, models.Scratch())
+        assert losses.tobytes() == want_losses.tobytes() and grads.tobytes() == want_grads.tobytes()
+
+    def test_a_wide_model_lays_out_no_more_than_the_budget_or_one_block(self, monkeypatch, rng):
+        # a 100-class logistic on d=3072 and 120 rows: one block of 60 rows and its gradient exceed the budget
+        spec = ModelSpec("logistic", 3072, 100)
+        stack = ShardStack.stacked(rng.normal(size=(120, 3072)), rng.integers(0, 100, size=120), [50, 70])
+        test = Shard(rng.normal(size=(40, 3072)), rng.integers(0, 100, size=40))
+        laid = []
+        arrays = models.Scratch._arrays
+
+        def recorded(self, layout):
+            laid.append(sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout))
+            return arrays(self, layout)
+
+        monkeypatch.setattr(models.Scratch, "_arrays", recorded)
+        xs = 0.01 * rng.normal(size=(models.evaluation_group(spec, stack, test), spec.param_count()))
+        losses, grads = full_objective(spec, xs, stack, models.Scratch())
+        block = models._block_bytes(spec, stack, stack.objective_blocks[0].shape[1])
+        assert len(xs) == 1 and block > models._OBJECTIVE_BYTES and stack.objective_layout(spec) == (2, 1, 60)
+        assert laid and max(laid) <= max(models._OBJECTIVE_BYTES, block)
+        loss, grad = full_objective(spec, xs[0], stack)
+        assert bits(losses[0]) == bits(loss) and grads[0].tobytes() == grad.tobytes()
 
     def test_the_quadratic_family_takes_one_model(self):
         problem = build_problem(load_config(str(CONFIGS / "quadratic_ring.toml")))

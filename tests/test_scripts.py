@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -197,6 +198,15 @@ def test_phase_profile_restores_every_seam_and_leaves_the_records_bitwise(tmp_pa
     assert calls["_evaluate"] == calls["full_objective"] == calls["eval_model"] == 2  # one group of 3 per run
     assert calls["build_mixing"] == 2 and 0 < stats["local_train"][1] < wall
     assert calls["batch_grads"] == 6 * cfg.local_steps and 0 < stats["batch_grads"][1] < stats["local_train"][1]
+    # per recorded round, for the evaluation seams only: 6 records, one group call of 3 per run
+    rows = {row[0]: row for row in phase_profile.table(stats, wall, 6, 2 * len(profiled.records))}
+    assert list(rows) == list(stats) and len(profiled.records) == 3
+    for name, (_, share, per_call, per_round, per_record) in rows.items():
+        assert share == 100 * stats[name][1] / wall and per_round == calls[name] / 6
+        if name in phase_profile.EVALUATION:
+            assert per_record == 1e6 * stats[name][1] / 6 and math.isclose(3 * per_record, per_call)
+        else:
+            assert per_record is None
     # a run that raises leaves no wrapper behind either
     other_m = engine.validated(load_config(preset, ["rounds=3", "m=8"]))
     with pytest.raises(engine.ConfigError, match="built for 16 clients"):
@@ -212,3 +222,5 @@ def test_phase_profile_restores_every_seam_and_leaves_the_records_bitwise(tmp_pa
     lines = proc.stdout.splitlines()
     assert "the caller's calls only" in lines[1]
     assert [line.split()[0] for line in lines[3:]] == [name for _, name in phase_profile.SEAMS]
+    assert lines[2].split()[-1] == "us/record"
+    assert {line.split()[0] for line in lines[3:] if len(line.split()) == 5} == set(phase_profile.EVALUATION)
