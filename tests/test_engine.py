@@ -14,6 +14,7 @@ import sys
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -493,6 +494,30 @@ class TestRunExperiment:
             result = run_experiment(cfg, problem=problem)
             runs.append((repr(result.records), repr(result.summary["final"])))
         assert runs[1:] == runs[:1] * 3
+
+    def test_the_desk_preset_evaluates_27_rounds_per_call(self, monkeypatch):
+        # 200 recorded rounds in 8 calls, each laying out at most the byte budget; the run's Scratch, twice its
+        # largest layout, stays under 4 MiB, from which numpy asks for huge pages
+        preset = Path(__file__).resolve().parent.parent / "configs" / "logistic_dirichlet.toml"
+        cfg = validated(config.load_config(str(preset)))
+        problem = build_problem(cfg)
+        groups, scratches, laid = [], [], []
+        arrays = models.Scratch._arrays
+
+        def objective(spec, x, shards, scratch):
+            groups.append(len(x))
+            scratches.append(scratch)
+            return models.full_objective(spec, x, shards, scratch)
+
+        def recorded(self, layout):
+            laid.append(sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout))
+            return arrays(self, layout)
+
+        monkeypatch.setattr(engine, "full_objective", objective)
+        monkeypatch.setattr(models.Scratch, "_arrays", recorded)
+        result = run_experiment(cfg, problem=problem)
+        assert len(result.records) == cfg.rounds == 200 and groups == [27] * 7 + [11]
+        assert max(laid) <= models._OBJECTIVE_BYTES and scratches[0]._block.size < 4 * 2**20
 
     def test_metrics_derived_on_recorded_rounds_only(self, monkeypatch):
         calls = {"consensus_distance": 0, "consistency_delta": 0}
