@@ -390,7 +390,7 @@ class ShardStack:
         filled with at most one fewer blocks than there are passes.
         """
         blocks, length = self.objective_blocks[0].shape
-        per_pass = max(1, _OBJECTIVE_BYTES // _block_bytes(spec, self, length))
+        per_pass = max(1, _OBJECTIVE_BYTES // _block_bytes(spec, self))
         passes = -(-g * blocks // per_pass)
         return passes, -(-g * blocks // passes), length
 
@@ -436,6 +436,7 @@ def _label_index(labels: np.ndarray, rows: np.ndarray, class_starts: np.ndarray)
 
 
 _ALIGN = 64  # byte boundary of every array a Scratch lays out
+_HUGE_PAGES = 4 * 2**20  # numpy asks the kernel for huge pages for an array of at least these bytes
 
 
 class Scratch:
@@ -444,7 +445,10 @@ class Scratch:
     Each Workspace is laid out end to end from the block's first byte, so
     it overwrites the one laid out before.  When a layout needs more, the
     block grows to twice that, so that somewhat larger layouts that follow
-    fit as well; pages that no layout touches take no memory.  With blocks
+    fit as well; pages that no layout touches take no memory.  While the
+    need is under 4 MiB, the block stays just under it too: from 4 MiB
+    numpy asks the kernel for huge pages, which round the memory a run
+    touches up to whole 2 MiB pages.  With blocks
     of just the need, glibc handed a run's pages back at its end and the
     next run faulted them in afresh (92 minor faults per round against 5 on
     fullscale_random_sam).  Each data-backed Workspace is made once per
@@ -481,7 +485,8 @@ class Scratch:
             offsets.append(end)
             end += -(-math.prod(shape) * np.dtype(dtype).itemsize // _ALIGN) * _ALIGN
         if end > self._block.size:
-            self._block = np.empty(2 * end, dtype=np.uint8)
+            size = 2 * end if end >= _HUGE_PAGES else min(2 * end, _HUGE_PAGES - 1)
+            self._block = np.empty(size, dtype=np.uint8)
             self._workspaces.clear()
         return [np.ndarray(shape, dtype, self._block, at) for (shape, dtype), at in zip(layout, offsets)]
 
@@ -659,14 +664,14 @@ def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[
 _BLOCK_ROWS = 64
 # Bytes that the blocks of one full_objective pass may take (_block_bytes).
 # 1.6 MiB holds 27 blocks of 64 rows of the m=100 MLP presets, which keep their
-# 3 passes, and 27 models of the logistic desk preset's 7 blocks of 58 rows;
-# the Scratch block then stays under 4 MiB (twice its largest layout), from
-# which numpy asks for huge pages, which round a run's peak RSS up by 2 MiB.
+# 3 passes, and 27 models of the logistic desk preset's 7 blocks of 58 rows,
+# whose Scratch block, twice that layout, stays under the 4 MiB from which
+# numpy asks for huge pages (see Scratch).
 _OBJECTIVE_BYTES = 16 * 2**20 // 10
 
 
-def _block_bytes(spec: ModelSpec, shards: ShardStack, length: int) -> int:
-    """Bytes that one block of ``length`` rows adds to a :func:`full_objective` pass over ``shards``.
+def _block_bytes(spec: ModelSpec, shards: ShardStack) -> int:
+    """Bytes that one of the stack's blocks (:attr:`ShardStack.objective_blocks`) adds to a :func:`full_objective` pass.
 
     Per row, what :class:`Workspace` lays out: the gathered features with
     their ones column, the label, the softmax's row scratch, each layer's
@@ -675,7 +680,7 @@ def _block_bytes(spec: ModelSpec, shards: ShardStack, length: int) -> int:
     """
     words = 2 + spec.num_classes + sum(2 * h + 1 for h in spec.hidden)  # row scratch, NLL, outputs, errors
     row = shards.features.itemsize * shards.features.shape[1] + shards.labels.itemsize + 8 * words
-    return length * row + 8 * spec.param_count()
+    return shards.objective_blocks[0].shape[1] * row + 8 * spec.param_count()
 
 
 def evaluation_group(spec: ModelSpec, shards: ShardStack, test: Shard | None = None) -> int:
@@ -689,9 +694,8 @@ def evaluation_group(spec: ModelSpec, shards: ShardStack, test: Shard | None = N
     """
     if spec.kind == "quadratic":
         return 1
-    blocks, length = shards.objective_blocks[0].shape
     forward = 0 if test is None else 8 * len(test) * (sum(spec.hidden) + spec.num_classes)
-    return max(1, _OBJECTIVE_BYTES // max(blocks * _block_bytes(spec, shards, length), forward))
+    return max(1, _OBJECTIVE_BYTES // max(len(shards.objective_blocks[0]) * _block_bytes(spec, shards), forward))
 
 
 def objective_workspace(spec: ModelSpec, shards: ShardStack, g: int = 1, scratch: Scratch | None = None) -> Workspace:

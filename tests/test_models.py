@@ -328,7 +328,7 @@ class TestFullObjective:
         spec, _, stack = split_stack(n, hidden=())
         rows, divisor, starts, sizes = stack.objective_blocks
         blocks, length = rows.shape
-        block = models._block_bytes(spec, stack, length)
+        block = models._block_bytes(spec, stack)
         if held is not None:
             hold(monkeypatch, spec, stack, held)
         passes, per_pass, pass_length = stack.objective_layout(spec, g)
@@ -398,7 +398,7 @@ def split_stack(n, hidden, d=6, classes=4):
 
 def hold(monkeypatch, spec, stack, blocks):
     """Set the pass budget to the bytes of ``blocks`` of the stack's blocks under ``spec``, and less than one more."""
-    block = models._block_bytes(spec, stack, stack.objective_blocks[0].shape[1])
+    block = models._block_bytes(spec, stack)
     monkeypatch.setattr(models, "_OBJECTIVE_BYTES", (blocks + 1) * block - 1)
 
 
@@ -582,6 +582,13 @@ class TestBoundViews:
             stack.batch(rows, w)
         assert models.batch_grads(spec, xs, ws).tobytes() == models.batch_grads(spec, xs, fresh).tobytes()
 
+    def test_a_block_stays_under_the_huge_page_size_while_its_need_does(self):
+        scratch = models.Scratch()
+        mib = 2**20
+        for need, size in [(mib, 2 * mib), (3 * mib, 4 * mib - 1), (4 * mib - 64, 4 * mib - 1), (5 * mib, 10 * mib)]:
+            [array] = scratch._arrays([((need,), np.uint8)])
+            assert scratch._block.size == size and array.size == need
+
     @pytest.mark.parametrize("hidden", [(), (1,), (3, 1), (2, 5)])
     @pytest.mark.parametrize("classes", [1, 2, 7, 8, 9, 100])
     def test_batch_grads_equals_the_one_client_reference(self, classes, hidden):
@@ -643,22 +650,21 @@ class TestStackedEvaluation:
             assert bits(accs[j]) == bits(eval_model(spec, x, test)), j
 
     @pytest.mark.parametrize(
-        "preset, group, layout",
+        "preset, group, layout, block",
         [
-            ("configs/large_random_topology.toml", 1, (3, 27, 64)),
-            ("bench/gossip_ring100.toml", 1, (3, 27, 64)),
-            ("configs/logistic_dirichlet.toml", 27, (1, 189, 58)),
+            ("configs/large_random_topology.toml", 1, (3, 27, 64), 58_704),
+            ("bench/gossip_ring100.toml", 1, (3, 27, 64), 58_704),
+            ("configs/logistic_dirichlet.toml", 27, (1, 189, 58), 8_704),
         ],
     )
-    def test_the_group_rule_on_the_presets(self, preset, group, layout):
-        # m=100: 5000 rows in 79 blocks of 64, 58,704 bytes each; desk: 406 rows in 7 blocks of 58, 8,704 bytes each
+    def test_the_group_rule_on_the_presets(self, preset, group, layout, block):
+        # m=100: 5000 rows in 79 blocks of 64 rows; desk: 406 rows in 7 blocks of 58
         problem = build_problem(load_config(str(CONFIGS.parent / preset)))
         spec, shards, test = problem.spec, problem.shards, problem.test
         assert models.evaluation_group(spec, shards, test) == group
         assert shards.objective_layout(spec, group) == layout
         assert shards.objective_layout(spec, group + 1)[0] > 1  # one model more takes another pass
-        _, per_pass, length = layout
-        assert per_pass * models._block_bytes(spec, shards, length) <= models._OBJECTIVE_BYTES
+        assert models._block_bytes(spec, shards) == block and layout[1] * block <= models._OBJECTIVE_BYTES
         # and the group's test forward, each layer's output, fits the same bytes
         assert group * 8 * len(test) * (sum(spec.hidden) + spec.num_classes) <= models._OBJECTIVE_BYTES
 
@@ -676,7 +682,8 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize("held", [1, 4, 16])
     def test_a_stack_in_many_passes_equals_its_one_pass(self, monkeypatch, held, rng):
         # 5 models of 7 blocks: one block per pass, or passes that split models, carry whole ones or both
-        problem = build_problem(load_config(str(CONFIGS / "logistic_dirichlet.toml"), ["model.kind=mlp", "model.hidden=[5]"]))
+        cfg = load_config(str(CONFIGS / "logistic_dirichlet.toml"), ["model.kind=mlp", "model.hidden=[5]"])
+        problem = build_problem(cfg)
         spec, shards = problem.spec, problem.shards
         xs = problem.x0 + 0.5 * rng.normal(size=(5, problem.x0.size))
         kernel = models._forward_backward
@@ -710,7 +717,7 @@ class TestStackedEvaluation:
         monkeypatch.setattr(models.Scratch, "_arrays", recorded)
         xs = 0.01 * rng.normal(size=(models.evaluation_group(spec, stack, test), spec.param_count()))
         losses, grads = full_objective(spec, xs, stack, models.Scratch())
-        block = models._block_bytes(spec, stack, stack.objective_blocks[0].shape[1])
+        block = models._block_bytes(spec, stack)
         assert len(xs) == 1 and block > models._OBJECTIVE_BYTES and stack.objective_layout(spec) == (2, 1, 60)
         assert laid and max(laid) <= max(models._OBJECTIVE_BYTES, block)
         loss, grad = full_objective(spec, xs[0], stack)
