@@ -789,10 +789,10 @@ def full_objective(
     rows, divisor, starts, sizes = shards.objective_blocks
     blocks = len(rows)
     passes, per_pass, length = shards.objective_layout(spec, g)
-    # np.resize repeats the blocks: g copies, model after model, then the first ones again to fill the last pass
-    rows = np.resize(rows, (passes, per_pass * length))
-    divisor = np.resize(divisor, (passes, per_pass, length, 1))
-    owner = np.arange(passes * per_pass).reshape(passes, per_pass) // blocks % g  # each block's model
+    # g copies of the blocks, model after model, then the first ones again to fill the last pass
+    units = np.arange(passes * per_pass).reshape(passes, per_pass)
+    rows, divisor = rows[units % blocks].reshape(passes, -1), divisor[units % blocks]
+    owner = units // blocks % g  # each block's model
     ws = _workspace(scratch, spec, shards, length, blocks=per_pass)
     picked = _label_index(shards.labels, rows, ws.class_starts)  # every pass's at once
     nll = np.empty((passes, per_pass, length))
