@@ -635,7 +635,7 @@ def run_experiment(
     and energies are taken at once and its client average is queued; its
     RoundRecord is computed when G rounds are queued or the run ends, with
     the others of its group, by one ``full_objective`` and one
-    ``eval_model`` call (G from :func:`models.evaluation_group`: 27 on the
+    ``eval_model`` call (G from :func:`models.evaluation_group`: 29 on the
     desk preset, 1 for the quadratic family and wherever one model needs
     more than one objective pass).  So ``on_round`` still fires every
     round, but a record may be computed some rounds after it.  The

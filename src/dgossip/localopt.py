@@ -24,7 +24,9 @@ iterates alternate between the result and a spare array.  A run's local
 phase passes its :class:`models.Scratch`, of which each worker process
 holds its own copy, so the workspace, the spare iterate and the velocity
 take the same memory in every round (the run's evaluations reuse the
-caller's in between); without it the call makes a workspace of its own.
+caller's in between); without it the call lays its own out in a fresh
+one.  The quadratic family's workspace holds no data: the call points it
+at its stack's gathered terms.
 The result is a new array, and no returned array points into the
 workspace.
 
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ModelSpec, Scratch, ShardStack, _workspace, batch_grads
+from .models import ModelSpec, Scratch, ShardStack, batch_grads
 from .models import loss_and_grad  # noqa: F401  re-exported: bench/spans.py wraps it under this name
 
 __all__ = [
@@ -162,8 +164,8 @@ def local_train(
 
     ``ref_point`` ((p,) or (m, p)) switches on accumulation of the
     local-drift energy sum_k ||x_{i,k} - ref||^2 over the pre-step iterates.
-    The workspace, spare iterate and velocity are laid out in ``scratch``
-    when it is given; the result is a new array.
+    The workspace, spare iterate and velocity are laid out in ``scratch``,
+    or a fresh :class:`Scratch` when it is None; the result is a new array.
     """
     if k_steps < 1:
         raise ValueError("need at least one local step")
@@ -180,7 +182,7 @@ def local_train(
     eta = lr_at_round(cfg, round_index)
     lam = cfg.lam if cfg.method == "sam" else 0.0
     momentum = cfg.method == "sgd_momentum"
-    ws = _workspace(scratch, spec, shard, cfg.batch_size, point=lam != 0.0, stacks=1 + momentum)
+    ws = (scratch or Scratch()).workspace(spec, shard, cfg.batch_size, point=lam != 0.0, stacks=1 + momentum)
     out = np.empty(x0.shape)
     # the iterates alternate between out and the spare, so that the last step writes into out
     iterates = (out, ws.stacks[0]) if k_steps % 2 else (ws.stacks[0], out)
@@ -189,8 +191,10 @@ def local_train(
     if momentum:
         velocity.fill(0.0)
     v1 = np.zeros(len(x0)) if ref_point is not None else None
-    # every step's minibatch rows and label index, checked and offset at once
-    index, picked = (None, None) if spec.kind == "quadratic" else shard.minibatches(draws, ws)
+    if spec.kind == "quadratic":  # noiseless: every step reads the stack's own terms
+        ws.quad, index = (spec.quad_a[shard.clients], spec.quad_b[shard.clients]), None
+    else:  # every step's minibatch rows and label index, checked and offset at once
+        index, picked = shard.minibatches(draws, ws)
     for k in range(k_steps):
         step_out = iterates[k % 2]
         if v1 is not None:  # step_out is free until the step writes it

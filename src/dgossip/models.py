@@ -411,22 +411,6 @@ class ShardStack:
         index = np.add(self.offsets[:, None], draws, order="C")
         return index, _label_index(self.labels, index.reshape(len(index), -1), ws.class_starts)
 
-    def batch(self, rows: np.ndarray | None, ws: Workspace) -> None:
-        """Gather an (m, B) array of shard-local indices into ``ws.features`` and ``ws.labels``, and set ``ws.picked``.
-
-        Row i's indices must lie in [0, sizes[i]), its own shard, else
-        IndexError names the first client out of range.  ``ws.picked`` is
-        the minibatch's flat label index, a new array.  Does nothing for
-        the quadratic family.  The next gather into the same
-        :class:`Workspace` overwrites the minibatch.
-        """
-        if self.features is None:
-            return
-        [index], [ws.picked] = self.minibatches(np.asarray(rows)[None], ws)
-        # in range, so "clip" clips nothing; it lets take write into ws without a buffer
-        self.features.take(index, axis=0, out=ws.features, mode="clip")
-        self.labels.take(index, out=ws.labels, mode="clip")
-
 
 def _label_index(labels: np.ndarray, rows: np.ndarray, class_starts: np.ndarray) -> np.ndarray:
     """The flat label index of the in-range stack rows ``rows``, (..., n): each label plus its ``class_starts``."""
@@ -442,22 +426,22 @@ _HUGE_PAGES = 4 * 2**20  # numpy asks the kernel for huge pages for an array of 
 class Scratch:
     """One block of memory for :class:`Workspace` arrays that are never in use at the same time.
 
-    Each Workspace is laid out end to end from the block's first byte, so
-    it overwrites the one laid out before.  When a layout needs more, the
-    block grows to twice that, so that somewhat larger layouts that follow
-    fit as well; pages that no layout touches take no memory.  While the
-    need is under 4 MiB, the block stays just under it too: from 4 MiB
+    Every Workspace takes its arrays from a Scratch, a fresh one where its
+    caller has none.  Each is laid out end to end from the block's first
+    byte, so it overwrites the one laid out before.  When a layout needs
+    more, the block grows to twice that, so that somewhat larger layouts
+    that follow fit as well, and pages that no layout touches take no
+    memory; a run that kept blocks of just the need had glibc hand its
+    pages back at its end and the next run fault them in afresh.  While
+    the need is under 4 MiB, the block stays just under it too: from 4 MiB
     numpy asks the kernel for huge pages, which round the memory a run
-    touches up to whole 2 MiB pages.  With blocks
-    of just the need, glibc handed a run's pages back at its end and the
-    next run faulted them in afresh (92 minor faults per round against 5 on
-    fullscale_random_sam).  Each data-backed Workspace is made once per
-    block and handed out again.  A run's local phase owns one, from which
-    the caller's local phases and evaluations take their Workspaces in
-    turn, and each worker process forked from it has a copy of its own, so
-    no two calls that run at the same time share one, and once they have
-    grown, none of them allocates its workspace.  A Scratch is not for two
-    threads at once.
+    touches up to whole 2 MiB pages.  Each Workspace is made once per
+    block for its shapes and handed out again.  A run's local phase owns
+    one, from which the caller's local phases and evaluations take their
+    Workspaces in turn, and each worker process forked from it has a copy
+    of its own, so no two calls that run at the same time share one, and
+    once they have grown, none of them allocates its workspace.  A Scratch
+    is not for two threads at once.
     """
 
     def __init__(self) -> None:
@@ -465,14 +449,9 @@ class Scratch:
         self._workspaces: dict[tuple, Workspace] = {}  # a workspace's shapes -> the one laid out for them
 
     def workspace(self, spec: ModelSpec, shards: ShardStack, batch_size: int, **options) -> Workspace:
-        """``Workspace(spec, shards, batch_size, scratch=self, **options)``, made once per block for its shapes.
-
-        The quadratic family's workspace holds its stack's gathered terms, so it is made on every call.
-        """
-        if spec.kind == "quadratic":
-            return Workspace(spec, shards, batch_size, scratch=self, **options)
-        dtypes = (shards.features.dtype, shards.labels.dtype)
-        key = (spec, len(shards), batch_size, *dtypes, *sorted(options.items()))
+        """``Workspace(spec, shards, batch_size, scratch=self, **options)``, made once per block for its shapes."""
+        dtype = getattr(shards.features, "dtype", None)  # None for the quadratic family, which has no data
+        key = (spec, len(shards), batch_size, dtype, *sorted(options.items()))
         ws = self._workspaces.get(key)
         if ws is None:
             ws = self._workspaces[key] = Workspace(spec, shards, batch_size, scratch=self, **options)
@@ -491,40 +470,63 @@ class Scratch:
         return [np.ndarray(shape, dtype, self._block, at) for (shape, dtype), at in zip(layout, offsets)]
 
 
-def _workspace(scratch: Scratch | None, spec: ModelSpec, shards: ShardStack, batch_size: int, **options) -> Workspace:
-    """``scratch.workspace(...)``, or a :class:`Workspace` that owns its arrays when there is no scratch."""
-    if scratch is None:
-        return Workspace(spec, shards, batch_size, **options)
-    return scratch.workspace(spec, shards, batch_size, **options)
+def _layout(
+    spec: ModelSpec, shards: ShardStack, batch_size: int, point: bool = False, stacks: int = 0, blocks: int | None = None
+) -> list[tuple]:
+    """The (shape, dtype) of every array of a :class:`Workspace`, in the order it takes them from its Scratch.
+
+    The layout's one definition: the Workspace binds these arrays and
+    :func:`_block_bytes` prices an objective pass by them.  ``point`` and
+    the ``stacks`` come first, (m, p) each, with m the ``blocks`` or the
+    stack's rows; for the quadratic family that is all.  A data workspace
+    then holds the gathered features, (m, B, d + 1), the softmax's row
+    scratch, (m, B), each layer's output, each hidden layer's error and,
+    with ``blocks``, the block gradients, (m, p).
+    """
+    m = blocks or len(shards)
+    p = spec.param_count()
+    layout = [((m, p), np.float64)] * (point + stacks)
+    if spec.kind == "quadratic":
+        return layout
+    if shards.features.shape[-1] != spec.dim + 1:
+        raise ValueError(f"the stack's features must be {spec.dim} per row and then 1.0 (see ShardStack)")
+    rows = (m, batch_size)
+    widths = (*(h + 1 for h in spec.hidden), spec.num_classes)  # each layer's output, ones column included
+    layout += [
+        ((*rows, spec.dim + 1), shards.features.dtype), (rows, np.float64),
+        *(((*rows, width), np.float64) for width in (*widths, *spec.hidden)),
+    ]
+    if blocks:
+        layout.append(((m, p), np.float64))
+    return layout
 
 
 class Workspace:
     """Scratch arrays for the gradient calls of one local phase, one full objective or one ``loss_and_grad``.
 
     Built for a :class:`ShardStack`, its (m, B) minibatches and (m, p)
-    model stacks: it holds the gathered minibatch, (m, B, d + 1) with its
-    ones column, and its labels, every layer's output (``acts``), each
-    hidden layer's (m, B, h + 1) with a ones column that the gradient
-    kernel writes on every call (an earlier layout in the same
-    :class:`Scratch` may have overwritten it), the error back-propagated to
-    each hidden layer (``errors``) and the per-row class max and sum of the
-    softmax (``row``), or, for the quadratic family, the stack's gathered
-    terms.  ``picked``, the flat label index the kernel reads (see
-    :func:`_softmax_nll`), is not laid out: whoever gathers a minibatch
-    points it at one built on ``class_starts``
-    (:meth:`ShardStack.minibatches`).  ``point`` is an (m, p)
-    stack at which a gradient is evaluated: SAM's ascent point; ``stacks``
-    more (m, p) arrays are the caller's own.  With ``blocks``, the block
-    count of one pass, it serves :func:`full_objective`'s passes over
-    blocks of ``batch_size`` samples: its rows are the blocks of one pass
-    in place of one per client, and it also holds their gradients
+    model stacks, it holds the arrays of :func:`_layout`, taken from
+    ``scratch`` (see :class:`Scratch`), or from a fresh Scratch when it is
+    None: the gathered minibatch, (m, B, d + 1) with its ones column, every
+    layer's output (``acts``), each hidden layer's (m, B, h + 1) with a
+    ones column that the gradient kernel writes on every call (an earlier
+    layout in the same Scratch may have overwritten it), the error
+    back-propagated to each hidden layer (``errors``) and the per-row class
+    max and sum of the softmax (``row``).  ``picked``, the flat label index
+    the kernel reads (see :func:`_softmax_nll`), is not laid out: whoever
+    gathers a minibatch points it at one built on ``class_starts``
+    (:meth:`ShardStack.minibatches`).  For the quadratic family the caller
+    likewise points ``quad`` at its stack's gathered terms.  ``point`` is
+    an (m, p) stack at which a gradient is evaluated: SAM's ascent point;
+    ``stacks`` more (m, p) arrays are the caller's own.  With ``blocks``,
+    the block count of one pass, it serves :func:`full_objective`'s passes
+    over blocks of ``batch_size`` samples: its rows are the blocks of one
+    pass in place of one per client, and it also holds their gradients
     (``grads``, (blocks, p)), which the next pass overwrites once they are
-    added into the models' running sums.
-    The arrays are laid out in ``scratch`` when it is given (see
-    :class:`Scratch`), where the next workspace laid out overwrites them;
-    otherwise they are the workspace's own.  A gather (:meth:`ShardStack.batch`,
-    or a local phase's step) and :func:`batch_grads` overwrite them on every
-    call that is passed the workspace, and no result points into it.
+    added into the models' running sums.  The next workspace laid out in
+    the same Scratch overwrites the arrays.  A local phase's gather and
+    :func:`batch_grads` overwrite them on every call that is passed the
+    workspace, and no result points into it.
 
     It binds, once when it is laid out, every view of these arrays that
     :func:`_forward_backward` reads: ``forward`` (each hidden layer's
@@ -546,42 +548,21 @@ class Workspace:
         blocks: int | None = None,
         scratch: Scratch | None = None,
     ):
-        m = blocks or len(shards)
-        p = spec.param_count()
-        rows = (m, batch_size)
-        widths = (*(h + 1 for h in spec.hidden), spec.num_classes)  # each layer's output, ones column included
-        layout = [((m, p), np.float64)] * (point + stacks)
-        if spec.kind == "quadratic":
-            layout += [((m, p, p), np.float64), ((m, p), np.float64)]
-        else:
-            if shards.features.shape[-1] != spec.dim + 1:
-                raise ValueError(f"the stack's features must be {spec.dim} per row and then 1.0 (see ShardStack)")
-            layout += [
-                ((*rows, spec.dim + 1), shards.features.dtype), (rows, shards.labels.dtype), (rows, np.float64),
-                *(((*rows, width), np.float64) for width in (*widths, *spec.hidden)),
-            ]
-            if blocks:
-                layout.append(((m, p), np.float64))
-        if scratch is None:
-            arrays = iter([np.empty(shape, dtype) for shape, dtype in layout])
-        else:
-            arrays = iter(scratch._arrays(layout))
+        layout = _layout(spec, shards, batch_size, point, stacks, blocks)
+        arrays = iter((scratch or Scratch())._arrays(layout))
         self.point = next(arrays) if point else None
         self.stacks = [next(arrays) for _ in range(stacks)]
-        if spec.kind == "quadratic":  # in range, so "clip" clips nothing and take writes in place
-            self.quad = tuple(
-                np.take(terms, shards.clients, axis=0, out=next(arrays), mode="clip")
-                for terms in (spec.quad_a, spec.quad_b)
-            )
+        if spec.kind == "quadratic":
+            self.quad = None
             return
-        self.features, self.labels, self.row = (next(arrays) for _ in range(3))
+        self.features, self.row = next(arrays), next(arrays)
         self.picked = None
         self.batch_size = batch_size
-        self.acts = acts = [next(arrays) for _ in widths]
+        self.acts = acts = [next(arrays) for _ in range(len(spec.hidden) + 1)]
         self.errors = errors = [next(arrays) for _ in spec.hidden]
         if blocks:
             self.grads = next(arrays)
-        self.class_starts = np.arange(0, m * batch_size * spec.num_classes, spec.num_classes)  # each row's first logit
+        self.class_starts = np.arange(0, self.row.size * spec.num_classes, spec.num_classes)  # each row's first logit
         inputs, hidden = [self.features, *acts[:-1]], acts[:-1]
         self.forward = [(a, z[..., :-1], z, z[..., -1]) for a, z in zip(inputs, hidden)]
         self.forward_last = inputs[-1]
@@ -598,7 +579,7 @@ def batch_grads(spec: ModelSpec, x: np.ndarray, ws: Workspace, out: np.ndarray |
     The training kernel: it computes no loss, because local steps never
     read one.  It reads the minibatch from ``ws.features`` and its flat
     label index from ``ws.picked``, as the gather left them; the quadratic
-    family is noiseless and takes its terms from ``ws``.  The scratch goes
+    family is noiseless and takes its terms from ``ws.quad``.  The scratch goes
     into ``ws`` (see :class:`Workspace`) and the gradients into ``out``
     (C-contiguous, not overlapping x) when it is given, or a new array; the
     result is bitwise the same either way.
@@ -664,7 +645,7 @@ def loss_and_predictions(spec: ModelSpec, x: np.ndarray, shard: Shard) -> tuple[
 _BLOCK_ROWS = 64
 # Bytes that the blocks of one full_objective pass may take (_block_bytes).
 # 1.6 MiB holds 27 blocks of 64 rows of the m=100 MLP presets, which keep their
-# 3 passes, and 27 models of the logistic desk preset's 7 blocks of 58 rows,
+# 3 passes, and 29 models of the logistic desk preset's 7 blocks of 58 rows,
 # whose Scratch block, twice that layout, stays under the 4 MiB from which
 # numpy asks for huge pages (see Scratch).
 _OBJECTIVE_BYTES = 16 * 2**20 // 10
@@ -673,14 +654,13 @@ _OBJECTIVE_BYTES = 16 * 2**20 // 10
 def _block_bytes(spec: ModelSpec, shards: ShardStack) -> int:
     """Bytes that one of the stack's blocks (:attr:`ShardStack.objective_blocks`) adds to a :func:`full_objective` pass.
 
-    Per row, what :class:`Workspace` lays out: the gathered features with
-    their ones column, the label, the softmax's row scratch, each layer's
-    output and each hidden layer's error, and then the NLL that the pass
-    returns; per block, its gradient row of p words.
+    The arrays of a one-block :class:`Workspace` (:func:`_layout`), its
+    gradient row included, and the block's row of the NLL that the pass
+    returns.
     """
-    words = 2 + spec.num_classes + sum(2 * h + 1 for h in spec.hidden)  # row scratch, NLL, outputs, errors
-    row = shards.features.itemsize * shards.features.shape[1] + shards.labels.itemsize + 8 * words
-    return shards.objective_blocks[0].shape[1] * row + 8 * spec.param_count()
+    length = shards.objective_blocks[0].shape[1]
+    layout = _layout(spec, shards, length, blocks=1)
+    return sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in layout) + 8 * length
 
 
 def evaluation_group(spec: ModelSpec, shards: ShardStack, test: Shard | None = None) -> int:
@@ -698,18 +678,21 @@ def evaluation_group(spec: ModelSpec, shards: ShardStack, test: Shard | None = N
     return max(1, _OBJECTIVE_BYTES // max(len(shards.objective_blocks[0]) * _block_bytes(spec, shards), forward))
 
 
-def objective_workspace(spec: ModelSpec, shards: ShardStack, g: int = 1, scratch: Scratch | None = None) -> Workspace:
+def objective_workspace(
+    spec: ModelSpec, shards: ShardStack, g: int = 1, scratch: Scratch | None = None
+) -> Workspace | None:
     """The :class:`Workspace` of a :func:`full_objective` call on g models over ``shards``, laid out in ``scratch``.
 
     It holds one pass (:meth:`ShardStack.objective_layout`).  A run lays
     out its evaluation group's once before its first round, so that its
     Scratch grows to the size of both that and its local phase within
-    round 0, and not again when the first group is evaluated.
+    round 0, and not again when the first group is evaluated.  None for
+    the quadratic family, whose objective lays nothing out.
     """
-    if spec.kind == "quadratic":  # a workspace of gathered terms
-        return _workspace(scratch, spec, shards, 0, stacks=2)
+    if spec.kind == "quadratic":
+        return None
     _, per_pass, length = shards.objective_layout(spec, g)
-    return _workspace(scratch, spec, shards, length, blocks=per_pass)
+    return (scratch or Scratch()).workspace(spec, shards, length, blocks=per_pass)
 
 
 def _add_blocks(sums: np.ndarray, grads: np.ndarray, first: int, blocks: int) -> None:
@@ -770,20 +753,19 @@ def full_objective(
     each model's losses and gradients are reduced in the same order, so
     each row equals its one-model call bitwise, however the passes fall.
     The quadratic family takes one stacked product over its clients'
-    terms, for one model at a time.  The gathered rows, the activations
-    and the block gradients of a pass are a :class:`Workspace`, laid out
-    in ``scratch`` when it is given; the result is bitwise the same.
+    terms, for one model at a time, and lays nothing out.  The gathered
+    rows, the activations and the block gradients of a pass are a
+    :class:`Workspace`, laid out in ``scratch`` when it is given; the
+    result is bitwise the same.
     """
     xs = x if x.ndim == 2 else x[None]
     g, p = xs.shape
     if spec.kind == "quadratic":
         if g > 1:
             raise ValueError("the quadratic family's objective takes one model per call")
-        ws = objective_workspace(spec, shards, scratch=scratch)
-        (a, b), (grads, centred) = ws.quad, ws.stacks
-        grads = _quadratic_grads(a, b, xs[0], out=grads)
-        # f_i = 0.5 x.A_i x - b_i.x = 0.5 x.(grad_i - b_i)
-        losses = 0.5 * (np.subtract(grads, b, out=centred) @ xs[0])
+        b = spec.quad_b[shards.clients]
+        grads = _quadratic_grads(spec.quad_a[shards.clients], b, xs[0])
+        losses = 0.5 * ((grads - b) @ xs[0])  # f_i = 0.5 x.A_i x - b_i.x = 0.5 x.(grad_i - b_i)
         loss, grad = np.mean(losses), grads.mean(axis=0)
         return (loss[None], grad[None]) if x.ndim == 2 else (float(loss), grad)
     rows, divisor, starts, sizes = shards.objective_blocks
@@ -793,7 +775,7 @@ def full_objective(
     units = np.arange(passes * per_pass).reshape(passes, per_pass)
     rows, divisor = rows[units % blocks].reshape(passes, -1), divisor[units % blocks]
     owner = units // blocks % g  # each block's model
-    ws = _workspace(scratch, spec, shards, length, blocks=per_pass)
+    ws = (scratch or Scratch()).workspace(spec, shards, length, blocks=per_pass)
     picked = _label_index(shards.labels, rows, ws.class_starts)  # every pass's at once
     nll = np.empty((passes, per_pass, length))
     grads = np.empty((g, p))

@@ -495,8 +495,8 @@ class TestRunExperiment:
             runs.append((repr(result.records), repr(result.summary["final"])))
         assert runs[1:] == runs[:1] * 3
 
-    def test_the_desk_preset_evaluates_27_rounds_per_call(self, monkeypatch):
-        # 200 recorded rounds in 8 calls, each laying out at most the byte budget; the run's Scratch, twice its
+    def test_the_desk_preset_evaluates_29_rounds_per_call(self, monkeypatch):
+        # 200 recorded rounds in 7 calls, each laying out at most the byte budget; the run's Scratch, twice its
         # largest layout, stays under 4 MiB, from which numpy asks for huge pages
         preset = Path(__file__).resolve().parent.parent / "configs" / "logistic_dirichlet.toml"
         cfg = validated(config.load_config(str(preset)))
@@ -516,7 +516,7 @@ class TestRunExperiment:
         monkeypatch.setattr(engine, "full_objective", objective)
         monkeypatch.setattr(models.Scratch, "_arrays", recorded)
         result = run_experiment(cfg, problem=problem)
-        assert len(result.records) == cfg.rounds == 200 and groups == [27] * 7 + [11]
+        assert len(result.records) == cfg.rounds == 200 and groups == [29] * 6 + [26]
         assert max(laid) <= models._OBJECTIVE_BYTES and scratches[0]._block.size < 4 * 2**20
 
     def test_metrics_derived_on_recorded_rounds_only(self, monkeypatch):

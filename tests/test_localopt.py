@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dgossip import localopt
+from dgossip import engine, localopt
 from dgossip.config import (
     AlgorithmKind,
     DataConfig,
@@ -22,6 +22,7 @@ from dgossip.engine import (
     build_problem,
     client_batches,
     participants,
+    run_experiment,
     run_round,
 )
 from dgossip.localopt import OptimizerConfig, local_train, lr_at_round
@@ -40,6 +41,7 @@ from dgossip.models import (
 )
 from dgossip.stability import first_draw
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing
+from minibatch import gather
 from stream_reference import column
 
 ROOT = Path(__file__).parents[1]
@@ -326,7 +328,7 @@ class TestPhaseIndex:
         x, v, v1, split = x0.copy(), np.zeros_like(x0), np.zeros(len(x0)), []
         for rows in draws:
             v1 += np.square(x - x0).sum(axis=1)
-            stack.batch(rows, ws)
+            gather(stack, rows, ws)
             g = batch_grads(spec, x, ws)
             if method == "sam":
                 norms = np.array([np.linalg.norm(row) for row in g])
@@ -346,9 +348,9 @@ class TestPhaseIndex:
 
 
 def first_gradients(spec, stack, x, rows):
-    """The stack's gradients at x on the (m, B) minibatch ``rows``, by the public gather and kernel."""
+    """The stack's gradients at x on the (m, B) minibatch ``rows``, by a local step's gather and the kernel."""
     ws = Workspace(spec, stack, rows.shape[-1])
-    stack.batch(rows, ws)
+    gather(stack, rows, ws)
     return batch_grads(spec, x, ws)
 
 
@@ -398,6 +400,35 @@ def test_a_poisoned_scratch_leaves_the_local_phase_bitwise(hidden, method):
         scratch._block.fill(0xFF)
 
 
+def test_a_central_quadratic_run_reuses_one_local_phase_workspace(monkeypatch):
+    # the participants change every round; the workspace holds none of their terms, so it is laid out once
+    cfg = load_config(
+        str(ROOT / "configs" / "quadratic_ring.toml"),
+        ["algorithm=fedsam_central", "participation=0.5", "rounds=6", "optimizer.lambda=0.05"],
+    )
+    problem = build_problem(cfg)
+    laid, calls = [], []
+    arrays, train = Scratch._arrays, engine.local_train
+
+    def recorded(self, layout):
+        laid.append(self)
+        return arrays(self, layout)
+
+    def with_a_fresh_call(*args, scratch, **kwargs):
+        res = train(*args, scratch=scratch, **kwargs)
+        calls.append((args[2].clients.tolist(), scratch, res, train(*args, **kwargs)))
+        return res
+
+    monkeypatch.setattr(Scratch, "_arrays", recorded)
+    monkeypatch.setattr(engine, "local_train", with_a_fresh_call)
+    run_experiment(cfg, problem=problem)
+    scratch = calls[0][1]
+    assert len(calls) == 6 and len({tuple(clients) for clients, *_ in calls}) > 1
+    assert laid.count(scratch) == 1 and all(s is scratch for _, s, *_ in calls)
+    for t, (_, _, res, fresh) in enumerate(calls):
+        assert res.z.tobytes() == fresh.z.tobytes() and res.v1.tobytes() == fresh.v1.tobytes(), t
+
+
 @pytest.mark.parametrize("method", ["sgd", "sam"])
 def test_an_infinite_scratch_between_an_evaluation_and_a_local_phase_leaves_it_bitwise(method):
     # +inf, unlike NaN, warns when multiplied by zero, and a RuntimeWarning fails the test
@@ -418,14 +449,14 @@ class TestNoAliasing:
     def test_second_batch_grads_call_leaves_the_first_result(self):
         spec, stack, x0, draws = mlp_stack()
         ws = Workspace(spec, stack, draws.shape[-1])
-        stack.batch(draws[0], ws)
+        gather(stack, draws[0], ws)
         first = batch_grads(spec, x0, ws)
         kept = first.copy()
-        stack.batch(draws[1], ws)
+        gather(stack, draws[1], ws)
         second = batch_grads(spec, x0 + 1.0, ws)
         assert np.array_equal(first, kept) and not np.array_equal(first, second)
         fresh = Workspace(spec, stack, draws.shape[-1])
-        stack.batch(draws[0], fresh)
+        gather(stack, draws[0], fresh)
         assert np.array_equal(first, batch_grads(spec, x0, fresh))
 
     @pytest.mark.parametrize("method", ["sgd", "sam", "sgd_momentum"])

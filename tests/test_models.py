@@ -15,6 +15,7 @@ from dgossip import models
 from dgossip.config import load_config
 from dgossip.data import generate_synthetic
 from dgossip.engine import build_problem
+from dgossip.localopt import OptimizerConfig, local_train
 from dgossip.metrics import eval_model
 from dgossip.models import (
     ModelSpec,
@@ -25,6 +26,7 @@ from dgossip.models import (
     loss_and_grad,
     quadratic_testbed,
 )
+from minibatch import gather
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -524,7 +526,7 @@ class TestClassReductions:
         x = init_params(spec, 1) + 0.3 * rng.normal(size=(m, spec.param_count()))
         rows = rng.integers(0, 40, size=(m, 32))
         ws = models.Workspace(spec, stack, 32)
-        stack.batch(rows, ws)
+        gather(stack, rows, ws)
         grads = models.batch_grads(spec, x, ws)
         for i, shard in enumerate(shards):
             _, grad = loss_and_grad(spec, x[i], shard, rows[i])
@@ -543,10 +545,9 @@ class TestBoundViews:
     """A workspace binds, once when it is laid out, every view of its own arrays the gradient kernel reads."""
 
     @pytest.mark.parametrize("hidden", [(), (1,), (3, 1), (2, 5)])
-    @pytest.mark.parametrize("scratch", [False, True])
-    def test_every_bound_view_shares_memory_with_its_own_array(self, hidden, scratch):
+    def test_every_bound_view_shares_memory_with_its_own_array(self, hidden):
         spec, _, stack = split_stack(200, hidden)
-        ws = models._workspace(models.Scratch() if scratch else None, spec, stack, 8, point=True)
+        ws = models.Scratch().workspace(spec, stack, 8, point=True)
         inputs = ["features", *(f"acts[{i}]" for i in range(len(hidden)))]
         for i, (a, pre, z, ones) in enumerate(ws.forward):
             assert owners(ws, a) == [inputs[i]]
@@ -571,7 +572,7 @@ class TestBoundViews:
         rows = rng.integers(0, stack.sizes[:, None], size=(len(stack), 16))
         scratch = models.Scratch()
         small = scratch.workspace(spec, stack.take(np.array([0])), 2)
-        stack.take(np.array([0])).batch(rows[:1, :2], small)
+        gather(stack.take(np.array([0])), rows[:1, :2], small)
         models.batch_grads(spec, xs[:1], small)
         old = scratch._block
         old.fill(0xFF)  # every float64 of the old block reads NaN
@@ -579,8 +580,41 @@ class TestBoundViews:
         assert scratch._block is not old and scratch.workspace(spec, stack.take(np.array([0])), 2) is not small
         fresh = models.Workspace(spec, stack, 16, point=True)
         for w in (ws, fresh):
-            stack.batch(rows, w)
+            gather(stack, rows, w)
         assert models.batch_grads(spec, xs, ws).tobytes() == models.batch_grads(spec, xs, fresh).tobytes()
+
+    @pytest.mark.parametrize("hidden", [(), (1,), (3, 1)])
+    def test_every_array_laid_out_is_read(self, monkeypatch, hidden, rng):
+        # in a SAM and a momentum local phase and an objective pass, each array a workspace lays out is
+        # under a view that the kernel reads, or the caller's own: point, a stacks entry or grads
+        spec, x, stack = split_stack(300, hidden)
+        xs = x + 0.1 * rng.normal(size=(len(stack), len(x)))
+        draws = rng.integers(0, stack.sizes[:, None], size=(3, len(stack), 8))
+        laid = []
+        arrays = models.Scratch._arrays
+
+        def recorded(self, layout):
+            laid.append(arrays(self, layout))
+            return laid[-1]
+
+        monkeypatch.setattr(models.Scratch, "_arrays", recorded)
+        calls = [
+            *(functools.partial(local_train, spec, xs, stack, len(draws), OptimizerConfig(method, batch_size=8), draws, round_index=0)
+              for method in ("sam", "sgd_momentum")),
+            functools.partial(full_objective, spec, x, stack),
+        ]
+        for call in calls:
+            laid.clear()
+            scratch = models.Scratch()
+            call(scratch=scratch)
+            [ws], [arrays_of_ws] = scratch._workspaces.values(), laid
+            views = [view for group in (*ws.forward, *ws.backward) for view in group]
+            logits, flat, class_columns, row, shift = ws.softmax
+            views += [ws.forward_last, logits, flat, *class_columns, row, shift, ws.features_t]
+            own = [ws.point, *ws.stacks, getattr(ws, "grads", None)]
+            for i, array in enumerate(arrays_of_ws):
+                assert any(array is a for a in own) or any(np.shares_memory(array, v) for v in views), i
+            assert len(arrays_of_ws) == 2 + 2 * len(hidden) + 1 + sum(a is not None for a in own)
 
     def test_a_block_stays_under_the_huge_page_size_while_its_need_does(self):
         scratch = models.Scratch()
@@ -602,7 +636,7 @@ class TestBoundViews:
         x = init_params(spec, 2) + 0.3 * rng.normal(size=(len(shards), spec.param_count()))
         rows = rng.integers(0, 30, size=(len(shards), 12))
         ws = models.Workspace(spec, stack, 12)
-        stack.batch(rows, ws)
+        gather(stack, rows, ws)
         grads = models.batch_grads(spec, x, ws)
         for i, shard in enumerate(shards):
             _, grad = reference_loss_grad(spec, x[i], shard.features[rows[i]], shard.labels[rows[i]])
@@ -652,9 +686,9 @@ class TestStackedEvaluation:
     @pytest.mark.parametrize(
         "preset, group, layout, block",
         [
-            ("configs/large_random_topology.toml", 1, (3, 27, 64), 58_704),
-            ("bench/gossip_ring100.toml", 1, (3, 27, 64), 58_704),
-            ("configs/logistic_dirichlet.toml", 27, (1, 189, 58), 8_704),
+            ("configs/large_random_topology.toml", 1, (3, 27, 64), 58_192),
+            ("bench/gossip_ring100.toml", 1, (3, 27, 64), 58_192),
+            ("configs/logistic_dirichlet.toml", 29, (1, 203, 58), 8_240),
         ],
     )
     def test_the_group_rule_on_the_presets(self, preset, group, layout, block):
@@ -733,3 +767,20 @@ class TestStackedEvaluation:
         assert bits(losses[0]) == bits(loss) and grads[0].tobytes() == grad.tobytes()
         with pytest.raises(ValueError, match="one model"):
             full_objective(spec, np.tile(x, (2, 1)), shards)
+
+    def test_the_quadratic_objective_lays_nothing_out(self, monkeypatch):
+        problem = build_problem(load_config(str(CONFIGS / "quadratic_ring.toml")))
+        spec, shards = problem.spec, problem.shards
+        laid = []
+        arrays = models.Scratch._arrays
+
+        def recorded(self, layout):
+            laid.append(layout)
+            return arrays(self, layout)
+
+        monkeypatch.setattr(models.Scratch, "_arrays", recorded)
+        scratch = models.Scratch()
+        x = problem.x0 + 1.0
+        assert full_objective(spec, x, shards)[1].tobytes() == full_objective(spec, x, shards, scratch)[1].tobytes()
+        assert laid == []
+        assert models.objective_workspace(spec, shards, 1, scratch) is None

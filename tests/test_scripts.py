@@ -224,3 +224,17 @@ def test_phase_profile_restores_every_seam_and_leaves_the_records_bitwise(tmp_pa
     assert [line.split()[0] for line in lines[3:]] == [name for _, name in phase_profile.SEAMS]
     assert lines[2].split()[-1] == "us/record"
     assert {line.split()[0] for line in lines[3:] if len(line.split()) == 5} == set(phase_profile.EVALUATION)
+
+
+def test_output_digest_is_the_same_on_two_runs(tmp_path):
+    # and another seed, whose records differ, gives another digest
+    def digest(*args):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "output_digest.py"), "--workload", "gossip_ring100", *args],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    first = digest("--seeds", "1")
+    assert len(first.strip()) == 64 and digest("--seeds", "1") == first != digest("--seeds", "2")
