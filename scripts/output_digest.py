@@ -24,22 +24,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def parse_args(argv=None):
+def parse_args(argv, workloads):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2], help="workload seeds (default 1 2)")
-    parser.add_argument("--workload", action="append", help="a workload to run (default: every workload)")
+    parser.add_argument(
+        "--workload", action="append", choices=sorted(workloads), help="a workload to run (default: every workload)"
+    )
     return parser.parse_args(argv)
 
 
-def digest(names, seeds) -> str:
-    """The hex sha256 over the records and final_x of every run of the ``names`` workloads at ``seeds``."""
+def digest(workloads, seeds) -> str:
+    """The hex sha256 over the records and final_x of every run of ``workloads`` at ``seeds``."""
     from dgossip import engine
-    from workloads import WORKLOADS
 
     total = hashlib.sha256()
     for seed in seeds:
-        for name in names:
-            workload = WORKLOADS[name]
+        for workload in workloads:
             cfgs = workload.configs(seed)
             problem = engine.build_problem(cfgs[0])
             for cfg in cfgs:
@@ -51,16 +51,11 @@ def digest(names, seeds) -> str:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from workloads import WORKLOADS
 
-    names = args.workload or list(WORKLOADS)
-    unknown = [name for name in names if name not in WORKLOADS]
-    if unknown:
-        print(f"output_digest: unknown workload {unknown[0]!r}; choose from {sorted(WORKLOADS)}", file=sys.stderr)
-        return 2
-    print(digest(names, args.seeds))
+    args = parse_args(argv, WORKLOADS)
+    print(digest([WORKLOADS[name] for name in args.workload or WORKLOADS], args.seeds))
     return 0
 
 
