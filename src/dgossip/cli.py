@@ -76,7 +76,7 @@ def _write_outputs(result, directory: str) -> None:
     """metrics.csv and summary.json, the latter echoing the config it ran."""
     write_metrics_csv(result.records, os.path.join(directory, "metrics.csv"))
     with open(os.path.join(directory, "summary.json"), "w", newline="\n") as fh:
-        json.dump({"config": config_to_dict(result.config), **result.summary}, fh, indent=2)
+        json.dump({"config": config_to_dict(result.config), **result.summary}, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -132,12 +132,16 @@ __all__ = [
 
 
 class DivergenceError(RuntimeError):
-    """Non-finite parameters encountered; maps to CLI exit code 3."""
+    """Non-finite parameters (named by round and client) or record metric (by round and metric); CLI exit code 3."""
 
-    def __init__(self, round_index: int, client: int):
+    def __init__(self, round_index: int, client: int | None = None, metric: str | None = None):
         self.round_index = round_index
         self.client = client
-        super().__init__(f"non-finite parameters at round {round_index}, client {client}")
+        self.metric = metric
+        if metric is None:
+            super().__init__(f"non-finite parameters at round {round_index}, client {client}")
+        else:
+            super().__init__(f"non-finite {metric} at round {round_index}")
 
 
 @dataclass
@@ -582,15 +586,25 @@ def _queue(cfg: ExperimentConfig, info: RoundInfo, xbar: np.ndarray) -> tuple:
     return info.t, consensus, delta, v1, v2
 
 
+def _check_record(record: RoundRecord) -> RoundRecord:
+    """``record``, or DivergenceError naming its round and its first non-finite metric in field order."""
+    for name, value in vars(record).items():
+        if value is not None and not math.isfinite(value):
+            raise DivergenceError(record.t, metric=name)
+    return record
+
+
 def _evaluate(cfg: ExperimentConfig, problem: Problem, xbars: np.ndarray, queued, scratch: Scratch) -> list[RoundRecord]:
     """The RoundRecords of the ``queued`` rounds, from one full_objective and one eval_model call over their ``xbars``.
 
-    full_objective lays its workspace out in ``scratch``.
+    full_objective lays its workspace out in ``scratch``.  A non-finite
+    metric is a DivergenceError naming the first such record's round and
+    metric (:func:`_check_record`).
     """
     losses, grads = full_objective(problem.spec, xbars, problem.shards, scratch)
     accs = [None] * len(queued) if problem.test is None else eval_model(problem.spec, xbars, problem.test).tolist()
     return [
-        RoundRecord(
+        _check_record(RoundRecord(
             t=t,
             train_loss=loss,
             test_acc=acc,
@@ -600,7 +614,7 @@ def _evaluate(cfg: ExperimentConfig, problem: Problem, xbars: np.ndarray, queued
             v1=v1,
             v2=v2,
             lr=lr_at_round(cfg.optimizer, t),
-        )
+        ))
         for (t, consensus, delta, v1, v2), loss, acc, grad in zip(queued, losses.tolist(), accs, grads, strict=True)
     ]
 

@@ -279,7 +279,11 @@ def test_cli_run_ends_in_a_documented_exit_code(preset, overrides):
         argv += ["--set", f"{key}={value}"]
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # a diverging run overflows first
-        assert main(argv + ["--out", out]) in (0, 2, 3, 4)
+        code = main(argv + ["--out", out])
+        assert code in (0, 2, 3, 4)
+        if code == 0:  # strict JSON: a non-finite number would be NaN or Infinity, which this refuses
+            with open(os.path.join(out, "summary.json")) as fh:
+                json.load(fh, parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -406,6 +410,21 @@ class TestCmdRun:
         )
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "round" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "preset, override, named",
+        [  # finite parameters whose spread squared overflows; a loss that overflows to NaN
+            ("logistic_dirichlet.toml", "optimizer.eta0=1e300", "consensus at round 0"),
+            ("quadratic_ring.toml", "model.heterogeneity=1e200", "train_loss at round 0"),
+        ],
+    )
+    def test_a_non_finite_metric_exits_3_naming_round_and_metric(self, tmp_path, capsys, preset, override, named):
+        out = tmp_path / "o"
+        argv = ["run", "--config", str(PRESETS[0].parent / preset), "--set", override, "--set", "rounds=3"]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"dgossip: error: non-finite {named}\n"
+        assert not (out / "summary.json").exists() and not (out / "metrics.csv").exists()
 
     def test_missing_config_is_io_error(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.toml"), "--out", str(tmp_path)]) == 4

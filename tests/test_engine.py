@@ -583,9 +583,23 @@ class TestRunExperiment:
         problem = Problem(spec, ShardStack.of(range(m)), None, np.ones(2))
         mixed = []
         with pytest.raises(DivergenceError, match=r"^non-finite parameters at round 1, client 5$") as exc:
-            run_experiment(cfg, problem=problem, on_round=lambda t, info: mixed.append(info.x_mixed))
+            for info in iter_rounds(cfg, problem):  # the rounds alone, without their records
+                mixed.append(info.x_mixed)
         assert (exc.value.round_index, exc.value.client) == (1, 5)
         assert len(mixed) == 1 and np.isfinite(mixed[0]).all()
+        # a whole run stops a round earlier: round 0's finite models already overflow its record's loss
+        with pytest.raises(DivergenceError, match=r"^non-finite train_loss at round 0$"):
+            run_experiment(cfg, problem=problem)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_non_finite_metric_of_finite_parameters_names_round_and_metric(self):
+        # at eta0=1e300 every model stays finite, but the squared spread of the models overflows
+        cfg = logistic_cfg(optimizer=OptimizerConfig(eta0=1e300, decay=1.0, batch_size=8), rounds=3)
+        mixed = []
+        with pytest.raises(DivergenceError, match=r"^non-finite consensus at round 0$") as exc:
+            run_experiment(cfg, on_round=lambda t, info: mixed.append(info.x_mixed))
+        assert (exc.value.round_index, exc.value.client, exc.value.metric) == (0, None, "consensus")
+        assert mixed and all(np.isfinite(x).all() for x in mixed)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("central", [False, True], ids=["decentralized", "central"])

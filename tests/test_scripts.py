@@ -1,16 +1,22 @@
-"""The experiment scripts run end to end, and the acceleration script checks the spectral claim."""
+"""The experiment scripts run end to end, and the quadratic oracle checks the spectral claim exactly."""
 
 import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dgossip.config import load_config, validated
+from dgossip.engine import Problem, build_problem, run_round
+from dgossip.metrics import consensus_distance, consistency_delta
+from dgossip.models import ShardStack, quadratic_testbed
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing
 
 ROOT = Path(__file__).parents[1]
@@ -19,7 +25,7 @@ ROOT = Path(__file__).parents[1]
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("consensus_acceleration.py", ["--rounds", "10", "--out", "trace.csv"]),
+        ("quadratic_oracle.py", ["--set", "rounds=10"]),
         ("compare_algorithms.py", ["--rounds", "5", "--seeds", "1"]),
     ],
 )
@@ -32,6 +38,12 @@ def test_script_runs(script, args, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_readme_lists_every_script():
+    block = (ROOT / "README.md").read_text().split("## Experiment scripts\n", 1)[1].split("```")[1]
+    listed = re.findall(r"^python3 scripts/(\S+\.py)", block, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(path.name for path in (ROOT / "scripts").glob("*.py"))
+
+
 def load_script(name):
     spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
@@ -40,41 +52,89 @@ def load_script(name):
 
 
 @pytest.fixture(scope="module")
-def acceleration():
-    return load_script("consensus_acceleration")
+def oracle():
+    return load_script("quadratic_oracle")
 
 
-def test_the_spectral_claim_holds_as_a_number(acceleration):
-    # on the script's defaults both the consensus distance and delta_t contract per round
-    # by (psi_tilde * rho_L)^2, the modified matrix's radius times the shared local map's
-    args = acceleration.parse_args([])
-    assert (args.m, args.p, args.local_steps, args.eta) == (16, 8, 5, 0.05)
-    ring = build_mixing(TopologySpec(TopologyKind.RING, args.m))
-    rho_l = acceleration.local_contraction(args)
+def engine_trace(cfg, spec, starts, rounds: int) -> tuple[list[float], list[float]]:
+    """The engine's consensus distance and delta_t after each round, every client starting at its row of ``starts``."""
+    problem = Problem(spec, ShardStack.of(range(cfg.m)), None, np.zeros(cfg.model.p))
+    w, x, z = build_mixing(cfg.topology), starts, starts
+    consensus, delta = [], []
+    for t in range(rounds):
+        info = run_round(x, z, t, cfg, w, problem, np.arange(cfg.m), None)
+        x, z = info.x_mixed, info.z
+        consensus.append(consensus_distance(x))
+        delta.append(consistency_delta(z, x))
+    return consensus, delta
+
+
+def window_rate(trace, start: int = 50, stop: int = 60) -> float:
+    """The geometric-mean per-round ratio of ``trace`` from round ``start`` to ``stop``, past the transient."""
+    return (trace[stop] / trace[start]) ** (1.0 / (stop - start))
+
+
+def test_the_spectral_claim_holds_as_a_number(oracle):
+    # with one curvature A shared by every client and no heterogeneity, T restricted to the disagreement
+    # subspace has radius psi_tilde * rho_L exactly, the modified matrix's radius times the shared local
+    # map's; from spread-out starts, the engine's consensus and delta_t contract per round by its square
+    cfg = validated(load_config(str(oracle.PRESET)))
+    m, p, k_steps, eta = cfg.m, cfg.model.p, cfg.local_steps, cfg.optimizer.eta0
+    assert (m, p, k_steps, eta) == (16, 8, 5, 0.05)
+    spec = quadratic_testbed(m, p, 0.0, seed=11, identical_curvature=True)
+    ring = build_mixing(cfg.topology)
+    rho_l = float(np.max(np.abs(1.0 - eta * np.linalg.eigvalsh(spec.quad_a[0])))) ** k_steps
+    disagreement = np.kron(np.eye(2), np.kron(np.eye(m) - 1.0 / m, np.eye(p)))  # x and z, each off its mean
+    starts = 3.0 * np.random.default_rng(3).normal(size=(m, p))
     beta_star = ring.beta_star
     assert beta_star == pytest.approx(0.445, abs=1e-3)
     for beta in (0.0, 0.2, beta_star, 0.6):
-        consensus, delta = acceleration.consensus_trace(beta, args)
-        predicted = (ring.psi_tilde(beta) * rho_l) ** 2
-        rate = acceleration.measured_rate(consensus, acceleration.RATE_WINDOW)
-        assert rate == pytest.approx(predicted, abs=1e-3), beta
-        assert acceleration.measured_rate(delta, acceleration.RATE_WINDOW) == pytest.approx(rate, abs=1e-3), beta
+        t_map, _ = oracle.affine_round(spec, ring.w, eta, k_steps, beta)
+        exact = ring.psi_tilde(beta) * rho_l
+        assert np.max(np.abs(np.linalg.eigvals(t_map @ disagreement))) == pytest.approx(exact, rel=0, abs=1e-12), beta
+        consensus, delta = engine_trace(validated(replace(cfg, beta=beta)), spec, starts, 61)
+        rate = window_rate(consensus)
+        assert rate == pytest.approx(exact**2, abs=1e-3), beta
+        assert window_rate(delta) == pytest.approx(rate, abs=1e-3), beta
+        if beta == 0.0:  # the engine's rate against the prediction, to the digits they have read at since
+            assert f"{rate:.6f} vs {exact**2:.6f}" == "0.685104 vs 0.685172"
     # past beta* the modified matrix alone stops contracting; only rho_L < 1 keeps beta = 0.6 convergent
     psi_tilde = ring.psi_tilde(0.6)
     assert psi_tilde > 1.0 > psi_tilde * rho_l
 
 
 def test_beta_star_minimises_psi_tilde():
-    # the beta* the script prints, on its default ring
+    # the beta* the oracle prints, on the preset's ring
     ring = build_mixing(TopologySpec(TopologyKind.RING, 16))
     grid = [ring.psi_tilde(beta) for beta in np.linspace(0.0, 0.99, 199)]
     assert ring.psi_tilde(ring.beta_star) <= min(grid) + 1e-12
 
 
-def test_the_script_flags_only_coefficients_with_psi_tilde_past_1(tmp_path):
+# rho(T) and the fixed point's grad_norm_sq, consensus and delta_t on the preset, as the oracle prints them
+PRESET_TABLE = {
+    0.0: ("0.7762", "1.31e-02", "0.858", "0.294"),
+    0.2: ("0.7736", "1.04e-02", "0.775", "0.226"),
+    0.4: ("0.7717", "8.45e-03", "0.708", "0.180"),
+    0.6: ("0.8744", "7.03e-03", "0.652", "0.146"),
+}
+
+
+def test_the_oracle_holds_every_recorded_round_of_the_preset_to_the_iterated_map(oracle):
+    cfg = validated(load_config(str(oracle.PRESET), ["eval_every=1"]))
+    problem, ring = build_problem(cfg), build_mixing(cfg.topology)
+    deltas = []
+    for beta, shown in PRESET_TABLE.items():
+        rho, (_, grad_sq, consensus, delta, _), gap = oracle.oracle(validated(replace(cfg, beta=beta)), problem, ring.w)
+        assert gap <= 1e-12, beta  # over all 300 recorded rounds
+        assert (f"{rho:.4f}", f"{grad_sq:.2e}", f"{consensus:.3f}", f"{delta:.3f}") == shown
+        deltas.append(delta)
+    assert deltas == sorted(set(deltas), reverse=True)  # lookahead shrinks the consistency term
+
+
+def test_the_oracle_flags_only_coefficients_with_psi_tilde_past_1(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "consensus_acceleration.py"), "--out", "trace.csv"],
+        [sys.executable, str(ROOT / "scripts" / "quadratic_oracle.py")],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -82,7 +142,26 @@ def test_the_script_flags_only_coefficients_with_psi_tilde_past_1(tmp_path):
     rows = {line.split(":")[0]: line for line in proc.stdout.splitlines() if line.startswith("beta=")}
     assert sorted(rows) == ["beta=0.00", "beta=0.20", "beta=0.40", "beta=0.60"]
     assert [name for name, line in rows.items() if "psi_tilde >= 1" in line] == ["beta=0.60"]
-    assert "rate 0.685104 vs 0.685172" in rows["beta=0.00"]
+    for beta, (rho, grad_sq, consensus, delta) in PRESET_TABLE.items():
+        shown = f"rho(T) {rho}, grad_norm_sq {grad_sq}, consensus {consensus}, delta_t {delta},"
+        assert shown in rows[f"beta={beta:4.2f}"]
+
+
+@pytest.mark.parametrize(
+    "override, key",
+    [
+        ("model.kind=logistic", "model.kind"),
+        ("algorithm=oled_sam", "algorithm"),
+        ("algorithm=dfedavgm", "algorithm"),
+        ("algorithm=fedavg_central", "algorithm"),
+        ("topology.kind=random_k", "topology.kind"),
+        ("optimizer.decay=0.99", "optimizer.decay"),
+    ],
+)
+def test_the_oracle_refuses_a_round_that_is_not_one_constant_affine_map(oracle, capsys, override, key):
+    assert oracle.main(["--set", override]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {key} = ")
 
 
 def bench_output(env, factor, **values):
