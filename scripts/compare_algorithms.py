@@ -1,89 +1,58 @@
 #!/usr/bin/env python3
-"""Desk-scale algorithm comparison on the synthetic logistic benchmark.
+"""Every algorithm on one preset: best test accuracy, rounds to targets[0] and final delta_t, medians over seeds.
 
-Runs every decentralized algorithm (plus the centralized references) under
-one shared data/partition/seed setting and prints a compact table: best
-test accuracy, rounds to the first accuracy target, and the final
-consistency term.  Medians over --seeds paired runs.
+    python3 scripts/compare_algorithms.py [--config configs/logistic_dirichlet.toml] [--set KEY=VALUE ...] [--seeds N]
+
+Each row of ALGORITHMS runs the preset with only its algorithm changed, so only the lookahead rows keep its beta.
+Seed i is the preset's seed plus i; each seed's problem is built once and shared by every row.
 """
 
 import argparse
 import sys
+from dataclasses import replace
+from pathlib import Path
+from statistics import median
 
-import numpy as np
+from dgossip.config import ALGORITHMS, ConfigError, load_config, validated
+from dgossip.engine import DivergenceError, build_problem, run_experiment
 
-from dgossip.config import (
-    AlgorithmKind,
-    DataConfig,
-    ExperimentConfig,
-    ModelConfig,
-    PartitionConfig,
-)
-from dgossip.engine import run_experiment
-from dgossip.localopt import OptimizerConfig
-from dgossip.topology import TopologyKind, TopologySpec
-
-ALGOS = [
-    (AlgorithmKind.DPSGD, 0.0),
-    (AlgorithmKind.DFEDAVG, 0.0),
-    (AlgorithmKind.DFEDAVGM, 0.0),
-    (AlgorithmKind.DFEDSAM, 0.0),
-    (AlgorithmKind.OLED_SGD, None),  # beta from --beta
-    (AlgorithmKind.OLED_SAM, None),
-    (AlgorithmKind.FEDAVG_CENTRAL, 0.0),
-    (AlgorithmKind.FEDSAM_CENTRAL, 0.0),
-]
+PRESET = Path(__file__).resolve().parents[1] / "configs" / "logistic_dirichlet.toml"
 
 
-def run_one(algo, beta, seed, args):
-    cfg = ExperimentConfig(
-        algorithm=algo,
-        beta=beta,
-        m=args.m,
-        rounds=args.rounds,
-        local_steps=5,
-        seed=seed,
-        eval_every=1,
-        targets=(args.target,),
-        participation=0.25,
-        topology=TopologySpec(TopologyKind(args.topology), args.m, k=args.k),
-        model=ModelConfig(kind="logistic"),
-        optimizer=OptimizerConfig(eta0=0.1, decay=0.998, lam=0.1, mu=0.9, batch_size=32),
-        partition=PartitionConfig(scheme="dirichlet", alpha=args.alpha),
-        data=DataConfig(classes=4, dim=10, per_class=100, spread=1.0, test_per_class=50),
-    )
-    summary = run_experiment(cfg).summary
-    hit = summary["rounds_to_targets"][repr(float(args.target))]
-    return summary["best_acc"], hit, summary["final"]["delta_t"]
+def algorithm_table(base, seeds: int) -> list[tuple]:
+    """(algorithm, best_acc, rounds to targets[0] or rounds + 1, final delta_t) per row, medians over ``seeds``."""
+    if not (base.targets and base.rounds > 0 and seeds > 0):
+        raise ConfigError(f"targets = {list(base.targets)}, rounds = {base.rounds}, --seeds = {seeds}: need one each")
+    runs = {validated(replace(base, algorithm=kind)): [] for kind in ALGORITHMS}  # config: a tuple per seed
+    for seed in range(base.seed, base.seed + seeds):
+        problem = build_problem(replace(base, seed=seed))  # reads no algorithm key
+        if problem.test is None:
+            raise ConfigError("the table needs held-out data: model.kind logistic or mlp, and data.test_path for csv")
+        for cfg, rows in runs.items():
+            try:
+                summary = run_experiment(replace(cfg, seed=seed), problem=problem).summary
+            except DivergenceError as exc:
+                exc.args = (f"{cfg.algorithm.value}, seed {seed}: {exc}",)
+                raise
+            hit = summary["rounds_to_targets"][repr(cfg.targets[0])]
+            rows.append((summary["best_acc"], base.rounds + 1 if hit is None else hit, summary["final"]["delta_t"]))
+    return [(cfg.algorithm.value, *map(median, zip(*rows))) for cfg, rows in runs.items()]
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--m", type=int, default=16)
-    parser.add_argument("--rounds", type=int, default=200)
-    parser.add_argument("--seeds", type=int, default=3)
-    parser.add_argument("--beta", type=float, default=0.2)
-    parser.add_argument("--alpha", type=float, default=0.3)
-    parser.add_argument("--target", type=float, default=0.75)
-    parser.add_argument("--topology", default="ring",
-                        choices=[k.value for k in TopologyKind])
-    parser.add_argument("--k", type=int, default=10)
-    args = parser.parse_args()
-
-    print(f"{'algorithm':<16} {'best_acc':>9} {'rounds@' + format(args.target, '.2f'):>11} "
-          f"{'final_delta':>12}")
-    for algo, beta in ALGOS:
-        beta = args.beta if beta is None else beta
-        best, hits, deltas = [], [], []
-        for seed in range(args.seeds):
-            b, h, d = run_one(algo, beta, seed, args)
-            best.append(b)
-            hits.append(h if h is not None else args.rounds + 1)
-            deltas.append(d)
-        hit = int(np.median(hits))
-        hit_txt = str(hit) if hit <= args.rounds else f">{args.rounds}"
-        print(f"{algo.value:<16} {np.median(best):>9.4f} {hit_txt:>11} "
-              f"{np.median(deltas):>12.3e}")
+    parser.add_argument("--config", default=str(PRESET), help="the preset (default logistic_dirichlet.toml)")
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="a config override")
+    parser.add_argument("--seeds", type=int, default=3, help="paired seeds per algorithm (default 3)")
+    args = parser.parse_args(argv)
+    try:
+        table = algorithm_table(base := load_config(args.config, args.set), args.seeds)
+    except (ConfigError, DivergenceError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 3
+    print(f"{'algorithm':<16} {'best_acc':>9} {'rounds@' + format(base.targets[0], '.2f'):>11} {'final_delta':>12}")
+    for name, best, hit, delta in table:  # a median past base.rounds missed the target
+        print(f"{name:<16} {best:>9.4f} {int(hit) if hit <= base.rounds else f'>{base.rounds}':>11} {delta:>12.3e}")
     return 0
 
 

@@ -13,7 +13,6 @@ Quantities tracked per round (all over the post-round state):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -124,9 +123,7 @@ def rounds_to_target(records, targets) -> list[tuple[float, int | None]]:
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def write_metrics_csv(records, path) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .blas import one_thread
 from .config import ConfigError, ExperimentConfig, validated
-from .engine import Problem, client_batches, iter_rounds, participants
+from .engine import DivergenceError, Problem, client_batches, iter_rounds, participants
 from .models import loss_and_predictions
 
 __all__ = ["StabilityTrace", "first_draw", "stability_probe"]
@@ -68,6 +68,9 @@ def stability_probe(
     ``problem`` is ``build_problem(cfg)``; ``swap`` is (client index,
     shard-local sample index); the twin run holds ``label`` at that
     sample, and None keeps its own label, which makes the twins identical.
+    A round whose mean distance or held-out gap is not finite is a
+    DivergenceError naming that round and its CSV column, even where both
+    twins' parameters are finite and only their difference overflows.
     """
     client, sample = swap
     shards = problem.shards
@@ -95,6 +98,9 @@ def stability_probe(
             b = next(twin_rounds)
             dists.append(np.linalg.norm(a.x_mixed - b.x_mixed, axis=1))
             gaps.append(abs(heldout_loss(a.x_mixed) - heldout_loss(b.x_mixed)))
+            for metric, value in (("mean_param_distance", dists[-1].mean()), ("heldout_loss_gap", gaps[-1])):
+                if not np.isfinite(value):
+                    raise DivergenceError(a.t, metric=metric)
             del a, b  # so that this round's arrays are freed before the next round allocates
     dists = np.array(dists).reshape(-1, cfg.m)
     return StabilityTrace(

@@ -1,6 +1,7 @@
 """Config parsing, overrides, and the CLI surface (exit codes, files)."""
 
 import copy
+import csv
 import json
 import multiprocessing
 import os
@@ -263,7 +264,7 @@ CLI_INTS = [-1, 0, 1, 2, 3, 64, 2**62, 2**63 - 1, 10**23]
 CLI_VALUES = [str(v) for v in CLI_INTS] + [
     "nan", "inf", "-inf", "0.5", "x", '"ring"', '"random_k"', '"mlp"', '"quadratic"', '"csv"',
     '"sam"', '"pathological"', '"fedavg_central"', "true", "[]", "{}", "[0]", "[1, 2]", "[64]",
-    f"[{2**62}]",
+    f"[{2**62}]", "1e300", "-1e300",
 ]
 
 
@@ -273,7 +274,12 @@ CLI_VALUES = [str(v) for v in CLI_INTS] + [
     st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(CLI_VALUES)), max_size=3),
 )
 def test_cli_run_ends_in_a_documented_exit_code(preset, overrides):
-    """Two rounds of any preset under any overrides end in 0, 2, 3 or 4, never a traceback."""
+    """Two rounds of any preset under any overrides end in 0, 2, 3 or 4, never a traceback.
+
+    An exit-0 run's summary.json is strict JSON, and its metrics.csv has a
+    blank cell only where the quantity is undefined: test_acc without
+    held-out data, v1 and v2 without diagnostics.
+    """
     argv = ["run", "--config", str(preset)]
     for key, value in overrides + [("rounds", "2")]:  # the last override wins
         argv += ["--set", f"{key}={value}"]
@@ -281,9 +287,17 @@ def test_cli_run_ends_in_a_documented_exit_code(preset, overrides):
         warnings.simplefilter("ignore", RuntimeWarning)  # a diverging run overflows first
         code = main(argv + ["--out", out])
         assert code in (0, 2, 3, 4)
-        if code == 0:  # strict JSON: a non-finite number would be NaN or Infinity, which this refuses
-            with open(os.path.join(out, "summary.json")) as fh:
-                json.load(fh, parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"))
+        if code != 0:
+            return
+        with open(os.path.join(out, "summary.json")) as fh:  # NaN or Infinity would be refused
+            config = json.load(fh, parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"))["config"]
+        with open(os.path.join(out, "metrics.csv")) as fh:
+            rows = list(csv.DictReader(fh))
+    held_out = config["model"]["kind"] != "quadratic" and (config["data"]["source"] == "synthetic"
+                                                            or config["data"]["test_path"])
+    evaluated = ["train_loss", "grad_norm_sq", "consensus", "delta_t", "lr"]
+    evaluated += ["test_acc"] * bool(held_out) + ["v1", "v2"] * config["diagnostics"]
+    assert rows and all(row[name] != "" for row in rows for name in evaluated), rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -825,6 +839,20 @@ class TestCmdStability:
         assert main([*argv, "--force"]) == 0
         assert (out / "stability.csv").read_text() == trace
         assert len(probed) == 1
+
+    def test_an_overflowing_twin_difference_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        # both twins' parameters stay finite at eta0 = 1e300; only their difference overflows in the norm
+        out = tmp_path / "stab"
+        argv = [
+            "stability", "--config", str(Path(__file__).parents[1] / "configs" / "logistic_dirichlet.toml"),
+            "--out", str(out), "--set", "optimizer.eta0=1e300", "--set", "rounds=4",
+            "--client", "0", "--sample", "0", "--replace-label", "3",
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 3
+        assert "non-finite mean_param_distance at round 0" in capsys.readouterr().err
+        assert not (out / "stability.csv").exists()
 
     def test_bad_indices(self, config_file, tmp_path, capsys):
         code = main(

@@ -11,7 +11,7 @@ from dgossip.config import (
     ModelConfig,
     PartitionConfig,
 )
-from dgossip.engine import build_problem, iter_rounds, run_experiment
+from dgossip.engine import DivergenceError, build_problem, iter_rounds, run_experiment
 from dgossip.localopt import OptimizerConfig
 from dgossip.metrics import (
     RoundRecord,
@@ -193,6 +193,14 @@ class TestMetricsCsv:
         assert float(cells[2]) == rec.test_acc
         assert float(cells[8]) == rec.lr
 
+    def test_a_blank_cell_means_none_only(self, tmp_path):
+        # a run raises on a non-finite metric before recording it; a record that holds one still writes it
+        rec = RoundRecord(0, float("nan"), None, float("inf"), 0.0, 0.0, None, None, 0.1)
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv([rec], path)
+        cells = path.read_text().strip().split("\n")[1].split(",")
+        assert cells[1:4] == ["nan", "", "inf"] and cells[6:8] == ["", ""]
+
 
 class TestStabilityProbe:
     def test_identical_replacement_is_a_fixed_point(self):
@@ -232,6 +240,13 @@ class TestStabilityProbe:
         assert twin.features is problem.shards.features
         changed = np.flatnonzero(twin.labels != original.labels)
         assert changed.tolist() == [problem.shards.offsets[2] + 1]
+
+    def test_a_non_finite_heldout_gap_names_its_round_and_column(self, monkeypatch):
+        cfg = probe_cfg(rounds=3)
+        problem = build_problem(cfg)
+        monkeypatch.setattr(stability, "loss_and_predictions", lambda *args: (float("inf"), None))  # inf - inf
+        with pytest.raises(DivergenceError, match="non-finite heldout_loss_gap at round 0"):
+            stability_probe(cfg, problem, (0, 3))
 
     def test_rejects_bad_indices(self):
         cfg = probe_cfg(rounds=2)

@@ -7,14 +7,15 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dgossip.config import load_config, validated
-from dgossip.engine import Problem, build_problem, run_round
+from dgossip.config import ALGORITHMS, AlgorithmKind, load_config, validated
+from dgossip.engine import Problem, build_problem, run_experiment, run_round
 from dgossip.metrics import consensus_distance, consistency_delta
 from dgossip.models import ShardStack, quadratic_testbed
 from dgossip.topology import TopologyKind, TopologySpec, build_mixing
@@ -26,7 +27,7 @@ ROOT = Path(__file__).parents[1]
     "script, args",
     [
         ("quadratic_oracle.py", ["--set", "rounds=10"]),
-        ("compare_algorithms.py", ["--rounds", "5", "--seeds", "1"]),
+        ("compare_algorithms.py", ["--set", "rounds=5", "--seeds", "1"]),
     ],
 )
 def test_script_runs(script, args, tmp_path):
@@ -162,6 +163,45 @@ def test_the_oracle_refuses_a_round_that_is_not_one_constant_affine_map(oracle, 
     assert oracle.main(["--set", override]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {key} = ")
+
+
+@pytest.fixture(scope="module")
+def compare():
+    return load_script("compare_algorithms")
+
+
+def test_the_algorithm_table_is_the_medians_of_runs_that_build_their_own_problem(compare):
+    base = load_config(str(compare.PRESET), ["rounds=10", "participation=0.25"])
+    table = compare.algorithm_table(base, 2)
+    assert [row[0] for row in table] == [kind.value for kind in ALGORITHMS]
+    for (_, *row), kind in zip(table, ALGORITHMS):
+        summaries = [run_experiment(replace(base, algorithm=kind, seed=seed)).summary for seed in (0, 1)]
+        hits = [summary["rounds_to_targets"]["0.5"] for summary in summaries]
+        expected = (
+            np.median([summary["best_acc"] for summary in summaries]),
+            np.median([base.rounds + 1 if hit is None else hit for hit in hits]),
+            np.median([summary["final"]["delta_t"] for summary in summaries]),
+        )
+        assert [float(value).hex() for value in row] == [float(value).hex() for value in expected], kind
+    # the preset's own algorithm picks no row's beta or local_steps
+    assert compare.algorithm_table(replace(base, algorithm=AlgorithmKind.DPSGD), 2) == table
+
+
+@pytest.mark.parametrize(
+    "override, code, named",
+    [
+        ("partition.bogus=1", 2, "partition.bogus"),
+        ("targets=[]", 2, "targets = []"),
+        ("model.kind=quadratic", 2, "held-out data"),
+        ("optimizer.eta0=1e300", 3, "oled_sgd, seed 0: non-finite"),
+    ],
+)
+def test_compare_algorithms_exits_naming_what_it_refused(compare, capsys, override, code, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a diverging run overflows first
+        assert compare.main(["--set", override, "--set", "rounds=3", "--seeds", "1"]) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and named in err
 
 
 def bench_output(env, factor, **values):
