@@ -5,6 +5,7 @@
 
 Each row of ALGORITHMS runs the preset with only its algorithm changed, so only the lookahead rows keep its beta.
 Seed i is the preset's seed plus i; each seed's problem is built once and shared by every row.
+Like every preset command it reads DGOSSIP_SEED beneath --set and exits 0/2/3/4 the way ``dgossip`` does.
 """
 
 import argparse
@@ -13,7 +14,8 @@ from dataclasses import replace
 from pathlib import Path
 from statistics import median
 
-from dgossip.config import ALGORITHMS, ConfigError, load_config, validated
+from dgossip.cli import exit_code, load_preset, preset_arguments
+from dgossip.config import ALGORITHMS, ConfigError, validated
 from dgossip.engine import DivergenceError, build_problem, run_experiment
 
 PRESET = Path(__file__).resolve().parents[1] / "configs" / "logistic_dirichlet.toml"
@@ -39,21 +41,20 @@ def algorithm_table(base, seeds: int) -> list[tuple]:
     return [(cfg.algorithm.value, *map(median, zip(*rows))) for cfg, rows in runs.items()]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--config", default=str(PRESET), help="the preset (default logistic_dirichlet.toml)")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="a config override")
-    parser.add_argument("--seeds", type=int, default=3, help="paired seeds per algorithm (default 3)")
-    args = parser.parse_args(argv)
-    try:
-        table = algorithm_table(base := load_config(args.config, args.set), args.seeds)
-    except (ConfigError, DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ConfigError) else 3
+def print_table(base, seeds: int) -> int:
+    table = algorithm_table(base, seeds)
     print(f"{'algorithm':<16} {'best_acc':>9} {'rounds@' + format(base.targets[0], '.2f'):>11} {'final_delta':>12}")
     for name, best, hit, delta in table:  # a median past base.rounds missed the target
         print(f"{name:<16} {best:>9.4f} {int(hit) if hit <= base.rounds else f'>{base.rounds}':>11} {delta:>12.3e}")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog=Path(__file__).name, description=__doc__.splitlines()[0])
+    preset_arguments(parser, str(PRESET))
+    parser.add_argument("--seeds", type=int, default=3, help="paired seeds per algorithm (default 3)")
+    args = parser.parse_args(argv)
+    return exit_code(parser.prog, lambda: print_table(load_preset(args), args.seeds))
 
 
 if __name__ == "__main__":

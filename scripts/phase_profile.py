@@ -4,21 +4,22 @@
     python3 scripts/phase_profile.py --config configs/logistic_dirichlet.toml \\
         [--set KEY=VALUE ...] [--workers N] [--runs R]
 
-It loads the preset with its overrides, builds the problem once, makes one
-warm-up run and then R timed runs of ``engine.run_experiment`` (3 by
-default).  During the timed runs each seam in ``SEAMS``, a (module, name) pair
-that the module looks up on every call (``engine``'s round seams, and
-``localopt.batch_grads``, the gradient kernel of every local step), is
-replaced by a wrapper that counts its calls and adds up their wall time;
-every name is restored in a ``finally``, so the wrappers never outlive
-the profile.  The table gives each seam's share of the timed runs' wall
-time, its µs per call and its calls per round.  Seams nest:
-``full_objective`` and ``eval_model`` run inside ``_evaluate``, and
-``batch_grads`` inside ``local_train``, so the shares do not add up to
-100%.  One call of those three evaluation seams covers a group of
-recorded rounds (``models.evaluation_group``), so their µs per call
-grows with the group; the table also gives their µs per recorded round,
-which compares across group sizes.
+Like every preset command it reads DGOSSIP_SEED beneath ``--set`` and
+exits 0/2/3/4 the way ``dgossip`` does.  It loads the preset, builds the
+problem once, makes one warm-up run and then R timed runs of
+``engine.run_experiment`` (3 by default).  During the timed runs each seam
+in ``SEAMS``, a (module, name) pair that the module looks up on every call
+(``engine``'s round seams, and ``localopt.batch_grads``, the gradient
+kernel of every local step), is replaced by a wrapper that counts its
+calls and adds up their wall time; every name is restored in a
+``finally``, so the wrappers never outlive the profile.  The table gives
+each seam's share of the timed runs' wall time, its µs per call and its
+calls per round.  Seams nest: ``full_objective`` and ``eval_model`` run
+inside ``_evaluate``, and ``batch_grads`` inside ``local_train``, so the
+shares do not add up to 100%.  One call of those three evaluation seams
+covers a group of recorded rounds (``models.evaluation_group``), so their
+µs per call grows with the group; the table also gives their µs per
+recorded round, which compares across group sizes.
 
 With more than one worker, the workers' calls stay in their own
 processes, so the profile times the caller's calls only: its own row
@@ -30,10 +31,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 from time import perf_counter
 
 from dgossip import engine, localopt
-from dgossip.config import load_config
+from dgossip.cli import exit_code, load_preset, preset_arguments
 
 SEAMS = (
     *((engine, name) for name in (
@@ -43,15 +45,6 @@ SEAMS = (
     (localopt, "batch_grads"),
 )
 EVALUATION = ("_evaluate", "full_objective", "eval_model")  # one call per group of recorded rounds
-
-
-def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--config", required=True, help="the preset to profile")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="a config override")
-    parser.add_argument("--workers", type=int, default=1, help="worker processes of each run (default 1)")
-    parser.add_argument("--runs", type=int, default=3, help="timed runs after the warm-up (default 3)")
-    return parser.parse_args(argv)
 
 
 def profile(cfg, problem, workers: int = 1, runs: int = 1):
@@ -98,9 +91,10 @@ def table(stats, wall: float, rounds: int, records: int) -> list[tuple]:
     ]
 
 
-def main(argv=None) -> int:
-    args = parse_args(argv)
-    cfg = engine.validated(load_config(args.config, args.set))
+def print_profile(args) -> int:
+    cfg = engine.validated(load_preset(args))
+    if not (args.runs > 0 and cfg.rounds > 0):  # the table is per round of the timed runs
+        raise engine.ConfigError(f"--runs = {args.runs}, rounds = {cfg.rounds}: need one each")
     problem = engine.build_problem(cfg)
     engine.run_experiment(cfg, workers=args.workers, problem=problem)  # warm-up
     stats, wall, result = profile(cfg, problem, args.workers, args.runs)
@@ -114,6 +108,15 @@ def main(argv=None) -> int:
         last = "" if per_record is None else f" {per_record:>10.1f}"
         print(f"{name:<16} {share:>6.1f}% {per_call:>10.1f} {per_round:>12.3f}{last}")
     return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(prog=Path(__file__).name, description=__doc__.splitlines()[0])
+    preset_arguments(parser)
+    parser.add_argument("--workers", type=int, default=1, help="worker processes of each run (default 1)")
+    parser.add_argument("--runs", type=int, default=3, help="timed runs after the warm-up (default 3)")
+    args = parser.parse_args(argv)
+    return exit_code(parser.prog, lambda: print_profile(args))
 
 
 if __name__ == "__main__":

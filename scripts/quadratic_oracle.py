@@ -17,6 +17,8 @@ and the worst relative gap between the engine's records and the iterated
 map.  It flags a psi_tilde (the non-principal spectral radius of
 (1 + beta) W - beta I) of 1 or more and prints its minimiser beta*.  A
 config whose round is not one constant affine map exits 2 naming the key.
+Like every preset command it reads DGOSSIP_SEED beneath --set and exits
+0/2/3/4 the way ``dgossip`` does.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from dgossip import engine
-from dgossip.config import ALGORITHMS, ConfigError, load_config, validated
+from dgossip.cli import exit_code, load_preset, preset_arguments
+from dgossip.config import ALGORITHMS, ConfigError, validated
 from dgossip.metrics import consensus_distance, consistency_delta
 from dgossip.models import full_objective
 from dgossip.topology import build_mixing
@@ -91,41 +94,38 @@ def engine_gap(cfg, problem, t_map, shift) -> float:
 def oracle(cfg, problem, w: np.ndarray) -> tuple:
     """(rho(T), the fixed point's (train_loss, grad_norm_sq, consensus, delta_t, drift), the engine gap) of ``cfg``."""
     t_map, shift = affine_round(problem.spec, w, cfg.optimizer.eta0, cfg.local_steps, cfg.beta)
+    if not np.isfinite(t_map).all():
+        raise engine.DivergenceError(0, metric=f"round map T (beta = {cfg.beta}, eta0 = {cfg.optimizer.eta0:g})")
     rho = float(np.max(np.abs(np.linalg.eigvals(t_map))))
     fixed = state_metrics(problem, np.linalg.solve(np.eye(len(shift)) - t_map, shift))
     return rho, fixed, engine_gap(cfg, problem, t_map, shift)
 
 
-def parse_args(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--config", default=str(PRESET), help="a quadratic preset (default quadratic_ring.toml)")
-    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE", help="a config override")
-    parser.add_argument("--betas", default=[0.0, 0.2, 0.4, 0.6], help="comma-separated coefficients",
-                        type=lambda text: [float(b) for b in text.split(",") if b.strip()])
-    return parser.parse_args(argv)
+def print_oracle(args) -> int:
+    cfg = validated(load_preset(args))
+    refuse(cfg)
+    cfgs = [validated(replace(cfg, beta=beta)) for beta in args.betas]
+    problem, graph = engine.build_problem(cfg), build_mixing(cfg.topology)
+    print(f"{cfg.algorithm.value}, m={cfg.m}, p={cfg.model.p}, K={cfg.local_steps}, eta={cfg.optimizer.eta0:g}, "
+          f"{cfg.rounds} rounds; {cfg.topology.kind.value} psi = {graph.psi:.5f}, beta* = {graph.beta_star:.4f}")
+    print("rho(T); the fixed point's grad_norm_sq, consensus, delta_t and drift; the engine's worst relative gap")
+    for each in cfgs:
+        rho, (_, grad_sq, consensus, delta, drift), gap = oracle(each, problem, graph.w)
+        psi_tilde = graph.psi_tilde(each.beta)
+        flags = "  [psi_tilde >= 1: only the local maps contract]" if psi_tilde >= 1.0 else ""
+        flags += "  [rho(T) >= 1: the fixed point repels]" if rho >= 1.0 else ""
+        print(f"beta={each.beta:4.2f}: psi_tilde {psi_tilde:.5f}, rho(T) {rho:.4f}, grad_norm_sq {grad_sq:.2e}, "
+              f"consensus {consensus:.3f}, delta_t {delta:.3f}, drift {drift:.3f}, gap {gap:.1e}{flags}")
+    return 0
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    try:
-        cfg = validated(load_config(args.config, args.set))
-        refuse(cfg)
-        cfgs = [validated(replace(cfg, beta=beta)) for beta in args.betas]
-        problem, graph = engine.build_problem(cfg), build_mixing(cfg.topology)
-        print(f"{cfg.algorithm.value}, m={cfg.m}, p={cfg.model.p}, K={cfg.local_steps}, eta={cfg.optimizer.eta0:g}, "
-              f"{cfg.rounds} rounds; {cfg.topology.kind.value} psi = {graph.psi:.5f}, beta* = {graph.beta_star:.4f}")
-        print("rho(T); the fixed point's grad_norm_sq, consensus, delta_t and drift; the engine's worst relative gap")
-        for each in cfgs:
-            rho, (_, grad_sq, consensus, delta, drift), gap = oracle(each, problem, graph.w)
-            psi_tilde = graph.psi_tilde(each.beta)
-            flags = "  [psi_tilde >= 1: only the local maps contract]" if psi_tilde >= 1.0 else ""
-            flags += "  [rho(T) >= 1: the fixed point repels]" if rho >= 1.0 else ""
-            print(f"beta={each.beta:4.2f}: psi_tilde {psi_tilde:.5f}, rho(T) {rho:.4f}, grad_norm_sq {grad_sq:.2e}, "
-                  f"consensus {consensus:.3f}, delta_t {delta:.3f}, drift {drift:.3f}, gap {gap:.1e}{flags}")
-    except (ConfigError, engine.DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ConfigError) else 3
-    return 0
+    parser = argparse.ArgumentParser(prog=Path(__file__).name, description=__doc__.splitlines()[0])
+    preset_arguments(parser, str(PRESET))
+    parser.add_argument("--betas", default=[0.0, 0.2, 0.4, 0.6], help="comma-separated coefficients",
+                        type=lambda text: [float(b) for b in text.split(",") if b.strip()])
+    args = parser.parse_args(argv)
+    return exit_code(parser.prog, lambda: print_oracle(args))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,10 @@ Subcommands:
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical divergence,
 4 I/O error.  The DGOSSIP_SEED environment variable overrides the config
-seed (CLI --set overrides beat it).
+seed (CLI --set overrides beat it).  The preset scripts under ``scripts/``
+take the same ``--config``/``--set``, read the same DGOSSIP_SEED and exit
+the same way through :func:`preset_arguments`, :func:`load_preset` and
+:func:`exit_code`.
 """
 
 from __future__ import annotations
@@ -29,10 +32,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_IO = 4
-
-
-def _err(msg: str) -> None:
-    print(f"dgossip: error: {msg}", file=sys.stderr)
 
 
 def _workers(value: str) -> int:
@@ -67,9 +66,29 @@ def _env_seed() -> int | None:
         raise ConfigError(f"DGOSSIP_SEED must be an integer, got {raw!r}") from None
 
 
-def _load(args, *overrides: str):
-    """Load and validate --config under DGOSSIP_SEED, --set, overrides."""
-    return validated(load_config(args.config, [*args.set, *overrides], _env_seed()))
+def preset_arguments(parser: argparse.ArgumentParser, default: str | None = None) -> None:
+    """Add ``--config`` (required without a ``default``) and the repeatable ``--set`` to ``parser``."""
+    shown = f" (default {os.path.basename(default)})" if default else ""
+    parser.add_argument("--config", required=default is None, default=default, help="experiment config file" + shown)
+    parser.add_argument(
+        "--set", action="append", default=[], metavar="KEY=VALUE", help="dotted-key config override (repeatable)"
+    )
+
+
+def load_preset(args, *overrides: str):
+    """The unvalidated config of --config, layered file < DGOSSIP_SEED < --set < ``overrides``."""
+    return load_config(args.config, [*args.set, *overrides], _env_seed())
+
+
+def exit_code(prog: str, run) -> int:
+    """``run()``'s code, or 2, 3 or 4 on a ConfigError, DivergenceError or OSError, named on stderr after ``prog``."""
+    try:
+        return run()
+    except (ConfigError, DivergenceError, OSError) as exc:
+        print(f"{prog}: error: {exc}", file=sys.stderr)
+        if isinstance(exc, ConfigError):
+            return EXIT_CONFIG
+        return EXIT_DIVERGED if isinstance(exc, DivergenceError) else EXIT_IO
 
 
 def _write_outputs(result, directory: str) -> None:
@@ -92,7 +111,7 @@ def _fmt_round(hit, rounds: int) -> str:
 
 def cmd_run(args) -> int:
     workers = _workers(args.workers)
-    cfg = _load(args)
+    cfg = validated(load_preset(args))
     problem = build_problem(cfg)
     os.makedirs(args.out, exist_ok=True)
     _refuse_overwrite(os.path.join(args.out, "summary.json"), args.force)
@@ -110,17 +129,23 @@ def cmd_sweep(args) -> int:
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("empty sweep")
+    leaf = args.key.split(".")[-1]
+    cell_values = {}  # each cell's directory name: its value
+    for raw in values:
+        name = f"{leaf}={raw}".replace(os.sep, "_")
+        if name in cell_values:
+            raise ConfigError(f"--values {cell_values[name]} and {raw} would both write {os.path.join(args.out, name)}")
+        cell_values[name] = raw
     workers = _workers(args.workers)
     # every cell is built before any runs, so a bad value leaves no output
-    configs = [(raw, _load(args, f"{args.key}={raw}")) for raw in values]
-    cells = [(raw, cfg, build_problem(cfg)) for raw, cfg in configs]
+    configs = [(name, raw, validated(load_preset(args, f"{args.key}={raw}"))) for name, raw in cell_values.items()]
+    cells = [(name, raw, cfg, build_problem(cfg)) for name, raw, cfg in configs]
     table_path = os.path.join(args.out, "sweep.csv")
     _refuse_overwrite(table_path, args.force)
     os.makedirs(args.out, exist_ok=True)
-    leaf = args.key.split(".")[-1]
     rows = []
-    for raw, cfg, problem in cells:
-        cell_dir = os.path.join(args.out, f"{leaf}={raw}".replace(os.sep, "_"))
+    for name, raw, cfg, problem in cells:
+        cell_dir = os.path.join(args.out, name)
         os.makedirs(cell_dir, exist_ok=True)
         try:
             result = run_experiment(cfg, workers=workers, problem=problem)
@@ -129,14 +154,14 @@ def cmd_sweep(args) -> int:
             rows.append((raw, "", "", "", "diverged"))
             continue
         _write_outputs(result, cell_dir)
-        first_target = repr(float(cfg.targets[0])) if cfg.targets else None
-        hit = result.summary["rounds_to_targets"].get(first_target) if first_target else None
         best = result.summary["best_acc"]
+        scored = cfg.targets and best is not None  # a target is an accuracy, so no accuracy scores none
+        hit = result.summary["rounds_to_targets"].get(repr(float(cfg.targets[0]))) if scored else None
         rows.append(
             (
                 raw,
                 "" if best is None else repr(best),
-                _fmt_round(hit, cfg.rounds),
+                _fmt_round(hit, cfg.rounds) if scored else "",
                 repr(result.summary["final"]["delta_t"]),
                 "ok",
             )
@@ -185,7 +210,7 @@ def cmd_topo_report(args) -> int:
 
 def cmd_stability(args) -> int:
     _workers(args.workers)  # checked only: the twin runs step in lockstep in one process
-    cfg = _load(args)
+    cfg = validated(load_preset(args))
     problem = build_problem(cfg)
     path = os.path.join(args.out, "stability.csv")
     _refuse_overwrite(path, args.force)
@@ -216,12 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, workers_help):
-        sp.add_argument("--config", required=True, help="experiment config file")
+        preset_arguments(sp)
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument(
-            "--set", action="append", default=[], metavar="KEY=VALUE",
-            help="dotted-key config override (repeatable)",
-        )
         sp.add_argument(
             "--workers", default="1",
             help=f"positive integer or 'auto' (the CPUs this process may use); {workers_help}",
@@ -264,17 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        _err(str(exc))
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        _err(str(exc))
-        return EXIT_DIVERGED
-    except OSError as exc:
-        _err(str(exc))
-        return EXIT_IO
+    return exit_code("dgossip", lambda: args.func(args))
 
 
 def entry() -> None:  # console-script hook

@@ -733,6 +733,28 @@ class TestCmdSweep:
         assert rows[0].endswith(",ok")
         assert rows[1].endswith(",diverged")
 
+    @pytest.mark.parametrize(
+        "key, values, named", [("beta", "0.2,0.2", "0.2 and 0.2"), ("data.path", "a/b,a_b", "a/b and a_b")]
+    )
+    def test_values_that_share_a_cell_directory_are_refused(self, config_file, tmp_path, capsys, key, values, named):
+        out = tmp_path / "s"
+        argv = ["sweep", "--config", str(config_file), "--out", str(out), "--key", key, "--values", values]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "sets, best",
+        [(["targets=[]"], True), (["model.kind=quadratic", "model.p=4", "optimizer.decay=1.0"], False)],
+    )
+    def test_a_target_that_cannot_be_scored_is_blank(self, config_file, tmp_path, sets, best):
+        # no target, or no accuracy to reach one: undefined, like best_acc of a quadratic
+        out = tmp_path / "s"
+        argv = ["sweep", "--config", str(config_file), "--out", str(out), "--key", "beta", "--values", "0.1"]
+        assert main([*argv, *(f"--set={pair}" for pair in sets)]) == 0
+        value, best_acc, hit, _, status = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert (value, bool(best_acc), hit, status) == ("0.1", best, "", "ok")
+
     def test_unknown_axis_key(self, config_file, tmp_path, capsys):
         code = main(
             [

@@ -162,7 +162,15 @@ def test_the_oracle_flags_only_coefficients_with_psi_tilde_past_1(tmp_path):
 def test_the_oracle_refuses_a_round_that_is_not_one_constant_affine_map(oracle, capsys, override, key):
     assert oracle.main(["--set", override]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"error: {key} = ")
+    assert out == "" and err.startswith(f"quadratic_oracle.py: error: {key} = ")
+
+
+def test_the_oracle_exits_3_on_a_round_map_that_overflows(oracle, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the map's products overflow first
+        assert oracle.main(["--set", "optimizer.eta0=1e300", "--betas", "0.2"]) == 3
+    err = capsys.readouterr().err
+    assert err == "quadratic_oracle.py: error: non-finite round map T (beta = 0.2, eta0 = 1e+300) at round 0\n"
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +209,46 @@ def test_compare_algorithms_exits_naming_what_it_refused(compare, capsys, overri
         warnings.simplefilter("ignore", RuntimeWarning)  # a diverging run overflows first
         assert compare.main(["--set", override, "--set", "rounds=3", "--seeds", "1"]) == code
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and named in err
+    assert out == "" and err.startswith("compare_algorithms.py: error: ") and named in err
+
+
+PRESETS = {name: str(ROOT / "configs" / f"{preset}.toml") for name, preset in (
+    ("compare_algorithms", "logistic_dirichlet"), ("quadratic_oracle", "quadratic_ring"),
+    ("phase_profile", "logistic_dirichlet"),
+)}
+MISSING = str(ROOT / "configs" / "missing.toml")
+
+
+@pytest.mark.parametrize(
+    "name, argv, code, named",
+    [
+        *((name, ["--config", MISSING], 4, MISSING) for name in PRESETS),
+        *((name, ["--config", PRESETS[name], "--set", "bogus=1"], 2, "unknown config key: bogus") for name in PRESETS),
+        ("phase_profile", ["--config", PRESETS["phase_profile"], "--set", "rounds=2", "--workers", "0"], 2,
+         "workers must be a positive integer, got 0"),
+        ("phase_profile", ["--config", PRESETS["phase_profile"], "--runs", "0"], 2, "--runs = 0, rounds = 200"),
+        ("phase_profile", ["--config", PRESETS["phase_profile"], "--set", "rounds=0"], 2, "--runs = 3, rounds = 0"),
+    ],
+    ids=[*(f"{name}-missing" for name in PRESETS), *(f"{name}-bogus" for name in PRESETS), "phase_profile-workers",
+         "phase_profile-runs", "phase_profile-rounds"],
+)
+def test_every_preset_script_exits_as_dgossip_does(capsys, name, argv, code, named):
+    assert load_script(name).main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"{name}.py: error: ") and named in err
+
+
+def test_compare_algorithms_reads_dgossip_seed_beneath_set(compare, capsys, monkeypatch):
+    def table(*sets):
+        assert compare.main([*(f"--set={pair}" for pair in ("rounds=3", *sets)), "--seeds", "1"]) == 0
+        return capsys.readouterr().out
+
+    monkeypatch.delenv("DGOSSIP_SEED", raising=False)
+    seed_0, seed_3 = table(), table("seed=3")
+    assert seed_0 != seed_3
+    monkeypatch.setenv("DGOSSIP_SEED", "3")
+    assert table() == seed_3
+    assert table("seed=0") == seed_0
 
 
 def bench_output(env, factor, **values):
