@@ -99,8 +99,8 @@ def print_profile(args) -> int:
     engine.run_experiment(cfg, workers=args.workers, problem=problem)  # warm-up
     stats, wall, result = profile(cfg, problem, args.workers, args.runs)
     rounds = args.runs * cfg.rounds
-    print(f"{' '.join([args.config, *args.set])}: {cfg.algorithm.value}, m={cfg.m}, workers={args.workers}, "
-          f"{args.runs} runs of {cfg.rounds} rounds, {1e3 * wall / rounds:.3f} ms per round")
+    print(f"{' '.join([args.config, *args.set])}: {cfg.algorithm.value}, m={cfg.m}, seed={cfg.seed}, "
+          f"workers={args.workers}, {args.runs} runs of {cfg.rounds} rounds, {1e3 * wall / rounds:.3f} ms per round")
     if args.workers > 1:
         print("workers > 1: the caller's calls only; each worker's local_train stays in its process")
     print(f"{'seam':<16} {'share':>7} {'us/call':>10} {'calls/round':>12} {'us/record':>10}")

@@ -102,6 +102,8 @@ def oracle(cfg, problem, w: np.ndarray) -> tuple:
 
 
 def print_oracle(args) -> int:
+    if not args.betas:
+        raise ConfigError("--betas names no coefficient")
     cfg = validated(load_preset(args))
     refuse(cfg)
     cfgs = [validated(replace(cfg, beta=beta)) for beta in args.betas]

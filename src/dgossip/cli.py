@@ -3,9 +3,15 @@
 Subcommands:
 
 * run          execute one experiment; writes metrics.csv + summary.json
-* sweep        re-run the base config across values of one dotted key
+* sweep        re-run the base config across values of one dotted key; writes
+               sweep.csv and, per cell, what ``run`` writes
 * topo-report  psi, the admissible lookahead cap, beta* and psi_tilde(beta*) per topology
-* stability    coupled twin runs differing in a single training sample
+* stability    coupled twin runs differing in a single training sample; writes stability.csv
+
+Every table goes through :func:`metrics.write_table`.  Before it runs,
+a command exits 4 naming the first summary.json, sweep.csv or
+stability.csv it would replace, unless --force is given; ``topo-report
+--out`` replaces its file.
 
 Exit codes: 0 success, 2 config/validation error, 3 numerical divergence,
 4 I/O error.  The DGOSSIP_SEED environment variable overrides the config
@@ -21,10 +27,11 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from .config import ConfigError, _as_kind, config_to_dict, load_config, validated
 from .engine import DivergenceError, build_problem, run_experiment
-from .metrics import write_metrics_csv
+from .metrics import write_metrics_csv, write_table
 from .stability import stability_probe
 from .topology import TopologyKind, TopologySpec, beta_theory_bound, build_mixing
 
@@ -99,22 +106,19 @@ def _write_outputs(result, directory: str) -> None:
         fh.write("\n")
 
 
-def _refuse_overwrite(path: str, force: bool) -> None:
-    """Exit 4 naming ``path`` if it exists and --force is not given."""
-    if os.path.exists(path) and not force:
-        raise OSError(f"refusing to overwrite {path} (use --force)")
-
-
-def _fmt_round(hit, rounds: int) -> str:
-    return str(hit) if hit is not None else f">{rounds}"
+def _refuse_overwrite(force: bool, *paths: str) -> None:
+    """Exit 4 naming the first of ``paths`` that exists, unless --force is given."""
+    for path in paths:
+        if os.path.exists(path) and not force:
+            raise OSError(f"refusing to overwrite {path} (use --force)")
 
 
 def cmd_run(args) -> int:
     workers = _workers(args.workers)
     cfg = validated(load_preset(args))
     problem = build_problem(cfg)
+    _refuse_overwrite(args.force, os.path.join(args.out, "summary.json"))
     os.makedirs(args.out, exist_ok=True)
-    _refuse_overwrite(os.path.join(args.out, "summary.json"), args.force)
     result = run_experiment(cfg, workers=workers, problem=problem)
     _write_outputs(result, args.out)
     best = result.summary["best_acc"]
@@ -141,7 +145,7 @@ def cmd_sweep(args) -> int:
     configs = [(name, raw, validated(load_preset(args, f"{args.key}={raw}"))) for name, raw in cell_values.items()]
     cells = [(name, raw, cfg, build_problem(cfg)) for name, raw, cfg in configs]
     table_path = os.path.join(args.out, "sweep.csv")
-    _refuse_overwrite(table_path, args.force)
+    _refuse_overwrite(args.force, table_path, *(os.path.join(args.out, name, "summary.json") for name in cell_values))
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for name, raw, cfg, problem in cells:
@@ -151,25 +155,17 @@ def cmd_sweep(args) -> int:
             result = run_experiment(cfg, workers=workers, problem=problem)
         except DivergenceError as exc:
             print(f"{args.key}={raw}: diverged ({exc})", file=sys.stderr)
-            rows.append((raw, "", "", "", "diverged"))
+            rows.append((raw, None, None, None, "diverged"))
             continue
         _write_outputs(result, cell_dir)
         best = result.summary["best_acc"]
-        scored = cfg.targets and best is not None  # a target is an accuracy, so no accuracy scores none
-        hit = result.summary["rounds_to_targets"].get(repr(float(cfg.targets[0]))) if scored else None
-        rows.append(
-            (
-                raw,
-                "" if best is None else repr(best),
-                _fmt_round(hit, cfg.rounds) if scored else "",
-                repr(result.summary["final"]["delta_t"]),
-                "ok",
-            )
-        )
+        hit = None
+        if cfg.targets and best is not None:  # a target is an accuracy, so no accuracy scores none
+            hit = result.summary["rounds_to_targets"].get(repr(float(cfg.targets[0])))
+            hit = f">{cfg.rounds}" if hit is None else hit
+        rows.append((raw, best, hit, result.summary["final"]["delta_t"], "ok"))
     with open(table_path, "w", newline="\n") as fh:
-        fh.write("value,best_acc,rounds_to_first_target,final_delta_t,status\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        write_table(fh, ("value", "best_acc", "rounds_to_first_target", "final_delta_t", "status"), rows)
     print(f"swept {args.key} over {len(values)} values, wrote {table_path}")
     return EXIT_OK
 
@@ -187,7 +183,7 @@ def cmd_topo_report(args) -> int:
     for m in sizes:  # psi is taken of the dense (m, m) matrix
         if m * m > 2**31:
             raise ConfigError(f"--m {m}: m * m = {m * m} exceeds 2**31")
-    lines = ["kind,m,psi,beta_theory_bound,beta_star,psi_tilde_at_beta_star"]
+    rows = []
     for kind in kinds:
         for m in sizes:
             spec = TopologySpec(kind=kind, m=m, k=min(args.k, m - 1), seed=args.seed)
@@ -198,32 +194,26 @@ def cmd_topo_report(args) -> int:
                 raise ConfigError(str(exc)) from None
             except MemoryError:
                 raise ConfigError(f"--m {m}: no memory for the dense (m, m) matrix psi needs") from None
-            lines.append(f"{kind.value},{m},{psi!r},{beta_theory_bound(psi)!r},{beta!r},{w.psi_tilde(beta)!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            rows.append((kind.value, m, psi, beta_theory_bound(psi), beta, w.psi_tilde(beta)))
+    with open(args.out, "w", newline="\n") if args.out else nullcontext(sys.stdout) as fh:
+        write_table(fh, ("kind", "m", "psi", "beta_theory_bound", "beta_star", "psi_tilde_at_beta_star"), rows)
     return EXIT_OK
 
 
 def cmd_stability(args) -> int:
-    _workers(args.workers)  # checked only: the twin runs step in lockstep in one process
     cfg = validated(load_preset(args))
     problem = build_problem(cfg)
     path = os.path.join(args.out, "stability.csv")
-    _refuse_overwrite(path, args.force)
+    _refuse_overwrite(args.force, path)
     trace = stability_probe(cfg, problem, (args.client, args.sample), args.replace_label)
     os.makedirs(args.out, exist_ok=True)
     first_round = trace.first_draw[0] if trace.first_draw is not None else None
+    rows = [
+        (t, int(first_round is not None and t >= first_round), distance, gap)
+        for t, (distance, gap) in enumerate(zip(trace.mean_distance, trace.heldout_gap))
+    ]
     with open(path, "w", newline="\n") as fh:
-        fh.write("t,step_of_first_draw_flag,mean_param_distance,heldout_loss_gap\n")
-        for t in range(len(trace.mean_distance)):
-            flag = int(first_round is not None and t >= first_round)
-            fh.write(
-                f"{t},{flag},{float(trace.mean_distance[t])!r},{float(trace.heldout_gap[t])!r}\n"
-            )
+        write_table(fh, ("t", "step_of_first_draw_flag", "mean_param_distance", "heldout_loss_gap"), rows)
     if trace.first_draw is None:
         print(f"swapped sample never drawn in {cfg.rounds} rounds; wrote {path}")
     else:
@@ -240,13 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, workers_help):
+    def common(sp, workers_help=None):
         preset_arguments(sp)
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument(
-            "--workers", default="1",
-            help=f"positive integer or 'auto' (the CPUs this process may use); {workers_help}",
-        )
+        if workers_help:
+            sp.add_argument(
+                "--workers", default="1",
+                help=f"positive integer or 'auto' (the CPUs this process may use); {workers_help}",
+            )
         sp.add_argument("--force", action="store_true", help="overwrite existing outputs")
 
     procs = (
@@ -272,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_topo_report)
 
     sp = sub.add_parser("stability", help="coupled twin runs with one swapped sample")
-    common(sp, "checked, but the probe runs in one process")
+    common(sp)
     sp.add_argument("--client", type=int, required=True, help="client holding the swap")
     sp.add_argument("--sample", type=int, required=True, help="shard-local sample index")
     sp.add_argument(

@@ -13,7 +13,7 @@ Quantities tracked per round (all over the post-round state):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "eval_model",
     "rounds_to_target",
     "write_metrics_csv",
+    "write_table",
     "METRICS_CSV_COLUMNS",
 ]
 
@@ -121,14 +122,19 @@ def rounds_to_target(records, targets) -> list[tuple[float, int | None]]:
 
 
 def _fmt(value) -> str:
+    """One CSV cell: blank for None, ``repr`` for a float (numpy's too), ``str`` for anything else."""
     if value is None:
         return ""
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
+
+
+def write_table(fh, header, rows) -> None:
+    """``header`` and then each row of ``rows`` to ``fh``, comma-separated, LF-ended, each cell by :func:`_fmt`."""
+    for row in (header, *rows):
+        fh.write(",".join(map(_fmt, row)) + "\n")
 
 
 def write_metrics_csv(records, path) -> None:
     """One row per evaluated round; '.' decimals, LF endings, blank for absent."""
     with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(METRICS_CSV_COLUMNS) + "\n")
-        for rec in records:
-            fh.write(",".join(_fmt(getattr(rec, col)) for col in METRICS_CSV_COLUMNS) + "\n")
+        write_table(fh, METRICS_CSV_COLUMNS, map(astuple, records))

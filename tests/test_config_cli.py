@@ -3,6 +3,7 @@
 import copy
 import csv
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -268,6 +269,12 @@ CLI_VALUES = [str(v) for v in CLI_INTS] + [
 ]
 
 
+def held_out(config: dict) -> bool:
+    """Whether a run of ``config``, as summary.json echoes it, records a held-out accuracy."""
+    data = config["data"]
+    return config["model"]["kind"] != "quadratic" and bool(data["source"] == "synthetic" or data["test_path"])
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(PRESETS),
@@ -293,10 +300,8 @@ def test_cli_run_ends_in_a_documented_exit_code(preset, overrides):
             config = json.load(fh, parse_constant=lambda name: pytest.fail(f"summary.json holds {name}"))["config"]
         with open(os.path.join(out, "metrics.csv")) as fh:
             rows = list(csv.DictReader(fh))
-    held_out = config["model"]["kind"] != "quadratic" and (config["data"]["source"] == "synthetic"
-                                                            or config["data"]["test_path"])
     evaluated = ["train_loss", "grad_norm_sq", "consensus", "delta_t", "lr"]
-    evaluated += ["test_acc"] * bool(held_out) + ["v1", "v2"] * config["diagnostics"]
+    evaluated += ["test_acc"] * held_out(config) + ["v1", "v2"] * config["diagnostics"]
     assert rows and all(row[name] != "" for row in rows for name in evaluated), rows
 
 
@@ -328,7 +333,11 @@ def test_cli_topo_report_ends_in_a_documented_exit_code(kinds, sizes, k, seed, m
     st.sampled_from(["0", "1", "2"]),
 )
 def test_cli_stability_ends_in_a_documented_exit_code(client, sample, label, algorithm, rounds):
-    """Any swap, label and algorithm end in 0, 2, 3 or 4; at 0 rounds no swap is ever drawn."""
+    """Any swap, label and algorithm end in 0, 2, 3 or 4; at 0 rounds no swap is ever drawn.
+
+    An exit-0 run's stability.csv has one row per round, t ascending from
+    0, a 0/1 flag that never falls back to 0, and two finite numbers.
+    """
     argv = [
         "stability", "--config", str(Path(__file__).parents[1] / "configs" / "logistic_dirichlet.toml"),
         f"--client={client}", f"--sample={sample}",
@@ -337,7 +346,76 @@ def test_cli_stability_ends_in_a_documented_exit_code(client, sample, label, alg
     if label is not None:
         argv += [f"--replace-label={label}"]
     with tempfile.TemporaryDirectory() as out:
-        assert main(argv + ["--out", out]) in (0, 2, 3, 4)
+        code = main(argv + ["--out", out])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            return
+        header, *lines = Path(out, "stability.csv").read_text().splitlines()
+    assert header == "t,step_of_first_draw_flag,mean_param_distance,heldout_loss_gap"
+    rows = [line.split(",") for line in lines]
+    assert [int(t) for t, *_ in rows] == list(range(int(rounds)))
+    flags = [int(flag) for _, flag, *_ in rows]
+    assert set(flags) <= {0, 1} and flags == sorted(flags)
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row[2:])
+
+
+# a drawn rounds could be 2**62, so any key but rounds with any value
+ANY_SWEEP = st.tuples(
+    st.sampled_from([key for key in FUZZ_KEYS if key != "rounds"]),
+    st.lists(st.sampled_from(CLI_VALUES), min_size=1, max_size=2),
+)
+# the axes a study sweeps, with values that mostly validate, so that the files get read
+AXES = {
+    "beta": ["0.0", "0.2", "0.9"], "optimizer.eta0": ["0.05", "1e300"], "local_steps": ["1", "3"],
+    "seed": ["0", "7"], "targets": ["[]", "[0]", "[0.5]", "[1]"],
+    "model.kind": ['"logistic"', '"quadratic"', '"mlp"'], "algorithm": ['"dfedavg"', '"fedavg_central"', '"dpsgd"'],
+}
+AXIS_SWEEP = st.sampled_from(sorted(AXES)).flatmap(
+    lambda key: st.tuples(st.just(key), st.lists(st.sampled_from(AXES[key]), min_size=1, max_size=2, unique=True)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(PRESETS),
+    st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), st.sampled_from(CLI_VALUES)), max_size=1),
+    ANY_SWEEP | AXIS_SWEEP,
+)
+def test_cli_sweep_ends_in_a_documented_exit_code(preset, overrides, sweep):
+    """Two rounds of any preset swept over any key end in 0, 2, 3 or 4.
+
+    On exit 0, sweep.csv lists each value in order with 5 cells and a status
+    of ok or diverged.  A diverged row is blank past its value.  An ok row
+    has final_delta_t, has best_acc exactly where its cell has held-out
+    accuracy, and has rounds_to_first_target exactly where, besides, its
+    cell has a target; a cell's config is read from its summary.json.
+    """
+    key, values = sweep
+    argv = ["sweep", "--config", str(preset), "--key", key, f"--values={','.join(values)}"]
+    for dotted, value in overrides + [("rounds", "2")]:
+        argv += ["--set", f"{dotted}={value}"]
+    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # a diverging cell overflows first
+        code = main(argv + ["--out", out])
+        assert code in (0, 2, 3, 4)
+        if code != 0:
+            return
+        header, *lines = Path(out, "sweep.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines]
+        assert all(len(row) == 5 for row in rows), rows
+        configs = {
+            raw: json.loads(Path(out, f"{key.split('.')[-1]}={raw}", "summary.json").read_text())["config"]
+            for raw, *_, status in rows if status == "ok"
+        }
+    assert header == "value,best_acc,rounds_to_first_target,final_delta_t,status"
+    assert [row[0] for row in rows] == [v.strip() for v in ",".join(values).split(",") if v.strip()]
+    for raw, best, hit, delta, status in rows:
+        if status == "diverged":
+            assert best == hit == delta == "", rows
+            continue
+        assert status == "ok" and delta != "", rows
+        accuracy = held_out(configs[raw])
+        assert (best != "", hit != "") == (accuracy, accuracy and bool(configs[raw]["targets"])), rows
 
 
 class TestCmdRun:
@@ -506,12 +584,15 @@ class TestCmdRun:
                      "--key", "beta", "--values", "0.0,0.1", *extra]) == 0
         assert seen == [expected] * 3
 
-    def test_stability_checks_workers(self, config_file, tmp_path, capsys):
-        argv = ["stability", "--config", str(config_file), "--out", str(tmp_path / "s"),
-                "--client", "0", "--sample", "0", "--workers"]
-        assert main([*argv, "0"]) == 2
-        assert "--workers" in capsys.readouterr().err
-        assert main([*argv, "2"]) == 0
+    def test_stability_has_no_workers_flag(self, config_file, tmp_path, capsys):
+        # the twin runs step in lockstep in one process, so a process count is refused, not ignored
+        out = tmp_path / "s"
+        with pytest.raises(SystemExit) as exc:
+            main(["stability", "--config", str(config_file), "--out", str(out),
+                  "--client", "0", "--sample", "0", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["2", "auto"])
     def test_workers_past_one_without_fork_is_config_error(self, monkeypatch, config_file, tmp_path, capsys, flag):
@@ -523,7 +604,7 @@ class TestCmdRun:
         assert not out.exists()
         assert main(["run", "--config", str(config_file), "--out", str(out), "--workers", "1"]) == 0
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "stability"])
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_no_help_calls_workers_inert(self, command, capsys):
         with pytest.raises(SystemExit):
             main([command, "--help"])
@@ -690,6 +771,20 @@ class TestCmdSweep:
         assert main([*argv, "--force"]) == 0
         assert (out / "sweep.csv").read_text() == table
         assert (out / "beta=0.1" / "summary.json").exists()
+
+    def test_refuses_a_cell_that_holds_a_run_without_force(self, config_file, tmp_path, capsys):
+        out = tmp_path / "s"
+        cell = out / "beta=0.2" / "summary.json"
+        assert main(["run", "--config", str(config_file), "--out", str(cell.parent), "--set", "rounds=3"]) == 0
+        run = cell.read_text()
+        argv = ["sweep", "--config", str(config_file), "--out", str(out), "--key", "beta", "--values", "0.1,0.2"]
+        assert main(argv) == 4
+        assert f"refusing to overwrite {cell}" in capsys.readouterr().err
+        assert sorted(path.name for path in out.rglob("*")) == ["beta=0.2", "metrics.csv", "summary.json"]
+        assert cell.read_text() == run
+        assert main([*argv, "--force"]) == 0
+        assert json.loads(cell.read_text())["config"]["rounds"] == 6
+        assert (out / "sweep.csv").exists() and (out / "beta=0.1" / "summary.json").exists()
 
     def test_empty_sweep_rejected(self, config_file, tmp_path, capsys):
         code = main(

@@ -1,5 +1,7 @@
 """Diagnostic quantities, evaluation, and the coupled stability probe."""
 
+import io
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from dgossip.metrics import (
     rounds_to_target,
     update_energies,
     write_metrics_csv,
+    write_table,
 )
 from dgossip.models import ModelSpec, Shard, loss_and_predictions
 from dgossip import models, stability
@@ -200,6 +203,12 @@ class TestMetricsCsv:
         write_metrics_csv([rec], path)
         cells = path.read_text().strip().split("\n")[1].split(",")
         assert cells[1:4] == ["nan", "", "inf"] and cells[6:8] == ["", ""]
+
+    def test_every_table_cell_is_written_one_way(self):
+        # a numpy float is written as the float it holds, not as numpy's repr of it
+        fh = io.StringIO()
+        write_table(fh, ("a", "b"), [(np.float64(0.5), None), (0.1 + 0.2, np.int64(3)), (">5", True)])
+        assert fh.getvalue() == "a,b\n0.5,\n0.30000000000000004,3\n>5,True\n"
 
 
 class TestStabilityProbe:

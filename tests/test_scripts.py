@@ -228,9 +228,10 @@ MISSING = str(ROOT / "configs" / "missing.toml")
          "workers must be a positive integer, got 0"),
         ("phase_profile", ["--config", PRESETS["phase_profile"], "--runs", "0"], 2, "--runs = 0, rounds = 200"),
         ("phase_profile", ["--config", PRESETS["phase_profile"], "--set", "rounds=0"], 2, "--runs = 3, rounds = 0"),
+        ("quadratic_oracle", ["--betas", ","], 2, "--betas names no coefficient"),
     ],
     ids=[*(f"{name}-missing" for name in PRESETS), *(f"{name}-bogus" for name in PRESETS), "phase_profile-workers",
-         "phase_profile-runs", "phase_profile-rounds"],
+         "phase_profile-runs", "phase_profile-rounds", "quadratic_oracle-betas"],
 )
 def test_every_preset_script_exits_as_dgossip_does(capsys, name, argv, code, named):
     assert load_script(name).main(argv) == code
@@ -249,6 +250,19 @@ def test_compare_algorithms_reads_dgossip_seed_beneath_set(compare, capsys, monk
     monkeypatch.setenv("DGOSSIP_SEED", "3")
     assert table() == seed_3
     assert table("seed=0") == seed_0
+
+
+def test_phase_profile_names_the_seed_it_ran(capsys, monkeypatch):
+    def header(*sets):
+        argv = ["--config", PRESETS["phase_profile"], "--set", "rounds=2", *sets, "--runs", "1"]
+        assert load_script("phase_profile").main(argv) == 0
+        return capsys.readouterr().out.splitlines()[0]
+
+    monkeypatch.delenv("DGOSSIP_SEED", raising=False)
+    assert ", seed=0, " in header()
+    monkeypatch.setenv("DGOSSIP_SEED", "5")
+    assert ", seed=5, " in header()
+    assert ", seed=6, " in header("--set", "seed=6")
 
 
 def bench_output(env, factor, **values):
